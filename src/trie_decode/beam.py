@@ -1,12 +1,18 @@
 """Beam search with log-probability masking against a constraint.
 
-Invalid tokens have their log-probabilities set to minus infinity; the
-surviving entries are *not* renormalized, so the score of any fully decoded
-sequence equals its unconstrained stepwise sum.  Finished hypotheses are
-retired to a pool and do not occupy beam slots; pruning keeps the best ``k``
-live hypotheses by cumulative log-probability.  The final ranking applies
-length normalization when configured, breaking exact ties by ascending
-token-sequence order so that results are total and reproducible.
+A constraint is a state machine: ``start()`` is the state of the empty
+prefix, ``allowed(state)`` the set of legal next token ids (EOS where
+finishing is legal) and ``advance(state, token)`` the state after a legal
+token.  Each live hypothesis carries its state, so no step re-reads a
+prefix.  ``EntityTrie`` (state: a node) and ``MarkupConstraint`` (state: a
+``LinkerState``) implement it.  Tokens outside the allowed set score minus
+infinity; the surviving entries are *not* renormalized, so the score of any
+fully decoded sequence equals its unconstrained stepwise sum.  Finished
+hypotheses are retired to a pool and do not occupy beam slots; pruning
+keeps the best ``k`` live hypotheses by cumulative log-probability.  The
+final ranking applies length normalization when configured, breaking exact
+ties by ascending token-sequence order so that results are total and
+reproducible.
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie and scorer, which are read-only.
@@ -15,7 +21,7 @@ over a shared trie and scorer, which are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,7 +30,17 @@ from .scoring import Scorer, sequence_score
 from .trie import EntityTrie
 from .vocab import EOS, TokenId, Vocabulary, decode
 
-Constraint = Callable[[tuple[TokenId, ...]], AbstractSet[TokenId]]
+State = TypeVar("State")
+
+
+class Constraint(Protocol[State]):
+    """Legal continuations as a state machine (see the module overview)."""
+
+    def start(self) -> State: ...
+
+    def allowed(self, state: State) -> AbstractSet[TokenId]: ...
+
+    def advance(self, state: State, token: TokenId) -> State: ...
 
 
 class BeamError(ValueError):
@@ -83,7 +99,8 @@ def mask_logprobs(logprobs: np.ndarray, allowed: AbstractSet[TokenId]) -> np.nda
     """Set entries outside ``allowed`` to -inf, leaving the rest unchanged.
 
     No renormalization happens.  An empty allowed set is a dead end and is
-    rejected here; beam search drops such hypotheses before masking.
+    rejected here.  This is the reference semantics of a search step, which
+    :func:`beam_search` computes without building the masked vector.
     """
     if not allowed:
         raise BeamError("empty allowed set")
@@ -103,36 +120,49 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Search for up to ``k`` finished hypotheses satisfying ``constraint``.
 
-    ``constraint`` maps a generated prefix to the set of legal next tokens
-    (include EOS to permit finishing).  Hypotheses whose allowed set is empty
-    are dropped; hypotheses that reach ``max_steps`` without EOS are
-    discarded.  Returns finished hypotheses sorted by the config's ranking
-    score; an empty list means nothing finished.
+    Each live hypothesis carries its constraint state.  Hypotheses whose
+    allowed set is empty are dropped; those that reach ``max_steps`` without
+    EOS are discarded.  EOS always retires to the pool.  Since live prefixes
+    share one length, only a parent's best ``k`` other tokens under
+    ``(-score, token)`` can make the global ``(-score, tokens)`` cut, so only
+    they become candidates and only the ``k`` kept are advanced.  Returns
+    finished hypotheses sorted by the config's ranking score; an empty list
+    means nothing finished.  Raises :class:`BeamError` on an allowed token
+    id outside the scorer's vocabulary.
     """
     input_tokens = tuple(input_tokens)
-    live = [Hypothesis((), 0.0, False)]
+    live = [(Hypothesis((), 0.0, False), constraint.start())]
     pool: list[Hypothesis] = []
     for _ in range(config.max_steps):
         if not live:
             break
-        candidates: list[Hypothesis] = []
-        for hyp in live:
-            allowed = constraint(hyp.tokens)
+        candidates = []
+        for hyp, state in live:
+            allowed = constraint.allowed(state)
             if not allowed:
                 continue
-            masked = mask_logprobs(scorer.next_token_logprobs(input_tokens, hyp.tokens), allowed)
-            for token in sorted(allowed):
-                extended = Hypothesis(
-                    hyp.tokens + (token,),
-                    hyp.cum_logprob + float(masked[token]),
-                    token == EOS,
+            logprobs = scorer.next_token_logprobs(input_tokens, hyp.tokens)
+            tokens = np.fromiter(allowed, dtype=np.intp, count=len(allowed))
+            if tokens.min() < 0 or tokens.max() >= logprobs.shape[0]:
+                raise BeamError("allowed token id out of range")
+            scores = np.add(logprobs[tokens], hyp.cum_logprob, dtype=np.float64)
+            width = config.k
+            if EOS in allowed:
+                pool.append(
+                    Hypothesis(hyp.tokens + (EOS,), hyp.cum_logprob + float(logprobs[EOS]), True)
                 )
-                if extended.finished:
-                    pool.append(extended)
-                else:
-                    candidates.append(extended)
-        candidates.sort(key=lambda h: (-h.cum_logprob, h.tokens))
-        live = candidates[: config.k]
+                width += 1
+            if len(tokens) > width:
+                best = np.lexsort((tokens, -scores))[:width]
+                tokens, scores = tokens[best], scores[best]
+            for token, score in zip(tokens.tolist(), scores.tolist()):
+                if token != EOS:
+                    candidates.append((score, hyp.tokens + (token,), state))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = [
+            (Hypothesis(tokens, score, False), constraint.advance(state, tokens[-1]))
+            for score, tokens, state in candidates[: config.k]
+        ]
     pool.sort(key=lambda h: (-_final_score(h, config.length_normalize), h.tokens))
     return pool[: config.k]
 
@@ -156,7 +186,7 @@ def rank_entities(
     count including EOS; with normalization off it simply repeats the raw
     score.  Names are decoded from the winning token sequences.
     """
-    hypotheses = beam_search(scorer, input_tokens, trie.allowed_continuations, config)
+    hypotheses = beam_search(scorer, input_tokens, trie, config)
     return _ranked(
         ((h.tokens, h.cum_logprob) for h in hypotheses), config.length_normalize, vocab
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .vocab import TokenId, Vocabulary, encode
+from .vocab import TokenId, Vocabulary, encode, read_lines
 
 RESERVED_NAME_CHARS = frozenset("[]()")
 
@@ -99,14 +99,9 @@ def load_catalog(source: str | Iterable[str], vocab: Vocabulary) -> tuple[Catalo
     Raises:
         CatalogError: with the offending 1-based line number on bad names.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
     records: dict[str, EntityRecord] = {}
     duplicates = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         name = raw.strip()
         if not name:
             continue
@@ -160,13 +155,8 @@ def load_candidate_sets(
 
     Membership is validated against ``catalog`` when one is given.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
     sets: dict[str, CandidateSet] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")

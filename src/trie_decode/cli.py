@@ -15,16 +15,15 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 from .beam import BeamConfig, RankedResult, rank_entities
 from .catalog import load_candidate_sets, load_catalog
 from .markup import MarkupDocument, SpanAnnotation, link_document, parse_markup, render_markup
-from .metrics import EvalReport, RetrievalReport, ed_accuracy, micro_f1_spans
+from .metrics import EvalReport, RetrievalReport, ed_accuracy, ed_report, micro_f1_spans
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
 from .tasks import (
     TASK_EXTRA_SPECIALS,
-    SuiteReport,
     TaskConfig,
     parallel_map,
     disambiguate,
@@ -36,6 +35,8 @@ from .trie import EntityTrie, build_trie
 from .vocab import EOS, Vocabulary, encode, load_vocabulary
 
 JOBS_ENV_VAR = "TRIE_DECODE_JOBS"
+
+_P = TypeVar("_P")
 
 
 class CliError(ValueError):
@@ -72,15 +73,21 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
 
+def _ranking_payloads(ranking: RankedResult) -> list[dict]:
+    return [
+        {
+            "rank": rank,
+            "name": entry.name,
+            "raw_logprob": entry.raw_logprob,
+            "normalized_score": entry.normalized_score,
+        }
+        for rank, entry in enumerate(ranking, start=1)
+    ]
+
+
 def _ranking_lines(ranking: RankedResult, fmt: str, prefix: str = "") -> Iterable[str]:
     if fmt == "structured":
-        for rank, entry in enumerate(ranking, start=1):
-            payload = {
-                "rank": rank,
-                "name": entry.name,
-                "raw_logprob": entry.raw_logprob,
-                "normalized_score": entry.normalized_score,
-            }
+        for payload in _ranking_payloads(ranking):
             if prefix:
                 payload["id"] = prefix
             yield _json_line(payload)
@@ -138,15 +145,7 @@ def cmd_disambiguate(args: argparse.Namespace, out: TextIO) -> int:
             payload = {
                 "id": instance.instance_id,
                 "gold": instance.gold,
-                "predictions": [
-                    {
-                        "rank": rank,
-                        "name": e.name,
-                        "raw_logprob": e.raw_logprob,
-                        "normalized_score": e.normalized_score,
-                    }
-                    for rank, e in enumerate(ranking, start=1)
-                ],
+                "predictions": _ranking_payloads(ranking),
             }
             print(_json_line(payload), file=out)
         else:
@@ -193,62 +192,39 @@ def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _load_span_predictions(path: str) -> dict[str, list[SpanAnnotation]]:
-    predictions: dict[str, list[SpanAnnotation]] = {}
+def _load_predictions(path: str, parse: Callable[[dict], _P]) -> dict[str, _P]:
+    """``id -> parse(record)`` over the JSON lines of a structured dump."""
+    predictions: dict[str, _P] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
                 payload = json.loads(raw)
-                doc_id = payload["id"]
-                spans = [SpanAnnotation(s, l, e) for s, l, e in payload["spans"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
-            predictions[doc_id] = spans
-    return predictions
-
-
-def _load_name_predictions(path: str) -> dict[str, str]:
-    predictions: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                payload = json.loads(raw)
-                ranked = payload["predictions"]
-                predictions[payload["id"]] = ranked[0]["name"] if ranked else ""
+                predictions[payload["id"]] = parse(payload)
             except (KeyError, TypeError, IndexError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
     return predictions
-
-
-def _report_lines(metrics: dict[str, float], counts: dict[str, int], fmt: str) -> list[str]:
-    if fmt == "structured":
-        return [_json_line({"metrics": metrics, "counts": counts})]
-    return [f"{key}={value:.2f}" for key, value in metrics.items()]
 
 
 def _eval_from_predictions(args: argparse.Namespace, vocab: Vocabulary, out: TextIO) -> int:
     if args.mode == "el":
         gold_docs = []
         pred_docs = []
-        predictions = _load_span_predictions(args.predictions)
+        predictions = _load_predictions(
+            args.predictions, lambda p: [SpanAnnotation(s, l, e) for s, l, e in p["spans"]]
+        )
         for doc_id, text, gold_markup in sorted(load_el_dataset(args.dataset), key=lambda d: d[0]):
             if doc_id not in predictions:
                 raise CliError(f"no prediction for instance {doc_id!r}")
             gold_docs.append(parse_markup(gold_markup, text))
             pred_docs.append(predictions[doc_id])
         report = micro_f1_spans(gold_docs, pred_docs)
-        metrics = {
-            "micro_precision": report.precision,
-            "micro_recall": report.recall,
-            "micro_f1": report.f1,
-        }
-        counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
+        accuracy = None
     elif args.mode == "ed":
-        predictions = _load_name_predictions(args.predictions)
+        predictions = _load_predictions(
+            args.predictions, lambda p: p["predictions"][0]["name"] if p["predictions"] else ""
+        )
         gold = []
         pred = []
         for instance in sorted(load_ed_dataset(args.dataset, vocab), key=lambda i: i.instance_id):
@@ -258,19 +234,11 @@ def _eval_from_predictions(args: argparse.Namespace, vocab: Vocabulary, out: Tex
             pred.append(predictions[instance.instance_id])
         if not gold:
             raise CliError("empty dataset")
+        report = ed_report(gold, pred)
         accuracy = ed_accuracy(gold, pred)
-        tp = sum(g == p for g, p in zip(gold, pred))
-        report = EvalReport.from_counts(tp, len(gold) - tp, len(gold) - tp)
-        metrics = {
-            "accuracy": accuracy,
-            "micro_precision": report.precision,
-            "micro_recall": report.recall,
-            "micro_f1": report.f1,
-        }
-        counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
     else:
         raise CliError("--predictions is supported for ed and el modes only")
-    for line in _report_lines(metrics, counts, args.format):
+    for line in _report_lines(report, accuracy, args.format):
         print(line, file=out)
     return 0
 
@@ -299,24 +267,30 @@ def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
         chunk_size=args.chunk_size,
         jobs=args.jobs,
     )
-    metrics, counts = _suite_metrics(suite)
-    for line in _report_lines(metrics, counts, args.format):
+    for line in _report_lines(suite.report, suite.accuracy, args.format):
         print(line, file=out)
     return 0
 
 
-def _suite_metrics(suite: SuiteReport) -> tuple[dict[str, float], dict[str, int]]:
-    report = suite.report
+def _report_lines(
+    report: EvalReport | RetrievalReport, accuracy: float | None, fmt: str
+) -> list[str]:
+    """One report for in-process and from-dump eval alike."""
     if isinstance(report, RetrievalReport):
-        return {"r_precision_mean": report.mean}, {"queries": len(report.per_query)}
-    metrics = {
-        "micro_precision": report.precision,
-        "micro_recall": report.recall,
-        "micro_f1": report.f1,
-    }
-    if suite.accuracy is not None:
-        metrics = {"accuracy": suite.accuracy, **metrics}
-    return metrics, {"tp": report.tp, "fp": report.fp, "fn": report.fn}
+        metrics = {"r_precision_mean": report.mean}
+        counts = {"queries": len(report.per_query)}
+    else:
+        metrics = {
+            "micro_precision": report.precision,
+            "micro_recall": report.recall,
+            "micro_f1": report.f1,
+        }
+        if accuracy is not None:
+            metrics = {"accuracy": accuracy, **metrics}
+        counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
+    if fmt == "structured":
+        return [_json_line({"metrics": metrics, "counts": counts})]
+    return [f"{key}={value:.2f}" for key, value in metrics.items()]
 
 
 def _add_beam_options(parser: argparse.ArgumentParser, beams: int | None, max_steps: int | None) -> None:

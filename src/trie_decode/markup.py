@@ -132,10 +132,9 @@ def dynamic_constraint(
     if state.entity_prefix is None:
         return frozenset((LINK_OPEN,))
     continuations = trie.allowed_continuations(state.entity_prefix)
-    allowed = set(continuations) - {EOS}
     if EOS in continuations:
-        allowed.add(LINK_CLOSE)
-    return frozenset(allowed)
+        return continuations - {EOS} | {LINK_CLOSE}
+    return continuations
 
 
 def advance_state(state: LinkerState, token: TokenId, source: Sequence[TokenId]) -> LinkerState:
@@ -217,35 +216,25 @@ def strip_markup_tokens(tokens: Sequence[TokenId]) -> list[TokenId]:
 
 
 class MarkupConstraint:
-    """Prefix-to-allowed-set adapter for :func:`beam_search`.
+    """The linking FSM as a :func:`beam_search` constraint over ``source``.
 
-    States are cached per generated prefix; a new prefix extends its parent
-    by one transition, so lookups stay O(1) amortized during a beam decode.
+    The state is a :class:`LinkerState`: ``start()`` is the initial
+    OUTSIDE state, ``allowed(state)`` is :func:`dynamic_constraint` and
+    ``advance(state, token)`` is :func:`advance_state`.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
         self._source = tuple(source)
         self._trie = trie
-        self._states: dict[tuple[TokenId, ...], LinkerState] = {(): LinkerState()}
 
-    def state_for(self, prefix: tuple[TokenId, ...]) -> LinkerState:
-        state = self._states.get(prefix)
-        if state is not None:
-            return state
-        missing: list[TokenId] = []
-        probe = prefix
-        while probe not in self._states:
-            missing.append(probe[-1])
-            probe = probe[:-1]
-        state = self._states[probe]
-        for token in reversed(missing):
-            state = advance_state(state, token, self._source)
-            probe = probe + (token,)
-            self._states[probe] = state
-        return state
+    def start(self) -> LinkerState:
+        return LinkerState()
 
-    def __call__(self, prefix: tuple[TokenId, ...]) -> frozenset[TokenId]:
-        return dynamic_constraint(self.state_for(prefix), self._source, self._trie)
+    def allowed(self, state: LinkerState) -> frozenset[TokenId]:
+        return dynamic_constraint(state, self._source, self._trie)
+
+    def advance(self, state: LinkerState, token: TokenId) -> LinkerState:
+        return advance_state(state, token, self._source)
 
 
 def _char_spans(

@@ -94,6 +94,19 @@ def ed_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     return sum(g == p for g, p in zip(gold, pred)) / len(gold)
 
 
+def ed_report(gold: Sequence[str], pred: Sequence[str]) -> EvalReport:
+    """Top-1 counts, where ``""`` in ``pred`` stands for an empty ranking.
+
+    A right name is a true positive and a wrong one a false positive; an
+    empty ranking is only a miss, i.e. a false negative.
+    """
+    if len(gold) != len(pred):
+        raise MetricsError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
+    tp = sum(g == p for g, p in zip(gold, pred))
+    fp = sum(p != "" and p != g for g, p in zip(gold, pred))
+    return EvalReport.from_counts(tp, fp, len(gold) - tp)
+
+
 def r_precision(gold_relevant: AbstractSet[str], ranked: RankedResult | Sequence[str]) -> float:
     """Precision at rank R, where R is the number of gold-relevant names."""
     names = ranked.names() if isinstance(ranked, RankedResult) else tuple(ranked)

@@ -27,13 +27,14 @@ from .metrics import (
     MatchType,
     RetrievalReport,
     ed_accuracy,
+    ed_report,
     match_type,
     micro_f1_spans,
     r_precision,
 )
 from .scoring import Scorer
 from .trie import EntityTrie, build_trie
-from .vocab import TokenId, Vocabulary, decode, encode, encode_with_offsets
+from .vocab import TokenId, Vocabulary, decode, encode, encode_with_offsets, read_lines
 
 START_ENT_STRING = "[START_ENT]"
 END_ENT_STRING = "[END_ENT]"
@@ -159,13 +160,6 @@ def retrieve(
 # --- dataset loading -----------------------------------------------------
 
 
-def _read_lines(source: str | Iterable[str]) -> list[str]:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    return [line.rstrip("\n") for line in source]
-
-
 def _mention_token_span(
     context: str, char_start: int, char_len: int, vocab: Vocabulary, line: int
 ) -> tuple[tuple[TokenId, ...], int, int]:
@@ -194,7 +188,7 @@ def load_ed_dataset(
     candidate_sets: dict[str, CandidateSet] | None = None,
 ) -> list[EDInstance]:
     instances = []
-    for lineno, raw in enumerate(_read_lines(source), start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
@@ -221,7 +215,7 @@ def load_ed_dataset(
 
 def load_dr_dataset(source: str | Iterable[str]) -> list[tuple[str, str, tuple[str, ...]]]:
     queries = []
-    for lineno, raw in enumerate(_read_lines(source), start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
@@ -237,7 +231,7 @@ def load_dr_dataset(source: str | Iterable[str]) -> list[tuple[str, str, tuple[s
 
 def load_el_dataset(source: str | Iterable[str]) -> list[tuple[str, str, str]]:
     documents = []
-    for lineno, raw in enumerate(_read_lines(source), start=1):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
@@ -321,13 +315,10 @@ def run_eval_suite(
             return EDOutcome(instance.instance_id, instance.gold, ranking, match_type(mention, instance.gold))
 
         outcomes = parallel_map(run_ed, instances, jobs)
-        tp = sum(o.predicted == o.gold for o in outcomes)
-        fp = sum(o.predicted is not None and o.predicted != o.gold for o in outcomes)
-        fn = len(outcomes) - tp
-        accuracy = ed_accuracy(
-            [o.gold for o in outcomes], [o.predicted or "" for o in outcomes]
-        )
-        return SuiteReport("ed", EvalReport.from_counts(tp, fp, fn), tuple(outcomes), accuracy)
+        gold = [o.gold for o in outcomes]
+        predicted = [o.predicted or "" for o in outcomes]
+        report = ed_report(gold, predicted)
+        return SuiteReport("ed", report, tuple(outcomes), ed_accuracy(gold, predicted))
     if mode == "dr":
         if trie is None:
             raise TaskError("retrieval requires a catalog trie")

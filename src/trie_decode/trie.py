@@ -4,7 +4,9 @@ Each node's children are the legal next tokens after the prefix spelled on
 the path from the root.  Terminality is a node flag rather than an explicit
 end-of-sequence edge; ``allowed_continuations`` reports ``EOS`` for a
 terminal node, which keeps a name that is a prefix of another name (the node
-is terminal *and* has children) unambiguous.
+is terminal *and* has children) unambiguous.  As a beam-search constraint
+the state is a node: ``start()`` is the root, ``allowed(node)`` its
+continuations and ``advance(node, token)`` the child.
 
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
@@ -89,18 +91,24 @@ class EntityTrie:
                 return None
         return node
 
+    def start(self) -> TrieNode:
+        return self.root
+
+    def allowed(self, node: TrieNode) -> frozenset[TokenId]:
+        """Child tokens of ``node``, plus EOS when the node is terminal."""
+        children = frozenset(node.children)
+        return children | {EOS} if node.terminal else children
+
+    def advance(self, node: TrieNode, token: TokenId) -> TrieNode:
+        return node.children[token]
+
     def allowed_continuations(self, prefix: Sequence[TokenId]) -> frozenset[TokenId]:
         """Exact child set at ``prefix``, plus EOS when the node is terminal.
 
         An unreachable prefix yields the empty set.
         """
         node = self._walk(prefix)
-        if node is None:
-            return frozenset()
-        allowed = set(node.children)
-        if node.terminal:
-            allowed.add(EOS)
-        return frozenset(allowed)
+        return frozenset() if node is None else self.allowed(node)
 
     def contains(self, sequence: Sequence[TokenId]) -> bool:
         node = self._walk(sequence)
@@ -128,14 +136,14 @@ class EntityTrie:
 
     def sequences(self) -> Iterator[tuple[TokenId, ...]]:
         """Yield all inserted sequences in ascending token-lex order."""
-
-        def visit(node: TrieNode, prefix: tuple[TokenId, ...]) -> Iterator[tuple[TokenId, ...]]:
+        stack = [(self.root, ())]
+        while stack:
+            node, prefix = stack.pop()
             if node.terminal:
                 yield prefix
-            for token in sorted(node.children):
-                yield from visit(node.children[token], prefix + (token,))
-
-        return visit(self.root, ())
+            # reversed so the smallest token id is popped (and yielded) first
+            for token in sorted(node.children, reverse=True):
+                stack.append((node.children[token], prefix + (token,)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntityTrie):
@@ -196,9 +204,11 @@ class EntityTrie:
         root_offset = len(MAGIC) + _HEADER.size
         visited: set[int] = set()
         consumed = root_offset
-
-        def read_node(offset: int) -> TrieNode:
-            nonlocal consumed
+        # preorder on an explicit stack, as names may outgrow the recursion limit
+        found: dict[TokenId, TrieNode] = {}
+        stack = [(root_offset, found, 0)]
+        while stack:
+            offset, slot, key = stack.pop()
             if offset in visited:
                 raise TrieFormatError(f"cyclic child offset: {offset}")
             visited.add(offset)
@@ -211,7 +221,7 @@ class EntityTrie:
             if end > len(data):
                 raise TrieFormatError("truncated stream")
             consumed += _NODE_HEAD.size + count * _CHILD.size
-            node = TrieNode(terminal=bool(flag))
+            node = slot[key] = TrieNode(terminal=bool(flag))
             prev_token = -1
             pos = offset + _NODE_HEAD.size
             entries = []
@@ -225,15 +235,11 @@ class EntityTrie:
                     raise TrieFormatError(f"token id {token} out of range")
                 if child_offset < root_offset or child_offset >= len(data):
                     raise TrieFormatError(f"dangling child offset: {child_offset}")
-                entries.append((token, child_offset))
-            for token, child_offset in entries:
-                node.children[token] = read_node(child_offset)
-            return node
-
-        root = read_node(root_offset)
+                entries.append((child_offset, node.children, token))
+            stack.extend(reversed(entries))
         if consumed != len(data):
             raise TrieFormatError("trailing data after last node record")
-        return cls(root, vocab_size)
+        return cls(found[0], vocab_size)
 
 
 def _checked_sequence(sequence: Sequence[TokenId], vocab_size: int) -> tuple[TokenId, ...]:

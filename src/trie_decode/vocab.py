@@ -180,18 +180,21 @@ def decode(tokens: Sequence[TokenId], vocab: Vocabulary) -> str:
     return " ".join(vocab.string_of(t) for t in tokens)
 
 
+def read_lines(source: str | Iterable[str]) -> list[str]:
+    """Lines of the UTF-8 file at path ``source``, or of an iterable of lines, without newlines."""
+    if isinstance(source, str):
+        with open(source, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    return [line.rstrip("\n") for line in source]
+
+
 def load_vocabulary(source: str | Iterable[str], extra_specials: Iterable[str] = ()) -> Vocabulary:
     """Build a vocabulary from a file path or an iterable of lines.
 
     One ordinary token per line, UTF-8; specials are implicit and not listed.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
     tokens: list[str] = []
-    for lineno, raw in enumerate(lines):
+    for lineno, raw in enumerate(read_lines(source)):
         token = raw.strip()
         if not token:
             raise VocabularyError(f"line {lineno}: empty token")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from trie_decode.beam import Hypothesis, mask_logprobs
 from trie_decode.catalog import Catalog, EntityRecord
 from trie_decode.scoring import TableScorer
 from trie_decode.trie import EntityTrie, build_trie
@@ -132,3 +133,37 @@ def random_table_scorer(
         counts[ctx] = row
     alpha = float(rng.choice((0.1, 0.5, 1.0)))
     return TableScorer(counts, alpha, vocab.size, input_conditioned)
+
+
+def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypothesis]:
+    """Beam search as the definition reads, the reference for ``beam_search``.
+
+    Masks each live hypothesis's scores, extends it by every allowed token,
+    then sorts all candidates by ``(-score, tokens)`` and keeps ``k``.  Each
+    prefix's constraint state is recomputed from the start.
+    """
+
+    def allowed(prefix):
+        state = constraint.start()
+        for token in prefix:
+            state = constraint.advance(state, token)
+        return constraint.allowed(state)
+
+    live, pool = [Hypothesis((), 0.0, False)], []
+    for _ in range(config.max_steps):
+        candidates = []
+        for hyp in live:
+            tokens = allowed(hyp.tokens)
+            if not tokens:
+                continue
+            logprobs = scorer.next_token_logprobs(tuple(input_tokens), hyp.tokens)
+            masked = mask_logprobs(logprobs, tokens)
+            for token in sorted(tokens):
+                score = hyp.cum_logprob + float(masked[token])
+                extended = Hypothesis(hyp.tokens + (token,), score, token == EOS)
+                (pool if extended.finished else candidates).append(extended)
+        candidates.sort(key=lambda h: (-h.cum_logprob, h.tokens))
+        live = candidates[: config.k]
+    length = (lambda h: len(h.tokens)) if config.length_normalize else (lambda h: 1)
+    pool.sort(key=lambda h: (-(h.cum_logprob / length(h)), h.tokens))
+    return pool[: config.k]

@@ -14,6 +14,7 @@ from trie_decode.beam import (
     mask_logprobs,
     rank_entities,
 )
+from trie_decode.markup import MarkupConstraint
 from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score
 from trie_decode.trie import build_trie
 from trie_decode.vocab import EOS, decode, encode
@@ -25,6 +26,7 @@ from helpers import (
     pool_vocabulary,
     random_sequences,
     random_table_scorer,
+    reference_beam_search,
 )
 
 
@@ -59,7 +61,7 @@ class TestBeamSearch:
     def test_greedy_follows_oracle(self, vocab, names_trie):
         target = tuple(encode("English literature", vocab)) + (EOS,)
         scorer = OracleScorer(target, vocab.size)
-        hyps = beam_search(scorer, (), names_trie.allowed_continuations, BeamConfig(k=1))
+        hyps = beam_search(scorer, (), names_trie, BeamConfig(k=1))
         assert [h.tokens for h in hyps] == [target]
 
     def test_uniform_scorer_finds_all_catalog_names(self, vocab, names_trie):
@@ -86,27 +88,36 @@ class TestBeamSearch:
 
     def test_at_most_k_finished(self, vocab, names_trie):
         scorer = UniformScorer(vocab.size)
-        hyps = beam_search(scorer, (), names_trie.allowed_continuations, BeamConfig(k=2))
+        hyps = beam_search(scorer, (), names_trie, BeamConfig(k=2))
         assert len(hyps) == 2
 
     def test_max_steps_discards_unfinished(self, vocab, names_trie):
         scorer = UniformScorer(vocab.size)
         config = BeamConfig(k=3, max_steps=2, length_normalize=False)
-        hyps = beam_search(scorer, (), names_trie.allowed_continuations, config)
+        hyps = beam_search(scorer, (), names_trie, config)
         # only "France" (one token + EOS) can finish within two steps
         assert [decode(h.tokens[:-1], vocab) for h in hyps] == ["France"]
 
     def test_dead_end_constraint_yields_empty_result(self):
         scorer = UniformScorer(9)
 
-        def dead_end(prefix):
-            return frozenset({7}) if not prefix else frozenset()
+        class DeadEnd:
+            """Allows token 7 at the start, then nothing."""
 
-        assert beam_search(scorer, (), dead_end, BeamConfig(k=2)) == []
+            def start(self):
+                return 0
+
+            def allowed(self, depth):
+                return frozenset({7}) if depth == 0 else frozenset()
+
+            def advance(self, depth, token):
+                return depth + 1
+
+        assert beam_search(scorer, (), DeadEnd(), BeamConfig(k=2)) == []
 
     def test_finished_hypotheses_flagged(self, vocab, names_trie):
         scorer = UniformScorer(vocab.size)
-        for hyp in beam_search(scorer, (), names_trie.allowed_continuations, BeamConfig(k=3)):
+        for hyp in beam_search(scorer, (), names_trie, BeamConfig(k=3)):
             assert hyp.finished and hyp.tokens[-1] == EOS
             assert hyp.cum_logprob <= 0.0
 
@@ -161,6 +172,28 @@ class TestOracleEquivalence:
         assert ranking[0].name == "France"
         assert ranking[0].raw_logprob == raw
         assert ranking[0].normalized_score == raw / (len(seq) + 1)
+
+
+class TestNarrowWidthExactness:
+    """Per-parent top-k with carried states equals the per-token definition."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_trie_and_markup_constraints(self, tied):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(307 + tied)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        for _ in range(25):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 25)), max_len=4)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 6))))
+            scorer = UniformScorer(vocab.size) if tied else random_table_scorer(rng, vocab)
+            searches = [((), trie, 15), (source, MarkupConstraint(source, trie), 40)]
+            for inputs, constraint, max_steps in searches:
+                for k in (1, 2, 3):
+                    config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
+                    got = beam_search(scorer, inputs, constraint, config)
+                    want = reference_beam_search(scorer, inputs, constraint, config)
+                    assert got == want  # equal tokens and bit-equal cum_logprob
 
 
 class TestNormalizationFlip:

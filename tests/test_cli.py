@@ -80,6 +80,27 @@ class TestRetrieve:
         rank, name, _score = lines[0].split("\t")
         assert (rank, name) == ("1", "France")
 
+    def test_name_deeper_than_the_recursion_limit(self, cli_files, capsys):
+        deep = " ".join(["English", "language"] * 600)
+        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
+            fh.write(deep + "\n")
+        build(cli_files)
+        capsys.readouterr()
+        code = main(
+            [
+                "retrieve",
+                "--query", "q",
+                "--vocab", cli_files["vocab"],
+                "--trie", cli_files["trie"],
+                "--scorer", f"oracle:{deep}",
+                "--beams", "1",
+                "--max-steps", "1201",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[1] for line in lines] == [deep]
+
     def test_normalization_flag_changes_score_column_only(self, cli_files, capsys):
         build(cli_files)
         capsys.readouterr()
@@ -293,6 +314,29 @@ class TestEvalPipelines:
         assert code == 0
         out = capsys.readouterr().out
         assert "micro_f1=1.00" in out
+
+
+class TestEdEvalPaths:
+    @pytest.mark.parametrize("max_steps", ["1", "2"])
+    def test_empty_ranking_is_a_miss_in_both_paths(self, cli_files, tmp_path, capsys, max_steps):
+        # within two steps only the one-token name can finish, so m2's
+        # ranking is empty; within one step every ranking is empty
+        dataset = tmp_path / "ed.tsv"
+        dataset.write_text(
+            "m1\tlanguage France language\t9\t6\tFrance\tFrance|English language\n"
+            "m2\tFrance language\t7\t8\tEnglish language\tEnglish language|English literature\n"
+        )
+        dump = tmp_path / "ed.jsonl"
+        common = ["--dataset", str(dataset), "--vocab", cli_files["vocab"]]
+        decode = ["--scorer", "uniform", "--max-steps", max_steps]
+        structured = ["--format", "structured"]
+        assert main(["disambiguate", *common, *decode, *structured, "--out", str(dump)]) == 0
+        assert main(["eval", "--mode", "ed", *common, *decode, *structured]) == 0
+        in_process = capsys.readouterr().out
+        assert main(["eval", "--mode", "ed", *common, "--predictions", str(dump), *structured]) == 0
+        assert capsys.readouterr().out == in_process
+        tp = 1 if max_steps == "2" else 0
+        assert json.loads(in_process)["counts"] == {"tp": tp, "fp": 0, "fn": 2 - tp}
 
 
 class TestJobsEnvFallback:

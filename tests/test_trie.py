@@ -155,8 +155,13 @@ class TestProperties:
             seqs = random_sequences(rng, vocab, size=int(rng.integers(1, 30)))
             trie = build_trie(seqs, vocab.size)
             for seq in seqs:
+                state = trie.start()
                 for i in range(len(seq)):
-                    assert seq[i] in trie.allowed_continuations(seq[:i])
+                    assert trie.allowed(state) == trie.allowed_continuations(seq[:i])
+                    assert seq[i] in trie.allowed(state)
+                    state = trie.advance(state, seq[i])
+                assert trie.allowed(state) == trie.allowed_continuations(seq)
+                assert EOS in trie.allowed(state)
 
     def test_contains_iff_eos_allowed(self):
         vocab = pool_vocabulary()
@@ -176,6 +181,16 @@ class TestSerialization:
         assert back == names_trie
         assert back.stats() == names_trie.stats()
         assert list(back.sequences()) == list(names_trie.sequences())
+
+    def test_name_deeper_than_the_recursion_limit(self, vocab):
+        deep = tuple(encode(" ".join(["English", "language"] * 600), vocab))
+        france = tuple(encode("France", vocab))
+        trie = build_trie([deep, france], vocab.size)
+        blob = trie.serialize()
+        back = EntityTrie.deserialize(blob)
+        assert back == trie
+        assert back.serialize() == blob
+        assert list(back.sequences()) == [deep, france]
 
     def test_round_trip_is_canonical(self, names_trie):
         blob = names_trie.serialize()
