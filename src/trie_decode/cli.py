@@ -121,6 +121,8 @@ def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:
     vocab = _load_vocab(args.vocab)
     scorer = _make_scorer(args.scorer, vocab)
     trie = _load_trie(args.trie)
+    if args.max_steps <= trie.max_depth:
+        raise CliError(f"--max-steps {args.max_steps} cannot finish the longest name ({trie.max_depth} tokens)")
     config = BeamConfig(args.beams, args.max_steps, args.length_normalize)
     ranking = rank_entities(scorer, encode(args.query, vocab), trie, config, vocab)
     for line in _ranking_lines(ranking, args.format):

@@ -115,7 +115,8 @@ class TableScorer(Scorer):
     ``p(v | ctx) = (count(ctx, v) + alpha) / (total(ctx) + alpha * V)`` with
     ``alpha > 0``, so every token keeps strictly positive probability.  The
     context is the previous generated token (SOS at the first step),
-    optionally mixed with a hash of the input when ``input_conditioned``.
+    or, when ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod
+    2**31`` over the input's u32 token ids: distinct pairs can share a row.
     """
 
     def __init__(

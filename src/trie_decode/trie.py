@@ -1,12 +1,16 @@
 """Prefix tree over token sequences: the decoding constraint object.
 
-Each node's children are the legal next tokens after the prefix spelled on
-the path from the root.  Terminality is a node flag rather than an explicit
-end-of-sequence edge; ``allowed_continuations`` reports ``EOS`` for a
-terminal node, which keeps a name that is a prefix of another name (the node
-is terminal *and* has children) unambiguous.  As a beam-search constraint
-the state is a node: ``start()`` is the root, ``allowed(node)`` its
-continuations and ``advance(node, token)`` the child.
+The nodes are numbered in level order (breadth first, siblings in ascending
+token id) and held in three flat lists, which are also the file layout:
+``token[v]`` is the edge label into node ``v`` (0 for the root, node 0),
+``terminal[v]`` marks the nodes that end a name, and the children of ``v``
+are the nodes ``first_child[v] .. first_child[v + 1] - 1``.  Terminality is
+a node flag rather than an explicit end-of-sequence edge;
+``allowed_continuations`` reports ``EOS`` for a terminal node, which keeps a
+name that is a prefix of another name (the node is terminal *and* has
+children) unambiguous.  As a beam-search constraint the state is a node
+index: ``start()`` is the root, ``allowed(node)`` its child slice (plus EOS
+when terminal) and ``advance(node, token)`` a bisection within that slice.
 
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
@@ -14,23 +18,26 @@ children counts as internal and still contributes one to ``leaf_count``.
 ``leaf_count`` therefore always equals the number of distinct inserted
 sequences.
 
-Tries are immutable after construction.  ``insert`` returns a new trie that
-shares structure with the old one, so concurrent readers of any version are
+Tries are immutable after construction.  ``insert`` returns a new trie,
+rebuilt in O(n) over all tokens, so concurrent readers of any version are
 safe.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
+from collections import deque
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .vocab import EOS, SOS, TokenId
 
-MAGIC = b"ETRIE\x00\x01\x00"
+MAGIC = b"ETRIE\x00\x02\x00"
+_MAGIC_V1 = b"ETRIE\x00\x01\x00"
 
-_HEADER = struct.Struct("<I")  # vocab size
-_NODE_HEAD = struct.Struct("<BI")  # terminal flag, child count
-_CHILD = struct.Struct("<IQ")  # token id, absolute offset of child record
+_HEADER = struct.Struct("<II")  # vocab size, node count
 
 
 class TrieError(ValueError):
@@ -41,66 +48,71 @@ class TrieFormatError(ValueError):
     """Raised when deserializing a malformed byte stream."""
 
 
-class TrieNode:
-    __slots__ = ("children", "terminal")
-
-    def __init__(self, children: dict[TokenId, "TrieNode"] | None = None, terminal: bool = False) -> None:
-        self.children: dict[TokenId, TrieNode] = children if children is not None else {}
-        self.terminal = terminal
-
-
 class TrieStats(NamedTuple):
     leaf_count: int
     internal_node_count: int
 
 
 class EntityTrie:
-    """Immutable prefix tree over token sequences.
+    """Immutable prefix tree over token sequences, in level-order arrays.
 
     ``vocab_size`` bounds the token ids; it is recorded in the serialized
-    form and checked on load.
+    form and checked on load.  Build one with :func:`build_trie` or
+    :meth:`deserialize`.
     """
 
-    __slots__ = ("root", "vocab_size", "leaf_count", "internal_node_count", "node_count")
+    __slots__ = (
+        "_token", "_first", "_terminal", "vocab_size",
+        "leaf_count", "internal_node_count", "node_count", "max_depth",
+    )
 
-    def __init__(self, root: TrieNode, vocab_size: int) -> None:
-        self.root = root
+    def __init__(
+        self, token: list[int], first_child: list[int], terminal: list[bool], vocab_size: int
+    ) -> None:
+        self._token = token
+        self._first = first_child
+        self._terminal = terminal
         self.vocab_size = vocab_size
-        leaves = internal = total = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            total += 1
-            if node.terminal:
-                leaves += 1
-            if node.children or node is root:
-                internal += 1
-            stack.extend(node.children.values())
-        self.leaf_count = leaves
-        self.internal_node_count = internal
-        self.node_count = total
+        self.node_count = len(token)
+        self.leaf_count = sum(terminal)
+        # every valid trie's root has children, so it is counted here too
+        self.internal_node_count = sum(a < b for a, b in zip(first_child, first_child[1:]))
+        # each level's children are one contiguous range: walk the levels down
+        lo, hi, depth = 0, 1, 0
+        while first_child[lo] < first_child[hi]:
+            lo, hi, depth = first_child[lo], first_child[hi], depth + 1
+        self.max_depth = depth
 
     def stats(self) -> TrieStats:
         return TrieStats(self.leaf_count, self.internal_node_count)
 
-    def _walk(self, prefix: Sequence[TokenId]) -> TrieNode | None:
-        node = self.root
+    def _child(self, node: int, token: TokenId) -> int:
+        """Index of the child of ``node`` on ``token``, or -1."""
+        hi = self._first[node + 1]
+        i = bisect_left(self._token, token, self._first[node], hi)
+        return i if i < hi and self._token[i] == token else -1
+
+    def _walk(self, prefix: Sequence[TokenId]) -> int:
+        node = 0
         for token in prefix:
-            node = node.children.get(token)
-            if node is None:
-                return None
+            node = self._child(node, token)
+            if node < 0:
+                break
         return node
 
-    def start(self) -> TrieNode:
-        return self.root
+    def start(self) -> int:
+        return 0
 
-    def allowed(self, node: TrieNode) -> frozenset[TokenId]:
+    def allowed(self, node: int) -> frozenset[TokenId]:
         """Child tokens of ``node``, plus EOS when the node is terminal."""
-        children = frozenset(node.children)
-        return children | {EOS} if node.terminal else children
+        children = frozenset(self._token[self._first[node] : self._first[node + 1]])
+        return children | {EOS} if self._terminal[node] else children
 
-    def advance(self, node: TrieNode, token: TokenId) -> TrieNode:
-        return node.children[token]
+    def advance(self, node: int, token: TokenId) -> int:
+        child = self._child(node, token)
+        if child < 0:
+            raise KeyError(token)
+        return child
 
     def allowed_continuations(self, prefix: Sequence[TokenId]) -> frozenset[TokenId]:
         """Exact child set at ``prefix``, plus EOS when the node is terminal.
@@ -108,55 +120,38 @@ class EntityTrie:
         An unreachable prefix yields the empty set.
         """
         node = self._walk(prefix)
-        return frozenset() if node is None else self.allowed(node)
+        return frozenset() if node < 0 else self.allowed(node)
 
     def contains(self, sequence: Sequence[TokenId]) -> bool:
         node = self._walk(sequence)
-        return node is not None and node.terminal
+        return node >= 0 and self._terminal[node]
 
     def insert(self, sequence: Sequence[TokenId]) -> "EntityTrie":
         """Return a new trie that also accepts ``sequence``.
 
-        Only the nodes along the inserted path are copied; all other
-        structure is shared with this trie.
+        This is a full rebuild, O(n) in the total token count; the old trie
+        is left untouched.
         """
-        seq = _checked_sequence(sequence, self.vocab_size)
-        new_root = TrieNode(dict(self.root.children), self.root.terminal)
-        node = new_root
-        for token in seq:
-            child = node.children.get(token)
-            if child is None:
-                child = TrieNode()
-            else:
-                child = TrieNode(dict(child.children), child.terminal)
-            node.children[token] = child
-            node = child
-        node.terminal = True
-        return EntityTrie(new_root, self.vocab_size)
+        return build_trie([*self.sequences(), sequence], self.vocab_size)
 
     def sequences(self) -> Iterator[tuple[TokenId, ...]]:
         """Yield all inserted sequences in ascending token-lex order."""
-        stack = [(self.root, ())]
+        token, first = self._token, self._first
+        stack = [(0, ())]
         while stack:
             node, prefix = stack.pop()
-            if node.terminal:
+            if self._terminal[node]:
                 yield prefix
             # reversed so the smallest token id is popped (and yielded) first
-            for token in sorted(node.children, reverse=True):
-                stack.append((node.children[token], prefix + (token,)))
+            for child in reversed(range(first[node], first[node + 1])):
+                stack.append((child, prefix + (token[child],)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntityTrie):
             return NotImplemented
-        if self.vocab_size != other.vocab_size:
-            return False
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if a.terminal != b.terminal or a.children.keys() != b.children.keys():
-                return False
-            stack.extend((a.children[t], b.children[t]) for t in a.children)
-        return True
+        return (self.vocab_size, self._token, self._first, self._terminal) == (
+            other.vocab_size, other._token, other._first, other._terminal,
+        )
 
     def __repr__(self) -> str:
         return f"EntityTrie(leaves={self.leaf_count}, internal={self.internal_node_count})"
@@ -164,82 +159,64 @@ class EntityTrie:
     def serialize(self) -> bytes:
         """Canonical binary form.
 
-        Layout: 8-byte magic, little-endian u32 vocab size, then node records
-        in preorder (children visited in ascending token id).  Each record is
-        a u8 terminal flag, a u32 child count, and ``(u32 token id, u64
-        absolute byte offset)`` pairs sorted by token id.  Identical
-        membership sets always produce identical bytes.
+        Layout: 8-byte magic, little-endian u32 vocab size and u32 node
+        count ``n``, then the arrays as little-endian dumps: ``token`` (n x
+        u32), ``first_child`` (n + 1 x u32) and ``terminal`` (n x u8).
+        Identical membership sets always produce identical bytes.
         """
-        order: list[TrieNode] = []
-        offsets: dict[int, int] = {}
-        cursor = len(MAGIC) + _HEADER.size
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            offsets[id(node)] = cursor
-            cursor += _NODE_HEAD.size + _CHILD.size * len(node.children)
-            # reversed so the smallest token id is popped (and laid out) first
-            stack.extend(node.children[t] for t in sorted(node.children, reverse=True))
-        parts = [MAGIC, _HEADER.pack(self.vocab_size)]
-        for node in order:
-            parts.append(_NODE_HEAD.pack(1 if node.terminal else 0, len(node.children)))
-            for token in sorted(node.children):
-                parts.append(_CHILD.pack(token, offsets[id(node.children[token])]))
-        return b"".join(parts)
+        return b"".join((
+            MAGIC,
+            _HEADER.pack(self.vocab_size, self.node_count),
+            np.array(self._token, dtype="<u4").tobytes(),
+            np.array(self._first, dtype="<u4").tobytes(),
+            np.array(self._terminal, dtype=np.uint8).tobytes(),
+        ))
 
     @classmethod
     def deserialize(cls, data: bytes) -> "EntityTrie":
         """Rebuild a trie from :meth:`serialize` output.
 
+        Every blob accepted here is the canonical form of its name set.
+
         Raises:
-            TrieFormatError: on bad magic, truncation, dangling or cyclic
-                child offsets, out-of-range token ids, or trailing bytes.
+            TrieFormatError: on a version 1 file, bad magic, truncation,
+                trailing bytes, or arrays that are not a level-order trie
+                with ascending siblings, in-range tokens and 0/1 flags whose
+                every childless node is terminal.
         """
+        if data[: len(MAGIC)] == _MAGIC_V1:
+            raise TrieFormatError(
+                "version 1 trie file is no longer supported; rebuild it with `trie-decode build-trie`"
+            )
         if data[: len(MAGIC)] != MAGIC:
             raise TrieFormatError("bad magic")
-        if len(data) < len(MAGIC) + _HEADER.size + _NODE_HEAD.size:
+        start = len(MAGIC) + _HEADER.size
+        if len(data) < start:
             raise TrieFormatError("truncated stream")
-        (vocab_size,) = _HEADER.unpack_from(data, len(MAGIC))
-        root_offset = len(MAGIC) + _HEADER.size
-        visited: set[int] = set()
-        consumed = root_offset
-        # preorder on an explicit stack, as names may outgrow the recursion limit
-        found: dict[TokenId, TrieNode] = {}
-        stack = [(root_offset, found, 0)]
-        while stack:
-            offset, slot, key = stack.pop()
-            if offset in visited:
-                raise TrieFormatError(f"cyclic child offset: {offset}")
-            visited.add(offset)
-            if offset + _NODE_HEAD.size > len(data):
-                raise TrieFormatError("truncated stream")
-            flag, count = _NODE_HEAD.unpack_from(data, offset)
-            if flag not in (0, 1):
-                raise TrieFormatError(f"invalid terminal flag: {flag}")
-            end = offset + _NODE_HEAD.size + count * _CHILD.size
-            if end > len(data):
-                raise TrieFormatError("truncated stream")
-            consumed += _NODE_HEAD.size + count * _CHILD.size
-            node = slot[key] = TrieNode(terminal=bool(flag))
-            prev_token = -1
-            pos = offset + _NODE_HEAD.size
-            entries = []
-            for _ in range(count):
-                token, child_offset = _CHILD.unpack_from(data, pos)
-                pos += _CHILD.size
-                if token <= prev_token:
-                    raise TrieFormatError("children not sorted by token id")
-                prev_token = token
-                if token >= vocab_size:
-                    raise TrieFormatError(f"token id {token} out of range")
-                if child_offset < root_offset or child_offset >= len(data):
-                    raise TrieFormatError(f"dangling child offset: {child_offset}")
-                entries.append((child_offset, node.children, token))
-            stack.extend(reversed(entries))
-        if consumed != len(data):
-            raise TrieFormatError("trailing data after last node record")
-        return cls(found[0], vocab_size)
+        vocab_size, n = _HEADER.unpack_from(data, len(MAGIC))
+        size = start + 9 * n + 4
+        if len(data) < size:
+            raise TrieFormatError("truncated stream")
+        if len(data) > size:
+            raise TrieFormatError("trailing data after the arrays")
+        token = np.frombuffer(data, "<u4", n, start).astype(np.int64)
+        first = np.frombuffer(data, "<u4", n + 1, start + 4 * n).astype(np.int64)
+        terminal = np.frombuffer(data, np.uint8, n, start + 8 * n + 4)
+        if n < 2 or first[0] != 1 or first[n] != n:
+            raise TrieFormatError("first_child must run from 1 to the node count")
+        fanout = np.diff(first)
+        if fanout.min() < 0 or np.any(first[:n] <= np.arange(n)):
+            raise TrieFormatError("first_child decreases or points at or before its node")
+        labels = token[1:]
+        if token[0] != 0 or labels.max() >= vocab_size or np.any((labels == SOS) | (labels == EOS)):
+            raise TrieFormatError("token id out of range, structural, or on the root")
+        parent = np.repeat(np.arange(n), fanout)
+        siblings = parent[1:] == parent[:-1]
+        if np.any(labels[1:][siblings] <= labels[:-1][siblings]):
+            raise TrieFormatError("children not sorted by token id")
+        if terminal.max() > 1 or terminal[0] or not terminal[fanout == 0].all():
+            raise TrieFormatError("invalid terminal flags")
+        return cls(token.tolist(), first.tolist(), terminal.astype(bool).tolist(), vocab_size)
 
 
 def _checked_sequence(sequence: Sequence[TokenId], vocab_size: int) -> tuple[TokenId, ...]:
@@ -257,18 +234,31 @@ def _checked_sequence(sequence: Sequence[TokenId], vocab_size: int) -> tuple[Tok
 def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int | None = None) -> EntityTrie:
     """Build a trie accepting exactly the given non-empty sequences.
 
-    ``vocab_size`` defaults to one past the largest token id seen.
+    ``vocab_size`` defaults to one past the largest token id seen.  Runs in
+    O(total tokens) after sorting: a FIFO of runs of sorted sequences that
+    share a node's prefix numbers the nodes in level order.
     """
     seqs = [tuple(s) for s in sequences]
     if not seqs:
         raise TrieError("cannot build a trie from zero sequences")
     if vocab_size is None:
         vocab_size = max(max(s, default=0) for s in seqs) + 1
-    root = TrieNode()
-    for seq in seqs:
-        seq = _checked_sequence(seq, vocab_size)
-        node = root
-        for token in seq:
-            node = node.children.setdefault(token, TrieNode())
-        node.terminal = True
-    return EntityTrie(root, vocab_size)
+    seqs = sorted({_checked_sequence(s, vocab_size) for s in seqs})
+    token, first, terminal = [0], [], []
+    runs = deque([(0, len(seqs), 0)])  # node v: seqs[lo:hi] share its depth-token prefix
+    while runs:
+        lo, hi, depth = runs.popleft()
+        first.append(len(token))
+        ends_here = len(seqs[lo]) == depth  # sorted, so only the first can
+        terminal.append(ends_here)
+        lo += ends_here
+        while lo < hi:
+            label = seqs[lo][depth]
+            end = lo + 1
+            while end < hi and seqs[end][depth] == label:
+                end += 1
+            token.append(label)
+            runs.append((lo, end, depth + 1))
+            lo = end
+    first.append(len(token))
+    return EntityTrie(token, first, terminal, vocab_size)

@@ -101,6 +101,47 @@ class TestRetrieve:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("\t")[1] for line in lines] == [deep]
 
+    def test_name_longer_than_max_steps_fails_loud(self, cli_files, capsys):
+        long_name = " ".join(["English", "language"] * 10)
+        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
+            fh.write(long_name + "\n")
+        build(cli_files)
+        capsys.readouterr()
+        code = main(
+            [
+                "retrieve",
+                "--query", "q",
+                "--vocab", cli_files["vocab"],
+                "--trie", cli_files["trie"],
+                "--scorer", f"oracle:{long_name}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-steps 15 cannot finish")
+        assert "20 tokens" in captured.err
+
+    def test_version_1_trie_file_fails_loud(self, cli_files, tmp_path, capsys):
+        old = tmp_path / "old.trie"
+        # a version 1 file: magic, vocab size, one non-terminal root record
+        old.write_bytes(b"ETRIE\x00\x01\x00" + (13).to_bytes(4, "little") + bytes(5))
+        code = main(
+            [
+                "retrieve",
+                "--query", "q",
+                "--vocab", cli_files["vocab"],
+                "--trie", str(old),
+                "--scorer", "uniform",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "rebuild it with `trie-decode build-trie`" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_normalization_flag_changes_score_column_only(self, cli_files, capsys):
         build(cli_files)
         capsys.readouterr()

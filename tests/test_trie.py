@@ -27,28 +27,28 @@ def names_trie(vocab):
 
 class TestBuild:
     def test_single_name(self, vocab):
+        france = vocab.ordinary_id("France")
         trie = build_trie([encode("France", vocab)], vocab.size)
-        assert len(trie.root.children) == 1
-        (child,) = trie.root.children.values()
-        assert child.terminal
+        assert trie.allowed_continuations([]) == {france}
+        assert trie.allowed_continuations([france]) == {EOS}
+        assert trie.contains([france])
 
     def test_shared_prefix_is_one_internal_node(self, vocab, names_trie):
         english = vocab.ordinary_id("English")
         france = vocab.ordinary_id("France")
-        assert set(names_trie.root.children) == {english, france}
-        english_node = names_trie.root.children[english]
-        assert set(english_node.children) == {
+        assert names_trie.allowed_continuations([]) == {english, france}
+        assert names_trie.allowed_continuations([english]) == {
             vocab.ordinary_id("language"),
             vocab.ordinary_id("literature"),
         }
+        assert not names_trie.contains([english])
         assert names_trie.leaf_count == 3
 
     def test_name_that_prefixes_another(self, vocab):
         english = vocab.ordinary_id("English")
         language = vocab.ordinary_id("language")
         trie = build_trie([(english,), (english, language)], vocab.size)
-        node = trie.root.children[english]
-        assert node.terminal and language in node.children
+        assert trie.allowed_continuations([english]) == {EOS, language}
         # membership oracle for both
         assert trie.contains((english,)) and trie.contains((english, language))
 
@@ -112,8 +112,12 @@ class TestInsert:
 
     def test_insert_prefix_of_existing_flags_terminal(self, vocab, names_trie):
         grown = names_trie.insert([vocab.ordinary_id("English")])
-        node = grown.root.children[vocab.ordinary_id("English")]
-        assert node.terminal and node.children
+        assert grown.allowed_continuations([vocab.ordinary_id("English")]) == {
+            EOS,
+            vocab.ordinary_id("language"),
+            vocab.ordinary_id("literature"),
+        }
+        assert grown.contains([vocab.ordinary_id("English")])
         assert grown.leaf_count == 4
 
     def test_prior_memberships_preserved(self, vocab, names_trie):
@@ -221,30 +225,95 @@ class TestSerialization:
 
     def test_dangling_child_offset_rejected(self, names_trie):
         blob = bytearray(names_trie.serialize())
-        # the first child pointer lives right after the root record header
-        offset_pos = len(MAGIC) + 4 + 5 + 4
-        blob[offset_pos : offset_pos + 8] = (2**40).to_bytes(8, "little")
-        with pytest.raises(TrieFormatError, match="dangling"):
+        # the root's end of children, first_child[1], points past the last node
+        n = names_trie.node_count
+        pos = len(MAGIC) + 8 + 4 * n + 4
+        blob[pos : pos + 4] = (n + 7).to_bytes(4, "little")
+        with pytest.raises(TrieFormatError, match="first_child"):
             EntityTrie.deserialize(bytes(blob))
+
+    def test_non_canonical_arrays_rejected(self, vocab, names_trie):
+        # names_trie in level order: root, English, France, language, literature
+        n = names_trie.node_count
+        tokens, flags = len(MAGIC) + 8, len(MAGIC) + 8 + 8 * n + 4
+        language = vocab.ordinary_id("language").to_bytes(4, "little")
+        corruptions = {
+            "sorted": (tokens + 4, vocab.ordinary_id("France").to_bytes(4, "little")),
+            "out of range": (tokens + 4, vocab.size.to_bytes(4, "little")),
+            "structural": (tokens + 8, EOS.to_bytes(4, "little")),
+            "terminal": (flags + 3, b"\x00"),  # childless "language" node not terminal
+            "flags": (flags, b"\x01"),  # terminal root
+        }
+        assert names_trie.serialize()[tokens + 12 : tokens + 16] == language
+        for match, (pos, value) in corruptions.items():
+            blob = bytearray(names_trie.serialize())
+            blob[pos : pos + len(value)] = value
+            with pytest.raises(TrieFormatError, match=match):
+                EntityTrie.deserialize(bytes(blob))
+
+    def test_version_1_file_asks_for_a_rebuild(self):
+        with pytest.raises(TrieFormatError, match="rebuild it with `trie-decode build-trie`"):
+            EntityTrie.deserialize(b"ETRIE\x00\x01\x00" + bytes(16))
 
     def test_trailing_data_rejected(self, names_trie):
         with pytest.raises(TrieFormatError, match="trailing"):
             EntityTrie.deserialize(names_trie.serialize() + b"\x00")
 
     def test_golden_bytes_single_name(self, vocab):
-        # wire format pinned by hand: magic, u32 vocab size, then preorder
-        # records of (u8 terminal, u32 child count, (u32 token, u64 offset)*)
+        # wire format pinned by hand: magic, u32 vocab size, u32 node count,
+        # then token (n x u32), first_child (n + 1 x u32), terminal (n x u8)
         import struct
 
         trie = build_trie([encode("France", vocab)], vocab.size)
         france = vocab.ordinary_id("France")
-        root_offset = 8 + 4
-        child_offset = root_offset + 5 + 12
         expected = (
-            b"ETRIE\x00\x01\x00"
-            + struct.pack("<I", vocab.size)
-            + struct.pack("<BI", 0, 1)
-            + struct.pack("<IQ", france, child_offset)
-            + struct.pack("<BI", 1, 0)
+            b"ETRIE\x00\x02\x00"
+            + struct.pack("<II", vocab.size, 2)
+            + struct.pack("<II", 0, france)
+            + struct.pack("<III", 1, 2, 2)
+            + bytes([0, 1])
         )
         assert trie.serialize() == expected
+
+
+class TestMaxDepth:
+    def test_longest_name_sets_the_depth(self, vocab, names_trie):
+        assert names_trie.max_depth == 2
+        assert build_trie([encode("France", vocab)], vocab.size).max_depth == 1
+        deep = tuple(encode(" ".join(["English"] * 20), vocab))
+        assert names_trie.insert(deep).max_depth == 20
+
+    def test_matches_the_longest_sequence_on_random_catalogs(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(1, 30)), max_len=9)
+            assert build_trie(seqs, vocab.size).max_depth == max(len(s) for s in seqs)
+
+
+class TestByteMutationFuzz:
+    def test_format_error_is_the_only_failure_and_accepted_blobs_are_canonical(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(41)
+        mutated = accepted = 0
+        for _ in range(12):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(1, 8)), max_len=4)
+            blob = build_trie(seqs, vocab.size).serialize()
+            blobs = [blob[:cut] for cut in range(len(blob))]
+            blobs += [blob + bytes(rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8))]
+            for _ in range(150):
+                flipped = bytearray(blob)
+                for pos in rng.integers(0, len(blob), size=int(rng.integers(1, 4))):
+                    flipped[pos] ^= int(rng.integers(1, 256))
+                blobs.append(bytes(flipped))
+            for candidate in blobs:
+                mutated += 1
+                try:
+                    trie = EntityTrie.deserialize(candidate)
+                except TrieFormatError:
+                    continue
+                accepted += 1
+                assert trie.serialize() == candidate
+                assert build_trie(list(trie.sequences()), trie.vocab_size) == trie
+        assert mutated >= 2000
+        assert accepted < mutated // 10
