@@ -1,18 +1,20 @@
 """Beam search with log-probability masking against a constraint.
 
 A constraint is a state machine: ``start()`` is the state of the empty
-prefix, ``allowed(state)`` the set of legal next token ids (EOS where
-finishing is legal) and ``advance(state, token)`` the state after a legal
-token.  Each live hypothesis carries its state, so no step re-reads a
-prefix.  ``EntityTrie`` (state: a node) and ``MarkupConstraint`` (state: a
-``LinkerState``) implement it.  Tokens outside the allowed set score minus
-infinity; the surviving entries are *not* renormalized, so the score of any
-fully decoded sequence equals its unconstrained stepwise sum.  Finished
-hypotheses are retired to a pool and do not occupy beam slots; pruning
-keeps the best ``k`` live hypotheses by cumulative log-probability.  The
-final ranking applies length normalization when configured, breaking exact
-ties by ascending token-sequence order so that results are total and
-reproducible.
+prefix, ``allowed(state)`` the legal next token ids (EOS where finishing is
+legal) as an ascending 1-D sequence of distinct ints (an integer ndarray, a
+list or a tuple, never a set), and ``advance(state, token)`` the state after
+a legal token.  Each live hypothesis carries its state, so no step re-reads a
+prefix or rebuilds a set.  ``EntityTrie`` (state: a node; allowed: a
+read-only view of its labels) and ``MarkupConstraint`` (state: a
+``(LinkerState, trie node)`` pair) implement it.  Tokens outside the allowed
+set score minus infinity; the surviving entries are *not* renormalized, so
+the score of any fully decoded sequence equals its unconstrained stepwise
+sum.  Finished hypotheses are retired to a pool and do not occupy beam
+slots; pruning keeps the best ``k`` live hypotheses by cumulative
+log-probability.  The final ranking applies length normalization when
+configured, breaking exact ties by ascending token-sequence order so that
+results are total and reproducible.
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie and scorer, which are read-only.
@@ -21,7 +23,7 @@ over a shared trie and scorer, which are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Collection, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,13 +40,17 @@ class Constraint(Protocol[State]):
 
     def start(self) -> State: ...
 
-    def allowed(self, state: State) -> AbstractSet[TokenId]: ...
+    def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
+        """Legal next ids, ascending and distinct; empty at a dead end."""
 
     def advance(self, state: State, token: TokenId) -> State: ...
 
 
 class BeamError(ValueError):
     pass
+
+
+_PARTITION_FROM = 256  # allowed ids past which :func:`_best` partitions first
 
 
 @dataclass(frozen=True)
@@ -95,17 +101,18 @@ class RankedResult:
         return self.entries[index]
 
 
-def mask_logprobs(logprobs: np.ndarray, allowed: AbstractSet[TokenId]) -> np.ndarray:
+def mask_logprobs(logprobs: np.ndarray, allowed: Collection[TokenId] | np.ndarray) -> np.ndarray:
     """Set entries outside ``allowed`` to -inf, leaving the rest unchanged.
 
-    No renormalization happens.  An empty allowed set is a dead end and is
+    ``allowed`` may be a set or a sequence such as a constraint returns.  No
+    renormalization happens.  An empty allowed set is a dead end and is
     rejected here.  This is the reference semantics of a search step, which
     :func:`beam_search` computes without building the masked vector.
     """
-    if not allowed:
+    if len(allowed) == 0:
         raise BeamError("empty allowed set")
     masked = np.full(logprobs.shape, -np.inf)
-    idx = np.fromiter(allowed, dtype=np.intp)
+    idx = np.fromiter(allowed, dtype=np.intp, count=len(allowed))
     if idx.min() < 0 or idx.max() >= logprobs.shape[0]:
         raise BeamError("allowed token id out of range")
     masked[idx] = logprobs[idx]
@@ -128,7 +135,7 @@ def beam_search(
     they become candidates and only the ``k`` kept are advanced.  Returns
     finished hypotheses sorted by the config's ranking score; an empty list
     means nothing finished.  Raises :class:`BeamError` on an allowed token
-    id outside the scorer's vocabulary.
+    id outside the scorer's vocabulary, or when ``allowed`` returns a set.
     """
     input_tokens = tuple(input_tokens)
     live = [(Hypothesis((), 0.0, False), constraint.start())]
@@ -139,22 +146,28 @@ def beam_search(
         candidates = []
         for hyp, state in live:
             allowed = constraint.allowed(state)
-            if not allowed:
+            if len(allowed) == 0:
                 continue
             logprobs = scorer.next_token_logprobs(input_tokens, hyp.tokens)
-            tokens = np.fromiter(allowed, dtype=np.intp, count=len(allowed))
-            if tokens.min() < 0 or tokens.max() >= logprobs.shape[0]:
+            try:
+                tokens = np.asarray(allowed, dtype=np.intp)
+            except TypeError:
+                raise BeamError(
+                    f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
+                ) from None
+            # ascending ids: the ends bound the range, and only SOS sorts before EOS
+            head = tokens[:2].tolist()
+            if head[0] < 0 or tokens[-1] >= len(logprobs):
                 raise BeamError("allowed token id out of range")
             scores = np.add(logprobs[tokens], hyp.cum_logprob, dtype=np.float64)
             width = config.k
-            if EOS in allowed:
+            if EOS in head:
                 pool.append(
                     Hypothesis(hyp.tokens + (EOS,), hyp.cum_logprob + float(logprobs[EOS]), True)
                 )
                 width += 1
             if len(tokens) > width:
-                best = np.lexsort((tokens, -scores))[:width]
-                tokens, scores = tokens[best], scores[best]
+                tokens, scores = _best(tokens, scores, width)
             for token, score in zip(tokens.tolist(), scores.tolist()):
                 if token != EOS:
                     candidates.append((score, hyp.tokens + (token,), state))
@@ -165,6 +178,22 @@ def beam_search(
         ]
     pool.sort(key=lambda h: (-_final_score(h, config.length_normalize), h.tokens))
     return pool[: config.k]
+
+
+def _best(tokens: np.ndarray, scores: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``width`` entries under ``(-score, token)``, in that order.
+
+    Past a few hundred entries a linear ``np.partition`` on the scores first
+    keeps every entry at or above the ``width``-th best score, ties at the
+    cut included, so the sort that follows sees the same leaders; below
+    that its fixed cost (about 7 us) exceeds what it saves the sort.
+    """
+    neg = -scores
+    if len(tokens) > max(_PARTITION_FROM, 8 * width):
+        keep = neg <= np.partition(neg, width - 1)[width - 1]
+        tokens, scores, neg = tokens[keep], scores[keep], neg[keep]
+    best = np.lexsort((tokens, neg))[:width]
+    return tokens[best], scores[best]
 
 
 def _final_score(hyp: Hypothesis, length_normalize: bool) -> float:

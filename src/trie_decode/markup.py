@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .beam import BeamConfig, beam_search
 from .scoring import Scorer
 from .trie import EntityTrie
@@ -116,25 +118,47 @@ def dynamic_constraint(
     state: LinkerState, source: Sequence[TokenId], trie: EntityTrie
 ) -> frozenset[TokenId]:
     """Legal next tokens for ``state`` (see the module overview)."""
+    node = trie.start()
+    if state.entity_prefix is not None:
+        try:
+            for token in state.entity_prefix:
+                node = trie.advance(node, token)
+        except KeyError:
+            return frozenset()
+    return frozenset(map(int, _allowed(state, node, source, trie)))
+
+
+def _pair(a: TokenId, b: TokenId) -> tuple[TokenId, ...]:
+    return (a, b) if a < b else (b, a) if b < a else (a,)
+
+
+def _allowed(
+    state: LinkerState, node: int, source: Sequence[TokenId], trie: EntityTrie
+) -> tuple[TokenId, ...] | np.ndarray:
+    """Legal next tokens, ascending; ``node`` is the entity prefix's trie node."""
     cursor = state.source_cursor
     if state.phase is Phase.OUTSIDE:
         if cursor >= len(source):
-            return frozenset((EOS,))
-        return frozenset((source[cursor], MENTION_OPEN))
+            return (EOS,)
+        return _pair(source[cursor], MENTION_OPEN)
     if state.phase is Phase.MENTION:
-        allowed: set[TokenId] = set()
-        if cursor < len(source):
-            allowed.add(source[cursor])
-        if cursor > state.mention_start:
-            allowed.add(MENTION_CLOSE)
-        return frozenset(allowed)
-    # entity phase
+        closable = cursor > state.mention_start
+        if cursor >= len(source):
+            return (MENTION_CLOSE,) if closable else ()
+        return _pair(source[cursor], MENTION_CLOSE) if closable else (source[cursor],)
     if state.entity_prefix is None:
-        return frozenset((LINK_OPEN,))
-    continuations = trie.allowed_continuations(state.entity_prefix)
-    if EOS in continuations:
-        return continuations - {EOS} | {LINK_CLOSE}
-    return continuations
+        return (LINK_OPEN,)
+    allowed = trie.allowed(node)
+    if allowed[0] != EOS:
+        return allowed
+    if len(allowed) == 1:
+        return (LINK_CLOSE,)
+    if allowed[1] > LINK_CLOSE:
+        # EOS sorts first and LINK_CLOSE still sorts before the children
+        allowed = allowed.copy()
+        allowed[0] = LINK_CLOSE
+        return allowed
+    return np.union1d(allowed[1:], (LINK_CLOSE,))
 
 
 def advance_state(state: LinkerState, token: TokenId, source: Sequence[TokenId]) -> LinkerState:
@@ -218,23 +242,36 @@ def strip_markup_tokens(tokens: Sequence[TokenId]) -> list[TokenId]:
 class MarkupConstraint:
     """The linking FSM as a :func:`beam_search` constraint over ``source``.
 
-    The state is a :class:`LinkerState`: ``start()`` is the initial
-    OUTSIDE state, ``allowed(state)`` is :func:`dynamic_constraint` and
-    ``advance(state, token)`` is :func:`advance_state`.
+    The state is a ``(LinkerState, node)`` pair, where ``node`` is the trie
+    node of the entity prefix once ``(`` has been emitted, so the entity
+    phase reads ``trie.allowed(node)`` instead of re-walking the prefix.
+    ``start()`` is the initial OUTSIDE state, ``allowed`` gives the same ids
+    as :func:`dynamic_constraint` as an ascending sequence, and ``advance``
+    is :func:`advance_state` plus one trie step inside a link.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
         self._source = tuple(source)
         self._trie = trie
 
-    def start(self) -> LinkerState:
-        return LinkerState()
+    def start(self) -> tuple[LinkerState, int]:
+        return LinkerState(), self._trie.start()
 
-    def allowed(self, state: LinkerState) -> frozenset[TokenId]:
-        return dynamic_constraint(state, self._source, self._trie)
+    def allowed(self, state: tuple[LinkerState, int]) -> tuple[TokenId, ...] | np.ndarray:
+        linker, node = state
+        return _allowed(linker, node, self._source, self._trie)
 
-    def advance(self, state: LinkerState, token: TokenId) -> LinkerState:
-        return advance_state(state, token, self._source)
+    def advance(self, state: tuple[LinkerState, int], token: TokenId) -> tuple[LinkerState, int]:
+        linker, node = state
+        after = advance_state(linker, token, self._source)
+        if linker.entity_prefix is not None and after.entity_prefix is not None:
+            try:
+                node = self._trie.advance(node, token)
+            except KeyError:
+                raise MarkupError(f"token {token} continues no entity name") from None
+        else:
+            node = self._trie.start()
+        return after, node
 
 
 def _char_spans(

@@ -103,10 +103,8 @@ def _input_key(input_tokens: Sequence[TokenId]) -> int:
     return zlib.crc32(packed)
 
 
-def _context_id(input_tokens: Sequence[TokenId], prev: TokenId, conditioned: bool) -> int:
-    if not conditioned:
-        return prev
-    return (_input_key(input_tokens) * 0x10001 + prev) & 0x7FFFFFFF
+def _conditioned_context(input_key: int, prev: TokenId) -> int:
+    return (input_key * 0x10001 + prev) & 0x7FFFFFFF
 
 
 class TableScorer(Scorer):
@@ -117,6 +115,13 @@ class TableScorer(Scorer):
     context is the previous generated token (SOS at the first step),
     or, when ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod
     2**31`` over the input's u32 token ids: distinct pairs can share a row.
+
+    A decode passes one input at every step, so the scorer keeps the last
+    ``(input tuple, crc)`` pair and hashes an input once per decode rather
+    than once per call.  Only ``tuple`` inputs are kept, because a list can
+    change in place between calls; a list is hashed on every call.  The pair
+    is read once and replaced by a single attribute assignment, so threads
+    sharing a scorer at worst hash again and never see a torn pair.
     """
 
     def __init__(
@@ -147,6 +152,7 @@ class TableScorer(Scorer):
                 self.counts[int(ctx)] = clean
         self._rows: dict[int, np.ndarray] = {}
         self._uniform_row: np.ndarray | None = None
+        self._last_input: tuple[tuple[TokenId, ...], int] = ((), _input_key(()))
 
     def _row(self, ctx: int) -> np.ndarray:
         row = self._rows.get(ctx)
@@ -171,7 +177,18 @@ class TableScorer(Scorer):
         self, input_tokens: Sequence[TokenId], prefix: Sequence[TokenId]
     ) -> np.ndarray:
         prev = prefix[-1] if prefix else SOS
-        return self._row(_context_id(input_tokens, prev, self.input_conditioned))
+        if not self.input_conditioned:
+            return self._row(prev)
+        return self._row(_conditioned_context(self._memo_input_key(input_tokens), prev))
+
+    def _memo_input_key(self, input_tokens: Sequence[TokenId]) -> int:
+        if not isinstance(input_tokens, tuple):
+            return _input_key(input_tokens)
+        last, key = self._last_input
+        if last is not input_tokens and last != input_tokens:
+            key = _input_key(input_tokens)
+            self._last_input = (input_tokens, key)
+        return key
 
 
 def train_table_scorer(
@@ -193,9 +210,10 @@ def train_table_scorer(
         target = tuple(target)
         if not target:
             raise ScorerError("empty target sequence")
+        key = _input_key(input_tokens) if input_conditioned else 0
         prev: TokenId = SOS
         for token in target:
-            ctx = _context_id(input_tokens, prev, input_conditioned)
+            ctx = _conditioned_context(key, prev) if input_conditioned else prev
             row = counts.setdefault(ctx, {})
             row[token] = row.get(token, 0.0) + 1.0
             prev = token

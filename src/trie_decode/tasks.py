@@ -133,14 +133,17 @@ def disambiguate(
     """Rank entities for a flagged mention.
 
     With a candidate set present the constraint trie is built from exactly
-    those names; otherwise the full-catalog ``trie`` is used.
+    those names; otherwise the full-catalog ``trie`` is used, and a catalog
+    name too long to finish within ``max_steps`` raises :class:`TaskError`.
+    Candidate names are not checked: one too long to finish is left out of
+    the ranking, which may then be empty.
     """
     flagged = flag_mention(instance, vocab, config)
     if instance.candidates:
         sequences = [tuple(encode(name, vocab)) for name in instance.candidates]
         constraint_trie = build_trie(sequences, vocab.size)
     elif trie is not None:
-        constraint_trie = trie
+        constraint_trie = _finishable(trie, config)
     else:
         raise TaskError(f"instance {instance.instance_id!r}: no candidate set and no catalog trie")
     return rank_entities(scorer, flagged, constraint_trie, config.beam_config(), vocab)
@@ -153,8 +156,22 @@ def retrieve(
     config: TaskConfig,
     vocab: Vocabulary,
 ) -> RankedResult:
-    """Rank the full catalog against a free-text query."""
+    """Rank the full catalog against a free-text query.
+
+    Raises :class:`TaskError` when a catalog name is too long to finish
+    within ``max_steps``, rather than leave it silently out of the ranking.
+    """
+    trie = _finishable(trie, config)
     return rank_entities(scorer, encode(query, vocab), trie, config.beam_config(), vocab)
+
+
+def _finishable(trie: EntityTrie, config: TaskConfig) -> EntityTrie:
+    """``trie``, once its longest name plus EOS fits in ``max_steps``."""
+    if trie.max_depth >= config.max_steps:
+        raise TaskError(
+            f"max_steps {config.max_steps} cannot finish the longest name ({trie.max_depth} tokens)"
+        )
+    return trie
 
 
 # --- dataset loading -----------------------------------------------------

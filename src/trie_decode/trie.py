@@ -11,6 +11,9 @@ name that is a prefix of another name (the node is terminal *and* has
 children) unambiguous.  As a beam-search constraint the state is a node
 index: ``start()`` is the root, ``allowed(node)`` its child slice (plus EOS
 when terminal) and ``advance(node, token)`` a bisection within that slice.
+``allowed`` hands out read-only numpy views of a read-only copy of ``token``,
+so a step costs no copy of the node's fanout; bisection stays on the list,
+whose element access is cheaper than numpy's.
 
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
@@ -39,6 +42,9 @@ _MAGIC_V1 = b"ETRIE\x00\x01\x00"
 
 _HEADER = struct.Struct("<II")  # vocab size, node count
 
+_EOS_ONLY = np.array([EOS], dtype=np.intp)  # ``allowed`` of every terminal leaf
+_EOS_ONLY.flags.writeable = False
+
 
 class TrieError(ValueError):
     """Raised for invalid sequences handed to trie builders."""
@@ -62,14 +68,22 @@ class EntityTrie:
     """
 
     __slots__ = (
-        "_token", "_first", "_terminal", "vocab_size",
+        "_token", "_tokens", "_first", "_terminal", "vocab_size",
         "leaf_count", "internal_node_count", "node_count", "max_depth",
     )
 
     def __init__(
-        self, token: list[int], first_child: list[int], terminal: list[bool], vocab_size: int
+        self,
+        token: list[int],
+        first_child: list[int],
+        terminal: list[bool],
+        vocab_size: int,
+        token_array: np.ndarray | None = None,
     ) -> None:
         self._token = token
+        # the same labels as ``_token``; ``allowed`` slices views out of it
+        self._tokens = np.array(token, dtype=np.intp) if token_array is None else token_array
+        self._tokens.flags.writeable = False
         self._first = first_child
         self._terminal = terminal
         self.vocab_size = vocab_size
@@ -103,10 +117,22 @@ class EntityTrie:
     def start(self) -> int:
         return 0
 
-    def allowed(self, node: int) -> frozenset[TokenId]:
-        """Child tokens of ``node``, plus EOS when the node is terminal."""
-        children = frozenset(self._token[self._first[node] : self._first[node + 1]])
-        return children | {EOS} if self._terminal[node] else children
+    def allowed(self, node: int) -> np.ndarray:
+        """Child tokens of ``node``, plus EOS when the node is terminal.
+
+        An ascending, read-only ``np.intp`` array: a view of the trie's own
+        labels, one shared ``[EOS]`` at a terminal leaf, and a fresh array
+        only at a terminal node with children.  EOS sorts first because no
+        label is SOS or EOS.
+        """
+        lo, hi = self._first[node], self._first[node + 1]
+        if not self._terminal[node]:
+            return self._tokens[lo:hi]
+        if lo == hi:
+            return _EOS_ONLY
+        allowed = np.concatenate((_EOS_ONLY, self._tokens[lo:hi]))
+        allowed.flags.writeable = False
+        return allowed
 
     def advance(self, node: int, token: TokenId) -> int:
         child = self._child(node, token)
@@ -120,7 +146,7 @@ class EntityTrie:
         An unreachable prefix yields the empty set.
         """
         node = self._walk(prefix)
-        return frozenset() if node < 0 else self.allowed(node)
+        return frozenset() if node < 0 else frozenset(self.allowed(node).tolist())
 
     def contains(self, sequence: Sequence[TokenId]) -> bool:
         node = self._walk(sequence)
@@ -216,7 +242,16 @@ class EntityTrie:
             raise TrieFormatError("children not sorted by token id")
         if terminal.max() > 1 or terminal[0] or not terminal[fanout == 0].all():
             raise TrieFormatError("invalid terminal flags")
-        return cls(token.tolist(), first.tolist(), terminal.astype(bool).tolist(), vocab_size)
+        # one int object per distinct label, shared by every node carrying
+        # it, so the list costs a pointer per node rather than an int each
+        labels, index = np.unique(token, return_inverse=True)
+        return cls(
+            labels.astype(object)[index].tolist(),
+            first.tolist(),
+            terminal.astype(bool).tolist(),
+            vocab_size,
+            token.astype(np.intp, copy=False),
+        )
 
 
 def _checked_sequence(sequence: Sequence[TokenId], vocab_size: int) -> tuple[TokenId, ...]:

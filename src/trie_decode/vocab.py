@@ -167,8 +167,21 @@ def encode_with_offsets(text: str, vocab: Vocabulary) -> list[TokenSpan]:
 
 
 def encode(text: str, vocab: Vocabulary) -> list[TokenId]:
-    """Deterministic, total encoding of ``text`` to token ids."""
-    return [span.token for span in encode_with_offsets(text, vocab)]
+    """Deterministic, total encoding of ``text`` to token ids.
+
+    Equal to the tokens of :func:`encode_with_offsets`.  A word that is
+    itself a token is looked up once: it is no longer than the longest
+    token, so greedy matching would take it whole at its first probe.
+    """
+    table = vocab._table
+    out: list[TokenId] = []
+    for word in text.split():  # str.split and ``\S+`` agree on whitespace
+        tid = table.get(word)
+        if tid is not None:
+            out.append(tid)
+        else:
+            out.extend(span.token for span in encode_with_offsets(word, vocab))
+    return out
 
 
 def decode(tokens: Sequence[TokenId], vocab: Vocabulary) -> str:

@@ -140,14 +140,15 @@ def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypo
 
     Masks each live hypothesis's scores, extends it by every allowed token,
     then sorts all candidates by ``(-score, tokens)`` and keeps ``k``.  Each
-    prefix's constraint state is recomputed from the start.
+    prefix's constraint state is recomputed from the start, and its allowed
+    ids are taken as a set whatever sequence type the constraint returns.
     """
 
     def allowed(prefix):
         state = constraint.start()
         for token in prefix:
             state = constraint.advance(state, token)
-        return constraint.allowed(state)
+        return frozenset(map(int, constraint.allowed(state)))
 
     live, pool = [Hypothesis((), 0.0, False)], []
     for _ in range(config.max_steps):

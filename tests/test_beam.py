@@ -55,6 +55,18 @@ class TestMaskLogprobs:
     def test_empty_allowed_set_rejected(self):
         with pytest.raises(BeamError):
             mask_logprobs(np.zeros(4), set())
+        with pytest.raises(BeamError):
+            mask_logprobs(np.zeros(4), np.array([], dtype=np.intp))
+
+    def test_set_list_and_trie_view_mask_alike(self, vocab, names_trie):
+        logprobs = np.log(np.arange(1, vocab.size + 1) / np.arange(1, vocab.size + 1).sum())
+        view = names_trie.allowed(names_trie.start())
+        expected = mask_logprobs(logprobs, set(view.tolist()))
+        np.testing.assert_array_equal(mask_logprobs(logprobs, view.tolist()), expected)
+        np.testing.assert_array_equal(mask_logprobs(logprobs, view), expected)
+        assert np.isfinite(expected).sum() == len(view) == 2
+        with pytest.raises(BeamError):
+            mask_logprobs(logprobs[:-1], np.array([len(logprobs) - 1]))
 
 
 class TestBeamSearch:
@@ -108,12 +120,58 @@ class TestBeamSearch:
                 return 0
 
             def allowed(self, depth):
-                return frozenset({7}) if depth == 0 else frozenset()
+                return (7,) if depth == 0 else ()
 
             def advance(self, depth, token):
                 return depth + 1
 
         assert beam_search(scorer, (), DeadEnd(), BeamConfig(k=2)) == []
+
+    @pytest.mark.parametrize("bad", [-1, 11], ids=["negative", "past-vocab"])
+    def test_out_of_range_allowed_id_raises(self, bad):
+        class Fixed:
+            def start(self):
+                return 0
+
+            def allowed(self, depth):
+                return (bad, 7) if bad < 0 else (EOS, 7, bad)
+
+            def advance(self, depth, token):
+                return depth + 1
+
+        with pytest.raises(BeamError, match="out of range"):
+            beam_search(UniformScorer(11), (), Fixed(), BeamConfig(k=2))
+
+    def test_trie_wider_than_the_scorer_raises(self, vocab, names_trie):
+        with pytest.raises(BeamError, match="out of range"):
+            beam_search(UniformScorer(vocab.size - 1), (), names_trie, BeamConfig(k=2))
+
+    def test_constraint_returning_a_set_raises(self):
+        class SetConstraint:
+            def start(self):
+                return 0
+
+            def allowed(self, depth):
+                return frozenset({EOS, 7})
+
+            def advance(self, depth, token):
+                return depth + 1
+
+        with pytest.raises(BeamError, match="frozenset"):
+            beam_search(UniformScorer(11), (), SetConstraint(), BeamConfig(k=2))
+
+    def test_wide_fanout_with_ties_at_the_cut_matches_reference(self):
+        # a 600-way root partitions before sorting; rounded scores tie at the cut
+        vocab_size = 700
+        names = [(t,) for t in range(50, 650)]
+        trie = build_trie(names, vocab_size)
+        rng = np.random.default_rng(5)
+        probs = np.round(rng.random(vocab_size), 1) + 0.01
+        scorer = TableScorer({0: dict(enumerate(probs))}, 1.0, vocab_size)
+        for k in (1, 3, 10, 40):
+            config = BeamConfig(k=k, max_steps=3, length_normalize=False)
+            expected = reference_beam_search(scorer, (), trie, config)
+            assert beam_search(scorer, (), trie, config) == expected
 
     def test_finished_hypotheses_flagged(self, vocab, names_trie):
         scorer = UniformScorer(vocab.size)

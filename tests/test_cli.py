@@ -313,7 +313,56 @@ class TestDisambiguateCommand:
             assert set(prediction) == {"rank", "name", "raw_logprob", "normalized_score"}
 
 
+    def test_catalog_name_longer_than_max_steps_fails_loud(self, cli_files, tmp_path, capsys):
+        long_name = " ".join(["English", "language"] * 10)
+        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
+            fh.write(long_name + "\n")
+        build(cli_files)
+        capsys.readouterr()
+        dataset = tmp_path / "ed.tsv"
+        dataset.write_text("m1\tlanguage France language\t9\t6\tFrance\n")
+        code = main(
+            [
+                "disambiguate",
+                "--dataset", str(dataset),
+                "--vocab", cli_files["vocab"],
+                "--trie", cli_files["trie"],
+                "--scorer", f"oracle:{long_name}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: max_steps 15 cannot finish the longest name (20 tokens)")
+
+
 class TestEvalPipelines:
+    @pytest.mark.parametrize(
+        "mode, line",
+        [
+            ("ed", "m1\tlanguage France language\t9\t6\tFrance\n"),
+            ("dr", "q1\twhich country\tFrance\n"),
+        ],
+        ids=["ed", "dr"],
+    )
+    def test_catalog_name_longer_than_max_steps_fails_loud(
+        self, cli_files, tmp_path, capsys, mode, line
+    ):
+        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
+            fh.write(" ".join(["France"] * 15) + "\n")
+        build(cli_files)
+        capsys.readouterr()
+        dataset = tmp_path / f"{mode}.tsv"
+        dataset.write_text(line)
+        common = ["--dataset", str(dataset), "--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
+        code = main(["eval", "--mode", mode, *common, "--scorer", "uniform"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: max_steps 15 cannot finish the longest name (15 tokens)")
+        # one more step lets the longest name finish
+        assert main(["eval", "--mode", mode, *common, "--scorer", "uniform", "--max-steps", "16"]) == 0
+
     def test_dr_mode_mean_r_precision(self, cli_files, tmp_path, capsys):
         build(cli_files)
         capsys.readouterr()

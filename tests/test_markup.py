@@ -98,6 +98,44 @@ class TestDynamicConstraint:
         assert LINK_CLOSE in allowed and EOS not in allowed
 
 
+    def test_constraint_allowed_is_the_ascending_dynamic_constraint(self):
+        # raw ids 2..10 put markup specials among the trie labels and the
+        # source, so EOS -> LINK_CLOSE must be merged in order, not swapped
+        rng = np.random.default_rng(13)
+        ids = list(range(2, 11))
+        for _ in range(40):
+            seqs = {tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4)))) for _ in range(6)}
+            trie = build_trie(seqs, 11)
+            source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4))))
+            constraint = MarkupConstraint(source, trie)
+            frontier = [constraint.start()]
+            for _ in range(8):
+                following = []
+                for state in frontier:
+                    allowed = [int(t) for t in constraint.allowed(state)]
+                    assert allowed == sorted(set(allowed))
+                    assert frozenset(allowed) == dynamic_constraint(state[0], source, trie)
+                    for token in allowed:
+                        if token == EOS:
+                            continue
+                        try:
+                            following.append(constraint.advance(state, token))
+                        except MarkupError:  # a special label inside a link
+                            pass
+                frontier = following[:200]
+
+
+    def test_constraint_rejects_a_token_outside_every_name(self, painting):
+        vocab, trie, _ = painting
+        source = tuple(encode(PAINTING_SOURCE, vocab))
+        constraint = MarkupConstraint(source, trie)
+        state = constraint.start()
+        for token in (MENTION_OPEN, source[0], MENTION_CLOSE, LINK_OPEN):
+            state = constraint.advance(state, token)
+        with pytest.raises(MarkupError, match="continues no entity name"):
+            constraint.advance(state, vocab.ordinary_id("began"))
+
+
 class TestAdvanceState:
     def test_illegal_moves_raise(self, painting):
         vocab, trie, _ = painting

@@ -133,6 +133,30 @@ class TestTableScorer:
         assert int(np.argmax(first)) == 7
         assert int(np.argmax(second)) == 8
 
+    def test_input_memo_never_serves_a_stale_row(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(17)
+        seqs = random_sequences(rng, vocab, size=20)
+        pairs = [(seqs[i], seqs[i + 1] + (EOS,)) for i in range(0, 20, 2)]
+        scorer = train_table_scorer(pairs, 0.5, vocab.size, input_conditioned=True)
+
+        def fresh(inputs, prefix):
+            return train_table_scorer(pairs, 0.5, vocab.size, True).next_token_logprobs(inputs, prefix)
+
+        inputs = [p[0] for p in pairs] + [tuple(p[0]) for p in pairs[:3]]
+        for _ in range(3):  # interleaved, and equal tuples that are distinct objects
+            for source, (_, target) in zip(inputs, pairs * 2):
+                for i in range(len(target)):
+                    got = scorer.next_token_logprobs(source, target[:i])
+                    np.testing.assert_array_equal(got, fresh(source, target[:i]))
+        mutable = list(pairs[0][0])
+        before = scorer.next_token_logprobs(mutable, ())
+        np.testing.assert_array_equal(before, fresh(pairs[0][0], ()))
+        mutable[0] = pairs[1][0][0] if pairs[1][0][0] != mutable[0] else mutable[0] + 1
+        np.testing.assert_array_equal(
+            scorer.next_token_logprobs(mutable, ()), fresh(tuple(mutable), ())
+        )
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ScorerError):
             TableScorer({}, alpha=0.0, vocab_size=9)

@@ -86,6 +86,23 @@ class TestAllowedContinuations:
     def test_unreachable_prefix_yields_empty_set(self, vocab, names_trie):
         assert names_trie.allowed_continuations([vocab.ordinary_id("language")]) == frozenset()
 
+    def test_allowed_views_are_read_only(self, vocab):
+        # English is terminal with children, France a terminal leaf
+        names = ["English", "English language", "France"]
+        trie = build_trie([tuple(encode(n, vocab)) for n in names], vocab.size)
+        blob = trie.serialize()
+        english = trie.advance(trie.start(), vocab.ordinary_id("English"))
+        france = trie.advance(trie.start(), vocab.ordinary_id("France"))
+        for node in (trie.start(), english, france):
+            allowed = trie.allowed(node)
+            assert allowed.tolist() == sorted(allowed.tolist())
+            with pytest.raises(ValueError):
+                allowed[0] = vocab.ordinary_id("literature")
+        assert trie.allowed(english).tolist() == [EOS, vocab.ordinary_id("language")]
+        assert trie.allowed(france).tolist() == [EOS]
+        assert trie.serialize() == blob
+        assert EntityTrie.deserialize(blob).allowed(0).tolist() == trie.allowed(0).tolist()
+
 
 class TestContains:
     def test_inserted_sequences(self, vocab, names_trie):
@@ -161,10 +178,10 @@ class TestProperties:
             for seq in seqs:
                 state = trie.start()
                 for i in range(len(seq)):
-                    assert trie.allowed(state) == trie.allowed_continuations(seq[:i])
+                    assert frozenset(trie.allowed(state).tolist()) == trie.allowed_continuations(seq[:i])
                     assert seq[i] in trie.allowed(state)
                     state = trie.advance(state, seq[i])
-                assert trie.allowed(state) == trie.allowed_continuations(seq)
+                assert frozenset(trie.allowed(state).tolist()) == trie.allowed_continuations(seq)
                 assert EOS in trie.allowed(state)
 
     def test_contains_iff_eos_allowed(self):

@@ -100,6 +100,18 @@ class TestEncode:
     def test_deterministic(self, vocab):
         assert encode("English literature", vocab) == encode("English literature", vocab)
 
+    def test_encode_agrees_with_offsets_on_random_text(self):
+        # overlapping tokens, so greedy matching and whole-word lookups differ in reach
+        v = Vocabulary(("ab", "abc", "c", "bca", "abcab", "é", "中文"))
+        pieces = (
+            "ab", "abc", "c", "bca", "abcab", "é", "中文", "a", "b", "z", "€", "\U0001F600",
+            " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "\x85",
+        )
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            text = "".join(rng.choice(pieces, size=int(rng.integers(0, 12))))
+            assert encode(text, v) == [s.token for s in encode_with_offsets(text, v)], repr(text)
+
 
 class TestDecode:
     def test_empty(self, vocab):
