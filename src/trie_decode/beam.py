@@ -84,9 +84,14 @@ class RankedEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RankedResult:
-    """Entries sorted descending by score, ties by ascending token order."""
+    """Entries sorted descending by score, ties by ascending token order.
+
+    ``diagnostics`` explains entries a caller expected but the ranking lacks,
+    such as candidate names too long to finish within ``max_steps``.
+    """
 
     entries: tuple[RankedEntry, ...]
+    diagnostics: tuple[str, ...] = ()
 
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)

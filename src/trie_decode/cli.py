@@ -24,9 +24,8 @@ from .metrics import EvalReport, RetrievalReport, ed_accuracy, ed_report, micro_
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
 from .tasks import (
     TASK_EXTRA_SPECIALS,
+    SuiteReport,
     TaskConfig,
-    parallel_map,
-    disambiguate,
     load_ed_dataset,
     load_el_dataset,
     run_eval_suite,
@@ -61,6 +60,11 @@ def _make_scorer(spec: str, vocab: Vocabulary) -> Scorer:
     return load_table_scorer(spec)
 
 
+def _load_decoder(args: argparse.Namespace) -> tuple[Vocabulary, Scorer, EntityTrie | None]:
+    vocab = _load_vocab(args.vocab)
+    return vocab, _make_scorer(args.scorer, vocab), _load_trie(args.trie) if args.trie else None
+
+
 def _default_jobs() -> int:
     raw = os.environ.get(JOBS_ENV_VAR, "1")
     try:
@@ -85,20 +89,11 @@ def _ranking_payloads(ranking: RankedResult) -> list[dict]:
     ]
 
 
-def _ranking_lines(ranking: RankedResult, fmt: str, prefix: str = "") -> Iterable[str]:
+def _ranking_lines(ranking: RankedResult, fmt: str, prefix: str = "") -> list[str]:
     if fmt == "structured":
-        for payload in _ranking_payloads(ranking):
-            if prefix:
-                payload["id"] = prefix
-            yield _json_line(payload)
-    else:
-        lead = f"{prefix}\t" if prefix else ""
-        for rank, entry in enumerate(ranking, start=1):
-            yield f"{lead}{rank}\t{entry.name}\t{entry.normalized_score!r}"
-
-
-def _span_triples(spans: Sequence[SpanAnnotation]) -> list[list]:
-    return [[s.start, s.length, s.entity] for s in spans]
+        return [_json_line(payload) for payload in _ranking_payloads(ranking)]
+    lead = f"{prefix}\t" if prefix else ""
+    return [f"{lead}{rank}\t{e.name}\t{e.normalized_score!r}" for rank, e in enumerate(ranking, start=1)]
 
 
 def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
@@ -118,9 +113,7 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:
-    vocab = _load_vocab(args.vocab)
-    scorer = _make_scorer(args.scorer, vocab)
-    trie = _load_trie(args.trie)
+    vocab, scorer, trie = _load_decoder(args)
     if args.max_steps <= trie.max_depth:
         raise CliError(f"--max-steps {args.max_steps} cannot finish the longest name ({trie.max_depth} tokens)")
     config = BeamConfig(args.beams, args.max_steps, args.length_normalize)
@@ -130,40 +123,43 @@ def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def cmd_disambiguate(args: argparse.Namespace, out: TextIO) -> int:
-    vocab = _load_vocab(args.vocab)
-    scorer = _make_scorer(args.scorer, vocab)
-    trie = _load_trie(args.trie) if args.trie else None
-    candidate_sets = load_candidate_sets(args.candidates) if args.candidates else None
-    config = TaskConfig(args.beams, args.max_steps, args.context_window, args.length_normalize)
-    instances = sorted(load_ed_dataset(args.dataset, vocab, candidate_sets), key=lambda i: i.instance_id)
-    if not instances:
-        raise CliError("empty dataset")
-    rankings = parallel_map(
-        lambda inst: disambiguate(scorer, inst, vocab, config, trie), instances, args.jobs
+def _warn(diagnostics: Iterable[str], instance_id: str = "") -> None:
+    for diagnostic in diagnostics:
+        print(f"{instance_id}: {diagnostic}" if instance_id else diagnostic, file=sys.stderr)
+
+
+def _run_suite(args: argparse.Namespace, mode: str, config: TaskConfig) -> SuiteReport:
+    """Decode ``--dataset`` with :func:`run_eval_suite`, warning each outcome's diagnostics."""
+    vocab, scorer, trie = _load_decoder(args)
+    candidates = getattr(args, "candidates", None)
+    candidate_sets = load_candidate_sets(candidates) if candidates else None
+    suite = run_eval_suite(
+        args.dataset, mode, scorer, vocab, config, trie, candidate_sets,
+        chunk_size=getattr(args, "chunk_size", None), jobs=args.jobs,
     )
-    for instance, ranking in zip(instances, rankings):
+    for o in suite.outcomes:
+        _warn(o.document.diagnostics if mode == "el" else o.ranking.diagnostics, o.instance_id)
+    return suite
+
+
+def cmd_disambiguate(args: argparse.Namespace, out: TextIO) -> int:
+    config = TaskConfig(args.beams, args.max_steps, args.context_window, args.length_normalize)
+    for o in _run_suite(args, "ed", config).outcomes:
         if args.format == "structured":
-            payload = {
-                "id": instance.instance_id,
-                "gold": instance.gold,
-                "predictions": _ranking_payloads(ranking),
-            }
+            payload = {"id": o.instance_id, "gold": o.gold, "predictions": _ranking_payloads(o.ranking)}
             print(_json_line(payload), file=out)
         else:
-            for line in _ranking_lines(ranking, "text", prefix=instance.instance_id):
+            for line in _ranking_lines(o.ranking, "text", prefix=o.instance_id):
                 print(line, file=out)
     return 0
 
 
 def _emit_document(doc: MarkupDocument, doc_id: str, fmt: str, out: TextIO) -> None:
-    for diagnostic in doc.diagnostics:
-        print(f"{doc_id}: {diagnostic}" if doc_id else diagnostic, file=sys.stderr)
     if fmt == "structured":
         payload = {
             "id": doc_id,
             "markup": render_markup(doc),
-            "spans": _span_triples(doc.spans),
+            "spans": [[s.start, s.length, s.entity] for s in doc.spans],
             "diagnostics": list(doc.diagnostics),
         }
         print(_json_line(payload), file=out)
@@ -175,22 +171,16 @@ def _emit_document(doc: MarkupDocument, doc_id: str, fmt: str, out: TextIO) -> N
 def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
     if (args.text is None) == (args.dataset is None):
         raise CliError("exactly one of --text and --dataset is required")
-    vocab = _load_vocab(args.vocab)
-    scorer = _make_scorer(args.scorer, vocab)
-    trie = _load_trie(args.trie)
-    config = BeamConfig(args.beams, args.max_steps, args.length_normalize)
-    if args.text is not None:
-        doc = link_document(scorer, args.text, trie, config, vocab, args.chunk_size)
-        _emit_document(doc, "", args.format, out)
+    if args.dataset is not None:
+        config = TaskConfig(args.beams, args.max_steps, length_normalize=args.length_normalize)
+        for outcome in _run_suite(args, "el", config).outcomes:
+            _emit_document(outcome.document, outcome.instance_id, args.format, out)
         return 0
-    documents = sorted(load_el_dataset(args.dataset), key=lambda d: d[0])
-    linked = parallel_map(
-        lambda item: link_document(scorer, item[1], trie, config, vocab, args.chunk_size),
-        documents,
-        args.jobs,
-    )
-    for (doc_id, _text, _gold), doc in zip(documents, linked):
-        _emit_document(doc, doc_id, args.format, out)
+    vocab, scorer, trie = _load_decoder(args)
+    config = BeamConfig(args.beams, args.max_steps, args.length_normalize)
+    doc = link_document(scorer, args.text, trie, config, vocab, args.chunk_size)
+    _warn(doc.diagnostics)
+    _emit_document(doc, "", args.format, out)
     return 0
 
 
@@ -211,64 +201,43 @@ def _load_predictions(path: str, parse: Callable[[dict], _P]) -> dict[str, _P]:
 
 def _eval_from_predictions(args: argparse.Namespace, vocab: Vocabulary, out: TextIO) -> int:
     if args.mode == "el":
-        gold_docs = []
-        pred_docs = []
         predictions = _load_predictions(
             args.predictions, lambda p: [SpanAnnotation(s, l, e) for s, l, e in p["spans"]]
         )
-        for doc_id, text, gold_markup in sorted(load_el_dataset(args.dataset), key=lambda d: d[0]):
-            if doc_id not in predictions:
-                raise CliError(f"no prediction for instance {doc_id!r}")
-            gold_docs.append(parse_markup(gold_markup, text))
-            pred_docs.append(predictions[doc_id])
-        report = micro_f1_spans(gold_docs, pred_docs)
-        accuracy = None
+        rows = [(i, parse_markup(markup, text)) for i, text, markup in load_el_dataset(args.dataset)]
     elif args.mode == "ed":
         predictions = _load_predictions(
             args.predictions, lambda p: p["predictions"][0]["name"] if p["predictions"] else ""
         )
-        gold = []
-        pred = []
-        for instance in sorted(load_ed_dataset(args.dataset, vocab), key=lambda i: i.instance_id):
-            if instance.instance_id not in predictions:
-                raise CliError(f"no prediction for instance {instance.instance_id!r}")
-            gold.append(instance.gold)
-            pred.append(predictions[instance.instance_id])
-        if not gold:
-            raise CliError("empty dataset")
-        report = ed_report(gold, pred)
-        accuracy = ed_accuracy(gold, pred)
+        rows = [(instance.instance_id, instance.gold) for instance in load_ed_dataset(args.dataset, vocab)]
     else:
         raise CliError("--predictions is supported for ed and el modes only")
+    if not rows:
+        raise CliError("empty dataset")
+    for instance_id, _ in rows:
+        if instance_id not in predictions:
+            raise CliError(f"no prediction for instance {instance_id!r}")
+    gold = [g for _, g in rows]
+    pred = [predictions[instance_id] for instance_id, _ in rows]
+    if args.mode == "el":
+        report, accuracy = micro_f1_spans(gold, pred), None
+    else:
+        report, accuracy = ed_report(gold, pred), ed_accuracy(gold, pred)
     for line in _report_lines(report, accuracy, args.format):
         print(line, file=out)
     return 0
 
 
 def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
-    vocab = _load_vocab(args.vocab)
     if args.predictions:
-        return _eval_from_predictions(args, vocab, out)
+        return _eval_from_predictions(args, _load_vocab(args.vocab), out)
     if not args.scorer:
         raise CliError("--scorer is required unless --predictions is given")
-    scorer = _make_scorer(args.scorer, vocab)
-    trie = _load_trie(args.trie) if args.trie else None
-    candidate_sets = load_candidate_sets(args.candidates) if args.candidates else None
     # linking runs default to the wider decode budget; ranking modes stay small
     beams = args.beams if args.beams is not None else (6 if args.mode == "el" else 10)
     max_steps = args.max_steps if args.max_steps is not None else (384 if args.mode == "el" else 15)
     config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
-    suite = run_eval_suite(
-        args.dataset,
-        args.mode,
-        scorer,
-        vocab,
-        config,
-        trie=trie,
-        candidate_sets=candidate_sets,
-        chunk_size=args.chunk_size,
-        jobs=args.jobs,
-    )
+    suite = _run_suite(args, args.mode, config)
     for line in _report_lines(suite.report, suite.accuracy, args.format):
         print(line, file=out)
     return 0

@@ -306,7 +306,16 @@ def link_document(
     An annotated output costs up to ``5 + longest-name-length`` tokens per
     source token, so ``max_steps`` (or ``chunk_size``) must leave room for
     the markup or heavily annotated hypotheses cannot finish.
+
+    Raises :class:`MarkupError` when an entity name in ``trie`` contains a
+    markup token (ids ``MENTION_OPEN..LINK_CLOSE``): inside a link it would
+    read as markup, so the decoded entity need not be a name in the trie.
     """
+    if trie.min_label <= LINK_CLOSE:
+        raise MarkupError(
+            f"trie label {trie.min_label} is a markup token ({MENTION_OPEN}..{LINK_CLOSE}); "
+            "entity names cannot contain one"
+        )
     token_spans = encode_with_offsets(source, vocab)
     tokens = tuple(span.token for span in token_spans)
     if chunk_size is not None and len(tokens) > chunk_size:

@@ -287,14 +287,14 @@ def load_table_scorer(path: str) -> TableScorer:
     if not lines:
         raise ScorerError("empty scorer file")
     head = lines[0].split("\t")
-    if len(head) not in (2, 3):
-        raise ScorerError("bad header: expected `alpha TAB vocab-size`")
+    if len(head) < 2 or head[2:] not in ([], ["input-conditioned"]):
+        raise ScorerError("bad header: expected `alpha TAB vocab-size [TAB input-conditioned]`")
     try:
         alpha = float(head[0])
         vocab_size = int(head[1])
     except ValueError as exc:
         raise ScorerError(f"bad header: {exc}") from None
-    conditioned = len(head) == 3 and head[2] == "input-conditioned"
+    conditioned = len(head) == 3
     counts: dict[int, dict[TokenId, float]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():

@@ -15,13 +15,13 @@ possible and trimming more from the left on odd remainders.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .beam import BeamConfig, RankedResult, rank_entities
 from .catalog import CandidateSet
-from .markup import MarkupDocument, SpanAnnotation, link_document, parse_markup
+from .markup import MarkupDocument, MarkupError, SpanAnnotation, link_document, parse_markup
 from .metrics import (
     EvalReport,
     MatchType,
@@ -135,18 +135,25 @@ def disambiguate(
     With a candidate set present the constraint trie is built from exactly
     those names; otherwise the full-catalog ``trie`` is used, and a catalog
     name too long to finish within ``max_steps`` raises :class:`TaskError`.
-    Candidate names are not checked: one too long to finish is left out of
-    the ranking, which may then be empty.
+    A candidate name too long to finish is left out of the ranking, which may
+    then be empty, and named in the ranking's ``diagnostics``.
     """
     flagged = flag_mention(instance, vocab, config)
     if instance.candidates:
-        sequences = [tuple(encode(name, vocab)) for name in instance.candidates]
-        constraint_trie = build_trie(sequences, vocab.size)
+        encoded = {name: tuple(encode(name, vocab)) for name in instance.candidates}
+        constraint_trie = build_trie(encoded.values(), vocab.size)
     elif trie is not None:
         constraint_trie = _finishable(trie, config)
     else:
         raise TaskError(f"instance {instance.instance_id!r}: no candidate set and no catalog trie")
-    return rank_entities(scorer, flagged, constraint_trie, config.beam_config(), vocab)
+    ranking = rank_entities(scorer, flagged, constraint_trie, config.beam_config(), vocab)
+    if constraint_trie.max_depth >= config.max_steps:  # a candidate trie: _finishable passed the catalog
+        ranking = replace(ranking, diagnostics=tuple(
+            f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
+            for name, tokens in encoded.items()
+            if len(tokens) >= config.max_steps
+        ))
+    return ranking
 
 
 def retrieve(
@@ -296,11 +303,42 @@ class SuiteReport:
     accuracy: float | None = None
 
 
+_worker_fn: Callable | None = None  # set only in a pool worker, by its initializer
+
+
+def _install_worker(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker(item):
+    return _worker_fn(item)
+
+
 def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
+    """``[fn(item) for item in items]`` on up to ``jobs`` forked processes.
+
+    Workers inherit ``fn`` and all it closes over (scorer, trie, vocabulary)
+    through fork; only items, results and exceptions are pickled.  Fork is
+    unsafe in a process that runs other threads.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    # imported here, so that sequential runs do not pay for loading them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        raise TaskError("jobs > 1 needs the fork start method, which this platform lacks") from None
+    workers = min(jobs, len(items))
+    # about four chunks per worker, as multiprocessing.Pool.map cuts them
+    with ProcessPoolExecutor(workers, context, _install_worker, (fn,)) as pool:
+        try:
+            return list(pool.map(_call_worker, items, chunksize=-(-len(items) // (4 * workers))))
+        except BrokenProcessPool:
+            raise TaskError("a worker process died before finishing its items") from None
 
 
 def run_eval_suite(
@@ -321,55 +359,46 @@ def run_eval_suite(
     """
     mode = mode.lower()
     if mode == "ed":
-        instances = load_ed_dataset(source, vocab, candidate_sets)
-        if not instances:
-            raise TaskError("empty dataset")
-        instances.sort(key=lambda inst: inst.instance_id)
+        items = load_ed_dataset(source, vocab, candidate_sets)
 
-        def run_ed(instance: EDInstance) -> EDOutcome:
+        def run(instance: EDInstance) -> EDOutcome:
             ranking = disambiguate(scorer, instance, vocab, config, trie)
             mention = decode(instance.mention_tokens(), vocab)
             return EDOutcome(instance.instance_id, instance.gold, ranking, match_type(mention, instance.gold))
-
-        outcomes = parallel_map(run_ed, instances, jobs)
-        gold = [o.gold for o in outcomes]
-        predicted = [o.predicted or "" for o in outcomes]
-        report = ed_report(gold, predicted)
-        return SuiteReport("ed", report, tuple(outcomes), ed_accuracy(gold, predicted))
-    if mode == "dr":
+    elif mode == "dr":
         if trie is None:
             raise TaskError("retrieval requires a catalog trie")
-        queries = load_dr_dataset(source)
-        if not queries:
-            raise TaskError("empty dataset")
-        queries.sort(key=lambda q: q[0])
+        items = load_dr_dataset(source)
 
-        def run_dr(item: tuple[str, str, tuple[str, ...]]) -> DROutcome:
+        def run(item: tuple[str, str, tuple[str, ...]]) -> DROutcome:
             instance_id, query, gold = item
             ranking = retrieve(scorer, query, trie, config, vocab)
             return DROutcome(instance_id, gold, ranking, r_precision(set(gold), ranking))
-
-        outcomes = parallel_map(run_dr, queries, jobs)
-        report = RetrievalReport.from_scores(o.r_precision for o in outcomes)
-        return SuiteReport("dr", report, tuple(outcomes))
-    if mode == "el":
+    elif mode == "el":
         if trie is None:
             raise TaskError("linking requires a catalog trie")
-        documents = load_el_dataset(source)
-        if not documents:
-            raise TaskError("empty dataset")
-        documents.sort(key=lambda d: d[0])
+        items = load_el_dataset(source)
         link_config = config.beam_config()
 
-        def run_el(item: tuple[str, str, str]) -> ELOutcome:
+        def run(item: tuple[str, str, str]) -> ELOutcome:
             instance_id, text, gold_markup = item
-            gold_spans = tuple(parse_markup(gold_markup, text))
+            try:
+                gold_spans = tuple(parse_markup(gold_markup, text))
+            except MarkupError as exc:
+                raise TaskError(f"instance {instance_id!r}: bad gold markup ({exc})") from None
             document = link_document(scorer, text, trie, link_config, vocab, chunk_size)
             return ELOutcome(instance_id, document, gold_spans)
-
-        outcomes = parallel_map(run_el, documents, jobs)
-        report = micro_f1_spans(
-            [o.gold_spans for o in outcomes], [o.document.spans for o in outcomes]
-        )
-        return SuiteReport("el", report, tuple(outcomes))
-    raise TaskError(f"unknown mode: {mode!r} (expected ed, dr, or el)")
+    else:
+        raise TaskError(f"unknown mode: {mode!r} (expected ed, dr, or el)")
+    if not items:
+        raise TaskError("empty dataset")
+    # by id; the sort is stable, so outcomes with one id keep the file's order
+    outcomes = tuple(sorted(parallel_map(run, items, jobs), key=attrgetter("instance_id")))
+    if mode == "ed":
+        gold = [o.gold for o in outcomes]
+        predicted = [o.predicted or "" for o in outcomes]
+        return SuiteReport(mode, ed_report(gold, predicted), outcomes, ed_accuracy(gold, predicted))
+    if mode == "dr":
+        return SuiteReport(mode, RetrievalReport.from_scores(o.r_precision for o in outcomes), outcomes)
+    report = micro_f1_spans([o.gold_spans for o in outcomes], [o.document.spans for o in outcomes])
+    return SuiteReport(mode, report, outcomes)

@@ -69,7 +69,7 @@ class EntityTrie:
 
     __slots__ = (
         "_token", "_tokens", "_first", "_terminal", "vocab_size",
-        "leaf_count", "internal_node_count", "node_count", "max_depth",
+        "leaf_count", "internal_node_count", "node_count", "max_depth", "min_label",
     )
 
     def __init__(
@@ -96,6 +96,8 @@ class EntityTrie:
         while first_child[lo] < first_child[hi]:
             lo, hi, depth = first_child[lo], first_child[hi], depth + 1
         self.max_depth = depth
+        # the smallest edge label; a valid trie's root always has a child
+        self.min_label = int(self._tokens[1:].min())
 
     def stats(self) -> TrieStats:
         return TrieStats(self.leaf_count, self.internal_node_count)

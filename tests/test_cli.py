@@ -456,6 +456,143 @@ class TestJobsEnvFallback:
         assert "TRIE_DECODE_JOBS" in capsys.readouterr().err
 
 
+class TestDatasetRunner:
+    """``disambiguate``, ``link --dataset`` and ``eval`` share one dataset runner."""
+
+    @pytest.fixture
+    def datasets(self, cli_files, tmp_path, capsys):
+        build(cli_files)
+        capsys.readouterr()
+        ed = tmp_path / "ed.tsv"
+        ed.write_text(
+            "m3\tFrance language\t7\t8\tlanguage\tlanguage|France\n"
+            "m1\tlanguage France language\t9\t6\tFrance\tFrance|English language\n"
+            "m2\tFrance language\t7\t8\tEnglish language\tEnglish language|English literature\n"
+        )
+        dr = tmp_path / "dr.tsv"
+        dr.write_text("q2\tlanguage query\tEnglish language\nq1\twhich country\tFrance\n")
+        el = tmp_path / "el.tsv"
+        el.write_text(
+            "d2\tEnglish language France\t[English language](English language) France\n"
+            "d1\tFrance\t[France](France)\n"
+            "d3\tliterature\tliterature\n"
+        )
+        return {"ed": str(ed), "dr": str(dr), "el": str(el)}
+
+    def _argv(self, cli_files, datasets, command):
+        common = ["--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
+        return {
+            "disambiguate": ["disambiguate", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
+            "link": ["link", "--dataset", datasets["el"], *common, "--scorer", "uniform", "--max-steps", "32"],
+            "eval-ed": ["eval", "--mode", "ed", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
+            "eval-dr": ["eval", "--mode", "dr", "--dataset", datasets["dr"], *common, "--scorer", "uniform"],
+            "eval-el": [
+                "eval", "--mode", "el", "--dataset", datasets["el"], *common,
+                "--scorer", "oracle:English language", "--max-steps", "32",
+            ],
+        }[command]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["disambiguate", "link", "eval-ed", "eval-dr", "eval-el"])
+    def test_stdout_identical_at_one_and_two_jobs(self, cli_files, datasets, capsys, command, fmt):
+        argv = self._argv(cli_files, datasets, command) + ["--format", fmt]
+        assert main(argv + ["--jobs", "1"]) == 0
+        sequential = capsys.readouterr()
+        assert main(argv + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr()
+        assert sequential.out and parallel.out == sequential.out
+        assert parallel.err == sequential.err
+
+    def test_outcomes_are_printed_in_id_order(self, cli_files, datasets, capsys):
+        assert main(self._argv(cli_files, datasets, "link") + ["--jobs", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["d1", "d2", "d3"]
+
+    @pytest.mark.parametrize(
+        "command, bad_line, message",
+        [
+            ("disambiguate", "m4\tFrance\t0\t6\n", "error: line 4: expected"),
+            # no candidate set and no catalog trie: raised inside a worker
+            ("disambiguate", "m0\tFrance\t0\t6\tFrance\n", "error: instance 'm0': no candidate set"),
+            ("link", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
+        ],
+        ids=["load", "worker", "gold-markup"],
+    )
+    def test_bad_line_under_two_jobs_is_an_error_not_a_traceback(
+        self, cli_files, datasets, capsys, command, bad_line, message
+    ):
+        path = datasets["ed" if command == "disambiguate" else "el"]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad_line)
+        argv = self._argv(cli_files, datasets, command) + ["--jobs", "2"]
+        if command == "disambiguate":
+            argv.remove("--trie")
+            argv.remove(cli_files["trie"])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+
+    def test_link_dataset_rejects_an_empty_file(self, cli_files, datasets, capsys):
+        open(datasets["el"], "w").close()
+        code = main(self._argv(cli_files, datasets, "link"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: empty dataset\n"
+
+    def test_link_dataset_rejects_bad_gold_markup(self, cli_files, datasets, capsys):
+        with open(datasets["el"], "w", encoding="utf-8") as fh:
+            fh.write("d1\tFrance\t[Germany](France)\n")
+        code = main(self._argv(cli_files, datasets, "link"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: instance 'd1': bad gold markup (mention 'Germany'")
+
+    def test_eval_el_from_a_dump_rejects_an_empty_dataset(self, cli_files, datasets, tmp_path, capsys):
+        open(datasets["el"], "w").close()
+        dump = tmp_path / "pred.jsonl"
+        dump.write_text("")
+        argv = ["eval", "--mode", "el", "--dataset", datasets["el"], "--vocab", cli_files["vocab"]]
+        assert main(argv + ["--predictions", str(dump)]) == 1
+        assert capsys.readouterr().err == "error: empty dataset\n"
+
+    def test_eval_el_prints_document_diagnostics(self, cli_files, datasets, capsys):
+        argv = self._argv(cli_files, datasets, "eval-el")
+        argv[argv.index("--max-steps") + 1] = "1"
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "micro_f1=0.00" in captured.out
+        assert captured.err.splitlines() == [
+            f"{doc_id}: no finished hypothesis within max_steps=1" for doc_id in ("d1", "d2", "d3")
+        ]
+
+    @pytest.mark.parametrize("command", ["disambiguate", "eval-ed"])
+    def test_candidate_too_long_to_finish_is_named_on_stderr(
+        self, cli_files, datasets, capsys, command
+    ):
+        argv = self._argv(cli_files, datasets, command) + ["--max-steps", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "m1: candidate 'English language' (2 tokens) cannot finish within max_steps=2",
+            "m2: candidate 'English language' (2 tokens) cannot finish within max_steps=2",
+            "m2: candidate 'English literature' (2 tokens) cannot finish within max_steps=2",
+        ]
+
+    def test_two_jobs_without_fork_exit_1(self, cli_files, datasets, capsys, monkeypatch):
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr("multiprocessing.get_context", no_fork)
+        argv = self._argv(cli_files, datasets, "eval-ed")
+        assert main(argv + ["--jobs", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: jobs > 1 needs the fork start method")
+        assert main(argv + ["--jobs", "1"]) == 0
+
+
 class TestTableScorerFile:
     def test_trained_scorer_round_trips_through_the_cli(self, cli_files, tmp_path, capsys):
         from trie_decode.scoring import save_table_scorer, train_table_scorer

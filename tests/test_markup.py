@@ -185,6 +185,23 @@ class TestLinkDocument:
         assert doc.spans == ()
         assert doc.diagnostics and "max_steps" in doc.diagnostics[0]
 
+    @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
+    def test_trie_with_a_markup_label_is_rejected(self, label):
+        # inside a link a name token 5 would read as `)`: this oracle would
+        # close the link after (7,), which is not a name in the trie
+        vocab = Vocabulary(["a", "b", "c"])
+        trie = build_trie([(7, label, 8)], vocab.size)
+        assert trie.min_label == label
+        target = (MENTION_OPEN, 7, MENTION_CLOSE, LINK_OPEN, 7, LINK_CLOSE, EOS)
+        scorer = OracleScorer(target, vocab.size)
+        with pytest.raises(MarkupError, match=f"trie label {label} is a markup token"):
+            link_document(scorer, "a", trie, BeamConfig(k=1, max_steps=16), vocab)
+        # the same name without the markup label links to a name in the trie
+        ok = build_trie([(7, 9, 8)], vocab.size)
+        assert ok.min_label == 7
+        doc = link_document(scorer, "a", ok, BeamConfig(k=1, max_steps=16), vocab)
+        assert [span.entity for span in doc.spans] == ["a c b"]
+
 
 class TestCopyFidelityFuzz:
     def test_random_decodes_are_sound_and_copy_faithful(self):

@@ -291,3 +291,10 @@ class TestTableSerialization:
         path.write_text("not-a-number\t9\n")
         with pytest.raises(ScorerError):
             load_table_scorer(str(path))
+
+    @pytest.mark.parametrize("flag", ["input_conditioned", "", "input-conditioned\textra"])
+    def test_unknown_third_header_column_rejected(self, tmp_path, flag):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0.5\t9\t{flag}\n")
+        with pytest.raises(ScorerError, match="bad header"):
+            load_table_scorer(str(path))

@@ -1,5 +1,7 @@
 """Task pipelines: mention flagging, disambiguation, retrieval, eval suites."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from trie_decode.tasks import (
     disambiguate,
     flag_mention,
     load_ed_dataset,
+    parallel_map,
     retrieve,
     run_eval_suite,
 )
@@ -133,6 +136,17 @@ class TestDisambiguate:
             scorer = random_table_scorer(rng, vocab)
             ranking = disambiguate(scorer, instance, vocab, TaskConfig())
             assert set(ranking.names()) <= set(candidates)
+
+    def test_candidate_too_long_to_finish_is_a_diagnostic(self, vocab):
+        # max_steps 2 finishes a one-token name; "beta gamma" needs three steps
+        instance = load_ed_dataset(["m1\tzeta alpha eta\t5\t5\talpha\talpha|beta gamma"], vocab)[0]
+        scorer = UniformScorer(vocab.size)
+        ranking = disambiguate(scorer, instance, vocab, TaskConfig(max_steps=2))
+        assert ranking.names() == ("alpha",)
+        assert ranking.diagnostics == (
+            "candidate 'beta gamma' (2 tokens) cannot finish within max_steps=2",
+        )
+        assert disambiguate(scorer, instance, vocab, TaskConfig(max_steps=3)).diagnostics == ()
 
     def test_without_candidates_requires_trie(self, vocab):
         instance = make_instance(vocab)
@@ -252,6 +266,38 @@ class TestRunEvalSuite:
         assert [o.instance_id for o in sequential.outcomes] == [
             o.instance_id for o in parallel.outcomes
         ]
+
+    def test_parallel_map_keeps_order_and_runs_closures(self):
+        offset = 1000  # reaches the workers through fork, not pickling
+        assert parallel_map(lambda x: x + offset, list(range(50)), 2) == [x + offset for x in range(50)]
+
+    def test_task_error_from_a_worker_keeps_its_line(self):
+        def fail_on_three(x):
+            if x == 3:
+                raise TaskError("bad item", line=x)
+            return x
+
+        with pytest.raises(TaskError, match="^line 3: bad item$") as caught:
+            parallel_map(fail_on_three, [1, 2, 3, 4], 2)
+        assert caught.value.line == 3
+
+    def test_a_dead_worker_is_an_error_not_a_hang(self):
+        def exit_on_three(x):
+            if x == 3:
+                os._exit(1)
+            return x
+
+        with pytest.raises(TaskError, match="worker process died"):
+            parallel_map(exit_on_three, list(range(8)), 2)
+
+    def test_jobs_without_fork_rejected(self, monkeypatch):
+        def no_fork(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr("multiprocessing.get_context", no_fork)
+        with pytest.raises(TaskError, match="fork"):
+            parallel_map(abs, [1, 2], 2)
+        assert parallel_map(abs, [-1, -2], 1) == [1, 2]
 
     def test_empty_dataset_rejected(self, vocab):
         with pytest.raises(TaskError, match="empty dataset"):
