@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
-from .beam import BeamConfig, RankedResult, rank_entities
+from .beam import BeamConfig, RankedResult
 from .catalog import load_candidate_sets, load_catalog
 from .markup import MarkupDocument, SpanAnnotation, link_document, parse_markup, render_markup
 from .metrics import EvalReport, RetrievalReport, ed_accuracy, ed_report, micro_f1_spans
@@ -28,12 +27,11 @@ from .tasks import (
     TaskConfig,
     load_ed_dataset,
     load_el_dataset,
+    retrieve,
     run_eval_suite,
 )
 from .trie import EntityTrie, build_trie
-from .vocab import EOS, Vocabulary, encode, load_vocabulary
-
-JOBS_ENV_VAR = "TRIE_DECODE_JOBS"
+from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_lines
 
 _P = TypeVar("_P")
 
@@ -62,15 +60,13 @@ def _make_scorer(spec: str, vocab: Vocabulary) -> Scorer:
 
 def _load_decoder(args: argparse.Namespace) -> tuple[Vocabulary, Scorer, EntityTrie | None]:
     vocab = _load_vocab(args.vocab)
-    return vocab, _make_scorer(args.scorer, vocab), _load_trie(args.trie) if args.trie else None
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
+    scorer = _make_scorer(args.scorer, vocab)
+    trie = _load_trie(args.trie) if args.trie else None
+    sizes = {"scorer": scorer.vocab_size, "trie": vocab.size if trie is None else trie.vocab_size}
+    for what, size in sizes.items():
+        if size != vocab.size:
+            raise CliError(f"{what} has vocabulary size {size}, but {args.vocab} has {vocab.size}")
+    return vocab, scorer, trie
 
 
 def _json_line(payload: dict) -> str:
@@ -114,10 +110,8 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:
     vocab, scorer, trie = _load_decoder(args)
-    if args.max_steps <= trie.max_depth:
-        raise CliError(f"--max-steps {args.max_steps} cannot finish the longest name ({trie.max_depth} tokens)")
-    config = BeamConfig(args.beams, args.max_steps, args.length_normalize)
-    ranking = rank_entities(scorer, encode(args.query, vocab), trie, config, vocab)
+    config = TaskConfig(args.beams, args.max_steps, length_normalize=args.length_normalize)
+    ranking = retrieve(scorer, args.query, trie, config, vocab, max_steps_name="--max-steps")
     for line in _ranking_lines(ranking, args.format):
         print(line, file=out)
     return 0
@@ -187,15 +181,14 @@ def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
 def _load_predictions(path: str, parse: Callable[[dict], _P]) -> dict[str, _P]:
     """``id -> parse(record)`` over the JSON lines of a structured dump."""
     predictions: dict[str, _P] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                payload = json.loads(raw)
-                predictions[payload["id"]] = parse(payload)
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        if not raw.strip():
+            continue
+        try:
+            payload = json.loads(raw)
+            predictions[payload["id"]] = parse(payload)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
     return predictions
 
 
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", required=True)
     p.add_argument("--candidates", default=None, help="candidate-set file keyed by mention id")
     p.add_argument("--context-window", type=int, default=384)
-    p.add_argument("--jobs", type=int, default=None, help=f"parallel workers (env {JOBS_ENV_VAR})")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
     _add_beam_options(p, beams=10, max_steps=15)
     _add_format_option(p)
     p.set_defaults(func=cmd_disambiguate)
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trie", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--chunk-size", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help=f"parallel workers (env {JOBS_ENV_VAR})")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
     _add_beam_options(p, beams=6, max_steps=384)
     _add_format_option(p)
     p.set_defaults(func=cmd_link)
@@ -336,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", default=None, help="structured dump to evaluate instead of decoding")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--context-window", type=int, default=384)
-    p.add_argument("--jobs", type=int, default=None, help=f"parallel workers (env {JOBS_ENV_VAR})")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
     _add_beam_options(p, beams=None, max_steps=None)
     _add_format_option(p)
     p.set_defaults(func=cmd_eval)
@@ -350,8 +343,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     out: TextIO = sys.stdout
     opened = None
     try:
-        if hasattr(args, "jobs") and args.jobs is None:
-            args.jobs = _default_jobs()
         if getattr(args, "out", None) and args.command != "build-trie":
             opened = open(args.out, "w", encoding="utf-8")
             out = opened

@@ -40,7 +40,6 @@ from .vocab import (
     MENTION_CLOSE,
     MENTION_OPEN,
     TokenId,
-    TokenSpan,
     Vocabulary,
     decode,
     encode_with_offsets,
@@ -195,48 +194,41 @@ def advance_state(state: LinkerState, token: TokenId, source: Sequence[TokenId])
     )
 
 
-@dataclass(frozen=True)
-class TokenLevelSpan:
-    mention_start: int
-    mention_end: int
-    entity_tokens: tuple[TokenId, ...]
+def _scan(
+    tokens: Iterable[TokenId],
+) -> tuple[list[TokenId], list[tuple[int, int, tuple[TokenId, ...]]]]:
+    """The copied source tokens of ``tokens`` and its links.
 
-
-def replay_markup(
-    tokens: Sequence[TokenId], source: Sequence[TokenId]
-) -> tuple[LinkerState, list[TokenLevelSpan]]:
-    """Walk a finished hypothesis through the state machine, collecting spans."""
-    state = LinkerState()
-    spans: list[TokenLevelSpan] = []
-    for i, token in enumerate(tokens):
-        if token == EOS:
-            if i != len(tokens) - 1:
-                raise MarkupError("EOS before the final position")
-            if state.phase is not Phase.OUTSIDE or state.source_cursor != len(source):
-                raise MarkupError("EOS before the source was exhausted")
-            break
-        if token == LINK_CLOSE and state.phase is Phase.ENTITY and state.entity_prefix is not None:
-            spans.append(
-                TokenLevelSpan(state.mention_start, state.source_cursor, state.entity_prefix)
-            )
-        state = advance_state(state, token, source)
-    return state, spans
+    A link is ``(mention start, mention end, entity tokens)``, the mention
+    extent counted in copied tokens.  Markup specials and the tokens inside
+    ``(...)`` are not copied.  Nothing is validated: a hypothesis that
+    :class:`MarkupConstraint` finished is well formed by construction.
+    """
+    copied: list[TokenId] = []
+    links: list[tuple[int, int, tuple[TokenId, ...]]] = []
+    entity: list[TokenId] | None = None
+    start = 0
+    for token in tokens:
+        if token == LINK_OPEN:
+            entity = []
+        elif token == LINK_CLOSE:
+            if entity is not None:
+                links.append((start, len(copied), tuple(entity)))
+            entity = None
+        elif token == MENTION_OPEN:
+            start = len(copied)
+        elif token in (MENTION_CLOSE, EOS):
+            continue
+        elif entity is not None:
+            entity.append(token)
+        else:
+            copied.append(token)
+    return copied, links
 
 
 def strip_markup_tokens(tokens: Sequence[TokenId]) -> list[TokenId]:
     """Drop markup specials and entity tokens, keeping only copied source tokens."""
-    out: list[TokenId] = []
-    in_link = False
-    for token in tokens:
-        if token == LINK_OPEN:
-            in_link = True
-        elif token == LINK_CLOSE:
-            in_link = False
-        elif token in (MENTION_OPEN, MENTION_CLOSE, EOS) or in_link:
-            continue
-        else:
-            out.append(token)
-    return out
+    return _scan(tokens)[0]
 
 
 class MarkupConstraint:
@@ -274,21 +266,6 @@ class MarkupConstraint:
         return after, node
 
 
-def _char_spans(
-    token_spans: Sequence[TokenSpan],
-    level_spans: Iterable[TokenLevelSpan],
-    vocab: Vocabulary,
-) -> list[SpanAnnotation]:
-    out = []
-    for span in level_spans:
-        first = token_spans[span.mention_start]
-        last = token_spans[span.mention_end - 1]
-        out.append(
-            SpanAnnotation(first.start, last.end - first.start, decode(span.entity_tokens, vocab))
-        )
-    return out
-
-
 def link_document(
     scorer: Scorer,
     source: str,
@@ -299,9 +276,10 @@ def link_document(
 ) -> MarkupDocument:
     """Annotate ``source`` with entity links via constrained beam search.
 
-    Returns an empty-span document with a diagnostic when no hypothesis
-    finishes within ``max_steps``.  Span offsets are characters in the
-    original ``source`` string.
+    A chunk (the whole source unless ``chunk_size`` splits it) whose decode
+    finishes no hypothesis within ``max_steps`` adds no spans and a
+    diagnostic, prefixed ``chunk i: `` in a chunked run.  Span offsets are
+    characters in the original ``source`` string.
 
     An annotated output costs up to ``5 + longest-name-length`` tokens per
     source token, so ``max_steps`` (or ``chunk_size``) must leave room for
@@ -318,34 +296,21 @@ def link_document(
         )
     token_spans = encode_with_offsets(source, vocab)
     tokens = tuple(span.token for span in token_spans)
-    if chunk_size is not None and len(tokens) > chunk_size:
-        spans: list[SpanAnnotation] = []
-        diagnostics: list[str] = []
-        start = 0
-        for index, chunk in enumerate(chunk_input(tokens, chunk_size)):
-            chunk_token_spans = token_spans[start : start + len(chunk)]
-            start += len(chunk)
-            best = _link_tokens(scorer, chunk, trie, config)
-            if best is None:
-                diagnostics.append(
-                    f"chunk {index}: no finished hypothesis within max_steps={config.max_steps}"
-                )
-                continue
-            _, level_spans = replay_markup(best.tokens, chunk)
-            spans.extend(_char_spans(chunk_token_spans, level_spans, vocab))
-        return MarkupDocument(source, tuple(spans), tuple(diagnostics))
-    best = _link_tokens(scorer, tokens, trie, config)
-    if best is None:
-        return MarkupDocument(
-            source, (), (f"no finished hypothesis within max_steps={config.max_steps}",)
-        )
-    _, level_spans = replay_markup(best.tokens, tokens)
-    return MarkupDocument(source, tuple(_char_spans(token_spans, level_spans, vocab)))
-
-
-def _link_tokens(scorer, tokens, trie, config):
-    hypotheses = beam_search(scorer, tokens, MarkupConstraint(tokens, trie), config)
-    return hypotheses[0] if hypotheses else None
+    chunked = chunk_size is not None and len(tokens) > chunk_size
+    spans: list[SpanAnnotation] = []
+    diagnostics: list[str] = []
+    offset = 0
+    for index, chunk in enumerate(chunk_input(tokens, chunk_size) if chunked else [tokens]):
+        hypotheses = beam_search(scorer, chunk, MarkupConstraint(chunk, trie), config)
+        if hypotheses:
+            for start, end, entity in _scan(hypotheses[0].tokens)[1]:
+                first, last = token_spans[offset + start], token_spans[offset + end - 1]
+                spans.append(SpanAnnotation(first.start, last.end - first.start, decode(entity, vocab)))
+        else:
+            where = f"chunk {index}: " if chunked else ""
+            diagnostics.append(f"{where}no finished hypothesis within max_steps={config.max_steps}")
+        offset += len(chunk)
+    return MarkupDocument(source, tuple(spans), tuple(diagnostics))
 
 
 def chunk_input(source: Sequence[TokenId], max_len: int) -> list[tuple[TokenId, ...]]:

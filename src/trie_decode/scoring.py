@@ -12,13 +12,14 @@ tiny hand-built distributions usable in tests and oracles.
 
 from __future__ import annotations
 
+import math
 import zlib
 from abc import ABC, abstractmethod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .vocab import EOS, SOS, TokenId
+from .vocab import EOS, SOS, TokenId, read_lines
 
 
 class ScorerError(ValueError):
@@ -111,7 +112,9 @@ class TableScorer(Scorer):
     """Additively smoothed bigram model over target tokens.
 
     ``p(v | ctx) = (count(ctx, v) + alpha) / (total(ctx) + alpha * V)`` with
-    ``alpha > 0``, so every token keeps strictly positive probability.  The
+    finite ``alpha > 0`` and finite counts ``>= 0``; a row whose denominator
+    overflows, or whose ``alpha`` share underflows to 0, is rejected, so every
+    log-probability is finite.  The
     context is the previous generated token (SOS at the first step),
     or, when ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod
     2**31`` over the input's u32 token ids: distinct pairs can share a row.
@@ -131,8 +134,9 @@ class TableScorer(Scorer):
         vocab_size: int,
         input_conditioned: bool = False,
     ) -> None:
-        if alpha <= 0:
-            raise ScorerError("alpha must be positive")
+        # plain comparisons, which NaN fails
+        if not 0 < alpha < math.inf:
+            raise ScorerError(f"alpha must be positive and finite, got {alpha!r}")
         if vocab_size < 1:
             raise ScorerError("vocab_size must be positive")
         self.vocab_size = vocab_size
@@ -144,11 +148,14 @@ class TableScorer(Scorer):
             for token, count in row.items():
                 if not 0 <= token < vocab_size:
                     raise ScorerError(f"token id {token} out of range")
-                if count < 0:
-                    raise ScorerError("negative count")
+                if not 0 <= count < math.inf:
+                    raise ScorerError(f"count must be non-negative and finite, got {count!r}")
                 if count:
                     clean[int(token)] = float(count)
             if clean:
+                total = sum(clean.values()) + self.alpha * vocab_size
+                if not (total < math.inf and self.alpha / total > 0):
+                    raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
                 self.counts[int(ctx)] = clean
         self._rows: dict[int, np.ndarray] = {}
         self._uniform_row: np.ndarray | None = None
@@ -282,8 +289,7 @@ def save_table_scorer(scorer: TableScorer, path: str) -> None:
 
 
 def load_table_scorer(path: str) -> TableScorer:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise ScorerError("empty scorer file")
     head = lines[0].split("\t")

@@ -237,6 +237,16 @@ class TestLinkAndEval:
         assert payload["metrics"]["micro_f1"] == 8 / 9
         assert payload["counts"] == {"tp": 4, "fp": 1, "fn": 0}
 
+    def test_bad_prediction_record_names_its_file_and_line(self, tmp_path, capsys):
+        vocab, dataset, predictions = self._write_el_fixture(tmp_path)
+        with open(predictions, "a", encoding="utf-8") as fh:
+            fh.write('\n{"id": "doc2"}\n')
+        argv = ["eval", "--mode", "el", "--dataset", dataset, "--vocab", vocab]
+        assert main(argv + ["--predictions", predictions]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {predictions}:3: bad prediction record ('spans')\n"
+
     def test_link_structured_roundtrips_through_eval(self, cli_files, tmp_path, capsys):
         # the oracle copies the source; linking yields zero spans, and eval
         # of that dump against a zero-span gold gives perfect scores
@@ -429,33 +439,6 @@ class TestEdEvalPaths:
         assert json.loads(in_process)["counts"] == {"tp": tp, "fp": 0, "fn": 2 - tp}
 
 
-class TestJobsEnvFallback:
-    def test_env_variable_supplies_worker_count(self, cli_files, tmp_path, capsys, monkeypatch):
-        build(cli_files)
-        capsys.readouterr()
-        dataset = tmp_path / "ed.tsv"
-        dataset.write_text(
-            "m1\tlanguage France language\t9\t6\tFrance\tFrance\n"
-            "m2\tFrance language\t7\t8\tlanguage\tlanguage\n"
-        )
-        monkeypatch.setenv("TRIE_DECODE_JOBS", "3")
-        args = [
-            "eval",
-            "--mode", "ed",
-            "--dataset", str(dataset),
-            "--vocab", cli_files["vocab"],
-            "--scorer", "uniform",
-        ]
-        assert main(args) == 0
-        parallel_out = capsys.readouterr().out
-        monkeypatch.setenv("TRIE_DECODE_JOBS", "1")
-        assert main(args) == 0
-        assert capsys.readouterr().out == parallel_out
-        monkeypatch.setenv("TRIE_DECODE_JOBS", "not-a-number")
-        assert main(args) == 1
-        assert "TRIE_DECODE_JOBS" in capsys.readouterr().err
-
-
 class TestDatasetRunner:
     """``disambiguate``, ``link --dataset`` and ``eval`` share one dataset runner."""
 
@@ -620,6 +603,66 @@ class TestTableScorerFile:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split("\t")[1] == "France"  # the trained name wins
+
+
+class TestLoadChecks:
+    """Scorer files and vocabulary sizes are checked when they are loaded."""
+
+    def _retrieve(self, cli_files, scorer, vocab=None):
+        return main(
+            [
+                "retrieve",
+                "--query", "q",
+                "--vocab", vocab or cli_files["vocab"],
+                "--trie", cli_files["trie"],
+                "--scorer", scorer,
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ("nan\t13\n", "alpha must be positive and finite, got nan"),
+            ("inf\t13\n", "alpha must be positive and finite, got inf"),
+            ("0.5\t13\n0\t7\tnan\n", "count must be non-negative and finite, got nan"),
+            ("0.5\t13\n0\t7\tinf\n", "count must be non-negative and finite, got inf"),
+            ("0.5\t13\n0\t7\t1e308\n0\t8\t1e308\n", "context 0: probabilities overflow or underflow a float"),
+        ],
+        ids=["nan-alpha", "inf-alpha", "nan-count", "inf-count", "row-overflow"],
+    )
+    def test_non_finite_scorer_fails_loud(self, cli_files, tmp_path, capsys, table, message):
+        build(cli_files)
+        capsys.readouterr()
+        scorer = tmp_path / "table.tsv"
+        scorer.write_text(table)
+        code = self._retrieve(cli_files, str(scorer))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("size", [12, 14], ids=["smaller", "larger"])
+    def test_scorer_of_another_vocabulary_size_fails_loud(self, cli_files, tmp_path, capsys, size):
+        build(cli_files)
+        capsys.readouterr()
+        scorer = tmp_path / "table.tsv"
+        scorer.write_text(f"0.5\t{size}\n0\t7\t3\n")
+        code = self._retrieve(cli_files, str(scorer))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: scorer has vocabulary size {size}, but {cli_files['vocab']} has 13\n"
+
+    def test_empty_vocabulary_file_fails_loud(self, cli_files, tmp_path, capsys):
+        build(cli_files)
+        capsys.readouterr()
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code = self._retrieve(cli_files, "uniform", vocab=str(empty))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: trie has vocabulary size 13, but {empty} has 9\n"
 
 
 class TestErrorHandling:

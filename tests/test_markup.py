@@ -12,13 +12,13 @@ from trie_decode.markup import (
     MarkupParseError,
     Phase,
     SpanAnnotation,
+    _scan,
     advance_state,
     chunk_input,
     dynamic_constraint,
     link_document,
     parse_markup,
     render_markup,
-    replay_markup,
     strip_markup_tokens,
 )
 from trie_decode.scoring import OracleScorer, UniformScorer
@@ -224,9 +224,8 @@ class TestCopyFidelityFuzz:
                         break
                     state = advance_state(state, token, source)
                 assert tuple(strip_markup_tokens(hyp.tokens)) == source
-                _, level_spans = replay_markup(hyp.tokens, source)
-                for span in level_spans:
-                    assert trie.contains(span.entity_tokens)
+                for _, _, entity_tokens in _scan(hyp.tokens)[1]:
+                    assert trie.contains(entity_tokens)
 
 
 class TestParseMarkup:
@@ -332,6 +331,21 @@ class TestChunking:
         whole = link_document(scorer, source, trie, config, vocab)
         chunked = link_document(scorer, source, trie, config, vocab, chunk_size=4)
         assert whole.spans == chunked.spans
+
+    def test_a_chunk_that_cannot_finish_is_named_and_keeps_the_others(self):
+        # the oracle spells chunk 0's markup and EOS in 10 steps; greedy ties then
+        # annotate every token of chunk 1, which needs 21 steps
+        words = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
+        vocab = Vocabulary(words)
+        alpha, beta, gamma, delta = (vocab.ordinary_id(w) for w in words[:4])
+        trie = build_trie([(beta,), (vocab.ordinary_id("zeta"),)], vocab.size)
+        target = (alpha, MENTION_OPEN, beta, MENTION_CLOSE, LINK_OPEN, beta, LINK_CLOSE, gamma, delta)
+        scorer = OracleScorer(target, vocab.size)
+        config = BeamConfig(k=1, max_steps=len(target) + 1)
+        doc = link_document(scorer, " ".join(words), trie, config, vocab, chunk_size=4)
+        assert doc.spans == (SpanAnnotation(6, 4, "beta"),)
+        assert doc.diagnostics == ("chunk 1: no finished hypothesis within max_steps=10",)
+        assert render_markup(doc) == "alpha [beta](beta) gamma delta epsilon zeta eta theta"
 
     def test_suite_chunked_equals_unchunked_markup(self):
         # feed the unchunked result back as gold: the chunked run must score

@@ -161,6 +161,24 @@ class TestTableScorer:
         with pytest.raises(ScorerError):
             TableScorer({}, alpha=0.0, vocab_size=9)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ScorerError, match="alpha must be positive and finite"):
+            TableScorer({}, alpha=alpha, vocab_size=9)
+
+    @pytest.mark.parametrize("count", [float("nan"), float("inf"), -1.0])
+    def test_counts_must_be_finite_and_non_negative(self, count):
+        with pytest.raises(ScorerError, match="count must be non-negative and finite"):
+            TableScorer({0: {7: count}}, alpha=0.5, vocab_size=9)
+
+    @pytest.mark.parametrize(
+        "alpha, row", [(0.5, {7: 1e308, 8: 1e308}), (1e308, {7: 1.0}), (5e-324, {7: 1e9})],
+        ids=["counts-overflow", "alpha-overflow", "alpha-underflow"],
+    )
+    def test_rows_whose_probabilities_leave_the_floats_rejected(self, alpha, row):
+        with pytest.raises(ScorerError, match="context 0: probabilities overflow or underflow"):
+            TableScorer({0: row}, alpha=alpha, vocab_size=9)
+
 
 class TestNormalization:
     def test_logsumexp_zero_for_all_scorers(self):
