@@ -6,15 +6,21 @@ legal) as an ascending 1-D sequence of distinct ints (an integer ndarray, a
 list or a tuple, never a set), and ``advance(state, token)`` the state after
 a legal token.  Each live hypothesis carries its state, so no step re-reads a
 prefix or rebuilds a set.  ``EntityTrie`` (state: a node; allowed: a
-read-only view of its labels) and ``MarkupConstraint`` (state: a
-``(LinkerState, trie node)`` pair) implement it.  Tokens outside the allowed
-set score minus infinity; the surviving entries are *not* renormalized, so
-the score of any fully decoded sequence equals its unconstrained stepwise
-sum.  Finished hypotheses are retired to a pool and do not occupy beam
-slots; pruning keeps the best ``k`` live hypotheses by cumulative
-log-probability.  The final ranking applies length normalization when
-configured, breaking exact ties by ascending token-sequence order so that
-results are total and reproducible.
+read-only view of its labels) and ``MarkupConstraint`` (state: a tuple of
+ints) implement it.  Tokens outside the allowed set score minus infinity;
+the surviving entries are *not* renormalized, so the score of any fully
+decoded sequence equals its unconstrained stepwise sum.  Finished hypotheses
+are retired to a pool and do not occupy beam slots; pruning keeps the best
+``k`` live hypotheses by cumulative log-probability, breaking ties by
+ascending token order.  The final ranking applies length normalization when
+configured, breaking exact ties the same way so that results are total and
+reproducible.
+
+A step builds only what survives its cut: live hypotheses are plain tuples,
+only the ``k`` kept copy their prefix and advance their state, and a
+:class:`Hypothesis` is built only for a finished entry.  A parent with at
+most ``k`` allowed ids, such as a copy step of the markup FSM, is scored in
+plain Python rather than numpy (see :func:`beam_search`).
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie and scorer, which are read-only.
@@ -134,71 +140,98 @@ def beam_search(
 
     Each live hypothesis carries its constraint state.  Hypotheses whose
     allowed set is empty are dropped; those that reach ``max_steps`` without
-    EOS are discarded.  EOS always retires to the pool.  Since live prefixes
-    share one length, only a parent's best ``k`` other tokens under
-    ``(-score, token)`` can make the global ``(-score, tokens)`` cut, so only
-    they become candidates and only the ``k`` kept are advanced.  Returns
-    finished hypotheses sorted by the config's ranking score; an empty list
-    means nothing finished.  Raises :class:`BeamError` on an allowed token
-    id outside the scorer's vocabulary, or when ``allowed`` returns a set.
+    EOS are discarded.  EOS always retires to the pool.  Returns finished
+    hypotheses sorted by the config's ranking score; an empty list means
+    nothing finished.  Raises :class:`BeamError` on an allowed token id
+    outside the scorer's vocabulary, or when ``allowed`` returns a set.
+
+    A step builds only what survives the cut.  Live hypotheses are
+    ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
+    token order, so a child's place in the global ``(-score, tokens)``
+    order is ``(-score, parent's index, token)``, its lex-rank tie key: a
+    candidate is that plain tuple, sorted natively, and only the ``k`` kept
+    build their prefix and advance their state.  For the same reason only a
+    parent's best ``k`` other tokens under ``(-score, token)`` can make the
+    cut.  A parent with at most ``k`` allowed ids is scored in plain Python,
+    the same float64 sum as the numpy gather that a wider parent takes.
     """
     input_tokens = tuple(input_tokens)
-    live = [(Hypothesis((), 0.0, False), constraint.start())]
+    k = config.k
+    live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
     pool: list[Hypothesis] = []
     for _ in range(config.max_steps):
         if not live:
             break
         candidates = []
-        for hyp, state in live:
+        for rank, (prefix, cum, state) in enumerate(live):
             allowed = constraint.allowed(state)
             if len(allowed) == 0:
                 continue
-            logprobs = scorer.next_token_logprobs(input_tokens, hyp.tokens)
+            logprobs = scorer.next_token_logprobs(input_tokens, prefix)
+            if len(allowed) <= k:
+                if type(allowed) is np.ndarray:
+                    allowed = allowed.tolist()
+                try:
+                    # ascending ids: the ends bound the range
+                    if allowed[0] < 0 or allowed[-1] >= len(logprobs):
+                        raise BeamError("allowed token id out of range")
+                except TypeError:
+                    raise _not_a_sequence(allowed) from None
+                for token in allowed:
+                    score = cum + float(logprobs[token])
+                    if token == EOS:
+                        pool.append(Hypothesis(prefix + (EOS,), score, True))
+                    else:
+                        candidates.append((-score, rank, token))
+                continue
             try:
                 tokens = np.asarray(allowed, dtype=np.intp)
             except TypeError:
-                raise BeamError(
-                    f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
-                ) from None
-            # ascending ids: the ends bound the range, and only SOS sorts before EOS
+                raise _not_a_sequence(allowed) from None
+            # only SOS sorts before EOS
             head = tokens[:2].tolist()
             if head[0] < 0 or tokens[-1] >= len(logprobs):
                 raise BeamError("allowed token id out of range")
-            scores = np.add(logprobs[tokens], hyp.cum_logprob, dtype=np.float64)
-            width = config.k
+            neg = -np.add(logprobs[tokens], cum, dtype=np.float64)
+            width = k
             if EOS in head:
-                pool.append(
-                    Hypothesis(hyp.tokens + (EOS,), hyp.cum_logprob + float(logprobs[EOS]), True)
-                )
+                pool.append(Hypothesis(prefix + (EOS,), cum + float(logprobs[EOS]), True))
                 width += 1
             if len(tokens) > width:
-                tokens, scores = _best(tokens, scores, width)
-            for token, score in zip(tokens.tolist(), scores.tolist()):
+                tokens, neg = _best(tokens, neg, width)
+            for token, score in zip(tokens.tolist(), neg.tolist()):
                 if token != EOS:
-                    candidates.append((score, hyp.tokens + (token,), state))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+                    candidates.append((score, rank, token))
+        candidates.sort()
+        # (parent, token) pairs are distinct: this sort never compares
+        # scores, and it puts the next step's parents in token order
+        kept = sorted((rank, token, -neg) for neg, rank, token in candidates[:k])
         live = [
-            (Hypothesis(tokens, score, False), constraint.advance(state, tokens[-1]))
-            for score, tokens, state in candidates[: config.k]
+            (live[rank][0] + (token,), score, constraint.advance(live[rank][2], token))
+            for rank, token, score in kept
         ]
     pool.sort(key=lambda h: (-_final_score(h, config.length_normalize), h.tokens))
-    return pool[: config.k]
+    return pool[:k]
 
 
-def _best(tokens: np.ndarray, scores: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``width`` entries under ``(-score, token)``, in that order.
+def _not_a_sequence(allowed: object) -> BeamError:
+    return BeamError(f"allowed ids must be an ascending sequence, not {type(allowed).__name__}")
 
-    Past a few hundred entries a linear ``np.partition`` on the scores first
-    keeps every entry at or above the ``width``-th best score, ties at the
-    cut included, so the sort that follows sees the same leaders; below
-    that its fixed cost (about 7 us) exceeds what it saves the sort.
+
+def _best(tokens: np.ndarray, neg: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``width`` entries under ``(neg, token)``, in that order.
+
+    ``neg`` holds the negated scores.  Past a few hundred entries a linear
+    ``np.partition`` first keeps every entry at or above the ``width``-th
+    best score, ties at the cut included, so the sort that follows sees the
+    same leaders; below that its fixed cost (about 7 us) exceeds what it
+    saves the sort.
     """
-    neg = -scores
     if len(tokens) > max(_PARTITION_FROM, 8 * width):
         keep = neg <= np.partition(neg, width - 1)[width - 1]
-        tokens, scores, neg = tokens[keep], scores[keep], neg[keep]
+        tokens, neg = tokens[keep], neg[keep]
     best = np.lexsort((tokens, neg))[:width]
-    return tokens[best], scores[best]
+    return tokens[best], neg[best]
 
 
 def _final_score(hyp: Hypothesis, length_normalize: bool) -> float:

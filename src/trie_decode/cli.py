@@ -17,7 +17,7 @@ import sys
 from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 from .beam import BeamConfig, RankedResult
-from .catalog import load_candidate_sets, load_catalog
+from .catalog import Catalog, load_candidate_sets, load_catalog
 from .markup import MarkupDocument, SpanAnnotation, link_document, parse_markup, render_markup
 from .metrics import EvalReport, RetrievalReport, ed_accuracy, ed_report, micro_f1_spans
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
@@ -98,6 +98,8 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     if duplicates:
         print(f"skipped {duplicates} duplicate name(s)", file=sys.stderr)
     trie = build_trie(catalog.token_sequences(), vocab.size)
+    if trie.leaf_count < len(catalog):
+        raise CliError(_collision(catalog, trie.leaf_count))
     blob = trie.serialize()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -106,6 +108,19 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
         file=out,
     )
     return 0
+
+
+def _collision(catalog: Catalog, leaf_count: int) -> str:
+    """Names the first two catalog names that encode to one token sequence."""
+    seen: dict[tuple[int, ...], str] = {}
+    for record in catalog:
+        first = seen.setdefault(record.tokens, record.name)
+        if first != record.name:
+            break
+    return (
+        f"catalog names {first!r} and {record.name!r} encode to the same token sequence "
+        f"under this vocabulary; {len(catalog)} names give only {leaf_count} distinct sequences"
+    )
 
 
 def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:

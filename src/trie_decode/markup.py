@@ -147,6 +147,11 @@ def _allowed(
         return _pair(source[cursor], MENTION_CLOSE) if closable else (source[cursor],)
     if state.entity_prefix is None:
         return (LINK_OPEN,)
+    return _link_allowed(node, trie)
+
+
+def _link_allowed(node: int, trie: EntityTrie) -> tuple[TokenId, ...] | np.ndarray:
+    """Legal next tokens inside ``(...)``: the trie's, with EOS read as ``)``."""
     allowed = trie.allowed(node)
     if allowed[0] != EOS:
         return allowed
@@ -231,39 +236,82 @@ def strip_markup_tokens(tokens: Sequence[TokenId]) -> list[TokenId]:
     return _scan(tokens)[0]
 
 
+# the phases of a MarkupConstraint state: as Phase, with ENTITY split in two
+_OUTSIDE, _MENTION, _OPEN_LINK, _LINK = range(4)
+_State = tuple[int, int, int, int]  # (phase, cursor, mention start, trie node)
+
+
 class MarkupConstraint:
     """The linking FSM as a :func:`beam_search` constraint over ``source``.
 
-    The state is a ``(LinkerState, node)`` pair, where ``node`` is the trie
-    node of the entity prefix once ``(`` has been emitted, so the entity
-    phase reads ``trie.allowed(node)`` instead of re-walking the prefix.
-    ``start()`` is the initial OUTSIDE state, ``allowed`` gives the same ids
-    as :func:`dynamic_constraint` as an ascending sequence, and ``advance``
-    is :func:`advance_state` plus one trie step inside a link.
+    The state is a plain ``(phase, cursor, mention start, node)`` tuple of
+    ints.  ``phase`` is OUTSIDE, MENTION, right after ``]`` (only ``(`` is
+    legal) or inside ``(...)``; ``cursor`` and ``mention start`` are those of
+    :class:`LinkerState`, and ``node`` is the entity prefix's trie node
+    (the root outside a link, so the prefix is empty exactly at the root).
+    The allowed ids of the outside and mention phases are computed once per
+    source, for each cursor.  ``allowed`` gives the same ids as
+    :func:`dynamic_constraint` as an ascending sequence, and ``advance``
+    makes the moves of :func:`advance_state` with the same errors, plus one
+    trie step inside a link; :class:`LinkerState` and those two functions
+    are the reference that this FSM is tested against.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
-        self._source = tuple(source)
+        self._source = source = tuple(source)
         self._trie = trie
+        self._root = trie.start()
+        # allowed ids by cursor: outside, in a mention, and in a mention that is still empty
+        self._outside = [_pair(t, MENTION_OPEN) for t in source] + [(EOS,)]
+        self._mention = [_pair(t, MENTION_CLOSE) for t in source] + [(MENTION_CLOSE,)]
+        self._opened = [(t,) for t in source] + [()]
 
-    def start(self) -> tuple[LinkerState, int]:
-        return LinkerState(), self._trie.start()
+    def start(self) -> _State:
+        return _OUTSIDE, 0, 0, self._root
 
-    def allowed(self, state: tuple[LinkerState, int]) -> tuple[TokenId, ...] | np.ndarray:
-        linker, node = state
-        return _allowed(linker, node, self._source, self._trie)
+    def allowed(self, state: _State) -> tuple[TokenId, ...] | np.ndarray:
+        phase, cursor, start, node = state
+        if phase == _OUTSIDE:
+            return self._outside[cursor]
+        if phase == _MENTION:
+            return self._mention[cursor] if cursor > start else self._opened[cursor]
+        if phase == _OPEN_LINK:
+            return (LINK_OPEN,)
+        return _link_allowed(node, self._trie)
 
-    def advance(self, state: tuple[LinkerState, int], token: TokenId) -> tuple[LinkerState, int]:
-        linker, node = state
-        after = advance_state(linker, token, self._source)
-        if linker.entity_prefix is not None and after.entity_prefix is not None:
-            try:
-                node = self._trie.advance(node, token)
-            except KeyError:
-                raise MarkupError(f"token {token} continues no entity name") from None
-        else:
-            node = self._trie.start()
-        return after, node
+    def advance(self, state: _State, token: TokenId) -> _State:
+        phase, cursor, start, node = state
+        source = self._source
+        if phase == _OUTSIDE:
+            if token == MENTION_OPEN:
+                if cursor >= len(source):
+                    raise MarkupError("cannot open a mention at the end of the source")
+                return _MENTION, cursor, cursor, node
+            if cursor < len(source) and token == source[cursor]:
+                return _OUTSIDE, cursor + 1, 0, node
+            raise MarkupError(f"illegal token {token} outside a mention")
+        if phase == _MENTION:
+            if token == MENTION_CLOSE:
+                if cursor <= start:
+                    raise MarkupError("mentions must be non-empty")
+                return _OPEN_LINK, cursor, start, node
+            if cursor < len(source) and token == source[cursor]:
+                return _MENTION, cursor + 1, start, node
+            raise MarkupError(f"illegal token {token} inside a mention")
+        if phase == _OPEN_LINK:
+            if token != LINK_OPEN:
+                raise MarkupError("the link must open immediately after the mention closes")
+            return _LINK, cursor, start, node
+        if token == LINK_CLOSE:
+            if node == self._root:
+                raise MarkupError("empty entity link")
+            return _OUTSIDE, cursor, 0, self._root
+        if token in (EOS, MENTION_OPEN, MENTION_CLOSE, LINK_OPEN):
+            raise MarkupError(f"illegal token {token} inside an entity link")
+        try:
+            return _LINK, cursor, start, self._trie.advance(node, token)
+        except KeyError:
+            raise MarkupError(f"token {token} continues no entity name") from None
 
 
 def link_document(

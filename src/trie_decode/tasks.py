@@ -323,9 +323,12 @@ def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list
 
     Workers inherit ``fn`` and all it closes over (scorer, trie, vocabulary)
     through fork; only items, results and exceptions are pickled.  Fork is
-    unsafe in a process that runs other threads.
+    unsafe in a process that runs other threads.  Raises :class:`TaskError`
+    when ``jobs`` is below 1.
     """
-    if jobs <= 1 or len(items) <= 1:
+    if jobs < 1:
+        raise TaskError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     # imported here, so that sequential runs do not pay for loading them
     import multiprocessing

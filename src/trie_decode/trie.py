@@ -12,8 +12,10 @@ children) unambiguous.  As a beam-search constraint the state is a node
 index: ``start()`` is the root, ``allowed(node)`` its child slice (plus EOS
 when terminal) and ``advance(node, token)`` a bisection within that slice.
 ``allowed`` hands out read-only numpy views of a read-only copy of ``token``,
-so a step costs no copy of the node's fanout; bisection stays on the list,
-whose element access is cheaper than numpy's.
+so a step costs no copy of the node's fanout; the copy is made on the first
+``allowed`` call (a loaded trie reuses the array its file was parsed into),
+so a trie that is only built and serialized never holds it.  Bisection stays
+on the list, whose element access is cheaper than numpy's.
 
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
@@ -31,6 +33,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -81,9 +84,10 @@ class EntityTrie:
         token_array: np.ndarray | None = None,
     ) -> None:
         self._token = token
-        # the same labels as ``_token``; ``allowed`` slices views out of it
-        self._tokens = np.array(token, dtype=np.intp) if token_array is None else token_array
-        self._tokens.flags.writeable = False
+        # the same labels as ``_token``, or None until the first ``allowed``
+        self._tokens = token_array
+        if token_array is not None:
+            token_array.flags.writeable = False
         self._first = first_child
         self._terminal = terminal
         self.vocab_size = vocab_size
@@ -97,7 +101,7 @@ class EntityTrie:
             lo, hi, depth = first_child[lo], first_child[hi], depth + 1
         self.max_depth = depth
         # the smallest edge label; a valid trie's root always has a child
-        self.min_label = int(self._tokens[1:].min())
+        self.min_label = min(islice(token, 1, None))
 
     def stats(self) -> TrieStats:
         return TrieStats(self.leaf_count, self.internal_node_count)
@@ -127,12 +131,17 @@ class EntityTrie:
         only at a terminal node with children.  EOS sorts first because no
         label is SOS or EOS.
         """
+        tokens = self._tokens
+        if tokens is None:
+            # threads racing here build equal arrays, and either may stay
+            tokens = self._tokens = np.array(self._token, dtype=np.intp)
+            tokens.flags.writeable = False
         lo, hi = self._first[node], self._first[node + 1]
         if not self._terminal[node]:
-            return self._tokens[lo:hi]
+            return tokens[lo:hi]
         if lo == hi:
             return _EOS_ONLY
-        allowed = np.concatenate((_EOS_ONLY, self._tokens[lo:hi]))
+        allowed = np.concatenate((_EOS_ONLY, tokens[lo:hi]))
         allowed.flags.writeable = False
         return allowed
 

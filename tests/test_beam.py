@@ -139,8 +139,10 @@ class TestBeamSearch:
             def advance(self, depth, token):
                 return depth + 1
 
-        with pytest.raises(BeamError, match="out of range"):
-            beam_search(UniformScorer(11), (), Fixed(), BeamConfig(k=2))
+        # 2 or 3 allowed ids: wider than k = 1 (the numpy step), at most k = 3 (the plain step)
+        for k in (1, 3):
+            with pytest.raises(BeamError, match="out of range"):
+                beam_search(UniformScorer(11), (), Fixed(), BeamConfig(k=k))
 
     def test_trie_wider_than_the_scorer_raises(self, vocab, names_trie):
         with pytest.raises(BeamError, match="out of range"):
@@ -157,8 +159,10 @@ class TestBeamSearch:
             def advance(self, depth, token):
                 return depth + 1
 
-        with pytest.raises(BeamError, match="frozenset"):
-            beam_search(UniformScorer(11), (), SetConstraint(), BeamConfig(k=2))
+        # two allowed ids: wider than k = 1 (the numpy step), at most k = 2 (the plain step)
+        for k in (1, 2):
+            with pytest.raises(BeamError, match="frozenset"):
+                beam_search(UniformScorer(11), (), SetConstraint(), BeamConfig(k=k))
 
     def test_wide_fanout_with_ties_at_the_cut_matches_reference(self):
         # a 600-way root partitions before sorting; rounded scores tie at the cut
@@ -252,6 +256,71 @@ class TestNarrowWidthExactness:
                     got = beam_search(scorer, inputs, constraint, config)
                     want = reference_beam_search(scorer, inputs, constraint, config)
                     assert got == want  # equal tokens and bit-equal cum_logprob
+
+
+class DyadicBigramScorer:
+    """Bigram log-probs rounded to quarters, so that sums are exact and tie often."""
+
+    def __init__(self, rng: np.random.Generator, vocab_size: int) -> None:
+        self.vocab_size = vocab_size
+        self._rows = -np.round(rng.exponential(1.0, (vocab_size, vocab_size)) * 4) / 4
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        return self._rows[prefix[-1] if prefix else 0]
+
+
+class AllowedAs:
+    """``inner`` with its allowed ids handed out as a list, a tuple or an array."""
+
+    def __init__(self, inner, kind) -> None:
+        self.inner, self.kind = inner, kind
+
+    def start(self):
+        return self.inner.start()
+
+    def allowed(self, state):
+        allowed = [int(t) for t in self.inner.allowed(state)]
+        return np.array(allowed, dtype=np.intp) if self.kind is np.ndarray else self.kind(allowed)
+
+    def advance(self, state, token):
+        return self.inner.advance(state, token)
+
+
+class TestSurvivorOnlySteps:
+    """Candidates ordered by (-score, parent's token rank, token) equal the reference."""
+
+    def test_ties_across_parents_at_the_cut(self):
+        # exact dyadic sums tie across parents whose score order differs
+        # from their token order, so the cut must break ties by prefix
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(41)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        for _ in range(20):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(10, 40)), max_len=8)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(2, 6))))
+            scorer = DyadicBigramScorer(rng, vocab.size)
+            searches = [((), trie, 9), (source, MarkupConstraint(source, trie), 40)]
+            for inputs, constraint, max_steps in searches:
+                for k in (1, 2, 3, 4):
+                    config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
+                    got = beam_search(scorer, inputs, constraint, config)
+                    assert got == reference_beam_search(scorer, inputs, constraint, config)
+
+    @pytest.mark.parametrize("kind", [list, tuple, np.ndarray])
+    def test_each_sequence_type_on_both_sides_of_k(self, kind):
+        # fanouts of 1..12 meet k = 1..4 from below (the plain step) and above (numpy)
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(43)
+        for _ in range(15):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(5, 60)), max_len=5)
+            trie = build_trie(seqs, vocab.size)
+            scorer = DyadicBigramScorer(rng, vocab.size)
+            for k in (1, 2, 3, 4):
+                config = BeamConfig(k, 8, length_normalize=False)
+                got = beam_search(scorer, (), AllowedAs(trie, kind), config)
+                assert got == reference_beam_search(scorer, (), trie, config)
+                assert all(type(t) is int for h in got for t in h.tokens)
 
 
 class TestNormalizationFlip:

@@ -1,6 +1,7 @@
 """Command-line behavior: stats, formats, stream separation, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -58,6 +59,24 @@ class TestBuildTrie:
         assert code != 0
         assert "error" in captured.err
         assert captured.out == ""
+
+    def test_names_sharing_a_token_sequence_fail_loud(self, cli_files, tmp_path, capsys):
+        # an empty vocabulary encodes each character to <unk>, so names of
+        # one length share a sequence
+        empty = tmp_path / "empty-vocab.txt"
+        empty.write_text("")
+        catalog = tmp_path / "same-length.txt"
+        catalog.write_text("English language\nFrance\nGreece\nSpain\nItaly\n")
+        code = main(["build-trie", str(catalog), "--vocab", str(empty), "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: catalog names 'France' and 'Greece' encode to the same token sequence"
+        )
+        assert "5 names give only 3 distinct sequences" in captured.err
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(cli_files["trie"])
 
 
 class TestRetrieve:
@@ -485,6 +504,15 @@ class TestDatasetRunner:
         parallel = capsys.readouterr()
         assert sequential.out and parallel.out == sequential.out
         assert parallel.err == sequential.err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["disambiguate", "link", "eval-ed", "eval-dr", "eval-el"])
+    def test_jobs_below_one_exit_1(self, cli_files, datasets, capsys, command, jobs):
+        code = main(self._argv(cli_files, datasets, command) + ["--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
 
     def test_outcomes_are_printed_in_id_order(self, cli_files, datasets, capsys):
         assert main(self._argv(cli_files, datasets, "link") + ["--jobs", "2"]) == 0

@@ -108,21 +108,61 @@ class TestDynamicConstraint:
             trie = build_trie(seqs, 11)
             source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4))))
             constraint = MarkupConstraint(source, trie)
-            frontier = [constraint.start()]
+            # the constraint's own state beside the reference LinkerState
+            frontier = [(constraint.start(), LinkerState())]
             for _ in range(8):
                 following = []
-                for state in frontier:
+                for state, reference in frontier:
                     allowed = [int(t) for t in constraint.allowed(state)]
                     assert allowed == sorted(set(allowed))
-                    assert frozenset(allowed) == dynamic_constraint(state[0], source, trie)
+                    assert frozenset(allowed) == dynamic_constraint(reference, source, trie)
                     for token in allowed:
                         if token == EOS:
                             continue
                         try:
-                            following.append(constraint.advance(state, token))
+                            after = advance_state(reference, token, source)
                         except MarkupError:  # a special label inside a link
-                            pass
+                            with pytest.raises(MarkupError):
+                                constraint.advance(state, token)
+                            continue
+                        following.append((constraint.advance(state, token), after))
                 frontier = following[:200]
+
+    def test_constraint_rejects_every_move_advance_state_rejects(self):
+        # every token id at every reachable state, special labels included:
+        # a move the reference rejects raises the same error from the
+        # constraint, and a move it accepts leads to the same allowed ids
+        rng = np.random.default_rng(29)
+        ids = list(range(2, 11))
+        for _ in range(30):
+            seqs = {tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4)))) for _ in range(5)}
+            trie = build_trie(seqs, 11)
+            source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(0, 4))))
+            constraint = MarkupConstraint(source, trie)
+            frontier = [(constraint.start(), LinkerState())]
+            for _ in range(7):
+                following = []
+                for state, reference in frontier:
+                    for token in range(11):
+                        try:
+                            after = advance_state(reference, token, source)
+                        except MarkupError as exc:
+                            with pytest.raises(MarkupError) as raised:
+                                constraint.advance(state, token)
+                            assert str(raised.value) == str(exc)
+                            continue
+                        try:
+                            moved = constraint.advance(state, token)
+                        except MarkupError as exc:
+                            # the reference does not walk the trie
+                            assert str(exc) == f"token {token} continues no entity name"
+                            assert token not in dynamic_constraint(reference, source, trie)
+                            continue
+                        assert frozenset(map(int, constraint.allowed(moved))) == dynamic_constraint(
+                            after, source, trie
+                        )
+                        following.append((moved, after))
+                frontier = following[:100]
 
 
     def test_constraint_rejects_a_token_outside_every_name(self, painting):

@@ -299,6 +299,11 @@ class TestRunEvalSuite:
             parallel_map(abs, [1, 2], 2)
         assert parallel_map(abs, [-1, -2], 1) == [1, 2]
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(TaskError, match=f"jobs must be at least 1, got {jobs}"):
+            parallel_map(abs, [1, 2], jobs)
+
     def test_empty_dataset_rejected(self, vocab):
         with pytest.raises(TaskError, match="empty dataset"):
             run_eval_suite([], "ed", UniformScorer(vocab.size), vocab)

@@ -103,6 +103,20 @@ class TestAllowedContinuations:
         assert trie.serialize() == blob
         assert EntityTrie.deserialize(blob).allowed(0).tolist() == trie.allowed(0).tolist()
 
+    def test_label_array_is_built_on_first_allowed(self, vocab):
+        # a trie that is only serialized (as by build-trie) never allocates
+        # the array; a loaded trie keeps the one its file was parsed into
+        trie = build_trie([tuple(encode(n, vocab)) for n in SHARED_PREFIX_NAMES], vocab.size)
+        blob = trie.serialize()
+        assert trie._tokens is None
+        assert trie.min_label == min(t for seq in trie.sequences() for t in seq)
+        root = trie.allowed(trie.start())
+        assert trie._tokens is not None and not trie._tokens.flags.writeable
+        assert root.base is trie._tokens
+        loaded = EntityTrie.deserialize(blob)
+        assert loaded._tokens is not None and not loaded._tokens.flags.writeable
+        assert loaded.allowed(loaded.start()).tolist() == root.tolist()
+
 
 class TestContains:
     def test_inserted_sequences(self, vocab, names_trie):
