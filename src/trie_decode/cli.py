@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Results go to stdout (or ``--out``); diagnostics go to stderr; the exit
-status is zero exactly when no error occurred.  Structured output is JSON
-lines with sorted keys, so repeated runs are byte-identical and the span
-dumps produced by ``link`` can be fed back to ``eval --predictions``.
+Results go to stdout (or ``--out``, written only on success), diagnostics
+to stderr; the exit status is zero exactly when no error occurred.  Structured
+output is JSON lines with sorted keys, so repeated runs are byte-identical
+and the span dumps of ``link`` can be fed back to ``eval --predictions``.
 
 The CLI registers the two mention-marker specials on every vocabulary it
 loads, so ids are consistent across all subcommands of one installation.
@@ -12,28 +12,26 @@ loads, so ids are consistent across all subcommands of one installation.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .beam import BeamConfig, RankedResult
 from .catalog import Catalog, load_candidate_sets, load_catalog
-from .markup import MarkupDocument, SpanAnnotation, link_document, parse_markup, render_markup
-from .metrics import EvalReport, RetrievalReport, ed_accuracy, ed_report, micro_f1_spans
+from .markup import MarkupDocument, link_document, render_markup
+from .metrics import RetrievalReport
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
 from .tasks import (
     TASK_EXTRA_SPECIALS,
     SuiteReport,
     TaskConfig,
-    load_ed_dataset,
-    load_el_dataset,
     retrieve,
     run_eval_suite,
+    score_dump,
 )
 from .trie import EntityTrie, build_trie
 from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_lines
-
-_P = TypeVar("_P")
 
 
 class CliError(ValueError):
@@ -193,79 +191,43 @@ def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _load_predictions(path: str, parse: Callable[[dict], _P]) -> dict[str, _P]:
-    """``id -> parse(record)`` over the JSON lines of a structured dump."""
-    predictions: dict[str, _P] = {}
+def _load_predictions(path: str) -> Iterator[tuple[str, dict]]:
+    """``(path:line, record)`` for each JSON line of a structured dump."""
     for lineno, raw in enumerate(read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        try:
-            payload = json.loads(raw)
-            predictions[payload["id"]] = parse(payload)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
-    return predictions
-
-
-def _eval_from_predictions(args: argparse.Namespace, vocab: Vocabulary, out: TextIO) -> int:
-    if args.mode == "el":
-        predictions = _load_predictions(
-            args.predictions, lambda p: [SpanAnnotation(s, l, e) for s, l, e in p["spans"]]
-        )
-        rows = [(i, parse_markup(markup, text)) for i, text, markup in load_el_dataset(args.dataset)]
-    elif args.mode == "ed":
-        predictions = _load_predictions(
-            args.predictions, lambda p: p["predictions"][0]["name"] if p["predictions"] else ""
-        )
-        rows = [(instance.instance_id, instance.gold) for instance in load_ed_dataset(args.dataset, vocab)]
-    else:
-        raise CliError("--predictions is supported for ed and el modes only")
-    if not rows:
-        raise CliError("empty dataset")
-    for instance_id, _ in rows:
-        if instance_id not in predictions:
-            raise CliError(f"no prediction for instance {instance_id!r}")
-    gold = [g for _, g in rows]
-    pred = [predictions[instance_id] for instance_id, _ in rows]
-    if args.mode == "el":
-        report, accuracy = micro_f1_spans(gold, pred), None
-    else:
-        report, accuracy = ed_report(gold, pred), ed_accuracy(gold, pred)
-    for line in _report_lines(report, accuracy, args.format):
-        print(line, file=out)
-    return 0
+        if raw.strip():
+            try:
+                record = json.loads(raw)
+            except ValueError as exc:
+                raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
+            yield f"{path}:{lineno}", record
 
 
 def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     if args.predictions:
-        return _eval_from_predictions(args, _load_vocab(args.vocab), out)
-    if not args.scorer:
+        suite = score_dump(args.dataset, args.mode, _load_vocab(args.vocab), _load_predictions(args.predictions))
+    elif not args.scorer:
         raise CliError("--scorer is required unless --predictions is given")
-    # linking runs default to the wider decode budget; ranking modes stay small
-    beams = args.beams if args.beams is not None else (6 if args.mode == "el" else 10)
-    max_steps = args.max_steps if args.max_steps is not None else (384 if args.mode == "el" else 15)
-    config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
-    suite = _run_suite(args, args.mode, config)
-    for line in _report_lines(suite.report, suite.accuracy, args.format):
+    else:
+        # linking runs default to the wider decode budget; ranking modes stay small
+        beams = args.beams if args.beams is not None else (6 if args.mode == "el" else 10)
+        max_steps = args.max_steps if args.max_steps is not None else (384 if args.mode == "el" else 15)
+        config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
+        suite = _run_suite(args, args.mode, config)
+    for line in _report_lines(suite, args.format):
         print(line, file=out)
     return 0
 
 
-def _report_lines(
-    report: EvalReport | RetrievalReport, accuracy: float | None, fmt: str
-) -> list[str]:
+def _report_lines(suite: SuiteReport, fmt: str) -> list[str]:
     """One report for in-process and from-dump eval alike."""
+    report = suite.report
     if isinstance(report, RetrievalReport):
         metrics = {"r_precision_mean": report.mean}
         counts = {"queries": len(report.per_query)}
     else:
-        metrics = {
-            "micro_precision": report.precision,
-            "micro_recall": report.recall,
-            "micro_f1": report.f1,
-        }
-        if accuracy is not None:
-            metrics = {"accuracy": accuracy, **metrics}
+        metrics = {"micro_precision": report.precision, "micro_recall": report.recall, "micro_f1": report.f1}
+        if suite.accuracy is not None:
+            metrics = {"accuracy": suite.accuracy, **metrics}
         counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
     if fmt == "structured":
         return [_json_line({"metrics": metrics, "counts": counts})]
@@ -353,21 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out: TextIO = sys.stdout
-    opened = None
+    args = build_parser().parse_args(argv)
+    buffered = getattr(args, "out", None) and args.command != "build-trie"
+    out: TextIO = io.StringIO() if buffered else sys.stdout
     try:
-        if getattr(args, "out", None) and args.command != "build-trie":
-            opened = open(args.out, "w", encoding="utf-8")
-            out = opened
-        return args.func(args, out)
+        if getattr(args, "jobs", 1) < 1:
+            raise CliError(f"jobs must be at least 1, got {args.jobs}")
+        status = args.func(args, out)
+        if buffered and status == 0:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if opened is not None:
-            opened.close()
 
 
 if __name__ == "__main__":

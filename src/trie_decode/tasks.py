@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .beam import BeamConfig, RankedResult, rank_entities
+from .beam import BeamConfig, RankedEntry, RankedResult, rank_entities
 from .catalog import CandidateSet
 from .markup import MarkupDocument, MarkupError, SpanAnnotation, link_document, parse_markup
 from .metrics import (
@@ -107,20 +107,9 @@ def flag_mention(instance: EDInstance, vocab: Vocabulary, config: TaskConfig) ->
     left = instance.context_tokens[: instance.mention_start]
     right = instance.context_tokens[instance.mention_start + instance.mention_length :]
     budget = config.context_window - len(mention) - 2
-    if len(left) + len(right) > budget:
-        left_share = budget // 2
-        right_share = budget - left_share
-        if len(left) < left_share:
-            keep_left = len(left)
-            keep_right = min(len(right), budget - keep_left)
-        elif len(right) < right_share:
-            keep_right = len(right)
-            keep_left = min(len(left), budget - keep_right)
-        else:
-            keep_left, keep_right = left_share, right_share
-        left = left[len(left) - keep_left :]
-        right = right[:keep_right]
-    return left + (start_id,) + mention + (end_id,) + right
+    keep_left = min(len(left), max(budget // 2, budget - len(right)))
+    keep_right = min(len(right), max(budget - budget // 2, budget - len(left)))
+    return left[len(left) - keep_left :] + (start_id,) + mention + (end_id,) + right[:keep_right]
 
 
 def disambiguate(
@@ -364,42 +353,92 @@ def run_eval_suite(
     repeated runs (and shuffled datasets) produce identical reports.
     """
     mode = mode.lower()
-    if mode == "ed":
-        items = load_ed_dataset(source, vocab, candidate_sets)
-
-        def run(instance: EDInstance) -> EDOutcome:
-            ranking = disambiguate(scorer, instance, vocab, config, trie)
-            mention = decode(instance.mention_tokens(), vocab)
-            return EDOutcome(instance.instance_id, instance.gold, ranking, match_type(mention, instance.gold))
-    elif mode == "dr":
-        if trie is None:
-            raise TaskError("retrieval requires a catalog trie")
-        items = load_dr_dataset(source)
-
-        def run(item: tuple[str, str, tuple[str, ...]]) -> DROutcome:
-            instance_id, query, gold = item
-            ranking = retrieve(scorer, query, trie, config, vocab)
-            return DROutcome(instance_id, gold, ranking, r_precision(set(gold), ranking))
-    elif mode == "el":
-        if trie is None:
-            raise TaskError("linking requires a catalog trie")
-        items = load_el_dataset(source)
-        link_config = config.beam_config()
-
-        def run(item: tuple[str, str, str]) -> ELOutcome:
-            instance_id, text, gold_markup = item
-            try:
-                gold_spans = tuple(parse_markup(gold_markup, text))
-            except MarkupError as exc:
-                raise TaskError(f"instance {instance_id!r}: bad gold markup ({exc})") from None
-            document = link_document(scorer, text, trie, link_config, vocab, chunk_size)
-            return ELOutcome(instance_id, document, gold_spans)
-    else:
+    decoders = {
+        "ed": lambda instance: disambiguate(scorer, instance, vocab, config, trie),
+        "dr": lambda row: retrieve(scorer, row[1], trie, config, vocab),
+        "el": lambda row: link_document(scorer, row[1], trie, config.beam_config(), vocab, chunk_size),
+    }
+    if mode not in decoders:
         raise TaskError(f"unknown mode: {mode!r} (expected ed, dr, or el)")
-    if not items:
+    if mode != "ed" and trie is None:
+        raise TaskError(f"{'retrieval' if mode == 'dr' else 'linking'} requires a catalog trie")
+    rows = _load_rows(source, mode, vocab, candidate_sets)
+    return _suite_report(mode, rows, parallel_map(decoders[mode], rows, jobs), vocab)
+
+
+def score_dump(
+    source: str | Iterable[str], mode: str, vocab: Vocabulary, records: Iterable[tuple[str, dict]]
+) -> SuiteReport:
+    """Score the ``(place, JSON record)`` pairs of an ed or el dump against a dataset.
+
+    The k-th record of an id goes with the k-th dataset row of that id; ids
+    the dataset lacks are ignored.  Dump spans must fit their row's source.
+    """
+    mode = mode.lower()
+    if mode not in ("ed", "el"):
+        raise TaskError("a dump can be scored in ed and el modes only")
+    dumped: dict[str, list] = {}
+    for where, record in records:
+        try:
+            if mode == "ed":
+                result = RankedResult(tuple(
+                    RankedEntry(p["name"], p["raw_logprob"], p["normalized_score"], ())
+                    for p in record["predictions"]
+                ))
+            else:
+                result = tuple(SpanAnnotation(s, l, e) for s, l, e in record["spans"])
+            dumped.setdefault(record["id"], []).append(result)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise TaskError(f"{where}: bad prediction record ({exc})") from None
+    rows = _load_rows(source, mode, vocab)
+    results = []
+    for row in rows:
+        instance_id = row.instance_id if mode == "ed" else row[0]
+        if not dumped.get(instance_id):
+            raise TaskError(f"no prediction for instance {instance_id!r}")
+        result = dumped[instance_id].pop(0)
+        try:
+            results.append(result if mode == "ed" else MarkupDocument(row[1], result))
+        except MarkupError as exc:
+            raise TaskError(f"instance {instance_id!r}: bad predicted spans ({exc})") from None
+    return _suite_report(mode, rows, results, vocab)
+
+
+def _load_rows(
+    source: str | Iterable[str], mode: str, vocab: Vocabulary, candidate_sets: dict | None = None
+) -> list:
+    """A dataset's rows; a linking row holds its gold spans in place of the markup."""
+    if mode == "ed":
+        rows = load_ed_dataset(source, vocab, candidate_sets)
+    elif mode == "dr":
+        rows = load_dr_dataset(source)
+    else:
+        rows = [(i, text, _gold_spans(i, text, markup)) for i, text, markup in load_el_dataset(source)]
+    if not rows:
         raise TaskError("empty dataset")
-    # by id; the sort is stable, so outcomes with one id keep the file's order
-    outcomes = tuple(sorted(parallel_map(run, items, jobs), key=attrgetter("instance_id")))
+    return rows
+
+
+def _gold_spans(instance_id: str, text: str, markup: str) -> tuple[SpanAnnotation, ...]:
+    try:
+        return tuple(parse_markup(markup, text))
+    except MarkupError as exc:
+        raise TaskError(f"instance {instance_id!r}: bad gold markup ({exc})") from None
+
+
+def _suite_report(mode: str, rows: list, results: list, vocab: Vocabulary) -> SuiteReport:
+    """Pair each row with its decoded or dumped result, order by id and aggregate."""
+    if mode == "ed":
+        outcomes = [
+            EDOutcome(i.instance_id, i.gold, ranking, match_type(decode(i.mention_tokens(), vocab), i.gold))
+            for i, ranking in zip(rows, results)
+        ]
+    elif mode == "dr":
+        outcomes = [DROutcome(i, gold, r, r_precision(set(gold), r)) for (i, _, gold), r in zip(rows, results)]
+    else:
+        outcomes = [ELOutcome(i, document, gold) for (i, _, gold), document in zip(rows, results)]
+    # the sort is stable, so outcomes with one id keep the dataset's order
+    outcomes = tuple(sorted(outcomes, key=attrgetter("instance_id")))
     if mode == "ed":
         gold = [o.gold for o in outcomes]
         predicted = [o.predicted or "" for o in outcomes]

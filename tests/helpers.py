@@ -168,3 +168,21 @@ def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypo
     length = (lambda h: len(h.tokens)) if config.length_normalize else (lambda h: 1)
     pool.sort(key=lambda h: (-(h.cum_logprob / length(h)), h.tokens))
     return pool[: config.k]
+
+
+def reference_flag_window(left_len: int, right_len: int, budget: int) -> tuple[int, int]:
+    """Context tokens ``flag_mention`` keeps left and right of the mention.
+
+    The three-branch trim as first written, the reference for its closed form:
+    each side gets half the budget (the right side the odd token), and a side
+    shorter than its half hands what it leaves unused to the other.
+    """
+    if left_len + right_len <= budget:
+        return left_len, right_len
+    left_share = budget // 2
+    right_share = budget - left_share
+    if left_len < left_share:
+        return left_len, min(right_len, budget - left_len)
+    if right_len < right_share:
+        return min(left_len, budget - right_len), right_len
+    return left_share, right_share

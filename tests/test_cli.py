@@ -479,11 +479,24 @@ class TestDatasetRunner:
             "d1\tFrance\t[France](France)\n"
             "d3\tliterature\tliterature\n"
         )
-        return {"ed": str(ed), "dr": str(dr), "el": str(el)}
+        paths = {"ed": str(ed), "dr": str(dr), "el": str(el)}
+        paths.update({f"{mode}-dump": str(tmp_path / f"{mode}.jsonl") for mode in ("ed", "el")})
+        for mode in ("ed", "el"):
+            self._dump(cli_files, paths, mode)
+        return paths
+
+    def _dump(self, cli_files, datasets, mode):
+        """Dump what ``eval --mode <mode>`` decodes, with its decoder options."""
+        command = {"ed": "disambiguate", "el": "link"}[mode]
+        options = self._argv(cli_files, datasets, f"eval-{mode}")[3:]
+        assert main([command, *options, "--format", "structured", "--out", datasets[f"{mode}-dump"]]) == 0
 
     def _argv(self, cli_files, datasets, command):
         common = ["--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
+        dump = ["--vocab", cli_files["vocab"], "--predictions"]
         return {
+            "eval-ed-dump": ["eval", "--mode", "ed", "--dataset", datasets["ed"], *dump, datasets["ed-dump"]],
+            "eval-el-dump": ["eval", "--mode", "el", "--dataset", datasets["el"], *dump, datasets["el-dump"]],
             "disambiguate": ["disambiguate", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
             "link": ["link", "--dataset", datasets["el"], *common, "--scorer", "uniform", "--max-steps", "32"],
             "eval-ed": ["eval", "--mode", "ed", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
@@ -506,13 +519,76 @@ class TestDatasetRunner:
         assert parallel.err == sequential.err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
-    @pytest.mark.parametrize("command", ["disambiguate", "link", "eval-ed", "eval-dr", "eval-el"])
+    @pytest.mark.parametrize(
+        "command", ["disambiguate", "link", "eval-ed", "eval-dr", "eval-el", "eval-ed-dump", "eval-el-dump"]
+    )
     def test_jobs_below_one_exit_1(self, cli_files, datasets, capsys, command, jobs):
         code = main(self._argv(cli_files, datasets, command) + ["--jobs", jobs])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize(
+        "mode, repeated_row",
+        [
+            ("ed", "m1\tFrance language\t0\t6\tFrance\tFrance|language\n"),
+            ("el", "d1\tEnglish language France\t[English language](English language) France\n"),
+        ],
+        ids=["ed", "el"],
+    )
+    def test_eval_of_a_dump_prints_the_in_process_report(
+        self, cli_files, datasets, capsys, mode, repeated_row, fmt
+    ):
+        # the k-th dump record of a repeated id pairs with the k-th row of that id
+        with open(datasets[mode], "a", encoding="utf-8") as fh:
+            fh.write(repeated_row)
+        self._dump(cli_files, datasets, mode)
+        assert main(self._argv(cli_files, datasets, f"eval-{mode}") + ["--format", fmt]) == 0
+        in_process = capsys.readouterr().out
+        assert main(self._argv(cli_files, datasets, f"eval-{mode}-dump") + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == in_process
+
+    @pytest.mark.parametrize(
+        "d1_spans, message",
+        [
+            ([[5000, 3, "France"]], "error: instance 'd1': bad predicted spans (span exceeds the source text)"),
+            ([[0, 6, "France"], [2, 3, "France"]], "error: instance 'd1': bad predicted spans (spans overlap"),
+        ],
+        ids=["past-the-source", "overlapping"],
+    )
+    def test_eval_of_a_dump_rejects_spans_that_do_not_fit_the_source(
+        self, cli_files, datasets, capsys, d1_spans, message
+    ):
+        with open(datasets["el-dump"], "w", encoding="utf-8") as fh:
+            for doc_id, spans in (("d1", d1_spans), ("d2", []), ("d3", [])):
+                fh.write(json.dumps({"id": doc_id, "spans": spans}) + "\n")
+        code = main(self._argv(cli_files, datasets, "eval-el-dump"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "command, dataset, bad_line",
+        [
+            ("disambiguate", "ed", "m4\tFrance\t0\t6\n"),
+            ("link", "el", "d0\tFrance\t[France(France)\n"),
+            ("eval-ed", "ed", "m4\tFrance\t0\t6\n"),
+            ("eval-el-dump", "el", "d0\tFrance\t[France(France)\n"),
+        ],
+        ids=["disambiguate", "link", "eval-ed", "eval-el-dump"],
+    )
+    def test_failing_command_leaves_out_file_untouched(
+        self, cli_files, datasets, tmp_path, capsys, command, dataset, bad_line
+    ):
+        with open(datasets[dataset], "a", encoding="utf-8") as fh:
+            fh.write(bad_line)
+        out = tmp_path / "earlier.txt"
+        out.write_bytes(b"an earlier run's output\n")
+        assert main(self._argv(cli_files, datasets, command) + ["--out", str(out)]) == 1
+        assert out.read_bytes() == b"an earlier run's output\n"
 
     def test_outcomes_are_printed_in_id_order(self, cli_files, datasets, capsys):
         assert main(self._argv(cli_files, datasets, "link") + ["--jobs", "2"]) == 0
@@ -526,8 +602,9 @@ class TestDatasetRunner:
             # no candidate set and no catalog trie: raised inside a worker
             ("disambiguate", "m0\tFrance\t0\t6\tFrance\n", "error: instance 'm0': no candidate set"),
             ("link", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
+            ("eval-el-dump", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
         ],
-        ids=["load", "worker", "gold-markup"],
+        ids=["load", "worker", "gold-markup", "gold-markup-dump"],
     )
     def test_bad_line_under_two_jobs_is_an_error_not_a_traceback(
         self, cli_files, datasets, capsys, command, bad_line, message

@@ -33,6 +33,7 @@ from helpers import (
     PAINTING_WORDS,
     pool_vocabulary,
     random_sequences,
+    reference_flag_window,
 )
 
 
@@ -97,6 +98,22 @@ class TestFlagMention:
     def test_span_outside_context_rejected(self, vocab):
         with pytest.raises(TaskError):
             make_instance(vocab, context_len=4, start=3, length=2)
+
+    def test_window_matches_the_reference_trim(self, vocab):
+        rng = np.random.default_rng(7)
+        start_id = vocab.extra_special_id(START_ENT_STRING)
+        end_id = vocab.extra_special_id(END_ENT_STRING)
+        for _ in range(2000):
+            left, right, length = (int(n) for n in rng.integers((0, 0, 1), (40, 40, 4)))
+            budget = int(rng.integers(0, 60))
+            instance = make_instance(vocab, left + length + right, left, length)
+            flagged = flag_mention(instance, vocab, TaskConfig(context_window=budget + length + 2))
+            keep_left, keep_right = reference_flag_window(left, right, budget)
+            context = instance.context_tokens
+            assert flagged == (
+                context[left - keep_left : left] + (start_id,) + instance.mention_tokens() + (end_id,)
+                + context[left + length : left + length + keep_right]
+            ), (left, right, length, budget)
 
 
 class TestDisambiguate:
