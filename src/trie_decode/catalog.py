@@ -11,19 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .vocab import TokenId, Vocabulary, encode, read_lines
+from .vocab import InputError, TokenId, Vocabulary, encode, read_rows
 
 RESERVED_NAME_CHARS = frozenset("[]()")
 
 
-class CatalogError(ValueError):
+class CatalogError(InputError):
     """Raised for invalid entity names or malformed catalog files."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,8 @@ def load_catalog(source: str | Iterable[str], vocab: Vocabulary) -> tuple[Catalo
     """
     records: dict[str, EntityRecord] = {}
     duplicates = 0
-    for lineno, raw in enumerate(read_lines(source), start=1):
+    for lineno, raw in read_rows(source):
         name = raw.strip()
-        if not name:
-            continue
         if name in records:
             duplicates += 1
             continue
@@ -156,9 +148,7 @@ def load_candidate_sets(
     Membership is validated against ``catalog`` when one is given.
     """
     sets: dict[str, CandidateSet] = {}
-    for lineno, raw in enumerate(read_lines(source), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in read_rows(source):
         parts = raw.split("\t")
         if len(parts) != 2:
             raise CatalogError("expected `mention-id TAB name1|name2|...`", lineno)

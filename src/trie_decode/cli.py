@@ -18,7 +18,7 @@ import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .beam import BeamConfig, RankedResult
-from .catalog import Catalog, load_candidate_sets, load_catalog
+from .catalog import load_candidate_sets, load_catalog
 from .markup import MarkupDocument, link_document, render_markup
 from .metrics import RetrievalReport
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
@@ -31,7 +31,7 @@ from .tasks import (
     score_dump,
 )
 from .trie import EntityTrie, build_trie
-from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_lines
+from .vocab import EOS, Vocabulary, decode, encode, load_vocabulary, read_rows
 
 
 class CliError(ValueError):
@@ -95,9 +95,11 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     catalog, duplicates = load_catalog(args.catalog, vocab)
     if duplicates:
         print(f"skipped {duplicates} duplicate name(s)", file=sys.stderr)
+    for record in catalog:
+        read_back = decode(record.tokens, vocab)
+        if read_back != record.name:
+            raise CliError(f"catalog name {record.name!r} reads back as {read_back!r}, so no decode can emit it")
     trie = build_trie(catalog.token_sequences(), vocab.size)
-    if trie.leaf_count < len(catalog):
-        raise CliError(_collision(catalog, trie.leaf_count))
     blob = trie.serialize()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -106,19 +108,6 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
         file=out,
     )
     return 0
-
-
-def _collision(catalog: Catalog, leaf_count: int) -> str:
-    """Names the first two catalog names that encode to one token sequence."""
-    seen: dict[tuple[int, ...], str] = {}
-    for record in catalog:
-        first = seen.setdefault(record.tokens, record.name)
-        if first != record.name:
-            break
-    return (
-        f"catalog names {first!r} and {record.name!r} encode to the same token sequence "
-        f"under this vocabulary; {len(catalog)} names give only {leaf_count} distinct sequences"
-    )
 
 
 def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:
@@ -193,13 +182,12 @@ def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
 
 def _load_predictions(path: str) -> Iterator[tuple[str, dict]]:
     """``(path:line, record)`` for each JSON line of a structured dump."""
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        if raw.strip():
-            try:
-                record = json.loads(raw)
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
-            yield f"{path}:{lineno}", record
+    for lineno, raw in read_rows(path):
+        try:
+            record = json.loads(raw)
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
+        yield f"{path}:{lineno}", record
 
 
 def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:

@@ -19,10 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .vocab import EOS, SOS, TokenId, read_lines
+from .vocab import EOS, SOS, InputError, TokenId, read_lines, read_rows
 
 
-class ScorerError(ValueError):
+class ScorerError(InputError):
     """Raised for invalid scorer construction or scoring requests."""
 
 
@@ -302,16 +302,16 @@ def load_table_scorer(path: str) -> TableScorer:
         raise ScorerError(f"bad header: {exc}") from None
     conditioned = len(head) == 3
     counts: dict[int, dict[TokenId, float]] = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    rows = read_rows(lines)
+    next(rows)  # line 1, the header: it parsed, so it is not blank
+    for lineno, raw in rows:
         parts = raw.split("\t")
         if len(parts) != 3:
-            raise ScorerError(f"line {lineno}: expected `ctx TAB token TAB count`")
+            raise ScorerError("expected `ctx TAB token TAB count`", lineno)
         try:
             ctx, token, count = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise ScorerError(f"line {lineno}: {exc}") from None
+            raise ScorerError(str(exc), lineno) from None
         row = counts.setdefault(ctx, {})
         row[token] = row.get(token, 0.0) + count
     return TableScorer(counts, alpha, vocab_size, conditioned)

@@ -34,7 +34,7 @@ from .metrics import (
 )
 from .scoring import Scorer
 from .trie import EntityTrie, build_trie
-from .vocab import TokenId, Vocabulary, decode, encode, encode_with_offsets, read_lines
+from .vocab import InputError, TokenId, Vocabulary, decode, encode, encode_with_offsets, read_rows
 
 START_ENT_STRING = "[START_ENT]"
 END_ENT_STRING = "[END_ENT]"
@@ -44,12 +44,8 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-class TaskError(ValueError):
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class TaskError(InputError):
+    """Raised for invalid task settings, dataset lines or instances."""
 
 
 @dataclass(frozen=True)
@@ -204,9 +200,7 @@ def load_ed_dataset(
     candidate_sets: dict[str, CandidateSet] | None = None,
 ) -> list[EDInstance]:
     instances = []
-    for lineno, raw in enumerate(read_lines(source), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in read_rows(source):
         parts = raw.split("\t")
         if len(parts) not in (5, 6):
             raise TaskError("expected `id TAB context TAB start TAB len TAB gold [TAB candidates]`", lineno)
@@ -231,9 +225,7 @@ def load_ed_dataset(
 
 def load_dr_dataset(source: str | Iterable[str]) -> list[tuple[str, str, tuple[str, ...]]]:
     queries = []
-    for lineno, raw in enumerate(read_lines(source), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in read_rows(source):
         parts = raw.split("\t")
         if len(parts) != 3:
             raise TaskError("expected `id TAB query TAB gold1|gold2|...`", lineno)
@@ -247,9 +239,7 @@ def load_dr_dataset(source: str | Iterable[str]) -> list[tuple[str, str, tuple[s
 
 def load_el_dataset(source: str | Iterable[str]) -> list[tuple[str, str, str]]:
     documents = []
-    for lineno, raw in enumerate(read_lines(source), start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in read_rows(source):
         parts = raw.split("\t")
         if len(parts) != 3:
             raise TaskError("expected `id TAB source TAB gold-markup`", lineno)
@@ -371,8 +361,8 @@ def score_dump(
 ) -> SuiteReport:
     """Score the ``(place, JSON record)`` pairs of an ed or el dump against a dataset.
 
-    The k-th record of an id goes with the k-th dataset row of that id; ids
-    the dataset lacks are ignored.  Dump spans must fit their row's source.
+    The k-th record of an id goes with the k-th dataset row of that id.  A record left over,
+    a span offset that is no int, a name that is no string or a span past the source is an error.
     """
     mode = mode.lower()
     if mode not in ("ed", "el"):
@@ -382,12 +372,13 @@ def score_dump(
         try:
             if mode == "ed":
                 result = RankedResult(tuple(
-                    RankedEntry(p["name"], p["raw_logprob"], p["normalized_score"], ())
+                    RankedEntry(_json(p["name"], str), p["raw_logprob"], p["normalized_score"], ())
                     for p in record["predictions"]
                 ))
             else:
-                result = tuple(SpanAnnotation(s, l, e) for s, l, e in record["spans"])
-            dumped.setdefault(record["id"], []).append(result)
+                spans = record["spans"]
+                result = tuple(SpanAnnotation(_json(s, int), _json(l, int), _json(e, str)) for s, l, e in spans)
+            dumped.setdefault(record["id"], []).append((where, result))
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise TaskError(f"{where}: bad prediction record ({exc})") from None
     rows = _load_rows(source, mode, vocab)
@@ -396,12 +387,22 @@ def score_dump(
         instance_id = row.instance_id if mode == "ed" else row[0]
         if not dumped.get(instance_id):
             raise TaskError(f"no prediction for instance {instance_id!r}")
-        result = dumped[instance_id].pop(0)
+        result = dumped[instance_id].pop(0)[1]
         try:
             results.append(result if mode == "ed" else MarkupDocument(row[1], result))
         except MarkupError as exc:
             raise TaskError(f"instance {instance_id!r}: bad predicted spans ({exc})") from None
+    for instance_id, left in dumped.items():
+        if left:
+            raise TaskError(f"{left[0][0]}: no dataset row left for this record of instance {instance_id!r}")
     return _suite_report(mode, rows, results, vocab)
+
+
+def _json(value, kind: type):
+    """``value`` if JSON gave it as a ``kind``; a bool is no int here."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
 
 
 def _load_rows(

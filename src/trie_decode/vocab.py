@@ -4,7 +4,7 @@ Seven special tokens occupy fixed ids 0..6: start/end of sequence, the four
 markup delimiters, and unknown.  A vocabulary may additionally register
 *extra* reserved specials (e.g. mention-flagging markers), which occupy the
 ids directly after the core specials.  Ordinary tokens follow, so in a
-vocabulary file the token on 0-based line ``i`` has id ``i + 7`` when no
+vocabulary file the token on 1-based line ``n`` has id ``n + 6`` when no
 extra specials are registered.
 
 Encoding splits on whitespace and then applies greedy longest-match against
@@ -18,7 +18,7 @@ vocabulary token.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TokenId = int
 
@@ -36,7 +36,17 @@ NUM_CORE_SPECIALS: int = len(CORE_SPECIAL_STRINGS)
 _WORD_RE = re.compile(r"\S+")
 
 
-class VocabularyError(ValueError):
+class InputError(ValueError):
+    """A bad input; ``line`` is the 1-based line of its file, when it came from one."""
+
+    def __init__(self, message: str, line: int | None = None) -> None:
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class VocabularyError(InputError):
     """Raised for malformed vocabularies or undecodable token ids."""
 
 
@@ -84,7 +94,7 @@ class Vocabulary:
         self.extra_specials = extras
         base = NUM_CORE_SPECIALS + len(extras)
         self._table = {t: base + i for i, t in enumerate(toks)}
-        self._strings = CORE_SPECIAL_STRINGS + extras + toks
+        self._strings = dict(enumerate(CORE_SPECIAL_STRINGS + extras + toks))
         self._max_len = max((len(t) for t in toks), default=0)
 
     @staticmethod
@@ -190,7 +200,10 @@ def decode(tokens: Sequence[TokenId], vocab: Vocabulary) -> str:
     Raises:
         VocabularyError: if any id is out of range (corrupt sequence).
     """
-    return " ".join(vocab.string_of(t) for t in tokens)
+    try:
+        return " ".join(map(vocab._strings.__getitem__, tokens))
+    except KeyError as exc:
+        raise VocabularyError(f"token id out of range: {exc.args[0]}") from None
 
 
 def read_lines(source: str | Iterable[str]) -> list[str]:
@@ -201,15 +214,23 @@ def read_lines(source: str | Iterable[str]) -> list[str]:
     return [line.rstrip("\n") for line in source]
 
 
+def read_rows(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(1-based line number, line)`` for each non-blank line of :func:`read_lines`."""
+    for lineno, line in enumerate(read_lines(source), start=1):
+        if line.strip():
+            yield lineno, line
+
+
 def load_vocabulary(source: str | Iterable[str], extra_specials: Iterable[str] = ()) -> Vocabulary:
     """Build a vocabulary from a file path or an iterable of lines.
 
     One ordinary token per line, UTF-8; specials are implicit and not listed.
+    A blank line is an error, not skipped as by :func:`read_rows`: ids follow line positions.
     """
     tokens: list[str] = []
-    for lineno, raw in enumerate(read_lines(source)):
+    for lineno, raw in enumerate(read_lines(source), start=1):
         token = raw.strip()
         if not token:
-            raise VocabularyError(f"line {lineno}: empty token")
+            raise VocabularyError("empty token", lineno)
         tokens.append(token)
     return Vocabulary(tokens, extra_specials)

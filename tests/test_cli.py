@@ -72,10 +72,31 @@ class TestBuildTrie:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: catalog names 'France' and 'Greece' encode to the same token sequence"
+            "error: catalog name 'English language' reads back as '<unk> <unk>"
         )
-        assert "5 names give only 3 distinct sequences" in captured.err
+        assert captured.err.endswith("<unk>', so no decode can emit it\n")
         assert "Traceback" not in captured.err
+        assert not os.path.exists(cli_files["trie"])
+
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["Café", "Paris", "New  York"], "catalog name 'Café' reads back as 'Caf <unk>'"),
+            (["Paris", "New  York"], "catalog name 'New  York' reads back as 'New York'"),
+        ],
+        ids=["unknown-character", "double-space"],
+    )
+    def test_names_that_do_not_read_back_fail_loud(self, cli_files, tmp_path, capsys, names, message):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("Caf\nParis\nNew\nYork\n")
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("\n".join(names) + "\n", encoding="utf-8")
+        code = main(["build-trie", str(catalog), "--vocab", str(vocab), "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}, so no decode can emit it\n"
         assert not os.path.exists(cli_files["trie"])
 
 
@@ -555,8 +576,11 @@ class TestDatasetRunner:
         [
             ([[5000, 3, "France"]], "error: instance 'd1': bad predicted spans (span exceeds the source text)"),
             ([[0, 6, "France"], [2, 3, "France"]], "error: instance 'd1': bad predicted spans (spans overlap"),
+            ([[0, 13.5, "France"]], "error: {dump}:1: bad prediction record (expected int, got 13.5)"),
+            ([[True, 6, "France"]], "error: {dump}:1: bad prediction record (expected int, got True)"),
+            ([[0, 6, 5]], "error: {dump}:1: bad prediction record (expected str, got 5)"),
         ],
-        ids=["past-the-source", "overlapping"],
+        ids=["past-the-source", "overlapping", "fractional-length", "bool-start", "int-entity"],
     )
     def test_eval_of_a_dump_rejects_spans_that_do_not_fit_the_source(
         self, cli_files, datasets, capsys, d1_spans, message
@@ -568,7 +592,32 @@ class TestDatasetRunner:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith(message)
+        assert captured.err.startswith(message.format(dump=datasets["el-dump"]))
+
+    @pytest.mark.parametrize(
+        "mode, edit, message",
+        [
+            ("el", lambda records: records.insert(1, records[0]), "{dump}:2: no dataset row left for this record of instance 'd1'"),
+            ("el", lambda records: records.append({**records[0], "id": "d9"}), "{dump}:4: no dataset row left for this record of instance 'd9'"),
+            ("ed", lambda records: records.insert(1, records[0]), "{dump}:2: no dataset row left for this record of instance 'm1'"),
+            ("ed", lambda records: records[2]["predictions"][0].update(name=5), "{dump}:3: bad prediction record (expected str, got 5)"),
+        ],
+        ids=["el-doubled-record", "el-unknown-id", "ed-doubled-record", "ed-int-name"],
+    )
+    def test_eval_of_a_dump_rejects_records_it_cannot_pair_or_read(
+        self, cli_files, datasets, capsys, mode, edit, message
+    ):
+        dump = datasets[f"{mode}-dump"]
+        with open(dump, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        edit(records)
+        with open(dump, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+        code = main(self._argv(cli_files, datasets, f"eval-{mode}-dump"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(dump=dump)}\n"
 
     @pytest.mark.parametrize(
         "command, dataset, bad_line",

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from trie_decode.catalog import load_candidate_sets, load_catalog
+from trie_decode.cli import _load_predictions
+from trie_decode.scoring import load_table_scorer
+from trie_decode.tasks import load_dr_dataset, load_ed_dataset, load_el_dataset
 from trie_decode.vocab import (
     CORE_SPECIAL_STRINGS,
     EOS,
@@ -10,6 +14,7 @@ from trie_decode.vocab import (
     NUM_CORE_SPECIALS,
     SOS,
     UNK,
+    InputError,
     Vocabulary,
     VocabularyError,
     decode,
@@ -62,7 +67,7 @@ class TestVocabulary:
         assert v.ordinary_id("France") == 8
 
     def test_load_rejects_empty_line(self):
-        with pytest.raises(VocabularyError, match="line 1"):
+        with pytest.raises(VocabularyError, match="line 2"):
             load_vocabulary(["ok", "", "also-ok"])
 
 
@@ -142,3 +147,33 @@ class TestRoundTrip:
 
     def test_round_trip_normalizes_whitespace_only(self, vocab):
         assert decode(encode("  English \t language ", vocab), vocab) == "English language"
+
+
+READER_VOCAB = Vocabulary(("France",), extra_specials=("[START_ENT]", "[END_ENT]"))
+
+
+@pytest.mark.parametrize(
+    "reader, text, line",
+    [
+        # a blank line is the vocabulary's one bad line: ids follow line positions
+        (load_vocabulary, "English\n\nFrance\n", 2),
+        (lambda path: load_catalog(path, READER_VOCAB), "France\n\nbad [name]\n", 3),
+        (load_candidate_sets, "m1\tFrance\n\nm2\n", 3),
+        (load_table_scorer, "1.0\t10\n\n7\t8\n", 3),
+        (lambda path: load_ed_dataset(path, READER_VOCAB), "m1\tFrance\t0\t6\tFrance\n\nm2\tFrance\n", 3),
+        (load_dr_dataset, "q1\tFrance\tFrance\n\nq2\tFrance\n", 3),
+        (load_el_dataset, "d1\tFrance\t[France](France)\n\nd2\tFrance\n", 3),
+        (lambda path: list(_load_predictions(path)), '{"id": "d1", "spans": []}\n\n{"id"\n', 3),
+    ],
+    ids=["vocabulary", "catalog", "candidates", "scorer", "ed", "dr", "el", "predictions"],
+)
+def test_every_reader_numbers_lines_from_one(tmp_path, reader, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        reader(str(path))
+    if isinstance(caught.value, InputError):
+        assert str(caught.value).startswith(f"line {line}: ")
+        assert caught.value.line == line
+    else:  # a dump line is named as file:line, like the records it yields
+        assert str(caught.value).startswith(f"{path}:{line}: ")
