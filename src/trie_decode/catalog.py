@@ -132,11 +132,14 @@ class CandidateSet:
             raise CatalogError("empty candidate set")
 
     @classmethod
-    def checked(cls, names: Iterable[str], catalog: Catalog) -> "CandidateSet":
+    def checked(
+        cls, names: Iterable[str], catalog: Catalog, line: int | None = None
+    ) -> "CandidateSet":
+        """The set, once every name is in ``catalog``; ``line`` numbers the error."""
         names = tuple(names)
         for name in names:
             if name not in catalog:
-                raise CatalogError(f"candidate not in catalog: {name!r}")
+                raise CatalogError(f"candidate not in catalog: {name!r}", line)
         return cls(names)
 
 
@@ -159,7 +162,7 @@ def load_candidate_sets(
         if mention_id in sets:
             raise CatalogError(f"duplicate mention id: {mention_id!r}", lineno)
         if catalog is not None:
-            sets[mention_id] = CandidateSet.checked(names, catalog)
+            sets[mention_id] = CandidateSet.checked(names, catalog, lineno)
         else:
             sets[mention_id] = CandidateSet(names)
     return sets

@@ -3,7 +3,8 @@
 A scorer maps ``(input tokens, generated prefix)`` to a full log-probability
 vector over the vocabulary.  Every implementation returns a proper
 distribution (logsumexp of the vector is 0).  Scorers are read-only at
-inference time and safe for concurrent evaluation.
+inference time, apart from :class:`TableScorer`'s row cache, and safe for
+concurrent evaluation.
 
 Scorers are deliberately decoupled from :class:`~trie_decode.vocab.Vocabulary`:
 they only need a vocabulary *size* and the fixed special ids, which makes
@@ -100,12 +101,12 @@ class OracleScorer(Scorer):
 
 
 def _input_key(input_tokens: Sequence[TokenId]) -> int:
-    packed = b"".join(int(t).to_bytes(4, "little") for t in input_tokens)
+    try:
+        packed = b"".join(int(t).to_bytes(4, "little") for t in input_tokens)
+    except OverflowError:
+        bad = next(t for t in input_tokens if not 0 <= int(t) < 1 << 32)
+        raise ScorerError(f"input token id {bad} does not fit in an unsigned 32-bit int") from None
     return zlib.crc32(packed)
-
-
-def _conditioned_context(input_key: int, prev: TokenId) -> int:
-    return (input_key * 0x10001 + prev) & 0x7FFFFFFF
 
 
 class TableScorer(Scorer):
@@ -119,12 +120,17 @@ class TableScorer(Scorer):
     or, when ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod
     2**31`` over the input's u32 token ids: distinct pairs can share a row.
 
-    A decode passes one input at every step, so the scorer keeps the last
-    ``(input tuple, crc)`` pair and hashes an input once per decode rather
-    than once per call.  Only ``tuple`` inputs are kept, because a list can
-    change in place between calls; a list is hashed on every call.  The pair
-    is read once and replaced by a single attribute assignment, so threads
-    sharing a scorer at worst hash again and never see a torn pair.
+    Rows are built on first use and kept only while they can be asked for
+    again.  Unconditioned rows serve every input, so they stay: at most one
+    per trained context, untrained contexts sharing the uniform row.  An
+    input-conditioned row serves one input crc, so it lives in that input's
+    scope, an ``(input tuple or None, crc, rows)`` triple that the first call
+    with another crc replaces, freeing the old input's rows.  A decode passes
+    one input at every step, so the input is hashed once per decode; a list
+    input, which can change in place between calls, is hashed on every call.
+    Threads sharing a scorer read the scope once per call and may rebuild a
+    row another thread dropped, but never read a wrong one: rows are keyed by
+    the full context id.
     """
 
     def __init__(
@@ -157,45 +163,46 @@ class TableScorer(Scorer):
                 if not (total < math.inf and self.alpha / total > 0):
                     raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
                 self.counts[int(ctx)] = clean
+        self._uniform_row = np.full(vocab_size, -np.log(vocab_size))
+        self._uniform_row.flags.writeable = False
         self._rows: dict[int, np.ndarray] = {}
-        self._uniform_row: np.ndarray | None = None
-        self._last_input: tuple[tuple[TokenId, ...], int] = ((), _input_key(()))
+        self._scope: tuple[tuple[TokenId, ...] | None, int, dict[int, np.ndarray]] = (None, 0, {})
 
-    def _row(self, ctx: int) -> np.ndarray:
-        row = self._rows.get(ctx)
-        if row is not None:
-            return row
+    def _build_row(self, ctx: int) -> np.ndarray:
         table = self.counts.get(ctx)
         if table is None:
-            if self._uniform_row is None:
-                self._uniform_row = np.full(self.vocab_size, -np.log(self.vocab_size))
-                self._uniform_row.flags.writeable = False
             return self._uniform_row
-        probs = np.full(self.vocab_size, self.alpha)
-        for token, count in table.items():
-            probs[token] += count
-        probs /= sum(table.values()) + self.alpha * self.vocab_size
-        row = np.log(probs)
+        denom = sum(table.values()) + self.alpha * self.vocab_size
+        # the untrained share rides last in the same np.log call as the
+        # trained ones, so every entry is bit-identical to np.log(probs)
+        # taken over the whole row
+        logs = np.log((np.array([*table.values(), 0.0]) + self.alpha) / denom)
+        row = np.full(self.vocab_size, logs[-1])
+        row[list(table)] = logs[:-1]
         row.flags.writeable = False
-        self._rows[ctx] = row
         return row
 
     def next_token_logprobs(
         self, input_tokens: Sequence[TokenId], prefix: Sequence[TokenId]
     ) -> np.ndarray:
-        prev = prefix[-1] if prefix else SOS
-        if not self.input_conditioned:
-            return self._row(prev)
-        return self._row(_conditioned_context(self._memo_input_key(input_tokens), prev))
-
-    def _memo_input_key(self, input_tokens: Sequence[TokenId]) -> int:
-        if not isinstance(input_tokens, tuple):
-            return _input_key(input_tokens)
-        last, key = self._last_input
-        if last is not input_tokens and last != input_tokens:
-            key = _input_key(input_tokens)
-            self._last_input = (input_tokens, key)
-        return key
+        ctx = prefix[-1] if prefix else SOS
+        if self.input_conditioned:
+            held, key, rows = self._scope
+            if held is not input_tokens and (
+                not isinstance(input_tokens, tuple) or held != input_tokens
+            ):
+                new_key = _input_key(input_tokens)
+                if new_key != key:
+                    key, rows = new_key, {}
+                held = input_tokens if isinstance(input_tokens, tuple) else None
+                self._scope = (held, key, rows)
+            ctx = (key * 0x10001 + ctx) & 0x7FFFFFFF  # as train_table_scorer counts it
+        else:
+            rows = self._rows
+        row = rows.get(ctx)
+        if row is None:
+            row = rows[ctx] = self._build_row(ctx)
+        return row
 
 
 def train_table_scorer(
@@ -220,7 +227,7 @@ def train_table_scorer(
         key = _input_key(input_tokens) if input_conditioned else 0
         prev: TokenId = SOS
         for token in target:
-            ctx = _conditioned_context(key, prev) if input_conditioned else prev
+            ctx = (key * 0x10001 + prev) & 0x7FFFFFFF if input_conditioned else prev
             row = counts.setdefault(ctx, {})
             row[token] = row.get(token, 0.0) + 1.0
             prev = token

@@ -111,6 +111,12 @@ class TestCandidateSets:
         with pytest.raises(CatalogError, match="line 1"):
             load_candidate_sets(["no-tab-here"])
 
+    def test_load_names_the_line_of_a_name_missing_from_the_catalog(self, vocab):
+        catalog, _ = load_catalog(["France"], vocab)
+        with pytest.raises(CatalogError, match=r"^line 3: candidate not in catalog: 'Germany'$") as err:
+            load_candidate_sets(["m1\tFrance", "", "m2\tGermany"], catalog)
+        assert err.value.line == 3
+
     def test_load_rejects_empty_set(self):
         with pytest.raises(CatalogError, match="empty candidate set"):
             load_candidate_sets(["m1\t|"])

@@ -1,10 +1,15 @@
 """Scorers: normalization, hand-checked formulas, objectives."""
 
 import math
+import sys
+import threading
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from trie_decode.beam import BeamConfig, beam_search
 from trie_decode.scoring import (
     OracleScorer,
     Scorer,
@@ -17,6 +22,7 @@ from trie_decode.scoring import (
     smoothed_nll,
     train_table_scorer,
 )
+from trie_decode.trie import build_trie
 from trie_decode.vocab import EOS, SOS
 
 from helpers import pool_vocabulary, random_sequences, random_table_scorer
@@ -157,6 +163,17 @@ class TestTableScorer:
             scorer.next_token_logprobs(mutable, ()), fresh(tuple(mutable), ())
         )
 
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_input_id_outside_u32_is_a_scorer_error(self, bad):
+        scorer = train_table_scorer([((3,), (7, EOS))], 0.5, 9, input_conditioned=True)
+        with pytest.raises(ScorerError, match=f"input token id {bad} does not fit"):
+            scorer.next_token_logprobs((3, bad), ())
+        with pytest.raises(ScorerError, match=f"input token id {bad} does not fit"):
+            train_table_scorer([((bad,), (7, EOS))], 0.5, 9, input_conditioned=True)
+        # the unconditioned model never packs the input
+        plain = train_table_scorer([((bad,), (7, EOS))], 0.5, 9)
+        assert int(np.argmax(plain.next_token_logprobs((bad,), ()))) == 7
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ScorerError):
             TableScorer({}, alpha=0.0, vocab_size=9)
@@ -178,6 +195,140 @@ class TestTableScorer:
     def test_rows_whose_probabilities_leave_the_floats_rejected(self, alpha, row):
         with pytest.raises(ScorerError, match="context 0: probabilities overflow or underflow"):
             TableScorer({0: row}, alpha=alpha, vocab_size=9)
+
+
+def reference_context(input_conditioned, input_tokens, prefix):
+    """The documented context id of one scoring step."""
+    prev = prefix[-1] if prefix else SOS
+    if not input_conditioned:
+        return prev
+    packed = b"".join(int(t).to_bytes(4, "little") for t in input_tokens)
+    return (zlib.crc32(packed) * 0x10001 + prev) & 0x7FFFFFFF
+
+
+def reference_row(scorer, ctx):
+    """The smoothing formula over a whole row, then one ``np.log``."""
+    table = scorer.counts.get(ctx)
+    if table is None:
+        return np.full(scorer.vocab_size, -np.log(scorer.vocab_size))
+    probs = np.full(scorer.vocab_size, scorer.alpha)
+    for token, count in table.items():
+        probs[token] += count
+    probs /= sum(table.values()) + scorer.alpha * scorer.vocab_size
+    return np.log(probs)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def random_float_table(rng, vocab_size, inputs=None):
+    """Integer and fractional counts on about 70% of the contexts, keyed by
+    each of ``inputs`` when given (an input-conditioned scorer)."""
+    counts = {}
+    for source in inputs or [None]:
+        for prev in range(vocab_size):
+            if rng.random() < 0.3:
+                continue
+            ctx = reference_context(inputs is not None, source, (prev,))
+            tokens = rng.choice(vocab_size, size=int(rng.integers(1, 6)), replace=False)
+            counts[ctx] = {
+                int(t): float(rng.integers(1, 20)) if rng.random() < 0.5 else float(rng.random() * 50)
+                for t in tokens
+            }
+    alpha = float(rng.choice((0.01, 0.1, 0.5, 1.0, 3.7)))
+    return TableScorer(counts, alpha, vocab_size, input_conditioned=inputs is not None)
+
+
+class TestTableScorerRows:
+    """A row is kept only while it can be asked for again, and every row it
+    builds is the whole-row formula bit for bit."""
+
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "input-conditioned"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_the_whole_row_formula_bit_for_bit(self, seed, conditioned):
+        rng = np.random.default_rng(seed)
+        vocab_size = int(rng.integers(9, 40))
+        inputs = [()] + [
+            tuple(int(t) for t in rng.integers(0, 2**32, size=int(rng.integers(1, 4))))
+            for _ in range(4)
+        ]
+        scorer = random_float_table(rng, vocab_size, inputs if conditioned else None)
+        steps = [
+            (source, prefix)
+            for source in inputs + [(99,)]  # trained on nothing
+            for prefix in [()] + [(3, prev) for prev in range(vocab_size)]
+        ]
+        interleaved = [steps[i] for i in rng.permutation(len(steps))]
+        for source, prefix in steps + interleaved + steps:
+            want = reference_row(scorer, reference_context(conditioned, source, prefix))
+            assert_same_bits(scorer.next_token_logprobs(source, prefix), want)
+            assert_same_bits(scorer.next_token_logprobs(list(source), list(prefix)), want)
+
+    def test_inputs_sharing_a_crc_share_their_rows(self):
+        first, second = (3, 7), (3681617474, 6)
+        assert reference_context(True, first, ()) == reference_context(True, second, ())
+        target = (9, 10, EOS)
+        scorer = train_table_scorer([(first, target)], 0.5, 12, input_conditioned=True)
+        for source in (first, second, list(second), first, second):
+            for i in range(len(target)):
+                want = reference_row(scorer, reference_context(True, first, target[:i]))
+                assert_same_bits(scorer.next_token_logprobs(source, target[:i]), want)
+        assert int(np.argmax(scorer.next_token_logprobs(second, ()))) == 9
+        assert scorer.next_token_logprobs(second, ()) is scorer.next_token_logprobs(first, ())
+
+    def test_memory_stays_flat_as_inputs_go_by(self):
+        vocab_size = 2000
+        rng = np.random.default_rng(5)
+        names = [tuple(int(t) for t in rng.integers(7, vocab_size, size=4)) for _ in range(30)]
+        trie = build_trie(names, vocab_size)
+        pairs = [((i, 7), names[i % len(names)] + (EOS,)) for i in range(220)]
+        scorer = train_table_scorer(pairs, 0.5, vocab_size, input_conditioned=True)
+        config = BeamConfig(k=4, max_steps=6)
+        tracemalloc.start()
+        try:
+            for source, _ in pairs[:20]:
+                beam_search(scorer, source, trie, config)
+            warm = tracemalloc.get_traced_memory()[0]
+            for source, _ in pairs[20:]:
+                beam_search(scorer, source, trie, config)
+            grown = tracemalloc.get_traced_memory()[0] - warm
+        finally:
+            tracemalloc.stop()
+        # a row per context would be at least 200 rows
+        assert grown < 3 * vocab_size * 8
+
+    def test_threads_sharing_a_scorer_read_only_right_rows(self):
+        rng = np.random.default_rng(23)
+        vocab_size = 30
+        inputs = [(i, 2 * i) for i in range(6)]
+        scorer = random_float_table(rng, vocab_size, inputs)
+        want = {
+            (source, prev): reference_row(scorer, reference_context(True, source, (prev,)))
+            for source in inputs for prev in range(vocab_size)
+        }
+        wrong = []
+
+        def work(offset):
+            for r in range(600):
+                source, prev = inputs[(offset + r // 7) % len(inputs)], (offset * 11 + r) % vocab_size
+                got = scorer.next_token_logprobs(source, (prev,))
+                if not np.array_equal(got.view(np.int64), want[source, prev].view(np.int64)):
+                    wrong.append((source, prev))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestNormalization:
