@@ -56,9 +56,6 @@ class BeamError(ValueError):
     pass
 
 
-_PARTITION_FROM = 256  # allowed ids past which :func:`_best` partitions first
-
-
 @dataclass(frozen=True)
 class Hypothesis:
     """A partial or finished decode (no SOS; EOS present iff finished)."""
@@ -197,9 +194,8 @@ def beam_search(
             if EOS in head:
                 pool.append(Hypothesis(prefix + (EOS,), cum + float(logprobs[EOS]), True))
                 width += 1
-            if len(tokens) > width:
-                tokens, neg = _best(tokens, neg, width)
-            for token, score in zip(tokens.tolist(), neg.tolist()):
+            best = np.lexsort((tokens, neg))[:width]
+            for token, score in zip(tokens[best].tolist(), neg[best].tolist()):
                 if token != EOS:
                     candidates.append((score, rank, token))
         candidates.sort()
@@ -216,22 +212,6 @@ def beam_search(
 
 def _not_a_sequence(allowed: object) -> BeamError:
     return BeamError(f"allowed ids must be an ascending sequence, not {type(allowed).__name__}")
-
-
-def _best(tokens: np.ndarray, neg: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``width`` entries under ``(neg, token)``, in that order.
-
-    ``neg`` holds the negated scores.  Past a few hundred entries a linear
-    ``np.partition`` first keeps every entry at or above the ``width``-th
-    best score, ties at the cut included, so the sort that follows sees the
-    same leaders; below that its fixed cost (about 7 us) exceeds what it
-    saves the sort.
-    """
-    if len(tokens) > max(_PARTITION_FROM, 8 * width):
-        keep = neg <= np.partition(neg, width - 1)[width - 1]
-        tokens, neg = tokens[keep], neg[keep]
-    best = np.lexsort((tokens, neg))[:width]
-    return tokens[best], neg[best]
 
 
 def _final_score(hyp: Hypothesis, length_normalize: bool) -> float:

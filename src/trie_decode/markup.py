@@ -333,9 +333,10 @@ def link_document(
     source token, so ``max_steps`` (or ``chunk_size``) must leave room for
     the markup or heavily annotated hypotheses cannot finish.
 
-    Raises :class:`MarkupError` when an entity name in ``trie`` contains a
-    markup token (ids ``MENTION_OPEN..LINK_CLOSE``): inside a link it would
-    read as markup, so the decoded entity need not be a name in the trie.
+    Raises :class:`MarkupError` when ``chunk_size`` is below 1, whatever the
+    source, or when an entity name in ``trie`` contains a markup token (ids
+    ``MENTION_OPEN..LINK_CLOSE``): inside a link it would read as markup, so
+    the decoded entity need not be a name in the trie.
     """
     if trie.min_label <= LINK_CLOSE:
         raise MarkupError(
@@ -344,11 +345,12 @@ def link_document(
         )
     token_spans = encode_with_offsets(source, vocab)
     tokens = tuple(span.token for span in token_spans)
-    chunked = chunk_size is not None and len(tokens) > chunk_size
+    chunks = [tokens] if chunk_size is None else chunk_input(tokens, chunk_size)
+    chunked = len(chunks) > 1
     spans: list[SpanAnnotation] = []
     diagnostics: list[str] = []
     offset = 0
-    for index, chunk in enumerate(chunk_input(tokens, chunk_size) if chunked else [tokens]):
+    for index, chunk in enumerate(chunks):
         hypotheses = beam_search(scorer, chunk, MarkupConstraint(chunk, trie), config)
         if hypotheses:
             for start, end, entity in _scan(hypotheses[0].tokens)[1]:

@@ -15,7 +15,7 @@ possible and trimming more from the left on odd remainders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -118,27 +118,41 @@ def disambiguate(
     """Rank entities for a flagged mention.
 
     With a candidate set present the constraint trie is built from exactly
-    those names; otherwise the full-catalog ``trie`` is used, and a catalog
-    name too long to finish within ``max_steps`` raises :class:`TaskError`.
-    A candidate name too long to finish is left out of the ranking, which may
-    then be empty, and named in the ranking's ``diagnostics``.
+    those names, and each ranked entry carries its candidate's name as given,
+    even where the name's tokens decode to other text (unknown words, extra
+    whitespace).  A candidate name too long to finish within ``max_steps`` is
+    left out of the ranking, which may then be empty, and named in the
+    ranking's ``diagnostics``; two distinct candidates that encode alike, or a
+    candidate with no tokens, raise :class:`TaskError`.  Otherwise the
+    full-catalog ``trie`` is used, and a catalog name too long to finish
+    within ``max_steps`` raises :class:`TaskError`.
     """
     flagged = flag_mention(instance, vocab, config)
-    if instance.candidates:
-        encoded = {name: tuple(encode(name, vocab)) for name in instance.candidates}
-        constraint_trie = build_trie(encoded.values(), vocab.size)
-    elif trie is not None:
-        constraint_trie = _finishable(trie, config)
-    else:
-        raise TaskError(f"instance {instance.instance_id!r}: no candidate set and no catalog trie")
-    ranking = rank_entities(scorer, flagged, constraint_trie, config.beam_config(), vocab)
-    if constraint_trie.max_depth >= config.max_steps:  # a candidate trie: _finishable passed the catalog
-        ranking = replace(ranking, diagnostics=tuple(
-            f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
-            for name, tokens in encoded.items()
-            if len(tokens) >= config.max_steps
-        ))
-    return ranking
+    if not instance.candidates:
+        if trie is None:
+            raise TaskError(f"instance {instance.instance_id!r}: no candidate set and no catalog trie")
+        return rank_entities(scorer, flagged, _finishable(trie, config), config.beam_config(), vocab)
+    names: dict[tuple[TokenId, ...], str] = {}
+    diagnostics = []
+    for name in dict.fromkeys(instance.candidates):  # a repeated name is one candidate
+        tokens = tuple(encode(name, vocab))
+        if not tokens:
+            raise TaskError(f"instance {instance.instance_id!r}: candidate {name!r} has no tokens")
+        if tokens in names:
+            raise TaskError(
+                f"instance {instance.instance_id!r}: candidates {names[tokens]!r} and {name!r} "
+                "encode to the same tokens"
+            )
+        names[tokens] = name
+        if len(tokens) >= config.max_steps:
+            diagnostics.append(
+                f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
+            )
+    ranking = rank_entities(scorer, flagged, build_trie(names, vocab.size), config.beam_config(), vocab)
+    return RankedResult(
+        tuple([RankedEntry(names[tokens[:-1]], raw, score, tokens) for _, raw, score, tokens in ranking]),
+        tuple(diagnostics),
+    )
 
 
 def retrieve(

@@ -165,7 +165,7 @@ class TestBeamSearch:
                 beam_search(UniformScorer(11), (), SetConstraint(), BeamConfig(k=k))
 
     def test_wide_fanout_with_ties_at_the_cut_matches_reference(self):
-        # a 600-way root partitions before sorting; rounded scores tie at the cut
+        # a 600-way root takes the sorted wide cut; rounded scores tie at the cut
         vocab_size = 700
         names = [(t,) for t in range(50, 650)]
         trie = build_trie(names, vocab_size)

@@ -245,6 +245,16 @@ class TestLinkAndEval:
         predictions.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return str(vocab), str(dataset), str(predictions)
 
+    @pytest.mark.parametrize("text", ["", "France"])
+    def test_link_chunk_size_zero_exits_1_whatever_the_text(self, cli_files, capsys, text):
+        build(cli_files)
+        capsys.readouterr()
+        argv = ["link", "--text", text, "--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
+        assert main(argv + ["--scorer", "uniform", "--chunk-size", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chunk size must be at least 1\n"
+
     def test_eval_predictions_prints_rounded_and_exact(self, tmp_path, capsys):
         vocab, dataset, predictions = self._write_el_fixture(tmp_path)
         code = main(
@@ -338,6 +348,25 @@ class TestDisambiguateCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split("\t")[:3] == ["m1", "1", "France"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ranked_names_are_the_candidates_as_given(self, cli_files, tmp_path, capsys, jobs):
+        # no token spells "Café" or "New  York", and a doubled space does not read back
+        dataset = tmp_path / "ed.tsv"
+        dataset.write_text(
+            "m1\tlanguage France language\t9\t6\tFrance\tCafé|New  York|France\n"
+            "m2\tFrance language\t7\t8\tlanguage\tCafé|English  language\n",
+            encoding="utf-8",
+        )
+        argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"]]
+        assert main(argv + ["--scorer", "uniform", "--jobs", jobs]) == 0
+        out = capsys.readouterr().out
+        names: dict[str, set[str]] = {}
+        for line in out.splitlines():
+            instance_id, _, name = line.split("\t")[:3]
+            names.setdefault(instance_id, set()).add(name)
+        assert names == {"m1": {"Café", "New  York", "France"}, "m2": {"Café", "English  language"}}
+        assert "<unk>" not in out
 
     def test_structured_ranked_list_with_log_likelihoods(self, cli_files, tmp_path, capsys):
         build(cli_files)
@@ -650,10 +679,11 @@ class TestDatasetRunner:
             ("disambiguate", "m4\tFrance\t0\t6\n", "error: line 4: expected"),
             # no candidate set and no catalog trie: raised inside a worker
             ("disambiguate", "m0\tFrance\t0\t6\tFrance\n", "error: instance 'm0': no candidate set"),
+            ("disambiguate", "m0\tFrance\t0\t6\tFrance\tFrance| \n", "error: instance 'm0': candidate ' ' has no tokens"),
             ("link", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
             ("eval-el-dump", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
         ],
-        ids=["load", "worker", "gold-markup", "gold-markup-dump"],
+        ids=["load", "worker", "empty-candidate", "gold-markup", "gold-markup-dump"],
     )
     def test_bad_line_under_two_jobs_is_an_error_not_a_traceback(
         self, cli_files, datasets, capsys, command, bad_line, message

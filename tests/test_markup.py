@@ -357,6 +357,15 @@ class TestChunking:
     def test_short_input_single_chunk(self):
         assert chunk_input((1, 2, 3), 5) == [(1, 2, 3)]
 
+    @pytest.mark.parametrize("source", ["", "w1", "w0 w1 w2"])
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_fails_whatever_the_source(self, source, chunk_size):
+        vocab = Vocabulary(("w0", "w1", "w2"))
+        trie = build_trie([(vocab.ordinary_id("w1"),)], vocab.size)
+        scorer = UniformScorer(vocab.size)
+        with pytest.raises(MarkupError, match="chunk size must be at least 1"):
+            link_document(scorer, source, trie, BeamConfig(k=2, max_steps=16), vocab, chunk_size)
+
     def test_chunked_linking_matches_unchunked_when_no_straddle(self):
         # a uniform scorer with normalization ties everything, so the ranking
         # is pure ascending token order and both routes pick the same markup

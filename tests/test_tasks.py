@@ -145,14 +145,32 @@ class TestDisambiguate:
         rng = np.random.default_rng(103)
         sequences = random_sequences(rng, vocab, size=8, max_len=3)
         names = [decode(seq, vocab) for seq in sequences]
-        candidates = tuple(names[:4])
-        instance = make_instance(vocab, gold=names[0], candidates=candidates)
+        # names that do not read back: an unknown word, a doubled space, a
+        # known word glued to unknown letters, a leading space
+        unread = ("Café", f"{names[4]}  {names[5]}", "alphax", f" {names[6]}")
+        assert all(decode(encode(n, vocab), vocab) != n for n in unread)
         from helpers import random_table_scorer
 
-        for _ in range(10):
-            scorer = random_table_scorer(rng, vocab)
-            ranking = disambiguate(scorer, instance, vocab, TaskConfig())
-            assert set(ranking.names()) <= set(candidates)
+        # the last set repeats a name, which is one candidate
+        for candidates in (tuple(names[:4]), unread, tuple(names[:2]) + unread + ("Café",)):
+            instance = make_instance(vocab, gold=candidates[0], candidates=candidates)
+            for _ in range(10):
+                scorer = random_table_scorer(rng, vocab)
+                ranking = disambiguate(scorer, instance, vocab, TaskConfig())
+                assert sorted(ranking.names()) == sorted(set(candidates))
+
+    def test_candidates_that_encode_alike_are_an_error(self, vocab):
+        # both names encode to four <unk> tokens
+        instance = make_instance(vocab, candidates=("alpha", "Café", "Cafe"))
+        with pytest.raises(
+            TaskError, match="instance 'inst': candidates 'Café' and 'Cafe' encode to the same tokens"
+        ):
+            disambiguate(UniformScorer(vocab.size), instance, vocab, TaskConfig())
+
+    def test_a_candidate_with_no_tokens_is_an_error(self, vocab):
+        instance = make_instance(vocab, candidates=("alpha", " "))
+        with pytest.raises(TaskError, match="instance 'inst': candidate ' ' has no tokens"):
+            disambiguate(UniformScorer(vocab.size), instance, vocab, TaskConfig())
 
     def test_candidate_too_long_to_finish_is_a_diagnostic(self, vocab):
         # max_steps 2 finishes a one-token name; "beta gamma" needs three steps
