@@ -6,8 +6,10 @@ legal) as an ascending 1-D sequence of distinct ints (an integer ndarray, a
 list or a tuple, never a set), and ``advance(state, token)`` the state after
 a legal token.  Each live hypothesis carries its state, so no step re-reads a
 prefix or rebuilds a set.  ``EntityTrie`` (state: a node; allowed: a
-read-only view of its labels) and ``MarkupConstraint`` (state: a tuple of
-ints) implement it.  Tokens outside the allowed set score minus infinity;
+read-only view of its labels), ``MarkupConstraint`` (state: a tuple of ints)
+and the candidate-set constraint of ``tasks.disambiguate`` (state: a
+``(lo, hi, depth)`` run of its sorted name sequences; allowed: a list)
+implement it.  Tokens outside the allowed set score minus infinity;
 the surviving entries are *not* renormalized, so the score of any fully
 decoded sequence equals its unconstrained stepwise sum.  Finished hypotheses
 are retired to a pool and do not occupy beam slots; pruning keeps the best
@@ -29,7 +31,7 @@ over a shared trie and scorer, which are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -234,9 +236,7 @@ def rank_entities(
     score.  Names are decoded from the winning token sequences.
     """
     hypotheses = beam_search(scorer, input_tokens, trie, config)
-    return _ranked(
-        ((h.tokens, h.cum_logprob) for h in hypotheses), config.length_normalize, vocab
-    )
+    return _ranked(hypotheses, config.length_normalize, lambda name: decode(name, vocab))
 
 
 def exhaustive_rank(
@@ -256,18 +256,20 @@ def exhaustive_rank(
     scored = []
     for record in catalog:
         seq = record.tokens + (EOS,)
-        scored.append((seq, sequence_score(scorer, input_tokens, seq)))
-    return _ranked(scored, length_normalize, vocab)
+        scored.append(Hypothesis(seq, sequence_score(scorer, input_tokens, seq), True))
+    return _ranked(scored, length_normalize, lambda name: decode(name, vocab))
 
 
 def _ranked(
-    scored: Iterable[tuple[tuple[TokenId, ...], float]],
+    finished: Iterable[Hypothesis],
     length_normalize: bool,
-    vocab: Vocabulary,
+    name_of: Callable[[tuple[TokenId, ...]], str],
 ) -> RankedResult:
+    """Entries under the one score and tie rule, named by ``name_of(tokens without EOS)``."""
     entries = []
-    for tokens, raw in scored:
+    for h in finished:
+        tokens, raw = h.tokens, h.cum_logprob
         normalized = raw / len(tokens) if length_normalize else raw
-        entries.append(RankedEntry(decode(tokens[:-1], vocab), raw, normalized, tokens))
+        entries.append(RankedEntry(name_of(tokens[:-1]), raw, normalized, tokens))
     entries.sort(key=lambda e: (-e.normalized_score, e.tokens))
     return RankedResult(tuple(entries))

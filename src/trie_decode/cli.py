@@ -217,9 +217,15 @@ def _report_lines(suite: SuiteReport, fmt: str) -> list[str]:
         if suite.accuracy is not None:
             metrics = {"accuracy": suite.accuracy, **metrics}
         counts = {"tp": report.tp, "fp": report.fp, "fn": report.fn}
+    by_match = {
+        match.value: {"instances": n, "correct": correct, "accuracy": correct / n}
+        for match, (n, correct) in (suite.by_match or {}).items()
+    }
     if fmt == "structured":
-        return [_json_line({"metrics": metrics, "counts": counts})]
-    return [f"{key}={value:.2f}" for key, value in metrics.items()]
+        extra = {} if suite.by_match is None else {"by_match": by_match}
+        return [_json_line({"metrics": metrics, "counts": counts, **extra})]
+    lines = [f"{key}={value:.2f}" for key, value in metrics.items()]
+    return lines + [f"accuracy_{match}={row['accuracy']:.2f}" for match, row in by_match.items()]
 
 
 def _add_beam_options(parser: argparse.ArgumentParser, beams: int | None, max_steps: int | None) -> None:

@@ -15,11 +15,12 @@ possible and trimming more from the left on odd remainders.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .beam import BeamConfig, RankedEntry, RankedResult, rank_entities
+from .beam import BeamConfig, RankedEntry, RankedResult, _ranked, beam_search, rank_entities
 from .catalog import CandidateSet
 from .markup import MarkupDocument, MarkupError, SpanAnnotation, link_document, parse_markup
 from .metrics import (
@@ -33,8 +34,8 @@ from .metrics import (
     r_precision,
 )
 from .scoring import Scorer
-from .trie import EntityTrie, build_trie
-from .vocab import InputError, TokenId, Vocabulary, decode, encode, encode_with_offsets, read_rows
+from .trie import EntityTrie
+from .vocab import EOS, InputError, TokenId, Vocabulary, decode, encode, encode_with_offsets, read_rows
 
 START_ENT_STRING = "[START_ENT]"
 END_ENT_STRING = "[END_ENT]"
@@ -117,15 +118,16 @@ def disambiguate(
 ) -> RankedResult:
     """Rank entities for a flagged mention.
 
-    With a candidate set present the constraint trie is built from exactly
-    those names, and each ranked entry carries its candidate's name as given,
-    even where the name's tokens decode to other text (unknown words, extra
-    whitespace).  A candidate name too long to finish within ``max_steps`` is
-    left out of the ranking, which may then be empty, and named in the
-    ranking's ``diagnostics``; two distinct candidates that encode alike, or a
-    candidate with no tokens, raise :class:`TaskError`.  Otherwise the
-    full-catalog ``trie`` is used, and a catalog name too long to finish
-    within ``max_steps`` raises :class:`TaskError`.
+    With a candidate set present the decode walks exactly those names'
+    sorted token sequences, with no trie built, and each ranked entry carries
+    its candidate's name as given, even where the name's tokens decode to
+    other text (unknown words, extra whitespace).  A candidate name too long
+    to finish within ``max_steps`` is left out of the ranking, which may then
+    be empty, and named in the ranking's ``diagnostics``; two distinct
+    candidates that encode alike, or a candidate with no tokens, raise
+    :class:`TaskError`.  Otherwise the full-catalog ``trie`` is used, and a
+    catalog name too long to finish within ``max_steps`` raises
+    :class:`TaskError`.
     """
     flagged = flag_mention(instance, vocab, config)
     if not instance.candidates:
@@ -148,11 +150,40 @@ def disambiguate(
             diagnostics.append(
                 f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
             )
-    ranking = rank_entities(scorer, flagged, build_trie(names, vocab.size), config.beam_config(), vocab)
-    return RankedResult(
-        tuple([RankedEntry(names[tokens[:-1]], raw, score, tokens) for _, raw, score, tokens in ranking]),
-        tuple(diagnostics),
-    )
+    hypotheses = beam_search(scorer, flagged, _Candidates(sorted(names)), config.beam_config())
+    ranking = _ranked(hypotheses, config.length_normalize, names.__getitem__)
+    return RankedResult(ranking.entries, tuple(diagnostics))
+
+
+class _Candidates:
+    """The constraint of a candidate set, over its sorted distinct token sequences.
+
+    State ``(lo, hi, depth)`` is the run ``seqs[lo:hi]`` that shares the
+    ``depth`` tokens decoded so far.  :func:`encode` yields no SOS or EOS, so
+    EOS sorts first.
+    """
+
+    def __init__(self, seqs: list[tuple[TokenId, ...]]) -> None:
+        self._seqs = seqs
+
+    def start(self) -> tuple[int, int, int]:
+        return 0, len(self._seqs), 0
+
+    def allowed(self, state: tuple[int, int, int]) -> list[TokenId]:
+        lo, hi, depth = state
+        seqs = self._seqs
+        ends = len(seqs[lo]) == depth  # sorted, so only the first can end here
+        if hi - lo == 1:  # one candidate left, as at most steps
+            return [EOS] if ends else [seqs[lo][depth]]
+        return [EOS] * ends + list(dict.fromkeys([s[depth] for s in seqs[lo + ends : hi]]))
+
+    def advance(self, state: tuple[int, int, int], token: TokenId) -> tuple[int, int, int]:
+        lo, hi, depth = state
+        if hi - lo > 1:
+            prefix = self._seqs[lo][:depth]
+            lo = bisect_left(self._seqs, prefix + (token,), lo, hi)
+            hi = bisect_left(self._seqs, prefix + (token + 1,), lo, hi)
+        return lo, hi, depth + 1
 
 
 def retrieve(
@@ -297,6 +328,8 @@ class SuiteReport:
     report: EvalReport | RetrievalReport
     outcomes: tuple[EDOutcome, ...] | tuple[DROutcome, ...] | tuple[ELOutcome, ...]
     accuracy: float | None = None
+    # ed only: (instances, correct) per match type that has instances, in enum order
+    by_match: dict[MatchType, tuple[int, int]] | None = None
 
 
 _worker_fn: Callable | None = None  # set only in a pool worker, by its initializer
@@ -457,7 +490,12 @@ def _suite_report(mode: str, rows: list, results: list, vocab: Vocabulary) -> Su
     if mode == "ed":
         gold = [o.gold for o in outcomes]
         predicted = [o.predicted or "" for o in outcomes]
-        return SuiteReport(mode, ed_report(gold, predicted), outcomes, ed_accuracy(gold, predicted))
+        by_match = {
+            match: (len(hits), sum(hits))
+            for match in MatchType
+            if (hits := [o.predicted == o.gold for o in outcomes if o.match is match])
+        }
+        return SuiteReport(mode, ed_report(gold, predicted), outcomes, ed_accuracy(gold, predicted), by_match)
     if mode == "dr":
         return SuiteReport(mode, RetrievalReport.from_scores(o.r_precision for o in outcomes), outcomes)
     report = micro_f1_spans([o.gold_spans for o in outcomes], [o.document.spans for o in outcomes])

@@ -16,6 +16,7 @@ from trie_decode.beam import (
 )
 from trie_decode.markup import MarkupConstraint
 from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score
+from trie_decode.tasks import _Candidates
 from trie_decode.trie import build_trie
 from trie_decode.vocab import EOS, decode, encode
 
@@ -249,9 +250,13 @@ class TestNarrowWidthExactness:
             trie = build_trie(seqs, vocab.size)
             source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 6))))
             scorer = UniformScorer(vocab.size) if tied else random_table_scorer(rng, vocab)
-            searches = [((), trie, 15), (source, MarkupConstraint(source, trie), 40)]
+            searches = [
+                ((), trie, 15),
+                ((), _Candidates(sorted(seqs)), 15),
+                (source, MarkupConstraint(source, trie), 40),
+            ]
             for inputs, constraint, max_steps in searches:
-                for k in (1, 2, 3):
+                for k in (1, 2, 3, 4):
                     config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
                     got = beam_search(scorer, inputs, constraint, config)
                     want = reference_beam_search(scorer, inputs, constraint, config)
@@ -300,7 +305,11 @@ class TestSurvivorOnlySteps:
             trie = build_trie(seqs, vocab.size)
             source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(2, 6))))
             scorer = DyadicBigramScorer(rng, vocab.size)
-            searches = [((), trie, 9), (source, MarkupConstraint(source, trie), 40)]
+            searches = [
+                ((), trie, 9),
+                ((), _Candidates(sorted(seqs)), 9),
+                (source, MarkupConstraint(source, trie), 40),
+            ]
             for inputs, constraint, max_steps in searches:
                 for k in (1, 2, 3, 4):
                     config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
@@ -318,9 +327,11 @@ class TestSurvivorOnlySteps:
             scorer = DyadicBigramScorer(rng, vocab.size)
             for k in (1, 2, 3, 4):
                 config = BeamConfig(k, 8, length_normalize=False)
-                got = beam_search(scorer, (), AllowedAs(trie, kind), config)
-                assert got == reference_beam_search(scorer, (), trie, config)
-                assert all(type(t) is int for h in got for t in h.tokens)
+                want = reference_beam_search(scorer, (), trie, config)
+                for constraint in (trie, _Candidates(sorted(seqs))):
+                    got = beam_search(scorer, (), AllowedAs(constraint, kind), config)
+                    assert got == want
+                    assert all(type(t) is int for h in got for t in h.tokens)
 
 
 class TestNormalizationFlip:

@@ -508,6 +508,43 @@ class TestEdEvalPaths:
         assert json.loads(in_process)["counts"] == {"tp": tp, "fp": 0, "fn": 2 - tp}
 
 
+    def test_accuracy_per_match_type_in_both_paths(self, cli_files, tmp_path, capsys):
+        # uniform ties rank the lowest token ids first: m1 (exact) and m3
+        # (no shared word) are right, m2 (partial) picks "English language"
+        dataset = tmp_path / "ed.tsv"
+        dataset.write_text(
+            "m1\tFrance\t0\t6\tFrance\tFrance|language\n"
+            "m2\tEnglish literature\t0\t7\tEnglish literature\tEnglish language|English literature\n"
+            "m3\tlanguage\t0\t8\tFrance\tFrance|literature\n"
+        )
+        dump = tmp_path / "ed.jsonl"
+        files = ["--dataset", str(dataset), "--vocab", cli_files["vocab"]]
+        common = ["eval", "--mode", "ed", *files]
+        structured = ["--format", "structured", "--out", str(dump)]
+        assert main(["disambiguate", *files, "--scorer", "uniform", *structured]) == 0
+        for fmt in ("text", "structured"):
+            assert main([*common, "--scorer", "uniform", "--format", fmt]) == 0
+            in_process = capsys.readouterr().out
+            assert main([*common, "--predictions", str(dump), "--format", fmt]) == 0
+            assert capsys.readouterr().out == in_process
+            if fmt == "text":
+                assert in_process.splitlines()[-3:] == [
+                    "accuracy_exact=1.00", "accuracy_partial=0.00", "accuracy_none=1.00",
+                ]
+            else:
+                assert json.loads(in_process)["by_match"] == {
+                    "exact": {"instances": 1, "correct": 1, "accuracy": 1.0},
+                    "partial": {"instances": 1, "correct": 0, "accuracy": 0.0},
+                    "none": {"instances": 1, "correct": 1, "accuracy": 1.0},
+                }
+        # a type with no instances prints no line
+        dataset.write_text("m1\tFrance\t0\t6\tFrance\tFrance|language\n")
+        assert main([*common, "--scorer", "uniform"]) == 0
+        assert [l for l in capsys.readouterr().out.splitlines() if l.startswith("accuracy_")] == [
+            "accuracy_exact=1.00"
+        ]
+
+
 class TestDatasetRunner:
     """``disambiguate``, ``link --dataset`` and ``eval`` share one dataset runner."""
 

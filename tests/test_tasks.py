@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from trie_decode.beam import BeamConfig, rank_entities
+from trie_decode.beam import BeamConfig, RankedEntry, RankedResult, rank_entities
 from trie_decode.catalog import CandidateSet
 from trie_decode.metrics import EvalReport, RetrievalReport
 from trie_decode.scoring import UniformScorer, train_table_scorer
@@ -16,6 +16,7 @@ from trie_decode.tasks import (
     EDInstance,
     TaskConfig,
     TaskError,
+    _Candidates,
     disambiguate,
     flag_mention,
     load_ed_dataset,
@@ -33,6 +34,7 @@ from helpers import (
     PAINTING_WORDS,
     pool_vocabulary,
     random_sequences,
+    random_table_scorer,
     reference_flag_window,
 )
 
@@ -187,6 +189,82 @@ class TestDisambiguate:
         instance = make_instance(vocab)
         with pytest.raises(TaskError, match="no candidate set"):
             disambiguate(UniformScorer(vocab.size), instance, vocab, TaskConfig())
+
+
+def fuzz_candidate_sequences(rng, vocab, round_):
+    """Distinct candidate sequences: a lone candidate every third round, else
+    sets where some names are strict token prefixes of others and, every
+    fourth round, every name is a single token."""
+    if round_ % 3 == 0:
+        return random_sequences(rng, vocab, size=1, max_len=4)
+    if round_ % 4 == 1:
+        return random_sequences(rng, vocab, size=int(rng.integers(2, 12)), max_len=1)
+    seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 12)), max_len=3)
+    ordinary = list(range(vocab.ordinary_base, vocab.size))
+    for seq in seqs[: int(rng.integers(1, len(seqs) + 1))]:
+        longer = seq + tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 3))))
+        if longer not in seqs:
+            seqs.append(longer)
+    return seqs
+
+
+def trie_path_disambiguate(scorer, instance, vocab, config):
+    """The candidate-set path of ``disambiguate`` as it read over a per-request trie."""
+    names = {tuple(encode(name, vocab)): name for name in dict.fromkeys(instance.candidates)}
+    flagged = flag_mention(instance, vocab, config)
+    ranking = rank_entities(scorer, flagged, build_trie(names, vocab.size), config.beam_config(), vocab)
+    return RankedResult(
+        tuple(RankedEntry(names[e.tokens[:-1]], e.raw_logprob, e.normalized_score, e.tokens) for e in ranking),
+        tuple(
+            f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
+            for tokens, name in names.items()
+            if len(tokens) >= config.max_steps
+        ),
+    )
+
+
+class TestCandidateConstraint:
+    """The candidate-set constraint walks exactly as the trie of the same names."""
+
+    def test_every_reachable_state_matches_the_trie(self, vocab):
+        rng = np.random.default_rng(59)
+        for round_ in range(300):
+            seqs = sorted(fuzz_candidate_sequences(rng, vocab, round_))
+            candidates, trie = _Candidates(seqs), build_trie(seqs, vocab.size)
+            stack = [((), candidates.start(), trie.start())]
+            while stack:
+                prefix, state, node = stack.pop()
+                lo, hi, depth = state
+                assert depth == len(prefix)
+                assert seqs[lo:hi] == [s for s in seqs if s[:depth] == prefix]
+                allowed = candidates.allowed(state)
+                assert list(allowed) == trie.allowed(node).tolist()
+                for token in allowed:
+                    if token != EOS:
+                        child = (prefix + (token,), candidates.advance(state, token), trie.advance(node, token))
+                        stack.append(child)
+
+    def test_disambiguate_equals_the_trie_path(self, vocab):
+        rng = np.random.default_rng(61)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        for round_ in range(150):
+            names = [decode(seq, vocab) for seq in fuzz_candidate_sequences(rng, vocab, round_)]
+            # a doubled space reads back otherwise; the entry keeps the name as written
+            names = [name.replace(" ", "  ") if rng.random() < 0.2 else name for name in names]
+            context = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 10))))
+            start = int(rng.integers(0, len(context)))
+            length = int(rng.integers(1, len(context) - start + 1))
+            instance = EDInstance("inst", context, start, length, names[0], tuple(names))
+            tied = round_ % 2 == 0
+            scorer = (
+                UniformScorer(vocab.size)
+                if tied
+                else random_table_scorer(rng, vocab, input_conditioned=bool(rng.integers(0, 2)))
+            )
+            for k in (1, 2, 3, 4):
+                config = TaskConfig(k, int(rng.integers(2, 7)), 384, bool(rng.integers(0, 2)))
+                got = disambiguate(scorer, instance, vocab, config)
+                assert got == trie_path_disambiguate(scorer, instance, vocab, config)
 
 
 class TestRetrieve:

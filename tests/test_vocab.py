@@ -117,6 +117,18 @@ class TestEncode:
             text = "".join(rng.choice(pieces, size=int(rng.integers(0, 12))))
             assert encode(text, v) == [s.token for s in encode_with_offsets(text, v)], repr(text)
 
+    def test_text_never_encodes_to_a_special_but_unk(self):
+        # candidate-set decoding relies on this: its names hold no SOS or EOS
+        # and no id at or past the vocabulary size, so they go unchecked
+        extras = ("[START_ENT]", "[END_ENT]")
+        v = Vocabulary(("ab", "<s>x", "[a", "é", "中文"), extras)
+        pieces = (*CORE_SPECIAL_STRINGS, *extras, "ab", "<s>x", "[a", "é", "中文", "<", "s", ">", "/", "x", " ", "\t")
+        rng = np.random.default_rng(43)
+        for _ in range(2000):
+            text = "".join(rng.choice(pieces, size=int(rng.integers(0, 12))))
+            for token in encode(text, v):
+                assert token == UNK or v.ordinary_base <= token < v.size, (text, token)
+
 
 class TestDecode:
     def test_empty(self, vocab):
