@@ -20,9 +20,10 @@ reproducible.
 
 A step builds only what survives its cut: live hypotheses are plain tuples,
 only the ``k`` kept copy their prefix and advance their state, and a
-:class:`Hypothesis` is built only for a finished entry.  A parent with at
-most ``k`` allowed ids, such as a copy step of the markup FSM, is scored in
-plain Python rather than numpy (see :func:`beam_search`).
+:class:`Hypothesis` is built only for a finished entry.  Every parent takes
+one path: SOS is never legal, so a legal EOS is its first id and retires to
+the pool, a parent with more than ``k`` other ids is cut to its best ``k``,
+and one loop scores the rest (see :func:`beam_search`).
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie and scorer, which are read-only.
@@ -49,7 +50,7 @@ class Constraint(Protocol[State]):
     def start(self) -> State: ...
 
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
-        """Legal next ids, ascending and distinct; empty at a dead end."""
+        """Legal next ids, ascending and distinct, never SOS (so EOS comes first); empty at a dead end."""
 
     def advance(self, state: State, token: TokenId) -> State: ...
 
@@ -142,7 +143,8 @@ def beam_search(
     EOS are discarded.  EOS always retires to the pool.  Returns finished
     hypotheses sorted by the config's ranking score; an empty list means
     nothing finished.  Raises :class:`BeamError` on an allowed token id
-    outside the scorer's vocabulary, or when ``allowed`` returns a set.
+    outside the scorer's vocabulary, on an allowed SOS, or when ``allowed``
+    returns a set.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -150,9 +152,9 @@ def beam_search(
     order is ``(-score, parent's index, token)``, its lex-rank tie key: a
     candidate is that plain tuple, sorted natively, and only the ``k`` kept
     build their prefix and advance their state.  For the same reason only a
-    parent's best ``k`` other tokens under ``(-score, token)`` can make the
-    cut.  A parent with at most ``k`` allowed ids is scored in plain Python,
-    the same float64 sum as the numpy gather that a wider parent takes.
+    parent's best ``k`` ids other than EOS under ``(-score, token)`` can make
+    the cut, so one ``np.lexsort`` cuts a wider parent to them before the one
+    loop that scores every parent's candidates by the same float64 sums.
     """
     input_tokens = tuple(input_tokens)
     k = config.k
@@ -167,39 +169,27 @@ def beam_search(
             if len(allowed) == 0:
                 continue
             logprobs = scorer.next_token_logprobs(input_tokens, prefix)
-            if len(allowed) <= k:
-                if type(allowed) is np.ndarray:
-                    allowed = allowed.tolist()
-                try:
-                    # ascending ids: the ends bound the range
-                    if allowed[0] < 0 or allowed[-1] >= len(logprobs):
-                        raise BeamError("allowed token id out of range")
-                except TypeError:
-                    raise _not_a_sequence(allowed) from None
-                for token in allowed:
-                    score = cum + float(logprobs[token])
-                    if token == EOS:
-                        pool.append(Hypothesis(prefix + (EOS,), score, True))
-                    else:
-                        candidates.append((-score, rank, token))
-                continue
+            if len(allowed) <= k + 1 and type(allowed) is np.ndarray:
+                allowed = allowed.tolist()  # too short to pay for numpy
             try:
-                tokens = np.asarray(allowed, dtype=np.intp)
+                # ascending ids: the ends bound the range, and below EOS lie only SOS and negatives
+                if allowed[0] < EOS or allowed[-1] >= len(logprobs):
+                    raise BeamError("allowed token id out of range")
             except TypeError:
-                raise _not_a_sequence(allowed) from None
-            # only SOS sorts before EOS
-            head = tokens[:2].tolist()
-            if head[0] < 0 or tokens[-1] >= len(logprobs):
-                raise BeamError("allowed token id out of range")
-            neg = -np.add(logprobs[tokens], cum, dtype=np.float64)
-            width = k
-            if EOS in head:
+                raise BeamError(
+                    f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
+                ) from None
+            if allowed[0] == EOS:
                 pool.append(Hypothesis(prefix + (EOS,), cum + float(logprobs[EOS]), True))
-                width += 1
-            best = np.lexsort((tokens, neg))[:width]
-            for token, score in zip(tokens[best].tolist(), neg[best].tolist()):
-                if token != EOS:
-                    candidates.append((score, rank, token))
+                if len(allowed) == 1:
+                    continue
+                allowed = allowed[1:]
+            if len(allowed) > k:
+                tokens = np.asarray(allowed, dtype=np.intp)
+                neg = -np.add(logprobs[tokens], cum, dtype=np.float64)
+                allowed = tokens[np.lexsort((tokens, neg))[:k]].tolist()
+            for token in allowed:
+                candidates.append((-(cum + float(logprobs[token])), rank, token))
         candidates.sort()
         # (parent, token) pairs are distinct: this sort never compares
         # scores, and it puts the next step's parents in token order
@@ -210,10 +200,6 @@ def beam_search(
         ]
     pool.sort(key=lambda h: (-_final_score(h, config.length_normalize), h.tokens))
     return pool[:k]
-
-
-def _not_a_sequence(allowed: object) -> BeamError:
-    return BeamError(f"allowed ids must be an ascending sequence, not {type(allowed).__name__}")
 
 
 def _final_score(hyp: Hypothesis, length_normalize: bool) -> float:
@@ -266,10 +252,9 @@ def _ranked(
     name_of: Callable[[tuple[TokenId, ...]], str],
 ) -> RankedResult:
     """Entries under the one score and tie rule, named by ``name_of(tokens without EOS)``."""
-    entries = []
-    for h in finished:
-        tokens, raw = h.tokens, h.cum_logprob
-        normalized = raw / len(tokens) if length_normalize else raw
-        entries.append(RankedEntry(name_of(tokens[:-1]), raw, normalized, tokens))
+    entries = [
+        RankedEntry(name_of(h.tokens[:-1]), h.cum_logprob, _final_score(h, length_normalize), h.tokens)
+        for h in finished
+    ]
     entries.sort(key=lambda e: (-e.normalized_score, e.tokens))
     return RankedResult(tuple(entries))

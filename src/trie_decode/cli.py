@@ -38,6 +38,11 @@ class CliError(ValueError):
     pass
 
 
+# (beams, max_steps) defaults: ranking decodes one short name, linking a whole marked-up text
+_RANK_DECODE = (10, 15)
+_LINK_DECODE = (6, 384)
+
+
 def _load_vocab(path: str) -> Vocabulary:
     return load_vocabulary(path, extra_specials=TASK_EXTRA_SPECIALS)
 
@@ -196,9 +201,9 @@ def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     elif not args.scorer:
         raise CliError("--scorer is required unless --predictions is given")
     else:
-        # linking runs default to the wider decode budget; ranking modes stay small
-        beams = args.beams if args.beams is not None else (6 if args.mode == "el" else 10)
-        max_steps = args.max_steps if args.max_steps is not None else (384 if args.mode == "el" else 15)
+        beams, max_steps = _LINK_DECODE if args.mode == "el" else _RANK_DECODE
+        beams = beams if args.beams is None else args.beams
+        max_steps = max_steps if args.max_steps is None else args.max_steps
         config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
         suite = _run_suite(args, args.mode, config)
     for line in _report_lines(suite, args.format):
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--trie", required=True)
     p.add_argument("--scorer", required=True, help="uniform | oracle:<text> | table file path")
-    _add_beam_options(p, beams=10, max_steps=15)
+    _add_beam_options(p, *_RANK_DECODE)
     _add_format_option(p)
     p.set_defaults(func=cmd_retrieve)
 
@@ -274,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", default=None, help="candidate-set file keyed by mention id")
     p.add_argument("--context-window", type=int, default=384)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
-    _add_beam_options(p, beams=10, max_steps=15)
+    _add_beam_options(p, *_RANK_DECODE)
     _add_format_option(p)
     p.set_defaults(func=cmd_disambiguate)
 
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", required=True)
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
-    _add_beam_options(p, beams=6, max_steps=384)
+    _add_beam_options(p, *_LINK_DECODE)
     _add_format_option(p)
     p.set_defaults(func=cmd_link)
 
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--context-window", type=int, default=384)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
-    _add_beam_options(p, beams=None, max_steps=None)
+    _add_beam_options(p, None, None)
     _add_format_option(p)
     p.set_defaults(func=cmd_eval)
 

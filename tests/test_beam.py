@@ -18,7 +18,7 @@ from trie_decode.markup import MarkupConstraint
 from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score
 from trie_decode.tasks import _Candidates
 from trie_decode.trie import build_trie
-from trie_decode.vocab import EOS, decode, encode
+from trie_decode.vocab import EOS, SOS, decode, encode
 
 from helpers import (
     SHARED_PREFIX_NAMES,
@@ -128,19 +128,19 @@ class TestBeamSearch:
 
         assert beam_search(scorer, (), DeadEnd(), BeamConfig(k=2)) == []
 
-    @pytest.mark.parametrize("bad", [-1, 11], ids=["negative", "past-vocab"])
+    @pytest.mark.parametrize("bad", [-1, SOS, 11], ids=["negative", "sos", "past-vocab"])
     def test_out_of_range_allowed_id_raises(self, bad):
         class Fixed:
             def start(self):
                 return 0
 
             def allowed(self, depth):
-                return (bad, 7) if bad < 0 else (EOS, 7, bad)
+                return (bad, 7) if bad <= SOS else (EOS, 7, bad)
 
             def advance(self, depth, token):
                 return depth + 1
 
-        # 2 or 3 allowed ids: wider than k = 1 (the numpy step), at most k = 3 (the plain step)
+        # 2 or 3 allowed ids: wider than k = 1, so cut to one id, or all within k = 3
         for k in (1, 3):
             with pytest.raises(BeamError, match="out of range"):
                 beam_search(UniformScorer(11), (), Fixed(), BeamConfig(k=k))
@@ -275,16 +275,21 @@ class DyadicBigramScorer:
 
 
 class AllowedAs:
-    """``inner`` with its allowed ids handed out as a list, a tuple or an array."""
+    """``inner`` with its allowed ids handed out as a list, a tuple or an array.
+
+    ``met`` collects the ``(width, EOS first)`` of every allowed set handed out.
+    """
 
     def __init__(self, inner, kind) -> None:
         self.inner, self.kind = inner, kind
+        self.met = set()
 
     def start(self):
         return self.inner.start()
 
     def allowed(self, state):
         allowed = [int(t) for t in self.inner.allowed(state)]
+        self.met.add((len(allowed), allowed[:1] == [EOS]))
         return np.array(allowed, dtype=np.intp) if self.kind is np.ndarray else self.kind(allowed)
 
     def advance(self, state, token):
@@ -318,9 +323,12 @@ class TestSurvivorOnlySteps:
 
     @pytest.mark.parametrize("kind", [list, tuple, np.ndarray])
     def test_each_sequence_type_on_both_sides_of_k(self, kind):
-        # fanouts of 1..12 meet k = 1..4 from below (the plain step) and above (numpy)
+        # parents with k, k + 1 and k + 2 allowed ids, EOS first or not, meet
+        # each boundary of the step: an array short enough to become a list,
+        # the retirement of EOS, and the cut of a parent wider than k
         vocab = pool_vocabulary()
         rng = np.random.default_rng(43)
+        met = set()
         for _ in range(15):
             seqs = random_sequences(rng, vocab, size=int(rng.integers(5, 60)), max_len=5)
             trie = build_trie(seqs, vocab.size)
@@ -329,9 +337,12 @@ class TestSurvivorOnlySteps:
                 config = BeamConfig(k, 8, length_normalize=False)
                 want = reference_beam_search(scorer, (), trie, config)
                 for constraint in (trie, _Candidates(sorted(seqs))):
-                    got = beam_search(scorer, (), AllowedAs(constraint, kind), config)
+                    counted = AllowedAs(constraint, kind)
+                    got = beam_search(scorer, (), counted, config)
                     assert got == want
                     assert all(type(t) is int for h in got for t in h.tokens)
+                    met |= {(width - k, eos_first) for width, eos_first in counted.met}
+        assert met >= {(extra, eos_first) for extra in (0, 1, 2) for eos_first in (False, True)}
 
 
 class TestNormalizationFlip:
