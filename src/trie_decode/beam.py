@@ -1,29 +1,24 @@
 """Beam search with log-probability masking against a constraint.
 
 A constraint is a state machine: ``start()`` is the state of the empty
-prefix, ``allowed(state)`` the legal next token ids (EOS where finishing is
-legal) as an ascending 1-D sequence of distinct ints (an integer ndarray, a
-list or a tuple, never a set), and ``advance(state, token)`` the state after
-a legal token.  Each live hypothesis carries its state, so no step re-reads a
-prefix or rebuilds a set.  ``EntityTrie`` (state: a node; allowed: a
-read-only view of its labels), ``MarkupConstraint`` (state: a tuple of ints)
-and the candidate-set constraint of ``tasks.disambiguate`` (state: a
-``(lo, hi, depth)`` run of its sorted name sequences; allowed: a list)
-implement it.  Tokens outside the allowed set score minus infinity;
-the surviving entries are *not* renormalized, so the score of any fully
-decoded sequence equals its unconstrained stepwise sum.  Finished hypotheses
-are retired to a pool and do not occupy beam slots; pruning keeps the best
-``k`` live hypotheses by cumulative log-probability, breaking ties by
-ascending token order.  The final ranking applies length normalization when
-configured, breaking exact ties the same way so that results are total and
-reproducible.
+prefix, ``final(state)`` whether EOS is legal there, ``allowed(state)`` the
+other legal next ids as an ascending 1-D sequence of distinct ints, never
+SOS or EOS (an integer ndarray, a list or a tuple, never a set), and
+``advance(state, token)`` the state after a legal token.  Each live
+hypothesis carries its state, so no step re-reads a prefix or rebuilds a
+set.  ``EntityTrie`` (state: a node; final: its terminal flag; allowed: a
+read-only view of its labels), ``MarkupConstraint`` (state: a tuple of
+ints) and the candidate-set constraint of ``tasks.disambiguate`` (state: a
+``(lo, hi, depth)`` run of its sorted name sequences) implement it.
 
-A step builds only what survives its cut: live hypotheses are plain tuples,
-only the ``k`` kept copy their prefix and advance their state, and a
-:class:`Hypothesis` is built only for a finished entry.  Every parent takes
-one path: SOS is never legal, so a legal EOS is its first id and retires to
-the pool, a parent with more than ``k`` other ids is cut to its best ``k``,
-and one loop scores the rest (see :func:`beam_search`).
+Tokens outside the allowed set score minus infinity; the surviving entries
+are *not* renormalized, so the score of any fully decoded sequence equals
+its unconstrained stepwise sum.  A hypothesis at a final state retires to a
+pool, where it occupies no beam slot; pruning keeps the best ``k`` live
+hypotheses by cumulative log-probability, breaking ties by ascending token
+order, and builds only what survives its cut (see :func:`beam_search`).
+The final ranking applies length normalization when configured, breaking
+exact ties the same way so that results are total and reproducible.
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie and scorer, which are read-only.
@@ -39,7 +34,7 @@ import numpy as np
 from .catalog import Catalog
 from .scoring import Scorer, sequence_score
 from .trie import EntityTrie
-from .vocab import EOS, TokenId, Vocabulary, decode
+from .vocab import EOS, SOS, TokenId, Vocabulary, decode
 
 State = TypeVar("State")
 
@@ -49,8 +44,11 @@ class Constraint(Protocol[State]):
 
     def start(self) -> State: ...
 
+    def final(self, state: State) -> bool:
+        """Whether the decode may end at ``state``, that is, EOS is legal there."""
+
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
-        """Legal next ids, ascending and distinct, never SOS (so EOS comes first); empty at a dead end."""
+        """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is."""
 
     def advance(self, state: State, token: TokenId) -> State: ...
 
@@ -115,16 +113,16 @@ class RankedResult:
 def mask_logprobs(logprobs: np.ndarray, allowed: Collection[TokenId] | np.ndarray) -> np.ndarray:
     """Set entries outside ``allowed`` to -inf, leaving the rest unchanged.
 
-    ``allowed`` may be a set or a sequence such as a constraint returns.  No
-    renormalization happens.  An empty allowed set is a dead end and is
-    rejected here.  This is the reference semantics of a search step, which
-    :func:`beam_search` computes without building the masked vector.
+    ``allowed`` may be a set or a sequence, EOS included where legal; SOS
+    never is, and an empty set is a dead end: both are rejected here.  No
+    renormalization happens.  This is the reference semantics of a search
+    step, which :func:`beam_search` computes without building the masked vector.
     """
     if len(allowed) == 0:
         raise BeamError("empty allowed set")
     masked = np.full(logprobs.shape, -np.inf)
     idx = np.fromiter(allowed, dtype=np.intp, count=len(allowed))
-    if idx.min() < 0 or idx.max() >= logprobs.shape[0]:
+    if idx.min() <= SOS or idx.max() >= logprobs.shape[0]:
         raise BeamError("allowed token id out of range")
     masked[idx] = logprobs[idx]
     return masked
@@ -138,13 +136,13 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Search for up to ``k`` finished hypotheses satisfying ``constraint``.
 
-    Each live hypothesis carries its constraint state.  Hypotheses whose
-    allowed set is empty are dropped; those that reach ``max_steps`` without
-    EOS are discarded.  EOS always retires to the pool.  Returns finished
-    hypotheses sorted by the config's ranking score; an empty list means
-    nothing finished.  Raises :class:`BeamError` on an allowed token id
-    outside the scorer's vocabulary, on an allowed SOS, or when ``allowed``
-    returns a set.
+    Each live hypothesis carries its constraint state.  At a final state it
+    retires to the pool with EOS, and its allowed ids still extend it; at a
+    state neither final nor with ids it is dropped, as at ``max_steps``.
+    Returns finished hypotheses sorted by the config's ranking score; an
+    empty list means nothing finished.  Raises :class:`BeamError` for a
+    constraint without ``final``, on an allowed id outside the scorer's
+    vocabulary or at most EOS, or when ``allowed`` returns a set.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -152,10 +150,13 @@ def beam_search(
     order is ``(-score, parent's index, token)``, its lex-rank tie key: a
     candidate is that plain tuple, sorted natively, and only the ``k`` kept
     build their prefix and advance their state.  For the same reason only a
-    parent's best ``k`` ids other than EOS under ``(-score, token)`` can make
-    the cut, so one ``np.lexsort`` cuts a wider parent to them before the one
-    loop that scores every parent's candidates by the same float64 sums.
+    parent's best ``k`` ids under ``(-score, token)`` can make the cut, so
+    one ``np.lexsort`` cuts a wider parent to them before the one loop that
+    scores every parent's candidates by the same float64 sums.
     """
+    if not hasattr(constraint, "final"):
+        raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
+    allowed_of, final = constraint.allowed, constraint.final
     input_tokens = tuple(input_tokens)
     k = config.k
     live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
@@ -165,25 +166,25 @@ def beam_search(
             break
         candidates = []
         for rank, (prefix, cum, state) in enumerate(live):
-            allowed = constraint.allowed(state)
-            if len(allowed) == 0:
-                continue
+            allowed = allowed_of(state)
+            ends = final(state)
+            if not (ends or len(allowed)):
+                continue  # a dead end
             logprobs = scorer.next_token_logprobs(input_tokens, prefix)
-            if len(allowed) <= k + 1 and type(allowed) is np.ndarray:
+            if ends:
+                pool.append(Hypothesis(prefix + (EOS,), cum + float(logprobs[EOS]), True))
+                if len(allowed) == 0:
+                    continue
+            if len(allowed) <= k and type(allowed) is np.ndarray:
                 allowed = allowed.tolist()  # too short to pay for numpy
             try:
-                # ascending ids: the ends bound the range, and below EOS lie only SOS and negatives
-                if allowed[0] < EOS or allowed[-1] >= len(logprobs):
+                # ascending ids: the ends bound the range, which starts above EOS
+                if allowed[0] <= EOS or allowed[-1] >= len(logprobs):
                     raise BeamError("allowed token id out of range")
             except TypeError:
                 raise BeamError(
                     f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
                 ) from None
-            if allowed[0] == EOS:
-                pool.append(Hypothesis(prefix + (EOS,), cum + float(logprobs[EOS]), True))
-                if len(allowed) == 1:
-                    continue
-                allowed = allowed[1:]
             if len(allowed) > k:
                 tokens = np.asarray(allowed, dtype=np.intp)
                 neg = -np.add(logprobs[tokens], cum, dtype=np.float64)

@@ -5,12 +5,12 @@ spans as ``[mention](Entity Name)``.  Legal next tokens depend on a
 three-phase state:
 
 * OUTSIDE a mention: copy the next source token or open a mention with
-  ``[``; at the end of the source only EOS is legal.
+  ``[``; at the end of the source only EOS is legal, the one final state.
 * Inside a MENTION: copy the next source token, or close with ``]`` once at
   least one mention token has been emitted (mentions are never empty).
 * Inside an ENTITY link: ``(`` is forced as the single option right after
   ``]``; afterwards the entity trie constrains the tokens, and ``)`` becomes
-  legal exactly where the trie accepts the prefix as a complete name.
+  legal exactly where the trie node is final, a complete name.
 
 Copying is the only move that advances the source cursor, so stripping all
 markup tokens from any finished hypothesis reproduces the source exactly.
@@ -150,19 +150,18 @@ def _allowed(
     return _link_allowed(node, trie)
 
 
+_CLOSE_ONLY = np.array([LINK_CLOSE], dtype=np.intp)
+
+
 def _link_allowed(node: int, trie: EntityTrie) -> tuple[TokenId, ...] | np.ndarray:
-    """Legal next tokens inside ``(...)``: the trie's, with EOS read as ``)``."""
+    """Legal next tokens inside ``(...)``: the trie's, after ``)`` where a name ends."""
     allowed = trie.allowed(node)
-    if allowed[0] != EOS:
+    if not trie.final(node):
         return allowed
-    if len(allowed) == 1:
+    if len(allowed) == 0:
         return (LINK_CLOSE,)
-    if allowed[1] > LINK_CLOSE:
-        # EOS sorts first and LINK_CLOSE still sorts before the children
-        allowed = allowed.copy()
-        allowed[0] = LINK_CLOSE
-        return allowed
-    return np.union1d(allowed[1:], (LINK_CLOSE,))
+    # ascending: MarkupConstraint refuses labels at or below ``)``, and the reference is a set
+    return np.concatenate((_CLOSE_ONLY, allowed))
 
 
 def advance_state(state: LinkerState, token: TokenId, source: Sequence[TokenId]) -> LinkerState:
@@ -247,27 +246,39 @@ class MarkupConstraint:
     The state is a plain ``(phase, cursor, mention start, node)`` tuple of
     ints.  ``phase`` is OUTSIDE, MENTION, right after ``]`` (only ``(`` is
     legal) or inside ``(...)``; ``cursor`` and ``mention start`` are those of
-    :class:`LinkerState`, and ``node`` is the entity prefix's trie node
-    (the root outside a link, so the prefix is empty exactly at the root).
-    The allowed ids of the outside and mention phases are computed once per
-    source, for each cursor.  ``allowed`` gives the same ids as
-    :func:`dynamic_constraint` as an ascending sequence, and ``advance``
+    :class:`LinkerState` (0 outside a mention), and ``node`` is the entity
+    prefix's trie node (the root outside a link, so the prefix is empty
+    exactly at the root).  The allowed ids of the outside and mention phases
+    are computed once per source, for each cursor.  The one final state is
+    outside at the end of the source.  ``allowed`` gives the ids of
+    :func:`dynamic_constraint` other than EOS, ascending, and ``advance``
     makes the moves of :func:`advance_state` with the same errors, plus one
     trie step inside a link; :class:`LinkerState` and those two functions
-    are the reference that this FSM is tested against.
+    are the reference that this FSM is tested against.  A trie label that is
+    a markup id (``MENTION_OPEN..LINK_CLOSE``) would read as markup inside a
+    link, so such a trie raises :class:`MarkupError`.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
+        if trie.min_label <= LINK_CLOSE:
+            raise MarkupError(
+                f"trie label {trie.min_label} is a markup token ({MENTION_OPEN}..{LINK_CLOSE}); "
+                "entity names cannot contain one"
+            )
         self._source = source = tuple(source)
         self._trie = trie
         self._root = trie.start()
+        self._end = _OUTSIDE, len(source), 0, self._root  # the one final state
         # allowed ids by cursor: outside, in a mention, and in a mention that is still empty
-        self._outside = [_pair(t, MENTION_OPEN) for t in source] + [(EOS,)]
+        self._outside = [_pair(t, MENTION_OPEN) for t in source] + [()]
         self._mention = [_pair(t, MENTION_CLOSE) for t in source] + [(MENTION_CLOSE,)]
         self._opened = [(t,) for t in source] + [()]
 
     def start(self) -> _State:
         return _OUTSIDE, 0, 0, self._root
+
+    def final(self, state: _State) -> bool:
+        return state == self._end
 
     def allowed(self, state: _State) -> tuple[TokenId, ...] | np.ndarray:
         phase, cursor, start, node = state
@@ -334,15 +345,9 @@ def link_document(
     the markup or heavily annotated hypotheses cannot finish.
 
     Raises :class:`MarkupError` when ``chunk_size`` is below 1, whatever the
-    source, or when an entity name in ``trie`` contains a markup token (ids
-    ``MENTION_OPEN..LINK_CLOSE``): inside a link it would read as markup, so
-    the decoded entity need not be a name in the trie.
+    source, or when an entity name in ``trie`` contains a markup token (see
+    :class:`MarkupConstraint`).
     """
-    if trie.min_label <= LINK_CLOSE:
-        raise MarkupError(
-            f"trie label {trie.min_label} is a markup token ({MENTION_OPEN}..{LINK_CLOSE}); "
-            "entity names cannot contain one"
-        )
     token_spans = encode_with_offsets(source, vocab)
     tokens = tuple(span.token for span in token_spans)
     chunks = [tokens] if chunk_size is None else chunk_input(tokens, chunk_size)

@@ -163,14 +163,16 @@ class TableScorer(Scorer):
                 if not (total < math.inf and self.alpha / total > 0):
                     raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
                 self.counts[int(ctx)] = clean
-        self._uniform_row = np.full(vocab_size, -np.log(vocab_size))
-        self._uniform_row.flags.writeable = False
+        self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
         self._rows: dict[int, np.ndarray] = {}
         self._scope: tuple[tuple[TokenId, ...] | None, int, dict[int, np.ndarray]] = (None, 0, {})
 
     def _build_row(self, ctx: int) -> np.ndarray:
         table = self.counts.get(ctx)
         if table is None:
+            if self._uniform_row is None:
+                self._uniform_row = np.full(self.vocab_size, -np.log(self.vocab_size))
+                self._uniform_row.flags.writeable = False
             return self._uniform_row
         denom = sum(table.values()) + self.alpha * self.vocab_size
         # the untrained share rides last in the same np.log call as the

@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .scoring import Scorer
 from .trie import EntityTrie
-from .vocab import EOS, InputError, TokenId, Vocabulary, decode, encode, encode_with_offsets, read_rows
+from .vocab import InputError, TokenId, Vocabulary, decode, encode, encode_with_offsets, read_rows
 
 START_ENT_STRING = "[START_ENT]"
 END_ENT_STRING = "[END_ENT]"
@@ -159,8 +159,8 @@ class _Candidates:
     """The constraint of a candidate set, over its sorted distinct token sequences.
 
     State ``(lo, hi, depth)`` is the run ``seqs[lo:hi]`` that shares the
-    ``depth`` tokens decoded so far.  :func:`encode` yields no SOS or EOS, so
-    EOS sorts first.
+    ``depth`` tokens decoded so far, final when ``seqs[lo]`` ends there (sorted,
+    no other can); :func:`encode` yields no SOS or EOS, so neither is allowed.
     """
 
     def __init__(self, seqs: list[tuple[TokenId, ...]]) -> None:
@@ -169,13 +169,17 @@ class _Candidates:
     def start(self) -> tuple[int, int, int]:
         return 0, len(self._seqs), 0
 
-    def allowed(self, state: tuple[int, int, int]) -> list[TokenId]:
+    def final(self, state: tuple[int, int, int]) -> bool:
+        lo, _, depth = state
+        return len(self._seqs[lo]) == depth
+
+    def allowed(self, state: tuple[int, int, int]) -> tuple[TokenId, ...] | list[TokenId]:
         lo, hi, depth = state
         seqs = self._seqs
-        ends = len(seqs[lo]) == depth  # sorted, so only the first can end here
-        if hi - lo == 1:  # one candidate left, as at most steps
-            return [EOS] if ends else [seqs[lo][depth]]
-        return [EOS] * ends + list(dict.fromkeys([s[depth] for s in seqs[lo + ends : hi]]))
+        if hi - lo == 1:  # one candidate left, as at most steps: its next token, if any
+            return seqs[lo][depth : depth + 1]
+        ends = len(seqs[lo]) == depth
+        return list(dict.fromkeys([s[depth] for s in seqs[lo + ends : hi]]))
 
     def advance(self, state: tuple[int, int, int], token: TokenId) -> tuple[int, int, int]:
         lo, hi, depth = state

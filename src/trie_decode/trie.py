@@ -5,13 +5,13 @@ token id) and held in three flat lists, which are also the file layout:
 ``token[v]`` is the edge label into node ``v`` (0 for the root, node 0),
 ``terminal[v]`` marks the nodes that end a name, and the children of ``v``
 are the nodes ``first_child[v] .. first_child[v + 1] - 1``.  Terminality is
-a node flag rather than an explicit end-of-sequence edge;
-``allowed_continuations`` reports ``EOS`` for a terminal node, which keeps a
-name that is a prefix of another name (the node is terminal *and* has
-children) unambiguous.  As a beam-search constraint the state is a node
-index: ``start()`` is the root, ``allowed(node)`` its child slice (plus EOS
-when terminal) and ``advance(node, token)`` a bisection within that slice.
-``allowed`` hands out read-only numpy views of a read-only copy of ``token``,
+a node flag rather than an explicit end-of-sequence edge, which keeps a name
+that is a prefix of another name (the node is terminal *and* has children)
+unambiguous; ``allowed_continuations`` reports it as ``EOS``.  As a
+beam-search constraint the state is a node index: ``start()`` is the root,
+``final(node)`` its terminal flag, ``allowed(node)`` its child slice and
+``advance(node, token)`` a bisection within that slice.  ``allowed`` hands
+out read-only numpy views of a read-only copy of ``token``, at every node,
 so a step costs no copy of the node's fanout; the copy is made on the first
 ``allowed`` call (a loaded trie reuses the array its file was parsed into),
 so a trie that is only built and serialized never holds it.  Bisection stays
@@ -44,9 +44,6 @@ MAGIC = b"ETRIE\x00\x02\x00"
 _MAGIC_V1 = b"ETRIE\x00\x01\x00"
 
 _HEADER = struct.Struct("<II")  # vocab size, node count
-
-_EOS_ONLY = np.array([EOS], dtype=np.intp)  # ``allowed`` of every terminal leaf
-_EOS_ONLY.flags.writeable = False
 
 
 class TrieError(ValueError):
@@ -123,27 +120,17 @@ class EntityTrie:
     def start(self) -> int:
         return 0
 
-    def allowed(self, node: int) -> np.ndarray:
-        """Child tokens of ``node``, plus EOS when the node is terminal.
+    def final(self, node: int) -> bool:
+        return self._terminal[node]
 
-        An ascending, read-only ``np.intp`` array: a view of the trie's own
-        labels, one shared ``[EOS]`` at a terminal leaf, and a fresh array
-        only at a terminal node with children.  EOS sorts first because no
-        label is SOS or EOS.
-        """
+    def allowed(self, node: int) -> np.ndarray:
+        """Child tokens of ``node``: an ascending, read-only view of the trie's labels."""
         tokens = self._tokens
         if tokens is None:
             # threads racing here build equal arrays, and either may stay
             tokens = self._tokens = np.array(self._token, dtype=np.intp)
             tokens.flags.writeable = False
-        lo, hi = self._first[node], self._first[node + 1]
-        if not self._terminal[node]:
-            return tokens[lo:hi]
-        if lo == hi:
-            return _EOS_ONLY
-        allowed = np.concatenate((_EOS_ONLY, tokens[lo:hi]))
-        allowed.flags.writeable = False
-        return allowed
+        return tokens[self._first[node] : self._first[node + 1]]
 
     def advance(self, node: int, token: TokenId) -> int:
         child = self._child(node, token)
@@ -157,7 +144,7 @@ class EntityTrie:
         An unreachable prefix yields the empty set.
         """
         node = self._walk(prefix)
-        return frozenset() if node < 0 else frozenset(self.allowed(node).tolist())
+        return frozenset() if node < 0 else frozenset(self.allowed(node).tolist() + [EOS] * self._terminal[node])
 
     def contains(self, sequence: Sequence[TokenId]) -> bool:
         node = self._walk(sequence)

@@ -135,20 +135,26 @@ def random_table_scorer(
     return TableScorer(counts, alpha, vocab.size, input_conditioned)
 
 
+def legal_ids(constraint, state) -> frozenset[int]:
+    """The constraint's allowed ids at ``state`` as a set, plus EOS where ``state`` is final."""
+    allowed = frozenset(map(int, constraint.allowed(state)))
+    return allowed | {EOS} if constraint.final(state) else allowed
+
+
 def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypothesis]:
     """Beam search as the definition reads, the reference for ``beam_search``.
 
-    Masks each live hypothesis's scores, extends it by every allowed token,
+    Masks each live hypothesis's scores, extends it by every legal token,
     then sorts all candidates by ``(-score, tokens)`` and keeps ``k``.  Each
-    prefix's constraint state is recomputed from the start, and its allowed
-    ids are taken as a set whatever sequence type the constraint returns.
+    prefix's constraint state is recomputed from the start, and its legal
+    ids are taken as a set (see :func:`legal_ids`).
     """
 
     def allowed(prefix):
         state = constraint.start()
         for token in prefix:
             state = constraint.advance(state, token)
-        return frozenset(map(int, constraint.allowed(state)))
+        return legal_ids(constraint, state)
 
     live, pool = [Hypothesis((), 0.0, False)], []
     for _ in range(config.max_steps):

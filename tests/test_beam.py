@@ -14,7 +14,7 @@ from trie_decode.beam import (
     mask_logprobs,
     rank_entities,
 )
-from trie_decode.markup import MarkupConstraint
+from trie_decode.markup import LinkerState, MarkupConstraint, advance_state, dynamic_constraint
 from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score
 from trie_decode.tasks import _Candidates
 from trie_decode.trie import build_trie
@@ -23,6 +23,7 @@ from trie_decode.vocab import EOS, SOS, decode, encode
 from helpers import (
     SHARED_PREFIX_NAMES,
     catalog_from_sequences,
+    legal_ids,
     shared_prefix_vocabulary,
     pool_vocabulary,
     random_sequences,
@@ -43,9 +44,11 @@ def names_trie(vocab):
 
 class TestMaskLogprobs:
     def test_full_vocabulary_is_identity(self):
+        # every id but SOS, which is never legal
         logprobs = UniformScorer(8).next_token_logprobs((), ())
-        masked = mask_logprobs(logprobs, set(range(8)))
-        np.testing.assert_array_equal(masked, logprobs)
+        masked = mask_logprobs(logprobs, set(range(1, 8)))
+        np.testing.assert_array_equal(masked[1:], logprobs[1:])
+        assert np.isneginf(masked[SOS])
 
     def test_allowed_entries_unchanged_others_minus_inf(self):
         logprobs = UniformScorer(4).next_token_logprobs((), ())
@@ -58,6 +61,12 @@ class TestMaskLogprobs:
             mask_logprobs(np.zeros(4), set())
         with pytest.raises(BeamError):
             mask_logprobs(np.zeros(4), np.array([], dtype=np.intp))
+
+    def test_sos_rejected_as_beam_search_rejects_it(self):
+        with pytest.raises(BeamError, match="out of range"):
+            mask_logprobs(np.zeros(4), {SOS})
+        with pytest.raises(BeamError, match="out of range"):
+            mask_logprobs(np.zeros(4), [SOS, EOS, 3])
 
     def test_set_list_and_trie_view_mask_alike(self, vocab, names_trie):
         logprobs = np.log(np.arange(1, vocab.size + 1) / np.arange(1, vocab.size + 1).sum())
@@ -120,6 +129,9 @@ class TestBeamSearch:
             def start(self):
                 return 0
 
+            def final(self, depth):
+                return False
+
             def allowed(self, depth):
                 return (7,) if depth == 0 else ()
 
@@ -128,22 +140,43 @@ class TestBeamSearch:
 
         assert beam_search(scorer, (), DeadEnd(), BeamConfig(k=2)) == []
 
-    @pytest.mark.parametrize("bad", [-1, SOS, 11], ids=["negative", "sos", "past-vocab"])
+    @pytest.mark.parametrize("bad", [-1, SOS, EOS, 11], ids=["negative", "sos", "eos", "past-vocab"])
     def test_out_of_range_allowed_id_raises(self, bad):
+        # EOS among the ids is out of range too: finishing is ``final``, never an allowed id
         class Fixed:
             def start(self):
                 return 0
 
+            def final(self, depth):
+                return True
+
             def allowed(self, depth):
-                return (bad, 7) if bad <= SOS else (EOS, 7, bad)
+                return (bad, 7) if bad <= EOS else (7, bad)
 
             def advance(self, depth, token):
                 return depth + 1
 
-        # 2 or 3 allowed ids: wider than k = 1, so cut to one id, or all within k = 3
+        # 2 allowed ids: wider than k = 1, so cut to one id, or all within k = 3
         for k in (1, 3):
             with pytest.raises(BeamError, match="out of range"):
                 beam_search(UniformScorer(11), (), Fixed(), BeamConfig(k=k))
+
+    def test_constraint_without_final_raises(self, vocab, names_trie):
+        class NoFinal:
+            """The trie with EOS among its ids where a name ends, and no ``final``."""
+
+            def start(self):
+                return names_trie.start()
+
+            def allowed(self, node):
+                ids = names_trie.allowed(node).tolist()
+                return [EOS] + ids if names_trie.final(node) else ids
+
+            def advance(self, node, token):
+                return names_trie.advance(node, token)
+
+        with pytest.raises(BeamError, match="final"):
+            beam_search(UniformScorer(vocab.size), (), NoFinal(), BeamConfig(k=2))
 
     def test_trie_wider_than_the_scorer_raises(self, vocab, names_trie):
         with pytest.raises(BeamError, match="out of range"):
@@ -154,8 +187,11 @@ class TestBeamSearch:
             def start(self):
                 return 0
 
+            def final(self, depth):
+                return False
+
             def allowed(self, depth):
-                return frozenset({EOS, 7})
+                return frozenset({7, 8})
 
             def advance(self, depth, token):
                 return depth + 1
@@ -277,7 +313,7 @@ class DyadicBigramScorer:
 class AllowedAs:
     """``inner`` with its allowed ids handed out as a list, a tuple or an array.
 
-    ``met`` collects the ``(width, EOS first)`` of every allowed set handed out.
+    ``met`` collects the ``(width, final)`` of every allowed set handed out.
     """
 
     def __init__(self, inner, kind) -> None:
@@ -287,9 +323,12 @@ class AllowedAs:
     def start(self):
         return self.inner.start()
 
+    def final(self, state):
+        return self.inner.final(state)
+
     def allowed(self, state):
         allowed = [int(t) for t in self.inner.allowed(state)]
-        self.met.add((len(allowed), allowed[:1] == [EOS]))
+        self.met.add((len(allowed), bool(self.inner.final(state))))
         return np.array(allowed, dtype=np.intp) if self.kind is np.ndarray else self.kind(allowed)
 
     def advance(self, state, token):
@@ -323,9 +362,9 @@ class TestSurvivorOnlySteps:
 
     @pytest.mark.parametrize("kind", [list, tuple, np.ndarray])
     def test_each_sequence_type_on_both_sides_of_k(self, kind):
-        # parents with k, k + 1 and k + 2 allowed ids, EOS first or not, meet
-        # each boundary of the step: an array short enough to become a list,
-        # the retirement of EOS, and the cut of a parent wider than k
+        # parents with k, k + 1 and k + 2 allowed ids, final or not, meet each
+        # boundary of the step: an array short enough to become a list, the
+        # retirement of a final parent, and the cut of a parent wider than k
         vocab = pool_vocabulary()
         rng = np.random.default_rng(43)
         met = set()
@@ -341,8 +380,46 @@ class TestSurvivorOnlySteps:
                     got = beam_search(scorer, (), counted, config)
                     assert got == want
                     assert all(type(t) is int for h in got for t in h.tokens)
-                    met |= {(width - k, eos_first) for width, eos_first in counted.met}
-        assert met >= {(extra, eos_first) for extra in (0, 1, 2) for eos_first in (False, True)}
+                    met |= {(width - k, final) for width, final in counted.met}
+        assert met >= {(extra, final) for extra in (0, 1, 2) for final in (False, True)}
+
+
+class TestConstraintProtocol:
+    """``allowed`` never holds EOS; with EOS where ``final`` it is the reference set."""
+
+    def test_trie_candidates_and_markup_at_random_reachable_states(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(47)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        finals = dict.fromkeys(("trie", "candidates", "markup"), 0)
+        for _ in range(30):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(1, 20)), max_len=4)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(0, 4))))
+
+            def linker_reference(prefix):
+                state = LinkerState()
+                for token in prefix:
+                    state = advance_state(state, token, source)
+                return dynamic_constraint(state, source, trie)
+
+            walks = {
+                "trie": (trie, trie.allowed_continuations),
+                "candidates": (_Candidates(sorted(seqs)), trie.allowed_continuations),
+                "markup": (MarkupConstraint(source, trie), linker_reference),
+            }
+            for kind, (constraint, reference) in walks.items():
+                frontier = [((), constraint.start())]
+                while frontier:
+                    following = []
+                    for prefix, state in frontier:
+                        allowed = [int(t) for t in constraint.allowed(state)]
+                        assert EOS not in allowed
+                        assert legal_ids(constraint, state) == reference(prefix)
+                        finals[kind] += constraint.final(state)
+                        following += [(prefix + (t,), constraint.advance(state, t)) for t in allowed]
+                    frontier = [following[i] for i in rng.permutation(len(following))[:40]]
+        assert all(finals.values())
 
 
 class TestNormalizationFlip:

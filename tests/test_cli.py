@@ -862,7 +862,8 @@ class TestLoadChecks:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("size", [12, 14], ids=["smaller", "larger"])
+    # a row of 10**13 floats cannot be allocated: the sizes are compared before any row is built
+    @pytest.mark.parametrize("size", [12, 14, 10**13], ids=["smaller", "larger", "unallocatable"])
     def test_scorer_of_another_vocabulary_size_fails_loud(self, cli_files, tmp_path, capsys, size):
         build(cli_files)
         capsys.readouterr()

@@ -38,6 +38,7 @@ from helpers import (
     PAINTING_SOURCE,
     SOCCER_PREDICTED_MARKUP,
     SOCCER_SOURCE,
+    legal_ids,
     painting_fixture,
     pool_vocabulary,
     random_sequences,
@@ -99,12 +100,12 @@ class TestDynamicConstraint:
 
 
     def test_constraint_allowed_is_the_ascending_dynamic_constraint(self):
-        # raw ids 2..10 put markup specials among the trie labels and the
-        # source, so EOS -> LINK_CLOSE must be merged in order, not swapped
+        # raw ids 2..10 put markup specials in the source; the trie labels
+        # are ids 6..10, above every markup id, so ``)`` sorts first
         rng = np.random.default_rng(13)
-        ids = list(range(2, 11))
+        ids, labels = list(range(2, 11)), list(range(6, 11))
         for _ in range(40):
-            seqs = {tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4)))) for _ in range(6)}
+            seqs = {tuple(int(t) for t in rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(6)}
             trie = build_trie(seqs, 11)
             source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4))))
             constraint = MarkupConstraint(source, trie)
@@ -114,14 +115,12 @@ class TestDynamicConstraint:
                 following = []
                 for state, reference in frontier:
                     allowed = [int(t) for t in constraint.allowed(state)]
-                    assert allowed == sorted(set(allowed))
-                    assert frozenset(allowed) == dynamic_constraint(reference, source, trie)
+                    assert allowed == sorted(set(allowed)) and EOS not in allowed
+                    assert legal_ids(constraint, state) == dynamic_constraint(reference, source, trie)
                     for token in allowed:
-                        if token == EOS:
-                            continue
                         try:
                             after = advance_state(reference, token, source)
-                        except MarkupError:  # a special label inside a link
+                        except MarkupError:  # a markup id copied from the source
                             with pytest.raises(MarkupError):
                                 constraint.advance(state, token)
                             continue
@@ -133,9 +132,9 @@ class TestDynamicConstraint:
         # a move the reference rejects raises the same error from the
         # constraint, and a move it accepts leads to the same allowed ids
         rng = np.random.default_rng(29)
-        ids = list(range(2, 11))
+        ids, labels = list(range(2, 11)), list(range(6, 11))
         for _ in range(30):
-            seqs = {tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4)))) for _ in range(5)}
+            seqs = {tuple(int(t) for t in rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(5)}
             trie = build_trie(seqs, 11)
             source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(0, 4))))
             constraint = MarkupConstraint(source, trie)
@@ -158,12 +157,18 @@ class TestDynamicConstraint:
                             assert str(exc) == f"token {token} continues no entity name"
                             assert token not in dynamic_constraint(reference, source, trie)
                             continue
-                        assert frozenset(map(int, constraint.allowed(moved))) == dynamic_constraint(
-                            after, source, trie
-                        )
+                        assert legal_ids(constraint, moved) == dynamic_constraint(after, source, trie)
                         following.append((moved, after))
                 frontier = following[:100]
 
+
+    @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
+    def test_constraint_refuses_a_trie_with_a_markup_label(self, label):
+        # over the name (7, 5, 8) a decode could close the link after (7,),
+        # which is not a name in the trie
+        trie = build_trie([(7, label, 8)], 10)
+        with pytest.raises(MarkupError, match=f"trie label {label} is a markup token"):
+            MarkupConstraint((7,), trie)
 
     def test_constraint_rejects_a_token_outside_every_name(self, painting):
         vocab, trie, _ = painting

@@ -239,10 +239,10 @@ class TestCandidateConstraint:
                 assert seqs[lo:hi] == [s for s in seqs if s[:depth] == prefix]
                 allowed = candidates.allowed(state)
                 assert list(allowed) == trie.allowed(node).tolist()
+                assert candidates.final(state) == trie.final(node)
                 for token in allowed:
-                    if token != EOS:
-                        child = (prefix + (token,), candidates.advance(state, token), trie.advance(node, token))
-                        stack.append(child)
+                    child = (prefix + (token,), candidates.advance(state, token), trie.advance(node, token))
+                    stack.append(child)
 
     def test_disambiguate_equals_the_trie_path(self, vocab):
         rng = np.random.default_rng(61)

@@ -12,7 +12,7 @@ from trie_decode.trie import (
 )
 from trie_decode.vocab import EOS, SOS, encode
 
-from helpers import SHARED_PREFIX_NAMES, shared_prefix_vocabulary, pool_vocabulary, random_sequences
+from helpers import SHARED_PREFIX_NAMES, legal_ids, shared_prefix_vocabulary, pool_vocabulary, random_sequences
 
 
 @pytest.fixture
@@ -97,9 +97,10 @@ class TestAllowedContinuations:
             allowed = trie.allowed(node)
             assert allowed.tolist() == sorted(allowed.tolist())
             with pytest.raises(ValueError):
-                allowed[0] = vocab.ordinary_id("literature")
-        assert trie.allowed(english).tolist() == [EOS, vocab.ordinary_id("language")]
-        assert trie.allowed(france).tolist() == [EOS]
+                allowed[...] = vocab.ordinary_id("literature")
+        assert trie.allowed(english).tolist() == [vocab.ordinary_id("language")] and trie.final(english)
+        assert trie.allowed(france).tolist() == [] and trie.final(france)
+        assert not trie.final(trie.start())
         assert trie.serialize() == blob
         assert EntityTrie.deserialize(blob).allowed(0).tolist() == trie.allowed(0).tolist()
 
@@ -192,11 +193,23 @@ class TestProperties:
             for seq in seqs:
                 state = trie.start()
                 for i in range(len(seq)):
-                    assert frozenset(trie.allowed(state).tolist()) == trie.allowed_continuations(seq[:i])
+                    assert legal_ids(trie, state) == trie.allowed_continuations(seq[:i])
                     assert seq[i] in trie.allowed(state)
                     state = trie.advance(state, seq[i])
-                assert frozenset(trie.allowed(state).tolist()) == trie.allowed_continuations(seq)
-                assert EOS in trie.allowed(state)
+                assert legal_ids(trie, state) == trie.allowed_continuations(seq)
+                assert trie.final(state)
+
+    def test_every_node_hands_out_a_read_only_view_without_eos(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            trie = build_trie(random_sequences(rng, vocab, size=int(rng.integers(1, 40))), vocab.size)
+            for node in range(trie.node_count):
+                allowed = trie.allowed(node)
+                assert allowed.base is trie._tokens and not allowed.flags.writeable
+                assert EOS not in allowed and SOS not in allowed
+                if len(allowed) == 0:
+                    assert trie.final(node)  # every leaf ends a name
 
     def test_contains_iff_eos_allowed(self):
         vocab = pool_vocabulary()
