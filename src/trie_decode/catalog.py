@@ -8,12 +8,15 @@ number of readers may share a version.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .vocab import InputError, TokenId, Vocabulary, encode, read_rows
 
 RESERVED_NAME_CHARS = frozenset("[]()")
+# any character a name may not hold: one search passes a valid name
+_REJECTED_CHAR = re.compile(r"[][()\t\n]")
 
 
 class CatalogError(InputError):
@@ -29,6 +32,8 @@ class EntityRecord:
 
 
 def _validate_name(name: str, line: int | None = None) -> None:
+    if name and not _REJECTED_CHAR.search(name):
+        return
     if not name:
         raise CatalogError("empty entity name", line)
     bad = RESERVED_NAME_CHARS.intersection(name)

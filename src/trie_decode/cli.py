@@ -98,13 +98,21 @@ def _ranking_lines(ranking: RankedResult, fmt: str, prefix: str = "") -> list[st
 def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     vocab = _load_vocab(args.vocab)
     catalog, duplicates = load_catalog(args.catalog, vocab)
+    if not catalog:
+        raise CliError(f"{args.catalog} holds no entity names")
     if duplicates:
         print(f"skipped {duplicates} duplicate name(s)", file=sys.stderr)
     for record in catalog:
         read_back = decode(record.tokens, vocab)
         if read_back != record.name:
             raise CliError(f"catalog name {record.name!r} reads back as {read_back!r}, so no decode can emit it")
-    trie = build_trie(catalog.token_sequences(), vocab.size)
+    # only the token sequences go into the build: the names and records (on
+    # a 100k-name catalog, 20 of the 27 MB it allocates) would otherwise sit
+    # under the build's temporaries and raise the process's peak RSS
+    sequences = catalog.token_sequences()
+    del catalog
+    trie = build_trie(sequences, vocab.size)
+    del sequences
     blob = trie.serialize()
     with open(args.out, "wb") as fh:
         fh.write(blob)

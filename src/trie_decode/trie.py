@@ -17,6 +17,12 @@ so a step costs no copy of the node's fanout; the copy is made on the first
 so a trie that is only built and serialized never holds it.  Bisection stays
 on the list, whose element access is cheaper than numpy's.
 
+:func:`build_trie` makes the three arrays level by level in numpy: one
+sort of ``(parent, token)`` pairs per depth, and as many loop iterations as
+the longest name has tokens.  :meth:`EntityTrie.deserialize` checks the same
+arrays from a file; both hand them to the constructor, which turns them into
+the lists.
+
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
 children counts as internal and still contributes one to ``leaf_count``.
@@ -24,16 +30,16 @@ children counts as internal and still contributes one to ``leaf_count``.
 sequences.
 
 Tries are immutable after construction.  ``insert`` returns a new trie,
-rebuilt in O(n) over all tokens, so concurrent readers of any version are
+rebuilt from all its sequences, so concurrent readers of any version are
 safe.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from bisect import bisect_left
-from collections import deque
-from itertools import islice
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +50,7 @@ MAGIC = b"ETRIE\x00\x02\x00"
 _MAGIC_V1 = b"ETRIE\x00\x01\x00"
 
 _HEADER = struct.Struct("<II")  # vocab size, node count
+_U32_MAX = 0xFFFF_FFFF
 
 
 class TrieError(ValueError):
@@ -74,31 +81,36 @@ class EntityTrie:
 
     def __init__(
         self,
-        token: list[int],
-        first_child: list[int],
-        terminal: list[bool],
+        token: np.ndarray,
+        first_child: np.ndarray,
+        terminal: np.ndarray,
         vocab_size: int,
-        token_array: np.ndarray | None = None,
+        keep_label_array: bool = False,
     ) -> None:
-        self._token = token
+        """The trie over valid level-order arrays, held as Python lists."""
+        # one int object per distinct label, shared by every node carrying
+        # it, so the list costs a pointer per node rather than an int each
+        labels, index = np.unique(token, return_inverse=True)
+        self._token = labels.astype(object)[index].tolist()
         # the same labels as ``_token``, or None until the first ``allowed``
-        self._tokens = token_array
-        if token_array is not None:
-            token_array.flags.writeable = False
-        self._first = first_child
-        self._terminal = terminal
+        self._tokens = None
+        if keep_label_array:
+            self._tokens = token.astype(np.intp, copy=False)
+            self._tokens.flags.writeable = False
+        self._first = first = first_child.tolist()
+        self._terminal = terminal.astype(bool).tolist()
         self.vocab_size = vocab_size
         self.node_count = len(token)
-        self.leaf_count = sum(terminal)
+        self.leaf_count = int(np.count_nonzero(terminal))
         # every valid trie's root has children, so it is counted here too
-        self.internal_node_count = sum(a < b for a, b in zip(first_child, first_child[1:]))
+        self.internal_node_count = int(np.count_nonzero(np.diff(first_child)))
         # each level's children are one contiguous range: walk the levels down
         lo, hi, depth = 0, 1, 0
-        while first_child[lo] < first_child[hi]:
-            lo, hi, depth = first_child[lo], first_child[hi], depth + 1
+        while first[lo] < first[hi]:
+            lo, hi, depth = first[lo], first[hi], depth + 1
         self.max_depth = depth
         # the smallest edge label; a valid trie's root always has a child
-        self.min_label = min(islice(token, 1, None))
+        self.min_label = int(token[1:].min())
 
     def stats(self) -> TrieStats:
         return TrieStats(self.leaf_count, self.internal_node_count)
@@ -153,8 +165,8 @@ class EntityTrie:
     def insert(self, sequence: Sequence[TokenId]) -> "EntityTrie":
         """Return a new trie that also accepts ``sequence``.
 
-        This is a full rebuild, O(n) in the total token count; the old trie
-        is left untouched.
+        This is a full rebuild (see :func:`build_trie`); the old trie is
+        left untouched.
         """
         return build_trie([*self.sequences(), sequence], self.vocab_size)
 
@@ -240,58 +252,98 @@ class EntityTrie:
             raise TrieFormatError("children not sorted by token id")
         if terminal.max() > 1 or terminal[0] or not terminal[fanout == 0].all():
             raise TrieFormatError("invalid terminal flags")
-        # one int object per distinct label, shared by every node carrying
-        # it, so the list costs a pointer per node rather than an int each
-        labels, index = np.unique(token, return_inverse=True)
-        return cls(
-            labels.astype(object)[index].tolist(),
-            first.tolist(),
-            terminal.astype(bool).tolist(),
-            vocab_size,
-            token.astype(np.intp, copy=False),
-        )
+        return cls(token, first, terminal, vocab_size, keep_label_array=True)
 
 
-def _checked_sequence(sequence: Sequence[TokenId], vocab_size: int) -> tuple[TokenId, ...]:
+def _token_index(token: object) -> int:
+    try:
+        return operator.index(token)
+    except TypeError:
+        raise TrieError(f"token id {token!r} is not an integer") from None
+
+
+def _checked_sequence(sequence: Sequence[TokenId], vocab_size: int) -> None:
+    """Raise the builder's :class:`TrieError` for the first bad token of ``sequence``."""
     seq = tuple(sequence)
     if not seq:
         raise TrieError("empty sequence")
-    for token in seq:
+    for token in map(_token_index, seq):
         if token in (SOS, EOS):
             raise TrieError("sequences must not contain SOS/EOS (terminality is implicit)")
         if not 0 <= token < vocab_size:
             raise TrieError(f"token id {token} out of range for vocab size {vocab_size}")
-    return seq
+
+
+def _checked_ids(seqs: list[Sequence[TokenId]], length: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Every id of ``seqs``, in order, once all of them pass :func:`_checked_sequence`.
+
+    The ids are converted once and checked by array reductions; on any
+    failure every sequence goes through ``_checked_sequence`` in input
+    order, so the first bad one raises as it would alone.
+    """
+    try:
+        ids = np.fromiter(map(operator.index, chain.from_iterable(seqs)), np.int64, int(length.sum()))
+    except (TypeError, OverflowError):  # not an integer, or far out of range
+        ids = None
+    if ids is None or not length.all() or np.any((ids < 0) | (ids >= vocab_size) | (ids == SOS) | (ids == EOS)):
+        for seq in seqs:
+            _checked_sequence(seq, vocab_size)
+    return ids
 
 
 def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int | None = None) -> EntityTrie:
     """Build a trie accepting exactly the given non-empty sequences.
 
-    ``vocab_size`` defaults to one past the largest token id seen.  Runs in
-    O(total tokens) after sorting: a FIFO of runs of sorted sequences that
-    share a node's prefix numbers the nodes in level order.
+    ``vocab_size`` defaults to one past the largest token id seen.  The
+    build is level by level over one flat id array: at depth ``d`` the
+    ``(parent node, token)`` pairs of the sequences longer than ``d`` are
+    sorted, and each run of equal pairs becomes one node of level ``d + 1``.
+    The sort puts them in level order with ascending siblings and merges
+    duplicate names.  That is one sort of at most ``len(sequences)`` pairs
+    per depth, and as many loop iterations as the longest sequence has
+    tokens; everything else is array arithmetic.
+
+    Raises:
+        TrieError: on no sequences, an empty sequence, SOS or EOS, an id
+            that is not an integer or not below ``vocab_size``, or a vocab
+            size beyond the file format's u32.
     """
-    seqs = [tuple(s) for s in sequences]
+    seqs = list(sequences)
     if not seqs:
         raise TrieError("cannot build a trie from zero sequences")
     if vocab_size is None:
-        vocab_size = max(max(s, default=0) for s in seqs) + 1
-    seqs = sorted({_checked_sequence(s, vocab_size) for s in seqs})
-    token, first, terminal = [0], [], []
-    runs = deque([(0, len(seqs), 0)])  # node v: seqs[lo:hi] share its depth-token prefix
-    while runs:
-        lo, hi, depth = runs.popleft()
-        first.append(len(token))
-        ends_here = len(seqs[lo]) == depth  # sorted, so only the first can
-        terminal.append(ends_here)
-        lo += ends_here
-        while lo < hi:
-            label = seqs[lo][depth]
-            end = lo + 1
-            while end < hi and seqs[end][depth] == label:
-                end += 1
-            token.append(label)
-            runs.append((lo, end, depth + 1))
-            lo = end
-    first.append(len(token))
-    return EntityTrie(token, first, terminal, vocab_size)
+        vocab_size = 1 + max(map(_token_index, chain.from_iterable(seqs)), default=0)
+    else:
+        try:
+            vocab_size = operator.index(vocab_size)
+        except TypeError:
+            raise TrieError(f"vocab size {vocab_size!r} is not an integer") from None
+    if not 0 <= vocab_size <= _U32_MAX:
+        raise TrieError(f"vocab size {vocab_size} does not fit the trie file's u32 header")
+    length = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    ids = _checked_ids(seqs, length, vocab_size)
+
+    # per sequence still longer than ``depth``: its length, where it starts
+    # in ``ids``, and the node of the current level its prefix leads to
+    start = np.cumsum(length) - length
+    node = np.zeros(len(seqs), np.int64)
+    token, first, terminal = [np.zeros(1, np.int64)], [], [np.zeros(1, bool)]
+    lo, hi, depth = 0, 1, 0  # the current level is nodes lo .. hi - 1
+    while len(node):
+        order = np.lexsort((ids[start + depth], node))
+        parent, start, length = node[order], start[order], length[order]
+        label = ids[start + depth]
+        new = np.ones(len(order), bool)  # the first pair of each run is a new node
+        new[1:] = (parent[1:] != parent[:-1]) | (label[1:] != label[:-1])
+        child = hi - 1 + np.cumsum(new)
+        fanout = np.bincount(parent[new] - lo, minlength=hi - lo)
+        first.append(hi + np.cumsum(fanout) - fanout)
+        token.append(label[new])
+        ends = length == depth + 1
+        level_terminal = np.zeros(child[-1] + 1 - hi, bool)
+        level_terminal[child[ends] - hi] = True
+        terminal.append(level_terminal)
+        lo, hi, depth = hi, child[-1] + 1, depth + 1
+        node, start, length = child[~ends], start[~ends], length[~ends]
+    first.append(np.full(hi - lo + 1, hi))  # the deepest level has no children
+    return EntityTrie(np.concatenate(token), np.concatenate(first), np.concatenate(terminal), vocab_size)

@@ -7,12 +7,14 @@ name/token mapping is exact in both directions.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from trie_decode.beam import Hypothesis, mask_logprobs
 from trie_decode.catalog import Catalog, EntityRecord
 from trie_decode.scoring import TableScorer
-from trie_decode.trie import EntityTrie, build_trie
+from trie_decode.trie import EntityTrie, TrieError, build_trie
 from trie_decode.vocab import EOS, SOS, Vocabulary, decode
 
 WORD_POOL = (
@@ -192,3 +194,44 @@ def reference_flag_window(left_len: int, right_len: int, budget: int) -> tuple[i
     if right_len < right_share:
         return min(left_len, budget - right_len), right_len
     return left_share, right_share
+
+
+def reference_build_trie(sequences, vocab_size=None) -> EntityTrie:
+    """The trie built as first written, the reference for ``build_trie``.
+
+    Sorts the distinct sequences, then numbers the nodes in level order with
+    a FIFO of runs of sorted sequences that share a node's prefix.  It
+    checks each sequence in input order and raises the builder's messages.
+    """
+    seqs = [tuple(s) for s in sequences]
+    if not seqs:
+        raise TrieError("cannot build a trie from zero sequences")
+    if vocab_size is None:
+        vocab_size = max(max(s, default=0) for s in seqs) + 1
+    for seq in seqs:
+        if not seq:
+            raise TrieError("empty sequence")
+        for token in seq:
+            if token in (SOS, EOS):
+                raise TrieError("sequences must not contain SOS/EOS (terminality is implicit)")
+            if not 0 <= token < vocab_size:
+                raise TrieError(f"token id {token} out of range for vocab size {vocab_size}")
+    seqs = sorted(set(seqs))
+    token, first, terminal = [0], [], []
+    runs = deque([(0, len(seqs), 0)])  # node v: seqs[lo:hi] share its depth-token prefix
+    while runs:
+        lo, hi, depth = runs.popleft()
+        first.append(len(token))
+        ends_here = len(seqs[lo]) == depth  # sorted, so only the first can
+        terminal.append(ends_here)
+        lo += ends_here
+        while lo < hi:
+            label = seqs[lo][depth]
+            end = lo + 1
+            while end < hi and seqs[end][depth] == label:
+                end += 1
+            token.append(label)
+            runs.append((lo, end, depth + 1))
+            lo = end
+    first.append(len(token))
+    return EntityTrie(np.array(token), np.array(first), np.array(terminal), vocab_size)

@@ -41,6 +41,19 @@ class TestLoadCatalog:
             with pytest.raises(CatalogError):
                 load_catalog([bad], vocab)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("New\tYork", r"entity name contains control characters: 'New\tYork'"),
+            ("a(b]", r"entity name contains reserved characters ['(', ']']: 'a(b]'"),
+            ("x\t[y", r"entity name contains reserved characters ['[']: 'x\t[y'"),
+        ],
+    )
+    def test_rejected_names_keep_their_message_and_line(self, vocab, name, message):
+        with pytest.raises(CatalogError) as err:
+            load_catalog(["France", name], vocab)
+        assert str(err.value) == f"line 2: {message}"
+
     def test_blank_lines_ignored(self, vocab):
         catalog, _ = load_catalog(["France", "", "  "], vocab)
         assert len(catalog) == 1
@@ -74,6 +87,12 @@ class TestAddEntity:
         catalog, _ = load_catalog(["France"], vocab)
         with pytest.raises(CatalogError):
             add_entity(catalog, "x(y)", vocab)
+
+    def test_newline_in_an_added_name_rejected(self, vocab):
+        catalog, _ = load_catalog(["France"], vocab)
+        with pytest.raises(CatalogError) as err:
+            add_entity(catalog, "New\nYork", vocab)
+        assert str(err.value) == r"entity name contains control characters: 'New\nYork'"
 
     def test_add_then_rebuild_trie_gains_one_leaf(self, vocab):
         catalog, _ = load_catalog(list(SHARED_PREFIX_NAMES), vocab)

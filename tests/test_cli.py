@@ -60,6 +60,17 @@ class TestBuildTrie:
         assert "error" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"], ids=["empty", "newline", "blank-lines"])
+    def test_file_with_no_names_is_named(self, cli_files, tmp_path, capsys, text):
+        catalog = tmp_path / "no-names.txt"
+        catalog.write_text(text)
+        code = main(["build-trie", str(catalog), "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {catalog} holds no entity names\n"
+        assert not os.path.exists(cli_files["trie"])
+
     def test_names_sharing_a_token_sequence_fail_loud(self, cli_files, tmp_path, capsys):
         # an empty vocabulary encodes each character to <unk>, so names of
         # one length share a sequence

@@ -12,7 +12,14 @@ from trie_decode.trie import (
 )
 from trie_decode.vocab import EOS, SOS, encode
 
-from helpers import SHARED_PREFIX_NAMES, legal_ids, shared_prefix_vocabulary, pool_vocabulary, random_sequences
+from helpers import (
+    SHARED_PREFIX_NAMES,
+    legal_ids,
+    pool_vocabulary,
+    random_sequences,
+    reference_build_trie,
+    shared_prefix_vocabulary,
+)
 
 
 @pytest.fixture
@@ -65,6 +72,117 @@ class TestBuild:
             build_trie([(EOS,)], vocab.size)
         with pytest.raises(TrieError):
             build_trie([(SOS, 7)], vocab.size)
+
+    @pytest.mark.parametrize("token", [7.5, 7.0, "7", None, np.float64(7)])
+    def test_non_integer_id_rejected(self, token):
+        # np.fromiter(..., int64) would truncate 7.5 to a valid id 7
+        with pytest.raises(TrieError, match="is not an integer"):
+            build_trie([(8,), (9, token)], 10)
+        with pytest.raises(TrieError, match="is not an integer"):
+            build_trie([(8,), (9, token)])
+
+    @pytest.mark.parametrize("vocab_size", [2**32, 2**33, -1])
+    def test_vocab_size_beyond_the_u32_header_rejected(self, vocab_size):
+        with pytest.raises(TrieError, match="does not fit the trie file's u32 header"):
+            build_trie([(7,)], vocab_size)
+
+    def test_non_integer_vocab_size_rejected(self):
+        with pytest.raises(TrieError, match="vocab size 10.0 is not an integer"):
+            build_trie([(7,)], 10.0)
+
+    @pytest.mark.parametrize("token", [2**32 - 1, 2**40, 2**70])
+    def test_id_beyond_u32_rejected(self, token):
+        # the default vocab size is one past it, which the header cannot hold
+        with pytest.raises(TrieError, match="does not fit the trie file's u32 header"):
+            build_trie([(7,), (token,)])
+        with pytest.raises(TrieError, match=f"token id {token} out of range for vocab size 10"):
+            build_trie([(7,), (token,)], 10)
+
+    def test_largest_u32_vocab_size_serializes(self):
+        trie = build_trie([(2**32 - 2, 7)])
+        assert trie.vocab_size == 2**32 - 1
+        assert EntityTrie.deserialize(trie.serialize()) == trie
+
+    def test_integer_like_ids_build_the_plain_int_trie(self):
+        seqs = [(7, 8), (9,), (7,)]
+        expected = build_trie(seqs, 10)
+        assert build_trie([np.array(s) for s in seqs], np.int64(10)) == expected
+        assert build_trie([tuple(map(np.int32, s)) for s in seqs], 10) == expected
+        assert type(build_trie([np.array(s) for s in seqs], np.int64(10)).vocab_size) is int
+
+
+class TestReferenceBuild:
+    """The level-by-level build against the FIFO build it replaced."""
+
+    @staticmethod
+    def assert_same(seqs, vocab_size):
+        trie = build_trie(seqs, vocab_size)
+        reference = reference_build_trie(seqs, vocab_size)
+        assert trie == reference
+        assert trie.serialize() == reference.serialize()
+
+    def test_random_catalogs(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(1, 60)), max_len=int(rng.integers(2, 9)))
+            # duplicates, and a prefix of some names as a name of its own
+            seqs += [seqs[i] for i in rng.integers(0, len(seqs), size=int(rng.integers(0, 5)))]
+            seqs += [s[: int(rng.integers(1, len(s) + 1))] for s in seqs[: int(rng.integers(0, 6))]]
+            rng.shuffle(seqs)
+            self.assert_same(seqs, vocab.size)
+            self.assert_same(seqs, None)
+
+    def test_one_name_catalogs(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(59)
+        for length in (1, 2, 7):
+            (seq,) = random_sequences(rng, vocab, size=1, max_len=length)
+            self.assert_same([seq], vocab.size)
+            self.assert_same([seq, seq], vocab.size)
+
+    def test_one_long_name(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(61)
+        ordinary = np.arange(vocab.ordinary_base, vocab.size)
+        long_name = tuple(int(t) for t in rng.choice(ordinary, size=500))
+        self.assert_same([long_name], vocab.size)
+        self.assert_same([long_name, long_name[:250], long_name[:1]], vocab.size)
+        others = random_sequences(rng, vocab, size=20)
+        self.assert_same(others + [long_name] + others[:3], vocab.size)
+        assert build_trie([long_name], vocab.size).max_depth == 500
+
+    def test_shuffled_input(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(67)
+        seqs = random_sequences(rng, vocab, size=200)
+        blob = reference_build_trie(seqs, vocab.size).serialize()
+        for _ in range(5):
+            rng.shuffle(seqs)
+            assert build_trie(seqs, vocab.size).serialize() == blob
+
+    def test_malformed_inputs_raise_the_reference_message(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(71)
+        bad = [(), (SOS,), (EOS,), (9, EOS), (SOS, 7), (vocab.size,), (7, vocab.size + 5), (-3,), (8, -1)]
+        for _ in range(60):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(0, 12)))
+            # one or two bad sequences anywhere: the first in input order raises
+            for seq in rng.choice(len(bad), size=int(rng.integers(1, 3))):
+                seqs.insert(int(rng.integers(0, len(seqs) + 1)), bad[seq])
+            for vocab_size in (vocab.size, None):
+                try:
+                    reference = reference_build_trie(seqs, vocab_size)
+                except TrieError as expected:
+                    with pytest.raises(TrieError) as got:
+                        build_trie(seqs, vocab_size)
+                    assert str(got.value) == str(expected)
+                else:
+                    # a default vocab size takes in ids past the given one
+                    assert vocab_size is None and build_trie(seqs, vocab_size) == reference
+        for build in (build_trie, reference_build_trie):
+            with pytest.raises(TrieError, match="^cannot build a trie from zero sequences$"):
+                build([], vocab.size)
 
 
 class TestAllowedContinuations:
