@@ -1,7 +1,7 @@
 """Prefix tree over token sequences: the decoding constraint object.
 
 The nodes are numbered in level order (breadth first, siblings in ascending
-token id) and held in three flat lists, which are also the file layout:
+token id) and held as three flat arrays, which are also the file layout:
 ``token[v]`` is the edge label into node ``v`` (0 for the root, node 0),
 ``terminal[v]`` marks the nodes that end a name, and the children of ``v``
 are the nodes ``first_child[v] .. first_child[v + 1] - 1``.  Terminality is
@@ -10,18 +10,17 @@ that is a prefix of another name (the node is terminal *and* has children)
 unambiguous; ``allowed_continuations`` reports it as ``EOS``.  As a
 beam-search constraint the state is a node index: ``start()`` is the root,
 ``final(node)`` its terminal flag, ``allowed(node)`` its child slice and
-``advance(node, token)`` a bisection within that slice.  ``allowed`` hands
-out read-only numpy views of a read-only copy of ``token``, at every node,
-so a step costs no copy of the node's fanout; the copy is made on the first
-``allowed`` call (a loaded trie reuses the array its file was parsed into),
-so a trie that is only built and serialized never holds it.  Bisection stays
-on the list, whose element access is cheaper than numpy's.
+``advance(node, token)`` a bisection within that slice.  Each array is
+held once, read-only: ``allowed`` hands out numpy views of the ``np.intp``
+label array, at every node, so a step costs no copy of the node's fanout,
+and the bisection reads Python ints through a ``memoryview`` of the same
+buffer; ``first_child`` is another such buffer and ``terminal`` is
+``bytes``.  Loaded, that is 17 bytes per node against the file's 9.
 
 :func:`build_trie` makes the three arrays level by level in numpy: one
 sort of ``(parent, token)`` pairs per depth, and as many loop iterations as
 the longest name has tokens.  :meth:`EntityTrie.deserialize` checks the same
-arrays from a file; both hand them to the constructor, which turns them into
-the lists.
+arrays from a file; both hand them to the constructor, which keeps them.
 
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
@@ -75,30 +74,21 @@ class EntityTrie:
     """
 
     __slots__ = (
-        "_token", "_tokens", "_first", "_terminal", "vocab_size",
+        "_tokens", "_token", "_first", "_terminal", "vocab_size",
         "leaf_count", "internal_node_count", "node_count", "max_depth", "min_label",
     )
 
     def __init__(
-        self,
-        token: np.ndarray,
-        first_child: np.ndarray,
-        terminal: np.ndarray,
-        vocab_size: int,
-        keep_label_array: bool = False,
+        self, token: np.ndarray, first_child: np.ndarray, terminal: np.ndarray, vocab_size: int
     ) -> None:
-        """The trie over valid level-order arrays, held as Python lists."""
-        # one int object per distinct label, shared by every node carrying
-        # it, so the list costs a pointer per node rather than an int each
-        labels, index = np.unique(token, return_inverse=True)
-        self._token = labels.astype(object)[index].tolist()
-        # the same labels as ``_token``, or None until the first ``allowed``
-        self._tokens = None
-        if keep_label_array:
-            self._tokens = token.astype(np.intp, copy=False)
-            self._tokens.flags.writeable = False
-        self._first = first = first_child.tolist()
-        self._terminal = terminal.astype(bool).tolist()
+        """The trie over valid level-order arrays, kept without a copy where they are ``np.intp``."""
+        # the labels as the array ``allowed`` slices, and as a memoryview of
+        # it for the bisect, whose items are Python ints
+        self._tokens = token.astype(np.intp, copy=False)
+        self._tokens.flags.writeable = False
+        self._token = memoryview(self._tokens)
+        self._first = first = memoryview(first_child.astype(np.intp, copy=False)).toreadonly()
+        self._terminal = terminal.astype(np.uint8, copy=False).tobytes()
         self.vocab_size = vocab_size
         self.node_count = len(token)
         self.leaf_count = int(np.count_nonzero(terminal))
@@ -133,16 +123,11 @@ class EntityTrie:
         return 0
 
     def final(self, node: int) -> bool:
-        return self._terminal[node]
+        return self._terminal[node] == 1
 
     def allowed(self, node: int) -> np.ndarray:
         """Child tokens of ``node``: an ascending, read-only view of the trie's labels."""
-        tokens = self._tokens
-        if tokens is None:
-            # threads racing here build equal arrays, and either may stay
-            tokens = self._tokens = np.array(self._token, dtype=np.intp)
-            tokens.flags.writeable = False
-        return tokens[self._first[node] : self._first[node + 1]]
+        return self._tokens[self._first[node] : self._first[node + 1]]
 
     def advance(self, node: int, token: TokenId) -> int:
         child = self._child(node, token)
@@ -156,11 +141,14 @@ class EntityTrie:
         An unreachable prefix yields the empty set.
         """
         node = self._walk(prefix)
-        return frozenset() if node < 0 else frozenset(self.allowed(node).tolist() + [EOS] * self._terminal[node])
+        if node < 0:
+            return frozenset()
+        children = self._token[self._first[node] : self._first[node + 1]]
+        return frozenset([*children, EOS] if self.final(node) else children)
 
     def contains(self, sequence: Sequence[TokenId]) -> bool:
         node = self._walk(sequence)
-        return node >= 0 and self._terminal[node]
+        return node >= 0 and self._terminal[node] == 1
 
     def insert(self, sequence: Sequence[TokenId]) -> "EntityTrie":
         """Return a new trie that also accepts ``sequence``.
@@ -189,6 +177,10 @@ class EntityTrie:
             other.vocab_size, other._token, other._first, other._terminal,
         )
 
+    def __reduce__(self) -> tuple:
+        # memoryviews do not pickle; the canonical bytes do, and load back equal
+        return EntityTrie.deserialize, (self.serialize(),)
+
     def __repr__(self) -> str:
         return f"EntityTrie(leaves={self.leaf_count}, internal={self.internal_node_count})"
 
@@ -203,9 +195,9 @@ class EntityTrie:
         return b"".join((
             MAGIC,
             _HEADER.pack(self.vocab_size, self.node_count),
-            np.array(self._token, dtype="<u4").tobytes(),
-            np.array(self._first, dtype="<u4").tobytes(),
-            np.array(self._terminal, dtype=np.uint8).tobytes(),
+            self._tokens.astype("<u4").tobytes(),
+            np.asarray(self._first).astype("<u4").tobytes(),
+            self._terminal,
         ))
 
     @classmethod
@@ -235,8 +227,8 @@ class EntityTrie:
             raise TrieFormatError("truncated stream")
         if len(data) > size:
             raise TrieFormatError("trailing data after the arrays")
-        token = np.frombuffer(data, "<u4", n, start).astype(np.int64)
-        first = np.frombuffer(data, "<u4", n + 1, start + 4 * n).astype(np.int64)
+        token = np.frombuffer(data, "<u4", n, start).astype(np.intp)
+        first = np.frombuffer(data, "<u4", n + 1, start + 4 * n).astype(np.intp)
         terminal = np.frombuffer(data, np.uint8, n, start + 8 * n + 4)
         if n < 2 or first[0] != 1 or first[n] != n:
             raise TrieFormatError("first_child must run from 1 to the node count")
@@ -252,7 +244,7 @@ class EntityTrie:
             raise TrieFormatError("children not sorted by token id")
         if terminal.max() > 1 or terminal[0] or not terminal[fanout == 0].all():
             raise TrieFormatError("invalid terminal flags")
-        return cls(token, first, terminal, vocab_size, keep_label_array=True)
+        return cls(token, first, terminal, vocab_size)
 
 
 def _token_index(token: object) -> int:

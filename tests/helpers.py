@@ -75,8 +75,16 @@ def shared_prefix_vocabulary() -> Vocabulary:
 def random_sequences(
     rng: np.random.Generator, vocab: Vocabulary, size: int, max_len: int = 6
 ) -> list[tuple[int, ...]]:
-    """Distinct random token sequences of ordinary ids, 1..max_len long."""
+    """Distinct random token sequences of ordinary ids, 1..max_len long.
+
+    Raises ValueError when ``size`` exceeds the distinct sequences there are.
+    """
     ordinary = list(range(vocab.ordinary_base, vocab.size))
+    distinct = sum(len(ordinary) ** length for length in range(1, max_len + 1))
+    if size > distinct:
+        raise ValueError(
+            f"asked for {size} distinct sequences; {len(ordinary)} ids make {distinct} of length 1..{max_len}"
+        )
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []
     while len(out) < size:

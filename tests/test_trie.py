@@ -1,5 +1,9 @@
 """Prefix trie: membership, continuations, statistics, serialization."""
 
+import copy
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,19 +226,30 @@ class TestAllowedContinuations:
         assert trie.serialize() == blob
         assert EntityTrie.deserialize(blob).allowed(0).tolist() == trie.allowed(0).tolist()
 
-    def test_label_array_is_built_on_first_allowed(self, vocab):
-        # a trie that is only serialized (as by build-trie) never allocates
-        # the array; a loaded trie keeps the one its file was parsed into
+    def test_built_and_loaded_tries_view_one_label_buffer_from_the_first_call(self, vocab):
+        # the labels are one read-only np.intp array from construction on;
+        # every ``allowed`` result is a view of it, never a copy
         trie = build_trie([tuple(encode(n, vocab)) for n in SHARED_PREFIX_NAMES], vocab.size)
-        blob = trie.serialize()
-        assert trie._tokens is None
+        loaded = EntityTrie.deserialize(trie.serialize())
         assert trie.min_label == min(t for seq in trie.sequences() for t in seq)
-        root = trie.allowed(trie.start())
-        assert trie._tokens is not None and not trie._tokens.flags.writeable
-        assert root.base is trie._tokens
-        loaded = EntityTrie.deserialize(blob)
-        assert loaded._tokens is not None and not loaded._tokens.flags.writeable
-        assert loaded.allowed(loaded.start()).tolist() == root.tolist()
+        for t in (trie, loaded):
+            labels = t._tokens
+            assert labels.dtype == np.intp and not labels.flags.writeable
+            views = [t.allowed(node) for node in range(t.node_count)]
+            assert all(view.base is labels and not view.flags.writeable for view in views)
+        assert loaded.allowed(loaded.start()).tolist() == trie.allowed(trie.start()).tolist()
+
+    def test_loaded_trie_traces_at_most_twice_its_file(self):
+        vocab = pool_vocabulary()
+        blob = build_trie(random_sequences(np.random.default_rng(43), vocab, 6000), vocab.size).serialize()
+        tracemalloc.start()
+        try:
+            trie = EntityTrie.deserialize(blob)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trie.node_count >= 10_000
+        assert traced <= 2 * len(blob)
 
 
 class TestContains:
@@ -362,6 +377,17 @@ class TestSerialization:
         blob = names_trie.serialize()
         assert EntityTrie.deserialize(blob).serialize() == blob
 
+    def test_built_and_loaded_tries_survive_pickle_and_deepcopy(self):
+        vocab = pool_vocabulary()
+        built = build_trie(random_sequences(np.random.default_rng(47), vocab, 60), vocab.size)
+        for trie in (built, EntityTrie.deserialize(built.serialize())):
+            for back in (pickle.loads(pickle.dumps(trie)), copy.deepcopy(trie)):
+                assert back == trie and back is not trie
+                assert back.serialize() == trie.serialize()
+                for node in range(trie.node_count):
+                    assert back.allowed(node).tolist() == trie.allowed(node).tolist()
+                    assert back.final(node) == trie.final(node)
+
     def test_insertion_order_independence(self):
         vocab = pool_vocabulary()
         rng = np.random.default_rng(31)
@@ -479,3 +505,12 @@ class TestByteMutationFuzz:
                 assert build_trie(list(trie.sequences()), trie.vocab_size) == trie
         assert mutated >= 2000
         assert accepted < mutated // 10
+
+
+class TestRandomSequences:
+    def test_more_sequences_than_the_pool_allows_raise(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(53)
+        assert len(set(random_sequences(rng, vocab, 12, max_len=1))) == 12
+        with pytest.raises(ValueError, match="asked for 13 distinct sequences; 12 ids make 12"):
+            random_sequences(rng, vocab, 13, max_len=1)
