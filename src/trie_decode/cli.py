@@ -39,7 +39,7 @@ class CliError(ValueError):
 
 
 # (beams, max_steps) defaults: ranking decodes one short name, linking a whole marked-up text
-_RANK_DECODE = (10, 15)
+_RANK_DECODE = (TaskConfig.beams, TaskConfig.max_steps)
 _LINK_DECODE = (6, 384)
 
 
@@ -198,7 +198,7 @@ def _load_predictions(path: str) -> Iterator[tuple[str, dict]]:
     for lineno, raw in read_rows(path):
         try:
             record = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
             raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
         yield f"{path}:{lineno}", record
 
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trie", default=None, help="full-catalog trie (fallback when no candidates)")
     p.add_argument("--scorer", required=True)
     p.add_argument("--candidates", default=None, help="candidate-set file keyed by mention id")
-    p.add_argument("--context-window", type=int, default=384)
+    p.add_argument("--context-window", type=int, default=TaskConfig.context_window)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
     _add_beam_options(p, *_RANK_DECODE)
     _add_format_option(p)
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", default=None)
     p.add_argument("--predictions", default=None, help="structured dump to evaluate instead of decoding")
     p.add_argument("--chunk-size", type=int, default=None)
-    p.add_argument("--context-window", type=int, default=384)
+    p.add_argument("--context-window", type=int, default=TaskConfig.context_window)
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
     _add_beam_options(p, None, None)
     _add_format_option(p)

@@ -235,28 +235,26 @@ def strip_markup_tokens(tokens: Sequence[TokenId]) -> list[TokenId]:
     return _scan(tokens)[0]
 
 
-# the phases of a MarkupConstraint state: as Phase, with ENTITY split in two
-_OUTSIDE, _MENTION, _OPEN_LINK, _LINK = range(4)
-_State = tuple[int, int, int, int]  # (phase, cursor, mention start, trie node)
+# the phases of a MarkupConstraint state: as Phase, with MENTION split at
+# its first copy and ENTITY at ``(``
+_OUTSIDE, _OPENED, _MENTION, _OPEN_LINK, _LINK = range(5)
+_State = tuple[int, int, int]  # (phase, cursor, trie node)
 
 
 class MarkupConstraint:
     """The linking FSM as a :func:`beam_search` constraint over ``source``.
 
-    The state is a plain ``(phase, cursor, mention start, node)`` tuple of
-    ints.  ``phase`` is OUTSIDE, MENTION, right after ``]`` (only ``(`` is
-    legal) or inside ``(...)``; ``cursor`` and ``mention start`` are those of
-    :class:`LinkerState` (0 outside a mention), and ``node`` is the entity
-    prefix's trie node (the root outside a link, so the prefix is empty
-    exactly at the root).  The allowed ids of the outside and mention phases
-    are computed once per source, for each cursor.  The one final state is
-    outside at the end of the source.  ``allowed`` gives the ids of
-    :func:`dynamic_constraint` other than EOS, ascending, and ``advance``
-    makes the moves of :func:`advance_state` with the same errors, plus one
-    trie step inside a link; :class:`LinkerState` and those two functions
-    are the reference that this FSM is tested against.  A trie label that is
-    a markup id (``MENTION_OPEN..LINK_CLOSE``) would read as markup inside a
-    link, so such a trie raises :class:`MarkupError`.
+    The state is a ``(phase, cursor, node)`` tuple of ints: ``phase`` is
+    OUTSIDE, OPENED (after ``[``, nothing copied yet), MENTION, OPEN_LINK
+    (after ``]``) or LINK (inside ``(...)``); ``cursor`` is the next source
+    token, and ``node`` the entity prefix's trie node (the root outside a
+    link).  Every phase before the link reads its ids from a per-cursor
+    table built once per source.  The one final state is outside at the end
+    of the source.  ``allowed`` and ``advance`` match
+    :func:`dynamic_constraint` (without EOS, ascending) and
+    :func:`advance_state` (the same errors), the reference this FSM is
+    tested against.  A trie label that is a markup id would read as markup
+    inside a link, so such a trie raises :class:`MarkupError`.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
@@ -268,59 +266,58 @@ class MarkupConstraint:
         self._source = source = tuple(source)
         self._trie = trie
         self._root = trie.start()
-        self._end = _OUTSIDE, len(source), 0, self._root  # the one final state
-        # allowed ids by cursor: outside, in a mention, and in a mention that is still empty
-        self._outside = [_pair(t, MENTION_OPEN) for t in source] + [()]
-        self._mention = [_pair(t, MENTION_CLOSE) for t in source] + [(MENTION_CLOSE,)]
-        self._opened = [(t,) for t in source] + [()]
+        self._end = _OUTSIDE, len(source), self._root  # the one final state
+        # allowed ids by phase, then by cursor, for each phase before _LINK
+        self._tables = (
+            [_pair(t, MENTION_OPEN) for t in source] + [()],
+            [(t,) for t in source] + [()],
+            [_pair(t, MENTION_CLOSE) for t in source] + [(MENTION_CLOSE,)],
+            [(LINK_OPEN,)] * (len(source) + 1),
+        )
 
     def start(self) -> _State:
-        return _OUTSIDE, 0, 0, self._root
+        return _OUTSIDE, 0, self._root
 
     def final(self, state: _State) -> bool:
         return state == self._end
 
     def allowed(self, state: _State) -> tuple[TokenId, ...] | np.ndarray:
-        phase, cursor, start, node = state
-        if phase == _OUTSIDE:
-            return self._outside[cursor]
-        if phase == _MENTION:
-            return self._mention[cursor] if cursor > start else self._opened[cursor]
-        if phase == _OPEN_LINK:
-            return (LINK_OPEN,)
-        return _link_allowed(node, self._trie)
+        phase, cursor, node = state
+        if phase == _LINK:
+            return _link_allowed(node, self._trie)
+        return self._tables[phase][cursor]
 
     def advance(self, state: _State, token: TokenId) -> _State:
-        phase, cursor, start, node = state
+        phase, cursor, node = state
         source = self._source
         if phase == _OUTSIDE:
             if token == MENTION_OPEN:
                 if cursor >= len(source):
                     raise MarkupError("cannot open a mention at the end of the source")
-                return _MENTION, cursor, cursor, node
+                return _OPENED, cursor, node
             if cursor < len(source) and token == source[cursor]:
-                return _OUTSIDE, cursor + 1, 0, node
+                return _OUTSIDE, cursor + 1, node
             raise MarkupError(f"illegal token {token} outside a mention")
-        if phase == _MENTION:
+        if phase in (_OPENED, _MENTION):
             if token == MENTION_CLOSE:
-                if cursor <= start:
+                if phase == _OPENED:
                     raise MarkupError("mentions must be non-empty")
-                return _OPEN_LINK, cursor, start, node
+                return _OPEN_LINK, cursor, node
             if cursor < len(source) and token == source[cursor]:
-                return _MENTION, cursor + 1, start, node
+                return _MENTION, cursor + 1, node
             raise MarkupError(f"illegal token {token} inside a mention")
         if phase == _OPEN_LINK:
             if token != LINK_OPEN:
                 raise MarkupError("the link must open immediately after the mention closes")
-            return _LINK, cursor, start, node
+            return _LINK, cursor, node
         if token == LINK_CLOSE:
             if node == self._root:
                 raise MarkupError("empty entity link")
-            return _OUTSIDE, cursor, 0, self._root
+            return _OUTSIDE, cursor, self._root
         if token in (EOS, MENTION_OPEN, MENTION_CLOSE, LINK_OPEN):
             raise MarkupError(f"illegal token {token} inside an entity link")
         try:
-            return _LINK, cursor, start, self._trie.advance(node, token)
+            return _LINK, cursor, self._trie.advance(node, token)
         except KeyError:
             raise MarkupError(f"token {token} continues no entity name") from None
 

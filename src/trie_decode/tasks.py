@@ -224,23 +224,17 @@ def _finishable(trie: EntityTrie, config: TaskConfig, max_steps_name: str = "max
 def _mention_token_span(
     context: str, char_start: int, char_len: int, vocab: Vocabulary, line: int
 ) -> tuple[tuple[TokenId, ...], int, int]:
-    token_spans = encode_with_offsets(context, vocab)
-    if char_len < 1 or char_start < 0 or char_start + char_len > len(context):
+    end = char_start + char_len
+    if char_len < 1 or char_start < 0 or end > len(context):
         raise TaskError("mention character span outside the context", line)
-    inside = [
-        i
-        for i, span in enumerate(token_spans)
-        if span.start >= char_start and span.end <= char_start + char_len
-    ]
-    if (
-        not inside
-        or token_spans[inside[0]].start != char_start
-        or token_spans[inside[-1]].end != char_start + char_len
-        or inside[-1] - inside[0] + 1 != len(inside)
-    ):
+    token_spans = encode_with_offsets(context, vocab)
+    starts = [span.start for span in token_spans]
+    # the spans are sorted and disjoint: the mention is the tokens starting in [char_start, end)
+    first = bisect_left(starts, char_start)
+    last = bisect_left(starts, end, first)
+    if first == last or starts[first] != char_start or token_spans[last - 1].end != end:
         raise TaskError("mention does not align to token boundaries", line)
-    tokens = tuple(span.token for span in token_spans)
-    return tokens, inside[0], len(inside)
+    return tuple(span.token for span in token_spans), first, last - first
 
 
 def load_ed_dataset(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -299,14 +300,19 @@ class TestLinkAndEval:
         assert payload["counts"] == {"tp": 4, "fp": 1, "fn": 0}
 
     def test_bad_prediction_record_names_its_file_and_line(self, tmp_path, capsys):
-        vocab, dataset, predictions = self._write_el_fixture(tmp_path)
-        with open(predictions, "a", encoding="utf-8") as fh:
-            fh.write('\n{"id": "doc2"}\n')
-        argv = ["eval", "--mode", "el", "--dataset", dataset, "--vocab", vocab]
-        assert main(argv + ["--predictions", predictions]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {predictions}:3: bad prediction record ('spans')\n"
+        # a record too deep for the JSON decoder is a diagnostic too, not a RecursionError traceback
+        for record, reason in (
+            ('{"id": "doc2"}', r"\('spans'\)"),
+            ("[" * 200_000 + "]" * 200_000, r"\(maximum recursion depth exceeded[^\n]*\)"),
+        ):
+            vocab, dataset, predictions = self._write_el_fixture(tmp_path)
+            with open(predictions, "a", encoding="utf-8") as fh:
+                fh.write(f"\n{record}\n")
+            argv = ["eval", "--mode", "el", "--dataset", dataset, "--vocab", vocab]
+            assert main(argv + ["--predictions", predictions]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(rf"error: {re.escape(predictions)}:3: bad prediction record {reason}\n", captured.err)
 
     def test_link_structured_roundtrips_through_eval(self, cli_files, tmp_path, capsys):
         # the oracle copies the source; linking yields zero spans, and eval

@@ -309,9 +309,26 @@ class TestEdDatasetLoader:
         (instance,) = load_ed_dataset(lines, vocab, sets)
         assert instance.candidates == ("alpha",)
 
-    def test_misaligned_mention_rejected_with_line_number(self, vocab):
-        with pytest.raises(TaskError, match="line 1"):
-            load_ed_dataset(["m1\talpha beta\t1\t3\talpha"], vocab)
+    @pytest.mark.parametrize(
+        "context, start, length, span",
+        [
+            ("alpha beta", 1, 3, None),  # starts inside a token
+            ("alpha beta", 0, 3, None),  # ends inside a token
+            ("alpha beta", 5, 5, None),  # starts on whitespace
+            ("zeta alpha beta gamma", 5, 10, (1, 2)),  # exactly two words
+            ("zeta alphabeta", 5, 5, (1, 1)),  # "alpha", the first of two sub-tokens
+        ],
+        ids=["starts-inside", "ends-inside", "starts-on-space", "two-words", "first-sub-token"],
+    )
+    def test_misaligned_mention_rejected_with_line_number(self, vocab, context, start, length, span):
+        line = f"m1\t{context}\t{start}\t{length}\talpha"
+        if span is None:
+            with pytest.raises(TaskError, match="line 1: mention does not align to token boundaries"):
+                load_ed_dataset([line], vocab)
+            return
+        (instance,) = load_ed_dataset([line], vocab)
+        tokens = tuple(encode(context, vocab))
+        assert (instance.context_tokens, instance.mention_start, instance.mention_length) == (tokens, *span)
 
     def test_malformed_line_rejected(self, vocab):
         with pytest.raises(TaskError, match="line 2"):
