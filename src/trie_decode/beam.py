@@ -21,7 +21,9 @@ The final ranking applies length normalization when configured, breaking
 exact ties the same way so that results are total and reproducible.
 
 A single search is sequential; any number of searches may run concurrently
-over a shared trie and scorer, which are read-only.
+over a shared trie, which is read-only, and a shared scorer, which changes at
+most :class:`~trie_decode.scoring.TableScorer`'s row cache and never reads a
+wrong row.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from .markup import MarkupDocument, link_document, render_markup
 from .metrics import RetrievalReport
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
 from .tasks import (
+    LINK_CONFIG,
     TASK_EXTRA_SPECIALS,
     SuiteReport,
     TaskConfig,
@@ -40,7 +41,7 @@ class CliError(ValueError):
 
 # (beams, max_steps) defaults: ranking decodes one short name, linking a whole marked-up text
 _RANK_DECODE = (TaskConfig.beams, TaskConfig.max_steps)
-_LINK_DECODE = (6, 384)
+_LINK_DECODE = (LINK_CONFIG.beams, LINK_CONFIG.max_steps)
 
 
 def _load_vocab(path: str) -> Vocabulary:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import zlib
 from abc import ABC, abstractmethod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -109,28 +109,29 @@ def _input_key(input_tokens: Sequence[TokenId]) -> int:
     return zlib.crc32(packed)
 
 
+def _context(key: int | None, prev: TokenId) -> int:
+    """The context id of a step after ``prev``; ``key`` is the input's crc, or None unconditioned."""
+    return prev if key is None else (key * 0x10001 + prev) & 0x7FFFFFFF
+
+
 class TableScorer(Scorer):
     """Additively smoothed bigram model over target tokens.
 
     ``p(v | ctx) = (count(ctx, v) + alpha) / (total(ctx) + alpha * V)`` with
     finite ``alpha > 0`` and finite counts ``>= 0``; a row whose denominator
     overflows, or whose ``alpha`` share underflows to 0, is rejected, so every
-    log-probability is finite.  The
-    context is the previous generated token (SOS at the first step),
-    or, when ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod
-    2**31`` over the input's u32 token ids: distinct pairs can share a row.
+    log-probability is finite.  The context is the previous generated token
+    (SOS at the first step), or, when ``input_conditioned``, ``(crc32(input)
+    * 0x10001 + prev) mod 2**31`` over the input's u32 token ids: distinct
+    pairs can share a row.  A context id no step can reach is rejected.
 
-    Rows are built on first use and kept only while they can be asked for
-    again.  Unconditioned rows serve every input, so they stay: at most one
-    per trained context, untrained contexts sharing the uniform row.  An
-    input-conditioned row serves one input crc, so it lives in that input's
-    scope, an ``(input tuple or None, crc, rows)`` triple that the first call
-    with another crc replaces, freeing the old input's rows.  A decode passes
-    one input at every step, so the input is hashed once per decode; a list
-    input, which can change in place between calls, is hashed on every call.
-    Threads sharing a scorer read the scope once per call and may rebuild a
-    row another thread dropped, but never read a wrong one: rows are keyed by
-    the full context id.
+    Rows are built on first use into one scope, an ``(input, key, rows)``
+    triple.  Unconditioned, the key is None and the rows serve every input
+    for good.  Input-conditioned, the key is the input's crc: a call with
+    another input object hashes it, and another crc replaces the scope,
+    freeing the old input's rows.  Threads sharing a scorer read the scope
+    once per call and may rebuild a row another thread dropped, but never
+    read a wrong one: rows are keyed by the full context id.
     """
 
     def __init__(
@@ -149,7 +150,10 @@ class TableScorer(Scorer):
         self.alpha = float(alpha)
         self.input_conditioned = input_conditioned
         self.counts: dict[int, dict[TokenId, float]] = {}
+        top = 0x7FFFFFFF if input_conditioned else vocab_size - 1
         for ctx, row in counts.items():
+            if not 0 <= ctx <= top:
+                raise ScorerError(f"context {ctx} is outside 0..{top}, so no step can reach it")
             clean: dict[TokenId, float] = {}
             for token, count in row.items():
                 if not 0 <= token < vocab_size:
@@ -164,8 +168,7 @@ class TableScorer(Scorer):
                     raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
                 self.counts[int(ctx)] = clean
         self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
-        self._rows: dict[int, np.ndarray] = {}
-        self._scope: tuple[tuple[TokenId, ...] | None, int, dict[int, np.ndarray]] = (None, 0, {})
+        self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[int, np.ndarray]] = (None, None, {})
 
     def _build_row(self, ctx: int) -> np.ndarray:
         table = self.counts.get(ctx)
@@ -187,20 +190,15 @@ class TableScorer(Scorer):
     def next_token_logprobs(
         self, input_tokens: Sequence[TokenId], prefix: Sequence[TokenId]
     ) -> np.ndarray:
-        ctx = prefix[-1] if prefix else SOS
-        if self.input_conditioned:
-            held, key, rows = self._scope
-            if held is not input_tokens and (
-                not isinstance(input_tokens, tuple) or held != input_tokens
-            ):
-                new_key = _input_key(input_tokens)
-                if new_key != key:
-                    key, rows = new_key, {}
-                held = input_tokens if isinstance(input_tokens, tuple) else None
-                self._scope = (held, key, rows)
-            ctx = (key * 0x10001 + ctx) & 0x7FFFFFFF  # as train_table_scorer counts it
-        else:
-            rows = self._rows
+        held, key, rows = self._scope
+        if self.input_conditioned and held is not input_tokens:
+            new_key = _input_key(input_tokens)
+            if new_key != key:
+                key, rows = new_key, {}
+            # a list can change in place, so it is hashed again on every call
+            held = input_tokens if isinstance(input_tokens, tuple) else None
+            self._scope = (held, key, rows)
+        ctx = _context(key, prefix[-1] if prefix else SOS)
         row = rows.get(ctx)
         if row is None:
             row = rows[ctx] = self._build_row(ctx)
@@ -226,11 +224,10 @@ def train_table_scorer(
         target = tuple(target)
         if not target:
             raise ScorerError("empty target sequence")
-        key = _input_key(input_tokens) if input_conditioned else 0
+        key = _input_key(input_tokens) if input_conditioned else None
         prev: TokenId = SOS
         for token in target:
-            ctx = (key * 0x10001 + prev) & 0x7FFFFFFF if input_conditioned else prev
-            row = counts.setdefault(ctx, {})
+            row = counts.setdefault(_context(key, prev), {})
             row[token] = row.get(token, 0.0) + 1.0
             prev = token
     if not seen_any:
@@ -238,23 +235,25 @@ def train_table_scorer(
     return TableScorer(counts, alpha, vocab_size, input_conditioned)
 
 
-def _check_target(tokens: Sequence[TokenId]) -> tuple[TokenId, ...]:
+def _steps(
+    scorer: Scorer, input_tokens: Sequence[TokenId], tokens: Sequence[TokenId]
+) -> Iterator[tuple[np.ndarray, TokenId]]:
+    """``(logprobs, token)`` at each step of ``tokens``, whose one EOS ends them."""
     seq = tuple(tokens)
     if not seq or seq[-1] != EOS:
         raise ScorerError("sequence must end with EOS")
     if EOS in seq[:-1]:
         raise ScorerError("EOS may only appear at the final position")
-    return seq
+    for i, token in enumerate(seq):
+        yield scorer.next_token_logprobs(input_tokens, seq[:i]), token
 
 
 def sequence_score(
     scorer: Scorer, input_tokens: Sequence[TokenId], tokens: Sequence[TokenId]
 ) -> float:
     """Sum of stepwise log-probabilities of ``tokens`` (EOS step included)."""
-    seq = _check_target(tokens)
     total = 0.0
-    for i, token in enumerate(seq):
-        logprobs = scorer.next_token_logprobs(input_tokens, seq[:i])
+    for logprobs, token in _steps(scorer, input_tokens, tokens):
         total += float(logprobs[token])
     return total
 
@@ -273,10 +272,8 @@ def smoothed_nll(
     """
     if not 0.0 <= epsilon < 1.0:
         raise ScorerError("epsilon must lie in [0, 1)")
-    seq = _check_target(target)
     total = 0.0
-    for i, token in enumerate(seq):
-        logprobs = scorer.next_token_logprobs(input_tokens, seq[:i])
+    for logprobs, token in _steps(scorer, input_tokens, target):
         step = -(1.0 - epsilon) * float(logprobs[token])
         if epsilon > 0.0:
             step -= (epsilon / scorer.vocab_size) * float(logprobs.sum())

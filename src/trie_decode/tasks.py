@@ -27,7 +27,6 @@ from .metrics import (
     EvalReport,
     MatchType,
     RetrievalReport,
-    ed_accuracy,
     ed_report,
     match_type,
     micro_f1_spans,
@@ -62,6 +61,10 @@ class TaskConfig:
 
     def beam_config(self) -> BeamConfig:
         return BeamConfig(self.beams, self.max_steps, self.length_normalize)
+
+
+# the default of a linking decode, which generates a whole marked-up text, not one name
+LINK_CONFIG = TaskConfig(beams=6, max_steps=384)
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,7 @@ def run_eval_suite(
     mode: str,
     scorer: Scorer,
     vocab: Vocabulary,
-    config: TaskConfig = TaskConfig(),
+    config: TaskConfig | None = None,
     trie: EntityTrie | None = None,
     candidate_sets: dict[str, CandidateSet] | None = None,
     chunk_size: int | None = None,
@@ -385,9 +388,13 @@ def run_eval_suite(
     """Run a dataset through the matching pipeline and aggregate metrics.
 
     Outcomes are ordered by instance id regardless of completion order, so
-    repeated runs (and shuffled datasets) produce identical reports.
+    repeated runs (and shuffled datasets) produce identical reports.  With no
+    ``config``, el mode decodes with :data:`LINK_CONFIG`, the others with
+    ``TaskConfig()``.
     """
     mode = mode.lower()
+    if config is None:
+        config = LINK_CONFIG if mode == "el" else TaskConfig()
     decoders = {
         "ed": lambda instance: disambiguate(scorer, instance, vocab, config, trie),
         "dr": lambda row: retrieve(scorer, row[1], trie, config, vocab),
@@ -493,7 +500,8 @@ def _suite_report(mode: str, rows: list, results: list, vocab: Vocabulary) -> Su
             for match in MatchType
             if (hits := [o.predicted == o.gold for o in outcomes if o.match is match])
         }
-        return SuiteReport(mode, ed_report(gold, predicted), outcomes, ed_accuracy(gold, predicted), by_match)
+        report = ed_report(gold, predicted)  # its recall is the top-1 accuracy
+        return SuiteReport(mode, report, outcomes, report.recall, by_match)
     if mode == "dr":
         return SuiteReport(mode, RetrievalReport.from_scores(o.r_precision for o in outcomes), outcomes)
     report = micro_f1_spans([o.gold_spans for o in outcomes], [o.document.spans for o in outcomes])

@@ -8,6 +8,7 @@ import pytest
 
 from trie_decode.cli import main
 from trie_decode.markup import parse_markup
+from trie_decode.metrics import ed_accuracy
 
 from helpers import (
     SHARED_PREFIX_NAMES,
@@ -523,6 +524,11 @@ class TestEdEvalPaths:
         assert capsys.readouterr().out == in_process
         tp = 1 if max_steps == "2" else 0
         assert json.loads(in_process)["counts"] == {"tp": tp, "fp": 0, "fn": 2 - tp}
+        # the accuracy, read off the report's recall, is top-1 accuracy over the dump
+        records = [json.loads(line) for line in dump.read_text().splitlines()]
+        top1 = [r["predictions"][0]["name"] if r["predictions"] else "" for r in records]
+        metrics = json.loads(in_process)["metrics"]
+        assert metrics["accuracy"] == metrics["micro_recall"] == ed_accuracy([r["gold"] for r in records], top1)
 
 
     def test_accuracy_per_match_type_in_both_paths(self, cli_files, tmp_path, capsys):

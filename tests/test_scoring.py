@@ -196,6 +196,24 @@ class TestTableScorer:
         with pytest.raises(ScorerError, match="context 0: probabilities overflow or underflow"):
             TableScorer({0: row}, alpha=alpha, vocab_size=9)
 
+    @pytest.mark.parametrize(
+        "conditioned, ctx",
+        [(False, -5), (False, 9), (False, 99999999999), (True, -5), (True, 2**31), (True, 4294967296)],
+        ids=["plain-negative", "plain-vocab-size", "plain-huge", "input-negative", "input-2^31", "input-2^32"],
+    )
+    def test_context_no_step_can_reach_rejected(self, tmp_path, conditioned, ctx):
+        top = 2**31 - 1 if conditioned else 8
+        message = f"^context {ctx} is outside 0..{top}, so no step can reach it$"
+        with pytest.raises(ScorerError, match=message):
+            TableScorer({0: {7: 1.0}, ctx: {7: 0.0}}, 0.5, 9, input_conditioned=conditioned)
+        header = "0.5\t9\tinput-conditioned" if conditioned else "0.5\t9"
+        path = tmp_path / "table.tsv"
+        path.write_text(f"{header}\n0\t7\t1\n{ctx}\t7\t1\n")
+        with pytest.raises(ScorerError, match=message):
+            load_table_scorer(str(path))
+        edges = TableScorer({0: {7: 1.0}, top: {7: 1.0}}, 0.5, 9, input_conditioned=conditioned)
+        assert sorted(edges.counts) == [0, top]
+
 
 def reference_context(input_conditioned, input_tokens, prefix):
     """The documented context id of one scoring step."""
@@ -277,6 +295,24 @@ class TestTableScorerRows:
                 assert_same_bits(scorer.next_token_logprobs(source, target[:i]), want)
         assert int(np.argmax(scorer.next_token_logprobs(second, ()))) == 9
         assert scorer.next_token_logprobs(second, ()) is scorer.next_token_logprobs(first, ())
+
+    def test_one_store_keeps_plain_rows_and_replaces_conditioned_ones(self):
+        pairs = [((3,), (7, EOS)), ((4,), (8, EOS))]
+        plain = train_table_scorer(pairs, 0.5, 9)
+        for prefix in [(), (7,)]:
+            row = plain.next_token_logprobs((3,), prefix)
+            assert plain.next_token_logprobs((4,), prefix) is row
+            assert plain.next_token_logprobs([5, 6], prefix) is row
+        conditioned = train_table_scorer(pairs, 0.5, 9, input_conditioned=True)
+        source = (3,)
+        first = conditioned.next_token_logprobs(source, ())
+        equal = tuple([3])
+        assert equal is not source
+        assert conditioned.next_token_logprobs(equal, ()) is first  # same crc, same scope
+        assert int(np.argmax(conditioned.next_token_logprobs((4,), ()))) == 8
+        again = conditioned.next_token_logprobs(source, ())
+        assert again is not first  # the crc changed twice, so the row was built afresh
+        assert_same_bits(again, first)
 
     def test_memory_stays_flat_as_inputs_go_by(self):
         vocab_size = 2000

@@ -473,6 +473,16 @@ class TestRunEvalSuite:
         )
         assert suite.report == EvalReport.from_counts(2, 0, 0)
 
+    def test_el_mode_defaults_to_the_link_config(self):
+        vocab = Vocabulary(PAINTING_WORDS, extra_specials=TASK_EXTRA_SPECIALS)
+        trie = build_trie([encode(n, vocab) for n in PAINTING_ENTITIES], vocab.size)
+        scorer = UniformScorer(vocab.size)
+        lines = [f"d1\t{PAINTING_SOURCE}\t{PAINTING_MARKUP}", f"d2\t{PAINTING_SOURCE}\t{PAINTING_SOURCE}"]
+        default = run_eval_suite(lines, "el", scorer, vocab, trie=trie)
+        assert default == run_eval_suite(lines, "el", scorer, vocab, TaskConfig(6, 384), trie=trie)
+        # the ranking defaults cannot finish the document
+        assert default != run_eval_suite(lines, "el", scorer, vocab, TaskConfig(), trie=trie)
+
     def test_unknown_mode_rejected(self, vocab):
         with pytest.raises(TaskError, match="unknown mode"):
             run_eval_suite(["x"], "qa", UniformScorer(vocab.size), vocab)
