@@ -127,7 +127,7 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_retrieve(args: argparse.Namespace, out: TextIO) -> int:
     vocab, scorer, trie = _load_decoder(args)
     config = TaskConfig(args.beams, args.max_steps, length_normalize=args.length_normalize)
-    ranking = retrieve(scorer, args.query, trie, config, vocab, max_steps_name="--max-steps")
+    ranking = retrieve(scorer, args.query, trie, config, vocab)
     for line in _ranking_lines(ranking, args.format):
         print(line, file=out)
     return 0
@@ -205,15 +205,16 @@ def _load_predictions(path: str) -> Iterator[tuple[str, dict]]:
 
 
 def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
+    # built on both paths, so a decode flag out of range fails with or without --predictions
+    beams, max_steps = _LINK_DECODE if args.mode == "el" else _RANK_DECODE
+    beams = beams if args.beams is None else args.beams
+    max_steps = max_steps if args.max_steps is None else args.max_steps
+    config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
     if args.predictions:
         suite = score_dump(args.dataset, args.mode, _load_vocab(args.vocab), _load_predictions(args.predictions))
     elif not args.scorer:
         raise CliError("--scorer is required unless --predictions is given")
     else:
-        beams, max_steps = _LINK_DECODE if args.mode == "el" else _RANK_DECODE
-        beams = beams if args.beams is None else args.beams
-        max_steps = max_steps if args.max_steps is None else args.max_steps
-        config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
         suite = _run_suite(args, args.mode, config)
     for line in _report_lines(suite, args.format):
         print(line, file=out)
@@ -329,6 +330,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise CliError(f"jobs must be at least 1, got {args.jobs}")
+        # checked here, not only where a chunk is cut, so no mode or path ignores it
+        if getattr(args, "chunk_size", None) is not None and args.chunk_size < 1:
+            raise CliError("chunk size must be at least 1")
         status = args.func(args, out)
         if buffered and status == 0:
             with open(args.out, "w", encoding="utf-8") as fh:

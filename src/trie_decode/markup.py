@@ -39,6 +39,7 @@ from .vocab import (
     LINK_OPEN,
     MENTION_CLOSE,
     MENTION_OPEN,
+    SOS,
     TokenId,
     Vocabulary,
     decode,
@@ -254,7 +255,8 @@ class MarkupConstraint:
     :func:`dynamic_constraint` (without EOS, ascending) and
     :func:`advance_state` (the same errors), the reference this FSM is
     tested against.  A trie label that is a markup id would read as markup
-    inside a link, so such a trie raises :class:`MarkupError`.
+    inside a link, and a source id at or below ``)`` would be copied as SOS,
+    EOS or markup, so such a trie or source raises :class:`MarkupError`.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
@@ -264,6 +266,12 @@ class MarkupConstraint:
                 "entity names cannot contain one"
             )
         self._source = source = tuple(source)
+        lowest = min(source, default=LINK_CLOSE + 1)
+        if lowest <= LINK_CLOSE:
+            raise MarkupError(
+                f"source token {lowest} is a sequence or markup token ({SOS}..{LINK_CLOSE}); "
+                "it cannot be copied"
+            )
         self._trie = trie
         self._root = trie.start()
         self._end = _OUTSIDE, len(source), self._root  # the one final state
@@ -366,11 +374,18 @@ def link_document(
 
 
 def chunk_input(source: Sequence[TokenId], max_len: int) -> list[tuple[TokenId, ...]]:
-    """Split into chunks of ``max_len`` tokens; only the last may be shorter."""
+    """Split into ``ceil(n / max_len)`` chunks of at most ``max_len`` tokens.
+
+    Chunk sizes differ by at most one, the longer chunks first: 10 tokens at
+    ``max_len=4`` split 4, 3, 3.
+    """
     if max_len < 1:
         raise MarkupError("chunk size must be at least 1")
     tokens = tuple(source)
-    return [tokens[i : i + max_len] for i in range(0, len(tokens), max_len)] or [()]
+    count = -(-len(tokens) // max_len) or 1
+    size, longer = divmod(len(tokens), count)
+    bounds = [i * size + min(i, longer) for i in range(count + 1)]
+    return [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def render_markup(doc: MarkupDocument) -> str:
@@ -389,22 +404,13 @@ def render_markup(doc: MarkupDocument) -> str:
     return "".join(parts)
 
 
-def parse_markup(
-    markup: str,
-    source: str,
-    known_names: Iterable[str] | None = None,
-    on_unknown: str = "keep",
-) -> list[SpanAnnotation]:
+def parse_markup(markup: str, source: str) -> list[SpanAnnotation]:
     """Recover span annotations from a ``[mention](Entity)`` markup string.
 
     Offsets are measured in ``source``; the text outside the groups must
-    reproduce it exactly.  ``on_unknown`` selects whether an entity missing
-    from ``known_names`` is kept or rejected.  Sources containing literal
-    square brackets are outside this format's contract.
+    reproduce it exactly.  Sources containing literal square brackets are
+    outside this format's contract.
     """
-    if on_unknown not in ("keep", "reject"):
-        raise MarkupParseError(f"on_unknown must be 'keep' or 'reject', got {on_unknown!r}")
-    known = set(known_names) if known_names is not None else None
     spans: list[SpanAnnotation] = []
     i = j = 0
     while j < len(markup):
@@ -432,9 +438,6 @@ def parse_markup(
                 raise MarkupParseError(
                     f"mention {mention!r} does not match the source at offset {i}"
                 )
-            if known is not None and entity not in known:
-                if on_unknown == "reject":
-                    raise MarkupParseError(f"unknown entity: {entity!r}")
             spans.append(SpanAnnotation(i, len(mention), entity))
             i += len(mention)
             j = entity_close + 1

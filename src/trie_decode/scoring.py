@@ -63,27 +63,22 @@ class UniformScorer(Scorer):
 class OracleScorer(Scorer):
     """Drives generation toward a fixed target sequence.
 
-    At step ``i`` the token ``target[i]`` receives probability ``on_prob``
-    and the rest share the remainder uniformly, so the argmax at step ``i``
-    is always ``target[i]``.  Past the end of the target the favored token is
-    EOS.
+    At step ``i`` the token ``target[i]`` receives probability 0.9 and the
+    rest share the remainder uniformly, so the argmax at step ``i`` is always
+    ``target[i]``.  Past the end of the target the favored token is EOS.
     """
 
-    def __init__(self, target: Sequence[TokenId], vocab_size: int, on_prob: float = 0.9) -> None:
+    def __init__(self, target: Sequence[TokenId], vocab_size: int) -> None:
         if vocab_size < 2:
             raise ScorerError("vocab_size must be at least 2")
-        if not 0.0 < on_prob < 1.0:
-            raise ScorerError("on_prob must lie strictly between 0 and 1")
         target = tuple(target)
         if any(not 0 <= t < vocab_size for t in target):
             raise ScorerError("target token out of range")
-        off_prob = (1.0 - on_prob) / (vocab_size - 1)
-        if on_prob <= off_prob:
-            raise ScorerError("on_prob too small to dominate the off tokens")
         self.vocab_size = vocab_size
         self.target = target
-        self.on_logprob = float(np.log(on_prob))
-        self.off_logprob = float(np.log(off_prob))
+        self.on_logprob = float(np.log(0.9))
+        # 1.0 - 0.9, not 0.1: the two differ in the last bit
+        self.off_logprob = float(np.log((1.0 - 0.9) / (vocab_size - 1)))
         self._cache: dict[int, np.ndarray] = {}
 
     def next_token_logprobs(

@@ -199,23 +199,21 @@ def retrieve(
     trie: EntityTrie,
     config: TaskConfig,
     vocab: Vocabulary,
-    max_steps_name: str = "max_steps",
 ) -> RankedResult:
     """Rank the full catalog against a free-text query.
 
     Raises :class:`TaskError` when a catalog name is too long to finish
-    within ``max_steps``, rather than leave it silently out of the ranking;
-    the message spells the budget ``max_steps_name``.
+    within ``max_steps``, rather than leave it silently out of the ranking.
     """
-    trie = _finishable(trie, config, max_steps_name)
+    trie = _finishable(trie, config)
     return rank_entities(scorer, encode(query, vocab), trie, config.beam_config(), vocab)
 
 
-def _finishable(trie: EntityTrie, config: TaskConfig, max_steps_name: str = "max_steps") -> EntityTrie:
+def _finishable(trie: EntityTrie, config: TaskConfig) -> EntityTrie:
     """``trie``, once its longest name plus EOS fits in ``max_steps``."""
     if trie.max_depth >= config.max_steps:
         raise TaskError(
-            f"{max_steps_name} {config.max_steps} cannot finish the longest name "
+            f"max_steps {config.max_steps} cannot finish the longest name "
             f"({trie.max_depth} tokens)"
         )
     return trie

@@ -114,9 +114,6 @@ class Vocabulary:
         """Id of the first ordinary token."""
         return NUM_CORE_SPECIALS + len(self.extra_specials)
 
-    def is_special(self, token_id: TokenId) -> bool:
-        return 0 <= token_id < self.ordinary_base
-
     def ordinary_id(self, token: str) -> TokenId:
         try:
             return self._table[token]

@@ -172,7 +172,7 @@ class TestRetrieve:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: --max-steps 15 cannot finish")
+        assert captured.err.startswith("error: max_steps 15 cannot finish")
         assert "20 tokens" in captured.err
 
     def test_version_1_trie_file_fails_loud(self, cli_files, tmp_path, capsys):
@@ -460,6 +460,26 @@ class TestEvalPipelines:
         # one more step lets the longest name finish
         assert main(["eval", "--mode", mode, *common, "--scorer", "uniform", "--max-steps", "16"]) == 0
 
+    @pytest.mark.parametrize("command", ["retrieve", "disambiguate", "eval-dr"])
+    def test_every_command_words_the_step_budget_alike(self, cli_files, tmp_path, capsys, command):
+        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
+            fh.write(" ".join(["English", "language"] * 10) + "\n")
+        build(cli_files)
+        capsys.readouterr()
+        ed, dr = tmp_path / "ed.tsv", tmp_path / "dr.tsv"
+        ed.write_text("m1\tlanguage France language\t9\t6\tFrance\n")
+        dr.write_text("q1\twhich country\tFrance\n")
+        head = {
+            "retrieve": ["retrieve", "--query", "q"],
+            "disambiguate": ["disambiguate", "--dataset", str(ed)],
+            "eval-dr": ["eval", "--mode", "dr", "--dataset", str(dr)],
+        }[command]
+        code = main([*head, "--vocab", cli_files["vocab"], "--trie", cli_files["trie"], "--scorer", "uniform"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: max_steps 15 cannot finish the longest name (20 tokens)\n"
+
     def test_dr_mode_mean_r_precision(self, cli_files, tmp_path, capsys):
         build(cli_files)
         capsys.readouterr()
@@ -638,6 +658,26 @@ class TestDatasetRunner:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beams", "0", "beams and max_steps must be >= 1, context_window >= 3"),
+            ("--max-steps", "0", "beams and max_steps must be >= 1, context_window >= 3"),
+            ("--context-window", "2", "beams and max_steps must be >= 1, context_window >= 3"),
+            ("--chunk-size", "0", "chunk size must be at least 1"),
+        ],
+        ids=["beams", "max-steps", "context-window", "chunk-size"],
+    )
+    @pytest.mark.parametrize("command", ["eval-ed", "eval-dr", "eval-el", "eval-ed-dump", "eval-el-dump"])
+    def test_eval_checks_decode_flags_on_every_path(
+        self, cli_files, datasets, capsys, command, flag, value, message
+    ):
+        code = main(self._argv(cli_files, datasets, command) + [flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from trie_decode.vocab import (
     LINK_OPEN,
     MENTION_CLOSE,
     MENTION_OPEN,
+    UNK,
     Vocabulary,
     encode,
 )
@@ -100,14 +101,21 @@ class TestDynamicConstraint:
 
 
     def test_constraint_allowed_is_the_ascending_dynamic_constraint(self):
-        # raw ids 2..10 put markup specials in the source; the trie labels
-        # are ids 6..10, above every markup id, so ``)`` sorts first
+        # raw ids 2..10 put markup specials in some sources, which the
+        # constraint refuses; the trie labels are ids 6..10, above every
+        # markup id, so ``)`` sorts first
         rng = np.random.default_rng(13)
         ids, labels = list(range(2, 11)), list(range(6, 11))
-        for _ in range(40):
+        walked = 0
+        for _ in range(110):
             seqs = {tuple(int(t) for t in rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(6)}
             trie = build_trie(seqs, 11)
             source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4))))
+            if min(source) <= LINK_CLOSE:
+                with pytest.raises(MarkupError, match=f"source token {min(source)} "):
+                    MarkupConstraint(source, trie)
+                continue
+            walked += 1
             constraint = MarkupConstraint(source, trie)
             # the constraint's own state beside the reference LinkerState
             frontier = [(constraint.start(), LinkerState())]
@@ -118,14 +126,10 @@ class TestDynamicConstraint:
                     assert allowed == sorted(set(allowed)) and EOS not in allowed
                     assert legal_ids(constraint, state) == dynamic_constraint(reference, source, trie)
                     for token in allowed:
-                        try:
-                            after = advance_state(reference, token, source)
-                        except MarkupError:  # a markup id copied from the source
-                            with pytest.raises(MarkupError):
-                                constraint.advance(state, token)
-                            continue
+                        after = advance_state(reference, token, source)
                         following.append((constraint.advance(state, token), after))
                 frontier = following[:200]
+        assert walked >= 40
 
     def test_constraint_rejects_every_move_advance_state_rejects(self):
         # every token id at every reachable state, special labels included:
@@ -133,10 +137,16 @@ class TestDynamicConstraint:
         # constraint, and a move it accepts leads to the same allowed ids
         rng = np.random.default_rng(29)
         ids, labels = list(range(2, 11)), list(range(6, 11))
-        for _ in range(30):
+        walked = 0
+        for _ in range(60):
             seqs = {tuple(int(t) for t in rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(5)}
             trie = build_trie(seqs, 11)
             source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(0, 4))))
+            if min(source, default=UNK) <= LINK_CLOSE:
+                with pytest.raises(MarkupError, match=f"source token {min(source)} "):
+                    MarkupConstraint(source, trie)
+                continue
+            walked += 1
             constraint = MarkupConstraint(source, trie)
             frontier = [(constraint.start(), LinkerState())]
             for _ in range(7):
@@ -160,6 +170,7 @@ class TestDynamicConstraint:
                         assert legal_ids(constraint, moved) == dynamic_constraint(after, source, trie)
                         following.append((moved, after))
                 frontier = following[:100]
+        assert walked >= 30
 
 
     @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
@@ -169,6 +180,15 @@ class TestDynamicConstraint:
         trie = build_trie([(7, label, 8)], 10)
         with pytest.raises(MarkupError, match=f"trie label {label} is a markup token"):
             MarkupConstraint((7,), trie)
+
+    @pytest.mark.parametrize("token", range(LINK_CLOSE + 1))
+    def test_constraint_refuses_a_source_with_a_sequence_or_markup_id(self, token):
+        # a copied ``[`` would open a mention and a copied ``]`` close one, and
+        # SOS or EOS cannot be emitted, so no decode could copy this source
+        trie = build_trie([(7,), (7, 8)], 10)
+        with pytest.raises(MarkupError, match=f"source token {token} is a sequence or markup token"):
+            MarkupConstraint((7, token, 8), trie)
+        MarkupConstraint((7, UNK, 8), trie)  # the lowest id encode produces
 
     def test_constraint_rejects_a_token_outside_every_name(self, painting):
         vocab, trie, _ = painting
@@ -299,12 +319,6 @@ class TestParseMarkup:
         with pytest.raises(MarkupParseError, match="does not match"):
             parse_markup("[wrong](E)", "right")
 
-    def test_unknown_entity_keep_or_reject(self):
-        spans = parse_markup("[a](X)", "a", known_names={"Y"}, on_unknown="keep")
-        assert spans[0].entity == "X"
-        with pytest.raises(MarkupParseError, match="unknown entity"):
-            parse_markup("[a](X)", "a", known_names={"Y"}, on_unknown="reject")
-
     def test_literal_parentheses_in_text_are_fine(self):
         source = "a (b) c"
         assert parse_markup("a (b) c", source) == []
@@ -354,10 +368,19 @@ class TestRenderMarkup:
 
 
 class TestChunking:
-    def test_sizes_four_four_two(self):
-        chunks = chunk_input(tuple(range(100, 110)), 4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert tuple(t for chunk in chunks for t in chunk) == tuple(range(100, 110))
+    @pytest.mark.parametrize(
+        "n, max_len, sizes",
+        [
+            (10, 4, [4, 3, 3]), (9, 4, [3, 3, 3]), (5, 4, [3, 2]),
+            (8, 4, [4, 4]), (7, 3, [3, 2, 2]), (4, 1, [1, 1, 1, 1]),
+        ],
+        ids=["10-at-4", "9-at-4", "5-at-4", "8-at-4", "7-at-3", "4-at-1"],
+    )
+    def test_equal_sizes_longer_first(self, n, max_len, sizes):
+        # ceil(n / max_len) chunks whose sizes differ by at most one
+        chunks = chunk_input(tuple(range(100, 100 + n)), max_len)
+        assert [len(c) for c in chunks] == sizes
+        assert tuple(t for chunk in chunks for t in chunk) == tuple(range(100, 100 + n))
 
     def test_short_input_single_chunk(self):
         assert chunk_input((1, 2, 3), 5) == [(1, 2, 3)]

@@ -66,6 +66,13 @@ class TestOracle:
         scorer = OracleScorer((8, EOS), vocab_size=12)
         assert int(np.argmax(scorer.next_token_logprobs((), (8, EOS, 9)))) == EOS
 
+    @pytest.mark.parametrize("vocab_size", [2, 12, 2000])
+    def test_scores_are_pinned_bit_for_bit(self, vocab_size):
+        # 1.0 - 0.9 is not 0.1 in binary: the off-target score keeps the subtraction
+        vector = OracleScorer((EOS,), vocab_size).next_token_logprobs((), ())
+        assert vector[EOS] == np.log(0.9)
+        assert vector[0] == np.log((1.0 - 0.9) / (vocab_size - 1))
+
     def test_own_target_is_maximal_among_same_length(self):
         vocab_size = 5
         target = (3, 4, EOS)
@@ -374,7 +381,6 @@ class TestNormalization:
         scorers = [
             UniformScorer(vocab.size),
             OracleScorer((8, 9, EOS), vocab.size),
-            OracleScorer((10, EOS), vocab.size, on_prob=0.5),
             random_table_scorer(rng, vocab),
             random_table_scorer(rng, vocab, input_conditioned=True),
         ]
