@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .vocab import InputError, TokenId, Vocabulary, encode, read_rows
+from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
 
 RESERVED_NAME_CHARS = frozenset("[]()")
 # any character a name may not hold: one search passes a valid name
@@ -44,8 +44,13 @@ def _validate_name(name: str, line: int | None = None) -> None:
 
 
 def make_record(name: str, vocab: Vocabulary, line: int | None = None) -> EntityRecord:
+    """The record of ``name``; a decode emits the name only if its tokens read back as it."""
     _validate_name(name, line)
-    return EntityRecord(name, tuple(encode(name, vocab)))
+    tokens = tuple(encode(name, vocab))
+    read_back = decode(tokens, vocab)
+    if read_back != name:
+        raise CatalogError(f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it", line)
+    return EntityRecord(name, tokens)
 
 
 class Catalog:
@@ -96,7 +101,8 @@ def load_catalog(source: str | Iterable[str], vocab: Vocabulary) -> tuple[Catalo
     Returns the catalog and the number of duplicate lines skipped.
 
     Raises:
-        CatalogError: with the offending 1-based line number on bad names.
+        CatalogError: with the offending 1-based line number on a bad name
+            or one that does not read back from its tokens.
     """
     records: dict[str, EntityRecord] = {}
     duplicates = 0
@@ -117,18 +123,18 @@ def add_entity(catalog: Catalog, name: str, vocab: Vocabulary) -> Catalog:
     Existing records are reused untouched, so their tokenizations cannot be
     perturbed by the addition.
     """
-    _validate_name(name)
+    record = make_record(name, vocab)
     if name in catalog:
         raise CatalogError(f"duplicate entity name: {name!r}")
     new = Catalog.__new__(Catalog)
     new._records = dict(catalog._records)
-    new._records[name] = make_record(name, vocab)
+    new._records[name] = record
     return new
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Non-empty subset of catalog names attached to one mention."""
+    """Non-empty set of entity names attached to one mention, each ranked under its own name."""
 
     names: tuple[str, ...]
 
@@ -136,25 +142,9 @@ class CandidateSet:
         if not self.names:
             raise CatalogError("empty candidate set")
 
-    @classmethod
-    def checked(
-        cls, names: Iterable[str], catalog: Catalog, line: int | None = None
-    ) -> "CandidateSet":
-        """The set, once every name is in ``catalog``; ``line`` numbers the error."""
-        names = tuple(names)
-        for name in names:
-            if name not in catalog:
-                raise CatalogError(f"candidate not in catalog: {name!r}", line)
-        return cls(names)
 
-
-def load_candidate_sets(
-    source: str | Iterable[str], catalog: Catalog | None = None
-) -> dict[str, CandidateSet]:
-    """Read ``mention-id TAB name1|name2|...`` lines into candidate sets.
-
-    Membership is validated against ``catalog`` when one is given.
-    """
+def load_candidate_sets(source: str | Iterable[str]) -> dict[str, CandidateSet]:
+    """Read ``mention-id TAB name1|name2|...`` lines into candidate sets."""
     sets: dict[str, CandidateSet] = {}
     for lineno, raw in read_rows(source):
         parts = raw.split("\t")
@@ -166,8 +156,5 @@ def load_candidate_sets(
             raise CatalogError("empty candidate set", lineno)
         if mention_id in sets:
             raise CatalogError(f"duplicate mention id: {mention_id!r}", lineno)
-        if catalog is not None:
-            sets[mention_id] = CandidateSet.checked(names, catalog, lineno)
-        else:
-            sets[mention_id] = CandidateSet(names)
+        sets[mention_id] = CandidateSet(names)
     return sets

@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .beam import BeamConfig, RankedResult
+from .beam import RankedResult
 from .catalog import load_candidate_sets, load_catalog
 from .markup import MarkupDocument, link_document, render_markup
 from .metrics import RetrievalReport
@@ -32,7 +32,7 @@ from .tasks import (
     score_dump,
 )
 from .trie import EntityTrie, build_trie
-from .vocab import EOS, Vocabulary, decode, encode, load_vocabulary, read_rows
+from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_rows
 
 
 class CliError(ValueError):
@@ -103,10 +103,6 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
         raise CliError(f"{args.catalog} holds no entity names")
     if duplicates:
         print(f"skipped {duplicates} duplicate name(s)", file=sys.stderr)
-    for record in catalog:
-        read_back = decode(record.tokens, vocab)
-        if read_back != record.name:
-            raise CliError(f"catalog name {record.name!r} reads back as {read_back!r}, so no decode can emit it")
     # only the token sequences go into the build: the names and records (on
     # a 100k-name catalog, 20 of the 27 MB it allocates) would otherwise sit
     # under the build's temporaries and raise the process's peak RSS
@@ -181,14 +177,13 @@ def _emit_document(doc: MarkupDocument, doc_id: str, fmt: str, out: TextIO) -> N
 def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
     if (args.text is None) == (args.dataset is None):
         raise CliError("exactly one of --text and --dataset is required")
+    config = TaskConfig(args.beams, args.max_steps, length_normalize=args.length_normalize)
     if args.dataset is not None:
-        config = TaskConfig(args.beams, args.max_steps, length_normalize=args.length_normalize)
         for outcome in _run_suite(args, "el", config).outcomes:
             _emit_document(outcome.document, outcome.instance_id, args.format, out)
         return 0
     vocab, scorer, trie = _load_decoder(args)
-    config = BeamConfig(args.beams, args.max_steps, args.length_normalize)
-    doc = link_document(scorer, args.text, trie, config, vocab, args.chunk_size)
+    doc = link_document(scorer, args.text, trie, config.beam_config(), vocab, args.chunk_size)
     _warn(doc.diagnostics)
     _emit_document(doc, "", args.format, out)
     return 0

@@ -117,38 +117,22 @@ class MarkupDocument:
 def dynamic_constraint(
     state: LinkerState, source: Sequence[TokenId], trie: EntityTrie
 ) -> frozenset[TokenId]:
-    """Legal next tokens for ``state`` (see the module overview)."""
-    node = trie.start()
-    if state.entity_prefix is not None:
-        try:
-            for token in state.entity_prefix:
-                node = trie.advance(node, token)
-        except KeyError:
-            return frozenset()
-    return frozenset(map(int, _allowed(state, node, source, trie)))
+    """Legal next tokens for ``state``: the module overview's rule, as a set."""
+    cursor = state.source_cursor
+    copy = {source[cursor]} if cursor < len(source) else set()
+    if state.phase is Phase.OUTSIDE:
+        return frozenset(copy | {MENTION_OPEN} if copy else {EOS})
+    if state.phase is Phase.MENTION:
+        return frozenset(copy | {MENTION_CLOSE} if cursor > state.mention_start else copy)
+    if state.entity_prefix is None:
+        return frozenset({LINK_OPEN})
+    # a complete name is where the trie allows EOS; inside a link, ``)`` ends it
+    continuations = trie.allowed_continuations(state.entity_prefix)
+    return frozenset(LINK_CLOSE if t == EOS else t for t in continuations)
 
 
 def _pair(a: TokenId, b: TokenId) -> tuple[TokenId, ...]:
     return (a, b) if a < b else (b, a) if b < a else (a,)
-
-
-def _allowed(
-    state: LinkerState, node: int, source: Sequence[TokenId], trie: EntityTrie
-) -> tuple[TokenId, ...] | np.ndarray:
-    """Legal next tokens, ascending; ``node`` is the entity prefix's trie node."""
-    cursor = state.source_cursor
-    if state.phase is Phase.OUTSIDE:
-        if cursor >= len(source):
-            return (EOS,)
-        return _pair(source[cursor], MENTION_OPEN)
-    if state.phase is Phase.MENTION:
-        closable = cursor > state.mention_start
-        if cursor >= len(source):
-            return (MENTION_CLOSE,) if closable else ()
-        return _pair(source[cursor], MENTION_CLOSE) if closable else (source[cursor],)
-    if state.entity_prefix is None:
-        return (LINK_OPEN,)
-    return _link_allowed(node, trie)
 
 
 _CLOSE_ONLY = np.array([LINK_CLOSE], dtype=np.intp)
@@ -161,7 +145,7 @@ def _link_allowed(node: int, trie: EntityTrie) -> tuple[TokenId, ...] | np.ndarr
         return allowed
     if len(allowed) == 0:
         return (LINK_CLOSE,)
-    # ascending: MarkupConstraint refuses labels at or below ``)``, and the reference is a set
+    # ascending: MarkupConstraint refuses labels at or below ``)``
     return np.concatenate((_CLOSE_ONLY, allowed))
 
 

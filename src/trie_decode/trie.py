@@ -232,17 +232,17 @@ class EntityTrie:
         terminal = np.frombuffer(data, np.uint8, n, start + 8 * n + 4)
         if n < 2 or first[0] != 1 or first[n] != n:
             raise TrieFormatError("first_child must run from 1 to the node count")
-        fanout = np.diff(first)
-        if fanout.min() < 0 or np.any(first[:n] <= np.arange(n)):
+        if np.any(first[:n] > first[1:]) or np.any(first[:n] <= np.arange(n)):
             raise TrieFormatError("first_child decreases or points at or before its node")
         labels = token[1:]
         if token[0] != 0 or labels.max() >= vocab_size or np.any((labels == SOS) | (labels == EOS)):
             raise TrieFormatError("token id out of range, structural, or on the root")
-        parent = np.repeat(np.arange(n), fanout)
-        siblings = parent[1:] == parent[:-1]
-        if np.any(labels[1:][siblings] <= labels[:-1][siblings]):
+        # the nodes that start a run of children; any other node follows its sibling
+        opens = np.zeros(n + 1, bool)
+        opens[first] = True
+        if np.any((labels[1:] <= labels[:-1]) & ~opens[2:n]):
             raise TrieFormatError("children not sorted by token id")
-        if terminal.max() > 1 or terminal[0] or not terminal[fanout == 0].all():
+        if terminal.max() > 1 or terminal[0] or not terminal[first[:n] == first[1:]].all():
             raise TrieFormatError("invalid terminal flags")
         return cls(token, first, terminal, vocab_size)
 

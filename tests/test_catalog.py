@@ -2,6 +2,7 @@
 
 import pytest
 
+from trie_decode.beam import BeamConfig, rank_entities
 from trie_decode.catalog import (
     CandidateSet,
     CatalogError,
@@ -9,7 +10,9 @@ from trie_decode.catalog import (
     load_candidate_sets,
     load_catalog,
 )
+from trie_decode.scoring import UniformScorer
 from trie_decode.trie import build_trie
+from trie_decode.vocab import Vocabulary
 
 from helpers import SHARED_PREFIX_NAMES, shared_prefix_vocabulary
 
@@ -30,7 +33,7 @@ class TestLoadCatalog:
         assert catalog.names() == SHARED_PREFIX_NAMES
 
     def test_duplicates_skipped_and_counted(self, vocab):
-        catalog, dup = load_catalog(["A", "A"], vocab)
+        catalog, dup = load_catalog(["France", "France"], vocab)
         assert len(catalog) == 1
         assert dup == 1
 
@@ -110,31 +113,64 @@ class TestAddEntity:
             assert grown.get(name).tokens == tokens
 
 
+class TestReadBack:
+    """A name is a catalog name only if its tokens decode back to it."""
+
+    VOCAB = ("Caf", "Paris", "New", "York")
+    REFUSED = pytest.mark.parametrize(
+        "name, read_back",
+        [("Café", "Caf <unk>"), ("New  York", "New York")],
+        ids=["unknown-character", "double-space"],
+    )
+
+    @REFUSED
+    def test_load_refuses_a_name_with_its_line(self, name, read_back):
+        with pytest.raises(CatalogError) as err:
+            load_catalog(["Paris", "", name], Vocabulary(self.VOCAB))
+        assert err.value.line == 3
+        assert str(err.value) == (
+            f"line 3: catalog name {name!r} reads back as {read_back!r}, so no decode can emit it"
+        )
+
+    @REFUSED
+    def test_add_entity_refuses_a_name(self, name, read_back):
+        vocab = Vocabulary(self.VOCAB)
+        catalog, _ = load_catalog(["Paris"], vocab)
+        with pytest.raises(CatalogError) as err:
+            add_entity(catalog, name, vocab)
+        assert err.value.line is None
+        assert str(err.value) == f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it"
+
+    def test_every_ranked_name_is_a_catalog_name(self):
+        # keep each name that loads on its own; a trie over them ranks each under its own name
+        vocab = Vocabulary(self.VOCAB)
+        accepted = []
+        for name in ("Paris", "Café", "New York", "New  York", "York", "Caf", "CafParis", "Caf é"):
+            try:
+                load_catalog([name], vocab)
+            except CatalogError:
+                continue
+            accepted.append(name)
+        assert accepted == ["Paris", "New York", "York", "Caf"]
+        catalog, _ = load_catalog(accepted, vocab)
+        trie = build_trie(catalog.token_sequences(), vocab.size)
+        ranking = rank_entities(UniformScorer(vocab.size), (), trie, BeamConfig(10, 5), vocab)
+        assert sorted(entry.name for entry in ranking) == sorted(catalog.names())
+
+
 class TestCandidateSets:
     def test_non_empty_enforced(self):
         with pytest.raises(CatalogError):
             CandidateSet(())
 
-    def test_membership_checked(self, vocab):
-        catalog, _ = load_catalog(["France"], vocab)
-        with pytest.raises(CatalogError, match="not in catalog"):
-            CandidateSet.checked(("Atlantis",), catalog)
-
-    def test_load_candidate_file(self, vocab):
-        catalog, _ = load_catalog(list(SHARED_PREFIX_NAMES), vocab)
-        sets = load_candidate_sets(["m1\tFrance|English language", "m2\tFrance"], catalog)
+    def test_load_candidate_file(self):
+        sets = load_candidate_sets(["m1\tFrance|English language", "m2\tFrance"])
         assert sets["m1"].names == ("France", "English language")
         assert sets["m2"].names == ("France",)
 
     def test_load_rejects_malformed_line(self):
         with pytest.raises(CatalogError, match="line 1"):
             load_candidate_sets(["no-tab-here"])
-
-    def test_load_names_the_line_of_a_name_missing_from_the_catalog(self, vocab):
-        catalog, _ = load_catalog(["France"], vocab)
-        with pytest.raises(CatalogError, match=r"^line 3: candidate not in catalog: 'Germany'$") as err:
-            load_candidate_sets(["m1\tFrance", "", "m2\tGermany"], catalog)
-        assert err.value.line == 3
 
     def test_load_rejects_empty_set(self):
         with pytest.raises(CatalogError, match="empty candidate set"):

@@ -85,7 +85,7 @@ class TestBuildTrie:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith(
-            "error: catalog name 'English language' reads back as '<unk> <unk>"
+            "error: line 1: catalog name 'English language' reads back as '<unk> <unk>"
         )
         assert captured.err.endswith("<unk>', so no decode can emit it\n")
         assert "Traceback" not in captured.err
@@ -95,8 +95,8 @@ class TestBuildTrie:
     @pytest.mark.parametrize(
         "names, message",
         [
-            (["Café", "Paris", "New  York"], "catalog name 'Café' reads back as 'Caf <unk>'"),
-            (["Paris", "New  York"], "catalog name 'New  York' reads back as 'New York'"),
+            (["Café", "Paris", "New  York"], "line 1: catalog name 'Café' reads back as 'Caf <unk>'"),
+            (["Paris", "New  York"], "line 2: catalog name 'New  York' reads back as 'New York'"),
         ],
         ids=["unknown-character", "double-space"],
     )
@@ -629,6 +629,8 @@ class TestDatasetRunner:
             "eval-el-dump": ["eval", "--mode", "el", "--dataset", datasets["el"], *dump, datasets["el-dump"]],
             "disambiguate": ["disambiguate", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
             "link": ["link", "--dataset", datasets["el"], *common, "--scorer", "uniform", "--max-steps", "32"],
+            "link-text": ["link", "--text", "English language France", *common, "--scorer", "uniform"],
+            "retrieve": ["retrieve", "--query", "which country", *common, "--scorer", "uniform"],
             "eval-ed": ["eval", "--mode", "ed", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
             "eval-dr": ["eval", "--mode", "dr", "--dataset", datasets["dr"], *common, "--scorer", "uniform"],
             "eval-el": [
@@ -678,6 +680,17 @@ class TestDatasetRunner:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--beams", "--max-steps"])
+    @pytest.mark.parametrize("command", ["retrieve", "disambiguate", "link", "link-text"])
+    def test_decode_flags_fail_with_one_message_on_every_command(
+        self, cli_files, datasets, capsys, command, flag
+    ):
+        code = main(self._argv(cli_files, datasets, command) + [flag, "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: beams and max_steps must be >= 1, context_window >= 3\n"
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize(
