@@ -1,9 +1,11 @@
 """Entity collection, per-mention candidate sets, and cold-start insertion.
 
 Entities are identified by their name string alone; the cached tokenization
-is what the trie and the decoders consume.  Catalogs have value semantics:
-``add_entity`` returns a new catalog and never mutates the old one, so any
-number of readers may share a version.
+is what the trie and the decoders consume.  ``Catalog(names, vocab)``,
+:func:`load_catalog` and :func:`add_entity` hold each name to the one rule of
+:func:`make_record`, so two names are equal exactly when their tokens are.
+Catalogs have value semantics: ``add_entity`` returns a new catalog and never
+mutates the old one, so any number of readers may share a version.
 """
 
 from __future__ import annotations
@@ -58,12 +60,20 @@ class Catalog:
 
     __slots__ = ("_records",)
 
-    def __init__(self, records: Iterable[EntityRecord] = ()) -> None:
+    def __init__(self, names: Iterable[str], vocab: Vocabulary) -> None:
+        """The catalog of ``names``; a name :func:`make_record` refuses, or a repeat, raises ``CatalogError``."""
         self._records: dict[str, EntityRecord] = {}
-        for rec in records:
-            if rec.name in self._records:
-                raise CatalogError(f"duplicate entity name: {rec.name!r}")
-            self._records[rec.name] = rec
+        for name in names:
+            if name in self._records:
+                raise CatalogError(f"duplicate entity name: {name!r}")
+            self._records[name] = make_record(name, vocab)
+
+    @classmethod
+    def _of(cls, records: dict[str, EntityRecord]) -> Catalog:
+        """The catalog that keeps ``records``, each already made by :func:`make_record`."""
+        catalog = cls.__new__(cls)
+        catalog._records = records
+        return catalog
 
     def __len__(self) -> int:
         return len(self._records)
@@ -112,9 +122,7 @@ def load_catalog(source: str | Iterable[str], vocab: Vocabulary) -> tuple[Catalo
             duplicates += 1
             continue
         records[name] = make_record(name, vocab, line=lineno)
-    catalog = Catalog.__new__(Catalog)
-    catalog._records = records
-    return catalog, duplicates
+    return Catalog._of(records), duplicates
 
 
 def add_entity(catalog: Catalog, name: str, vocab: Vocabulary) -> Catalog:
@@ -126,10 +134,7 @@ def add_entity(catalog: Catalog, name: str, vocab: Vocabulary) -> Catalog:
     record = make_record(name, vocab)
     if name in catalog:
         raise CatalogError(f"duplicate entity name: {name!r}")
-    new = Catalog.__new__(Catalog)
-    new._records = dict(catalog._records)
-    new._records[name] = record
-    return new
+    return Catalog._of({**catalog._records, name: record})
 
 
 @dataclass(frozen=True)

@@ -283,11 +283,10 @@ def _checked_ids(seqs: list[Sequence[TokenId]], length: np.ndarray, vocab_size: 
     return ids
 
 
-def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int | None = None) -> EntityTrie:
+def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> EntityTrie:
     """Build a trie accepting exactly the given non-empty sequences.
 
-    ``vocab_size`` defaults to one past the largest token id seen.  The
-    build is level by level over one flat id array: at depth ``d`` the
+    The build is level by level over one flat id array: at depth ``d`` the
     ``(parent node, token)`` pairs of the sequences longer than ``d`` are
     sorted, and each run of equal pairs becomes one node of level ``d + 1``.
     The sort puts them in level order with ascending siblings and merges
@@ -303,13 +302,10 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int | None = 
     seqs = list(sequences)
     if not seqs:
         raise TrieError("cannot build a trie from zero sequences")
-    if vocab_size is None:
-        vocab_size = 1 + max(map(_token_index, chain.from_iterable(seqs)), default=0)
-    else:
-        try:
-            vocab_size = operator.index(vocab_size)
-        except TypeError:
-            raise TrieError(f"vocab size {vocab_size!r} is not an integer") from None
+    try:
+        vocab_size = operator.index(vocab_size)
+    except TypeError:
+        raise TrieError(f"vocab size {vocab_size!r} is not an integer") from None
     if not 0 <= vocab_size <= _U32_MAX:
         raise TrieError(f"vocab size {vocab_size} does not fit the trie file's u32 header")
     length = np.fromiter(map(len, seqs), np.int64, len(seqs))

@@ -150,7 +150,9 @@ def encode_with_offsets(text: str, vocab: Vocabulary) -> list[TokenSpan]:
     """Encode ``text`` and report each token's character extent.
 
     Greedy longest-match inside each whitespace word; an unmatched character
-    becomes one UNK covering exactly that character.
+    becomes one UNK covering exactly that character.  A word that is itself
+    a token is looked up once: it is no longer than the longest token, so
+    greedy matching would take it whole at its first probe.
     """
     table = vocab._table
     max_len = vocab._max_len
@@ -158,6 +160,10 @@ def encode_with_offsets(text: str, vocab: Vocabulary) -> list[TokenSpan]:
     for m in _WORD_RE.finditer(text):
         word = m.group()
         base = m.start()
+        tid = table.get(word)
+        if tid is not None:
+            out.append(TokenSpan(tid, base, len(word)))
+            continue
         i = 0
         n = len(word)
         while i < n:
@@ -176,9 +182,8 @@ def encode_with_offsets(text: str, vocab: Vocabulary) -> list[TokenSpan]:
 def encode(text: str, vocab: Vocabulary) -> list[TokenId]:
     """Deterministic, total encoding of ``text`` to token ids.
 
-    Equal to the tokens of :func:`encode_with_offsets`.  A word that is
-    itself a token is looked up once: it is no longer than the longest
-    token, so greedy matching would take it whole at its first probe.
+    Equal to the tokens of :func:`encode_with_offsets`, with the same
+    whole-word lookup first.
     """
     table = vocab._table
     out: list[TokenId] = []

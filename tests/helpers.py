@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from trie_decode.beam import Hypothesis, mask_logprobs
-from trie_decode.catalog import Catalog, EntityRecord
+from trie_decode.catalog import Catalog
 from trie_decode.scoring import TableScorer
 from trie_decode.trie import EntityTrie, TrieError, build_trie
 from trie_decode.vocab import EOS, SOS, Vocabulary, decode
@@ -97,7 +97,7 @@ def random_sequences(
 
 
 def catalog_from_sequences(sequences: list[tuple[int, ...]], vocab: Vocabulary) -> Catalog:
-    return Catalog(EntityRecord(decode(seq, vocab), seq) for seq in sequences)
+    return Catalog((decode(seq, vocab) for seq in sequences), vocab)
 
 
 def random_catalog(
@@ -204,7 +204,7 @@ def reference_flag_window(left_len: int, right_len: int, budget: int) -> tuple[i
     return left_share, right_share
 
 
-def reference_build_trie(sequences, vocab_size=None) -> EntityTrie:
+def reference_build_trie(sequences, vocab_size) -> EntityTrie:
     """The trie built as first written, the reference for ``build_trie``.
 
     Sorts the distinct sequences, then numbers the nodes in level order with
@@ -214,8 +214,6 @@ def reference_build_trie(sequences, vocab_size=None) -> EntityTrie:
     seqs = [tuple(s) for s in sequences]
     if not seqs:
         raise TrieError("cannot build a trie from zero sequences")
-    if vocab_size is None:
-        vocab_size = max(max(s, default=0) for s in seqs) + 1
     for seq in seqs:
         if not seq:
             raise TrieError("empty sequence")

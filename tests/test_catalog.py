@@ -5,6 +5,7 @@ import pytest
 from trie_decode.beam import BeamConfig, rank_entities
 from trie_decode.catalog import (
     CandidateSet,
+    Catalog,
     CatalogError,
     add_entity,
     load_candidate_sets,
@@ -140,6 +141,22 @@ class TestReadBack:
             add_entity(catalog, name, vocab)
         assert err.value.line is None
         assert str(err.value) == f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it"
+
+    @REFUSED
+    def test_constructor_refuses_a_name(self, name, read_back):
+        with pytest.raises(CatalogError) as err:
+            Catalog(["Paris", name], Vocabulary(self.VOCAB))
+        assert err.value.line is None
+        assert str(err.value) == f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it"
+
+    def test_constructor_refuses_a_duplicate(self):
+        with pytest.raises(CatalogError, match="^duplicate entity name: 'Paris'$"):
+            Catalog(["Paris", "York", "Paris"], Vocabulary(self.VOCAB))
+
+    def test_constructor_agrees_with_load(self):
+        vocab = Vocabulary(self.VOCAB)
+        names = ["Paris", "New York", "Caf"]
+        assert Catalog(names, vocab) == load_catalog(names, vocab)[0]
 
     def test_every_ranked_name_is_a_catalog_name(self):
         # keep each name that loads on its own; a trie over them ranks each under its own name

@@ -112,6 +112,36 @@ class TestBuildTrie:
         assert captured.err == f"error: {message}, so no decode can emit it\n"
         assert not os.path.exists(cli_files["trie"])
 
+    def test_duplicates_are_counted_and_merged(self, cli_files, tmp_path, capsys):
+        # "English" is a prefix of "English language"; each name repeats at most twice more
+        catalog = tmp_path / "repeats.txt"
+        catalog.write_text(
+            "English language\n\nFrance\nEnglish\n  English language  \n \nFrance\n"
+            "English language\nEnglish literature\nEnglish\n"
+        )
+        code = main(["build-trie", str(catalog), "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == "skipped 4 duplicate name(s)\n"
+        assert captured.out.startswith("leaves=4 ")
+        deduplicated = tmp_path / "deduplicated.txt"
+        deduplicated.write_text("English language\nFrance\nEnglish\nEnglish literature\n")
+        reference = tmp_path / "deduplicated.trie"
+        code = main(["build-trie", str(deduplicated), "--vocab", cli_files["vocab"], "--out", str(reference)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert open(cli_files["trie"], "rb").read() == reference.read_bytes()
+
+    def test_a_bad_name_after_a_duplicate_names_its_own_line(self, cli_files, tmp_path, capsys):
+        catalog = tmp_path / "bad-after-duplicate.txt"
+        catalog.write_text("France\n\nFrance\nx(y)\nEnglish\n")
+        code = main(["build-trie", str(catalog), "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: line 4: entity name contains reserved characters ['(', ')']: 'x(y)'\n"
+        assert not os.path.exists(cli_files["trie"])
+
 
 class TestRetrieve:
     def test_oracle_with_one_beam_returns_target(self, cli_files, capsys):
