@@ -34,7 +34,7 @@ from .metrics import (
 )
 from .scoring import Scorer
 from .trie import EntityTrie
-from .vocab import InputError, TokenId, Vocabulary, decode, encode, encode_with_offsets, read_rows
+from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
 
 START_ENT_STRING = "[START_ENT]"
 END_ENT_STRING = "[END_ENT]"
@@ -102,7 +102,8 @@ def flag_mention(instance: EDInstance, vocab: Vocabulary, config: TaskConfig) ->
     mention = instance.mention_tokens()
     if len(mention) + 2 > config.context_window:
         raise TaskError(
-            f"mention of {len(mention)} tokens does not fit a window of {config.context_window}"
+            f"instance {instance.instance_id!r}: mention of {len(mention)} tokens does not fit a window of "
+            f"{config.context_window}"
         )
     left = instance.context_tokens[: instance.mention_start]
     right = instance.context_tokens[instance.mention_start + instance.mention_length :]
@@ -228,14 +229,14 @@ def _mention_token_span(
     end = char_start + char_len
     if char_len < 1 or char_start < 0 or end > len(context):
         raise TaskError("mention character span outside the context", line)
-    token_spans = encode_with_offsets(context, vocab)
-    starts = [span.start for span in token_spans]
-    # the spans are sorted and disjoint: the mention is the tokens starting in [char_start, end)
-    first = bisect_left(starts, char_start)
-    last = bisect_left(starts, end, first)
-    if first == last or starts[first] != char_start or token_spans[last - 1].end != end:
+    tokens = encode(context, vocab)
+    before, mention = encode(context[:char_start], vocab), encode(context[char_start:end], vocab)
+    # greedy matching in a word depends only on the characters that follow, and each id spans a fixed number
+    # of characters (its string's, one for UNK): the context starts with the pieces' ids iff both cuts align
+    space_edge = context[char_start].isspace() or context[end - 1].isspace()
+    if space_edge or tokens[: len(before) + len(mention)] != before + mention:
         raise TaskError("mention does not align to token boundaries", line)
-    return tuple(span.token for span in token_spans), first, last - first
+    return tuple(tokens), len(before), len(mention)
 
 
 def load_ed_dataset(

@@ -209,10 +209,17 @@ def decode(tokens: Sequence[TokenId], vocab: Vocabulary) -> str:
 
 
 def read_lines(source: str | Iterable[str]) -> list[str]:
-    """Lines of the UTF-8 file at path ``source``, or of an iterable of lines, without newlines."""
+    r"""Lines of the UTF-8 file at path ``source``, or of an iterable of lines, without newlines.
+
+    A path is read as a text-mode handle iterates: ``\n``, ``\r\n`` and ``\r`` end a line, and every
+    other separator (``\f``, ``\x1c``, U+2028, ...) stays inside its line.
+    """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
+        if not lines[-1]:  # the empty text after a final newline, or of an empty file
+            lines.pop()
+        return lines
     return [line.rstrip("\n") for line in source]
 
 

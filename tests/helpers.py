@@ -7,6 +7,7 @@ name/token mapping is exact in both directions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 import numpy as np
@@ -14,8 +15,9 @@ import numpy as np
 from trie_decode.beam import Hypothesis, mask_logprobs
 from trie_decode.catalog import Catalog
 from trie_decode.scoring import TableScorer
+from trie_decode.tasks import TaskError
 from trie_decode.trie import EntityTrie, TrieError, build_trie
-from trie_decode.vocab import EOS, SOS, Vocabulary, decode
+from trie_decode.vocab import EOS, SOS, Vocabulary, decode, encode_with_offsets
 
 WORD_POOL = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
@@ -202,6 +204,25 @@ def reference_flag_window(left_len: int, right_len: int, budget: int) -> tuple[i
     if right_len < right_share:
         return min(left_len, budget - right_len), right_len
     return left_share, right_share
+
+
+def reference_mention_token_span(context, char_start, char_len, vocab, line):
+    """The ED loader's mention token range as first written, the reference for the loader.
+
+    Lays out every token's character extent, then bisects the token starts
+    for the tokens that start inside the mention's characters.
+    """
+    end = char_start + char_len
+    if char_len < 1 or char_start < 0 or end > len(context):
+        raise TaskError("mention character span outside the context", line)
+    token_spans = encode_with_offsets(context, vocab)
+    starts = [span.start for span in token_spans]
+    # the spans are sorted and disjoint: the mention is the tokens starting in [char_start, end)
+    first = bisect_left(starts, char_start)
+    last = bisect_left(starts, end, first)
+    if first == last or starts[first] != char_start or token_spans[last - 1].end != end:
+        raise TaskError("mention does not align to token boundaries", line)
+    return tuple(span.token for span in token_spans), first, last - first
 
 
 def reference_build_trie(sequences, vocab_size) -> EntityTrie:

@@ -73,6 +73,16 @@ class TestBuildTrie:
         assert captured.err == f"error: {catalog} holds no entity names\n"
         assert not os.path.exists(cli_files["trie"])
 
+    def test_vocabulary_line_holding_a_file_separator_fails_loud(self, cli_files, tmp_path, capsys):
+        vocab = tmp_path / "fs-vocab.txt"
+        vocab.write_bytes(b"a\x1cb\nFrance\n")
+        code = main(["build-trie", cli_files["catalog"], "--vocab", str(vocab), "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: token string contains whitespace: 'a\\x1cb'\n"
+        assert not os.path.exists(cli_files["trie"])
+
     def test_names_sharing_a_token_sequence_fail_loud(self, cli_files, tmp_path, capsys):
         # an empty vocabulary encodes each character to <unk>, so names of
         # one length share a sequence
@@ -461,6 +471,27 @@ class TestDisambiguateCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: max_steps 15 cannot finish the longest name (20 tokens)")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_mention_wider_than_the_window_names_its_instance(self, cli_files, tmp_path, capsys, jobs):
+        dataset = tmp_path / "ed.tsv"
+        dataset.write_text("m1\tlanguage France\t9\t6\tFrance\tFrance\nm2\tEnglish language\t0\t16\tFrance\tFrance\n")
+        argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", "uniform"]
+        code = main(argv + ["--context-window", "3", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: instance 'm2': mention of 2 tokens does not fit a window of 3\n"
+
+    def test_a_line_separator_inside_a_context_is_whitespace(self, cli_files, tmp_path, capsys):
+        dataset = tmp_path / "ed.tsv"
+        argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", "uniform"]
+        outputs = []
+        for space in (" ", "\u2028"):
+            dataset.write_text(f"m1\tlanguage{space}France\t9\t6\tFrance\tFrance|English language\n")
+            assert main(argv + ["--format", "structured"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
 
 
 class TestEvalPipelines:

@@ -17,6 +17,7 @@ from trie_decode.tasks import (
     TaskConfig,
     TaskError,
     _Candidates,
+    _mention_token_span,
     disambiguate,
     flag_mention,
     load_ed_dataset,
@@ -25,7 +26,7 @@ from trie_decode.tasks import (
     run_eval_suite,
 )
 from trie_decode.trie import build_trie
-from trie_decode.vocab import EOS, Vocabulary, decode, encode
+from trie_decode.vocab import EOS, Vocabulary, decode, encode, encode_with_offsets
 
 from helpers import (
     PAINTING_ENTITIES,
@@ -36,6 +37,7 @@ from helpers import (
     random_sequences,
     random_table_scorer,
     reference_flag_window,
+    reference_mention_token_span,
 )
 
 
@@ -329,6 +331,49 @@ class TestEdDatasetLoader:
         (instance,) = load_ed_dataset([line], vocab)
         tokens = tuple(encode(context, vocab))
         assert (instance.context_tokens, instance.mention_start, instance.mention_length) == (tokens, *span)
+
+    def test_span_rule_agrees_with_the_reference_on_random_contexts(self):
+        # tokens that prefix each other split words mid-way; "d" and "é" match no token.  A
+        # dataset line cannot hold a tab, so a context with one goes to the span rule directly
+        rng = np.random.default_rng(22)
+        separators = (" ", "  ", "\t", "\x1c", "\x85", "\u3000")
+
+        def word(letters, longest):
+            return "".join(rng.choice(list(letters), int(rng.integers(1, longest + 1))))
+
+        def load_row(context, start, length, v, line):
+            row = f"m1\t{context}\t{start}\t{length}\tg"
+            (instance,) = load_ed_dataset([""] * (line - 1) + [row], v)
+            return instance.context_tokens, instance.mention_start, instance.mention_length
+
+        def outcome(find_span, *args):
+            try:
+                return find_span(*args)
+            except TaskError as exc:
+                return str(exc), exc.line
+
+        counts = {"aligned": 0, "outside": 0, "misaligned": 0}
+        for case in range(4000):
+            if case % 40 == 0:
+                v = Vocabulary(dict.fromkeys(word("abc", 4) for _ in range(8)))
+            words = [word("abcdé", 6) for _ in range(rng.integers(0, 6))]
+            context = "".join(str(rng.choice(separators)) + w for w in words)
+            context = context[int(rng.integers(0, 2)) :] + str(rng.choice(("", *separators)))
+            # cuts on token boundaries (mid-word ones included) or anywhere: on whitespace, past either end
+            bounds = sorted({b for t in encode_with_offsets(context, v) for b in (t.start, t.end)})
+            anywhere = range(-2, len(context) + 3)
+            start = int(rng.choice(bounds if bounds and rng.random() < 0.7 else anywhere))
+            later = [b for b in bounds if b > start]
+            end = int(rng.choice(later if later and rng.random() < 0.7 else anywhere))
+            args = (context, start, end - start, v, int(rng.integers(1, 4)))
+            expected = outcome(reference_mention_token_span, *args)
+            got = outcome(_mention_token_span if "\t" in context else load_row, *args)
+            assert got == expected, (v.tokens, *args[:3])
+            if isinstance(expected[0], str):
+                counts["outside" if "outside" in expected[0] else "misaligned"] += 1
+            else:
+                counts["aligned"] += 1
+        assert min(counts.values()) > 500, counts
 
     def test_malformed_line_rejected(self, vocab):
         with pytest.raises(TaskError, match="line 2"):

@@ -21,6 +21,7 @@ from trie_decode.vocab import (
     encode,
     encode_with_offsets,
     load_vocabulary,
+    read_lines,
 )
 
 from helpers import WORD_POOL, pool_vocabulary
@@ -189,3 +190,39 @@ def test_every_reader_numbers_lines_from_one(tmp_path, reader, text, line):
         assert caught.value.line == line
     else:  # a dump line is named as file:line, like the records it yields
         assert str(caught.value).startswith(f"{path}:{line}: ")
+
+
+# str.splitlines breaks at these, a text-mode file does not
+LINE_BREAKS_INSIDE_A_LINE = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        *((f"a{sep}b\nc\n", [f"a{sep}b", "c"]) for sep in LINE_BREAKS_INSIDE_A_LINE),
+        ("a\r\nb\r\n", ["a", "b"]),
+        ("a\rb", ["a", "b"]),
+        ("a\nb", ["a", "b"]),
+        ("a\n\n", ["a", ""]),
+        ("\n", [""]),
+        ("", []),
+    ],
+    ids=[
+        *(f"{ord(sep):#x}-inside" for sep in LINE_BREAKS_INSIDE_A_LINE),
+        "crlf", "lone-cr", "no-final-newline", "blank-last", "newline", "empty",
+    ],
+)
+def test_a_path_reads_the_lines_of_its_open_file(tmp_path, text, lines):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        assert read_lines(fh) == lines
+    assert read_lines(str(path)) == lines
+
+
+def test_a_vocabulary_line_holding_a_separator_is_one_bad_token(tmp_path):
+    # a path once split at "\x1c", loading "a" and "b" and shifting every later id by one
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("English\na\x1cb\nFrance\n".encode("utf-8"))
+    with pytest.raises(VocabularyError, match=r"^token string contains whitespace: 'a\\x1cb'$"):
+        load_vocabulary(str(path))
