@@ -52,7 +52,8 @@ class Constraint(Protocol[State]):
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
         """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is."""
 
-    def advance(self, state: State, token: TokenId) -> State: ...
+    def advance(self, state: State, token: TokenId) -> State:
+        """The state after ``token``; defined only for an id in ``allowed(state)``."""
 
 
 class BeamError(ValueError):

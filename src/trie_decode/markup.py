@@ -131,10 +131,6 @@ def dynamic_constraint(
     return frozenset(LINK_CLOSE if t == EOS else t for t in continuations)
 
 
-def _pair(a: TokenId, b: TokenId) -> tuple[TokenId, ...]:
-    return (a, b) if a < b else (b, a) if b < a else (a,)
-
-
 _CLOSE_ONLY = np.array([LINK_CLOSE], dtype=np.intp)
 
 
@@ -235,12 +231,14 @@ class MarkupConstraint:
     token, and ``node`` the entity prefix's trie node (the root outside a
     link).  Every phase before the link reads its ids from a per-cursor
     table built once per source.  The one final state is outside at the end
-    of the source.  ``allowed`` and ``advance`` match
-    :func:`dynamic_constraint` (without EOS, ascending) and
-    :func:`advance_state` (the same errors), the reference this FSM is
-    tested against.  A trie label that is a markup id would read as markup
-    inside a link, and a source id at or below ``)`` would be copied as SOS,
-    EOS or markup, so such a trie or source raises :class:`MarkupError`.
+    of the source.  ``allowed`` matches :func:`dynamic_constraint` (without
+    EOS, ascending), and ``advance``, defined only for an id in
+    ``allowed(state)``, moves as :func:`advance_state` does: that reference,
+    which keeps the errors, is what this FSM is tested against.  A trie
+    label that is a markup id would read as markup inside a link, and a
+    source id at or below ``)`` would be copied as SOS, EOS or markup, so
+    such a trie or source raises :class:`MarkupError`; ``advance`` then
+    reads each move off the token alone.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
@@ -249,7 +247,7 @@ class MarkupConstraint:
                 f"trie label {trie.min_label} is a markup token ({MENTION_OPEN}..{LINK_CLOSE}); "
                 "entity names cannot contain one"
             )
-        self._source = source = tuple(source)
+        source = tuple(source)
         lowest = min(source, default=LINK_CLOSE + 1)
         if lowest <= LINK_CLOSE:
             raise MarkupError(
@@ -261,9 +259,9 @@ class MarkupConstraint:
         self._end = _OUTSIDE, len(source), self._root  # the one final state
         # allowed ids by phase, then by cursor, for each phase before _LINK
         self._tables = (
-            [_pair(t, MENTION_OPEN) for t in source] + [()],
+            [(MENTION_OPEN, t) for t in source] + [()],
             [(t,) for t in source] + [()],
-            [_pair(t, MENTION_CLOSE) for t in source] + [(MENTION_CLOSE,)],
+            [(MENTION_CLOSE, t) for t in source] + [(MENTION_CLOSE,)],
             [(LINK_OPEN,)] * (len(source) + 1),
         )
 
@@ -281,37 +279,17 @@ class MarkupConstraint:
 
     def advance(self, state: _State, token: TokenId) -> _State:
         phase, cursor, node = state
-        source = self._source
-        if phase == _OUTSIDE:
-            if token == MENTION_OPEN:
-                if cursor >= len(source):
-                    raise MarkupError("cannot open a mention at the end of the source")
-                return _OPENED, cursor, node
-            if cursor < len(source) and token == source[cursor]:
-                return _OUTSIDE, cursor + 1, node
-            raise MarkupError(f"illegal token {token} outside a mention")
-        if phase in (_OPENED, _MENTION):
-            if token == MENTION_CLOSE:
-                if phase == _OPENED:
-                    raise MarkupError("mentions must be non-empty")
-                return _OPEN_LINK, cursor, node
-            if cursor < len(source) and token == source[cursor]:
-                return _MENTION, cursor + 1, node
-            raise MarkupError(f"illegal token {token} inside a mention")
-        if phase == _OPEN_LINK:
-            if token != LINK_OPEN:
-                raise MarkupError("the link must open immediately after the mention closes")
-            return _LINK, cursor, node
-        if token == LINK_CLOSE:
-            if node == self._root:
-                raise MarkupError("empty entity link")
-            return _OUTSIDE, cursor, self._root
-        if token in (EOS, MENTION_OPEN, MENTION_CLOSE, LINK_OPEN):
-            raise MarkupError(f"illegal token {token} inside an entity link")
-        try:
+        if phase == _LINK:
+            if token == LINK_CLOSE:
+                return _OUTSIDE, cursor, self._root
             return _LINK, cursor, self._trie.advance(node, token)
-        except KeyError:
-            raise MarkupError(f"token {token} continues no entity name") from None
+        if token == MENTION_OPEN:
+            return _OPENED, cursor, node
+        if token == MENTION_CLOSE:
+            return _OPEN_LINK, cursor, node
+        if token == LINK_OPEN:
+            return _LINK, cursor, node
+        return (_OUTSIDE if phase == _OUTSIDE else _MENTION), cursor + 1, node
 
 
 def link_document(

@@ -212,11 +212,18 @@ def read_lines(source: str | Iterable[str]) -> list[str]:
     r"""Lines of the UTF-8 file at path ``source``, or of an iterable of lines, without newlines.
 
     A path is read as a text-mode handle iterates: ``\n``, ``\r\n`` and ``\r`` end a line, and every
-    other separator (``\f``, ``\x1c``, U+2028, ...) stays inside its line.
+    other separator (``\f``, ``\x1c``, U+2028, ...) stays inside its line.  A path that is not UTF-8
+    raises :class:`InputError` naming it and the line of its first bad byte.
     """
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
+        try:
+            with open(source, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file in one call, so the offset is the file's
+            head, bad = exc.object[: exc.start], exc.object[exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise InputError(f"{source}:{line}: not UTF-8 (can't decode byte {bad:#04x}: {exc.reason})") from None
         if not lines[-1]:  # the empty text after a final newline, or of an empty file
             lines.pop()
         return lines

@@ -384,6 +384,66 @@ class TestSurvivorOnlySteps:
         assert met >= {(extra, final) for extra in (0, 1, 2) for final in (False, True)}
 
 
+class AdvanceChecked:
+    """``inner`` that records every ``advance(state, token)`` call in ``advanced``.
+
+    Each call asserts that ``token`` is in ``allowed(state)``, the one place
+    ``advance`` is defined, so never EOS.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.advanced = []
+
+    def start(self):
+        return self.inner.start()
+
+    def final(self, state):
+        return self.inner.final(state)
+
+    def allowed(self, state):
+        return self.inner.allowed(state)
+
+    def advance(self, state, token):
+        assert token in [int(t) for t in self.inner.allowed(state)]
+        self.advanced.append((state, token))
+        return self.inner.advance(state, token)
+
+
+class TestAdvanceOnlyOnAllowedIds:
+    """``beam_search`` advances a state only on one of its allowed ids."""
+
+    def test_trie_candidates_and_markup_below_and_above_the_fanout(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(53)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        # every allowed set is narrower than the vocabulary, which holds SOS and EOS
+        ks = (1, 2, vocab.size)
+        met = set()
+        for _ in range(15):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(5, 40)), max_len=5)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 6))))
+            scorer = random_table_scorer(rng, vocab)
+            searches = {
+                "trie": ((), trie, 8),
+                "candidates": ((), _Candidates(sorted(seqs)), 8),
+                "markup": (source, MarkupConstraint(source, trie), 40),
+            }
+            for kind, (inputs, constraint, max_steps) in searches.items():
+                for k in ks:
+                    config = BeamConfig(k, max_steps, length_normalize=False)
+                    checked = AdvanceChecked(constraint)
+                    assert beam_search(scorer, inputs, checked, config) == beam_search(
+                        scorer, inputs, constraint, config
+                    )
+                    assert checked.advanced
+                    widths = [len(constraint.allowed(state)) for state, _ in checked.advanced]
+                    met |= {(kind, max(widths) > k)}
+        # each constraint met a parent wider than k and a search narrower throughout
+        assert met == {(kind, wider) for kind in searches for wider in (False, True)}
+
+
 class TestConstraintProtocol:
     """``allowed`` never holds EOS; with EOS where ``final`` it is the reference set."""
 

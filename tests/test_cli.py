@@ -83,6 +83,26 @@ class TestBuildTrie:
         assert captured.err == "error: token string contains whitespace: 'a\\x1cb'\n"
         assert not os.path.exists(cli_files["trie"])
 
+    @pytest.mark.parametrize(
+        "kind, data, line",
+        [
+            ("catalog", b"\xffFrance\n", 1),
+            ("vocab", b"English\r\nFrance\r\n\r\nlan\xffguage\r\n", 4),
+        ],
+        ids=["catalog-line-1", "vocabulary-crlf-line-4"],
+    )
+    def test_a_file_that_is_not_utf8_names_itself_and_its_line(self, cli_files, capsys, kind, data, line):
+        with open(cli_files[kind], "wb") as fh:
+            fh.write(data)
+        code = main(["build-trie", cli_files["catalog"], "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {cli_files[kind]}:{line}: not UTF-8 (can't decode byte 0xff: invalid start byte)\n"
+        )
+        assert not os.path.exists(cli_files["trie"])
+
     def test_names_sharing_a_token_sequence_fail_loud(self, cli_files, tmp_path, capsys):
         # an empty vocabulary encodes each character to <unk>, so names of
         # one length share a sequence

@@ -1,10 +1,17 @@
 """Markup decoding FSM, end-to-end linking, parsing, and chunking."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from trie_decode.beam import BeamConfig, beam_search
 from trie_decode.markup import (
+    _LINK,
+    _MENTION,
+    _OPEN_LINK,
+    _OPENED,
+    _OUTSIDE,
     LinkerState,
     MarkupConstraint,
     MarkupDocument,
@@ -103,14 +110,24 @@ class TestDynamicConstraint:
     def test_constraint_allowed_is_the_ascending_dynamic_constraint(self):
         # raw ids 2..10 put markup specials in some sources, which the
         # constraint refuses; the trie labels are ids 6..10, above every
-        # markup id, so ``)`` sorts first
+        # markup id, so ``)`` sorts first.  On a source of repeated ids a copy
+        # that left the cursor in place would still offer the same ids, so
+        # each move also checks the state: its cursor, and its phase as Phase
         rng = np.random.default_rng(13)
         ids, labels = list(range(2, 11)), list(range(6, 11))
+        as_phase = {
+            _OUTSIDE: Phase.OUTSIDE,
+            _OPENED: Phase.MENTION,
+            _MENTION: Phase.MENTION,
+            _OPEN_LINK: Phase.ENTITY,
+            _LINK: Phase.ENTITY,
+        }
+        randoms = (tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4)))) for _ in range(110))
+        repeated = [(7, 7, 7), (6, 6), (8, 9, 8, 8), (10, 6, 10, 10)]
         walked = 0
-        for _ in range(110):
+        for source in itertools.chain(randoms, repeated):
             seqs = {tuple(int(t) for t in rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(6)}
             trie = build_trie(seqs, 11)
-            source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(1, 4))))
             if min(source) <= LINK_CLOSE:
                 with pytest.raises(MarkupError, match=f"source token {min(source)} "):
                     MarkupConstraint(source, trie)
@@ -126,52 +143,13 @@ class TestDynamicConstraint:
                     assert allowed == sorted(set(allowed)) and EOS not in allowed
                     assert legal_ids(constraint, state) == dynamic_constraint(reference, source, trie)
                     for token in allowed:
+                        moved = constraint.advance(state, token)
                         after = advance_state(reference, token, source)
-                        following.append((constraint.advance(state, token), after))
+                        phase, cursor, _ = moved
+                        assert (as_phase[phase], cursor) == (after.phase, after.source_cursor)
+                        following.append((moved, after))
                 frontier = following[:200]
         assert walked >= 40
-
-    def test_constraint_rejects_every_move_advance_state_rejects(self):
-        # every token id at every reachable state, special labels included:
-        # a move the reference rejects raises the same error from the
-        # constraint, and a move it accepts leads to the same allowed ids
-        rng = np.random.default_rng(29)
-        ids, labels = list(range(2, 11)), list(range(6, 11))
-        walked = 0
-        for _ in range(60):
-            seqs = {tuple(int(t) for t in rng.choice(labels, size=int(rng.integers(1, 4)))) for _ in range(5)}
-            trie = build_trie(seqs, 11)
-            source = tuple(int(t) for t in rng.choice(ids, size=int(rng.integers(0, 4))))
-            if min(source, default=UNK) <= LINK_CLOSE:
-                with pytest.raises(MarkupError, match=f"source token {min(source)} "):
-                    MarkupConstraint(source, trie)
-                continue
-            walked += 1
-            constraint = MarkupConstraint(source, trie)
-            frontier = [(constraint.start(), LinkerState())]
-            for _ in range(7):
-                following = []
-                for state, reference in frontier:
-                    for token in range(11):
-                        try:
-                            after = advance_state(reference, token, source)
-                        except MarkupError as exc:
-                            with pytest.raises(MarkupError) as raised:
-                                constraint.advance(state, token)
-                            assert str(raised.value) == str(exc)
-                            continue
-                        try:
-                            moved = constraint.advance(state, token)
-                        except MarkupError as exc:
-                            # the reference does not walk the trie
-                            assert str(exc) == f"token {token} continues no entity name"
-                            assert token not in dynamic_constraint(reference, source, trie)
-                            continue
-                        assert legal_ids(constraint, moved) == dynamic_constraint(after, source, trie)
-                        following.append((moved, after))
-                frontier = following[:100]
-        assert walked >= 30
-
 
     @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
     def test_constraint_refuses_a_trie_with_a_markup_label(self, label):
@@ -189,16 +167,6 @@ class TestDynamicConstraint:
         with pytest.raises(MarkupError, match=f"source token {token} is a sequence or markup token"):
             MarkupConstraint((7, token, 8), trie)
         MarkupConstraint((7, UNK, 8), trie)  # the lowest id encode produces
-
-    def test_constraint_rejects_a_token_outside_every_name(self, painting):
-        vocab, trie, _ = painting
-        source = tuple(encode(PAINTING_SOURCE, vocab))
-        constraint = MarkupConstraint(source, trie)
-        state = constraint.start()
-        for token in (MENTION_OPEN, source[0], MENTION_CLOSE, LINK_OPEN):
-            state = constraint.advance(state, token)
-        with pytest.raises(MarkupError, match="continues no entity name"):
-            constraint.advance(state, vocab.ordinary_id("began"))
 
 
 class TestAdvanceState:

@@ -220,6 +220,15 @@ def test_a_path_reads_the_lines_of_its_open_file(tmp_path, text, lines):
     assert read_lines(str(path)) == lines
 
 
+def test_a_path_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
+    # \r, \r\n and \n each end one line, as read_lines splits them
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\rb\r\n\nc\n\xe2\x82")
+    with pytest.raises(InputError) as caught:
+        read_lines(str(path))
+    assert str(caught.value) == f"{path}:5: not UTF-8 (can't decode byte 0xe2: unexpected end of data)"
+
+
 def test_a_vocabulary_line_holding_a_separator_is_one_bad_token(tmp_path):
     # a path once split at "\x1c", loading "a" and "b" and shifting every later id by one
     path = tmp_path / "vocab.txt"
