@@ -31,7 +31,7 @@ from .tasks import (
     run_eval_suite,
     score_dump,
 )
-from .trie import EntityTrie, build_trie
+from .trie import EntityTrie, TrieFormatError, build_trie
 from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_rows
 
 
@@ -49,8 +49,11 @@ def _load_vocab(path: str) -> Vocabulary:
 
 
 def _load_trie(path: str) -> EntityTrie:
-    with open(path, "rb") as fh:
-        return EntityTrie.deserialize(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            return EntityTrie(fh.read())
+    except TrieFormatError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _make_scorer(spec: str, vocab: Vocabulary) -> Scorer:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import zlib
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -303,9 +304,8 @@ def load_table_scorer(path: str) -> TableScorer:
         raise ScorerError(f"bad header: {exc}") from None
     conditioned = len(head) == 3
     counts: dict[int, dict[TokenId, float]] = {}
-    rows = read_rows(lines)
-    next(rows)  # line 1, the header: it parsed, so it is not blank
-    for lineno, raw in rows:
+    # the rows after line 1, the header: it parsed, so it is not blank
+    for lineno, raw in islice(read_rows(lines), 1, None):
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ScorerError("expected `ctx TAB token TAB count`", lineno)
@@ -315,4 +315,16 @@ def load_table_scorer(path: str) -> TableScorer:
             raise ScorerError(str(exc), lineno) from None
         row = counts.setdefault(ctx, {})
         row[token] = row.get(token, 0.0) + count
-    return TableScorer(counts, alpha, vocab_size, conditioned)
+    try:
+        return TableScorer(counts, alpha, vocab_size, conditioned)
+    except ScorerError:
+        # searched only now, so a valid file loads in one pass: a refused header raises as it is, then
+        # the first line refused as a one-entry table is named; a refused sum of lines names none
+        TableScorer({}, alpha, vocab_size, conditioned)
+        for lineno, raw in islice(read_rows(lines), 1, None):
+            ctx, token, count = raw.split("\t")
+            try:
+                TableScorer({int(ctx): {int(token): float(count)}}, alpha, vocab_size, conditioned)
+            except ScorerError as exc:
+                raise ScorerError(str(exc), lineno) from None
+        raise

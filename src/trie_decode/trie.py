@@ -1,7 +1,7 @@
 """Prefix tree over token sequences: the decoding constraint object.
 
 The nodes are numbered in level order (breadth first, siblings in ascending
-token id) and held as three flat arrays, which are also the file layout:
+token id) and described by three flat arrays, which are the file layout:
 ``token[v]`` is the edge label into node ``v`` (0 for the root, node 0),
 ``terminal[v]`` marks the nodes that end a name, and the children of ``v``
 are the nodes ``first_child[v] .. first_child[v + 1] - 1``.  Terminality is
@@ -10,17 +10,15 @@ that is a prefix of another name (the node is terminal *and* has children)
 unambiguous; ``allowed_continuations`` reports it as ``EOS``.  As a
 beam-search constraint the state is a node index: ``start()`` is the root,
 ``final(node)`` its terminal flag, ``allowed(node)`` its child slice and
-``advance(node, token)`` a bisection within that slice.  Each array is
-held once, read-only: ``allowed`` hands out numpy views of the ``np.intp``
-label array, at every node, so a step costs no copy of the node's fanout,
-and the bisection reads Python ints through a ``memoryview`` of the same
-buffer; ``first_child`` is another such buffer and ``terminal`` is
-``bytes``.  Loaded, that is 17 bytes per node against the file's 9.
+``advance(node, token)`` a bisection within that slice.
 
-:func:`build_trie` makes the three arrays level by level in numpy: one
-sort of ``(parent, token)`` pairs per depth, and as many loop iterations as
-the longest name has tokens.  :meth:`EntityTrie.deserialize` checks the same
-arrays from a file; both hand them to the constructor, which keeps them.
+A trie holds its file bytes plus an ``np.intp`` label index.  ``allowed``
+hands out read-only views of the index at every node, so a step costs no
+copy of the node's fanout, and the bisection reads Python ints through a
+``memoryview`` of it.  ``first_child`` is read in place from the bytes, and
+``terminal`` is their last ``n`` bytes.  :func:`build_trie` and
+:meth:`EntityTrie.deserialize` both end in the one constructor, which
+checks the bytes.
 
 Node-count convention: the root and every node with children count as
 internal; a terminal node without children is a leaf; a terminal node with
@@ -57,7 +55,7 @@ class TrieError(ValueError):
 
 
 class TrieFormatError(ValueError):
-    """Raised when deserializing a malformed byte stream."""
+    """Raised for bytes that are not a trie file, whether read or built."""
 
 
 class TrieStats(NamedTuple):
@@ -66,41 +64,77 @@ class TrieStats(NamedTuple):
 
 
 class EntityTrie:
-    """Immutable prefix tree over token sequences, in level-order arrays.
+    """Immutable prefix tree over token sequences, held as its checked file bytes.
 
-    ``vocab_size`` bounds the token ids; it is recorded in the serialized
-    form and checked on load.  Build one with :func:`build_trie` or
-    :meth:`deserialize`.
+    ``EntityTrie(data)`` checks ``data`` against the file layout (see
+    :meth:`serialize`) and keeps ``bytes(data)``: a ``bytearray`` is copied,
+    so later writes to it cannot reach the trie.  ``vocab_size``, from the
+    header, bounds the token ids.
+
+    Raises:
+        TrieFormatError: on a version 1 file, bad magic, truncation,
+            trailing bytes, or arrays that are not a level-order trie with
+            ascending siblings, in-range tokens and 0/1 flags whose every
+            childless node is terminal.
     """
 
     __slots__ = (
-        "_tokens", "_token", "_first", "_terminal", "vocab_size",
+        "_data", "_tokens", "_token", "_first", "_terminal", "vocab_size",
         "leaf_count", "internal_node_count", "node_count", "max_depth", "min_label",
     )
 
-    def __init__(
-        self, token: np.ndarray, first_child: np.ndarray, terminal: np.ndarray, vocab_size: int
-    ) -> None:
-        """The trie over valid level-order arrays, kept without a copy where they are ``np.intp``."""
+    def __init__(self, data: bytes) -> None:
+        data = bytes(data)
+        if data[: len(MAGIC)] == _MAGIC_V1:
+            raise TrieFormatError(
+                "version 1 trie file is no longer supported; rebuild it with `trie-decode build-trie`"
+            )
+        if data[: len(MAGIC)] != MAGIC:
+            raise TrieFormatError("bad magic")
+        start = len(MAGIC) + _HEADER.size
+        if len(data) < start:
+            raise TrieFormatError("truncated stream")
+        vocab_size, n = _HEADER.unpack_from(data, len(MAGIC))
+        size = start + 9 * n + 4
+        if len(data) < size:
+            raise TrieFormatError("truncated stream")
+        if len(data) > size:
+            raise TrieFormatError("trailing data after the arrays")
+        token = np.frombuffer(data, "<u4", n, start).astype(np.intp)
+        first = np.frombuffer(data, "<u4", n + 1, start + 4 * n)
+        terminal = np.frombuffer(data, np.uint8, n, start + 8 * n + 4)
+        if n < 2 or first[0] != 1 or first[n] != n:
+            raise TrieFormatError("first_child must run from 1 to the node count")
+        if np.any(first[:n] > first[1:]) or np.any(first[:n] <= np.arange(n)):
+            raise TrieFormatError("first_child decreases or points at or before its node")
+        labels = token[1:]
+        if token[0] != 0 or labels.max() >= vocab_size or np.any((labels == SOS) | (labels == EOS)):
+            raise TrieFormatError("token id out of range, structural, or on the root")
+        # the nodes that start a run of children; any other node follows its sibling
+        opens = np.zeros(n + 1, bool)
+        opens[first] = True
+        if np.any((labels[1:] <= labels[:-1]) & ~opens[2:n]):
+            raise TrieFormatError("children not sorted by token id")
+        if terminal.max() > 1 or terminal[0] or not terminal[first[:n] == first[1:]].all():
+            raise TrieFormatError("invalid terminal flags")
+        self._data = data
         # the labels as the array ``allowed`` slices, and as a memoryview of
         # it for the bisect, whose items are Python ints
-        self._tokens = token.astype(np.intp, copy=False)
-        self._tokens.flags.writeable = False
-        self._token = memoryview(self._tokens)
-        self._first = first = memoryview(first_child.astype(np.intp, copy=False)).toreadonly()
-        self._terminal = terminal.astype(np.uint8, copy=False).tobytes()
-        self.vocab_size = vocab_size
-        self.node_count = len(token)
+        token.flags.writeable = False
+        self._tokens, self._token = token, memoryview(token)
+        self._terminal = data[start + 8 * n + 4 :]  # bytes: they index faster than a memoryview
+        self.vocab_size, self.node_count = vocab_size, n
         self.leaf_count = int(np.count_nonzero(terminal))
         # every valid trie's root has children, so it is counted here too
-        self.internal_node_count = int(np.count_nonzero(np.diff(first_child)))
+        self.internal_node_count = int(np.count_nonzero(np.diff(first)))
         # each level's children are one contiguous range: walk the levels down
+        self._first = first = memoryview(first)
         lo, hi, depth = 0, 1, 0
         while first[lo] < first[hi]:
             lo, hi, depth = first[lo], first[hi], depth + 1
         self.max_depth = depth
         # the smallest edge label; a valid trie's root always has a child
-        self.min_label = int(token[1:].min())
+        self.min_label = int(labels.min())
 
     def stats(self) -> TrieStats:
         return TrieStats(self.leaf_count, self.internal_node_count)
@@ -173,78 +207,28 @@ class EntityTrie:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntityTrie):
             return NotImplemented
-        return (self.vocab_size, self._token, self._first, self._terminal) == (
-            other.vocab_size, other._token, other._first, other._terminal,
-        )
+        return self._data == other._data
 
     def __reduce__(self) -> tuple:
-        # memoryviews do not pickle; the canonical bytes do, and load back equal
-        return EntityTrie.deserialize, (self.serialize(),)
+        return EntityTrie, (self._data,)
 
     def __repr__(self) -> str:
         return f"EntityTrie(leaves={self.leaf_count}, internal={self.internal_node_count})"
 
     def serialize(self) -> bytes:
-        """Canonical binary form.
+        """Canonical binary form: the bytes the trie holds.
 
         Layout: 8-byte magic, little-endian u32 vocab size and u32 node
         count ``n``, then the arrays as little-endian dumps: ``token`` (n x
         u32), ``first_child`` (n + 1 x u32) and ``terminal`` (n x u8).
         Identical membership sets always produce identical bytes.
         """
-        return b"".join((
-            MAGIC,
-            _HEADER.pack(self.vocab_size, self.node_count),
-            self._tokens.astype("<u4").tobytes(),
-            np.asarray(self._first).astype("<u4").tobytes(),
-            self._terminal,
-        ))
+        return self._data
 
     @classmethod
     def deserialize(cls, data: bytes) -> "EntityTrie":
-        """Rebuild a trie from :meth:`serialize` output.
-
-        Every blob accepted here is the canonical form of its name set.
-
-        Raises:
-            TrieFormatError: on a version 1 file, bad magic, truncation,
-                trailing bytes, or arrays that are not a level-order trie
-                with ascending siblings, in-range tokens and 0/1 flags whose
-                every childless node is terminal.
-        """
-        if data[: len(MAGIC)] == _MAGIC_V1:
-            raise TrieFormatError(
-                "version 1 trie file is no longer supported; rebuild it with `trie-decode build-trie`"
-            )
-        if data[: len(MAGIC)] != MAGIC:
-            raise TrieFormatError("bad magic")
-        start = len(MAGIC) + _HEADER.size
-        if len(data) < start:
-            raise TrieFormatError("truncated stream")
-        vocab_size, n = _HEADER.unpack_from(data, len(MAGIC))
-        size = start + 9 * n + 4
-        if len(data) < size:
-            raise TrieFormatError("truncated stream")
-        if len(data) > size:
-            raise TrieFormatError("trailing data after the arrays")
-        token = np.frombuffer(data, "<u4", n, start).astype(np.intp)
-        first = np.frombuffer(data, "<u4", n + 1, start + 4 * n).astype(np.intp)
-        terminal = np.frombuffer(data, np.uint8, n, start + 8 * n + 4)
-        if n < 2 or first[0] != 1 or first[n] != n:
-            raise TrieFormatError("first_child must run from 1 to the node count")
-        if np.any(first[:n] > first[1:]) or np.any(first[:n] <= np.arange(n)):
-            raise TrieFormatError("first_child decreases or points at or before its node")
-        labels = token[1:]
-        if token[0] != 0 or labels.max() >= vocab_size or np.any((labels == SOS) | (labels == EOS)):
-            raise TrieFormatError("token id out of range, structural, or on the root")
-        # the nodes that start a run of children; any other node follows its sibling
-        opens = np.zeros(n + 1, bool)
-        opens[first] = True
-        if np.any((labels[1:] <= labels[:-1]) & ~opens[2:n]):
-            raise TrieFormatError("children not sorted by token id")
-        if terminal.max() > 1 or terminal[0] or not terminal[first[:n] == first[1:]].all():
-            raise TrieFormatError("invalid terminal flags")
-        return cls(token, first, terminal, vocab_size)
+        """``cls(data)``; every blob it accepts is the canonical form of its name set."""
+        return cls(data)
 
 
 def _token_index(token: object) -> int:
@@ -292,7 +276,8 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
     The sort puts them in level order with ascending siblings and merges
     duplicate names.  That is one sort of at most ``len(sequences)`` pairs
     per depth, and as many loop iterations as the longest sequence has
-    tokens; everything else is array arithmetic.
+    tokens; everything else is array arithmetic.  The packed arrays pass a
+    file's checks, so a build bug raises :class:`TrieFormatError`.
 
     Raises:
         TrieError: on no sequences, an empty sequence, SOS or EOS, an id
@@ -334,4 +319,7 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
         lo, hi, depth = hi, child[-1] + 1, depth + 1
         node, start, length = child[~ends], start[~ends], length[~ends]
     first.append(np.full(hi - lo + 1, hi))  # the deepest level has no children
-    return EntityTrie(np.concatenate(token), np.concatenate(first), np.concatenate(terminal), vocab_size)
+    token, first = (np.concatenate(levels).astype("<u4") for levels in (token, first))
+    blob = b"".join((MAGIC, _HEADER.pack(vocab_size, hi), token, first, np.concatenate(terminal)))
+    del seqs, ids, token, first, terminal  # freed before the checks run, which allocate their own
+    return EntityTrie(blob)

@@ -17,7 +17,6 @@ vocabulary token.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TokenId = int
@@ -32,8 +31,6 @@ UNK: TokenId = 6
 
 CORE_SPECIAL_STRINGS: tuple[str, ...] = ("<s>", "</s>", "[", "]", "(", ")", "<unk>")
 NUM_CORE_SPECIALS: int = len(CORE_SPECIAL_STRINGS)
-
-_WORD_RE = re.compile(r"\S+")
 
 
 class InputError(ValueError):
@@ -146,53 +143,52 @@ class Vocabulary:
         return f"Vocabulary({len(self.tokens)} tokens, extra_specials={self.extra_specials!r})"
 
 
-def encode_with_offsets(text: str, vocab: Vocabulary) -> list[TokenSpan]:
-    """Encode ``text`` and report each token's character extent.
+def encode(text: str, vocab: Vocabulary) -> list[TokenId]:
+    """Deterministic, total encoding of ``text`` to token ids.
 
     Greedy longest-match inside each whitespace word; an unmatched character
-    becomes one UNK covering exactly that character.  A word that is itself
-    a token is looked up once: it is no longer than the longest token, so
-    greedy matching would take it whole at its first probe.
+    becomes one UNK.  A word that is itself a token is looked up once: it is
+    no longer than the longest token, so greedy matching would take it whole
+    at its first probe.
     """
     table = vocab._table
     max_len = vocab._max_len
-    out: list[TokenSpan] = []
-    for m in _WORD_RE.finditer(text):
-        word = m.group()
-        base = m.start()
+    out: list[TokenId] = []
+    for word in text.split():
         tid = table.get(word)
         if tid is not None:
-            out.append(TokenSpan(tid, base, len(word)))
+            out.append(tid)
             continue
-        i = 0
-        n = len(word)
+        i, n = 0, len(word)
         while i < n:
             for length in range(min(max_len, n - i), 0, -1):
                 tid = table.get(word[i : i + length])
                 if tid is not None:
-                    out.append(TokenSpan(tid, base + i, length))
+                    out.append(tid)
                     i += length
                     break
             else:
-                out.append(TokenSpan(UNK, base + i, 1))
+                out.append(UNK)
                 i += 1
     return out
 
 
-def encode(text: str, vocab: Vocabulary) -> list[TokenId]:
-    """Deterministic, total encoding of ``text`` to token ids.
+def encode_with_offsets(text: str, vocab: Vocabulary) -> list[TokenSpan]:
+    """The ids of :func:`encode`, each with its character extent in ``text``.
 
-    Equal to the tokens of :func:`encode_with_offsets`, with the same
-    whole-word lookup first.
+    Each id spans its string's length, and UNK one character; the extents
+    follow one another through ``text``, skipping the whitespace that
+    ``str.split`` cuts on (``str.isspace`` agrees with it).
     """
-    table = vocab._table
-    out: list[TokenId] = []
-    for word in text.split():  # str.split and ``\S+`` agree on whitespace
-        tid = table.get(word)
-        if tid is not None:
-            out.append(tid)
-        else:
-            out.extend(span.token for span in encode_with_offsets(word, vocab))
+    strings = vocab._strings
+    out: list[TokenSpan] = []
+    pos = 0
+    for tid in encode(text, vocab):
+        while text[pos].isspace():
+            pos += 1
+        length = 1 if tid == UNK else len(strings[tid])
+        out.append(TokenSpan(tid, pos, length))
+        pos += length
     return out
 
 

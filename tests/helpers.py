@@ -7,6 +7,8 @@ name/token mapping is exact in both directions.
 
 from __future__ import annotations
 
+import re
+import struct
 from bisect import bisect_left
 from collections import deque
 
@@ -16,8 +18,8 @@ from trie_decode.beam import Hypothesis, mask_logprobs
 from trie_decode.catalog import Catalog
 from trie_decode.scoring import TableScorer
 from trie_decode.tasks import TaskError
-from trie_decode.trie import EntityTrie, TrieError, build_trie
-from trie_decode.vocab import EOS, SOS, Vocabulary, decode, encode_with_offsets
+from trie_decode.trie import MAGIC, EntityTrie, TrieError, build_trie
+from trie_decode.vocab import EOS, SOS, UNK, TokenSpan, Vocabulary, decode, encode_with_offsets
 
 WORD_POOL = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
@@ -225,11 +227,39 @@ def reference_mention_token_span(context, char_start, char_len, vocab, line):
     return tuple(span.token for span in token_spans), first, last - first
 
 
+def reference_encode_with_offsets(text, vocab) -> list[TokenSpan]:
+    """``encode_with_offsets`` as first written, the reference for its extents.
+
+    Finds each whitespace word with ``\\S+``, looks it up whole, and otherwise
+    matches greedily inside it, each match at its own offset in the word.
+    """
+    table = vocab._table
+    out = []
+    for m in re.finditer(r"\S+", text):
+        word, base = m.group(), m.start()
+        if word in table:
+            out.append(TokenSpan(table[word], base, len(word)))
+            continue
+        i = 0
+        while i < len(word):
+            for length in range(min(vocab._max_len, len(word) - i), 0, -1):
+                tid = table.get(word[i : i + length])
+                if tid is not None:
+                    out.append(TokenSpan(tid, base + i, length))
+                    i += length
+                    break
+            else:
+                out.append(TokenSpan(UNK, base + i, 1))
+                i += 1
+    return out
+
+
 def reference_build_trie(sequences, vocab_size) -> EntityTrie:
     """The trie built as first written, the reference for ``build_trie``.
 
     Sorts the distinct sequences, then numbers the nodes in level order with
-    a FIFO of runs of sorted sequences that share a node's prefix.  It
+    a FIFO of runs of sorted sequences that share a node's prefix, and packs
+    the file bytes itself, so the result passes the checks a file does.  It
     checks each sequence in input order and raises the builder's messages.
     """
     seqs = [tuple(s) for s in sequences]
@@ -261,4 +291,7 @@ def reference_build_trie(sequences, vocab_size) -> EntityTrie:
             runs.append((lo, end, depth + 1))
             lo = end
     first.append(len(token))
-    return EntityTrie(np.array(token), np.array(first), np.array(terminal), vocab_size)
+    # the file layout, packed here: magic, u32 vocab size and node count, then the arrays
+    header = MAGIC + struct.pack("<II", vocab_size, len(token))
+    arrays = struct.pack(f"<{len(token)}I{len(first)}I", *token, *first) + bytes(terminal)
+    return EntityTrie(header + arrays)

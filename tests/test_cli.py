@@ -255,6 +255,23 @@ class TestRetrieve:
         assert "rebuild it with `trie-decode build-trie`" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [(lambda blob: blob[:-1], "truncated stream"), (lambda blob: b"X" + blob[1:], "bad magic")],
+        ids=["truncated", "bad-magic"],
+    )
+    def test_refused_trie_file_names_its_path(self, cli_files, tmp_path, capsys, damage, reason):
+        build(cli_files)
+        capsys.readouterr()
+        bad = tmp_path / "bad.trie"
+        with open(cli_files["trie"], "rb") as fh:
+            bad.write_bytes(damage(fh.read()))
+        code = main(["retrieve", "--query", "q", "--vocab", cli_files["vocab"], "--trie", str(bad), "--scorer", "uniform"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {reason}\n"
+
     def test_normalization_flag_changes_score_column_only(self, cli_files, capsys):
         build(cli_files)
         capsys.readouterr()
@@ -1002,8 +1019,8 @@ class TestLoadChecks:
         [
             ("nan\t13\n", "alpha must be positive and finite, got nan"),
             ("inf\t13\n", "alpha must be positive and finite, got inf"),
-            ("0.5\t13\n0\t7\tnan\n", "count must be non-negative and finite, got nan"),
-            ("0.5\t13\n0\t7\tinf\n", "count must be non-negative and finite, got inf"),
+            ("0.5\t13\n0\t7\tnan\n", "line 2: count must be non-negative and finite, got nan"),
+            ("0.5\t13\n0\t7\tinf\n", "line 2: count must be non-negative and finite, got inf"),
             ("0.5\t13\n0\t7\t1e308\n0\t8\t1e308\n", "context 0: probabilities overflow or underflow a float"),
         ],
         ids=["nan-alpha", "inf-alpha", "nan-count", "inf-count", "row-overflow"],

@@ -216,7 +216,7 @@ class TestTableScorer:
         header = "0.5\t9\tinput-conditioned" if conditioned else "0.5\t9"
         path = tmp_path / "table.tsv"
         path.write_text(f"{header}\n0\t7\t1\n{ctx}\t7\t1\n")
-        with pytest.raises(ScorerError, match=message):
+        with pytest.raises(ScorerError, match=message.replace("^", "^line 3: ")):
             load_table_scorer(str(path))
         edges = TableScorer({0: {7: 1.0}, top: {7: 1.0}}, 0.5, 9, input_conditioned=conditioned)
         assert sorted(edges.counts) == [0, top]
@@ -509,3 +509,38 @@ class TestTableSerialization:
         path.write_text(f"0.5\t9\t{flag}\n")
         with pytest.raises(ScorerError, match="bad header"):
             load_table_scorer(str(path))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # the constructor meets context 5's bad count first; line 3's bad token comes first in the file
+            ("5\t7\t1\n0\t99\t1\n\n5\t8\t-1\n", "line 3: token id 99 out of range"),
+            ("5\t7\t1\n5\t8\tnan\n", "line 3: count must be non-negative and finite, got nan"),
+            ("0\t7\t1\n-1\t7\t1\n", "line 3: context -1 is outside 0..8, so no step can reach it"),
+        ],
+        ids=["first-in-file-order", "nan-count", "unreachable-context"],
+    )
+    def test_refused_entry_names_its_first_line(self, tmp_path, entries, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0.5\t9\n{entries}")
+        with pytest.raises(ScorerError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # each line is a valid entry: only their sum breaks the rule
+            ("0.5\t9\n0\t7\t1e308\n0\t7\t1e308\n", "count must be non-negative and finite, got inf"),
+            ("0.5\t9\n0\t7\t1e308\n0\t8\t1e308\n", "context 0: probabilities overflow or underflow a float"),
+            # the header comes before every entry
+            ("nan\t9\n0\t99\t1\n", "alpha must be positive and finite, got nan"),
+        ],
+        ids=["summed-count", "row-overflow", "bad-header"],
+    )
+    def test_refusal_no_line_explains_names_none(self, tmp_path, table, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(table)
+        with pytest.raises(ScorerError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == message

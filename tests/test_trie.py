@@ -237,9 +237,10 @@ class TestAllowedContinuations:
         finally:
             tracemalloc.stop()
         assert trie.node_count >= 10_000
-        assert traced <= 2 * len(blob)
+        # the caller's bytes are held, not copied: beyond them only the np.intp labels stay
+        assert traced <= 1.2 * len(blob)
         # validating adds one index range and a few boolean masks, not a parent array or label copies
-        assert peak <= 3.5 * len(blob)
+        assert peak <= 2.75 * len(blob)
 
 
 class TestContains:
@@ -366,6 +367,24 @@ class TestSerialization:
     def test_round_trip_is_canonical(self, names_trie):
         blob = names_trie.serialize()
         assert EntityTrie.deserialize(blob).serialize() == blob
+
+    def test_loaded_trie_holds_the_callers_bytes(self, names_trie):
+        blob = names_trie.serialize()
+        assert EntityTrie.deserialize(blob).serialize() is blob
+        assert EntityTrie(blob) == names_trie
+
+    def test_writes_to_a_loaded_bytearray_leave_the_trie_unchanged(self, vocab, names_trie):
+        blob = bytearray(names_trie.serialize())
+        trie = EntityTrie.deserialize(blob)
+        blob[:] = bytes(len(blob))  # in place: a shared buffer would lose its child offsets and flags
+        blob += b"\x00"  # and a resize would raise while a view of it were held
+        assert trie == names_trie
+        assert trie.serialize() == names_trie.serialize()
+        assert list(trie.sequences()) == list(names_trie.sequences())
+        english = vocab.ordinary_id("English")
+        assert trie.allowed(trie.advance(trie.start(), english)).tolist() == [
+            vocab.ordinary_id("language"), vocab.ordinary_id("literature"),
+        ]
 
     def test_built_and_loaded_tries_survive_pickle_and_deepcopy(self):
         vocab = pool_vocabulary()

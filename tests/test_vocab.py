@@ -24,7 +24,7 @@ from trie_decode.vocab import (
     read_lines,
 )
 
-from helpers import WORD_POOL, pool_vocabulary
+from helpers import WORD_POOL, pool_vocabulary, reference_encode_with_offsets
 
 
 @pytest.fixture
@@ -117,6 +117,22 @@ class TestEncode:
         for _ in range(2000):
             text = "".join(rng.choice(pieces, size=int(rng.integers(0, 12))))
             assert encode(text, v) == [s.token for s in encode_with_offsets(text, v)], repr(text)
+
+    def test_offsets_match_the_word_regex_reference(self):
+        # random overlapping vocabularies, and texts mixing their pieces, unknown
+        # characters and every kind of separator str.split cuts on
+        letters = ("a", "b", "c", "é", "中")
+        separators = (" ", "\t", "\n", "\x1c", "\x85", "\v", "\f", "\r", "\u2028", "\u3000", "\u00a0")
+        rng = np.random.default_rng(47)
+        for _ in range(3000):
+            sizes = rng.integers(1, 5, size=int(rng.integers(1, 8)))
+            words = {"".join(rng.choice(letters, size=int(size))) for size in sizes}
+            v = Vocabulary(sorted(words))
+            pieces = (*words, *letters, "z", "\U0001F600", *separators)
+            text = "".join(rng.choice(pieces, size=int(rng.integers(0, 14))))
+            spans = encode_with_offsets(text, v)
+            assert spans == reference_encode_with_offsets(text, v), repr(text)
+            assert encode(text, v) == [s.token for s in spans]
 
     def test_text_never_encodes_to_a_special_but_unk(self):
         # candidate-set decoding relies on this: its names hold no SOS or EOS
