@@ -110,16 +110,21 @@ def _context(key: int | None, prev: TokenId) -> int:
     return prev if key is None else (key * 0x10001 + prev) & 0x7FFFFFFF
 
 
+_Entry = tuple[int | None, int, TokenId, float]  # one count to check: (file line or None, ctx, token, count)
+
+
 class TableScorer(Scorer):
     """Additively smoothed bigram model over target tokens.
 
     ``p(v | ctx) = (count(ctx, v) + alpha) / (total(ctx) + alpha * V)`` with
-    finite ``alpha > 0`` and finite counts ``>= 0``; a row whose denominator
-    overflows, or whose ``alpha`` share underflows to 0, is rejected, so every
-    log-probability is finite.  The context is the previous generated token
-    (SOS at the first step), or, when ``input_conditioned``, ``(crc32(input)
-    * 0x10001 + prev) mod 2**31`` over the input's u32 token ids: distinct
-    pairs can share a row.  A context id no step can reach is rejected.
+    finite ``alpha > 0``.  The constructor, the file loader and training sum
+    counts in one pass, which checks each finite and ``>= 0`` before summing
+    it, then rejects a row whose denominator overflows, or whose ``alpha``
+    share underflows to 0, so every log-probability is finite.  The context
+    is the previous generated token (SOS at the first step), or, when
+    ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod 2**31`` over
+    the input's u32 token ids: distinct pairs can share a row.  A context id
+    no step can reach is rejected.
 
     Rows are built on first use into one scope, an ``(input, key, rows)``
     triple.  Unconditioned, the key is None and the rows serve every input
@@ -137,6 +142,11 @@ class TableScorer(Scorer):
         vocab_size: int,
         input_conditioned: bool = False,
     ) -> None:
+        entries = ((None, ctx, token, count) for ctx, row in counts.items() for token, count in row.items())
+        self._count(entries, alpha, vocab_size, input_conditioned)
+
+    def _count(self, entries: Iterable[_Entry], alpha: float, vocab_size: int, input_conditioned: bool) -> None:
+        """Check the header; check each entry, naming its line, and sum its nonzero count; then check each row."""
         # plain comparisons, which NaN fails
         if not 0 < alpha < math.inf:
             raise ScorerError(f"alpha must be positive and finite, got {alpha!r}")
@@ -147,22 +157,21 @@ class TableScorer(Scorer):
         self.input_conditioned = input_conditioned
         self.counts: dict[int, dict[TokenId, float]] = {}
         top = 0x7FFFFFFF if input_conditioned else vocab_size - 1
-        for ctx, row in counts.items():
+        for line, ctx, token, count in entries:
             if not 0 <= ctx <= top:
-                raise ScorerError(f"context {ctx} is outside 0..{top}, so no step can reach it")
-            clean: dict[TokenId, float] = {}
-            for token, count in row.items():
-                if not 0 <= token < vocab_size:
-                    raise ScorerError(f"token id {token} out of range")
-                if not 0 <= count < math.inf:
-                    raise ScorerError(f"count must be non-negative and finite, got {count!r}")
-                if count:
-                    clean[int(token)] = float(count)
-            if clean:
-                total = sum(clean.values()) + self.alpha * vocab_size
-                if not (total < math.inf and self.alpha / total > 0):
-                    raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
-                self.counts[int(ctx)] = clean
+                raise ScorerError(f"context {ctx} is outside 0..{top}, so no step can reach it", line)
+            if not 0 <= token < vocab_size:
+                raise ScorerError(f"token id {token} out of range", line)
+            if not 0 <= count < math.inf:
+                raise ScorerError(f"count must be non-negative and finite, got {count!r}", line)
+            if count:
+                row = self.counts.setdefault(int(ctx), {})
+                token = int(token)
+                row[token] = row.get(token, 0.0) + float(count)
+        for ctx, row in self.counts.items():
+            total = sum(row.values()) + self.alpha * vocab_size
+            if not (total < math.inf and self.alpha / total > 0):
+                raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
         self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
         self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[int, np.ndarray]] = (None, None, {})
 
@@ -213,22 +222,20 @@ def train_table_scorer(
     with SOS as the initial context.  Targets are counted verbatim; append
     EOS to a target if the end of sequence should be part of the model.
     """
-    counts: dict[int, dict[TokenId, float]] = {}
-    seen_any = False
-    for input_tokens, target in pairs:
-        seen_any = True
-        target = tuple(target)
-        if not target:
-            raise ScorerError("empty target sequence")
-        key = _input_key(input_tokens) if input_conditioned else None
-        prev: TokenId = SOS
-        for token in target:
-            row = counts.setdefault(_context(key, prev), {})
-            row[token] = row.get(token, 0.0) + 1.0
-            prev = token
-    if not seen_any:
+    def transitions() -> Iterator[_Entry]:
+        for input_tokens, target in pairs:
+            target = tuple(target)
+            if not target:
+                raise ScorerError("empty target sequence")
+            key = _input_key(input_tokens) if input_conditioned else None
+            for prev, token in zip((SOS, *target), target):
+                yield None, _context(key, prev), token, 1.0
+
+    scorer = TableScorer.__new__(TableScorer)
+    scorer._count(transitions(), alpha, vocab_size, input_conditioned)
+    if not scorer.counts:
         raise ScorerError("empty training set")
-    return TableScorer(counts, alpha, vocab_size, input_conditioned)
+    return scorer
 
 
 def _steps(
@@ -291,6 +298,7 @@ def save_table_scorer(scorer: TableScorer, path: str) -> None:
 
 
 def load_table_scorer(path: str) -> TableScorer:
+    """Read a :func:`save_table_scorer` file, summing repeated keys; a refused line is named (``line 3: ...``)."""
     lines = read_lines(path)
     if not lines:
         raise ScorerError("empty scorer file")
@@ -302,29 +310,19 @@ def load_table_scorer(path: str) -> TableScorer:
         vocab_size = int(head[1])
     except ValueError as exc:
         raise ScorerError(f"bad header: {exc}") from None
-    conditioned = len(head) == 3
-    counts: dict[int, dict[TokenId, float]] = {}
-    # the rows after line 1, the header: it parsed, so it is not blank
-    for lineno, raw in islice(read_rows(lines), 1, None):
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise ScorerError("expected `ctx TAB token TAB count`", lineno)
-        try:
-            ctx, token, count = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ScorerError(str(exc), lineno) from None
-        row = counts.setdefault(ctx, {})
-        row[token] = row.get(token, 0.0) + count
-    try:
-        return TableScorer(counts, alpha, vocab_size, conditioned)
-    except ScorerError:
-        # searched only now, so a valid file loads in one pass: a refused header raises as it is, then
-        # the first line refused as a one-entry table is named; a refused sum of lines names none
-        TableScorer({}, alpha, vocab_size, conditioned)
+
+    def entries() -> Iterator[_Entry]:
+        # the rows after line 1, the header: it parsed, so it is not blank
         for lineno, raw in islice(read_rows(lines), 1, None):
-            ctx, token, count = raw.split("\t")
+            parts = raw.split("\t")
+            if len(parts) != 3:
+                raise ScorerError("expected `ctx TAB token TAB count`", lineno)
             try:
-                TableScorer({int(ctx): {int(token): float(count)}}, alpha, vocab_size, conditioned)
-            except ScorerError as exc:
+                ctx, token, count = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
                 raise ScorerError(str(exc), lineno) from None
-        raise
+            yield lineno, ctx, token, count
+
+    scorer = TableScorer.__new__(TableScorer)
+    scorer._count(entries(), alpha, vocab_size, len(head) == 3)
+    return scorer

@@ -115,7 +115,8 @@ class EntityTrie:
         opens[first] = True
         if np.any((labels[1:] <= labels[:-1]) & ~opens[2:n]):
             raise TrieFormatError("children not sorted by token id")
-        if terminal.max() > 1 or terminal[0] or not terminal[first[:n] == first[1:]].all():
+        childless = first[:n] == first[1:]  # once flags are 0 or 1, "<" finds a leaf flagged 0
+        if terminal.max() > 1 or terminal[0] or np.any(terminal < childless):
             raise TrieFormatError("invalid terminal flags")
         self._data = data
         # the labels as the array ``allowed`` slices, and as a memoryview of
@@ -126,7 +127,7 @@ class EntityTrie:
         self.vocab_size, self.node_count = vocab_size, n
         self.leaf_count = int(np.count_nonzero(terminal))
         # every valid trie's root has children, so it is counted here too
-        self.internal_node_count = int(np.count_nonzero(np.diff(first)))
+        self.internal_node_count = n - int(np.count_nonzero(childless))
         # each level's children are one contiguous range: walk the levels down
         self._first = first = memoryview(first)
         lo, hi, depth = 0, 1, 0

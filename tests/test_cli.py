@@ -1036,6 +1036,18 @@ class TestLoadChecks:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_negative_count_made_up_by_a_later_line_fails_loud(self, cli_files, tmp_path, capsys):
+        dataset = tmp_path / "ed.tsv"
+        dataset.write_text("m1\tlanguage France\t9\t6\tFrance\tFrance|English language\n")
+        scorer = tmp_path / "table.tsv"
+        scorer.write_text("0.5\t13\n0\t7\t-1\n0\t7\t2\n")
+        argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", str(scorer)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: line 2: count must be non-negative and finite, got -1.0\n"
+
     # a row of 10**13 floats cannot be allocated: the sizes are compared before any row is built
     @pytest.mark.parametrize("size", [12, 14, 10**13], ids=["smaller", "larger", "unallocatable"])
     def test_scorer_of_another_vocabulary_size_fails_loud(self, cli_files, tmp_path, capsys, size):

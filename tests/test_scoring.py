@@ -109,6 +109,12 @@ class TestTableScorer:
         with pytest.raises(ScorerError, match="empty target"):
             train_table_scorer([((), ())], alpha=1.0, vocab_size=9)
 
+    @pytest.mark.parametrize("bad", [9, -1], ids=["vocab-size", "negative"])
+    def test_target_token_out_of_range_rejected(self, bad):
+        with pytest.raises(ScorerError) as refused:
+            train_table_scorer([((), (7, EOS)), ((), (7, bad, EOS))], alpha=1.0, vocab_size=9)
+        assert str(refused.value) == f"token id {bad} out of range"
+
     def test_training_twice_doubles_counts_and_keeps_ratios(self):
         pairs = [((), (7, 8, EOS)), ((), (7, EOS))]
         once = train_table_scorer(pairs, alpha=1.0, vocab_size=9)
@@ -517,8 +523,12 @@ class TestTableSerialization:
             ("5\t7\t1\n0\t99\t1\n\n5\t8\t-1\n", "line 3: token id 99 out of range"),
             ("5\t7\t1\n5\t8\tnan\n", "line 3: count must be non-negative and finite, got nan"),
             ("0\t7\t1\n-1\t7\t1\n", "line 3: context -1 is outside 0..8, so no step can reach it"),
+            # each line is checked before it is summed, so a later line cannot make up for a bad one
+            ("0\t7\t-1\n0\t7\t2\n", "line 2: count must be non-negative and finite, got -1.0"),
+            ("0\t7\t1e308\n0\t7\t-1e308\n0\t8\t1\n",
+             "line 3: count must be non-negative and finite, got -1e+308"),
         ],
-        ids=["first-in-file-order", "nan-count", "unreachable-context"],
+        ids=["first-in-file-order", "nan-count", "unreachable-context", "made-up-later", "cancelled-to-zero"],
     )
     def test_refused_entry_names_its_first_line(self, tmp_path, entries, message):
         path = tmp_path / "bad.tsv"
@@ -531,7 +541,7 @@ class TestTableSerialization:
         "table, message",
         [
             # each line is a valid entry: only their sum breaks the rule
-            ("0.5\t9\n0\t7\t1e308\n0\t7\t1e308\n", "count must be non-negative and finite, got inf"),
+            ("0.5\t9\n0\t7\t1e308\n0\t7\t1e308\n", "context 0: probabilities overflow or underflow a float"),
             ("0.5\t9\n0\t7\t1e308\n0\t8\t1e308\n", "context 0: probabilities overflow or underflow a float"),
             # the header comes before every entry
             ("nan\t9\n0\t99\t1\n", "alpha must be positive and finite, got nan"),
@@ -544,3 +554,36 @@ class TestTableSerialization:
         with pytest.raises(ScorerError) as refused:
             load_table_scorer(str(path))
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "ctx, token, count, message",
+        [
+            (9, 7, 1.0, "context 9 is outside 0..8, so no step can reach it"),
+            (0, 9, 1.0, "token id 9 out of range"),
+            (0, -1, 1.0, "token id -1 out of range"),
+            (0, 7, -1.0, "count must be non-negative and finite, got -1.0"),
+            (0, 7, math.nan, "count must be non-negative and finite, got nan"),
+            (0, 7, math.inf, "count must be non-negative and finite, got inf"),
+        ],
+        ids=["context", "token", "negative-token", "negative-count", "nan-count", "inf-count"],
+    )
+    def test_one_rule_for_the_constructor_and_the_file(self, tmp_path, ctx, token, count, message):
+        with pytest.raises(ScorerError) as refused:
+            TableScorer({ctx: {token: count}}, 0.5, 9)
+        assert str(refused.value) == message
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"0.5\t9\n{ctx}\t{token}\t{count!r}\n")
+        with pytest.raises(ScorerError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == f"line 2: {message}"
+
+    def test_every_line_twice_loads_twice_the_counts(self, tmp_path):
+        rng = np.random.default_rng(7)
+        scorer = random_table_scorer(rng, pool_vocabulary())
+        once = tmp_path / "once.tsv"
+        save_table_scorer(scorer, str(once))
+        head, *entries = once.read_text().splitlines()
+        twice = tmp_path / "twice.tsv"
+        twice.write_text("\n".join([head, *entries, *entries]) + "\n")
+        loaded = load_table_scorer(str(twice))
+        assert loaded.counts == {ctx: {t: 2 * c for t, c in row.items()} for ctx, row in scorer.counts.items()}

@@ -440,6 +440,7 @@ class TestSerialization:
             "structural": (tokens + 8, EOS.to_bytes(4, "little")),
             "terminal": (flags + 3, b"\x00"),  # childless "language" node not terminal
             "flags": (flags, b"\x01"),  # terminal root
+            "invalid terminal": (flags + 3, b"\x02"),  # a leaf's flag neither 0 nor 1
         }
         assert names_trie.serialize()[tokens + 12 : tokens + 16] == language
         for match, (pos, value) in corruptions.items():
