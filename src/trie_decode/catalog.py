@@ -11,7 +11,9 @@ mutates the old one, so any number of readers may share a version.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
@@ -19,6 +21,9 @@ from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
 RESERVED_NAME_CHARS = frozenset("[]()")
 # any character a name may not hold: one search passes a valid name
 _REJECTED_CHAR = re.compile(r"[][()\t\n]")
+# catalog lines :func:`_catalog_ids` compiles per block: larger blocks cost
+# memory for the joined text, smaller ones a call each
+_BLOCK_ROWS = 1024
 
 
 class CatalogError(InputError):
@@ -33,26 +38,62 @@ class EntityRecord:
     tokens: tuple[TokenId, ...]
 
 
-def _validate_name(name: str, line: int | None = None) -> None:
-    if name and not _REJECTED_CHAR.search(name):
-        return
+def _word_ids(text: str, vocab: Vocabulary) -> list[TokenId] | None:
+    """The ids of ``text``'s words, cut at single spaces, if each is an ordinary token; else ``None``.
+
+    ``None`` too if ``text`` holds a character of ``_REJECTED_CHAR``.  A
+    blank, padded or double-spaced name has an empty word, which no token
+    is.  A name passes exactly when it reads back from its tokens: each word
+    is found whole, so :func:`encode` gives these ids, and :func:`decode`
+    joins their strings with single spaces.  Names joined with single
+    spaces pass exactly when each one does, with the ids of each in turn.
+    """
+    if _REJECTED_CHAR.search(text):
+        return None
+    ids = list(map(vocab._table.get, text.split(" ")))
+    return None if None in ids else ids
+
+
+def _refusal(name: str, vocab: Vocabulary, line: int | None) -> CatalogError:
+    """Why :func:`make_record` refuses ``name``."""
     if not name:
-        raise CatalogError("empty entity name", line)
+        return CatalogError("empty entity name", line)
     bad = RESERVED_NAME_CHARS.intersection(name)
     if bad:
-        raise CatalogError(f"entity name contains reserved characters {sorted(bad)}: {name!r}", line)
+        return CatalogError(f"entity name contains reserved characters {sorted(bad)}: {name!r}", line)
     if "\t" in name or "\n" in name:
-        raise CatalogError(f"entity name contains control characters: {name!r}", line)
+        return CatalogError(f"entity name contains control characters: {name!r}", line)
+    read_back = decode(encode(name, vocab), vocab)
+    return CatalogError(f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it", line)
 
 
 def make_record(name: str, vocab: Vocabulary, line: int | None = None) -> EntityRecord:
     """The record of ``name``; a decode emits the name only if its tokens read back as it."""
-    _validate_name(name, line)
-    tokens = tuple(encode(name, vocab))
-    read_back = decode(tokens, vocab)
-    if read_back != name:
-        raise CatalogError(f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it", line)
-    return EntityRecord(name, tokens)
+    tokens = _word_ids(name, vocab)
+    if tokens is None:
+        raise _refusal(name, vocab, line)
+    return EntityRecord(name, tuple(tokens))
+
+
+def _catalog_ids(source: str | Iterable[str], vocab: Vocabulary) -> tuple[array, array]:
+    """The ids of :func:`load_catalog`'s names, repeats kept, laid end to end, and each name's id count.
+
+    Lines are compiled ``_BLOCK_ROWS`` at a time: a block's names, joined
+    with single spaces, pass :func:`_word_ids` in one call, and a name has
+    one id more than spaces.  A block that fails holds a refused name, so
+    :func:`make_record` goes through it line by line and raises for the first.
+    """
+    ids, lengths = array("q"), array("q")
+    rows = read_rows(source)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        names = [raw.strip() for _, raw in block]
+        block_ids = _word_ids(" ".join(names), vocab)
+        if block_ids is None:
+            records = (make_record(name, vocab, line) for (line, _), name in zip(block, names))
+            block_ids = [t for record in records for t in record.tokens]
+        ids.fromlist(block_ids)
+        lengths.fromlist([name.count(" ") + 1 for name in names])
+    return ids, lengths
 
 
 class Catalog:

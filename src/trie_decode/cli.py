@@ -18,7 +18,7 @@ import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .beam import RankedResult
-from .catalog import load_candidate_sets, make_record
+from .catalog import _catalog_ids, load_candidate_sets
 from .markup import MarkupDocument, link_document, render_markup
 from .metrics import RetrievalReport
 from .scoring import OracleScorer, Scorer, UniformScorer, load_table_scorer
@@ -31,7 +31,7 @@ from .tasks import (
     run_eval_suite,
     score_dump,
 )
-from .trie import EntityTrie, TrieFormatError, build_trie
+from .trie import EntityTrie, TrieFormatError, _build_flat
 from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_rows
 
 
@@ -103,12 +103,12 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     vocab = _load_vocab(args.vocab)
     # every name reads back from its tokens, so equal names are exactly equal
     # sequences, and the trie's leaves count the distinct names
-    names = [make_record(raw.strip(), vocab, lineno).tokens for lineno, raw in read_rows(args.catalog)]
-    if not names:
+    ids, lengths = _catalog_ids(args.catalog, vocab)
+    if not lengths:
         raise CliError(f"{args.catalog} holds no entity names")
-    trie = build_trie(names, vocab.size)
-    if len(names) > trie.leaf_count:
-        print(f"skipped {len(names) - trie.leaf_count} duplicate name(s)", file=sys.stderr)
+    trie = _build_flat(ids, lengths, vocab.size)
+    if len(lengths) > trie.leaf_count:
+        print(f"skipped {len(lengths) - trie.leaf_count} duplicate name(s)", file=sys.stderr)
     blob = trie.serialize()
     with open(args.out, "wb") as fh:
         fh.write(blob)

@@ -271,14 +271,15 @@ def _checked_ids(seqs: list[Sequence[TokenId]], length: np.ndarray, vocab_size: 
 def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> EntityTrie:
     """Build a trie accepting exactly the given non-empty sequences.
 
-    The build is level by level over one flat id array: at depth ``d`` the
-    ``(parent node, token)`` pairs of the sequences longer than ``d`` are
-    sorted, and each run of equal pairs becomes one node of level ``d + 1``.
-    The sort puts them in level order with ascending siblings and merges
-    duplicate names.  That is one sort of at most ``len(sequences)`` pairs
-    per depth, and as many loop iterations as the longest sequence has
-    tokens; everything else is array arithmetic.  The packed arrays pass a
-    file's checks, so a build bug raises :class:`TrieFormatError`.
+    The checked ids go to :func:`_build_flat`, which builds level by level
+    over one flat id array: at depth ``d`` the ``(parent node, token)``
+    pairs of the sequences longer than ``d`` are sorted, and each run of
+    equal pairs becomes one node of level ``d + 1``.  The sort puts them in
+    level order with ascending siblings and merges duplicate names.  That
+    is one sort of at most ``len(sequences)`` pairs per depth, and as many
+    loop iterations as the longest sequence has tokens; everything else is
+    array arithmetic.  The packed arrays pass a file's checks, so a build
+    bug raises :class:`TrieFormatError`.
 
     Raises:
         TrieError: on no sequences, an empty sequence, SOS or EOS, an id
@@ -296,11 +297,23 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
         raise TrieError(f"vocab size {vocab_size} does not fit the trie file's u32 header")
     length = np.fromiter(map(len, seqs), np.int64, len(seqs))
     ids = _checked_ids(seqs, length, vocab_size)
+    del seqs
+    return _build_flat(ids, length, vocab_size)
 
+
+def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) -> EntityTrie:
+    """The trie of the sequences laid end to end in ``ids``, ``length[i]`` ids for sequence ``i``.
+
+    ``ids`` and ``length`` are int64 arrays or buffers: an ``array('q')``
+    is read in place.  The caller has checked what :func:`build_trie`
+    checks: every length is at least 1, no id is SOS, EOS or outside
+    ``0 .. vocab_size - 1``, and ``vocab_size`` fits the u32 header.
+    """
+    ids, length = np.asarray(ids, np.int64), np.asarray(length, np.int64)
     # per sequence still longer than ``depth``: its length, where it starts
     # in ``ids``, and the node of the current level its prefix leads to
     start = np.cumsum(length) - length
-    node = np.zeros(len(seqs), np.int64)
+    node = np.zeros(len(length), np.int64)
     token, first, terminal = [np.zeros(1, np.int64)], [], [np.zeros(1, bool)]
     lo, hi, depth = 0, 1, 0  # the current level is nodes lo .. hi - 1
     while len(node):
@@ -322,5 +335,5 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
     first.append(np.full(hi - lo + 1, hi))  # the deepest level has no children
     token, first = (np.concatenate(levels).astype("<u4") for levels in (token, first))
     blob = b"".join((MAGIC, _HEADER.pack(vocab_size, hi), token, first, np.concatenate(terminal)))
-    del seqs, ids, token, first, terminal  # freed before the checks run, which allocate their own
+    del ids, token, first, terminal  # freed before the checks run, which allocate their own
     return EntityTrie(blob)

@@ -15,11 +15,11 @@ from collections import deque
 import numpy as np
 
 from trie_decode.beam import Hypothesis, mask_logprobs
-from trie_decode.catalog import Catalog
+from trie_decode.catalog import Catalog, CatalogError
 from trie_decode.scoring import TableScorer
 from trie_decode.tasks import TaskError
 from trie_decode.trie import MAGIC, EntityTrie, TrieError, build_trie
-from trie_decode.vocab import EOS, SOS, UNK, TokenSpan, Vocabulary, decode, encode_with_offsets
+from trie_decode.vocab import EOS, SOS, UNK, TokenSpan, Vocabulary, decode, encode, encode_with_offsets, read_rows
 
 WORD_POOL = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
@@ -295,3 +295,34 @@ def reference_build_trie(sequences, vocab_size) -> EntityTrie:
     header = MAGIC + struct.pack("<II", vocab_size, len(token))
     arrays = struct.pack(f"<{len(token)}I{len(first)}I", *token, *first) + bytes(terminal)
     return EntityTrie(header + arrays)
+
+
+def reference_make_record(name, vocab, line=None) -> tuple[int, ...]:
+    """A catalog name's tokens under the rule as first written, the reference for ``make_record``.
+
+    Checks the name's characters, then encodes it and decodes the tokens:
+    a name that does not read back as itself is refused with its read-back.
+    """
+    if not name:
+        raise CatalogError("empty entity name", line)
+    bad = sorted(set("[]()").intersection(name))
+    if bad:
+        raise CatalogError(f"entity name contains reserved characters {bad}: {name!r}", line)
+    if "\t" in name or "\n" in name:
+        raise CatalogError(f"entity name contains control characters: {name!r}", line)
+    tokens = tuple(encode(name, vocab))
+    read_back = decode(tokens, vocab)
+    if read_back != name:
+        raise CatalogError(f"catalog name {name!r} reads back as {read_back!r}, so no decode can emit it", line)
+    return tokens
+
+
+def reference_catalog_build(source, vocab) -> tuple[EntityTrie, int]:
+    """``build-trie``'s trie and name count as first written, the reference for the block compile.
+
+    Each non-blank line, stripped, goes through :func:`reference_make_record`
+    in turn, and the token tuples through ``build_trie``; the count includes
+    repeats.  Raises ``CatalogError`` for the first refused line.
+    """
+    seqs = [reference_make_record(raw.strip(), vocab, lineno) for lineno, raw in read_rows(source)]
+    return build_trie(seqs, vocab.size), len(seqs)

@@ -1,5 +1,6 @@
 """Catalog loading, validation, and cold-start insertion."""
 
+import numpy as np
 import pytest
 
 from trie_decode.beam import BeamConfig, rank_entities
@@ -10,12 +11,13 @@ from trie_decode.catalog import (
     add_entity,
     load_candidate_sets,
     load_catalog,
+    make_record,
 )
 from trie_decode.scoring import UniformScorer
 from trie_decode.trie import build_trie
 from trie_decode.vocab import Vocabulary
 
-from helpers import SHARED_PREFIX_NAMES, shared_prefix_vocabulary
+from helpers import SHARED_PREFIX_NAMES, reference_make_record, shared_prefix_vocabulary
 
 
 @pytest.fixture
@@ -157,6 +159,24 @@ class TestReadBack:
         vocab = Vocabulary(self.VOCAB)
         names = ["Paris", "New York", "Caf"]
         assert Catalog(names, vocab) == load_catalog(names, vocab)[0]
+
+    def test_make_record_agrees_with_the_reference(self):
+        # random names of tokens, token fragments, specials and odd characters, with odd separators
+        vocab = Vocabulary((*self.VOCAB, "x(y", "<s>x"))
+        pieces = (*self.VOCAB, "x(y", "<s>x", "CafParis", "Ca", "é", "<unk>", "(", "]", "\t", "\x1c", "\u2028", "")
+        separators = (" ", " ", " ", "  ", "", "\u00a0", "\n")
+        rng = np.random.default_rng(79)
+        for _ in range(2000):
+            words = rng.choice(pieces, size=int(rng.integers(1, 5)))
+            name = "".join(str(w) + str(rng.choice(separators)) for w in words)[: -1 if rng.random() < 0.8 else None]
+            try:
+                expected = reference_make_record(name, vocab, 3)
+            except CatalogError as exc:
+                with pytest.raises(CatalogError) as err:
+                    make_record(name, vocab, 3)
+                assert (str(err.value), err.value.line) == (str(exc), 3)
+            else:
+                assert make_record(name, vocab, 3).tokens == expected
 
     def test_every_ranked_name_is_a_catalog_name(self):
         # keep each name that loads on its own; a trie over them ranks each under its own name

@@ -4,17 +4,23 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
+from trie_decode.catalog import _BLOCK_ROWS, CatalogError
 from trie_decode.cli import main
 from trie_decode.markup import parse_markup
 from trie_decode.metrics import ed_accuracy
+from trie_decode.tasks import TASK_EXTRA_SPECIALS
+from trie_decode.vocab import load_vocabulary
 
 from helpers import (
     SHARED_PREFIX_NAMES,
     SOCCER_GOLD_MARKUP,
     SOCCER_PREDICTED_MARKUP,
     SOCCER_SOURCE,
+    WORD_POOL,
+    reference_catalog_build,
 )
 
 CLI_VOCAB_LINES = "English\nFrance\nlanguage\nliterature\n"
@@ -171,6 +177,93 @@ class TestBuildTrie:
         assert captured.out == ""
         assert captured.err == "error: line 4: entity name contains reserved characters ['(', ')']: 'x(y)'\n"
         assert not os.path.exists(cli_files["trie"])
+
+
+class TestBuildTrieBlocks:
+    """``build-trie``'s block compile against the per-line rule it replaced.
+
+    Seeded catalogs of more than three blocks, with blank, whitespace-only,
+    padded and repeated lines, and one bad line of each kind at line 1, on
+    the last row of the first block, on the first row of the next, and on
+    the last line: exit status, stdout, stderr and trie file all match.
+    """
+
+    # "x(y" is a token, so the name "x(y" is every word found, and still refused
+    VOCAB = (*WORD_POOL, "x(y")
+    BAD_NAMES = {
+        "double-space": "alpha  beta",
+        "tab": "alpha\tbeta gamma",
+        "bracket": "alpha [beta",
+        "paren": "delta(",
+        "file-separator": "alpha\x1cbeta",
+        "line-separator": "mu\u2028eta",
+        "no-break-space": "alpha\u00a0beta",
+        "unknown-word": "alphabeta",
+        "unknown-character": "iota kappa\u00e9",
+        "token-holding-a-paren": "x(y",
+    }
+
+    @staticmethod
+    def random_lines(rng):
+        """About 3,600 lines: names of 1-4 pool words, some padded or repeated, among blank lines."""
+        lines, names = [], []
+        while len(names) < 3 * _BLOCK_ROWS + 300:
+            roll = rng.random()
+            if roll < 0.05:
+                lines.append(str(rng.choice(["", " ", "\t", "  \t "])))
+                continue
+            if roll < 0.15 and names:
+                name = names[int(rng.integers(len(names)))]
+            else:
+                name = " ".join(rng.choice(WORD_POOL, size=int(rng.integers(1, 5))))
+            names.append(name)
+            lines.append(str(rng.choice(["", " ", "\t", "\u00a0"])) + name + str(rng.choice(["", "  ", "\t"])))
+        return lines
+
+    @staticmethod
+    def cli(catalog, vocab, out, capsys):
+        code = main(["build-trie", str(catalog), "--vocab", str(vocab), "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    @staticmethod
+    def reference(catalog, vocab_path):
+        vocab = load_vocabulary(str(vocab_path), extra_specials=TASK_EXTRA_SPECIALS)
+        try:
+            trie, names = reference_catalog_build(str(catalog), vocab)
+        except CatalogError as exc:
+            return 1, "", f"error: {exc}\n", None
+        blob = trie.serialize()
+        skipped = f"skipped {names - trie.leaf_count} duplicate name(s)\n" if names > trie.leaf_count else ""
+        stats = f"leaves={trie.leaf_count} internal_nodes={trie.internal_node_count} bytes={len(blob)}\n"
+        return 0, stats, skipped, blob
+
+    def assert_same(self, lines, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(self.VOCAB) + "\n", encoding="utf-8")
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "names.trie"
+        if out.exists():
+            out.unlink()
+        expected = self.reference(catalog, vocab)
+        assert self.cli(catalog, vocab, out, capsys) == expected
+        return expected
+
+    def test_a_clean_catalog_builds_the_reference_trie(self, tmp_path, capsys):
+        lines = self.random_lines(np.random.default_rng(73))
+        code, stats, skipped, _ = self.assert_same(lines, tmp_path, capsys)
+        assert code == 0 and stats.startswith("leaves=") and skipped.startswith("skipped ")
+
+    @pytest.mark.parametrize("kind", BAD_NAMES)
+    def test_a_bad_line_fails_as_the_reference(self, tmp_path, capsys, kind):
+        lines = self.random_lines(np.random.default_rng(sorted(self.BAD_NAMES).index(kind)))
+        rows = [i for i, line in enumerate(lines) if line.strip()]
+        for at in (0, rows[_BLOCK_ROWS - 1], rows[_BLOCK_ROWS], len(lines) - 1):
+            bad = list(lines)
+            bad[at] = self.BAD_NAMES[kind]
+            code, _, err, _ = self.assert_same(bad, tmp_path, capsys)
+            assert code == 1 and err.startswith(f"error: line {at + 1}: ")
 
 
 class TestRetrieve:

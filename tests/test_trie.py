@@ -3,6 +3,8 @@
 import copy
 import pickle
 import tracemalloc
+from array import array
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from trie_decode.trie import (
     EntityTrie,
     TrieError,
     TrieFormatError,
+    _build_flat,
     build_trie,
 )
 from trie_decode.vocab import EOS, SOS, encode
@@ -110,14 +113,15 @@ class TestBuild:
 
 
 class TestReferenceBuild:
-    """The level-by-level build against the FIFO build it replaced."""
+    """The level-by-level build, and its flat core, against the FIFO build it replaced."""
 
     @staticmethod
     def assert_same(seqs, vocab_size):
         trie = build_trie(seqs, vocab_size)
         reference = reference_build_trie(seqs, vocab_size)
-        assert trie == reference
-        assert trie.serialize() == reference.serialize()
+        flat = _build_flat(array("q", chain(*seqs)), array("q", map(len, seqs)), vocab_size)
+        assert trie == reference == flat
+        assert trie.serialize() == reference.serialize() == flat.serialize()
 
     def test_random_catalogs(self):
         vocab = pool_vocabulary()
