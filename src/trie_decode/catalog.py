@@ -13,14 +13,15 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator
 
 from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
 
 RESERVED_NAME_CHARS = frozenset("[]()")
-# any character a name may not hold: one search passes a valid name
-_REJECTED_CHAR = re.compile(r"[][()\t\n]")
+# the characters no name may hold: a block of names is scanned for each with
+# ``in``, which is faster there, and a single name with the one regex search
+_REJECTED_CHARS = "[]()\t\n"
+_REJECTED_CHAR = re.compile(f"[{re.escape(_REJECTED_CHARS)}]")
 # catalog lines :func:`_catalog_ids` compiles per block: larger blocks cost
 # memory for the joined text, smaller ones a call each
 _BLOCK_ROWS = 1024
@@ -41,15 +42,13 @@ class EntityRecord:
 def _word_ids(text: str, vocab: Vocabulary) -> list[TokenId] | None:
     """The ids of ``text``'s words, cut at single spaces, if each is an ordinary token; else ``None``.
 
-    ``None`` too if ``text`` holds a character of ``_REJECTED_CHAR``.  A
-    blank, padded or double-spaced name has an empty word, which no token
-    is.  A name passes exactly when it reads back from its tokens: each word
-    is found whole, so :func:`encode` gives these ids, and :func:`decode`
-    joins their strings with single spaces.  Names joined with single
-    spaces pass exactly when each one does, with the ids of each in turn.
+    The caller has found none of ``_REJECTED_CHARS`` in ``text``.  A blank,
+    padded or double-spaced name has an empty word, which no token is.  A
+    name passes exactly when it reads back from its tokens: each word is
+    found whole, so :func:`encode` gives these ids, and :func:`decode` joins
+    their strings with single spaces.  Names joined with single spaces pass
+    exactly when each one does, with the ids of each in turn.
     """
-    if _REJECTED_CHAR.search(text):
-        return None
     ids = list(map(vocab._table.get, text.split(" ")))
     return None if None in ids else ids
 
@@ -69,25 +68,46 @@ def _refusal(name: str, vocab: Vocabulary, line: int | None) -> CatalogError:
 
 def make_record(name: str, vocab: Vocabulary, line: int | None = None) -> EntityRecord:
     """The record of ``name``; a decode emits the name only if its tokens read back as it."""
-    tokens = _word_ids(name, vocab)
+    tokens = None if _REJECTED_CHAR.search(name) else _word_ids(name, vocab)
     if tokens is None:
         raise _refusal(name, vocab, line)
     return EntityRecord(name, tuple(tokens))
 
 
+def _row_blocks(source: str | Iterable[str]) -> Iterator[list[tuple[int, str]]]:
+    """The rows of :func:`read_rows`, ``_BLOCK_ROWS`` at a time, then a last block, which may be empty.
+
+    A read that fails yields the rows before its bad line first, so a
+    refused name among them is named before the bad byte.
+    """
+    block: list[tuple[int, str]] = []
+    try:
+        for row in read_rows(source):
+            block.append(row)
+            if len(block) == _BLOCK_ROWS:
+                yield block
+                block = []
+    except InputError:
+        yield block
+        raise
+    yield block
+
+
 def _catalog_ids(source: str | Iterable[str], vocab: Vocabulary) -> tuple[array, array]:
     """The ids of :func:`load_catalog`'s names, repeats kept, laid end to end, and each name's id count.
 
-    Lines are compiled ``_BLOCK_ROWS`` at a time: a block's names, joined
-    with single spaces, pass :func:`_word_ids` in one call, and a name has
-    one id more than spaces.  A block that fails holds a refused name, so
-    :func:`make_record` goes through it line by line and raises for the first.
+    Both are ``array('I')``, the trie file's u32.  Lines are compiled in
+    blocks: a block's names, joined with single spaces, pass one scan for
+    each of ``_REJECTED_CHARS`` and :func:`_word_ids` in one call, and a
+    name has one id more than spaces.  A block that fails holds a refused
+    name, so :func:`make_record` goes through it line by line and raises
+    for the first.
     """
-    ids, lengths = array("q"), array("q")
-    rows = read_rows(source)
-    while block := list(islice(rows, _BLOCK_ROWS)):
+    ids, lengths = array("I"), array("I")
+    for block in _row_blocks(source):
         names = [raw.strip() for _, raw in block]
-        block_ids = _word_ids(" ".join(names), vocab)
+        text = " ".join(names)
+        block_ids = None if any(c in text for c in _REJECTED_CHARS) else _word_ids(text, vocab)
         if block_ids is None:
             records = (make_record(name, vocab, line) for (line, _), name in zip(block, names))
             block_ids = [t for record in records for t in record.tokens]
@@ -197,7 +217,7 @@ def load_candidate_sets(source: str | Iterable[str]) -> dict[str, CandidateSet]:
         if len(parts) != 2:
             raise CatalogError("expected `mention-id TAB name1|name2|...`", lineno)
         mention_id, joined = parts
-        names = tuple(n for n in joined.split("|") if n)
+        names = tuple(filter(None, joined.split("|")))
         if not names:
             raise CatalogError("empty candidate set", lineno)
         if mention_id in sets:

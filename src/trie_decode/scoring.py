@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import zlib
 from abc import ABC, abstractmethod
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -300,9 +300,10 @@ def save_table_scorer(scorer: TableScorer, path: str) -> None:
 def load_table_scorer(path: str) -> TableScorer:
     """Read a :func:`save_table_scorer` file, summing repeated keys; a refused line is named (``line 3: ...``)."""
     lines = read_lines(path)
-    if not lines:
+    header = next(lines, None)
+    if header is None:
         raise ScorerError("empty scorer file")
-    head = lines[0].split("\t")
+    head = header.split("\t")
     if len(head) < 2 or head[2:] not in ([], ["input-conditioned"]):
         raise ScorerError("bad header: expected `alpha TAB vocab-size [TAB input-conditioned]`")
     try:
@@ -312,8 +313,9 @@ def load_table_scorer(path: str) -> TableScorer:
         raise ScorerError(f"bad header: {exc}") from None
 
     def entries() -> Iterator[_Entry]:
-        # the rows after line 1, the header: it parsed, so it is not blank
-        for lineno, raw in islice(read_rows(lines), 1, None):
+        # the rows after line 1, the header, put back so that the lines keep their numbers: it parsed, so it
+        # is not blank and is the one row skipped
+        for lineno, raw in islice(read_rows(chain([header], lines)), 1, None):
             parts = raw.split("\t")
             if len(parts) != 3:
                 raise ScorerError("expected `ctx TAB token TAB count`", lineno)

@@ -258,7 +258,7 @@ def load_ed_dataset(
             raise TaskError("empty gold entity", lineno)
         candidates: tuple[str, ...] | None = None
         if len(parts) == 6 and parts[5]:
-            candidates = tuple(n for n in parts[5].split("|") if n)
+            candidates = tuple(filter(None, parts[5].split("|")))
             if not candidates:
                 raise TaskError("empty candidate set", lineno)
         elif candidate_sets is not None and instance_id in candidate_sets:
@@ -275,7 +275,7 @@ def load_dr_dataset(source: str | Iterable[str]) -> list[tuple[str, str, tuple[s
         if len(parts) != 3:
             raise TaskError("expected `id TAB query TAB gold1|gold2|...`", lineno)
         instance_id, query, joined = parts
-        gold = tuple(n for n in joined.split("|") if n)
+        gold = tuple(filter(None, joined.split("|")))
         if not gold:
             raise TaskError("empty gold set", lineno)
         queries.append((instance_id, query, gold))

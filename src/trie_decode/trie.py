@@ -304,17 +304,19 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
 def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) -> EntityTrie:
     """The trie of the sequences laid end to end in ``ids``, ``length[i]`` ids for sequence ``i``.
 
-    ``ids`` and ``length`` are int64 arrays or buffers: an ``array('q')``
-    is read in place.  The caller has checked what :func:`build_trie`
-    checks: every length is at least 1, no id is SOS, EOS or outside
-    ``0 .. vocab_size - 1``, and ``vocab_size`` fits the u32 header.
+    ``ids`` is an integer array or buffer, read in place: ``build-trie``
+    passes an ``array('I')``, :func:`build_trie` int64.  Each level's
+    labels and ``first_child`` are stored as the file's ``<u4`` as they are
+    made.  The caller has checked what :func:`build_trie` checks: every
+    length is at least 1, no id is SOS, EOS or outside ``0 .. vocab_size -
+    1``, and ``vocab_size`` fits the u32 header.
     """
-    ids, length = np.asarray(ids, np.int64), np.asarray(length, np.int64)
+    ids, length = np.asarray(ids), np.asarray(length, np.int64)
     # per sequence still longer than ``depth``: its length, where it starts
     # in ``ids``, and the node of the current level its prefix leads to
     start = np.cumsum(length) - length
     node = np.zeros(len(length), np.int64)
-    token, first, terminal = [np.zeros(1, np.int64)], [], [np.zeros(1, bool)]
+    token, first, terminal = [np.zeros(1, "<u4")], [], [np.zeros(1, bool)]
     lo, hi, depth = 0, 1, 0  # the current level is nodes lo .. hi - 1
     while len(node):
         order = np.lexsort((ids[start + depth], node))
@@ -324,16 +326,16 @@ def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) 
         new[1:] = (parent[1:] != parent[:-1]) | (label[1:] != label[:-1])
         child = hi - 1 + np.cumsum(new)
         fanout = np.bincount(parent[new] - lo, minlength=hi - lo)
-        first.append(hi + np.cumsum(fanout) - fanout)
-        token.append(label[new])
+        first.append((hi + np.cumsum(fanout) - fanout).astype("<u4"))
+        token.append(label[new].astype("<u4"))
         ends = length == depth + 1
         level_terminal = np.zeros(child[-1] + 1 - hi, bool)
         level_terminal[child[ends] - hi] = True
         terminal.append(level_terminal)
         lo, hi, depth = hi, child[-1] + 1, depth + 1
         node, start, length = child[~ends], start[~ends], length[~ends]
-    first.append(np.full(hi - lo + 1, hi))  # the deepest level has no children
-    token, first = (np.concatenate(levels).astype("<u4") for levels in (token, first))
+    first.append(np.full(hi - lo + 1, hi, "<u4"))  # the deepest level has no children
+    token, first = np.concatenate(token), np.concatenate(first)
     blob = b"".join((MAGIC, _HEADER.pack(vocab_size, hi), token, first, np.concatenate(terminal)))
     del ids, token, first, terminal  # freed before the checks run, which allocate their own
     return EntityTrie(blob)

@@ -17,6 +17,7 @@ vocabulary token.
 
 from __future__ import annotations
 
+import codecs
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TokenId = int
@@ -28,6 +29,10 @@ MENTION_CLOSE: TokenId = 3
 LINK_OPEN: TokenId = 4
 LINK_CLOSE: TokenId = 5
 UNK: TokenId = 6
+
+# bytes :func:`read_lines` reads from a path at a time: smaller chunks cost more
+# calls, larger ones hold more text at once
+_CHUNK_BYTES = 1 << 16
 
 CORE_SPECIAL_STRINGS: tuple[str, ...] = ("<s>", "</s>", "[", "]", "(", ")", "<unk>")
 NUM_CORE_SPECIALS: int = len(CORE_SPECIAL_STRINGS)
@@ -204,26 +209,52 @@ def decode(tokens: Sequence[TokenId], vocab: Vocabulary) -> str:
         raise VocabularyError(f"token id out of range: {exc.args[0]}") from None
 
 
-def read_lines(source: str | Iterable[str]) -> list[str]:
+def read_lines(source: str | Iterable[str]) -> Iterator[str]:
     r"""Lines of the UTF-8 file at path ``source``, or of an iterable of lines, without newlines.
 
     A path is read as a text-mode handle iterates: ``\n``, ``\r\n`` and ``\r`` end a line, and every
-    other separator (``\f``, ``\x1c``, U+2028, ...) stays inside its line.  A path that is not UTF-8
-    raises :class:`InputError` naming it and the line of its first bad byte.
+    other separator (``\f``, ``\x1c``, U+2028, ...) stays inside its line.  It is read
+    ``_CHUNK_BYTES`` at a time, so no whole file is held.  A path that is not UTF-8 yields
+    every line before its first bad byte, then raises :class:`InputError` naming the path and
+    that byte's line: an earlier line a caller refuses is named first.
     """
     if isinstance(source, str):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                lines = fh.read().split("\n")  # text mode has turned \r\n and \r into \n
-        except UnicodeDecodeError as exc:
-            # read() decodes the whole file in one call, so the offset is the file's
-            head, bad = exc.object[: exc.start], exc.object[exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise InputError(f"{source}:{line}: not UTF-8 (can't decode byte {bad:#04x}: {exc.reason})") from None
-        if not lines[-1]:  # the empty text after a final newline, or of an empty file
-            lines.pop()
-        return lines
-    return [line.rstrip("\n") for line in source]
+        return _path_lines(source)
+    return (line.rstrip("\n") for line in source)
+
+
+def _path_lines(path: str) -> Iterator[str]:
+    """The lines of :func:`read_lines` for a path: each chunk is decoded, then cut at its line ends."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    part: list[str] = []  # the pieces read of the line not yet ended: joined once, however many chunks
+    cr, count = "", 0  # a \r held back, the lines yielded
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CHUNK_BYTES)
+            try:
+                text, error = cr + decoder.decode(chunk, final=not chunk), None
+            except UnicodeDecodeError as exc:  # the text before the bad byte decodes, and is the last
+                text, error, chunk = cr + exc.object[: exc.start].decode(), exc, b""
+            # a \r that ends the text may open a \r\n that the next chunk closes
+            end = len(text) - 1 if chunk and text.endswith("\r") else len(text)
+            text, cr = text[:end], text[end:]
+            if "\r" in text:  # a fast scan, where replacing "\r\n" is a slow one
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            if len(lines) > 1:
+                lines[0] = "".join([*part, lines[0]])
+                part = []
+            part.append(lines.pop())
+            count += len(lines)
+            yield from lines
+            if error is not None:
+                bad = error.object[error.start]
+                raise InputError(f"{path}:{count + 1}: not UTF-8 (can't decode byte {bad:#04x}: {error.reason})")
+            if not chunk:
+                break
+    last = "".join(part)
+    if last:  # the last line, without a newline
+        yield last
 
 
 def read_rows(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -238,11 +269,9 @@ def load_vocabulary(source: str | Iterable[str], extra_specials: Iterable[str] =
 
     One ordinary token per line, UTF-8; specials are implicit and not listed.
     A blank line is an error, not skipped as by :func:`read_rows`: ids follow line positions.
+    The tokens are checked once every line is read, so a bad byte anywhere is named first.
     """
-    tokens: list[str] = []
-    for lineno, raw in enumerate(read_lines(source), start=1):
-        token = raw.strip()
-        if not token:
-            raise VocabularyError("empty token", lineno)
-        tokens.append(token)
+    tokens = [raw.strip() for raw in read_lines(source)]
+    if "" in tokens:
+        raise VocabularyError("empty token", tokens.index("") + 1)
     return Vocabulary(tokens, extra_specials)

@@ -120,8 +120,10 @@ class TestReferenceBuild:
         trie = build_trie(seqs, vocab_size)
         reference = reference_build_trie(seqs, vocab_size)
         flat = _build_flat(array("q", chain(*seqs)), array("q", map(len, seqs)), vocab_size)
-        assert trie == reference == flat
-        assert trie.serialize() == reference.serialize() == flat.serialize()
+        # build-trie's path: the ids and lengths at the file's u32 width
+        flat_u32 = _build_flat(array("I", chain(*seqs)), array("I", map(len, seqs)), vocab_size)
+        assert trie == reference == flat == flat_u32
+        assert trie.serialize() == reference.serialize() == flat.serialize() == flat_u32.serialize()
 
     def test_random_catalogs(self):
         vocab = pool_vocabulary()

@@ -1,9 +1,11 @@
 """Vocabulary construction, encoding, and the round-trip contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trie_decode.catalog import load_candidate_sets, load_catalog
+from trie_decode.catalog import CatalogError, _catalog_ids, load_candidate_sets, load_catalog
 from trie_decode.cli import _load_predictions
 from trie_decode.scoring import load_table_scorer
 from trie_decode.tasks import load_dr_dataset, load_ed_dataset, load_el_dataset
@@ -22,6 +24,7 @@ from trie_decode.vocab import (
     encode_with_offsets,
     load_vocabulary,
     read_lines,
+    read_rows,
 )
 
 from helpers import WORD_POOL, pool_vocabulary, reference_encode_with_offsets
@@ -212,28 +215,29 @@ def test_every_reader_numbers_lines_from_one(tmp_path, reader, text, line):
 LINE_BREAKS_INSIDE_A_LINE = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
-@pytest.mark.parametrize(
-    "text, lines",
-    [
-        *((f"a{sep}b\nc\n", [f"a{sep}b", "c"]) for sep in LINE_BREAKS_INSIDE_A_LINE),
-        ("a\r\nb\r\n", ["a", "b"]),
-        ("a\rb", ["a", "b"]),
-        ("a\nb", ["a", "b"]),
-        ("a\n\n", ["a", ""]),
-        ("\n", [""]),
-        ("", []),
-    ],
-    ids=[
-        *(f"{ord(sep):#x}-inside" for sep in LINE_BREAKS_INSIDE_A_LINE),
-        "crlf", "lone-cr", "no-final-newline", "blank-last", "newline", "empty",
-    ],
-)
+# (text of a file, its lines)
+LINE_CASES = [
+    *((f"a{sep}b\nc\n", [f"a{sep}b", "c"]) for sep in LINE_BREAKS_INSIDE_A_LINE),
+    ("a\r\nb\r\n", ["a", "b"]),
+    ("a\rb", ["a", "b"]),
+    ("a\nb", ["a", "b"]),
+    ("a\n\n", ["a", ""]),
+    ("\n", [""]),
+    ("", []),
+]
+LINE_CASE_IDS = [
+    *(f"{ord(sep):#x}-inside" for sep in LINE_BREAKS_INSIDE_A_LINE),
+    "crlf", "lone-cr", "no-final-newline", "blank-last", "newline", "empty",
+]
+
+
+@pytest.mark.parametrize("text, lines", LINE_CASES, ids=LINE_CASE_IDS)
 def test_a_path_reads_the_lines_of_its_open_file(tmp_path, text, lines):
     path = tmp_path / "lines.txt"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
-        assert read_lines(fh) == lines
-    assert read_lines(str(path)) == lines
+        assert list(read_lines(fh)) == lines
+    assert list(read_lines(str(path))) == lines
 
 
 def test_a_path_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
@@ -241,8 +245,129 @@ def test_a_path_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
     path = tmp_path / "lines.txt"
     path.write_bytes(b"a\rb\r\n\nc\n\xe2\x82")
     with pytest.raises(InputError) as caught:
-        read_lines(str(path))
+        list(read_lines(str(path)))
     assert str(caught.value) == f"{path}:5: not UTF-8 (can't decode byte 0xe2: unexpected end of data)"
+
+
+def whole_file_read(path):
+    """``(lines, error message or None)`` of ``path`` read whole, as the reader first did.
+
+    On a bad byte, the lines are those ended before it.
+    """
+    data = path.read_bytes()
+    try:
+        text, message = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        message = f"{path}:{line}: not UTF-8 (can't decode byte {data[exc.start]:#04x}: {exc.reason})"
+        text = head.decode("utf-8")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if message is not None or not lines[-1]:  # the bad byte's line, or the text after a final newline
+        lines.pop()
+    return lines, message
+
+
+def chunked_read(path):
+    """``(lines, error message or None)`` of ``read_lines`` at ``path``: the lines yielded before any error."""
+    lines = []
+    try:
+        for line in read_lines(str(path)):
+            lines.append(line)
+    except InputError as exc:
+        return lines, str(exc)
+    return lines, None
+
+
+class TestChunkedReader:
+    """A path is read ``_CHUNK_BYTES`` at a time, and every chunk size reads what one whole read does."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr("trie_decode.vocab._CHUNK_BYTES", request.param)
+        return request.param
+
+    def test_every_line_case_reads_alike_at_a_small_chunk(self, tmp_path, chunk):
+        for text, lines in LINE_CASES:
+            test_a_path_reads_the_lines_of_its_open_file(tmp_path, text, lines)
+        test_a_path_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path)
+
+    def test_a_crlf_split_across_two_chunks_ends_one_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("trie_decode.vocab._CHUNK_BYTES", 3)
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"ab\r\ncd\r\r\n")  # chunks "ab\r", "\ncd", "\r\r\n"
+        assert list(read_lines(str(path))) == ["ab", "cd", ""]
+
+    def test_a_character_split_across_chunks_reads_whole(self, tmp_path, chunk):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a\u00e9\u20ac\U0001f600\nb\u00e9\n".encode("utf-8"))
+        assert list(read_lines(str(path))) == ["a\u00e9\u20ac\U0001f600", "b\u00e9"]
+
+    def test_a_bad_byte_in_a_later_chunk_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("trie_decode.vocab._CHUNK_BYTES", 4)
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"ab\ncd\r\nef\xffgh\n")  # the bad byte is in the third chunk, "f\xffgh"
+        assert chunked_read(path) == (
+            ["ab", "cd"], f"{path}:3: not UTF-8 (can't decode byte 0xff: invalid start byte)"
+        )
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 5, None])
+    def test_random_files_read_as_one_whole_read(self, tmp_path, monkeypatch, chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr("trie_decode.vocab._CHUNK_BYTES", chunk_bytes)
+        pieces = [
+            b"a", b"b", b" ", b"\r", b"\n", b"\r\n", b"\x1c", "\u2028".encode(), "\u00e9".encode(),
+            "\u20ac".encode(), "\U0001f600".encode(), b"\xff", b"\xe2\x82", b"\xc3",
+        ]
+        rng = np.random.default_rng(101)
+        path = tmp_path / "lines.txt"
+        for _ in range(300):
+            path.write_bytes(b"".join(pieces[i] for i in rng.integers(0, len(pieces), int(rng.integers(0, 13)))))
+            assert chunked_read(path) == whole_file_read(path), path.read_bytes()
+
+    def test_reading_rows_holds_a_chunk_not_the_file(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("".join(f"name {i}\n" for i in range(200_000)), encoding="utf-8")
+        assert path.stat().st_size > 2_000_000
+        tracemalloc.start()
+        try:
+            rows = sum(1 for _ in read_rows(str(path)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == 200_000
+        # about 1 MB, the line objects of two 64 KiB chunks; the whole file's list of lines is over 15 MB
+        assert peak < 2_000_000
+
+
+class TestWhichErrorWins:
+    """A row loader names the first bad line in file order: a bad byte only wins on or before a refused row."""
+
+    BAD_NAME = b"bad [name]\n"
+    BAD_BYTE = b"\xffFrance\n"
+
+    @staticmethod
+    def catalog(tmp_path, first, second, gap):
+        """``France`` lines, ``first`` on line 3, then ``gap`` more ``France`` lines and ``second``."""
+        path = tmp_path / "catalog.txt"
+        path.write_bytes(b"France\n" * 2 + first + b"France\n" * gap + second)
+        return str(path)
+
+    # 20 lines: one chunk and one block; 1,500: the next block; 20,000: a later 64 KiB chunk
+    @pytest.mark.parametrize("gap", [20, 1_500, 20_000])
+    @pytest.mark.parametrize("load", [load_catalog, _catalog_ids], ids=["load_catalog", "build-trie"])
+    def test_a_bad_name_before_a_bad_byte_is_named(self, tmp_path, load, gap):
+        path = self.catalog(tmp_path, self.BAD_NAME, self.BAD_BYTE, gap)
+        with pytest.raises(CatalogError, match=r"^line 3: entity name contains reserved characters"):
+            load(path, READER_VOCAB)
+
+    @pytest.mark.parametrize("gap", [20, 1_500, 20_000])
+    @pytest.mark.parametrize("load", [load_catalog, _catalog_ids], ids=["load_catalog", "build-trie"])
+    def test_a_bad_byte_before_a_bad_name_is_named(self, tmp_path, load, gap):
+        path = self.catalog(tmp_path, self.BAD_BYTE, self.BAD_NAME, gap)
+        with pytest.raises(InputError) as caught:
+            load(path, READER_VOCAB)
+        assert str(caught.value) == f"{path}:3: not UTF-8 (can't decode byte 0xff: invalid start byte)"
 
 
 def test_a_vocabulary_line_holding_a_separator_is_one_bad_token(tmp_path):
