@@ -16,7 +16,10 @@ are *not* renormalized, so the score of any fully decoded sequence equals
 its unconstrained stepwise sum.  A hypothesis at a final state retires to a
 pool, where it occupies no beam slot; pruning keeps the best ``k`` live
 hypotheses by cumulative log-probability, breaking ties by ascending token
-order, and builds only what survives its cut (see :func:`beam_search`).
+order, and builds only what survives its cut (see :func:`beam_search`).  A
+parent wider than the beam is first cut to its best ``k`` ids; within one
+search, a cut whose scorer row and allowed ids are the same read-only objects
+as an earlier one reuses that earlier sort wherever it stays exact.
 The final ranking applies length normalization when configured, breaking
 exact ties the same way so that results are total and reproducible.
 
@@ -28,6 +31,7 @@ wrong row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
@@ -50,7 +54,12 @@ class Constraint(Protocol[State]):
         """Whether the decode may end at ``state``, that is, EOS is legal there."""
 
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
-        """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is."""
+        """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is.
+
+        A tuple or read-only array returned here must never change:
+        :func:`beam_search` may reuse work done on it within one search.  A
+        constraint that refills one buffer returns a list or a writeable array.
+        """
 
     def advance(self, state: State, token: TokenId) -> State:
         """The state after ``token``; defined only for an id in ``allowed(state)``."""
@@ -156,6 +165,13 @@ def beam_search(
     parent's best ``k`` ids under ``(-score, token)`` can make the cut, so
     one ``np.lexsort`` cuts a wider parent to them before the one loop that
     scores every parent's candidates by the same float64 sums.
+
+    Hypotheses that reach one trie node after the same token meet the same
+    scorer row and the same allowed ids again, at another ``cum_logprob``.
+    So for the life of the search a wide parent's cut is memoized by the
+    identity of its ``(logprobs, allowed)`` pair, when the row is a read-only
+    array and the ids a tuple or a read-only array, and reused wherever
+    rounding cannot change it; elsewhere the sort runs (see ``_memo_cut``).
     """
     if not hasattr(constraint, "final"):
         raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
@@ -164,6 +180,7 @@ def beam_search(
     k = config.k
     live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
     pool: list[Hypothesis] = []
+    cuts: dict[tuple[int, int], tuple] = {}  # see _memo_cut; it dies with this search
     for _ in range(config.max_steps):
         if not live:
             break
@@ -189,11 +206,11 @@ def beam_search(
                     f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
                 ) from None
             if len(allowed) > k:
-                tokens = np.asarray(allowed, dtype=np.intp)
-                neg = -np.add(logprobs[tokens], cum, dtype=np.float64)
-                allowed = tokens[np.lexsort((tokens, neg))[:k]].tolist()
-            for token in allowed:
-                candidates.append((-(cum + float(logprobs[token])), rank, token))
+                for value, token in _memo_cut(cuts, logprobs, allowed, cum, k):
+                    candidates.append((-(cum + value), rank, token))
+            else:
+                for token in allowed:
+                    candidates.append((-(cum + float(logprobs[token])), rank, token))
         candidates.sort()
         # (parent, token) pairs are distinct: this sort never compares
         # scores, and it puts the next step's parents in token order
@@ -204,6 +221,74 @@ def beam_search(
         ]
     pool.sort(key=lambda h: (-_final_score(h, config.length_normalize), h.tokens))
     return pool[:k]
+
+
+_Cut = Iterable[tuple[float, TokenId]]  # (logprob, id) of each id a cut keeps
+
+
+def _cut(logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray, cum: float, k: int) -> _Cut:
+    """A wide parent's best ``k`` ids under ``(-(cum + logprob), id)``, by one ``np.lexsort``."""
+    tokens = np.asarray(allowed, dtype=np.intp)
+    neg = -np.add(logprobs[tokens], cum, dtype=np.float64)
+    best = tokens[np.lexsort((tokens, neg))[:k]]
+    return zip(logprobs[best].tolist(), best.tolist())
+
+
+def _memo_cut(
+    cuts: dict[tuple[int, int], tuple],
+    logprobs: np.ndarray,
+    allowed: Sequence[TokenId] | np.ndarray,
+    cum: float,
+    k: int,
+) -> _Cut:
+    """:func:`_cut`, reusing an earlier sort of the same ``(logprobs, allowed)`` pair in ``cuts``.
+
+    ``cuts`` is keyed by the ``id()`` of both objects of a pair that
+    promises not to change (a read-only row; a tuple or read-only array of
+    ids), and holds both, so no other object can take those ``id()`` values
+    while it lives.  A pair's first sighting only records it, so a search
+    that never repeats a pair pays one insert per cut.  The second sorts it
+    once by ``(-logprob, id)``, keeping its best ``k`` ids with their
+    values, the ``k``-th value ``v`` and the nearest distinct values above
+    and below ``v``'s group (infinite where there is none).
+    ``x -> fl(cum + x)`` is monotone, so the best ``k`` at ``cum`` are those
+    ids unless rounding merges a neighbour into ``v``'s group; where the
+    rounded sums do not keep all three apart, the exact sort runs instead.
+    """
+    key = id(logprobs), id(allowed)
+    seen = cuts.get(key)
+    if seen is None:
+        if _unchanging(logprobs, allowed):
+            cuts[key] = (logprobs, allowed)
+        return _cut(logprobs, allowed, cum, k)
+    if len(seen) == 2:
+        seen = cuts[key] = (logprobs, allowed, *_order(logprobs, allowed, k))
+    best, value, above, below = seen[2:]
+    if cum + above > cum + value > cum + below:
+        return best
+    return _cut(logprobs, allowed, cum, k)
+
+
+def _unchanging(logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray) -> bool:
+    """Whether the row is read-only and the ids a tuple or read-only array, which must never change."""
+    if type(logprobs) is not np.ndarray or logprobs.flags.writeable:
+        return False
+    return type(allowed) is tuple or (type(allowed) is np.ndarray and not allowed.flags.writeable)
+
+
+def _order(
+    logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray, k: int
+) -> tuple[tuple[tuple[float, TokenId], ...], float, float, float]:
+    """The best ``k`` ``(logprob, id)`` pairs under ``(-logprob, id)``, the ``k``-th value, and its neighbours."""
+    tokens = np.asarray(allowed, dtype=np.intp)
+    neg = -logprobs[tokens].astype(np.float64)
+    order = np.lexsort((tokens, neg))
+    neg = neg[order]  # ascending, any NaN last
+    lo, hi = np.searchsorted(neg, neg[k - 1], "left"), np.searchsorted(neg, neg[k - 1], "right")
+    above = -float(neg[lo - 1]) if lo else math.inf
+    below = -float(neg[hi]) if hi < len(neg) else -math.inf
+    best = tuple(zip((-neg[:k]).tolist(), tokens[order[:k]].tolist()))
+    return best, -float(neg[k - 1]), above, below
 
 
 def _final_score(hyp: Hypothesis, length_normalize: bool) -> float:

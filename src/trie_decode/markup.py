@@ -142,7 +142,9 @@ def _link_allowed(node: int, trie: EntityTrie) -> tuple[TokenId, ...] | np.ndarr
     if len(allowed) == 0:
         return (LINK_CLOSE,)
     # ascending: MarkupConstraint refuses labels at or below ``)``
-    return np.concatenate((_CLOSE_ONLY, allowed))
+    allowed = np.concatenate((_CLOSE_ONLY, allowed))
+    allowed.flags.writeable = False
+    return allowed
 
 
 def advance_state(state: LinkerState, token: TokenId, source: Sequence[TokenId]) -> LinkerState:
@@ -230,15 +232,18 @@ class MarkupConstraint:
     (after ``]``) or LINK (inside ``(...)``); ``cursor`` is the next source
     token, and ``node`` the entity prefix's trie node (the root outside a
     link).  Every phase before the link reads its ids from a per-cursor
-    table built once per source.  The one final state is outside at the end
-    of the source.  ``allowed`` matches :func:`dynamic_constraint` (without
-    EOS, ascending), and ``advance``, defined only for an id in
-    ``allowed(state)``, moves as :func:`advance_state` does: that reference,
-    which keeps the errors, is what this FSM is tested against.  A trie
-    label that is a markup id would read as markup inside a link, and a
-    source id at or below ``)`` would be copied as SOS, EOS or markup, so
-    such a trie or source raises :class:`MarkupError`; ``advance`` then
-    reads each move off the token alone.
+    table built once per source; inside a link, ``allowed`` hands out one
+    read-only object per trie node, made on first use, so a node met again
+    gives the same object and :func:`beam_search` can reuse its cut.  The
+    one final state is outside at the end of the source.  ``allowed``
+    matches :func:`dynamic_constraint` (without EOS, ascending), and
+    ``advance``, defined only for an id in ``allowed(state)``, moves as
+    :func:`advance_state` does: that reference, which keeps the errors, is
+    what this FSM is tested against.  A trie label that is a markup id would
+    read as markup inside a link, and a source id at or below ``)`` would be
+    copied as SOS, EOS or markup, so such a trie or source raises
+    :class:`MarkupError`; ``advance`` then reads each move off the token
+    alone.
     """
 
     def __init__(self, source: Sequence[TokenId], trie: EntityTrie) -> None:
@@ -264,6 +269,9 @@ class MarkupConstraint:
             [(MENTION_CLOSE, t) for t in source] + [(MENTION_CLOSE,)],
             [(LINK_OPEN,)] * (len(source) + 1),
         )
+        # allowed ids inside a link by trie node, filled on first use: a node
+        # met again hands out the same read-only object
+        self._links: dict[int, tuple[TokenId, ...] | np.ndarray] = {}
 
     def start(self) -> _State:
         return _OUTSIDE, 0, self._root
@@ -274,7 +282,10 @@ class MarkupConstraint:
     def allowed(self, state: _State) -> tuple[TokenId, ...] | np.ndarray:
         phase, cursor, node = state
         if phase == _LINK:
-            return _link_allowed(node, self._trie)
+            allowed = self._links.get(node)
+            if allowed is None:
+                allowed = self._links[node] = _link_allowed(node, self._trie)
+            return allowed
         return self._tables[phase][cursor]
 
     def advance(self, state: _State, token: TokenId) -> _State:

@@ -41,7 +41,10 @@ class Scorer(ABC):
 
         The returned vector has length ``vocab_size`` and is deterministic
         for a fixed ``(scorer, input, prefix)`` triple.  Callers must not
-        mutate it.
+        mutate it.  A read-only vector returned here must never change:
+        :func:`~trie_decode.beam.beam_search` may reuse work done on it
+        within one search.  A scorer that refills one buffer returns it
+        writeable.
         """
 
 

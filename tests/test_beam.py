@@ -1,10 +1,13 @@
 """Constrained beam search against the exhaustive scoring oracle."""
 
 import math
+import weakref
+import zlib
 
 import numpy as np
 import pytest
 
+from trie_decode import beam
 from trie_decode.beam import (
     BeamConfig,
     BeamError,
@@ -15,7 +18,7 @@ from trie_decode.beam import (
     rank_entities,
 )
 from trie_decode.markup import LinkerState, MarkupConstraint, advance_state, dynamic_constraint
-from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score
+from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score, train_table_scorer
 from trie_decode.tasks import _Candidates
 from trie_decode.trie import build_trie
 from trie_decode.vocab import EOS, SOS, decode, encode
@@ -442,6 +445,200 @@ class TestAdvanceOnlyOnAllowedIds:
                     met |= {(kind, max(widths) > k)}
         # each constraint met a parent wider than k and a search narrower throughout
         assert met == {(kind, wider) for kind in searches for wider in (False, True)}
+
+
+def read_only(row: np.ndarray) -> np.ndarray:
+    row.flags.writeable = False
+    return row
+
+
+class RowPerContext:
+    """One read-only row per previous token, handed out as the same object each time.
+
+    Tied rows hold quarters, so sums are exact and tie often; untied rows
+    hold continuous values.
+    """
+
+    def __init__(self, rng: np.random.Generator, vocab_size: int, tied: bool) -> None:
+        self.vocab_size = vocab_size
+        rows = -rng.exponential(1.0, (vocab_size, vocab_size))
+        if tied:
+            rows = np.round(rows * 4) / 4
+        self._rows = [read_only(row.copy()) for row in rows]
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        return self._rows[prefix[-1] if prefix else 0]
+
+
+class RefilledRow:
+    """A row per whole prefix, copied into one writeable buffer that every call returns."""
+
+    def __init__(self, vocab_size: int) -> None:
+        self.vocab_size = vocab_size
+        self._buffer = np.empty(vocab_size)
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        seed = zlib.crc32(np.array(prefix, dtype=np.int64).tobytes())
+        self._buffer[:] = -np.random.default_rng(seed).exponential(1.0, self.vocab_size)
+        return self._buffer
+
+
+class RefilledList(AdvanceChecked):
+    """``inner`` whose allowed ids are copied into one list that every call refills and returns."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self._buffer = []
+
+    def allowed(self, state):
+        self._buffer[:] = map(int, self.inner.allowed(state))
+        return self._buffer
+
+
+class Chain:
+    """A constraint that walks ``steps``, one allowed set per step, whatever the token; final at the end."""
+
+    def __init__(self, steps) -> None:
+        self.steps = steps
+
+    def start(self):
+        return 0
+
+    def final(self, state):
+        return state == len(self.steps)
+
+    def allowed(self, state):
+        return self.steps[state] if state < len(self.steps) else ()
+
+    def advance(self, state, token):
+        return state + 1
+
+
+class RowPerStep:
+    """``rows[i]`` at step ``i``, the same object wherever one row repeats."""
+
+    def __init__(self, rows) -> None:
+        self.vocab_size = len(rows[0])
+        self.rows = rows
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        return self.rows[len(prefix)]
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """Counts of wide cuts (``wide``) and of the exact sorts among them (``exact``) during a test."""
+    counts = {"wide": 0, "exact": 0}
+    memo_cut, cut = beam._memo_cut, beam._cut
+
+    def counted_memo_cut(*args):
+        counts["wide"] += 1
+        return memo_cut(*args)
+
+    def counted_cut(*args):
+        counts["exact"] += 1
+        return cut(*args)
+
+    monkeypatch.setattr(beam, "_memo_cut", counted_memo_cut)
+    monkeypatch.setattr(beam, "_cut", counted_cut)
+    return counts
+
+
+class TestCutMemo:
+    """A wide parent's cut, reused within one search, equals the reference."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_repeated_pairs_under_markup_match_reference(self, tied, sorts):
+        # few words and names of 1-3 tokens: the names share prefixes, and each
+        # link re-enters nodes that earlier hypotheses met at other scores
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(601 + tied)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        for _ in range(12):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(3, 7))))
+            scorer = RowPerContext(rng, vocab.size, tied)
+            for k in (1, 2, 3, 4):
+                config = BeamConfig(k, 60, bool(rng.integers(0, 2)))
+                got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
+                assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
+        # about half the wide cuts reused an earlier sort
+        assert sorts["exact"] < sorts["wide"] * 2 / 3
+
+    @pytest.mark.parametrize(
+        "gaps, winners, exact",
+        [
+            # met at cum 0, then at cum -1000 where the two sums round to one value
+            ((-999.0,), (8, 7), 2),
+            # and reused in between, at cum -1.5 where they stay apart
+            ((-0.5, -999.0), (8, 8, 7), 2),
+        ],
+    )
+    def test_sums_that_round_together_take_the_exact_sort(self, gaps, winners, exact, sorts):
+        a, b, c = 7, 8, 9
+        pair = (a, b)
+        row = np.full(10, -5.0)
+        row[a], row[b] = -1.0 - 2**-50, -1.0  # apart at cum 0, one value at cum -1000
+        row = read_only(row)
+        steps, rows = [pair], [row]
+        for gap in gaps:
+            bridge = np.full(10, -5.0)
+            bridge[c] = gap
+            steps += [(c,), pair]
+            rows += [read_only(bridge), row]
+        constraint, scorer = Chain(steps), RowPerStep(rows + [row])
+        config = BeamConfig(k=1, max_steps=len(steps) + 1, length_normalize=False)
+        (got,) = beam_search(scorer, (), constraint, config)
+        assert got.tokens[::2] == winners
+        assert [got] == reference_beam_search(scorer, (), constraint, config)
+        # the first sighting and the pair met where the sums merge
+        assert sorts == {"wide": len(winners), "exact": exact}
+
+    def test_a_refilled_writeable_row_matches_reference(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(607)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        scorer = RefilledRow(vocab.size)
+        for _ in range(10):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(3, 7))))
+            for k in (1, 2, 3):
+                config = BeamConfig(k, 60, length_normalize=False)
+                got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
+                assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
+
+    def test_a_refilled_list_of_ids_matches_reference(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(613)
+        row = read_only(-rng.exponential(1.0, vocab.size))
+        scorer = RowPerStep([row] * 16)  # one row object for every prefix
+        for _ in range(10):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(20, 80)), max_len=5)
+            trie = build_trie(seqs, vocab.size)
+            for k in (1, 2, 3):
+                config = BeamConfig(k, 8, length_normalize=False)
+                got = beam_search(scorer, (), RefilledList(trie), config)
+                assert got == reference_beam_search(scorer, (), trie, config)
+
+    def test_no_row_outlives_its_search(self):
+        # rows of an input-conditioned table scorer are freed when it moves to
+        # another input: only a memo that outlived the search could hold one
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(617)
+        seqs = random_sequences(rng, vocab, size=40, max_len=3)
+        trie = build_trie(seqs, vocab.size)
+        first, second = (7, 8), (9, 10)
+        pairs = [(inputs, seq + (EOS,)) for inputs in (first, second) for seq in seqs]
+        scorer = train_table_scorer(pairs, 0.5, vocab.size, input_conditioned=True)
+        assert beam_search(scorer, first, trie, BeamConfig(k=2, max_steps=4))
+        row = scorer.next_token_logprobs(first, ())  # the row the search cut the root with
+        assert len(trie.allowed(trie.start())) > 2 and np.ptp(row) > 0  # a wide cut; a trained row
+        row_ref = weakref.ref(row)
+        del row
+        scorer.next_token_logprobs(second, ())
+        assert row_ref() is None
 
 
 class TestConstraintProtocol:

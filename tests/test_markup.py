@@ -151,6 +151,39 @@ class TestDynamicConstraint:
                 frontier = following[:200]
         assert walked >= 40
 
+    def test_a_link_node_hands_out_one_read_only_allowed_object(self):
+        # "English" is a name with children, "English language" a leaf; the
+        # root is met in two links at different cursors
+        words = ("English", "France", "language", "literature")
+        vocab = Vocabulary(words)
+        names = ("English", "English language", "English literature", "France")
+        trie = build_trie([tuple(encode(n, vocab)) for n in names], vocab.size)
+        english, france, language, literature = map(vocab.ordinary_id, words)
+        source = (english, france, english)
+        constraint = MarkupConstraint(source, trie)
+
+        def walk(state, *tokens):
+            for token in tokens:
+                state = constraint.advance(state, token)
+            return state
+
+        open_link = (MENTION_OPEN, english, MENTION_CLOSE, LINK_OPEN)
+        roots = [walk(constraint.start(), *open_link), walk(constraint.start(), english, france, *open_link)]
+        assert roots == [(_LINK, 1, trie.start()), (_LINK, 3, trie.start())]
+        walks = {
+            (): sorted((english, france)),
+            (english,): [LINK_CLOSE, *sorted((language, literature))],  # a final node with children
+            (english, language): [LINK_CLOSE],
+        }
+        for tokens, expected in walks.items():
+            states = [walk(root, *tokens) for root in roots]
+            allowed = constraint.allowed(states[0])
+            assert list(allowed) == expected
+            for state in states:
+                assert constraint.allowed(state) is allowed  # the same object, met again
+            # a tuple or an array nothing can write through
+            assert isinstance(allowed, tuple) or not allowed.flags.writeable
+
     @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
     def test_constraint_refuses_a_trie_with_a_markup_label(self, label):
         # over the name (7, 5, 8) a decode could close the link after (7,),
