@@ -19,7 +19,9 @@ hypotheses by cumulative log-probability, breaking ties by ascending token
 order, and builds only what survives its cut (see :func:`beam_search`).  A
 parent wider than the beam is first cut to its best ``k`` ids; within one
 search, a cut whose scorer row and allowed ids are the same read-only objects
-as an earlier one reuses that earlier sort wherever it stays exact.
+as an earlier one reuses that earlier sort wherever it stays exact.  Within
+one step, the ``k``-th key of the best cut so far is a bar: a later wide
+parent whose best id cannot get below it keeps nothing and is not sorted.
 The final ranking applies length normalization when configured, breaking
 exact ties the same way so that results are total and reproducible.
 
@@ -172,6 +174,15 @@ def beam_search(
     identity of its ``(logprobs, allowed)`` pair, when the row is a read-only
     array and the ids a tuple or a read-only array, and reused wherever
     rounding cannot change it; elsewhere the sort runs (see ``_memo_cut``).
+
+    Within a step, the bar is the key ``-(cum + value)`` of the ``k``-th id
+    of the best cut made so far; a step has none before its first cut.
+    Parents are visited in rank order, so that cut's ``k`` ids all come from
+    lower ranks than a later parent and win each tie on rank.  A later wide
+    parent whose best allowed value ``top`` gives ``-(cum + top) >= bar``
+    therefore keeps nothing and is skipped unsorted; ``x -> fl(cum + x)`` is
+    monotone, so no id of it can sort before the bar's ``k``.  A NaN
+    ``top`` never skips.
     """
     if not hasattr(constraint, "final"):
         raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
@@ -179,12 +190,14 @@ def beam_search(
     input_tokens = tuple(input_tokens)
     k = config.k
     live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
-    pool: list[Hypothesis] = []
+    # (-ranking score, tokens with EOS, cum_logprob); only the k returned become Hypothesis objects
+    pool: list[tuple[float, tuple[TokenId, ...], float]] = []
     cuts: dict[tuple[int, int], tuple] = {}  # see _memo_cut; it dies with this search
     for _ in range(config.max_steps):
         if not live:
             break
         candidates = []
+        bar = None  # the k-th key of this step's best cut so far; none before its first cut
         for rank, (prefix, cum, state) in enumerate(live):
             allowed = allowed_of(state)
             ends = final(state)
@@ -192,7 +205,8 @@ def beam_search(
                 continue  # a dead end
             logprobs = scorer.next_token_logprobs(input_tokens, prefix)
             if ends:
-                pool.append(Hypothesis(prefix + (EOS,), cum + float(logprobs[EOS]), True))
+                done, score = prefix + (EOS,), cum + float(logprobs[EOS])
+                pool.append((-_final_score(done, score, config.length_normalize), done, score))
                 if len(allowed) == 0:
                     continue
             if len(allowed) <= k and type(allowed) is np.ndarray:
@@ -206,8 +220,13 @@ def beam_search(
                     f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
                 ) from None
             if len(allowed) > k:
-                for value, token in _memo_cut(cuts, logprobs, allowed, cum, k):
+                cut = _memo_cut(cuts, logprobs, allowed, cum, k, bar)
+                if cut is None:
+                    continue  # every id of this parent sorts after the bar's k
+                for value, token in cut:
                     candidates.append((-(cum + value), rank, token))
+                if bar is None or candidates[-1][0] < bar:
+                    bar = candidates[-1][0]
             else:
                 for token in allowed:
                     candidates.append((-(cum + float(logprobs[token])), rank, token))
@@ -219,19 +238,18 @@ def beam_search(
             (live[rank][0] + (token,), score, constraint.advance(live[rank][2], token))
             for rank, token, score in kept
         ]
-    pool.sort(key=lambda h: (-_final_score(h, config.length_normalize), h.tokens))
-    return pool[:k]
+    pool.sort()  # pooled token sequences are distinct, so no two cum_logprobs are compared
+    return [Hypothesis(tokens, score, True) for _, tokens, score in pool[:k]]
 
 
 _Cut = Iterable[tuple[float, TokenId]]  # (logprob, id) of each id a cut keeps
 
 
-def _cut(logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray, cum: float, k: int) -> _Cut:
-    """A wide parent's best ``k`` ids under ``(-(cum + logprob), id)``, by one ``np.lexsort``."""
-    tokens = np.asarray(allowed, dtype=np.intp)
-    neg = -np.add(logprobs[tokens], cum, dtype=np.float64)
-    best = tokens[np.lexsort((tokens, neg))[:k]]
-    return zip(logprobs[best].tolist(), best.tolist())
+def _cut(tokens: np.ndarray, values: np.ndarray, cum: float, k: int) -> _Cut:
+    """The best ``k`` of ``tokens`` under ``(-(cum + value), id)``, by one ``np.lexsort``."""
+    neg = np.subtract(-cum, values, dtype=np.float64)  # bit for bit -(cum + value): rounding is symmetric
+    best = np.lexsort((tokens, neg))[:k]
+    return zip(values[best].tolist(), tokens[best].tolist())
 
 
 def _memo_cut(
@@ -240,17 +258,24 @@ def _memo_cut(
     allowed: Sequence[TokenId] | np.ndarray,
     cum: float,
     k: int,
-) -> _Cut:
-    """:func:`_cut`, reusing an earlier sort of the same ``(logprobs, allowed)`` pair in ``cuts``.
+    bar: float | None,
+) -> _Cut | None:
+    """:func:`_cut` of a wide parent, or None where no id of it can pass ``bar``.
 
-    ``cuts`` is keyed by the ``id()`` of both objects of a pair that
-    promises not to change (a read-only row; a tuple or read-only array of
-    ids), and holds both, so no other object can take those ``id()`` values
-    while it lives.  A pair's first sighting only records it, so a search
-    that never repeats a pair pays one insert per cut.  The second sorts it
-    once by ``(-logprob, id)``, keeping its best ``k`` ids with their
-    values, the ``k``-th value ``v`` and the nearest distinct values above
-    and below ``v``'s group (infinite where there is none).
+    ``bar`` is the largest key ``-(cum + value)`` of the ``k`` ids an earlier
+    parent of this step kept.  Those ``k`` win every tie on rank, so a
+    parent whose best value ``top`` has ``-(cum + top) >= bar`` keeps
+    nothing and is not sorted; a NaN ``top`` never compares, so never skips.
+
+    ``cuts`` reuses an earlier sort of the same ``(logprobs, allowed)`` pair.
+    It is keyed by the ``id()`` of both objects of a pair that promises not
+    to change (a read-only row; a tuple or read-only array of ids), and
+    holds both, so no other object can take those ``id()`` values while it
+    lives.  A pair's first sighting only records it, so a search that never
+    repeats a pair pays one insert per cut.  The second sorts it once by
+    ``(-logprob, id)``, keeping its best ``k`` ids with their values, the
+    ``k``-th value ``v``, the nearest distinct values above and below
+    ``v``'s group (infinite where there is none) and ``top``.
     ``x -> fl(cum + x)`` is monotone, so the best ``k`` at ``cum`` are those
     ids unless rounding merges a neighbour into ``v``'s group; where the
     rounded sums do not keep all three apart, the exact sort runs instead.
@@ -258,28 +283,35 @@ def _memo_cut(
     key = id(logprobs), id(allowed)
     seen = cuts.get(key)
     if seen is None:
-        if _unchanging(logprobs, allowed):
-            cuts[key] = (logprobs, allowed)
-        return _cut(logprobs, allowed, cum, k)
+        if type(logprobs) is np.ndarray and not logprobs.flags.writeable and (
+            type(allowed) is tuple or type(allowed) is np.ndarray and not allowed.flags.writeable
+        ):
+            cuts[key] = logprobs, allowed
+        tokens = np.asarray(allowed, dtype=np.intp)
+        values = logprobs[tokens]
+        # argmax gives a NaN's index where there is one, so a NaN top never skips
+        if bar is not None and -(cum + values.item(values.argmax())) >= bar:
+            return None
+        return _cut(tokens, values, cum, k)
     if len(seen) == 2:
         seen = cuts[key] = (logprobs, allowed, *_order(logprobs, allowed, k))
-    best, value, above, below = seen[2:]
+    best, value, above, below, top = seen[2:]
+    if bar is not None and -(cum + top) >= bar:
+        return None
     if cum + above > cum + value > cum + below:
         return best
-    return _cut(logprobs, allowed, cum, k)
-
-
-def _unchanging(logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray) -> bool:
-    """Whether the row is read-only and the ids a tuple or read-only array, which must never change."""
-    if type(logprobs) is not np.ndarray or logprobs.flags.writeable:
-        return False
-    return type(allowed) is tuple or (type(allowed) is np.ndarray and not allowed.flags.writeable)
+    tokens = np.asarray(allowed, dtype=np.intp)
+    return _cut(tokens, logprobs[tokens], cum, k)
 
 
 def _order(
     logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray, k: int
-) -> tuple[tuple[tuple[float, TokenId], ...], float, float, float]:
-    """The best ``k`` ``(logprob, id)`` pairs under ``(-logprob, id)``, the ``k``-th value, and its neighbours."""
+) -> tuple[tuple[tuple[float, TokenId], ...], float, float, float, float]:
+    """The best ``k`` ``(logprob, id)`` pairs under ``(-logprob, id)``, and four values.
+
+    They are the ``k``-th value, its nearest distinct neighbours above and
+    below, and the top: the best value, or NaN where any value is NaN.
+    """
     tokens = np.asarray(allowed, dtype=np.intp)
     neg = -logprobs[tokens].astype(np.float64)
     order = np.lexsort((tokens, neg))
@@ -288,13 +320,14 @@ def _order(
     above = -float(neg[lo - 1]) if lo else math.inf
     below = -float(neg[hi]) if hi < len(neg) else -math.inf
     best = tuple(zip((-neg[:k]).tolist(), tokens[order[:k]].tolist()))
-    return best, -float(neg[k - 1]), above, below
+    top = -float(neg[0]) if not math.isnan(neg[-1]) else math.nan
+    return best, -float(neg[k - 1]), above, below, top
 
 
-def _final_score(hyp: Hypothesis, length_normalize: bool) -> float:
+def _final_score(tokens: tuple[TokenId, ...], cum_logprob: float, length_normalize: bool) -> float:
     if length_normalize:
-        return hyp.cum_logprob / len(hyp.tokens)
-    return hyp.cum_logprob
+        return cum_logprob / len(tokens)
+    return cum_logprob
 
 
 def rank_entities(
@@ -342,7 +375,12 @@ def _ranked(
 ) -> RankedResult:
     """Entries under the one score and tie rule, named by ``name_of(tokens without EOS)``."""
     entries = [
-        RankedEntry(name_of(h.tokens[:-1]), h.cum_logprob, _final_score(h, length_normalize), h.tokens)
+        RankedEntry(
+            name_of(h.tokens[:-1]),
+            h.cum_logprob,
+            _final_score(h.tokens, h.cum_logprob, length_normalize),
+            h.tokens,
+        )
         for h in finished
     ]
     entries.sort(key=lambda e: (-e.normalized_score, e.tokens))

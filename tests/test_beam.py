@@ -527,7 +527,7 @@ class RowPerStep:
 
 @pytest.fixture
 def sorts(monkeypatch):
-    """Counts of wide cuts (``wide``) and of the exact sorts among them (``exact``) during a test."""
+    """Counts of wide parents (``wide``) and of the exact sorts run for them (``exact``) during a test."""
     counts = {"wide": 0, "exact": 0}
     memo_cut, cut = beam._memo_cut, beam._cut
 
@@ -639,6 +639,141 @@ class TestCutMemo:
         del row
         scorer.next_token_logprobs(second, ())
         assert row_ref() is None
+
+
+class FlatRows:
+    """One read-only row per previous token: one value throughout, or that value with a few peaks.
+
+    Values are quarters, so sums are exact and tie across parents often.
+    """
+
+    def __init__(self, rng: np.random.Generator, vocab_size: int, peaks: bool) -> None:
+        self.vocab_size = vocab_size
+        rows = np.repeat(-rng.integers(1, 5, size=(vocab_size, 1)) / 4.0, vocab_size, axis=1)
+        if peaks:
+            for row in rows:
+                spots = rng.choice(vocab_size, size=int(rng.integers(1, 4)), replace=False)
+                row[spots] += rng.integers(1, 4, size=len(spots)) / 4.0
+        self._rows = [read_only(row) for row in rows]
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        return self._rows[prefix[-1] if prefix else 0]
+
+
+class RowPerPrefix:
+    """``rows[prefix]`` where given, else ``default``."""
+
+    def __init__(self, rows, default) -> None:
+        self.vocab_size = len(default)
+        self.rows = rows
+        self.default = default
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        return self.rows.get(tuple(prefix), self.default)
+
+
+class TestStepBar:
+    """A wide parent whose best id cannot pass the step's bar is not sorted, and nothing changes."""
+
+    @pytest.mark.parametrize("peaks", [False, True], ids=["flat", "few-peak"])
+    def test_random_shared_prefix_tries_match_reference(self, peaks, sorts):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(701 + peaks)
+        for _ in range(15):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(100, 300)), max_len=4)
+            trie = build_trie(seqs, vocab.size)
+            scorer = FlatRows(rng, vocab.size, peaks)
+            for k in (1, 2, 3, 4):
+                config = BeamConfig(k, 6, bool(rng.integers(0, 2)))
+                assert beam_search(scorer, (), trie, config) == reference_beam_search(scorer, (), trie, config)
+        # trie views are new objects per call, so no cut is reused: every
+        # wide parent not sorted was skipped at the bar, over a fifth of them
+        assert sorts["exact"] < sorts["wide"] * 4 / 5
+
+    def test_a_parent_of_minus_inf_values_before_any_cut_is_sorted(self, sorts):
+        # the first wide parent meets no bar, whatever its values
+        trie = build_trie([(3, 5), (3, 6), (3, 7), (4, 5)], 10)
+        default = np.full(10, -1.0)
+        below_three = default.copy()
+        below_three[[5, 6, 7]] = -np.inf
+        scorer = RowPerPrefix({(3,): below_three}, default)
+        config = BeamConfig(k=2, max_steps=4, length_normalize=False)
+        got = beam_search(scorer, (), trie, config)
+        assert [h.tokens for h in got] == [(4, 5, EOS), (3, 5, EOS)]
+        assert got[1].cum_logprob == -np.inf
+        assert got == reference_beam_search(scorer, (), trie, config)
+        assert sorts == {"wide": 1, "exact": 1}
+
+    @staticmethod
+    def two_parents(later_top: float) -> tuple[Chain, RowPerPrefix]:
+        """Parents 7 (cum -0.1) and 8 (cum -0.2) over ids 3, 4, 5 at k=2.
+
+        Parent 7 keeps 3 and 4 at -0.1 + -0.2, the bar; parent 8's best id, 3,
+        scores -0.2 + ``later_top``.
+        """
+        default = np.full(10, -9.0)
+        default[EOS] = 0.0  # final scores keep the step's sums apart
+        root, first, later = default.copy(), default.copy(), default.copy()
+        root[[7, 8]] = -0.1, -0.2
+        first[[3, 4, 5]] = -0.2, -0.2, -3.0
+        later[[3, 4, 5]] = later_top, -5.0, -5.0
+        return Chain([(7, 8), (3, 4, 5)]), RowPerPrefix({(): root, (7,): first, (8,): later}, default)
+
+    def test_a_later_best_id_tying_the_bar_loses_on_rank(self, sorts):
+        bar = -0.1 + -0.2
+        assert -0.2 + -0.1 == bar  # a tie bit for bit, from other values
+        constraint, scorer = self.two_parents(-0.1)
+        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
+        got = beam_search(scorer, (), constraint, config)
+        assert [h.tokens[:2] for h in got] == [(7, 3), (7, 4)]
+        assert got == reference_beam_search(scorer, (), constraint, config)
+        assert sorts == {"wide": 2, "exact": 1}
+
+    def test_a_later_best_id_one_ulp_past_the_bar_is_kept(self, sorts):
+        bar = -0.1 + -0.2
+        top = -0.1
+        while -0.2 + top == bar:
+            top = math.nextafter(top, 0.0)
+        assert -0.2 + top == math.nextafter(bar, 0.0)
+        constraint, scorer = self.two_parents(top)
+        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
+        got = beam_search(scorer, (), constraint, config)
+        assert [h.tokens[:2] for h in got] == [(8, 3), (7, 3)]
+        assert got == reference_beam_search(scorer, (), constraint, config)
+        assert sorts == {"wide": 2, "exact": 2}
+
+    def test_a_row_with_nan_among_the_allowed_values_is_sorted(self, sorts):
+        constraint, scorer = self.two_parents(math.nan)
+        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
+        got = beam_search(scorer, (), constraint, config)
+        # the sort puts NaN last and keeps 4 and 5 at -5.2, which lose
+        assert [h.tokens[:2] for h in got] == [(7, 3), (7, 4)]
+        assert sorts == {"wide": 2, "exact": 2}
+
+    def test_a_reused_cut_with_nan_among_its_values_is_never_skipped(self, monkeypatch):
+        # parents 8 and 9 meet one (row, ids) pair, so 9 reuses 8's sort; its
+        # best value is finite, but a NaN elsewhere in the row keeps it
+        default = np.full(10, -9.0)
+        default[EOS] = 0.0
+        root, first, shared = default.copy(), default.copy(), default.copy()
+        root[[7, 8, 9]] = -0.1, -0.2, -0.3
+        first[[3, 4, 5, 6]] = -0.1, -0.1, -0.1, -3.0
+        shared[[3, 4, 5, 6]] = -5.0, math.nan, -5.0, -5.0
+        shared = read_only(shared)
+        scorer = RowPerPrefix({(): root, (7,): read_only(first), (8,): shared, (9,): shared}, default)
+        constraint = Chain([(7, 8, 9), (3, 4, 5, 6)])
+        skipped = []
+        memo_cut = beam._memo_cut
+
+        def recorded(*args):
+            cut = memo_cut(*args)
+            skipped.append(cut is None)
+            return cut
+
+        monkeypatch.setattr(beam, "_memo_cut", recorded)
+        got = beam_search(scorer, (), constraint, BeamConfig(k=3, max_steps=3, length_normalize=False))
+        assert [h.tokens[:2] for h in got] == [(7, 3), (7, 4), (7, 5)]
+        assert skipped == [False, False, False]
 
 
 class TestConstraintProtocol:

@@ -1,6 +1,7 @@
 """Scorers: normalization, hand-checked formulas, objectives."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -22,6 +23,7 @@ from trie_decode.scoring import (
     smoothed_nll,
     train_table_scorer,
 )
+from trie_decode.scoring import _context, _input_key
 from trie_decode.trie import build_trie
 from trie_decode.vocab import EOS, SOS
 
@@ -186,6 +188,24 @@ class TestTableScorer:
         # the unconditioned model never packs the input
         plain = train_table_scorer([((bad,), (7, EOS))], 0.5, 9)
         assert int(np.argmax(plain.next_token_logprobs((bad,), ()))) == 7
+
+    @pytest.mark.parametrize("bad", [3.7, np.float64(3.0), "5", None])
+    def test_non_integer_input_id_is_a_scorer_error(self, bad):
+        # never truncated: 3.7 must not share the rows of 3
+        scorer = train_table_scorer([((3,), (7, EOS))], 0.5, 9, input_conditioned=True)
+        message = re.escape(f"input token id {bad!r} is not an integer")
+        with pytest.raises(ScorerError, match=message):
+            scorer.next_token_logprobs((3, bad), ())
+        with pytest.raises(ScorerError, match=message):
+            train_table_scorer([((bad,), (7, EOS))], 0.5, 9, input_conditioned=True)
+
+    def test_input_key_is_the_crc_of_little_endian_u32_ids(self):
+        rng = np.random.default_rng(31)
+        sources = [(), (0,), (2**32 - 1, 5), tuple(int(t) for t in rng.integers(0, 2**32, size=72))]
+        for source in sources:
+            want = reference_context(True, source, ())
+            for form in (source, list(source), np.array(source, dtype=np.uint32), np.array(source, dtype=np.int64)):
+                assert _context(_input_key(form), SOS) == want
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ScorerError):
