@@ -1,16 +1,16 @@
 """Entity collection, per-mention candidate sets, and cold-start insertion.
 
 Entities are identified by their name string alone; the cached tokenization
-is what the trie and the decoders consume.  ``Catalog(names, vocab)``,
-:func:`load_catalog` and :func:`add_entity` hold each name to the one rule of
-:func:`make_record`, so two names are equal exactly when their tokens are.
+is what the trie and the decoders consume.  Every name is held to the one
+rule of :func:`_word_ids` (``Catalog(names, vocab)`` and :func:`add_entity`
+through :func:`make_record`, :func:`load_catalog` and ``build-trie`` through
+:func:`_name_blocks`), so two names are equal exactly when their tokens are.
 Catalogs have value semantics: ``add_entity`` returns a new catalog and never
 mutates the old one, so any number of readers may share a version.
 """
 
 from __future__ import annotations
 
-import re
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -18,11 +18,7 @@ from typing import Iterable, Iterator
 from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
 
 RESERVED_NAME_CHARS = frozenset("[]()")
-# the characters no name may hold: a block of names is scanned for each with
-# ``in``, which is faster there, and a single name with the one regex search
-_REJECTED_CHARS = "[]()\t\n"
-_REJECTED_CHAR = re.compile(f"[{re.escape(_REJECTED_CHARS)}]")
-# catalog lines :func:`_catalog_ids` compiles per block: larger blocks cost
+# catalog lines :func:`_name_blocks` compiles per block: larger blocks cost
 # memory for the joined text, smaller ones a call each
 _BLOCK_ROWS = 1024
 
@@ -40,15 +36,17 @@ class EntityRecord:
 
 
 def _word_ids(text: str, vocab: Vocabulary) -> list[TokenId] | None:
-    """The ids of ``text``'s words, cut at single spaces, if each is an ordinary token; else ``None``.
+    """The ids of ``text``'s words, cut at single spaces, if ``text`` passes the name rule; else ``None``.
 
-    The caller has found none of ``_REJECTED_CHARS`` in ``text``.  A blank,
-    padded or double-spaced name has an empty word, which no token is.  A
-    name passes exactly when it reads back from its tokens: each word is
-    found whole, so :func:`encode` gives these ids, and :func:`decode` joins
-    their strings with single spaces.  Names joined with single spaces pass
-    exactly when each one does, with the ids of each in turn.
+    The rule: no ``[ ] ( )``, tab or newline, and each word an ordinary
+    token, so a blank, padded or double-spaced name, with its empty word,
+    fails.  A name passes exactly when it reads back from its tokens:
+    :func:`encode` gives these ids, and :func:`decode` joins their strings
+    with single spaces.  Names joined with single spaces pass exactly when
+    each one does, with the ids of each in turn.
     """
+    if "[" in text or "]" in text or "(" in text or ")" in text or "\t" in text or "\n" in text:
+        return None
     ids = list(map(vocab._table.get, text.split(" ")))
     return None if None in ids else ids
 
@@ -68,49 +66,50 @@ def _refusal(name: str, vocab: Vocabulary, line: int | None) -> CatalogError:
 
 def make_record(name: str, vocab: Vocabulary, line: int | None = None) -> EntityRecord:
     """The record of ``name``; a decode emits the name only if its tokens read back as it."""
-    tokens = None if _REJECTED_CHAR.search(name) else _word_ids(name, vocab)
+    tokens = _word_ids(name, vocab)
     if tokens is None:
         raise _refusal(name, vocab, line)
     return EntityRecord(name, tuple(tokens))
 
 
-def _row_blocks(source: str | Iterable[str]) -> Iterator[list[tuple[int, str]]]:
-    """The rows of :func:`read_rows`, ``_BLOCK_ROWS`` at a time, then a last block, which may be empty.
+def _name_blocks(source: str | Iterable[str], vocab: Vocabulary) -> Iterator[tuple[list[str], list[TokenId]]]:
+    """The rows of :func:`read_rows`, ``_BLOCK_ROWS`` at a time, as stripped names and their ids laid end to end.
 
-    A read that fails yields the rows before its bad line first, so a
-    refused name among them is named before the bad byte.
+    A name has one id more than spaces.  A block's names, joined with single
+    spaces, pass :func:`_word_ids` in one call exactly when each one does; a
+    block that fails holds a refused name, so :func:`make_record` goes
+    through it line by line and raises for the first.  The last block may
+    be empty.  A read that fails yields the rows before its bad line first,
+    so a refused name among them is named before the bad byte.
     """
-    block: list[tuple[int, str]] = []
-    try:
-        for row in read_rows(source):
-            block.append(row)
-            if len(block) == _BLOCK_ROWS:
-                yield block
-                block = []
-    except InputError:
-        yield block
-        raise
-    yield block
+    rows = read_rows(source)
+    while True:
+        block, error = [], None
+        try:
+            for row in rows:
+                block.append(row)
+                if len(block) == _BLOCK_ROWS:
+                    break
+        except InputError as exc:
+            error = exc
+        names = [raw.strip() for _, raw in block]
+        ids = _word_ids(" ".join(names), vocab)
+        if ids is None:  # raises for the block's first refused name
+            ids = [t for (line, _), name in zip(block, names) for t in make_record(name, vocab, line).tokens]
+        yield names, ids
+        if error is not None:
+            raise error
+        if len(block) < _BLOCK_ROWS:
+            return
 
 
 def _catalog_ids(source: str | Iterable[str], vocab: Vocabulary) -> tuple[array, array]:
     """The ids of :func:`load_catalog`'s names, repeats kept, laid end to end, and each name's id count.
 
-    Both are ``array('I')``, the trie file's u32.  Lines are compiled in
-    blocks: a block's names, joined with single spaces, pass one scan for
-    each of ``_REJECTED_CHARS`` and :func:`_word_ids` in one call, and a
-    name has one id more than spaces.  A block that fails holds a refused
-    name, so :func:`make_record` goes through it line by line and raises
-    for the first.
+    Both are ``array('I')``, the trie file's u32.
     """
     ids, lengths = array("I"), array("I")
-    for block in _row_blocks(source):
-        names = [raw.strip() for _, raw in block]
-        text = " ".join(names)
-        block_ids = None if any(c in text for c in _REJECTED_CHARS) else _word_ids(text, vocab)
-        if block_ids is None:
-            records = (make_record(name, vocab, line) for (line, _), name in zip(block, names))
-            block_ids = [t for record in records for t in record.tokens]
+    for names, block_ids in _name_blocks(source, vocab):
         ids.fromlist(block_ids)
         lengths.fromlist([name.count(" ") + 1 for name in names])
     return ids, lengths
@@ -177,12 +176,14 @@ def load_catalog(source: str | Iterable[str], vocab: Vocabulary) -> tuple[Catalo
     """
     records: dict[str, EntityRecord] = {}
     duplicates = 0
-    for lineno, raw in read_rows(source):
-        name = raw.strip()
-        if name in records:
-            duplicates += 1
-            continue
-        records[name] = make_record(name, vocab, line=lineno)
+    for names, ids in _name_blocks(source, vocab):
+        end = 0
+        for name in names:
+            start, end = end, end + name.count(" ") + 1
+            if name in records:
+                duplicates += 1
+            else:
+                records[name] = EntityRecord(name, tuple(ids[start:end]))
     return Catalog._of(records), duplicates
 
 

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .beam import BeamConfig, beam_search
+from .catalog import RESERVED_NAME_CHARS
 from .scoring import Scorer
 from .trie import EntityTrie
 from .vocab import (
@@ -405,7 +406,7 @@ def parse_markup(markup: str, source: str) -> list[SpanAnnotation]:
             entity = markup[close + 2 : entity_close]
             if not entity:
                 raise MarkupParseError("empty entity name")
-            if any(c in "[]()" for c in entity):
+            if not RESERVED_NAME_CHARS.isdisjoint(entity):
                 raise MarkupParseError(f"reserved characters in entity name: {entity!r}")
             if source[i : i + len(mention)] != mention:
                 raise MarkupParseError(

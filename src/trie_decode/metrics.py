@@ -87,11 +87,10 @@ def micro_f1_spans(
 
 def ed_accuracy(gold: Sequence[str], pred: Sequence[str]) -> float:
     """Fraction of mentions whose top-1 prediction equals the gold entity."""
-    if len(gold) != len(pred):
-        raise MetricsError(f"length mismatch: {len(gold)} gold vs {len(pred)} predicted")
+    report = ed_report(gold, pred)
     if not gold:
         raise MetricsError("no mentions")
-    return sum(g == p for g, p in zip(gold, pred)) / len(gold)
+    return report.recall
 
 
 def ed_report(gold: Sequence[str], pred: Sequence[str]) -> EvalReport:

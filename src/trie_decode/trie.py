@@ -311,11 +311,11 @@ def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) 
     length is at least 1, no id is SOS, EOS or outside ``0 .. vocab_size -
     1``, and ``vocab_size`` fits the u32 header.
     """
-    ids, length = np.asarray(ids), np.asarray(length, np.int64)
-    # per sequence still longer than ``depth``: its length, where it starts
-    # in ``ids``, and the node of the current level its prefix leads to
-    start = np.cumsum(length) - length
-    node = np.zeros(len(length), np.int64)
+    ids, length = np.asarray(ids), np.asarray(length, np.uint32)
+    # per sequence still longer than ``depth``: its length, where it starts in
+    # ``ids`` (64-bit; the file's u32 bounds the rest), and the node its prefix leads to
+    start = np.cumsum(length, dtype=np.int64) - length
+    node = np.zeros(len(length), np.uint32)
     token, first, terminal = [np.zeros(1, "<u4")], [], [np.zeros(1, bool)]
     lo, hi, depth = 0, 1, 0  # the current level is nodes lo .. hi - 1
     while len(node):
@@ -324,15 +324,16 @@ def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) 
         label = ids[start + depth]
         new = np.ones(len(order), bool)  # the first pair of each run is a new node
         new[1:] = (parent[1:] != parent[:-1]) | (label[1:] != label[:-1])
-        child = hi - 1 + np.cumsum(new)
+        child = hi - 1 + np.cumsum(new, dtype=np.uint32)
+        top = int(child[-1]) + 1
         fanout = np.bincount(parent[new] - lo, minlength=hi - lo)
         first.append((hi + np.cumsum(fanout) - fanout).astype("<u4"))
         token.append(label[new].astype("<u4"))
         ends = length == depth + 1
-        level_terminal = np.zeros(child[-1] + 1 - hi, bool)
+        level_terminal = np.zeros(top - hi, bool)
         level_terminal[child[ends] - hi] = True
         terminal.append(level_terminal)
-        lo, hi, depth = hi, child[-1] + 1, depth + 1
+        lo, hi, depth = hi, top, depth + 1
         node, start, length = child[~ends], start[~ends], length[~ends]
     first.append(np.full(hi - lo + 1, hi, "<u4"))  # the deepest level has no children
     token, first = np.concatenate(token), np.concatenate(first)

@@ -18,6 +18,7 @@ vocabulary token.
 from __future__ import annotations
 
 import codecs
+import io
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TokenId = int
@@ -224,22 +225,19 @@ def read_lines(source: str | Iterable[str]) -> Iterator[str]:
 
 
 def _path_lines(path: str) -> Iterator[str]:
-    """The lines of :func:`read_lines` for a path: each chunk is decoded, then cut at its line ends."""
+    """The lines of :func:`read_lines` for a path: each chunk is decoded, its line ends made newlines, then cut."""
     decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = io.IncrementalNewlineDecoder(None, translate=True)  # holds back a \r that may open a \r\n
     part: list[str] = []  # the pieces read of the line not yet ended: joined once, however many chunks
-    cr, count = "", 0  # a \r held back, the lines yielded
+    count = 0  # the lines yielded
     with open(path, "rb") as fh:
         while True:
             chunk = fh.read(_CHUNK_BYTES)
             try:
-                text, error = cr + decoder.decode(chunk, final=not chunk), None
+                text, error = decoder.decode(chunk, final=not chunk), None
             except UnicodeDecodeError as exc:  # the text before the bad byte decodes, and is the last
-                text, error, chunk = cr + exc.object[: exc.start].decode(), exc, b""
-            # a \r that ends the text may open a \r\n that the next chunk closes
-            end = len(text) - 1 if chunk and text.endswith("\r") else len(text)
-            text, cr = text[:end], text[end:]
-            if "\r" in text:  # a fast scan, where replacing "\r\n" is a slow one
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
+                text, error, chunk = exc.object[: exc.start].decode(), exc, b""
+            text = newlines.decode(text, final=not chunk)
             lines = text.split("\n")
             if len(lines) > 1:
                 lines[0] = "".join([*part, lines[0]])

@@ -317,6 +317,24 @@ def reference_make_record(name, vocab, line=None) -> tuple[int, ...]:
     return tokens
 
 
+def reference_load_catalog(source, vocab) -> tuple[dict[str, tuple[int, ...]], int]:
+    """``load_catalog``'s names with their tokens, in order, and its duplicate count, as first written.
+
+    Each non-blank line, stripped, goes through :func:`reference_make_record`
+    unless an earlier line gave the same name, which is counted instead.
+    Raises ``CatalogError`` for the first refused line.
+    """
+    records: dict[str, tuple[int, ...]] = {}
+    duplicates = 0
+    for lineno, raw in read_rows(source):
+        name = raw.strip()
+        if name in records:
+            duplicates += 1
+        else:
+            records[name] = reference_make_record(name, vocab, lineno)
+    return records, duplicates
+
+
 def reference_catalog_build(source, vocab) -> tuple[EntityTrie, int]:
     """``build-trie``'s trie and name count as first written, the reference for the block compile.
 

@@ -1,13 +1,18 @@
 """Catalog loading, validation, and cold-start insertion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from trie_decode.beam import BeamConfig, rank_entities
 from trie_decode.catalog import (
+    _BLOCK_ROWS,
     CandidateSet,
     Catalog,
     CatalogError,
+    _catalog_ids,
+    _word_ids,
     add_entity,
     load_candidate_sets,
     load_catalog,
@@ -17,7 +22,14 @@ from trie_decode.scoring import UniformScorer
 from trie_decode.trie import build_trie
 from trie_decode.vocab import Vocabulary
 
-from helpers import SHARED_PREFIX_NAMES, reference_make_record, shared_prefix_vocabulary
+from helpers import (
+    SHARED_PREFIX_NAMES,
+    WORD_POOL,
+    pool_vocabulary,
+    reference_load_catalog,
+    reference_make_record,
+    shared_prefix_vocabulary,
+)
 
 
 @pytest.fixture
@@ -193,6 +205,87 @@ class TestReadBack:
         trie = build_trie(catalog.token_sequences(), vocab.size)
         ranking = rank_entities(UniformScorer(vocab.size), (), trie, BeamConfig(10, 5), vocab)
         assert sorted(entry.name for entry in ranking) == sorted(catalog.names())
+
+
+def seeded_catalog_lines(seed: int, rows: int) -> list[str]:
+    """``rows`` catalog rows of pool words, with blank, whitespace-only and padded lines.
+
+    About one row in five repeats an earlier name, some the row just before
+    (a repeat inside one block), others any row (mostly across blocks).  The
+    last row of each block and the first of the next hold the same name of
+    four words, so a block edge falls between a name and its repeat.
+    """
+    rng = np.random.default_rng(seed)
+    names: list[str] = []
+    lines: list[str] = []
+    for row in range(rows):
+        if row % _BLOCK_ROWS == _BLOCK_ROWS - 1:
+            name = " ".join(rng.choice(WORD_POOL, size=4))
+        elif row % _BLOCK_ROWS == 0 and row:
+            name = names[-1]
+        elif names and rng.random() < 0.2:
+            name = names[-1] if rng.random() < 0.3 else names[int(rng.integers(len(names)))]
+        else:
+            name = " ".join(rng.choice(WORD_POOL, size=int(rng.integers(1, 5))))
+        names.append(name)
+        while rng.random() < 0.1:
+            lines.append(str(rng.choice(["", " ", "\t", " \t  "])))
+        lines.append(f" {name}\t " if rng.random() < 0.2 else name)
+    return lines
+
+
+class TestOneCompiler:
+    """``load_catalog`` and ``build-trie`` compile names in blocks, each against the per-line rule."""
+
+    @pytest.mark.parametrize("rows", [3 * _BLOCK_ROWS + 500, 4 * _BLOCK_ROWS, _BLOCK_ROWS, 1, 0])
+    def test_load_agrees_with_the_reference(self, rows):
+        vocab = pool_vocabulary()
+        lines = seeded_catalog_lines(rows, rows)
+        catalog, duplicates = load_catalog(lines, vocab)
+        expected, expected_duplicates = reference_load_catalog(lines, vocab)
+        assert [(record.name, record.tokens) for record in catalog] == list(expected.items())
+        assert duplicates == expected_duplicates
+        assert duplicates >= rows // 10
+        # build-trie keeps the repeats: every row's tokens, laid end to end
+        ids, lengths = _catalog_ids(lines, vocab)
+        names = [line.strip() for line in lines if line.strip()]
+        assert list(lengths) == [len(expected[name]) for name in names]
+        assert list(ids) == [t for name in names for t in expected[name]]
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("alpha (beta)", "entity name contains reserved characters ['(', ')']: 'alpha (beta)'"),
+            ("alpha\tbeta", r"entity name contains control characters: 'alpha\tbeta'"),
+            ("alpha  beta", "catalog name 'alpha  beta' reads back as 'alpha beta', so no decode can emit it"),
+            ("alphabet", "catalog name 'alphabet' reads back as 'alpha <unk> <unk> <unk>', so no decode can emit it"),
+        ],
+    )
+    def test_a_refused_name_in_block_two_names_its_line(self, name, message):
+        vocab = pool_vocabulary()
+        lines = seeded_catalog_lines(7, _BLOCK_ROWS + 30)
+        lines[-10:-10] = ["", name, "alpha [beta]"]  # the first of two refused names raises
+        line = len(lines) - 11
+        block_one_end = [i for i, text in enumerate(lines) if text.strip()][_BLOCK_ROWS - 1]
+        assert reference_load_catalog(lines[: block_one_end + 1], vocab)[1] > 0
+        assert line > block_one_end + 1
+        for load in (load_catalog, _catalog_ids, reference_load_catalog):
+            with pytest.raises(CatalogError) as err:
+                load(lines, vocab)
+            assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+    def test_constructor_names_a_duplicate_before_a_later_refusal(self):
+        with pytest.raises(CatalogError, match=r"^duplicate entity name: 'a'$"):
+            Catalog(["a", "a", "x(y)"], Vocabulary(("a", "y")))
+
+    @pytest.mark.parametrize("char", "[]()\t\n", ids=["[", "]", "(", ")", "tab", "newline"])
+    def test_the_rule_refuses_each_character_itself(self, char):
+        # a table that would take the word, so the refusal does not lean on the vocabulary's own checks
+        word = f"a{char}b"
+        table = SimpleNamespace(_table={word: 7, "a": 8})
+        assert _word_ids("a a", table) == [8, 8]
+        assert _word_ids(word, table) is None
+        assert _word_ids(f"a {word}", table) is None
 
 
 class TestCandidateSets:

@@ -104,6 +104,24 @@ class TestBuild:
         trie = build_trie([(2**32 - 2, 7)], 2**32 - 1)
         assert EntityTrie.deserialize(trie.serialize()) == trie
 
+    def test_flat_build_traces_at_most_64_bytes_a_name(self):
+        # build-trie's u32 arrays for 200k seeded names over a small vocabulary, so the
+        # level loop, not the trie, sets the peak: only ``start`` and the sort order are
+        # 64-bit per name, the node, length and child arrays 32-bit (all 64-bit read 74)
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(89)
+        length = rng.integers(1, 6, size=200_000, dtype=np.uint32)
+        ids = rng.integers(vocab.ordinary_base, vocab.size, size=int(length.sum()), dtype=np.uint32)
+        ids, length = array("I", ids.tobytes()), array("I", length.tobytes())
+        tracemalloc.start()
+        try:
+            trie = _build_flat(ids, length, vocab.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trie.node_count > 50_000
+        assert peak <= 64 * len(length)
+
     def test_integer_like_ids_build_the_plain_int_trie(self):
         seqs = [(7, 8), (9,), (7,)]
         expected = build_trie(seqs, 10)
