@@ -9,7 +9,7 @@ hypothesis carries its state, so no step re-reads a prefix or rebuilds a
 set.  ``EntityTrie`` (state: a node; final: its terminal flag; allowed: a
 read-only view of its labels), ``MarkupConstraint`` (state: a tuple of
 ints) and the candidate-set constraint of ``tasks.disambiguate`` (state: a
-``(lo, hi, depth)`` run of its sorted name sequences) implement it.
+node of a dict trie over its names) implement it.
 
 Tokens outside the allowed set score minus infinity; the surviving entries
 are *not* renormalized, so the score of any fully decoded sequence equals

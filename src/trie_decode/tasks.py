@@ -15,7 +15,6 @@ possible and trimming more from the left on odd remainders.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -34,7 +33,7 @@ from .metrics import (
 )
 from .scoring import Scorer
 from .trie import EntityTrie
-from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
+from .vocab import EOS, InputError, TokenId, Vocabulary, decode, encode, read_rows
 
 START_ENT_STRING = "[START_ENT]"
 END_ENT_STRING = "[END_ENT]"
@@ -122,8 +121,8 @@ def disambiguate(
 ) -> RankedResult:
     """Rank entities for a flagged mention.
 
-    With a candidate set present the decode walks exactly those names'
-    sorted token sequences, with no trie built, and each ranked entry carries
+    With a candidate set present the decode walks a small dict trie of
+    exactly those names (no :class:`EntityTrie`), and each ranked entry carries
     its candidate's name as given, even where the name's tokens decode to
     other text (unknown words, extra whitespace).  A candidate name too long
     to finish within ``max_steps`` is left out of the ranking, which may then
@@ -154,44 +153,38 @@ def disambiguate(
             diagnostics.append(
                 f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
             )
-    hypotheses = beam_search(scorer, flagged, _Candidates(sorted(names)), config.beam_config())
+    hypotheses = beam_search(scorer, flagged, _Candidates(names), config.beam_config())
     ranking = _ranked(hypotheses, config.length_normalize, names.__getitem__)
     return RankedResult(ranking.entries, tuple(diagnostics))
 
 
 class _Candidates:
-    """The constraint of a candidate set, over its sorted distinct token sequences.
+    """The constraint of a candidate set: a trie of dicts over its distinct token sequences.
 
-    State ``(lo, hi, depth)`` is the run ``seqs[lo:hi]`` that shares the
-    ``depth`` tokens decoded so far, final when ``seqs[lo]`` ends there (sorted,
-    no other can); :func:`encode` yields no SOS or EOS, so neither is allowed.
+    A state is a node, which maps each next id to its child node and EOS to ``None`` where a
+    sequence ends.  The sequences are inserted sorted, so each node's ids come out ascending;
+    :func:`encode` yields no SOS or EOS, so no sequence holds either.
     """
 
-    def __init__(self, seqs: list[tuple[TokenId, ...]]) -> None:
-        self._seqs = seqs
+    def __init__(self, seqs: Iterable[tuple[TokenId, ...]]) -> None:
+        self._root: dict = {}
+        for seq in sorted(seqs):
+            node = self._root
+            for token in seq:
+                node = node.setdefault(token, {})
+            node[EOS] = None
 
-    def start(self) -> tuple[int, int, int]:
-        return 0, len(self._seqs), 0
+    def start(self) -> dict:
+        return self._root
 
-    def final(self, state: tuple[int, int, int]) -> bool:
-        lo, _, depth = state
-        return len(self._seqs[lo]) == depth
+    def final(self, node: dict) -> bool:
+        return EOS in node
 
-    def allowed(self, state: tuple[int, int, int]) -> tuple[TokenId, ...] | list[TokenId]:
-        lo, hi, depth = state
-        seqs = self._seqs
-        if hi - lo == 1:  # one candidate left, as at most steps: its next token, if any
-            return seqs[lo][depth : depth + 1]
-        ends = len(seqs[lo]) == depth
-        return list(dict.fromkeys([s[depth] for s in seqs[lo + ends : hi]]))
+    def allowed(self, node: dict) -> list[TokenId]:
+        return [token for token in node if token != EOS]  # a fresh list, so _memo_cut never records it
 
-    def advance(self, state: tuple[int, int, int], token: TokenId) -> tuple[int, int, int]:
-        lo, hi, depth = state
-        if hi - lo > 1:
-            prefix = self._seqs[lo][:depth]
-            lo = bisect_left(self._seqs, prefix + (token,), lo, hi)
-            hi = bisect_left(self._seqs, prefix + (token + 1,), lo, hi)
-        return lo, hi, depth + 1
+    def advance(self, node: dict, token: TokenId) -> dict:
+        return node[token]
 
 
 def retrieve(
@@ -413,7 +406,8 @@ def score_dump(
     """Score the ``(place, JSON record)`` pairs of an ed or el dump against a dataset.
 
     The k-th record of an id goes with the k-th dataset row of that id.  A record left over,
-    a span offset that is no int, a name that is no string or a span past the source is an error.
+    a span offset that is no int, a score that is no number, a name that is no string or a span
+    past the source is an error.
     """
     mode = mode.lower()
     if mode not in ("ed", "el"):
@@ -423,7 +417,10 @@ def score_dump(
         try:
             if mode == "ed":
                 result = RankedResult(tuple(
-                    RankedEntry(_json(p["name"], str), p["raw_logprob"], p["normalized_score"], ())
+                    RankedEntry(
+                        _json(p["name"], str), _json(p["raw_logprob"], int, float),
+                        _json(p["normalized_score"], int, float), (),
+                    )
                     for p in record["predictions"]
                 ))
             else:
@@ -449,10 +446,10 @@ def score_dump(
     return _suite_report(mode, rows, results, vocab)
 
 
-def _json(value, kind: type):
-    """``value`` if JSON gave it as a ``kind``; a bool is no int here."""
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+def _json(value, *kinds: type):
+    """``value`` if JSON gave it as one of ``kinds``; a bool is no int here."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
     return value
 
 

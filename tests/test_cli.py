@@ -1,6 +1,7 @@
 """Command-line behavior: stats, formats, stream separation, exit codes."""
 
 import json
+import math
 import os
 import re
 
@@ -912,8 +913,10 @@ class TestDatasetRunner:
             ([[0, 13.5, "France"]], "error: {dump}:1: bad prediction record (expected int, got 13.5)"),
             ([[True, 6, "France"]], "error: {dump}:1: bad prediction record (expected int, got True)"),
             ([[0, 6, 5]], "error: {dump}:1: bad prediction record (expected str, got 5)"),
+            ([[0, 0, "France"]], "error: {dump}:1: bad prediction record (invalid span extent: start=0 length=0)"),
+            ([[0, 6, ""]], "error: {dump}:1: bad prediction record (empty entity name in span)"),
         ],
-        ids=["past-the-source", "overlapping", "fractional-length", "bool-start", "int-entity"],
+        ids=["past-the-source", "overlapping", "fractional-length", "bool-start", "int-entity", "zero-length", "empty-entity"],
     )
     def test_eval_of_a_dump_rejects_spans_that_do_not_fit_the_source(
         self, cli_files, datasets, capsys, d1_spans, message
@@ -934,8 +937,11 @@ class TestDatasetRunner:
             ("el", lambda records: records.append({**records[0], "id": "d9"}), "{dump}:4: no dataset row left for this record of instance 'd9'"),
             ("ed", lambda records: records.insert(1, records[0]), "{dump}:2: no dataset row left for this record of instance 'm1'"),
             ("ed", lambda records: records[2]["predictions"][0].update(name=5), "{dump}:3: bad prediction record (expected str, got 5)"),
+            ("ed", lambda records: records[2]["predictions"][1].update(raw_logprob="zz"), "{dump}:3: bad prediction record (expected int or float, got 'zz')"),
+            ("ed", lambda records: records[0]["predictions"][0].update(normalized_score=None), "{dump}:1: bad prediction record (expected int or float, got None)"),
+            ("ed", lambda records: records[1]["predictions"][0].update(raw_logprob=True), "{dump}:2: bad prediction record (expected int or float, got True)"),
         ],
-        ids=["el-doubled-record", "el-unknown-id", "ed-doubled-record", "ed-int-name"],
+        ids=["el-doubled-record", "el-unknown-id", "ed-doubled-record", "ed-int-name", "ed-str-score", "ed-null-score", "ed-bool-score"],
     )
     def test_eval_of_a_dump_rejects_records_it_cannot_pair_or_read(
         self, cli_files, datasets, capsys, mode, edit, message
@@ -951,6 +957,106 @@ class TestDatasetRunner:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message.format(dump=dump)}\n"
+
+    def test_eval_of_a_dump_reads_any_json_number_as_a_score(self, cli_files, datasets, capsys):
+        # json.dumps writes -inf as -Infinity, which loads back as a float
+        assert main(self._argv(cli_files, datasets, "eval-ed")) == 0
+        in_process = capsys.readouterr().out
+        dump = datasets["ed-dump"]
+        with open(dump, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        records[0]["predictions"][0].update(raw_logprob=-math.inf, normalized_score=-3)
+        with open(dump, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+        assert "-Infinity" in open(dump, encoding="utf-8").read()
+        assert main(self._argv(cli_files, datasets, "eval-ed-dump")) == 0
+        assert capsys.readouterr().out == in_process
+
+    def test_eval_scores_a_dump_in_ed_and_el_modes_only(self, cli_files, datasets, capsys):
+        argv = ["eval", "--mode", "dr", "--dataset", datasets["dr"], "--vocab", cli_files["vocab"]]
+        assert main(argv + ["--predictions", datasets["ed-dump"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a dump can be scored in ed and el modes only\n"
+
+    @pytest.mark.parametrize("command, what", [("eval-dr", "retrieval"), ("eval-el", "linking")])
+    def test_eval_without_a_trie_in_dr_and_el_modes_exits_1(self, cli_files, datasets, capsys, command, what):
+        argv = self._argv(cli_files, datasets, command)
+        argv.remove("--trie")
+        argv.remove(cli_files["trie"])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} requires a catalog trie\n"
+
+    @pytest.mark.parametrize(
+        "command, dataset, bad_line, message",
+        [
+            ("disambiguate", "ed", "m4\tFrance\t0\t6\t\tFrance\n", "line 4: empty gold entity"),
+            ("disambiguate", "ed", "m4\tFrance\t0\t6\tFrance\t|\n", "line 4: empty candidate set"),
+            ("eval-ed", "ed", "m4\tFrance\t0\t6\tFrance\t||\n", "line 4: empty candidate set"),
+            ("eval-dr", "dr", "q3\twhich country\t|\n", "line 3: empty gold set"),
+            ("eval-dr", "dr", "q3\twhich country\t\n", "line 3: empty gold set"),
+        ],
+        ids=["ed-empty-gold", "ed-bar-only-candidates", "eval-ed-bars-only-candidates", "dr-bar-only-gold", "dr-empty-gold"],
+    )
+    def test_dataset_line_with_an_empty_field_exits_1(
+        self, cli_files, datasets, capsys, command, dataset, bad_line, message
+    ):
+        with open(datasets[dataset], "a", encoding="utf-8") as fh:
+            fh.write(bad_line)
+        assert main(self._argv(cli_files, datasets, command)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "markup, reason",
+        [
+            ("[](France)France", "empty mention"),
+            ("[Fr[ance](France)", "nested '[' inside a mention"),
+            ("[France]()", "empty entity name"),
+            ("[France](Fr(ance)", "reserved characters in entity name: 'Fr(ance'"),
+            ("[France](Fr]ance)", "reserved characters in entity name: 'Fr]ance'"),
+        ],
+        ids=["empty-mention", "nested-open", "empty-entity", "open-paren-in-entity", "close-bracket-in-entity"],
+    )
+    @pytest.mark.parametrize("command", ["link", "eval-el", "eval-el-dump"])
+    def test_bad_gold_markup_is_named_on_every_path(self, cli_files, datasets, capsys, command, markup, reason):
+        with open(datasets["el"], "w", encoding="utf-8") as fh:
+            fh.write(f"d1\tFrance\t{markup}\n")
+        assert main(self._argv(cli_files, datasets, command)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: instance 'd1': bad gold markup ({reason})\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_link_text_prints_the_dataset_document_of_its_source(self, cli_files, datasets, capsys, fmt):
+        options = self._argv(cli_files, datasets, "link")[3:] + ["--format", fmt]
+        assert main(["link", "--dataset", datasets["el"], *options]) == 0
+        dataset = capsys.readouterr()
+        assert main(["link", "--text", "English language France", *options]) == 0
+        text = capsys.readouterr()
+        row = dataset.out.splitlines()[1]  # d2, in id order
+        if fmt == "text":
+            assert row.startswith("d2\t") and text.out == row.removeprefix("d2\t") + "\n"
+        else:
+            assert json.loads(row)["id"] == "d2" and json.loads(text.out) == {**json.loads(row), "id": ""}
+        assert text.err.splitlines() == [
+            line.removeprefix("d2: ") for line in dataset.err.splitlines() if line.startswith("d2: ")
+        ]
+
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_link_takes_exactly_one_of_text_and_dataset(self, cli_files, datasets, capsys, given):
+        argv = self._argv(cli_files, datasets, "link")
+        if given == "both":
+            argv += ["--text", "France"]
+        else:
+            argv[1:3] = []
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exactly one of --text and --dataset is required\n"
 
     @pytest.mark.parametrize(
         "command, dataset, bad_line",
@@ -1128,6 +1234,17 @@ class TestLoadChecks:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_empty_scorer_file_fails_loud(self, cli_files, tmp_path, capsys):
+        build(cli_files)
+        capsys.readouterr()
+        scorer = tmp_path / "table.tsv"
+        scorer.write_text("")
+        code = self._retrieve(cli_files, str(scorer))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: empty scorer file\n"
 
     def test_negative_count_made_up_by_a_later_line_fails_loud(self, cli_files, tmp_path, capsys):
         dataset = tmp_path / "ed.tsv"

@@ -1,6 +1,7 @@
 """Markup decoding FSM, end-to-end linking, parsing, and chunking."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,24 @@ class TestAdvanceState:
                 LINK_CLOSE,
                 source,
             )
+
+    @pytest.mark.parametrize(
+        "state, token, message",
+        [
+            (LinkerState(Phase.OUTSIDE, 3), MENTION_OPEN, "cannot open a mention at the end of the source"),
+            (LinkerState(Phase.MENTION, 1, mention_start=0), LINK_OPEN, f"illegal token {LINK_OPEN} inside a mention"),
+            (LinkerState(Phase.ENTITY, 1, mention_start=0), 8, "the link must open immediately after the mention closes"),
+        ]
+        + [
+            (LinkerState(Phase.ENTITY, 1, 0, entity_prefix=(9,)), token, f"illegal token {token} inside an entity link")
+            for token in (EOS, MENTION_OPEN, MENTION_CLOSE, LINK_OPEN)
+        ],
+        ids=["open-at-the-end", "link-open-in-a-mention", "no-link-after-a-mention", "eos-in-a-link",
+             "mention-open-in-a-link", "mention-close-in-a-link", "link-open-in-a-link"],
+    )
+    def test_each_illegal_move_names_itself(self, state, token, message):
+        with pytest.raises(MarkupError, match=f"^{re.escape(message)}$"):
+            advance_state(state, token, (7, 8, 9))
 
     def test_copy_advances_cursor(self, painting):
         vocab, _, _ = painting

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from trie_decode import beam
 from trie_decode.beam import BeamConfig, RankedEntry, RankedResult, rank_entities
 from trie_decode.catalog import CandidateSet
 from trie_decode.metrics import EvalReport, RetrievalReport
@@ -228,23 +229,75 @@ def trie_path_disambiguate(scorer, instance, vocab, config):
 class TestCandidateConstraint:
     """The candidate-set constraint walks exactly as the trie of the same names."""
 
+    @staticmethod
+    def walk(seqs, vocab):
+        """Every reachable state of ``_Candidates(seqs)`` checked against the trie's node; their count."""
+        candidates, trie = _Candidates(seqs), build_trie(seqs, vocab.size)
+        reached, stack = 0, [(candidates.start(), trie.start())]
+        while stack:
+            state, node = stack.pop()
+            reached += 1
+            allowed = candidates.allowed(state)
+            assert type(allowed) is list
+            assert allowed == trie.allowed(node).tolist()
+            assert candidates.final(state) == trie.final(node)
+            stack += [(candidates.advance(state, token), trie.advance(node, token)) for token in allowed]
+        assert reached == trie.node_count  # one state per distinct prefix, the empty one included
+        return reached
+
     def test_every_reachable_state_matches_the_trie(self, vocab):
         rng = np.random.default_rng(59)
         for round_ in range(300):
-            seqs = sorted(fuzz_candidate_sequences(rng, vocab, round_))
-            candidates, trie = _Candidates(seqs), build_trie(seqs, vocab.size)
-            stack = [((), candidates.start(), trie.start())]
-            while stack:
-                prefix, state, node = stack.pop()
-                lo, hi, depth = state
-                assert depth == len(prefix)
-                assert seqs[lo:hi] == [s for s in seqs if s[:depth] == prefix]
-                allowed = candidates.allowed(state)
-                assert list(allowed) == trie.allowed(node).tolist()
-                assert candidates.final(state) == trie.final(node)
-                for token in allowed:
-                    child = (prefix + (token,), candidates.advance(state, token), trie.advance(node, token))
-                    stack.append(child)
+            # in generation order, unsorted: the constructor sorts
+            self.walk(fuzz_candidate_sequences(rng, vocab, round_), vocab)
+
+    def test_a_name_that_prefixes_another(self, vocab):
+        a, b = vocab.ordinary_id("alpha"), vocab.ordinary_id("beta")
+        candidates = _Candidates([(a, b), (a,)])
+        node = candidates.advance(candidates.start(), a)
+        assert candidates.final(node) and candidates.allowed(node) == [b]
+        leaf = candidates.advance(node, b)
+        assert candidates.final(leaf) and candidates.allowed(leaf) == []
+        assert self.walk([(a, b), (a,)], vocab) == 3
+
+    def test_a_single_candidate(self, vocab):
+        seq = tuple(vocab.ordinary_id(w) for w in ("gamma", "alpha", "gamma"))
+        candidates = _Candidates([seq])
+        state = candidates.start()
+        for token in seq:
+            assert not candidates.final(state) and candidates.allowed(state) == [token]
+            state = candidates.advance(state, token)
+        assert candidates.final(state) and candidates.allowed(state) == []
+        assert self.walk([seq], vocab) == 4
+
+    def test_unsorted_candidates_give_ascending_ids(self, vocab):
+        ids = sorted(vocab.ordinary_id(w) for w in ("alpha", "beta", "gamma", "delta"))
+        seqs = [(ids[3],), (ids[1], ids[2]), (ids[1], ids[0]), (ids[0],)]
+        candidates = _Candidates(seqs)
+        root = candidates.start()
+        assert candidates.allowed(root) == [ids[0], ids[1], ids[3]]
+        assert candidates.allowed(candidates.advance(root, ids[1])) == [ids[0], ids[2]]
+        self.walk(seqs, vocab)
+
+    def test_a_wide_root_is_cut_through_the_memo_with_a_list(self, vocab, monkeypatch):
+        rng = np.random.default_rng(67)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        seqs = [(t,) for t in ordinary[::-1]] + [(ordinary[0], ordinary[1]), (ordinary[2], ordinary[0])]
+        memo_cut, kinds = beam._memo_cut, []
+
+        def recorded(cuts, logprobs, allowed, *rest):
+            kinds.append(type(allowed))
+            cut = memo_cut(cuts, logprobs, allowed, *rest)
+            assert not cuts  # a fresh list is never recorded
+            return cut
+
+        scorer, trie = random_table_scorer(rng, vocab), build_trie(seqs, vocab.size)
+        configs = [BeamConfig(k, 4, False) for k in (1, 2, 3)]
+        wants = [beam.beam_search(scorer, (), trie, config) for config in configs]
+        monkeypatch.setattr(beam, "_memo_cut", recorded)
+        for config, want in zip(configs, wants):
+            assert beam.beam_search(scorer, (), _Candidates(seqs), config) == want
+        assert kinds and set(kinds) == {list}
 
     def test_disambiguate_equals_the_trie_path(self, vocab):
         rng = np.random.default_rng(61)
