@@ -9,7 +9,7 @@ hypothesis carries its state, so no step re-reads a prefix or rebuilds a
 set.  ``EntityTrie`` (state: a node; final: its terminal flag; allowed: a
 read-only view of its labels), ``MarkupConstraint`` (state: a tuple of
 ints) and the candidate-set constraint of ``tasks.disambiguate`` (state: a
-node of a dict trie over its names) implement it.
+node of a dict trie over its names that can finish) implement it.
 
 Tokens outside the allowed set score minus infinity; the surviving entries
 are *not* renormalized, so the score of any fully decoded sequence equals
@@ -341,8 +341,12 @@ def rank_entities(
 
     ``normalized_score`` divides the cumulative log-probability by the token
     count including EOS; with normalization off it simply repeats the raw
-    score.  Names are decoded from the winning token sequences.
+    score.  Names are decoded from the winning token sequences.  Raises
+    :class:`BeamError`, before any search, when the longest name plus EOS
+    does not fit in ``max_steps``: it could never finish.
     """
+    if trie.max_depth >= config.max_steps:
+        raise BeamError(f"max_steps {config.max_steps} cannot finish the longest name ({trie.max_depth} tokens)")
     hypotheses = beam_search(scorer, input_tokens, trie, config)
     return _ranked(hypotheses, config.length_normalize, lambda name: decode(name, vocab))
 

@@ -113,7 +113,8 @@ def _input_key(input_tokens: Sequence[TokenId]) -> int:
                 raise ScorerError(f"input token id {t!r} is not an integer") from None
             except OverflowError:
                 raise ScorerError(f"input token id {t} does not fit in an unsigned 32-bit int") from None
-        raise
+        # an iterator is used up by the packing, so no id is left to name
+        raise ScorerError(f"input token ids in a {type(input_tokens).__name__} are not all u32 ints") from None
     if sys.byteorder == "big":
         packed.byteswap()
     return zlib.crc32(packed)
@@ -256,8 +257,8 @@ def train_table_scorer(
 def _steps(
     scorer: Scorer, input_tokens: Sequence[TokenId], tokens: Sequence[TokenId]
 ) -> Iterator[tuple[np.ndarray, TokenId]]:
-    """``(logprobs, token)`` at each step of ``tokens``, whose one EOS ends them."""
-    seq = tuple(tokens)
+    """``(logprobs, token)`` at each step of ``tokens``, whose one EOS ends them; the input is read once."""
+    input_tokens, seq = tuple(input_tokens), tuple(tokens)
     if not seq or seq[-1] != EOS:
         raise ScorerError("sequence must end with EOS")
     if EOS in seq[:-1]:

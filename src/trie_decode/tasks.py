@@ -125,19 +125,20 @@ def disambiguate(
     exactly those names (no :class:`EntityTrie`), and each ranked entry carries
     its candidate's name as given, even where the name's tokens decode to
     other text (unknown words, extra whitespace).  A candidate name too long
-    to finish within ``max_steps`` is left out of the ranking, which may then
-    be empty, and named in the ranking's ``diagnostics``; two distinct
-    candidates that encode alike, or a candidate with no tokens, raise
-    :class:`TaskError`.  Otherwise the full-catalog ``trie`` is used, and a
-    catalog name too long to finish within ``max_steps`` raises
-    :class:`TaskError`.
+    to finish within ``max_steps`` is left out of the search and its ranking,
+    which may then be empty, and named in the ranking's ``diagnostics``; two
+    distinct candidates that encode alike, or a candidate with no tokens,
+    raise :class:`TaskError`.  Otherwise the full-catalog ``trie`` goes to
+    :func:`rank_entities`, which raises :class:`BeamError` when a catalog name
+    is too long to finish within ``max_steps``.
     """
     flagged = flag_mention(instance, vocab, config)
     if not instance.candidates:
         if trie is None:
             raise TaskError(f"instance {instance.instance_id!r}: no candidate set and no catalog trie")
-        return rank_entities(scorer, flagged, _finishable(trie, config), config.beam_config(), vocab)
+        return rank_entities(scorer, flagged, trie, config.beam_config(), vocab)
     names: dict[tuple[TokenId, ...], str] = {}
+    finishable = []
     diagnostics = []
     for name in dict.fromkeys(instance.candidates):  # a repeated name is one candidate
         tokens = tuple(encode(name, vocab))
@@ -149,11 +150,13 @@ def disambiguate(
                 "encode to the same tokens"
             )
         names[tokens] = name
-        if len(tokens) >= config.max_steps:
+        if len(tokens) < config.max_steps:
+            finishable.append(tokens)
+        else:
             diagnostics.append(
                 f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
             )
-    hypotheses = beam_search(scorer, flagged, _Candidates(names), config.beam_config())
+    hypotheses = beam_search(scorer, flagged, _Candidates(finishable), config.beam_config())
     ranking = _ranked(hypotheses, config.length_normalize, names.__getitem__)
     return RankedResult(ranking.entries, tuple(diagnostics))
 
@@ -194,23 +197,8 @@ def retrieve(
     config: TaskConfig,
     vocab: Vocabulary,
 ) -> RankedResult:
-    """Rank the full catalog against a free-text query.
-
-    Raises :class:`TaskError` when a catalog name is too long to finish
-    within ``max_steps``, rather than leave it silently out of the ranking.
-    """
-    trie = _finishable(trie, config)
+    """Rank the full catalog against a free-text query with :func:`rank_entities`, raising its ``BeamError``."""
     return rank_entities(scorer, encode(query, vocab), trie, config.beam_config(), vocab)
-
-
-def _finishable(trie: EntityTrie, config: TaskConfig) -> EntityTrie:
-    """``trie``, once its longest name plus EOS fits in ``max_steps``."""
-    if trie.max_depth >= config.max_steps:
-        raise TaskError(
-            f"max_steps {config.max_steps} cannot finish the longest name "
-            f"({trie.max_depth} tokens)"
-        )
-    return trie
 
 
 # --- dataset loading -----------------------------------------------------

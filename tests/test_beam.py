@@ -111,6 +111,20 @@ class TestBeamSearch:
             assert entry.normalized_score == pytest.approx(-math.log(vocab.size))
         assert ranking.names() == ("English language", "English literature", "France")
 
+    def test_a_name_too_long_to_finish_is_refused_before_the_search(self, vocab):
+        long_name = "English language English literature"
+        trie = build_trie([tuple(encode("France", vocab)), tuple(encode(long_name, vocab))], vocab.size)
+
+        class NoCalls(UniformScorer):
+            def next_token_logprobs(self, input_tokens, prefix):
+                raise AssertionError("the search ran")
+
+        with pytest.raises(BeamError, match=r"^max_steps 3 cannot finish the longest name \(4 tokens\)$"):
+            rank_entities(NoCalls(vocab.size), (), trie, BeamConfig(k=10, max_steps=3), vocab)
+        # one step more than the longest name finishes it
+        ranking = rank_entities(UniformScorer(vocab.size), (), trie, BeamConfig(k=10, max_steps=5), vocab)
+        assert set(ranking.names()) == {"France", long_name}
+
     def test_at_most_k_finished(self, vocab, names_trie):
         scorer = UniformScorer(vocab.size)
         hyps = beam_search(scorer, (), names_trie, BeamConfig(k=2))

@@ -89,6 +89,21 @@ class TestLoadCatalog:
         )
 
 
+class TestCatalog:
+    def test_get_of_an_unknown_name(self, vocab):
+        catalog, _ = load_catalog(list(SHARED_PREFIX_NAMES), vocab)
+        assert catalog.get("France").name == "France"
+        with pytest.raises(CatalogError, match="unknown entity: 'Paris'"):
+            catalog.get("Paris")
+
+    def test_equality_against_another_type_and_repr(self, vocab):
+        catalog, _ = load_catalog(list(SHARED_PREFIX_NAMES), vocab)
+        assert catalog == load_catalog(list(SHARED_PREFIX_NAMES), vocab)[0]
+        assert catalog.__eq__(catalog.names()) is NotImplemented
+        assert catalog != catalog.names()
+        assert repr(catalog) == "Catalog(3 entities)"
+
+
 class TestAddEntity:
     def test_add_new(self, vocab):
         catalog, _ = load_catalog(["France"], vocab)

@@ -12,6 +12,7 @@ from trie_decode.metrics import (
     MetricsError,
     RetrievalReport,
     ed_accuracy,
+    ed_report,
     match_type,
     micro_f1_spans,
     r_precision,
@@ -22,6 +23,21 @@ from helpers import SOCCER_GOLD_TRIPLES, SOCCER_PREDICTED_TRIPLES
 
 def spans(triples):
     return [SpanAnnotation(s, l, e) for s, l, e in triples]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("counts", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_counts(self, counts):
+        with pytest.raises(MetricsError, match="negative counts"):
+            EvalReport.from_counts(*counts)
+
+    def test_retrieval_report_of_no_queries(self):
+        with pytest.raises(MetricsError, match="no queries"):
+            RetrievalReport.from_scores(iter(()))
+
+    def test_ed_report_of_lists_of_different_lengths(self):
+        with pytest.raises(MetricsError, match="length mismatch: 2 gold vs 1 predicted"):
+            ed_report(["A", "B"], ["A"])
 
 
 class TestMicroF1:

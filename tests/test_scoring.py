@@ -51,6 +51,10 @@ class TestUniform:
         scorer = UniformScorer(4)
         assert np.allclose(scorer.next_token_logprobs((), ()), -math.log(4))
 
+    def test_an_empty_vocabulary_is_refused(self):
+        with pytest.raises(ScorerError, match="vocab_size must be positive"):
+            UniformScorer(0)
+
     def test_sequence_score_three_steps(self):
         scorer = UniformScorer(4)
         assert sequence_score(scorer, (), (2, 3, EOS)) == pytest.approx(3 * -math.log(4))
@@ -63,6 +67,15 @@ class TestOracle:
         for i in range(len(target)):
             logprobs = scorer.next_token_logprobs((), target[:i])
             assert int(np.argmax(logprobs)) == target[i]
+
+    def test_fewer_than_two_ids_are_refused(self):
+        with pytest.raises(ScorerError, match="vocab_size must be at least 2"):
+            OracleScorer((EOS,), 1)
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_a_target_id_out_of_range_is_refused(self, bad):
+        with pytest.raises(ScorerError, match="target token out of range"):
+            OracleScorer((8, bad, EOS), 12)
 
     def test_past_target_end_favors_eos(self):
         scorer = OracleScorer((8, EOS), vocab_size=12)
@@ -198,6 +211,11 @@ class TestTableScorer:
             scorer.next_token_logprobs((3, bad), ())
         with pytest.raises(ScorerError, match=message):
             train_table_scorer([((bad,), (7, EOS))], 0.5, 9, input_conditioned=True)
+
+    def test_a_used_up_iterator_with_a_bad_id_is_a_scorer_error(self):
+        scorer = train_table_scorer([((7, 8), (9, EOS))], 0.5, 12, input_conditioned=True)
+        with pytest.raises(ScorerError, match="input token ids in a generator are not all u32 ints"):
+            scorer.next_token_logprobs((t for t in [7, "x"]), ())
 
     def test_input_key_is_the_crc_of_little_endian_u32_ids(self):
         rng = np.random.default_rng(31)
@@ -446,6 +464,18 @@ class TestSequenceScore:
             for i, token in enumerate(full):
                 stepwise += float(scorer.next_token_logprobs((), full[:i])[token])
             assert sequence_score(scorer, (), full) == stepwise
+
+
+    def test_an_iterator_input_is_read_once(self):
+        # were the input read at each step, steps after the first would see an empty one
+        scorer = train_table_scorer([((7, 8), (9, 8, EOS))], 0.5, 12, input_conditioned=True)
+        target = (9, 8, EOS)
+        want = sequence_score(scorer, (7, 8), target)
+        assert want != sequence_score(scorer, (), target)
+        assert sequence_score(scorer, [7, 8], target) == want
+        assert sequence_score(scorer, iter([7, 8]), target) == want
+        for eps in (0.0, 0.1):
+            assert smoothed_nll(scorer, iter([7, 8]), target, eps) == smoothed_nll(scorer, (7, 8), target, eps)
 
 
 class TestSmoothedNll:

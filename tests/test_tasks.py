@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from trie_decode import beam
-from trie_decode.beam import BeamConfig, RankedEntry, RankedResult, rank_entities
+from trie_decode.beam import BeamConfig, BeamError, RankedEntry, RankedResult, rank_entities
 from trie_decode.catalog import CandidateSet
 from trie_decode.metrics import EvalReport, RetrievalReport
-from trie_decode.scoring import UniformScorer, train_table_scorer
+from trie_decode.scoring import OracleScorer, UniformScorer, train_table_scorer
 from trie_decode.tasks import (
     END_ENT_STRING,
     START_ENT_STRING,
@@ -100,6 +100,10 @@ class TestFlagMention:
         with pytest.raises(TaskError, match="window"):
             flag_mention(instance, vocab, TaskConfig(context_window=6))
 
+    def test_empty_mention_rejected(self, vocab):
+        with pytest.raises(TaskError, match="mention must span at least one token"):
+            make_instance(vocab, length=0)
+
     def test_span_outside_context_rejected(self, vocab):
         with pytest.raises(TaskError):
             make_instance(vocab, context_len=4, start=3, length=2)
@@ -188,6 +192,31 @@ class TestDisambiguate:
         )
         assert disambiguate(scorer, instance, vocab, TaskConfig(max_steps=3)).diagnostics == ()
 
+    def test_a_candidate_too_long_to_finish_takes_no_beam_slot(self, vocab):
+        # the oracle drives toward the four-token name, which three steps cannot finish
+        long_name = "beta gamma delta eta"
+        instance = make_instance(vocab, candidates=(long_name, "alpha"))
+        scorer = OracleScorer(encode(long_name, vocab), vocab.size)
+        for beams in (1, 2):
+            ranking = disambiguate(scorer, instance, vocab, TaskConfig(beams=beams, max_steps=3))
+            assert ranking.names() == ("alpha",)
+            assert ranking.diagnostics == (f"candidate {long_name!r} (4 tokens) cannot finish within max_steps=3",)
+
+    def test_every_candidate_too_long_gives_an_empty_ranking_naming_each(self, vocab):
+        instance = make_instance(vocab, candidates=("beta gamma", "alpha delta eta"))
+        ranking = disambiguate(UniformScorer(vocab.size), instance, vocab, TaskConfig(max_steps=2))
+        assert ranking.names() == ()
+        assert ranking.diagnostics == (
+            "candidate 'beta gamma' (2 tokens) cannot finish within max_steps=2",
+            "candidate 'alpha delta eta' (3 tokens) cannot finish within max_steps=2",
+        )
+
+    def test_a_catalog_name_too_long_to_finish_is_a_beam_error(self, vocab):
+        trie = build_trie([encode("alpha", vocab), encode("beta gamma delta eta", vocab)], vocab.size)
+        with pytest.raises(BeamError, match=r"^max_steps 3 cannot finish the longest name \(4 tokens\)$"):
+            disambiguate(UniformScorer(vocab.size), make_instance(vocab), vocab, TaskConfig(max_steps=3), trie)
+        assert disambiguate(UniformScorer(vocab.size), make_instance(vocab), vocab, TaskConfig(max_steps=5), trie)
+
     def test_without_candidates_requires_trie(self, vocab):
         instance = make_instance(vocab)
         with pytest.raises(TaskError, match="no candidate set"):
@@ -212,10 +241,15 @@ def fuzz_candidate_sequences(rng, vocab, round_):
 
 
 def trie_path_disambiguate(scorer, instance, vocab, config):
-    """The candidate-set path of ``disambiguate`` as it read over a per-request trie."""
+    """The candidate-set path of ``disambiguate`` as it read over a per-request trie of the finishable names."""
     names = {tuple(encode(name, vocab)): name for name in dict.fromkeys(instance.candidates)}
+    finishable = [tokens for tokens in names if len(tokens) < config.max_steps]
     flagged = flag_mention(instance, vocab, config)
-    ranking = rank_entities(scorer, flagged, build_trie(names, vocab.size), config.beam_config(), vocab)
+    ranking = (
+        rank_entities(scorer, flagged, build_trie(finishable, vocab.size), config.beam_config(), vocab)
+        if finishable
+        else ()
+    )
     return RankedResult(
         tuple(RankedEntry(names[e.tokens[:-1]], e.raw_logprob, e.normalized_score, e.tokens) for e in ranking),
         tuple(
@@ -334,6 +368,11 @@ class TestRetrieve:
             scorer, encode("alpha beta", vocab), trie, BeamConfig(10, 15, True), vocab
         )
         assert via_task == direct
+
+    def test_a_catalog_name_too_long_to_finish_is_a_beam_error(self, vocab):
+        trie = build_trie([encode("alpha", vocab), encode("beta gamma delta eta", vocab)], vocab.size)
+        with pytest.raises(BeamError, match=r"^max_steps 3 cannot finish the longest name \(4 tokens\)$"):
+            retrieve(UniformScorer(vocab.size), "alpha", trie, TaskConfig(max_steps=3), vocab)
 
     def test_deterministic_across_runs(self, vocab):
         rng = np.random.default_rng(109)

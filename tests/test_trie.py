@@ -278,6 +278,19 @@ class TestContains:
         assert not names_trie.contains([])
 
 
+class TestAdvance:
+    def test_a_token_with_no_child_is_a_key_error(self, vocab, names_trie):
+        english = names_trie.advance(names_trie.start(), vocab.ordinary_id("English"))
+        assert names_trie.allowed(english).tolist() == [vocab.ordinary_id("language"), vocab.ordinary_id("literature")]
+        with pytest.raises(KeyError):
+            names_trie.advance(english, vocab.ordinary_id("France"))
+
+    def test_equality_against_another_type_and_repr(self, vocab, names_trie):
+        assert names_trie.__eq__(names_trie.serialize()) is NotImplemented
+        assert names_trie != names_trie.serialize()
+        assert repr(names_trie) == "EntityTrie(leaves=3, internal=2)"
+
+
 class TestInsert:
     def test_insert_new_leaf(self, vocab, names_trie):
         grown = names_trie.insert([vocab.ordinary_id("literature")])

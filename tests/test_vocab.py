@@ -59,6 +59,38 @@ class TestVocabulary:
         with pytest.raises(VocabularyError):
             Vocabulary(("two words",))
 
+    @pytest.mark.parametrize("extras", [("[S]", "[S]"), ("<unk>",)], ids=["repeated", "core"])
+    def test_duplicate_extra_special_rejected(self, extras):
+        with pytest.raises(VocabularyError, match="duplicate special string"):
+            Vocabulary(("a",), extra_specials=extras)
+
+    @pytest.mark.parametrize("tokens, extras", [(("a", ""), ()), (("a",), ("",))], ids=["token", "extra-special"])
+    def test_empty_token_string_rejected(self, tokens, extras):
+        with pytest.raises(VocabularyError, match="empty (token|extra special) string"):
+            Vocabulary(tokens, extras)
+
+    def test_unknown_strings_and_ids_rejected(self, vocab):
+        with pytest.raises(VocabularyError, match="not an ordinary vocabulary token: 'Paris'"):
+            vocab.ordinary_id("Paris")
+        # a core special is no ordinary token
+        with pytest.raises(VocabularyError, match="not an ordinary vocabulary token"):
+            vocab.ordinary_id(CORE_SPECIAL_STRINGS[UNK])
+        with pytest.raises(VocabularyError, match=r"not a registered extra special: '\[S\]'"):
+            vocab.extra_special_id("[S]")
+        for bad in (-1, vocab.size):
+            with pytest.raises(VocabularyError, match=f"token id out of range: {bad}"):
+                vocab.string_of(bad)
+        assert vocab.string_of(vocab.size - 1) == "literature"
+
+    def test_equality_hash_length_and_repr(self, vocab):
+        same = Vocabulary(["English", "France", "language", "literature"])
+        assert same == vocab and hash(same) == hash(vocab) and len({same, vocab}) == 1
+        assert vocab != Vocabulary(("English", "France", "language"))
+        assert vocab != Vocabulary(vocab.tokens, extra_specials=("[S]",))
+        assert vocab.__eq__(vocab.tokens) is NotImplemented
+        assert len(vocab) == vocab.size == 11
+        assert repr(Vocabulary(("a", "b"), ("[S]",))) == "Vocabulary(2 tokens, extra_specials=('[S]',))"
+
     def test_extra_specials_take_ids_after_core(self):
         v = Vocabulary(("a", "b"), extra_specials=("[S]", "[E]"))
         assert v.extra_special_id("[S]") == 7
