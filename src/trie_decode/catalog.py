@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
 
@@ -27,9 +28,8 @@ class CatalogError(InputError):
     """Raised for invalid entity names or malformed catalog files."""
 
 
-@dataclass(frozen=True)
-class EntityRecord:
-    """An entity name plus its cached tokenization."""
+class EntityRecord(NamedTuple):
+    """An entity name plus its cached tokenization; it equals the plain tuple ``(name, tokens)``."""
 
     name: str
     tokens: tuple[TokenId, ...]
@@ -86,10 +86,7 @@ def _name_blocks(source: str | Iterable[str], vocab: Vocabulary) -> Iterator[tup
     while True:
         block, error = [], None
         try:
-            for row in rows:
-                block.append(row)
-                if len(block) == _BLOCK_ROWS:
-                    break
+            block.extend(islice(rows, _BLOCK_ROWS))
         except InputError as exc:
             error = exc
         names = [raw.strip() for _, raw in block]

@@ -3,7 +3,8 @@
 A scorer maps ``(input tokens, generated prefix)`` to a full log-probability
 vector over the vocabulary.  Every implementation returns a proper
 distribution (logsumexp of the vector is 0).  Scorers are read-only at
-inference time, apart from :class:`TableScorer`'s row cache, and safe for
+inference time, apart from :class:`TableScorer`'s row cache, which
+:class:`UniformScorer`, the table with no counts, shares, and safe for
 concurrent evaluation.
 
 Scorers are deliberately decoupled from :class:`~trie_decode.vocab.Vocabulary`:
@@ -50,22 +51,6 @@ class Scorer(ABC):
         """
 
 
-class UniformScorer(Scorer):
-    """Assigns every token probability ``1 / vocab_size`` at every step."""
-
-    def __init__(self, vocab_size: int) -> None:
-        if vocab_size < 1:
-            raise ScorerError("vocab_size must be positive")
-        self.vocab_size = vocab_size
-        self._vector = np.full(vocab_size, -np.log(vocab_size))
-        self._vector.flags.writeable = False
-
-    def next_token_logprobs(
-        self, input_tokens: Sequence[TokenId], prefix: Sequence[TokenId]
-    ) -> np.ndarray:
-        return self._vector
-
-
 class OracleScorer(Scorer):
     """Drives generation toward a fixed target sequence.
 
@@ -101,20 +86,23 @@ class OracleScorer(Scorer):
         return vec
 
 
-def _input_key(input_tokens: Sequence[TokenId]) -> int:
-    """crc32 of the input's ids packed as little-endian u32, in one C call."""
+def _input_key(input_tokens: Iterable[TokenId]) -> int:
+    """crc32 of the input's ids packed as little-endian u32, in one C call; the input is read once."""
     try:
-        packed = array("I", input_tokens)  # C unsigned int: 32 bits wherever numpy runs
+        ids = tuple(input_tokens)
+    except TypeError:
+        raise ScorerError(f"input tokens must be an iterable of ids, not {type(input_tokens).__name__}") from None
+    try:
+        packed = array("I", ids)  # C unsigned int: 32 bits wherever numpy runs
     except (TypeError, OverflowError):
-        for t in input_tokens:  # name the first id the packing refused
+        packed = array("I")
+        for t in ids:  # id by id, to name the first one the packing refuses
             try:
-                array("I", (t,))
+                packed.append(t)
             except TypeError:
                 raise ScorerError(f"input token id {t!r} is not an integer") from None
             except OverflowError:
                 raise ScorerError(f"input token id {t} does not fit in an unsigned 32-bit int") from None
-        # an iterator is used up by the packing, so no id is left to name
-        raise ScorerError(f"input token ids in a {type(input_tokens).__name__} are not all u32 ints") from None
     if sys.byteorder == "big":
         packed.byteswap()
     return zlib.crc32(packed)
@@ -139,8 +127,8 @@ class TableScorer(Scorer):
     is the previous generated token (SOS at the first step), or, when
     ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod 2**31`` over
     the input's u32 token ids: distinct pairs can share a row, and an input
-    id that is not an integer or not in u32 raises :class:`ScorerError`.  A
-    context id no step can reach is rejected.
+    that is not iterable, or holds an id that is not an integer or not in u32,
+    raises :class:`ScorerError`.  A context id no step can reach is rejected.
 
     Rows are built on first use into one scope, an ``(input, key, rows)``
     triple.  Unconditioned, the key is None and the rows serve every input
@@ -226,6 +214,13 @@ class TableScorer(Scorer):
         return row
 
 
+class UniformScorer(TableScorer):
+    """Assigns every token probability ``1 / vocab_size`` at every step: the table with no counts."""
+
+    def __init__(self, vocab_size: int) -> None:
+        super().__init__({}, 1.0, vocab_size)
+
+
 def train_table_scorer(
     pairs: Iterable[tuple[Sequence[TokenId], Sequence[TokenId]]],
     alpha: float,
@@ -257,13 +252,15 @@ def train_table_scorer(
 def _steps(
     scorer: Scorer, input_tokens: Sequence[TokenId], tokens: Sequence[TokenId]
 ) -> Iterator[tuple[np.ndarray, TokenId]]:
-    """``(logprobs, token)`` at each step of ``tokens``, whose one EOS ends them; the input is read once."""
+    """``(logprobs, token)`` at each step of ``tokens``: vocabulary ids, one EOS last; the input is read once."""
     input_tokens, seq = tuple(input_tokens), tuple(tokens)
     if not seq or seq[-1] != EOS:
         raise ScorerError("sequence must end with EOS")
     if EOS in seq[:-1]:
         raise ScorerError("EOS may only appear at the final position")
     for i, token in enumerate(seq):
+        if not (isinstance(token, (int, np.integer)) and type(token) is not bool and 0 <= token < scorer.vocab_size):
+            raise ScorerError(f"step {i}: token {token!r} is not a vocabulary id in 0..{scorer.vocab_size - 1}")
         yield scorer.next_token_logprobs(input_tokens, seq[:i]), token
 
 

@@ -103,6 +103,15 @@ class TestCatalog:
         assert catalog != catalog.names()
         assert repr(catalog) == "Catalog(3 entities)"
 
+    def test_a_record_is_an_immutable_name_tokens_pair(self, vocab):
+        record = load_catalog(["English language"], vocab)[0].get("English language")
+        tokens = tuple(vocab.ordinary_id(w) for w in ("English", "language"))
+        assert (record.name, record.tokens) == ("English language", tokens)
+        assert record == ("English language", tokens) == make_record("English language", vocab)
+        assert repr(record) == f"EntityRecord(name='English language', tokens={tokens!r})"
+        with pytest.raises(AttributeError):
+            record.name = "France"
+
 
 class TestAddEntity:
     def test_add_new(self, vocab):

@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from trie_decode.beam import BeamConfig, beam_search
+from trie_decode.beam import BeamConfig, beam_search, rank_entities
 from trie_decode.scoring import (
     OracleScorer,
     Scorer,
@@ -58,6 +58,56 @@ class TestUniform:
     def test_sequence_score_three_steps(self):
         scorer = UniformScorer(4)
         assert sequence_score(scorer, (), (2, 3, EOS)) == pytest.approx(3 * -math.log(4))
+
+
+class TestZeroCountTable:
+    """The uniform scorer is the smoothed table with no counts: every row is ``1 / V``."""
+
+    def test_holds_no_row_code_of_its_own(self):
+        assert issubclass(UniformScorer, TableScorer)
+        assert [name for name, value in vars(UniformScorer).items() if callable(value)] == ["__init__"]
+
+    @pytest.mark.parametrize("vocab_size", [1, 2, 2009])
+    def test_every_row_is_one_read_only_object_bit_for_bit(self, vocab_size):
+        scorer = UniformScorer(vocab_size)
+        row = scorer.next_token_logprobs((), ())
+        assert_same_bits(row, np.full(vocab_size, -np.log(vocab_size)))
+        assert not row.flags.writeable
+        for source in ((), (3,), [7, 8]):
+            for prefix in ((), (0,), (vocab_size - 1,), (0, vocab_size - 1)):
+                assert scorer.next_token_logprobs(source, prefix) is row
+
+    def test_beam_search_and_rank_entities_match_an_empty_table(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(47)
+        seqs = random_sequences(rng, vocab, size=40)
+        trie = build_trie(seqs, vocab.size)
+        for config in (BeamConfig(k=5), BeamConfig(k=40, length_normalize=False)):
+            for source in ((), (9, 10)):
+                uniform, empty = UniformScorer(vocab.size), TableScorer({}, 0.5, vocab.size)
+                assert beam_search(uniform, source, trie, config) == beam_search(empty, source, trie, config)
+                assert rank_entities(uniform, source, trie, config, vocab) == rank_entities(
+                    empty, source, trie, config, vocab
+                )
+
+    def test_saves_and_loads_as_a_table(self, tmp_path):
+        scorer = UniformScorer(2009)
+        path = str(tmp_path / "uniform.tsv")
+        save_table_scorer(scorer, path)
+        loaded = load_table_scorer(path)
+        assert (loaded.counts, loaded.vocab_size, loaded.input_conditioned) == ({}, 2009, False)
+        for prefix in ((), (7,), (7, 2008)):
+            assert_same_bits(loaded.next_token_logprobs((), prefix), scorer.next_token_logprobs((), prefix))
+
+    def test_a_huge_vocabulary_allocates_no_row_until_first_use(self):
+        tracemalloc.start()
+        try:
+            scorer = UniformScorer(2**40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scorer.vocab_size == 2**40
+        assert peak < 1 << 20
 
 
 class TestOracle:
@@ -212,9 +262,16 @@ class TestTableScorer:
         with pytest.raises(ScorerError, match=message):
             train_table_scorer([((bad,), (7, EOS))], 0.5, 9, input_conditioned=True)
 
+    def test_an_input_that_is_not_iterable_is_a_scorer_error(self):
+        scorer = train_table_scorer([((7, 8), (9, EOS))], 0.5, 12, input_conditioned=True)
+        with pytest.raises(ScorerError, match="input tokens must be an iterable of ids, not int"):
+            scorer.next_token_logprobs(5, ())
+        with pytest.raises(ScorerError, match="input tokens must be an iterable of ids, not NoneType"):
+            train_table_scorer([(None, (9, EOS))], 0.5, 12, input_conditioned=True)
+
     def test_a_used_up_iterator_with_a_bad_id_is_a_scorer_error(self):
         scorer = train_table_scorer([((7, 8), (9, EOS))], 0.5, 12, input_conditioned=True)
-        with pytest.raises(ScorerError, match="input token ids in a generator are not all u32 ints"):
+        with pytest.raises(ScorerError, match="input token id 'x' is not an integer"):
             scorer.next_token_logprobs((t for t in [7, "x"]), ())
 
     def test_input_key_is_the_crc_of_little_endian_u32_ids(self):
@@ -446,6 +503,28 @@ class TestSequenceScore:
             sequence_score(scorer, (), (EOS, 7, EOS))
         with pytest.raises(ScorerError):
             sequence_score(scorer, (), ())
+
+    @pytest.mark.parametrize(
+        "bad, step",
+        [(-1, 0), (9, 0), (99, 1), (3.0, 1), (np.float64(3.0), 1), (False, 1), ("7", 1)],
+        ids=["negative", "vocab-size", "past-the-end", "float", "numpy-float", "bool", "str"],
+    )
+    def test_a_token_that_is_not_a_vocabulary_id_is_refused(self, bad, step):
+        # -1 would read id 8 through numpy's negative index, and its context -1's untrained row;
+        # False, equal to SOS, would index the row as a mask
+        for scorer in (UniformScorer(9), TableScorer({SOS: {7: 2.0}, 7: {EOS: 1.0}}, 0.5, 9)):
+            seq = (bad, EOS) if step == 0 else (7, bad, EOS)
+            message = re.escape(f"step {step}: token {bad!r} is not a vocabulary id in 0..8")
+            with pytest.raises(ScorerError, match=message):
+                sequence_score(scorer, (), seq)
+            with pytest.raises(ScorerError, match=message):
+                smoothed_nll(scorer, (), seq, 0.1)
+
+    def test_numpy_ids_and_sos_are_vocabulary_ids(self):
+        scorer = TableScorer({SOS: {7: 2.0}, 7: {SOS: 1.0}}, 0.5, 9)
+        want = sequence_score(scorer, (), (7, SOS, EOS))
+        assert sequence_score(scorer, (), (np.int64(7), np.uint32(SOS), np.int8(EOS))) == want
+        assert sequence_score(scorer, (), np.array([7, SOS, EOS])) == want
 
     def test_never_positive(self):
         vocab = pool_vocabulary()
