@@ -18,10 +18,11 @@ pool, where it occupies no beam slot; pruning keeps the best ``k`` live
 hypotheses by cumulative log-probability, breaking ties by ascending token
 order, and builds only what survives its cut (see :func:`beam_search`).  A
 parent wider than the beam is first cut to its best ``k`` ids; within one
-search, a cut whose scorer row and allowed ids are the same read-only objects
-as an earlier one reuses that earlier sort wherever it stays exact.  Within
+search, a read-only row met again with the same tuple or owned read-only
+array of ids reuses its first sight's sort wherever that stays exact.  Within
 one step, the ``k``-th key of the best cut so far is a bar: a later wide
 parent whose best id cannot get below it keeps nothing and is not sorted.
+Each scorer value read must be at most 0.0; NaN is refused.
 The final ranking applies length normalization when configured, breaking
 exact ties the same way so that results are total and reproducible.
 
@@ -58,9 +59,9 @@ class Constraint(Protocol[State]):
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
         """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is.
 
-        A tuple or read-only array returned here must never change:
+        A tuple or an owned read-only array returned here must never change:
         :func:`beam_search` may reuse work done on it within one search.  A
-        constraint that refills one buffer returns a list or a writeable array.
+        list, a view or a writeable array is never remembered.
         """
 
     def advance(self, state: State, token: TokenId) -> State:
@@ -156,7 +157,8 @@ def beam_search(
     Returns finished hypotheses sorted by the config's ranking score; an
     empty list means nothing finished.  Raises :class:`BeamError` for a
     constraint without ``final``, on an allowed id outside the scorer's
-    vocabulary or at most EOS, or when ``allowed`` returns a set.
+    vocabulary or at most EOS, when ``allowed`` returns a set, or on a scorer
+    value above 0.0 or NaN, naming its token.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -168,12 +170,12 @@ def beam_search(
     one ``np.lexsort`` cuts a wider parent to them before the one loop that
     scores every parent's candidates by the same float64 sums.
 
-    Hypotheses that reach one trie node after the same token meet the same
+    Hypotheses that reach one state after the same token meet the same
     scorer row and the same allowed ids again, at another ``cum_logprob``.
     So for the life of the search a wide parent's cut is memoized by the
-    identity of its ``(logprobs, allowed)`` pair, when the row is a read-only
-    array and the ids a tuple or a read-only array, and reused wherever
-    rounding cannot change it; elsewhere the sort runs (see ``_memo_cut``).
+    identity of its ``(logprobs, allowed)`` pair when the row is a read-only
+    array and the ids a tuple or an owned read-only array: sorted on first
+    sight, reused wherever rounding cannot change it (see ``_memo_cut``).
 
     Within a step, the bar is the key ``-(cum + value)`` of the ``k``-th id
     of the best cut made so far; a step has none before its first cut.
@@ -182,7 +184,7 @@ def beam_search(
     parent whose best allowed value ``top`` gives ``-(cum + top) >= bar``
     therefore keeps nothing and is skipped unsorted; ``x -> fl(cum + x)`` is
     monotone, so no id of it can sort before the bar's ``k``.  A NaN
-    ``top`` never skips.
+    ``top`` raises first.
     """
     if not hasattr(constraint, "final"):
         raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
@@ -205,7 +207,10 @@ def beam_search(
                 continue  # a dead end
             logprobs = scorer.next_token_logprobs(input_tokens, prefix)
             if ends:
-                done, score = prefix + (EOS,), cum + float(logprobs[EOS])
+                value = float(logprobs[EOS])
+                if not value <= 0.0:
+                    raise _bad_value(EOS, value)
+                done, score = prefix + (EOS,), cum + value
                 pool.append((-_final_score(done, score, config.length_normalize), done, score))
                 if len(allowed) == 0:
                     continue
@@ -229,7 +234,10 @@ def beam_search(
                     bar = candidates[-1][0]
             else:
                 for token in allowed:
-                    candidates.append((-(cum + float(logprobs[token])), rank, token))
+                    value = float(logprobs[token])
+                    if not value <= 0.0:  # NaN fails too
+                        raise _bad_value(token, value)
+                    candidates.append((-(cum + value), rank, token))
         candidates.sort()
         # (parent, token) pairs are distinct: this sort never compares
         # scores, and it puts the next step's parents in token order
@@ -243,6 +251,19 @@ def beam_search(
 
 
 _Cut = Iterable[tuple[float, TokenId]]  # (logprob, id) of each id a cut keeps
+
+
+def _bad_value(token: TokenId, value: float) -> BeamError:
+    return BeamError(f"scorer gave token {token} the value {value!r}; a log-probability is at most 0.0")
+
+
+def _top(tokens: np.ndarray, values: np.ndarray) -> float:
+    """The best of ``values``, refused unless it is at most 0.0; ``argmax`` finds any NaN first."""
+    best = values.argmax()
+    top = values.item(best)
+    if not top <= 0.0:
+        raise _bad_value(tokens.item(best), top)
+    return top
 
 
 def _cut(tokens: np.ndarray, values: np.ndarray, cum: float, k: int) -> _Cut:
@@ -265,35 +286,33 @@ def _memo_cut(
     ``bar`` is the largest key ``-(cum + value)`` of the ``k`` ids an earlier
     parent of this step kept.  Those ``k`` win every tie on rank, so a
     parent whose best value ``top`` has ``-(cum + top) >= bar`` keeps
-    nothing and is not sorted; a NaN ``top`` never compares, so never skips.
+    nothing and is not sorted; ``top`` is read by :func:`_top`, bar or no bar.
 
     ``cuts`` reuses an earlier sort of the same ``(logprobs, allowed)`` pair.
     It is keyed by the ``id()`` of both objects of a pair that promises not
-    to change (a read-only row; a tuple or read-only array of ids), and
-    holds both, so no other object can take those ``id()`` values while it
-    lives.  A pair's first sighting only records it, so a search that never
-    repeats a pair pays one insert per cut.  The second sorts it once by
-    ``(-logprob, id)``, keeping its best ``k`` ids with their values, the
-    ``k``-th value ``v``, the nearest distinct values above and below
-    ``v``'s group (infinite where there is none) and ``top``.
-    ``x -> fl(cum + x)`` is monotone, so the best ``k`` at ``cum`` are those
-    ids unless rounding merges a neighbour into ``v``'s group; where the
-    rounded sums do not keep all three apart, the exact sort runs instead.
+    to change (a read-only row; a tuple or an owned read-only array of ids),
+    and holds both, so no other object can take those ``id()`` values while
+    it lives.  Any other pair, a trie's fresh view or a list, is cut and not
+    recorded.  A pair is sorted on first sight by ``(-logprob, id)``,
+    keeping its best ``k`` ids with their values, the ``k``-th value ``v``,
+    the nearest distinct values above and below ``v``'s group (infinite where
+    there is none) and ``top``.  ``x -> fl(cum + x)`` is monotone, so the
+    best ``k`` at ``cum`` are those ids unless rounding merges a neighbour
+    into ``v``'s group; where the rounded sums do not keep all three apart,
+    the exact sort runs instead.
     """
     key = id(logprobs), id(allowed)
     seen = cuts.get(key)
     if seen is None:
-        if type(logprobs) is np.ndarray and not logprobs.flags.writeable and (
-            type(allowed) is tuple or type(allowed) is np.ndarray and not allowed.flags.writeable
-        ):
-            cuts[key] = logprobs, allowed
-        tokens = np.asarray(allowed, dtype=np.intp)
-        values = logprobs[tokens]
-        # argmax gives a NaN's index where there is one, so a NaN top never skips
-        if bar is not None and -(cum + values.item(values.argmax())) >= bar:
-            return None
-        return _cut(tokens, values, cum, k)
-    if len(seen) == 2:
+        if type(logprobs) is not np.ndarray or logprobs.flags.writeable or not (type(allowed) is tuple or (
+            type(allowed) is np.ndarray and not allowed.flags.writeable and allowed.flags.owndata
+        )):
+            tokens = np.asarray(allowed, dtype=np.intp)
+            values = logprobs[tokens]
+            top = _top(tokens, values)
+            if bar is not None and -(cum + top) >= bar:
+                return None
+            return _cut(tokens, values, cum, k)
         seen = cuts[key] = (logprobs, allowed, *_order(logprobs, allowed, k))
     best, value, above, below, top = seen[2:]
     if bar is not None and -(cum + top) >= bar:
@@ -310,17 +329,18 @@ def _order(
     """The best ``k`` ``(logprob, id)`` pairs under ``(-logprob, id)``, and four values.
 
     They are the ``k``-th value, its nearest distinct neighbours above and
-    below, and the top: the best value, or NaN where any value is NaN.
+    below, and the top, the best value, read by :func:`_top`.
     """
     tokens = np.asarray(allowed, dtype=np.intp)
-    neg = -logprobs[tokens].astype(np.float64)
+    values = logprobs[tokens]
+    top = _top(tokens, values)
+    neg = -values.astype(np.float64)
     order = np.lexsort((tokens, neg))
-    neg = neg[order]  # ascending, any NaN last
+    neg = neg[order]  # ascending
     lo, hi = np.searchsorted(neg, neg[k - 1], "left"), np.searchsorted(neg, neg[k - 1], "right")
     above = -float(neg[lo - 1]) if lo else math.inf
     below = -float(neg[hi]) if hi < len(neg) else -math.inf
     best = tuple(zip((-neg[:k]).tolist(), tokens[order[:k]].tolist()))
-    top = -float(neg[0]) if not math.isnan(neg[-1]) else math.nan
     return best, -float(neg[k - 1]), above, below, top
 
 

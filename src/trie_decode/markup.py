@@ -24,6 +24,7 @@ rather than a merge heuristic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -133,17 +134,16 @@ def dynamic_constraint(
 
 
 _CLOSE_ONLY = np.array([LINK_CLOSE], dtype=np.intp)
+_BRACKET = re.compile(r"[\[\]]")
 
 
-def _link_allowed(node: int, trie: EntityTrie) -> tuple[TokenId, ...] | np.ndarray:
-    """Legal next tokens inside ``(...)``: the trie's, after ``)`` where a name ends."""
-    allowed = trie.allowed(node)
-    if not trie.final(node):
-        return allowed
-    if len(allowed) == 0:
-        return (LINK_CLOSE,)
-    # ascending: MarkupConstraint refuses labels at or below ``)``
-    allowed = np.concatenate((_CLOSE_ONLY, allowed))
+def _link_allowed(node: int, trie: EntityTrie) -> np.ndarray:
+    """Legal next tokens inside ``(...)``, a new read-only array: the trie's, after ``)`` where a name ends."""
+    if trie.final(node):
+        # ascending: MarkupConstraint refuses labels at or below ``)``
+        allowed = np.concatenate((_CLOSE_ONLY, trie.allowed(node)))
+    else:
+        allowed = trie.allowed(node).copy()
     allowed.flags.writeable = False
     return allowed
 
@@ -234,11 +234,11 @@ class MarkupConstraint:
     token, and ``node`` the entity prefix's trie node (the root outside a
     link).  Every phase before the link reads its ids from a per-cursor
     table built once per source; inside a link, ``allowed`` hands out one
-    read-only object per trie node, made on first use, so a node met again
-    gives the same object and :func:`beam_search` can reuse its cut.  The
-    one final state is outside at the end of the source.  ``allowed``
-    matches :func:`dynamic_constraint` (without EOS, ascending), and
-    ``advance``, defined only for an id in ``allowed(state)``, moves as
+    owned, read-only array per trie node, made on first use, so a node met
+    again gives the same array, which :func:`beam_search` sorts once and
+    reuses.  The one final state is outside at the end of the source.
+    ``allowed`` matches :func:`dynamic_constraint` (without EOS, ascending),
+    and ``advance``, defined only for an id in ``allowed(state)``, moves as
     :func:`advance_state` does: that reference, which keeps the errors, is
     what this FSM is tested against.  A trie label that is a markup id would
     read as markup inside a link, and a source id at or below ``)`` would be
@@ -271,8 +271,8 @@ class MarkupConstraint:
             [(LINK_OPEN,)] * (len(source) + 1),
         )
         # allowed ids inside a link by trie node, filled on first use: a node
-        # met again hands out the same read-only object
-        self._links: dict[int, tuple[TokenId, ...] | np.ndarray] = {}
+        # met again hands out the same owned, read-only array
+        self._links: dict[int, np.ndarray] = {}
 
     def start(self) -> _State:
         return _OUTSIDE, 0, self._root
@@ -323,10 +323,17 @@ def link_document(
     source token, so ``max_steps`` (or ``chunk_size``) must leave room for
     the markup or heavily annotated hypotheses cannot finish.
 
-    Raises :class:`MarkupError` when ``chunk_size`` is below 1, whatever the
-    source, or when an entity name in ``trie`` contains a markup token (see
-    :class:`MarkupConstraint`).
+    Raises :class:`MarkupError` when ``source`` holds a square bracket, naming
+    the first and its offset, since its linked markup could not parse back;
+    when ``chunk_size`` is below 1, whatever the source; or when an entity
+    name in ``trie`` contains a markup token (see :class:`MarkupConstraint`).
     """
+    bracket = _BRACKET.search(source)
+    if bracket:
+        raise MarkupError(
+            f"source holds {bracket.group()!r} at offset {bracket.start()}; "
+            "square brackets are markup, so the linked text could not parse back"
+        )
     token_spans = encode_with_offsets(source, vocab)
     tokens = tuple(span.token for span in token_spans)
     chunks = [tokens] if chunk_size is None else chunk_input(tokens, chunk_size)

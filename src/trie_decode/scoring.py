@@ -251,8 +251,12 @@ def train_table_scorer(
 
 def _steps(
     scorer: Scorer, input_tokens: Sequence[TokenId], tokens: Sequence[TokenId]
-) -> Iterator[tuple[np.ndarray, TokenId]]:
-    """``(logprobs, token)`` at each step of ``tokens``: vocabulary ids, one EOS last; the input is read once."""
+) -> Iterator[tuple[np.ndarray, float]]:
+    """``(logprobs, logprobs[token])`` at each step of ``tokens``: vocabulary ids, one EOS last.
+
+    The input is read once.  A token's value above 0.0, or NaN, is no
+    log-probability and raises :class:`ScorerError`.
+    """
     input_tokens, seq = tuple(input_tokens), tuple(tokens)
     if not seq or seq[-1] != EOS:
         raise ScorerError("sequence must end with EOS")
@@ -261,7 +265,13 @@ def _steps(
     for i, token in enumerate(seq):
         if not (isinstance(token, (int, np.integer)) and type(token) is not bool and 0 <= token < scorer.vocab_size):
             raise ScorerError(f"step {i}: token {token!r} is not a vocabulary id in 0..{scorer.vocab_size - 1}")
-        yield scorer.next_token_logprobs(input_tokens, seq[:i]), token
+        logprobs = scorer.next_token_logprobs(input_tokens, seq[:i])
+        value = float(logprobs[token])
+        if not value <= 0.0:
+            raise ScorerError(
+                f"step {i}: scorer gave token {token} the value {value!r}; a log-probability is at most 0.0"
+            )
+        yield logprobs, value
 
 
 def sequence_score(
@@ -269,8 +279,8 @@ def sequence_score(
 ) -> float:
     """Sum of stepwise log-probabilities of ``tokens`` (EOS step included)."""
     total = 0.0
-    for logprobs, token in _steps(scorer, input_tokens, tokens):
-        total += float(logprobs[token])
+    for _, value in _steps(scorer, input_tokens, tokens):
+        total += value
     return total
 
 
@@ -289,8 +299,8 @@ def smoothed_nll(
     if not 0.0 <= epsilon < 1.0:
         raise ScorerError("epsilon must lie in [0, 1)")
     total = 0.0
-    for logprobs, token in _steps(scorer, input_tokens, target):
-        step = -(1.0 - epsilon) * float(logprobs[token])
+    for logprobs, value in _steps(scorer, input_tokens, target):
+        step = -(1.0 - epsilon) * value
         if epsilon > 0.0:
             step -= (epsilon / scorer.vocab_size) * float(logprobs.sum())
         total += step

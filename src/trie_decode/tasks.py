@@ -184,7 +184,7 @@ class _Candidates:
         return EOS in node
 
     def allowed(self, node: dict) -> list[TokenId]:
-        return [token for token in node if token != EOS]  # a fresh list, so _memo_cut never records it
+        return [token for token in node if token != EOS]  # _memo_cut never records a list, whatever it holds
 
     def advance(self, node: dict, token: TokenId) -> dict:
         return node[token]

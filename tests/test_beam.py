@@ -1,6 +1,7 @@
 """Constrained beam search against the exhaustive scoring oracle."""
 
 import math
+import re
 import weakref
 import zlib
 
@@ -18,10 +19,17 @@ from trie_decode.beam import (
     rank_entities,
 )
 from trie_decode.markup import LinkerState, MarkupConstraint, advance_state, dynamic_constraint
-from trie_decode.scoring import OracleScorer, TableScorer, UniformScorer, sequence_score, train_table_scorer
+from trie_decode.scoring import (
+    OracleScorer,
+    ScorerError,
+    TableScorer,
+    UniformScorer,
+    sequence_score,
+    train_table_scorer,
+)
 from trie_decode.tasks import _Candidates
 from trie_decode.trie import build_trie
-from trie_decode.vocab import EOS, SOS, decode, encode
+from trie_decode.vocab import EOS, SOS, Vocabulary, decode, encode
 
 from helpers import (
     SHARED_PREFIX_NAMES,
@@ -541,20 +549,27 @@ class RowPerStep:
 
 @pytest.fixture
 def sorts(monkeypatch):
-    """Counts of wide parents (``wide``) and of the exact sorts run for them (``exact``) during a test."""
+    """Counts of wide parents (``wide``) and of the exact sorts run for them (``exact``) during a test.
+
+    An exact sort is a ``_cut`` call or the ``_order`` of a pair the memo records.
+    """
     counts = {"wide": 0, "exact": 0}
-    memo_cut, cut = beam._memo_cut, beam._cut
+    memo_cut, cut, order = beam._memo_cut, beam._cut, beam._order
 
     def counted_memo_cut(*args):
         counts["wide"] += 1
         return memo_cut(*args)
 
-    def counted_cut(*args):
-        counts["exact"] += 1
-        return cut(*args)
+    def counted(sort):
+        def run(*args):
+            counts["exact"] += 1
+            return sort(*args)
+
+        return run
 
     monkeypatch.setattr(beam, "_memo_cut", counted_memo_cut)
-    monkeypatch.setattr(beam, "_cut", counted_cut)
+    monkeypatch.setattr(beam, "_cut", counted(cut))
+    monkeypatch.setattr(beam, "_order", counted(order))
     return counts
 
 
@@ -654,11 +669,71 @@ class TestCutMemo:
         scorer.next_token_logprobs(second, ())
         assert row_ref() is None
 
+    def test_trie_views_are_cut_and_never_recorded(self, monkeypatch):
+        # read-only rows, so only the ids decide: a trie hands out a fresh view per call
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(619)
+        trie = build_trie(random_sequences(rng, vocab, size=200, max_len=3), vocab.size)
+        scorer = RowPerContext(rng, vocab.size, tied=True)
+        memo_cut, wide = beam._memo_cut, [0]
+
+        def checked(cuts, *args):
+            wide[0] += 1
+            cut = memo_cut(cuts, *args)
+            assert not cuts
+            return cut
+
+        def never(*args):
+            raise AssertionError("_order sorted a trie view")
+
+        monkeypatch.setattr(beam, "_memo_cut", checked)
+        monkeypatch.setattr(beam, "_order", never)
+        for k in (1, 2, 3):
+            config = BeamConfig(k, 4, length_normalize=False)
+            assert beam_search(scorer, (), trie, config) == reference_beam_search(scorer, (), trie, config)
+        assert wide[0] > 3
+
+    def test_a_link_sorts_each_recorded_pair_once_on_first_sight(self, monkeypatch):
+        # with read-only rows every wide pair of a link is recorded: a node's
+        # owned array inside ``(...)``, a per-cursor tuple outside
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(631)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        memo_cut, order = beam._memo_cut, beam._order
+        met, sorted_pairs = [], []  # (row, ids) pairs, held, so no two live ones share their id()s
+
+        def recorded_memo_cut(cuts, logprobs, allowed, *rest):
+            met.append((logprobs, allowed))
+            return memo_cut(cuts, logprobs, allowed, *rest)
+
+        def recorded_order(logprobs, allowed, k):
+            sorted_pairs.append((logprobs, allowed))
+            return order(logprobs, allowed, k)
+
+        monkeypatch.setattr(beam, "_memo_cut", recorded_memo_cut)
+        monkeypatch.setattr(beam, "_order", recorded_order)
+        reused = 0
+        for _ in range(6):
+            trie = build_trie(random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3), vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(3, 7))))
+            scorer = RowPerContext(rng, vocab.size, tied=False)
+            for k in (1, 2, 3):
+                met.clear()
+                sorted_pairs.clear()
+                config = BeamConfig(k, 60, length_normalize=False)
+                got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
+                assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
+                first_sights = list(dict.fromkeys((id(row), id(ids)) for row, ids in met))
+                assert [(id(row), id(ids)) for row, ids in sorted_pairs] == first_sights
+                reused += len(met) - len(first_sights)
+        assert reused > 0
+
 
 class FlatRows:
     """One read-only row per previous token: one value throughout, or that value with a few peaks.
 
     Values are quarters, so sums are exact and tie across parents often.
+    Every value is at most -0.25, a log-probability.
     """
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, peaks: bool) -> None:
@@ -668,6 +743,7 @@ class FlatRows:
             for row in rows:
                 spots = rng.choice(vocab_size, size=int(rng.integers(1, 4)), replace=False)
                 row[spots] += rng.integers(1, 4, size=len(spots)) / 4.0
+            rows -= 0.75
         self._rows = [read_only(row) for row in rows]
 
     def next_token_logprobs(self, input_tokens, prefix):
@@ -756,17 +832,17 @@ class TestStepBar:
         assert got == reference_beam_search(scorer, (), constraint, config)
         assert sorts == {"wide": 2, "exact": 2}
 
-    def test_a_row_with_nan_among_the_allowed_values_is_sorted(self, sorts):
+    def test_a_row_with_nan_among_the_allowed_values_raises(self, sorts):
+        # the later parent's row is read whether or not the bar skips it
         constraint, scorer = self.two_parents(math.nan)
         config = BeamConfig(k=2, max_steps=3, length_normalize=False)
-        got = beam_search(scorer, (), constraint, config)
-        # the sort puts NaN last and keeps 4 and 5 at -5.2, which lose
-        assert [h.tokens[:2] for h in got] == [(7, 3), (7, 4)]
-        assert sorts == {"wide": 2, "exact": 2}
+        with pytest.raises(BeamError, match=r"^scorer gave token 3 the value nan; a log-probability is at most 0\.0$"):
+            beam_search(scorer, (), constraint, config)
+        assert sorts == {"wide": 2, "exact": 1}
 
-    def test_a_reused_cut_with_nan_among_its_values_is_never_skipped(self, monkeypatch):
-        # parents 8 and 9 meet one (row, ids) pair, so 9 reuses 8's sort; its
-        # best value is finite, but a NaN elsewhere in the row keeps it
+    def test_a_recorded_pair_with_nan_among_its_values_raises(self, monkeypatch):
+        # parents 8 and 9 meet one (row, ids) pair, which is recorded; its
+        # best value is finite, but the NaN elsewhere in its ids is read
         default = np.full(10, -9.0)
         default[EOS] = 0.0
         root, first, shared = default.copy(), default.copy(), default.copy()
@@ -785,9 +861,69 @@ class TestStepBar:
             return cut
 
         monkeypatch.setattr(beam, "_memo_cut", recorded)
-        got = beam_search(scorer, (), constraint, BeamConfig(k=3, max_steps=3, length_normalize=False))
-        assert [h.tokens[:2] for h in got] == [(7, 3), (7, 4), (7, 5)]
-        assert skipped == [False, False, False]
+        with pytest.raises(BeamError, match=r"^scorer gave token 4 the value nan; a log-probability is at most 0\.0$"):
+            beam_search(scorer, (), constraint, BeamConfig(k=3, max_steps=3, length_normalize=False))
+        assert skipped == [False]  # parent 7 was cut; parent 8 raised on first sight of the pair
+
+
+class TestScorerValues:
+    """A scorer value above 0.0, or NaN, is no log-probability: the search that reads it raises."""
+
+    SEQS = [(7,), (8,), (9,), (10, 11)]
+    BAD = [math.nan, math.inf, 3.0]
+
+    @staticmethod
+    def message(token: int, value: float) -> str:
+        return rf"^scorer gave token {token} the value {re.escape(repr(value))}; a log-probability is at most 0\.0$"
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_a_bad_value_at_an_allowed_root_id_raises_at_every_width(self, bad, k):
+        # at k 1 and 2 the root is a wide parent, at 4, the catalog size, a narrow one
+        root = np.full(12, -2.0)
+        root[8] = bad
+        scorer = RowPerPrefix({(): root}, np.full(12, -2.0))
+        with pytest.raises(BeamError, match=self.message(8, bad)):
+            beam_search(scorer, (), build_trie(self.SEQS, 12), BeamConfig(k, 4))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_a_bad_eos_value_raises(self, bad, k):
+        root, after_8 = np.full(12, -2.0), np.full(12, -2.0)
+        root[8] = -0.5  # name 8 makes every cut
+        after_8[EOS] = bad
+        scorer = RowPerPrefix({(): root, (8,): after_8}, np.full(12, -2.0))
+        with pytest.raises(BeamError, match=self.message(EOS, bad)):
+            beam_search(scorer, (), build_trie(self.SEQS, 12), BeamConfig(k, 4))
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_bad_value_in_a_recorded_pair_raises(self, bad, k, sorts):
+        # a read-only row and a tuple of ids: the memo records the pair and sorts it
+        row = np.full(12, -2.0)
+        row[8] = bad
+        scorer = RowPerStep([read_only(row), np.full(12, -2.0)])
+        with pytest.raises(BeamError, match=self.message(8, bad)):
+            beam_search(scorer, (), Chain([(7, 8, 9, 10)]), BeamConfig(k, 2))
+        assert sorts == {"wide": 1, "exact": 1}
+
+    def test_minus_inf_is_a_log_probability(self):
+        root = np.full(12, -2.0)
+        root[[8, EOS]] = -np.inf
+        scorer = RowPerPrefix({(): root}, root)
+        got = beam_search(scorer, (), build_trie(self.SEQS, 12), BeamConfig(1, 4, length_normalize=False))
+        assert [(h.tokens, h.cum_logprob) for h in got] == [((7, EOS), -np.inf)]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_exhaustive_rank_raises_too(self, bad):
+        vocab = Vocabulary(["a", "b", "c", "d", "e"])
+        assert vocab.size == 12 and encode("b", vocab) == [8]
+        root = np.full(12, -2.0)
+        root[8] = bad
+        scorer = RowPerPrefix({(): root}, np.full(12, -2.0))
+        catalog = catalog_from_sequences(self.SEQS, vocab)
+        with pytest.raises(ScorerError, match=rf"^step 0: scorer gave token 8 the value {re.escape(repr(bad))};"):
+            exhaustive_rank(scorer, (), catalog, True, vocab)
 
 
 class TestConstraintProtocol:

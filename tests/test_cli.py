@@ -439,6 +439,17 @@ class TestLinkAndEval:
         assert captured.out == ""
         assert captured.err == "error: chunk size must be at least 1\n"
 
+    def test_link_text_with_a_square_bracket_exits_1(self, cli_files, capsys):
+        build(cli_files)
+        capsys.readouterr()
+        argv = ["link", "--text", "English [x] France", "--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
+        assert main(argv + ["--scorer", "uniform"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: source holds '[' at offset 8; square brackets are markup, so the linked text could not parse back\n"
+        )
+
     def test_eval_predictions_prints_rounded_and_exact(self, tmp_path, capsys):
         vocab, dataset, predictions = self._write_el_fixture(tmp_path)
         code = main(

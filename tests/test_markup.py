@@ -182,8 +182,9 @@ class TestDynamicConstraint:
             assert list(allowed) == expected
             for state in states:
                 assert constraint.allowed(state) is allowed  # the same object, met again
-            # a tuple or an array nothing can write through
-            assert isinstance(allowed, tuple) or not allowed.flags.writeable
+            # an array of its own that nothing can write through, so beam_search records it
+            assert type(allowed) is np.ndarray and allowed.flags.owndata and not allowed.flags.writeable
+            assert not np.shares_memory(allowed, trie.allowed(states[0][2]))
 
     @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
     def test_constraint_refuses_a_trie_with_a_markup_label(self, label):
@@ -286,6 +287,24 @@ class TestLinkDocument:
         assert ok.min_label == 7
         doc = link_document(scorer, "a", ok, BeamConfig(k=1, max_steps=16), vocab)
         assert [span.entity for span in doc.spans] == ["a c b"]
+
+
+    @pytest.mark.parametrize("source, offset", [("he [x] lives in Paris", 3), ("he x] lives in [Paris", 4)])
+    def test_a_source_with_a_square_bracket_is_refused(self, source, offset):
+        # linked, it would render as ``he [x] lives in [Paris](Paris)``, which parse_markup refuses
+        vocab = Vocabulary(["he", "lives", "in", "Paris"])
+        paris = vocab.ordinary_id("Paris")
+        tokens = tuple(encode(source.replace("[", "(").replace("]", ")"), vocab))
+        target = tokens[:-1] + (MENTION_OPEN, paris, MENTION_CLOSE, LINK_OPEN, paris, LINK_CLOSE, EOS)
+        scorer, trie = OracleScorer(target, vocab.size), build_trie([(paris,)], vocab.size)
+        bracket = source[offset]
+        with pytest.raises(MarkupError, match=re.escape(f"source holds {bracket!r} at offset {offset};")):
+            link_document(scorer, source, trie, BeamConfig(k=2, max_steps=32), vocab)
+        # round brackets are plain text, and the link parses back
+        source = source.replace("[", "(").replace("]", ")")
+        doc = link_document(scorer, source, trie, BeamConfig(k=2, max_steps=32), vocab)
+        assert doc.spans == (SpanAnnotation(16, 5, "Paris"),)
+        assert tuple(parse_markup(render_markup(doc), source)) == doc.spans
 
 
 class TestCopyFidelityFuzz:

@@ -41,6 +41,14 @@ class FixedScorer(Scorer):
         return self._vector
 
 
+class VectorScorer(FixedScorer):
+    """One log-probability vector at every step, taken as given."""
+
+    def __init__(self, vector):
+        self.vocab_size = len(vector)
+        self._vector = vector
+
+
 def logsumexp(vector):
     peak = np.max(vector)
     return peak + np.log(np.sum(np.exp(vector - peak)))
@@ -519,6 +527,21 @@ class TestSequenceScore:
                 sequence_score(scorer, (), seq)
             with pytest.raises(ScorerError, match=message):
                 smoothed_nll(scorer, (), seq, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 3.0])
+    @pytest.mark.parametrize("step", [0, 1])
+    def test_a_value_that_is_no_log_probability_is_refused(self, bad, step):
+        # step 1 reads EOS; -inf is a log-probability and sums as one
+        token = 7 if step == 0 else EOS
+        vector = np.full(9, -math.log(9))
+        vector[token] = bad
+        message = rf"^step {step}: scorer gave token {token} the value {re.escape(repr(bad))}; "
+        with pytest.raises(ScorerError, match=message):
+            sequence_score(VectorScorer(vector), (), (7, EOS))
+        with pytest.raises(ScorerError, match=message):
+            smoothed_nll(VectorScorer(vector), (), (7, EOS), 0.1)
+        vector[token] = -math.inf
+        assert sequence_score(VectorScorer(vector), (), (7, EOS)) == -math.inf
 
     def test_numpy_ids_and_sos_are_vocabulary_ids(self):
         scorer = TableScorer({SOS: {7: 2.0}, 7: {SOS: 1.0}}, 0.5, 9)
