@@ -329,19 +329,21 @@ def _order(
     """The best ``k`` ``(logprob, id)`` pairs under ``(-logprob, id)``, and four values.
 
     They are the ``k``-th value, its nearest distinct neighbours above and
-    below, and the top, the best value, read by :func:`_top`.
+    below, and the top, the best value, read by :func:`_top`.  Only the
+    head of the sort is gathered: every value above the ``k``-th lies in it,
+    and the one below is the least key past the ``k``-th's.
     """
     tokens = np.asarray(allowed, dtype=np.intp)
     values = logprobs[tokens]
     top = _top(tokens, values)
     neg = -values.astype(np.float64)
-    order = np.lexsort((tokens, neg))
-    neg = neg[order]  # ascending
-    lo, hi = np.searchsorted(neg, neg[k - 1], "left"), np.searchsorted(neg, neg[k - 1], "right")
-    above = -float(neg[lo - 1]) if lo else math.inf
-    below = -float(neg[hi]) if hi < len(neg) else -math.inf
-    best = tuple(zip((-neg[:k]).tolist(), tokens[order[:k]].tolist()))
-    return best, -float(neg[k - 1]), above, below, top
+    head = np.lexsort((tokens, neg))[:k]
+    keys = neg[head].tolist()  # ascending
+    v = keys[-1]
+    above = next((-x for x in reversed(keys) if x < v), math.inf)
+    past = neg[neg > v]
+    below = -float(past.min()) if len(past) else -math.inf
+    return tuple(zip([-x for x in keys], tokens[head].tolist())), -v, above, below, top
 
 
 def _final_score(tokens: tuple[TokenId, ...], cum_logprob: float, length_normalize: bool) -> float:

@@ -131,12 +131,16 @@ class TableScorer(Scorer):
     raises :class:`ScorerError`.  A context id no step can reach is rejected.
 
     Rows are built on first use into one scope, an ``(input, key, rows)``
-    triple.  Unconditioned, the key is None and the rows serve every input
-    for good.  Input-conditioned, the key is the input's crc: a call with
-    another input object hashes it, and another crc replaces the scope,
-    freeing the old input's rows.  Threads sharing a scorer read the scope
-    once per call and may rebuild a row another thread dropped, but never
-    read a wrong one: rows are keyed by the full context id.
+    triple, with ``rows`` keyed by the previous token; the context id is
+    worked out only to build a missing row.  Unconditioned, the key is None
+    and the rows serve every input for good.  Input-conditioned, the key is
+    the input's crc: a call with another input object hashes it, and another
+    crc replaces the scope, freeing the old input's rows.  A cold row is
+    filled from its count shape: the untrained value and the trained
+    log-probabilities of each distinct tuple of a row's counts, taken once
+    per scorer and kept.  Threads sharing a scorer read the scope once per
+    call and may rebuild a row another thread dropped, but never read a
+    wrong one: a ``rows`` dict belongs to one scope, so to one key.
     """
 
     def __init__(
@@ -177,7 +181,8 @@ class TableScorer(Scorer):
             if not (total < math.inf and self.alpha / total > 0):
                 raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
         self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
-        self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[int, np.ndarray]] = (None, None, {})
+        self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[TokenId, np.ndarray]] = (None, None, {})
+        self._shapes: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}  # count tuple -> (untrained, trained logs)
 
     def _build_row(self, ctx: int) -> np.ndarray:
         table = self.counts.get(ctx)
@@ -186,13 +191,19 @@ class TableScorer(Scorer):
                 self._uniform_row = np.full(self.vocab_size, -np.log(self.vocab_size))
                 self._uniform_row.flags.writeable = False
             return self._uniform_row
-        denom = sum(table.values()) + self.alpha * self.vocab_size
-        # the untrained share rides last in the same np.log call as the
-        # trained ones, so every entry is bit-identical to np.log(probs)
-        # taken over the whole row
-        logs = np.log((np.array([*table.values(), 0.0]) + self.alpha) / denom)
-        row = np.full(self.vocab_size, logs[-1])
-        row[list(table)] = logs[:-1]
+        shape = tuple(table.values())
+        cached = self._shapes.get(shape)
+        if cached is None:
+            # the untrained share rides last in the same np.log call as the
+            # trained ones, so every entry is bit-identical to np.log(probs)
+            # taken over the whole row
+            denom = sum(shape) + self.alpha * self.vocab_size
+            logs = np.log((np.array([*shape, 0.0]) + self.alpha) / denom)
+            cached = self._shapes[shape] = (float(logs[-1]), logs[:-1])
+        untrained, trained = cached
+        row = np.empty(self.vocab_size)
+        row.fill(untrained)
+        row.put(list(table), trained)
         row.flags.writeable = False
         return row
 
@@ -207,10 +218,10 @@ class TableScorer(Scorer):
             # a list can change in place, so it is hashed again on every call
             held = input_tokens if isinstance(input_tokens, tuple) else None
             self._scope = (held, key, rows)
-        ctx = _context(key, prefix[-1] if prefix else SOS)
-        row = rows.get(ctx)
+        prev = prefix[-1] if len(prefix) else SOS
+        row = rows.get(prev)
         if row is None:
-            row = rows[ctx] = self._build_row(ctx)
+            row = rows[prev] = self._build_row(_context(key, prev))
         return row
 
 
@@ -268,10 +279,12 @@ def _steps(
         logprobs = scorer.next_token_logprobs(input_tokens, seq[:i])
         value = float(logprobs[token])
         if not value <= 0.0:
-            raise ScorerError(
-                f"step {i}: scorer gave token {token} the value {value!r}; a log-probability is at most 0.0"
-            )
+            raise _bad_value(i, token, value)
         yield logprobs, value
+
+
+def _bad_value(step: int, token: TokenId, value: float) -> ScorerError:
+    return ScorerError(f"step {step}: scorer gave token {token} the value {value!r}; a log-probability is at most 0.0")
 
 
 def sequence_score(
@@ -294,14 +307,20 @@ def smoothed_nll(
 
     Per step: ``-(1 - eps) * log p(gold) - (eps / V) * sum_v log p(v)``, i.e.
     the smoothing mass is spread uniformly over all ``V`` classes, gold
-    included.  With ``eps == 0`` this equals ``-sequence_score``.
+    included.  With ``eps == 0`` this equals ``-sequence_score``.  With
+    ``eps > 0`` every value of a row is summed, so a value above 0.0, or
+    NaN, anywhere in it raises :class:`ScorerError`, naming the row's
+    largest value, or its first NaN.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ScorerError("epsilon must lie in [0, 1)")
     total = 0.0
-    for logprobs, value in _steps(scorer, input_tokens, target):
+    for i, (logprobs, value) in enumerate(_steps(scorer, input_tokens, target)):
         step = -(1.0 - epsilon) * value
         if epsilon > 0.0:
+            if not logprobs.max() <= 0.0:  # NaN fails too
+                worst = int(logprobs.argmax())  # the first NaN, if any
+                raise _bad_value(i, worst, float(logprobs[worst]))
             step -= (epsilon / scorer.vocab_size) * float(logprobs.sum())
         total += step
     return total

@@ -7,6 +7,7 @@ name/token mapping is exact in both directions.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from bisect import bisect_left
@@ -14,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from trie_decode.beam import Hypothesis, mask_logprobs
+from trie_decode.beam import Hypothesis, _top, mask_logprobs
 from trie_decode.catalog import Catalog, CatalogError
 from trie_decode.scoring import TableScorer
 from trie_decode.tasks import TaskError
@@ -188,6 +189,21 @@ def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypo
     length = (lambda h: len(h.tokens)) if config.length_normalize else (lambda h: 1)
     pool.sort(key=lambda h: (-(h.cum_logprob / length(h)), h.tokens))
     return pool[: config.k]
+
+
+def reference_order(logprobs, allowed, k):
+    """``beam._order`` as first written, the reference for it: the whole sorted row is gathered and searched."""
+    tokens = np.asarray(allowed, dtype=np.intp)
+    values = logprobs[tokens]
+    top = _top(tokens, values)
+    neg = -values.astype(np.float64)
+    order = np.lexsort((tokens, neg))
+    neg = neg[order]  # ascending
+    lo, hi = np.searchsorted(neg, neg[k - 1], "left"), np.searchsorted(neg, neg[k - 1], "right")
+    above = -float(neg[lo - 1]) if lo else math.inf
+    below = -float(neg[hi]) if hi < len(neg) else -math.inf
+    best = tuple(zip((-neg[:k]).tolist(), tokens[order[:k]].tolist()))
+    return best, -float(neg[k - 1]), above, below, top
 
 
 def reference_flag_window(left_len: int, right_len: int, budget: int) -> tuple[int, int]:

@@ -40,6 +40,7 @@ from helpers import (
     random_sequences,
     random_table_scorer,
     reference_beam_search,
+    reference_order,
 )
 
 
@@ -727,6 +728,41 @@ class TestCutMemo:
                 assert [(id(row), id(ids)) for row, ids in sorted_pairs] == first_sights
                 reused += len(met) - len(first_sights)
         assert reused > 0
+
+
+class TestOrder:
+    """``_order`` gathers only the head of its sort and still equals the reference, bit for bit."""
+
+    @staticmethod
+    def rows(rng, vocab_size):
+        base = float(rng.choice((-2.5, -7.0, -0.0, 0.0)))
+        yield np.full(vocab_size, base)  # all tied
+        peaks = np.full(vocab_size, base - 1.0)
+        peaks[rng.choice(vocab_size, size=4, replace=False)] = rng.choice((-0.5, -1.0), size=4)
+        yield peaks  # a few peaks, some of them tied
+        spread = -rng.random(vocab_size) * 4
+        spread[rng.choice(vocab_size, size=vocab_size // 3, replace=False)] = -np.inf
+        yield spread
+        yield -np.round(rng.random(vocab_size) * 3, 1)  # many small groups
+        yield peaks.astype(np.float32)
+        yield spread.astype(np.float32)
+        zeros = np.full(vocab_size, -np.inf)
+        zeros[rng.choice(vocab_size, size=3, replace=False)] = (0.0, -0.0, -1.0)
+        yield zeros
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_reference_at_every_k(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab_size = int(rng.integers(12, 40))
+        for row in self.rows(rng, vocab_size):
+            row.flags.writeable = False
+            for n in (2, 3, int(rng.integers(4, vocab_size - 2)), vocab_size - 2):
+                ids = np.sort(rng.choice(np.arange(2, vocab_size), size=n, replace=False))
+                ids.flags.writeable = False
+                for allowed in (tuple(ids.tolist()), ids):
+                    for k in range(1, n):
+                        got = beam._order(row, allowed, k)
+                        assert repr(got) == repr(reference_order(row, allowed, k)), (row, allowed, k)
 
 
 class FlatRows:

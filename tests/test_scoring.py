@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+from trie_decode import scoring
 from trie_decode.beam import BeamConfig, beam_search, rank_entities
 from trie_decode.scoring import (
     OracleScorer,
@@ -483,6 +484,78 @@ class TestTableScorerRows:
         assert wrong == []
 
 
+class TestTableScorerRowCache:
+    """A scope's rows are keyed by the previous token, and a cold row is filled from a cached count shape."""
+
+    def test_a_search_builds_a_row_and_a_context_once_per_previous_token(self, monkeypatch):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(43)
+        inputs = [tuple(int(t) for t in rng.integers(0, 2**32, size=3)) for _ in range(4)]
+        scorer = random_float_table(rng, vocab.size, inputs)
+        trie = build_trie(random_sequences(rng, vocab, size=40, max_len=4), vocab.size)
+        next_row, build_row, context = TableScorer.next_token_logprobs, TableScorer._build_row, scoring._context
+        prevs, built, contexts = [], [], []
+
+        def recorded_next_row(self, input_tokens, prefix):
+            prevs.append(prefix[-1] if prefix else SOS)
+            return next_row(self, input_tokens, prefix)
+
+        def recorded_build_row(self, ctx):
+            built.append(ctx)
+            return build_row(self, ctx)
+
+        def recorded_context(key, prev):
+            contexts.append(prev)
+            return context(key, prev)
+
+        monkeypatch.setattr(TableScorer, "next_token_logprobs", recorded_next_row)
+        monkeypatch.setattr(TableScorer, "_build_row", recorded_build_row)
+        monkeypatch.setattr(scoring, "_context", recorded_context)
+        for source in inputs:  # each input opens a new scope
+            for calls in (prevs, built, contexts):
+                calls.clear()
+            beam_search(scorer, source, trie, BeamConfig(k=4, max_steps=5))
+            assert len(prevs) > len(set(prevs))  # rows were met again
+            assert sorted(contexts) == sorted(set(prevs))
+            assert built == [reference_context(True, source, (prev,)) for prev in contexts]
+
+    def test_shapes_hold_the_untrained_value_and_the_trained_logs(self):
+        rng = np.random.default_rng(47)
+        vocab_size = 30
+        inputs = [(i, 3 * i) for i in range(5)]
+        scorer = random_float_table(rng, vocab_size, inputs)
+        trie = build_trie([(t,) for t in range(2, vocab_size)], vocab_size)
+        for source in inputs:
+            beam_search(scorer, source, trie, BeamConfig(k=3, max_steps=2))
+        assert scorer._shapes
+        assert set(scorer._shapes) <= {tuple(table.values()) for table in scorer.counts.values()}
+        for shape, (untrained, trained) in scorer._shapes.items():
+            assert type(untrained) is float
+            assert type(trained) is np.ndarray and trained.shape == (len(shape),)
+
+    def test_contexts_sharing_a_count_shape_share_one_entry_bit_for_bit(self):
+        counts = {1: {5: 2.0, 7: 1.5}, 2: {3: 2.0, 9: 1.5}, 3: {9: 2.0, 3: 1.5}, 4: {6: 2.0}}
+        scorer = TableScorer(counts, 0.3, 12)
+        for ctx in counts:
+            assert_same_bits(scorer.next_token_logprobs((), (ctx,)), reference_row(scorer, ctx))
+        assert sorted(scorer._shapes) == [(2.0,), (2.0, 1.5)]
+
+    @pytest.mark.parametrize("array_first", [False, True])
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "input-conditioned"])
+    def test_an_array_prefix_of_any_length_gets_the_tuple_row(self, conditioned, array_first):
+        scorer = train_table_scorer([((3,), (7, 8, EOS))], 0.5, 12, input_conditioned=conditioned)
+        source = (3,)
+        for prefix in [(), (7,), (7, 8)]:
+            array = np.array(prefix, dtype=np.intp)
+            if array_first:
+                row = scorer.next_token_logprobs(source, array)
+                assert scorer.next_token_logprobs(source, prefix) is row
+            else:
+                row = scorer.next_token_logprobs(source, prefix)
+                assert scorer.next_token_logprobs(source, array) is row
+            assert_same_bits(row, reference_row(scorer, reference_context(conditioned, source, prefix)))
+
+
 class TestNormalization:
     def test_logsumexp_zero_for_all_scorers(self):
         vocab = pool_vocabulary()
@@ -539,6 +612,9 @@ class TestSequenceScore:
         with pytest.raises(ScorerError, match=message):
             sequence_score(VectorScorer(vector), (), (7, EOS))
         with pytest.raises(ScorerError, match=message):
+            smoothed_nll(VectorScorer(vector), (), (7, EOS), 0.0)
+        # smoothing sums the whole row, and every step's row holds the bad value
+        with pytest.raises(ScorerError, match=message.replace(f"step {step}", "step 0")):
             smoothed_nll(VectorScorer(vector), (), (7, EOS), 0.1)
         vector[token] = -math.inf
         assert sequence_score(VectorScorer(vector), (), (7, EOS)) == -math.inf
@@ -631,6 +707,17 @@ class TestSmoothedNll:
         scorer = UniformScorer(9)
         with pytest.raises(ScorerError):
             smoothed_nll(scorer, (), (7, 8), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0])
+    def test_a_bad_value_anywhere_in_a_summed_row_is_refused(self, bad):
+        vector = np.full(9, -math.log(9))
+        vector[3] = bad  # not a gold id
+        scorer = VectorScorer(vector)
+        message = f"step 0: scorer gave token 3 the value {bad!r}; a log-probability is at most 0.0"
+        with pytest.raises(ScorerError, match=re.escape(message)):
+            smoothed_nll(scorer, (), (7, EOS), 0.1)
+        # without smoothing only the gold values are read
+        assert smoothed_nll(scorer, (), (7, EOS), 0.0) == pytest.approx(2 * math.log(9), abs=1e-12)
 
 
 class TestTableSerialization:
