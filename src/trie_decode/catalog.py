@@ -35,20 +35,27 @@ class EntityRecord(NamedTuple):
     tokens: tuple[TokenId, ...]
 
 
-def _word_ids(text: str, vocab: Vocabulary) -> list[TokenId] | None:
+def _word_ids(text: str, vocab: Vocabulary) -> array | None:
     """The ids of ``text``'s words, cut at single spaces, if ``text`` passes the name rule; else ``None``.
 
     The rule: no ``[ ] ( )``, tab or newline, and each word an ordinary
     token, so a blank, padded or double-spaced name, with its empty word,
-    fails.  A name passes exactly when it reads back from its tokens:
-    :func:`encode` gives these ids, and :func:`decode` joins their strings
-    with single spaces.  Names joined with single spaces pass exactly when
-    each one does, with the ids of each in turn.
+    fails.  The ids come back as an ``array('I')``, whose conversion is the
+    token check: a word that is no token looks up as ``None``, which the
+    array refuses with ``TypeError``.  A name passes exactly when it reads
+    back from its tokens: :func:`encode` gives these ids, and
+    :func:`decode` joins their strings with single spaces.  Names joined
+    with single spaces pass exactly when each one does, with the ids of
+    each in turn.
     """
     if "[" in text or "]" in text or "(" in text or ")" in text or "\t" in text or "\n" in text:
         return None
-    ids = list(map(vocab._table.get, text.split(" ")))
-    return None if None in ids else ids
+    ids = array("I")
+    try:
+        ids.fromlist(list(map(vocab._table.get, text.split(" "))))
+    except TypeError:
+        return None
+    return ids
 
 
 def _refusal(name: str, vocab: Vocabulary, line: int | None) -> CatalogError:
@@ -72,12 +79,13 @@ def make_record(name: str, vocab: Vocabulary, line: int | None = None) -> Entity
     return EntityRecord(name, tuple(tokens))
 
 
-def _name_blocks(source: str | Iterable[str], vocab: Vocabulary) -> Iterator[tuple[list[str], list[TokenId]]]:
+def _name_blocks(source: str | Iterable[str], vocab: Vocabulary) -> Iterator[tuple[list[str], array]]:
     """The rows of :func:`read_rows`, ``_BLOCK_ROWS`` at a time, as stripped names and their ids laid end to end.
 
-    A name has one id more than spaces.  A block's names, joined with single
-    spaces, pass :func:`_word_ids` in one call exactly when each one does; a
-    block that fails holds a refused name, so :func:`make_record` goes
+    The ids are one ``array('I')`` per block, and a name has one id more
+    than spaces.  A block's names, joined with single spaces, pass
+    :func:`_word_ids` in one call exactly when each one does; a block that
+    fails is empty or holds a refused name, and :func:`make_record` goes
     through it line by line and raises for the first.  The last block may
     be empty.  A read that fails yields the rows before its bad line first,
     so a refused name among them is named before the bad byte.
@@ -91,8 +99,10 @@ def _name_blocks(source: str | Iterable[str], vocab: Vocabulary) -> Iterator[tup
             error = exc
         names = [raw.strip() for _, raw in block]
         ids = _word_ids(" ".join(names), vocab)
-        if ids is None:  # raises for the block's first refused name
-            ids = [t for (line, _), name in zip(block, names) for t in make_record(name, vocab, line).tokens]
+        if ids is None:
+            for (line, _), name in zip(block, names):  # raises for the block's first refused name
+                make_record(name, vocab, line)
+            ids = array("I")  # the block was empty
         yield names, ids
         if error is not None:
             raise error
@@ -107,7 +117,7 @@ def _catalog_ids(source: str | Iterable[str], vocab: Vocabulary) -> tuple[array,
     """
     ids, lengths = array("I"), array("I")
     for names, block_ids in _name_blocks(source, vocab):
-        ids.fromlist(block_ids)
+        ids += block_ids
         lengths.fromlist([name.count(" ") + 1 for name in names])
     return ids, lengths
 
@@ -173,8 +183,8 @@ def load_catalog(source: str | Iterable[str], vocab: Vocabulary) -> tuple[Catalo
     """
     records: dict[str, EntityRecord] = {}
     duplicates = 0
-    for names, ids in _name_blocks(source, vocab):
-        end = 0
+    for names, block_ids in _name_blocks(source, vocab):
+        ids, end = block_ids.tolist(), 0  # a list slices to a tuple faster than an array
         for name in names:
             start, end = end, end + name.count(" ") + 1
             if name in records:

@@ -276,10 +276,11 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
     pairs of the sequences longer than ``d`` are sorted, and each run of
     equal pairs becomes one node of level ``d + 1``.  The sort puts them in
     level order with ascending siblings and merges duplicate names.  That
-    is one sort of at most ``len(sequences)`` pairs per depth, and as many
-    loop iterations as the longest sequence has tokens; everything else is
-    array arithmetic.  The packed arrays pass a file's checks, so a build
-    bug raises :class:`TrieFormatError`.
+    is one stable argsort per depth of at most ``len(sequences)`` narrow
+    integer keys, one per pair, and as many loop iterations as the longest
+    sequence has tokens; everything else is array arithmetic.  The packed
+    arrays pass a file's checks, so a build bug raises
+    :class:`TrieFormatError`.
 
     Raises:
         TrieError: on no sequences, an empty sequence, SOS or EOS, an id
@@ -305,11 +306,18 @@ def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) 
     """The trie of the sequences laid end to end in ``ids``, ``length[i]`` ids for sequence ``i``.
 
     ``ids`` is an integer array or buffer, read in place: ``build-trie``
-    passes an ``array('I')``, :func:`build_trie` int64.  Each level's
-    labels and ``first_child`` are stored as the file's ``<u4`` as they are
-    made.  The caller has checked what :func:`build_trie` checks: every
-    length is at least 1, no id is SOS, EOS or outside ``0 .. vocab_size -
-    1``, and ``vocab_size`` fits the u32 header.
+    passes an ``array('I')``, :func:`build_trie` int64.  Each depth sorts
+    once: one stable argsort of one key per pair, ``parent * vocab_size +
+    label``, in the narrowest unsigned type that holds ``hi * vocab_size``,
+    where the level ends before node ``hi``.  Both factors are u32, so a
+    key always fits 64 bits.  NumPy sorts keys of 16 bits or less (the
+    root of any vocabulary under 65,536 ids) by radix; below the root the
+    parents arrive sorted, so wider keys come in runs.  A new node's parent
+    and label are read back from its key.  Each level's labels and
+    ``first_child`` are stored as the file's ``<u4`` as they are made.  The
+    caller has checked what :func:`build_trie` checks: every length is at
+    least 1, no id is SOS, EOS or outside ``0 .. vocab_size - 1``, and
+    ``vocab_size`` fits the u32 header.
     """
     ids, length = np.asarray(ids), np.asarray(length, np.uint32)
     # per sequence still longer than ``depth``: its length, where it starts in
@@ -319,16 +327,23 @@ def _build_flat(ids: Sequence[TokenId], length: Sequence[int], vocab_size: int) 
     token, first, terminal = [np.zeros(1, "<u4")], [], [np.zeros(1, bool)]
     lo, hi, depth = 0, 1, 0  # the current level is nodes lo .. hi - 1
     while len(node):
-        order = np.lexsort((ids[start + depth], node))
-        parent, start, length = node[order], start[order], length[order]
-        label = ids[start + depth]
-        new = np.ones(len(order), bool)  # the first pair of each run is a new node
-        new[1:] = (parent[1:] != parent[:-1]) | (label[1:] != label[:-1])
+        # the ids are cast to the key's type: with int64 ids a uint64 sum would be float64
+        key_type = np.min_scalar_type(hi * vocab_size)
+        key = np.multiply(node, vocab_size, dtype=key_type)
+        np.add(key, ids[start + depth], out=key, dtype=key_type, casting="unsafe")
+        # the trie does not depend on the order within a run of equal keys;
+        # "stable" picks radix sort for narrow keys and a merge of runs for wide ones
+        order = np.argsort(key, kind="stable")
+        key, start, length = key[order], start[order], length[order]
+        del order
+        new = np.ones(len(key), bool)  # the first pair of each run is a new node
+        new[1:] = key[1:] != key[:-1]
         child = hi - 1 + np.cumsum(new, dtype=np.uint32)
         top = int(child[-1]) + 1
-        fanout = np.bincount(parent[new] - lo, minlength=hi - lo)
+        parent, label = np.divmod(key[new], vocab_size)
+        fanout = np.bincount((parent - lo).astype(np.intp), minlength=hi - lo)
         first.append((hi + np.cumsum(fanout) - fanout).astype("<u4"))
-        token.append(label[new].astype("<u4"))
+        token.append(label.astype("<u4"))
         ends = length == depth + 1
         level_terminal = np.zeros(top - hi, bool)
         level_terminal[child[ends] - hi] = True

@@ -1,5 +1,6 @@
 """Catalog loading, validation, and cold-start insertion."""
 
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -307,7 +308,7 @@ class TestOneCompiler:
         # a table that would take the word, so the refusal does not lean on the vocabulary's own checks
         word = f"a{char}b"
         table = SimpleNamespace(_table={word: 7, "a": 8})
-        assert _word_ids("a a", table) == [8, 8]
+        assert _word_ids("a a", table) == array("I", [8, 8])
         assert _word_ids(word, table) is None
         assert _word_ids(f"a {word}", table) is None
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,9 +55,9 @@ class TestBuildTrie:
 
     def test_rebuild_is_byte_identical(self, cli_files, capsys):
         build(cli_files)
-        first = open(cli_files["trie"], "rb").read()
+        first = Path(cli_files["trie"]).read_bytes()
         build(cli_files)
-        assert open(cli_files["trie"], "rb").read() == first
+        assert Path(cli_files["trie"]).read_bytes() == first
 
     def test_empty_catalog_fails_nonzero(self, cli_files, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -167,7 +168,7 @@ class TestBuildTrie:
         code = main(["build-trie", str(deduplicated), "--vocab", cli_files["vocab"], "--out", str(reference)])
         assert code == 0
         assert capsys.readouterr().err == ""
-        assert open(cli_files["trie"], "rb").read() == reference.read_bytes()
+        assert Path(cli_files["trie"]).read_bytes() == reference.read_bytes()
 
     def test_a_bad_name_after_a_duplicate_names_its_own_line(self, cli_files, tmp_path, capsys):
         catalog = tmp_path / "bad-after-duplicate.txt"
@@ -979,7 +980,7 @@ class TestDatasetRunner:
         records[0]["predictions"][0].update(raw_logprob=-math.inf, normalized_score=-3)
         with open(dump, "w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(record) + "\n" for record in records)
-        assert "-Infinity" in open(dump, encoding="utf-8").read()
+        assert "-Infinity" in Path(dump).read_text(encoding="utf-8")
         assert main(self._argv(cli_files, datasets, "eval-ed-dump")) == 0
         assert capsys.readouterr().out == in_process
 

@@ -106,21 +106,24 @@ class TestBuild:
 
     def test_flat_build_traces_at_most_64_bytes_a_name(self):
         # build-trie's u32 arrays for 200k seeded names over a small vocabulary, so the
-        # level loop, not the trie, sets the peak: only ``start`` and the sort order are
-        # 64-bit per name, the node, length and child arrays 32-bit (all 64-bit read 74)
+        # level loop, not the trie, sets the peak: only ``start``, the sort key and the
+        # sort order are up to 64-bit per name, the node, length and child arrays 32-bit
+        # (all 64-bit read 74).  A vocabulary of 2**31 ids makes every key below the
+        # root 64-bit.
         vocab = pool_vocabulary()
         rng = np.random.default_rng(89)
         length = rng.integers(1, 6, size=200_000, dtype=np.uint32)
         ids = rng.integers(vocab.ordinary_base, vocab.size, size=int(length.sum()), dtype=np.uint32)
         ids, length = array("I", ids.tobytes()), array("I", length.tobytes())
-        tracemalloc.start()
-        try:
-            trie = _build_flat(ids, length, vocab.size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert trie.node_count > 50_000
-        assert peak <= 64 * len(length)
+        for vocab_size in (vocab.size, 2**31):
+            tracemalloc.start()
+            try:
+                trie = _build_flat(ids, length, vocab_size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert trie.node_count > 50_000
+            assert peak <= 64 * len(length)
 
     def test_integer_like_ids_build_the_plain_int_trie(self):
         seqs = [(7, 8), (9,), (7,)]
@@ -153,6 +156,22 @@ class TestReferenceBuild:
             seqs += [s[: int(rng.integers(1, len(s) + 1))] for s in seqs[: int(rng.integers(0, 6))]]
             rng.shuffle(seqs)
             self.assert_same(seqs, vocab.size)
+
+    @pytest.mark.parametrize("vocab_size", [300, 70_000, 2**32 - 1])
+    def test_every_sort_key_width(self, vocab_size):
+        # each level sorts one key, ``parent * vocab_size + label``, in the narrowest
+        # type that holds it: 300 ids make 16-bit keys at the root and 32-bit ones once
+        # the levels built hold 219 nodes, 70,000 ids 32-bit keys throughout, and
+        # 2**32 - 1 ids 64-bit keys below the root.  A small label pool that holds the largest id
+        # gives every parent equal labels to tell apart.
+        rng = np.random.default_rng(vocab_size % 997)
+        pool = [2, 3, 7, vocab_size // 2, vocab_size - 2, vocab_size - 1]
+        for _ in range(12):
+            seqs = [
+                tuple(int(t) for t in rng.choice(pool, size=int(rng.integers(1, 7))))
+                for _ in range(int(rng.integers(1, 400)))
+            ]
+            self.assert_same(seqs, vocab_size)
 
     def test_one_name_catalogs(self):
         vocab = pool_vocabulary()
