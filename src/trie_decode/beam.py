@@ -286,35 +286,34 @@ def _memo_cut(
     ``bar`` is the largest key ``-(cum + value)`` of the ``k`` ids an earlier
     parent of this step kept.  Those ``k`` win every tie on rank, so a
     parent whose best value ``top`` has ``-(cum + top) >= bar`` keeps
-    nothing and is not sorted; ``top`` is read by :func:`_top`, bar or no bar.
+    nothing and is not sorted.
 
     ``cuts`` reuses an earlier sort of the same ``(logprobs, allowed)`` pair.
     It is keyed by the ``id()`` of both objects of a pair that promises not
     to change (a read-only row; a tuple or an owned read-only array of ids),
     and holds both, so no other object can take those ``id()`` values while
-    it lives.  Any other pair, a trie's fresh view or a list, is cut and not
-    recorded.  A pair is sorted on first sight by ``(-logprob, id)``,
-    keeping its best ``k`` ids with their values, the ``k``-th value ``v``,
-    the nearest distinct values above and below ``v``'s group (infinite where
-    there is none) and ``top``.  ``x -> fl(cum + x)`` is monotone, so the
-    best ``k`` at ``cum`` are those ids unless rounding merges a neighbour
-    into ``v``'s group; where the rounded sums do not keep all three apart,
-    the exact sort runs instead.
+    it lives.  On first sight the row is gathered and :func:`_top` read
+    once; any other pair, a trie's fresh view or a list, is then cut and not
+    recorded, and one that promises is recorded with ``top`` and its
+    :func:`_order`.  ``x -> fl(cum + x)`` is monotone, so the best ``k`` at
+    ``cum`` are those of the order unless rounding merges a neighbour into
+    the ``k``-th value's group; where the rounded sums do not keep all three
+    apart, the exact sort runs instead.
     """
     key = id(logprobs), id(allowed)
     seen = cuts.get(key)
     if seen is None:
+        tokens = np.asarray(allowed, dtype=np.intp)
+        values = logprobs[tokens]
+        top = _top(tokens, values)
         if type(logprobs) is not np.ndarray or logprobs.flags.writeable or not (type(allowed) is tuple or (
             type(allowed) is np.ndarray and not allowed.flags.writeable and allowed.flags.owndata
         )):
-            tokens = np.asarray(allowed, dtype=np.intp)
-            values = logprobs[tokens]
-            top = _top(tokens, values)
             if bar is not None and -(cum + top) >= bar:
                 return None
             return _cut(tokens, values, cum, k)
-        seen = cuts[key] = (logprobs, allowed, *_order(logprobs, allowed, k))
-    best, value, above, below, top = seen[2:]
+        seen = cuts[key] = (logprobs, allowed, top, *_order(tokens, values, k))
+    top, best, value, above, below = seen[2:]
     if bar is not None and -(cum + top) >= bar:
         return None
     if cum + above > cum + value > cum + below:
@@ -324,26 +323,19 @@ def _memo_cut(
 
 
 def _order(
-    logprobs: np.ndarray, allowed: Sequence[TokenId] | np.ndarray, k: int
-) -> tuple[tuple[tuple[float, TokenId], ...], float, float, float, float]:
-    """The best ``k`` ``(logprob, id)`` pairs under ``(-logprob, id)``, and four values.
+    tokens: np.ndarray, values: np.ndarray, k: int
+) -> tuple[tuple[tuple[float, TokenId], ...], float, float, float]:
+    """:func:`_cut` at ``cum`` 0.0, and the ``k``-th value with its nearest distinct neighbours above and below.
 
-    They are the ``k``-th value, its nearest distinct neighbours above and
-    below, and the top, the best value, read by :func:`_top`.  Only the
-    head of the sort is gathered: every value above the ``k``-th lies in it,
-    and the one below is the least key past the ``k``-th's.
+    ``-0.0 - x`` is ``-x`` bit for bit, so the cut is the order under
+    ``(-value, id)``.  A neighbour is infinite where there is none; the
+    one above lies in the cut.
     """
-    tokens = np.asarray(allowed, dtype=np.intp)
-    values = logprobs[tokens]
-    top = _top(tokens, values)
-    neg = -values.astype(np.float64)
-    head = np.lexsort((tokens, neg))[:k]
-    keys = neg[head].tolist()  # ascending
-    v = keys[-1]
-    above = next((-x for x in reversed(keys) if x < v), math.inf)
-    past = neg[neg > v]
-    below = -float(past.min()) if len(past) else -math.inf
-    return tuple(zip([-x for x in keys], tokens[head].tolist())), -v, above, below, top
+    best = tuple(_cut(tokens, values, 0.0, k))
+    v = best[-1][0]
+    above = next((x for x, _ in reversed(best) if x > v), math.inf)
+    past = values[values < v]
+    return best, v, above, float(past.max()) if len(past) else -math.inf
 
 
 def _final_score(tokens: tuple[TokenId, ...], cum_logprob: float, length_normalize: bool) -> float:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_rows
+from .vocab import InputError, TokenId, Vocabulary, decode, encode, read_lines, read_rows
 
 RESERVED_NAME_CHARS = frozenset("[]()")
-# catalog lines :func:`_name_blocks` compiles per block: larger blocks cost
+# catalog lines, blank ones too, :func:`_name_blocks` takes per block: larger blocks cost
 # memory for the joined text, smaller ones a call each
-_BLOCK_ROWS = 1024
+_BLOCK_LINES = 1024
 
 
 class CatalogError(InputError):
@@ -80,33 +80,33 @@ def make_record(name: str, vocab: Vocabulary, line: int | None = None) -> Entity
 
 
 def _name_blocks(source: str | Iterable[str], vocab: Vocabulary) -> Iterator[tuple[list[str], array]]:
-    """The rows of :func:`read_rows`, ``_BLOCK_ROWS`` at a time, as stripped names and their ids laid end to end.
+    """The stripped names of :func:`read_lines`' non-blank lines, per ``_BLOCK_LINES`` lines, and their ids.
 
-    The ids are one ``array('I')`` per block, and a name has one id more
-    than spaces.  A block's names, joined with single spaces, pass
-    :func:`_word_ids` in one call exactly when each one does; a block that
-    fails is empty or holds a refused name, and :func:`make_record` goes
-    through it line by line and raises for the first.  The last block may
-    be empty.  A read that fails yields the rows before its bad line first,
-    so a refused name among them is named before the bad byte.
+    The ids are one ``array('I')`` per block, laid end to end, a name's one
+    more than its spaces.  A block's names, joined with single spaces, pass
+    :func:`_word_ids` in one call exactly when each one does; else
+    :func:`make_record` raises for its first refused name, if any.  A read
+    that fails yields the lines before its bad one first, so a refused name
+    among them is named before the bad byte.
     """
-    rows = read_rows(source)
+    lines = enumerate(read_lines(source), 1)
     while True:
         block, error = [], None
         try:
-            block.extend(islice(rows, _BLOCK_ROWS))
+            block.extend(islice(lines, _BLOCK_LINES))
         except InputError as exc:
             error = exc
-        names = [raw.strip() for _, raw in block]
+        names = [name for _, raw in block if (name := raw.strip())]
         ids = _word_ids(" ".join(names), vocab)
         if ids is None:
-            for (line, _), name in zip(block, names):  # raises for the block's first refused name
-                make_record(name, vocab, line)
-            ids = array("I")  # the block was empty
+            for line, raw in block:  # raises for the block's first refused name
+                if name := raw.strip():
+                    make_record(name, vocab, line)
+            ids = array("I")  # the block has no name
         yield names, ids
         if error is not None:
             raise error
-        if len(block) < _BLOCK_ROWS:
+        if len(block) < _BLOCK_LINES:
             return
 
 

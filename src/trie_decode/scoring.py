@@ -19,7 +19,6 @@ import sys
 import zlib
 from abc import ABC, abstractmethod
 from array import array
-from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -355,9 +354,8 @@ def load_table_scorer(path: str) -> TableScorer:
         raise ScorerError(f"bad header: {exc}") from None
 
     def entries() -> Iterator[_Entry]:
-        # the rows after line 1, the header, put back so that the lines keep their numbers: it parsed, so it
-        # is not blank and is the one row skipped
-        for lineno, raw in islice(read_rows(chain([header], lines)), 1, None):
+        for lineno, raw in read_rows(lines):
+            lineno += 1  # line 1 is the header
             parts = raw.split("\t")
             if len(parts) != 3:
                 raise ScorerError("expected `ctx TAB token TAB count`", lineno)

@@ -192,7 +192,7 @@ def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypo
 
 
 def reference_order(logprobs, allowed, k):
-    """``beam._order`` as first written, the reference for it: the whole sorted row is gathered and searched."""
+    """``beam._order`` as first written, with ``top`` last, the reference for it: the whole sorted row is searched."""
     tokens = np.asarray(allowed, dtype=np.intp)
     values = logprobs[tokens]
     top = _top(tokens, values)

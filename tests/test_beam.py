@@ -552,25 +552,21 @@ class RowPerStep:
 def sorts(monkeypatch):
     """Counts of wide parents (``wide``) and of the exact sorts run for them (``exact``) during a test.
 
-    An exact sort is a ``_cut`` call or the ``_order`` of a pair the memo records.
+    An exact sort is a ``_cut`` call, the one in the ``_order`` of a pair the memo records included.
     """
     counts = {"wide": 0, "exact": 0}
-    memo_cut, cut, order = beam._memo_cut, beam._cut, beam._order
+    memo_cut, cut = beam._memo_cut, beam._cut
 
     def counted_memo_cut(*args):
         counts["wide"] += 1
         return memo_cut(*args)
 
-    def counted(sort):
-        def run(*args):
-            counts["exact"] += 1
-            return sort(*args)
-
-        return run
+    def counted_cut(*args):
+        counts["exact"] += 1
+        return cut(*args)
 
     monkeypatch.setattr(beam, "_memo_cut", counted_memo_cut)
-    monkeypatch.setattr(beam, "_cut", counted(cut))
-    monkeypatch.setattr(beam, "_order", counted(order))
+    monkeypatch.setattr(beam, "_cut", counted_cut)
     return counts
 
 
@@ -702,17 +698,22 @@ class TestCutMemo:
         ordinary = list(range(vocab.ordinary_base, vocab.size))
         memo_cut, order = beam._memo_cut, beam._order
         met, sorted_pairs = [], []  # (row, ids) pairs, held, so no two live ones share their id()s
+        orders = [0]
 
         def recorded_memo_cut(cuts, logprobs, allowed, *rest):
             met.append((logprobs, allowed))
-            return memo_cut(cuts, logprobs, allowed, *rest)
+            recorded = len(cuts)
+            cut = memo_cut(cuts, logprobs, allowed, *rest)
+            if len(cuts) > recorded:
+                sorted_pairs.append((logprobs, allowed))
+            return cut
 
-        def recorded_order(logprobs, allowed, k):
-            sorted_pairs.append((logprobs, allowed))
-            return order(logprobs, allowed, k)
+        def counted_order(*args):
+            orders[0] += 1
+            return order(*args)
 
         monkeypatch.setattr(beam, "_memo_cut", recorded_memo_cut)
-        monkeypatch.setattr(beam, "_order", recorded_order)
+        monkeypatch.setattr(beam, "_order", counted_order)
         reused = 0
         for _ in range(6):
             trie = build_trie(random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3), vocab.size)
@@ -721,17 +722,19 @@ class TestCutMemo:
             for k in (1, 2, 3):
                 met.clear()
                 sorted_pairs.clear()
+                orders[0] = 0
                 config = BeamConfig(k, 60, length_normalize=False)
                 got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
                 assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
                 first_sights = list(dict.fromkeys((id(row), id(ids)) for row, ids in met))
                 assert [(id(row), id(ids)) for row, ids in sorted_pairs] == first_sights
+                assert orders[0] == len(first_sights)
                 reused += len(met) - len(first_sights)
         assert reused > 0
 
 
 class TestOrder:
-    """``_order`` gathers only the head of its sort and still equals the reference, bit for bit."""
+    """``_order``, the cut at ``cum`` 0.0 and its ``k``-th value's neighbours, equals the reference bit for bit."""
 
     @staticmethod
     def rows(rng, vocab_size):
@@ -760,9 +763,10 @@ class TestOrder:
                 ids = np.sort(rng.choice(np.arange(2, vocab_size), size=n, replace=False))
                 ids.flags.writeable = False
                 for allowed in (tuple(ids.tolist()), ids):
+                    tokens = np.asarray(allowed, dtype=np.intp)
                     for k in range(1, n):
-                        got = beam._order(row, allowed, k)
-                        assert repr(got) == repr(reference_order(row, allowed, k)), (row, allowed, k)
+                        got = beam._order(tokens, row[tokens], k)
+                        assert repr(got) == repr(reference_order(row, allowed, k)[:4]), (row, allowed, k)
 
 
 class FlatRows:
@@ -935,13 +939,14 @@ class TestScorerValues:
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_bad_value_in_a_recorded_pair_raises(self, bad, k, sorts):
-        # a read-only row and a tuple of ids: the memo records the pair and sorts it
+        # a read-only row and a tuple of ids: the memo would record the pair,
+        # but the value is refused on first sight, before any sort
         row = np.full(12, -2.0)
         row[8] = bad
         scorer = RowPerStep([read_only(row), np.full(12, -2.0)])
         with pytest.raises(BeamError, match=self.message(8, bad)):
             beam_search(scorer, (), Chain([(7, 8, 9, 10)]), BeamConfig(k, 2))
-        assert sorts == {"wide": 1, "exact": 1}
+        assert sorts == {"wide": 1, "exact": 0}
 
     def test_minus_inf_is_a_log_probability(self):
         root = np.full(12, -2.0)

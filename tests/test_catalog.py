@@ -8,7 +8,7 @@ import pytest
 
 from trie_decode.beam import BeamConfig, rank_entities
 from trie_decode.catalog import (
-    _BLOCK_ROWS,
+    _BLOCK_LINES,
     CandidateSet,
     Catalog,
     CatalogError,
@@ -232,29 +232,37 @@ class TestReadBack:
         assert sorted(entry.name for entry in ranking) == sorted(catalog.names())
 
 
-def seeded_catalog_lines(seed: int, rows: int) -> list[str]:
-    """``rows`` catalog rows of pool words, with blank, whitespace-only and padded lines.
+# the four lines from two before block edge k: at odd k a name and its repeat
+# sit either side of the edge, at even k they hold two blank lines between them
+_EDGE_LINES = (("name", "", "", "repeat"), (None, "name", "repeat", None))
 
-    About one row in five repeats an earlier name, some the row just before
-    (a repeat inside one block), others any row (mostly across blocks).  The
-    last row of each block and the first of the next hold the same name of
-    four words, so a block edge falls between a name and its repeat.
+
+def seeded_catalog_lines(seed: int, count: int) -> list[str]:
+    """``count`` catalog lines of pool words: names, some padded, among blank and whitespace-only lines.
+
+    About one name in five repeats an earlier one, some the name just before
+    (a repeat inside one block), others any name (mostly across blocks).  At
+    each block edge a name of four words and its repeat sit on either side,
+    as :data:`_EDGE_LINES` places them.
     """
     rng = np.random.default_rng(seed)
     names: list[str] = []
     lines: list[str] = []
-    for row in range(rows):
-        if row % _BLOCK_ROWS == _BLOCK_ROWS - 1:
+    while len(lines) < count:
+        edge, at = divmod(len(lines) + 2, _BLOCK_LINES)
+        step = _EDGE_LINES[edge % 2][at] if edge and at < 4 else None
+        if step == "" or step is None and rng.random() < 0.1:
+            lines.append(str(rng.choice(["", " ", "\t", " \t  "])))
+            continue
+        if step == "name":
             name = " ".join(rng.choice(WORD_POOL, size=4))
-        elif row % _BLOCK_ROWS == 0 and row:
+        elif step == "repeat":
             name = names[-1]
         elif names and rng.random() < 0.2:
             name = names[-1] if rng.random() < 0.3 else names[int(rng.integers(len(names)))]
         else:
             name = " ".join(rng.choice(WORD_POOL, size=int(rng.integers(1, 5))))
         names.append(name)
-        while rng.random() < 0.1:
-            lines.append(str(rng.choice(["", " ", "\t", " \t  "])))
         lines.append(f" {name}\t " if rng.random() < 0.2 else name)
     return lines
 
@@ -262,10 +270,11 @@ def seeded_catalog_lines(seed: int, rows: int) -> list[str]:
 class TestOneCompiler:
     """``load_catalog`` and ``build-trie`` compile names in blocks, each against the per-line rule."""
 
-    @pytest.mark.parametrize("rows", [3 * _BLOCK_ROWS + 500, 4 * _BLOCK_ROWS, _BLOCK_ROWS, 1, 0])
+    @pytest.mark.parametrize("rows", [3 * _BLOCK_LINES + 500, 4 * _BLOCK_LINES, _BLOCK_LINES, 1, 0])
     def test_load_agrees_with_the_reference(self, rows):
         vocab = pool_vocabulary()
         lines = seeded_catalog_lines(rows, rows)
+        assert len(lines) == rows
         catalog, duplicates = load_catalog(lines, vocab)
         expected, expected_duplicates = reference_load_catalog(lines, vocab)
         assert [(record.name, record.tokens) for record in catalog] == list(expected.items())
@@ -288,12 +297,11 @@ class TestOneCompiler:
     )
     def test_a_refused_name_in_block_two_names_its_line(self, name, message):
         vocab = pool_vocabulary()
-        lines = seeded_catalog_lines(7, _BLOCK_ROWS + 30)
+        lines = seeded_catalog_lines(7, _BLOCK_LINES + 30)
         lines[-10:-10] = ["", name, "alpha [beta]"]  # the first of two refused names raises
         line = len(lines) - 11
-        block_one_end = [i for i, text in enumerate(lines) if text.strip()][_BLOCK_ROWS - 1]
-        assert reference_load_catalog(lines[: block_one_end + 1], vocab)[1] > 0
-        assert line > block_one_end + 1
+        assert reference_load_catalog(lines[:_BLOCK_LINES], vocab)[1] > 0  # block one holds a repeat
+        assert line > _BLOCK_LINES
         for load in (load_catalog, _catalog_ids, reference_load_catalog):
             with pytest.raises(CatalogError) as err:
                 load(lines, vocab)

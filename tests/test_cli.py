@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trie_decode.catalog import _BLOCK_ROWS, CatalogError
+from trie_decode.catalog import _BLOCK_LINES, CatalogError
 from trie_decode.cli import main
 from trie_decode.markup import parse_markup
 from trie_decode.metrics import ed_accuracy
@@ -209,7 +209,7 @@ class TestBuildTrieBlocks:
     def random_lines(rng):
         """About 3,600 lines: names of 1-4 pool words, some padded or repeated, among blank lines."""
         lines, names = [], []
-        while len(names) < 3 * _BLOCK_ROWS + 300:
+        while len(names) < 3 * _BLOCK_LINES + 300:
             roll = rng.random()
             if roll < 0.05:
                 lines.append(str(rng.choice(["", " ", "\t", "  \t "])))
@@ -260,8 +260,7 @@ class TestBuildTrieBlocks:
     @pytest.mark.parametrize("kind", BAD_NAMES)
     def test_a_bad_line_fails_as_the_reference(self, tmp_path, capsys, kind):
         lines = self.random_lines(np.random.default_rng(sorted(self.BAD_NAMES).index(kind)))
-        rows = [i for i, line in enumerate(lines) if line.strip()]
-        for at in (0, rows[_BLOCK_ROWS - 1], rows[_BLOCK_ROWS], len(lines) - 1):
+        for at in (0, _BLOCK_LINES - 1, _BLOCK_LINES, len(lines) - 1):  # the ends of the first block of lines
             bad = list(lines)
             bad[at] = self.BAD_NAMES[kind]
             code, _, err, _ = self.assert_same(bad, tmp_path, capsys)

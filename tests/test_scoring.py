@@ -760,6 +760,8 @@ class TestTableSerialization:
         [
             # the constructor meets context 5's bad count first; line 3's bad token comes first in the file
             ("5\t7\t1\n0\t99\t1\n\n5\t8\t-1\n", "line 3: token id 99 out of range"),
+            # a blank line keeps its number
+            ("5\t7\t1\n\n0\t99\t1\n", "line 4: token id 99 out of range"),
             ("5\t7\t1\n5\t8\tnan\n", "line 3: count must be non-negative and finite, got nan"),
             ("0\t7\t1\n-1\t7\t1\n", "line 3: context -1 is outside 0..8, so no step can reach it"),
             # each line is checked before it is summed, so a later line cannot make up for a bad one
@@ -767,7 +769,10 @@ class TestTableSerialization:
             ("0\t7\t1e308\n0\t7\t-1e308\n0\t8\t1\n",
              "line 3: count must be non-negative and finite, got -1e+308"),
         ],
-        ids=["first-in-file-order", "nan-count", "unreachable-context", "made-up-later", "cancelled-to-zero"],
+        ids=[
+            "first-in-file-order", "after-a-blank-line", "nan-count", "unreachable-context", "made-up-later",
+            "cancelled-to-zero",
+        ],
     )
     def test_refused_entry_names_its_first_line(self, tmp_path, entries, message):
         path = tmp_path / "bad.tsv"
