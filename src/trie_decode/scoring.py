@@ -15,10 +15,13 @@ tiny hand-built distributions usable in tests and oracles.
 from __future__ import annotations
 
 import math
+import re
 import sys
 import zlib
 from abc import ABC, abstractmethod
 from array import array
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -129,6 +132,12 @@ class TableScorer(Scorer):
     that is not iterable, or holds an id that is not an integer or not in u32,
     raises :class:`ScorerError`.  A context id no step can reach is rejected.
 
+    The counts are kept as one flat table: ``_tokens`` and ``_values``
+    arrays grouped by context, ascending, each context's ids in the order
+    first seen, with ``_rows`` giving a context's row number and
+    ``_bounds[r]:_bounds[r + 1]`` its row's slice.  :attr:`counts` is a
+    ``{ctx: {token: count}}`` view of it, built on first read.
+
     Rows are built on first use into one scope, an ``(input, key, rows)``
     triple, with ``rows`` keyed by the previous token; the context id is
     worked out only to build a missing row.  Unconditioned, the key is None
@@ -152,8 +161,8 @@ class TableScorer(Scorer):
         entries = ((None, ctx, token, count) for ctx, row in counts.items() for token, count in row.items())
         self._count(entries, alpha, vocab_size, input_conditioned)
 
-    def _count(self, entries: Iterable[_Entry], alpha: float, vocab_size: int, input_conditioned: bool) -> None:
-        """Check the header; check each entry, naming its line, and sum its nonzero count; then check each row."""
+    def _header(self, alpha: float, vocab_size: int, input_conditioned: bool) -> int:
+        """Check and keep the header, clear the caches, and return the largest context id a step can reach."""
         # plain comparisons, which NaN fails
         if not 0 < alpha < math.inf:
             raise ScorerError(f"alpha must be positive and finite, got {alpha!r}")
@@ -162,8 +171,15 @@ class TableScorer(Scorer):
         self.vocab_size = vocab_size
         self.alpha = float(alpha)
         self.input_conditioned = input_conditioned
-        self.counts: dict[int, dict[TokenId, float]] = {}
-        top = 0x7FFFFFFF if input_conditioned else vocab_size - 1
+        self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
+        self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[TokenId, np.ndarray]] = (None, None, {})
+        self._shapes: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}  # count tuple -> (untrained, trained logs)
+        return 0x7FFFFFFF if input_conditioned else vocab_size - 1
+
+    def _count(self, entries: Iterable[_Entry], alpha: float, vocab_size: int, input_conditioned: bool) -> None:
+        """Check the header; check each entry, naming its line, and sum its nonzero count; then check each row."""
+        top = self._header(alpha, vocab_size, input_conditioned)
+        counts: dict[int, dict[TokenId, float]] = {}
         for line, ctx, token, count in entries:
             if not 0 <= ctx <= top:
                 raise ScorerError(f"context {ctx} is outside 0..{top}, so no step can reach it", line)
@@ -172,25 +188,77 @@ class TableScorer(Scorer):
             if not 0 <= count < math.inf:
                 raise ScorerError(f"count must be non-negative and finite, got {count!r}", line)
             if count:
-                row = self.counts.setdefault(int(ctx), {})
+                row = counts.setdefault(int(ctx), {})
                 token = int(token)
                 row[token] = row.get(token, 0.0) + float(count)
-        for ctx, row in self.counts.items():
+        for ctx, row in counts.items():
             total = sum(row.values()) + self.alpha * vocab_size
             if not (total < math.inf and self.alpha / total > 0):
                 raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
-        self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
-        self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[TokenId, np.ndarray]] = (None, None, {})
-        self._shapes: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}  # count tuple -> (untrained, trained logs)
+        ctxs = sorted(counts)
+        try:
+            ctx_ids = np.repeat(np.array(ctxs, np.int64), [len(counts[ctx]) for ctx in ctxs])
+            tokens = np.array([token for ctx in ctxs for token in counts[ctx]], np.int64)
+        except OverflowError:  # only a vocabulary of more ids than any row can hold has such an id
+            raise ScorerError("a context or token id does not fit in a signed 64-bit int") from None
+        self._store(ctx_ids, tokens, np.array([c for ctx in ctxs for c in counts[ctx].values()], np.float64))
+
+    def _fill(self, columns: np.ndarray, top: int) -> bool:
+        """Keep the ``(ctx, token, count)`` records ``columns``, in file order, if they pass :meth:`_count`'s checks.
+
+        The checks are array reductions: False, with nothing kept, if any
+        record is out of range, a nonzero ``(ctx, token)`` key repeats, or a
+        row's total may leave the floats.
+        """
+        ctx, tokens, values = columns["ctx"], columns["token"], columns["count"]
+        if len(columns) and (
+            int(ctx.min()) < 0 or int(ctx.max()) > top or int(tokens.min()) < 0
+            or int(tokens.max()) >= self.vocab_size or not np.all((values >= 0) & (values < np.inf))
+        ):
+            return False
+        kept = np.flatnonzero(values)
+        order = kept[np.argsort(ctx[kept], kind="stable")]
+        ctx, tokens, values = ctx[order], tokens[order], values[order]
+        # saved rows list their ids ascending, so the sort that finds a repeat is seldom needed
+        if np.any((ctx[1:] == ctx[:-1]) & (tokens[1:] <= tokens[:-1])):
+            key = np.lexsort((tokens, ctx))
+            if np.any((ctx[key][1:] == ctx[key][:-1]) & (tokens[key][1:] == tokens[key][:-1])):
+                return False
+        if len(values):
+            with np.errstate(over="ignore"):  # an overflowing row is refused just below
+                totals = np.add.reduceat(values, np.flatnonzero(np.diff(ctx, prepend=-1)))
+            # a float sum in another order is far closer than a factor of 2 to the per-line one
+            worst = 2 * (float(totals.max()) + self.alpha * self.vocab_size)
+            if not (worst < math.inf and self.alpha / worst > 0):
+                return False
+        self._store(ctx, tokens, values)
+        return True
+
+    def _store(self, ctx: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> None:
+        """Keep checked counts, grouped by ascending ``ctx``, as the flat table."""
+        starts = np.flatnonzero(np.diff(ctx, prepend=-1))
+        self._rows = dict(zip(ctx[starts].tolist(), range(len(starts))))
+        self._bounds = [*starts.tolist(), len(ctx)]  # a list, whose items read faster than an array's
+        self._tokens, self._values = tokens, values
+
+    @cached_property
+    def counts(self) -> dict[int, dict[TokenId, float]]:
+        """``{ctx: {token: count}}`` of the nonzero summed counts, built from the flat table on first read."""
+        tokens, values, bounds = self._tokens.tolist(), self._values.tolist(), self._bounds
+        return {
+            ctx: dict(zip(tokens[bounds[r] : bounds[r + 1]], values[bounds[r] : bounds[r + 1]]))
+            for ctx, r in self._rows.items()
+        }
 
     def _build_row(self, ctx: int) -> np.ndarray:
-        table = self.counts.get(ctx)
-        if table is None:
+        r = self._rows.get(ctx)
+        if r is None:
             if self._uniform_row is None:
                 self._uniform_row = np.full(self.vocab_size, -np.log(self.vocab_size))
                 self._uniform_row.flags.writeable = False
             return self._uniform_row
-        shape = tuple(table.values())
+        lo, hi = self._bounds[r], self._bounds[r + 1]
+        shape = tuple(self._values[lo:hi].tolist())
         cached = self._shapes.get(shape)
         if cached is None:
             # the untrained share rides last in the same np.log call as the
@@ -202,7 +270,7 @@ class TableScorer(Scorer):
         untrained, trained = cached
         row = np.empty(self.vocab_size)
         row.fill(untrained)
-        row.put(list(table), trained)
+        row.put(self._tokens[lo:hi], trained)
         row.flags.writeable = False
         return row
 
@@ -254,7 +322,7 @@ def train_table_scorer(
 
     scorer = TableScorer.__new__(TableScorer)
     scorer._count(transitions(), alpha, vocab_size, input_conditioned)
-    if not scorer.counts:
+    if not scorer._rows:
         raise ScorerError("empty training set")
     return scorer
 
@@ -332,14 +400,47 @@ def save_table_scorer(scorer: TableScorer, path: str) -> None:
         if scorer.input_conditioned:
             header += "\tinput-conditioned"
         fh.write(header + "\n")
-        for ctx in sorted(scorer.counts):
-            row = scorer.counts[ctx]
+        for ctx, row in sorted(scorer.counts.items()):
             for token in sorted(row):
                 fh.write(f"{ctx}\t{token}\t{row[token]!r}\n")
 
 
+_LOAD_LINES = 4096  # lines read per np.loadtxt call
+# digits-only ids that fit int64, and a count of digits, point, sign and exponent:
+# numpy's parser reads these exactly as int() and float() do
+_PLAIN_LINES = re.compile(r"(?:[0-9]{1,18}\t[0-9]{1,18}\t[-+.eE0-9]+\n)*")
+_COLUMNS = np.dtype([("ctx", np.int64), ("token", np.int64), ("count", np.float64)])
+
+
+def _plain_columns(lines: Iterator[str]) -> np.ndarray | None:
+    """The ``(ctx, token, count)`` records of the non-blank ``lines``, parsed ``_LOAD_LINES`` lines at a time.
+
+    None if a line is not in the plain form ``_PLAIN_LINES``, numpy refuses
+    one, or a byte is not UTF-8: the per-line pass then names the fault.
+    """
+    blocks = []
+    try:
+        while block := list(islice(lines, _LOAD_LINES)):
+            rows = [line for line in block if line and not line.isspace()]
+            if not rows:
+                continue
+            if not _PLAIN_LINES.fullmatch("\n".join([*rows, ""])):
+                return None
+            blocks.append(np.loadtxt(rows, dtype=_COLUMNS, delimiter="\t", comments=None, ndmin=1))
+    except ValueError:  # InputError, a bad byte, included
+        return None
+    return np.concatenate(blocks) if blocks else np.empty(0, _COLUMNS)
+
+
 def load_table_scorer(path: str) -> TableScorer:
-    """Read a :func:`save_table_scorer` file, summing repeated keys; a refused line is named (``line 3: ...``)."""
+    """Read a :func:`save_table_scorer` file, summing repeated keys; a refused line is named (``line 3: ...``).
+
+    The count lines are parsed in blocks by :func:`_plain_columns` and kept
+    by :meth:`TableScorer._fill`.  If a line is not in the plain form, or
+    fails a check, or a key repeats, the file is read again by the
+    constructor's per-line pass, which sums repeats and names the first
+    refused line, context or bad byte in file order.
+    """
     lines = read_lines(path)
     header = next(lines, None)
     if header is None:
@@ -352,8 +453,15 @@ def load_table_scorer(path: str) -> TableScorer:
         vocab_size = int(head[1])
     except ValueError as exc:
         raise ScorerError(f"bad header: {exc}") from None
+    scorer = TableScorer.__new__(TableScorer)
+    top = scorer._header(alpha, vocab_size, len(head) == 3)
+    columns = _plain_columns(lines)
+    if columns is not None and scorer._fill(columns, top):
+        return scorer
 
     def entries() -> Iterator[_Entry]:
+        lines = read_lines(path)
+        next(lines)  # the header
         for lineno, raw in read_rows(lines):
             lineno += 1  # line 1 is the header
             parts = raw.split("\t")
@@ -365,6 +473,5 @@ def load_table_scorer(path: str) -> TableScorer:
                 raise ScorerError(str(exc), lineno) from None
             yield lineno, ctx, token, count
 
-    scorer = TableScorer.__new__(TableScorer)
     scorer._count(entries(), alpha, vocab_size, len(head) == 3)
     return scorer

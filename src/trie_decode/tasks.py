@@ -204,20 +204,33 @@ def retrieve(
 # --- dataset loading -----------------------------------------------------
 
 
+def _cut_aligned(text: str, cut: int, vocab: Vocabulary) -> bool:
+    """Whether the ids of ``text[:cut]`` and ``text[cut:]``, end to end, are those of ``text``.
+
+    A cut on whitespace or at an end is aligned.  A cut inside a word is
+    aligned iff the word's ids equal those of its two halves: greedy matching
+    in a word depends only on the characters that follow, and each id spans a
+    fixed number of characters (its string's, one for UNK).
+    """
+    if cut in (0, len(text)) or text[cut - 1].isspace() or text[cut].isspace():
+        return True
+    head, tail = text[:cut].rsplit(None, 1)[-1], text[cut:].split(None, 1)[0]
+    return encode(head + tail, vocab) == encode(head, vocab) + encode(tail, vocab)
+
+
 def _mention_token_span(
     context: str, char_start: int, char_len: int, vocab: Vocabulary, line: int
 ) -> tuple[tuple[TokenId, ...], int, int]:
+    """The context's ids, with the mention's first id and id count; each of the three pieces is encoded once."""
     end = char_start + char_len
     if char_len < 1 or char_start < 0 or end > len(context):
         raise TaskError("mention character span outside the context", line)
-    tokens = encode(context, vocab)
-    before, mention = encode(context[:char_start], vocab), encode(context[char_start:end], vocab)
-    # greedy matching in a word depends only on the characters that follow, and each id spans a fixed number
-    # of characters (its string's, one for UNK): the context starts with the pieces' ids iff both cuts align
-    space_edge = context[char_start].isspace() or context[end - 1].isspace()
-    if space_edge or tokens[: len(before) + len(mention)] != before + mention:
+    mention = context[char_start:end]
+    space_edge = mention[0].isspace() or mention[-1].isspace()
+    if space_edge or not (_cut_aligned(context, char_start, vocab) and _cut_aligned(context, end, vocab)):
         raise TaskError("mention does not align to token boundaries", line)
-    return tuple(tokens), len(before), len(mention)
+    before, ids = encode(context[:char_start], vocab), encode(mention, vocab)
+    return (*before, *ids, *encode(context[end:], vocab)), len(before), len(ids)
 
 
 def load_ed_dataset(

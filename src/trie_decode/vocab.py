@@ -258,7 +258,7 @@ def _path_lines(path: str) -> Iterator[str]:
 def read_rows(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
     """``(1-based line number, line)`` for each non-blank line of :func:`read_lines`."""
     for lineno, line in enumerate(read_lines(source), start=1):
-        if line.strip():
+        if line and not line.isspace():  # the rule of str.strip, with no copy
             yield lineno, line
 
 

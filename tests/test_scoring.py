@@ -26,7 +26,7 @@ from trie_decode.scoring import (
 )
 from trie_decode.scoring import _context, _input_key
 from trie_decode.trie import build_trie
-from trie_decode.vocab import EOS, SOS
+from trie_decode.vocab import EOS, SOS, InputError
 
 from helpers import pool_vocabulary, random_sequences, random_table_scorer
 
@@ -330,6 +330,17 @@ class TestTableScorer:
             load_table_scorer(str(path))
         edges = TableScorer({0: {7: 1.0}, top: {7: 1.0}}, 0.5, 9, input_conditioned=conditioned)
         assert sorted(edges.counts) == [0, top]
+
+    @pytest.mark.parametrize("ctx, token", [(0, 2**63), (2**63, 0)], ids=["token", "context"])
+    def test_an_id_past_int64_is_a_scorer_error(self, tmp_path, ctx, token):
+        # only a vocabulary no row could be allocated for holds one; the CLI reports a ScorerError in one line
+        message = "a context or token id does not fit in a signed 64-bit int"
+        with pytest.raises(ScorerError, match=message):
+            TableScorer({ctx: {token: 1.0}}, 0.5, 2**64)
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"0.5\t{2**64}\n{ctx}\t{token}\t1\n")
+        with pytest.raises(ScorerError, match=message):
+            load_table_scorer(str(path))
 
 
 def reference_context(input_conditioned, input_tokens, prefix):
@@ -831,3 +842,135 @@ class TestTableSerialization:
         twice.write_text("\n".join([head, *entries, *entries]) + "\n")
         loaded = load_table_scorer(str(twice))
         assert loaded.counts == {ctx: {t: 2 * c for t, c in row.items()} for ctx, row in scorer.counts.items()}
+
+
+# count-line fields: (text, 0 for a plain form, 1 for one numpy could read otherwise)
+ID_FORMS = [
+    ("{}", 0), ("00{}", 0), ("+{}", 1), (" {}", 1), ("{} ", 1), ("\x1c{}", 1), ("{}\u3000", 1),
+    ("{}.0", 1), ("{}e0", 1), ("{}_0", 1), ("{}\u0663", 1), ('"{}"', 1), ("#{}", 1),
+]
+COUNTS = [
+    "0", "0.0", "-0.0", "1", "3.0", "2.5", "0.1", ".5", "7.", "1e2", "1E+2", "2.5e-3", "+4", " 4 ", "\x1c4",
+    "0.1000000000000000055511151231257827021181583404541015625", "123456789012345678901234567890e-20",
+    "1e308", "8.98846567431158e307", "1.7976931348623157e308", "1e-320", "1e309",
+    "-1", "-1e-300", "inf", "-inf", "nan", "1_0", "0x10", "4#", "", "1.2.3", "\u0664",
+]
+ROW_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_scorer_text(rng, plain):
+    """A random scorer file; ``plain`` keeps it to lines numpy reads as int() and float() do, mostly in range."""
+    vocab_size = int(rng.integers(9, 30))
+    conditioned = bool(rng.random() < 0.3)
+    top = 2**31 - 1 if conditioned else vocab_size - 1
+    alpha = rng.choice(["0.5", "0.01", "3.7", "1e-300"])
+    lines = [f"{alpha}\t{vocab_size}" + ("\tinput-conditioned" if conditioned else "")]
+    keys = {}  # distinct keys, in the order drawn
+    while len(keys) < 40:
+        keys[int(rng.integers(0, top + 1)), int(rng.integers(0, vocab_size))] = None
+    keys = list(keys)
+    repeats = rng.random() < 0.4
+    for i in range(int(rng.integers(0, 40))):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", " ", "\t", "\x1c", "\u3000 ", "\x85"])))
+            continue
+        ctx, token = keys[int(rng.integers(6))] if repeats and rng.random() < 0.5 else keys[i]
+        count = repr(float(rng.integers(1, 20)) if rng.random() < 0.5 else float(rng.random() * 50))
+        fields = [str(ctx), str(token), count]
+        if not plain and rng.random() < 0.3:
+            field = int(rng.integers(0, 3))
+            if field == 2:
+                fields[2] = str(rng.choice(COUNTS))
+            elif rng.random() < 0.7:
+                form, _ = ID_FORMS[int(rng.integers(len(ID_FORMS)))]
+                fields[field] = form.format(fields[field])
+            else:  # out of range, or past int64
+                fields[field] = str(rng.choice([-1, top + 1, vocab_size, 2**63, 10**20]))
+        elif plain and rng.random() < 0.2:
+            fields[2] = str(rng.choice(COUNTS[:10]))
+        line = "\t".join(fields)
+        if not plain and rng.random() < 0.03:
+            line = str(rng.choice([line + "\t", line.replace("\t", "", 1), line.replace("\t", "\t\t", 1)]))
+        lines.append(line)
+    ends = [str(rng.choice(ROW_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))[: None if rng.random() < 0.8 else -1]
+
+
+def scorer_outcome(path):
+    """What loading ``path`` gives: the counts' repr and every row's bits, or the refusal."""
+    try:
+        scorer = load_table_scorer(str(path))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    counts = scorer.counts
+    rows = [scorer._build_row(ctx).tobytes() for ctx in [*counts, max(counts, default=0) + 1]]
+    return repr(counts), rows
+
+
+class TestBulkLoad:
+    """The bulk load keeps exactly what the per-line pass keeps, or falls back to it, which refuses as it did."""
+
+    @pytest.mark.parametrize("block", [3, 4096])
+    def test_random_files_load_alike_on_both_paths(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(scoring, "_LOAD_LINES", block)
+        fill, plain_columns = TableScorer._fill, scoring._plain_columns
+        taken = []
+
+        def recorded_fill(self, columns, top):
+            taken.append(fill(self, columns, top))
+            return taken[-1]
+
+        monkeypatch.setattr(TableScorer, "_fill", recorded_fill)
+        rng = np.random.default_rng(block)
+        path = tmp_path / "scorer.tsv"
+        seen = {"bulk": 0, "per-line": 0, "refused": 0}
+        for case in range(600):
+            path.write_bytes(random_scorer_text(rng, plain=case % 3 == 0).encode("utf-8"))
+            taken.clear()
+            bulk = scorer_outcome(path)
+            monkeypatch.setattr(scoring, "_plain_columns", lambda lines: None)
+            per_line = scorer_outcome(path)
+            monkeypatch.setattr(scoring, "_plain_columns", plain_columns)
+            assert bulk == per_line, path.read_bytes()
+            seen["refused" if isinstance(bulk[1], str) else "bulk" if taken == [True] else "per-line"] += 1
+        assert min(seen.values()) >= 60, seen
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            *(f"{form.format(5)}\t7\t1.0" for form, odd in ID_FORMS if odd),
+            *(f"5\t{form.format(7)}\t1.0" for form, odd in ID_FORMS if odd),
+            "5\t7\t 4", "5\t7\tinf", "5\t7\tnan", "5\t7\t1_0", "5\t7\t\u0664",
+            "9223372036854775807\t7\t1", "5\t7\t1\t", "5\t7", "5\t\t7\t1",
+        ],
+    )
+    def test_a_form_numpy_may_read_otherwise_takes_the_per_line_path(self, line):
+        assert scoring._plain_columns(iter(["0\t1\t1.0", line])) is None
+
+    def test_plain_forms_parse_in_bulk(self):
+        lines = ["5\t7\t1.0", "", "005\t0\t2.5e-3", " ", "2147483647\t8\t1E+2", "0\t8\t.5", "1\t2\t7.", "1\t3\t-0.0"]
+        columns = scoring._plain_columns(iter(lines))
+        assert columns.tolist() == [
+            (5, 7, 1.0), (5, 0, 2.5e-3), (2147483647, 8, 100.0), (0, 8, 0.5), (1, 2, 7.0), (1, 3, -0.0)
+        ]
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (b"5\t7\t1\n0\t99\t1\n\xff\n", "line 3: token id 99 out of range"),
+            (b"5\t7\t1\n0\t99\t1\n5\t8\t2\n5\t9\t\xff1\n", "line 3: token id 99 out of range"),
+            (b"5\t7\t1\n\xff0\t99\t1\n", "{path}:3: not UTF-8 (can't decode byte 0xff: invalid start byte)"),
+            (b"5\t7\t1\n0\t8\t1\n\xff\n", "{path}:4: not UTF-8 (can't decode byte 0xff: invalid start byte)"),
+        ],
+        ids=["bad-byte-on-the-next-line", "bad-byte-lines-later", "bad-byte-first", "bad-byte-alone"],
+    )
+    def test_a_bad_byte_is_named_only_if_no_line_before_it_is_refused(
+        self, tmp_path, monkeypatch, block, entries, message
+    ):
+        monkeypatch.setattr(scoring, "_LOAD_LINES", block)
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"0.5\t9\n" + entries)
+        with pytest.raises(ScorerError if message.startswith("line") else InputError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == message.format(path=path)

@@ -281,6 +281,13 @@ def test_a_path_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path):
     assert str(caught.value) == f"{path}:5: not UTF-8 (can't decode byte 0xe2: unexpected end of data)"
 
 
+def test_read_rows_skips_the_lines_str_strip_empties():
+    # \x1c, \x85 and U+3000 are whitespace to str.strip and str.isspace alike; U+200B is not
+    lines = ["\x1c", "a", "\x85", " \u3000\t", "", "\x1c b \x85", "\u200b", "\x1d\x1e\x1f\f\v"]
+    assert list(read_rows(lines)) == [(2, "a"), (6, "\x1c b \x85"), (7, "\u200b")]
+    assert [(i, line) for i, line in enumerate(lines, 1) if line.strip()] == list(read_rows(lines))
+
+
 def whole_file_read(path):
     """``(lines, error message or None)`` of ``path`` read whole, as the reader first did.
 
