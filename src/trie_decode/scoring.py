@@ -20,13 +20,15 @@ import sys
 import zlib
 from abc import ABC, abstractmethod
 from array import array
+from contextlib import suppress
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from numbers import Integral, Real
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .vocab import EOS, SOS, InputError, TokenId, read_lines, read_rows
+from .vocab import EOS, SOS, InputError, TokenId, read_lines
 
 
 class ScorerError(InputError):
@@ -96,15 +98,11 @@ def _input_key(input_tokens: Iterable[TokenId]) -> int:
         raise ScorerError(f"input tokens must be an iterable of ids, not {type(input_tokens).__name__}") from None
     try:
         packed = array("I", ids)  # C unsigned int: 32 bits wherever numpy runs
-    except (TypeError, OverflowError):
-        packed = array("I")
-        for t in ids:  # id by id, to name the first one the packing refuses
-            try:
-                packed.append(t)
-            except TypeError:
-                raise ScorerError(f"input token id {t!r} is not an integer") from None
-            except OverflowError:
-                raise ScorerError(f"input token id {t} does not fit in an unsigned 32-bit int") from None
+    except (TypeError, OverflowError):  # name the first id the packing refuses
+        t = next(t for t in ids if not (isinstance(t, Integral) and 0 <= t <= 0xFFFFFFFF))
+        if not isinstance(t, Integral):
+            raise ScorerError(f"input token id {t!r} is not an integer") from None
+        raise ScorerError(f"input token id {t} does not fit in an unsigned 32-bit int") from None
     if sys.byteorder == "big":
         packed.byteswap()
     return zlib.crc32(packed)
@@ -115,22 +113,48 @@ def _context(key: int | None, prev: TokenId) -> int:
     return prev if key is None else (key * 0x10001 + prev) & 0x7FFFFFFF
 
 
-_Entry = tuple[int | None, int, TokenId, float]  # one count to check: (file line or None, ctx, token, count)
+def _column(values: Sequence[object], kind: type, dtype: type, bad: object) -> np.ndarray:
+    """``values`` as a ``dtype`` array, in which a value not of ``kind``, or that ``dtype`` cannot hold, is ``bad``."""
+    with suppress(OverflowError):
+        if all(issubclass(t, kind) for t in set(map(type, values))):
+            return np.array(values, dtype)
+
+    def held(value: object) -> object:
+        with suppress(OverflowError):
+            return dtype(value) if isinstance(value, kind) else bad
+        return bad
+
+    return np.array([held(value) for value in values], dtype)
+
+
+def _columns(records: Sequence[tuple[int | None, object, object, object]]) -> tuple[np.ndarray, ...]:
+    """``(line, ctx, token, count)`` records as columns, with -1 for an id that is no integer in int64 (so out of
+    range) and NaN for a count that is no real number in the floats: :meth:`TableScorer._check` names both as given."""
+    _, ctxs, tokens, counts = zip(*records) if records else ((),) * 4
+    ids = Integral, np.int64, -1
+    return _column(ctxs, *ids), _column(tokens, *ids), _column(counts, Real, np.float64, math.nan)
+
+
+def _until_refused(items: Iterator, failed: list[InputError]) -> Iterator:
+    """``items`` up to an :class:`InputError`, which goes into ``failed``, to be raised once those before it pass."""
+    try:
+        yield from items
+    except InputError as exc:
+        failed.append(exc)
 
 
 class TableScorer(Scorer):
     """Additively smoothed bigram model over target tokens.
 
     ``p(v | ctx) = (count(ctx, v) + alpha) / (total(ctx) + alpha * V)`` with
-    finite ``alpha > 0``.  The constructor, the file loader and training sum
-    counts in one pass, which checks each finite and ``>= 0`` before summing
-    it, then rejects a row whose denominator overflows, or whose ``alpha``
-    share underflows to 0, so every log-probability is finite.  The context
-    is the previous generated token (SOS at the first step), or, when
-    ``input_conditioned``, ``(crc32(input) * 0x10001 + prev) mod 2**31`` over
-    the input's u32 token ids: distinct pairs can share a row, and an input
-    that is not iterable, or holds an id that is not an integer or not in u32,
-    raises :class:`ScorerError`.  A context id no step can reach is rejected.
+    finite ``alpha > 0`` and an integer ``V`` in ``1..2**63 - 1``.  The
+    constructor, training and the file loader end in one check and one keep
+    step, so every source refuses and sums alike, and every log-probability
+    is finite.  The context is the previous generated token (SOS at the
+    first step), or, when ``input_conditioned``, ``(crc32(input) * 0x10001 +
+    prev) mod 2**31`` over the input's u32 token ids: distinct pairs can
+    share a row, and an input that is not iterable, or holds an id that is
+    not an integer or not in u32, raises :class:`ScorerError`.
 
     The counts are kept as one flat table: ``_tokens`` and ``_values``
     arrays grouped by context, ascending, each context's ids in the order
@@ -158,88 +182,68 @@ class TableScorer(Scorer):
         vocab_size: int,
         input_conditioned: bool = False,
     ) -> None:
-        entries = ((None, ctx, token, count) for ctx, row in counts.items() for token, count in row.items())
-        self._count(entries, alpha, vocab_size, input_conditioned)
+        top = self._header(alpha, vocab_size, input_conditioned)
+        records = [(None, ctx, token, count) for ctx, row in counts.items() for token, count in row.items()]
+        self._keep(*self._check(_columns(records), top, records.__getitem__))
 
     def _header(self, alpha: float, vocab_size: int, input_conditioned: bool) -> int:
         """Check and keep the header, clear the caches, and return the largest context id a step can reach."""
-        # plain comparisons, which NaN fails
-        if not 0 < alpha < math.inf:
+        # plain comparisons, which NaN fails; an int past the floats fails the second
+        if not (isinstance(alpha, Real) and 0 < alpha <= sys.float_info.max):
             raise ScorerError(f"alpha must be positive and finite, got {alpha!r}")
-        if vocab_size < 1:
-            raise ScorerError("vocab_size must be positive")
-        self.vocab_size = vocab_size
+        if isinstance(vocab_size, bool) or not (isinstance(vocab_size, Integral) and 0 < vocab_size < 2**63):
+            raise ScorerError(f"vocab_size must be an integer in 1..2**63 - 1, got {vocab_size!r}")
+        self.vocab_size = int(vocab_size)
         self.alpha = float(alpha)
         self.input_conditioned = input_conditioned
         self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
         self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[TokenId, np.ndarray]] = (None, None, {})
         self._shapes: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}  # count tuple -> (untrained, trained logs)
-        return 0x7FFFFFFF if input_conditioned else vocab_size - 1
+        return 0x7FFFFFFF if input_conditioned else self.vocab_size - 1
 
-    def _count(self, entries: Iterable[_Entry], alpha: float, vocab_size: int, input_conditioned: bool) -> None:
-        """Check the header; check each entry, naming its line, and sum its nonzero count; then check each row."""
-        top = self._header(alpha, vocab_size, input_conditioned)
-        counts: dict[int, dict[TokenId, float]] = {}
-        for line, ctx, token, count in entries:
+    def _check(self, columns: Sequence[np.ndarray], top: int, record: Callable[[int], tuple]) -> Sequence[np.ndarray]:
+        """``columns``, unless a record's context is not an integer a step can reach, its token not an integer in
+        ``0..V-1`` or its count not a finite real ``>= 0``: the first is refused, as ``record(i)`` names it."""
+        ctx, tokens, values = columns
+        ok = (ctx >= 0) & (ctx <= top) & (tokens >= 0) & (tokens < self.vocab_size) & (values >= 0) & (values < np.inf)
+        if not ok.all():
+            line, ctx, token, count = record(int(ok.argmin()))
+            if not isinstance(ctx, Integral):
+                raise ScorerError(f"context {ctx!r} is not an integer", line)
             if not 0 <= ctx <= top:
                 raise ScorerError(f"context {ctx} is outside 0..{top}, so no step can reach it", line)
-            if not 0 <= token < vocab_size:
+            if not isinstance(token, Integral):
+                raise ScorerError(f"token id {token!r} is not an integer", line)
+            if not 0 <= token < self.vocab_size:
                 raise ScorerError(f"token id {token} out of range", line)
-            if not 0 <= count < math.inf:
-                raise ScorerError(f"count must be non-negative and finite, got {count!r}", line)
-            if count:
-                row = counts.setdefault(int(ctx), {})
-                token = int(token)
-                row[token] = row.get(token, 0.0) + float(count)
-        for ctx, row in counts.items():
-            total = sum(row.values()) + self.alpha * vocab_size
-            if not (total < math.inf and self.alpha / total > 0):
-                raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
-        ctxs = sorted(counts)
-        try:
-            ctx_ids = np.repeat(np.array(ctxs, np.int64), [len(counts[ctx]) for ctx in ctxs])
-            tokens = np.array([token for ctx in ctxs for token in counts[ctx]], np.int64)
-        except OverflowError:  # only a vocabulary of more ids than any row can hold has such an id
-            raise ScorerError("a context or token id does not fit in a signed 64-bit int") from None
-        self._store(ctx_ids, tokens, np.array([c for ctx in ctxs for c in counts[ctx].values()], np.float64))
+            raise ScorerError(f"count must be non-negative and finite, got {count!r}", line)
+        return columns
 
-    def _fill(self, columns: np.ndarray, top: int) -> bool:
-        """Keep the ``(ctx, token, count)`` records ``columns``, in file order, if they pass :meth:`_count`'s checks.
+    @np.errstate(over="ignore")  # a sum that leaves the floats is refused by its row's check
+    def _keep(self, ctx: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> None:
+        """Keep checked records as the flat table, dropping zero counts and summing a repeated key's in record order.
 
-        The checks are array reductions: False, with nothing kept, if any
-        record is out of range, a nonzero ``(ctx, token)`` key repeats, or a
-        row's total may leave the floats.
-        """
-        ctx, tokens, values = columns["ctx"], columns["token"], columns["count"]
-        if len(columns) and (
-            int(ctx.min()) < 0 or int(ctx.max()) > top or int(tokens.min()) < 0
-            or int(tokens.max()) >= self.vocab_size or not np.all((values >= 0) & (values < np.inf))
-        ):
-            return False
-        kept = np.flatnonzero(values)
-        order = kept[np.argsort(ctx[kept], kind="stable")]
+        A row whose ``np.add.reduceat`` total is within a factor of 2 of leaving the floats is summed again as
+        :meth:`_build_row` sums it; the first context seen whose ``alpha`` share underflows to 0, as it does over a
+        denominator that overflows, is refused."""
+        order = np.flatnonzero(values)[np.argsort(ctx[values != 0], kind="stable")]  # a row's records stay in order
         ctx, tokens, values = ctx[order], tokens[order], values[order]
         # saved rows list their ids ascending, so the sort that finds a repeat is seldom needed
         if np.any((ctx[1:] == ctx[:-1]) & (tokens[1:] <= tokens[:-1])):
-            key = np.lexsort((tokens, ctx))
-            if np.any((ctx[key][1:] == ctx[key][:-1]) & (tokens[key][1:] == tokens[key][:-1])):
-                return False
-        if len(values):
-            with np.errstate(over="ignore"):  # an overflowing row is refused just below
-                totals = np.add.reduceat(values, np.flatnonzero(np.diff(ctx, prepend=-1)))
-            # a float sum in another order is far closer than a factor of 2 to the per-line one
-            worst = 2 * (float(totals.max()) + self.alpha * self.vocab_size)
-            if not (worst < math.inf and self.alpha / worst > 0):
-                return False
-        self._store(ctx, tokens, values)
-        return True
-
-    def _store(self, ctx: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> None:
-        """Keep checked counts, grouped by ascending ``ctx``, as the flat table."""
+            _, first, inverse = np.unique(np.stack([ctx, tokens], 1), axis=0, return_index=True, return_inverse=True)
+            inverse = inverse.reshape(-1)  # NumPy 2.0.0 alone shapes it (n, 1)
+            sums = np.zeros(len(first))
+            np.add.at(sums, inverse, values)  # in index order, so each sum has a running sum's bits
+            first.sort()  # each key at its first record
+            order, ctx, tokens, values = order[first], ctx[first], tokens[first], sums[inverse[first]]
         starts = np.flatnonzero(np.diff(ctx, prepend=-1))
+        bounds = [*starts.tolist(), len(ctx)]  # a list, whose items read faster than an array's
+        shares = self.alpha / (2 * (np.add.reduceat(values, starts) + self.alpha * self.vocab_size))
+        for r in sorted(np.flatnonzero(shares == 0).tolist(), key=lambda r: order[bounds[r]]):
+            if self.alpha / (sum(values[bounds[r] : bounds[r + 1]].tolist()) + self.alpha * self.vocab_size) == 0:
+                raise ScorerError(f"context {ctx[bounds[r]]}: probabilities overflow or underflow a float")
         self._rows = dict(zip(ctx[starts].tolist(), range(len(starts))))
-        self._bounds = [*starts.tolist(), len(ctx)]  # a list, whose items read faster than an array's
-        self._tokens, self._values = tokens, values
+        self._bounds, self._tokens, self._values = bounds, tokens, values
 
     @cached_property
     def counts(self) -> dict[int, dict[TokenId, float]]:
@@ -311,17 +315,24 @@ def train_table_scorer(
     with SOS as the initial context.  Targets are counted verbatim; append
     EOS to a target if the end of sequence should be part of the model.
     """
-    def transitions() -> Iterator[_Entry]:
+    def transitions() -> Iterator[tuple[None, object, object, float]]:
         for input_tokens, target in pairs:
             target = tuple(target)
             if not target:
                 raise ScorerError("empty target sequence")
             key = _input_key(input_tokens) if input_conditioned else None
             for prev, token in zip((SOS, *target), target):
-                yield None, _context(key, prev), token, 1.0
+                # a bad id is refused as a token first, so no context worked out from one is named
+                yield None, _context(key, prev) if isinstance(prev, Integral) else prev, token, 1.0
 
     scorer = TableScorer.__new__(TableScorer)
-    scorer._count(transitions(), alpha, vocab_size, input_conditioned)
+    top = scorer._header(alpha, vocab_size, input_conditioned)
+    failed: list[InputError] = []
+    records = list(_until_refused(transitions(), failed))
+    columns = scorer._check(_columns(records), top, records.__getitem__)
+    if failed:
+        raise failed[0]
+    scorer._keep(*columns)
     if not scorer._rows:
         raise ScorerError("empty training set")
     return scorer
@@ -405,73 +416,60 @@ def save_table_scorer(scorer: TableScorer, path: str) -> None:
                 fh.write(f"{ctx}\t{token}\t{row[token]!r}\n")
 
 
-_LOAD_LINES = 4096  # lines read per np.loadtxt call
+_LOAD_LINES = 4096  # lines read and checked at a time
 # digits-only ids that fit int64, and a count of digits, point, sign and exponent:
 # numpy's parser reads these exactly as int() and float() do
 _PLAIN_LINES = re.compile(r"(?:[0-9]{1,18}\t[0-9]{1,18}\t[-+.eE0-9]+\n)*")
-_COLUMNS = np.dtype([("ctx", np.int64), ("token", np.int64), ("count", np.float64)])
 
 
-def _plain_columns(lines: Iterator[str]) -> np.ndarray | None:
-    """The ``(ctx, token, count)`` records of the non-blank ``lines``, parsed ``_LOAD_LINES`` lines at a time.
+def _parsed(block: list[str], lineno: int) -> Iterator[tuple[int, int, int, float]]:
+    """``(line, ctx, token, count)`` of each count line of ``block``, after line ``lineno``; a bad one raises."""
+    for n, line in enumerate(block, lineno + 1):
+        if line and not line.isspace():
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ScorerError("expected `ctx TAB token TAB count`", n)
+            try:
+                yield n, int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ScorerError(str(exc), n) from None
 
-    None if a line is not in the plain form ``_PLAIN_LINES``, numpy refuses
-    one, or a byte is not UTF-8: the per-line pass then names the fault.
-    """
-    blocks = []
-    try:
-        while block := list(islice(lines, _LOAD_LINES)):
-            rows = [line for line in block if line and not line.isspace()]
-            if not rows:
-                continue
-            if not _PLAIN_LINES.fullmatch("\n".join([*rows, ""])):
-                return None
-            blocks.append(np.loadtxt(rows, dtype=_COLUMNS, delimiter="\t", comments=None, ndmin=1))
-    except ValueError:  # InputError, a bad byte, included
-        return None
-    return np.concatenate(blocks) if blocks else np.empty(0, _COLUMNS)
+
+def _block_columns(block: list[str], lineno: int, failed: list[InputError]) -> Sequence[np.ndarray]:
+    """The columns of ``block``'s count lines, by one ``np.loadtxt`` if all are in the plain form, else line by line."""
+    rows = list(filter(None, block))  # a line of only whitespace is not in the plain form
+    if rows and _PLAIN_LINES.fullmatch("\n".join([*rows, ""])):
+        with suppress(ValueError):  # a count such as `1.2.3`
+            return np.loadtxt(rows, dtype="i8,i8,f8", delimiter="\t", comments=None, ndmin=1, unpack=True)
+    return _columns(list(_until_refused(_parsed(block, lineno), failed)))
 
 
 def load_table_scorer(path: str) -> TableScorer:
     """Read a :func:`save_table_scorer` file, summing repeated keys; a refused line is named (``line 3: ...``).
 
-    The count lines are parsed in blocks by :func:`_plain_columns` and kept
-    by :meth:`TableScorer._fill`.  If a line is not in the plain form, or
-    fails a check, or a key repeats, the file is read again by the
-    constructor's per-line pass, which sums repeats and names the first
-    refused line, context or bad byte in file order.
-    """
-    lines = read_lines(path)
+    The file is read once, :data:`_LOAD_LINES` lines at a time, each block checked before the next is read,
+    so the first refused line, or a bad byte with no refused line before it, is named."""
+    failed: list[InputError] = []  # a bad byte, then a line before it that does not parse
+    lines = _until_refused(read_lines(path), failed)
     header = next(lines, None)
     if header is None:
-        raise ScorerError("empty scorer file")
+        raise failed[0] if failed else ScorerError("empty scorer file")
     head = header.split("\t")
     if len(head) < 2 or head[2:] not in ([], ["input-conditioned"]):
         raise ScorerError("bad header: expected `alpha TAB vocab-size [TAB input-conditioned]`")
     try:
-        alpha = float(head[0])
-        vocab_size = int(head[1])
+        alpha, vocab_size = float(head[0]), int(head[1])
     except ValueError as exc:
         raise ScorerError(f"bad header: {exc}") from None
     scorer = TableScorer.__new__(TableScorer)
     top = scorer._header(alpha, vocab_size, len(head) == 3)
-    columns = _plain_columns(lines)
-    if columns is not None and scorer._fill(columns, top):
-        return scorer
-
-    def entries() -> Iterator[_Entry]:
-        lines = read_lines(path)
-        next(lines)  # the header
-        for lineno, raw in read_rows(lines):
-            lineno += 1  # line 1 is the header
-            parts = raw.split("\t")
-            if len(parts) != 3:
-                raise ScorerError("expected `ctx TAB token TAB count`", lineno)
-            try:
-                ctx, token, count = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ScorerError(str(exc), lineno) from None
-            yield lineno, ctx, token, count
-
-    scorer._count(entries(), alpha, vocab_size, len(head) == 3)
+    blocks, lineno = [_columns(())], 1  # the last line read: the header
+    while not failed and (block := list(islice(lines, _LOAD_LINES))):
+        columns = _block_columns(block, lineno, failed)
+        blocks.append(scorer._check(columns, top, lambda i: next(islice(_parsed(block, lineno), i, None))))
+        lineno += len(block)
+    if failed:
+        raise failed[-1]
+    blocks = [np.concatenate(column) for column in zip(*blocks)]  # the blocks are freed before the sort
+    scorer._keep(*blocks)
     return scorer

@@ -10,17 +10,22 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from bisect import bisect_left
 from collections import deque
+from numbers import Integral, Real
+from types import SimpleNamespace
 
 import numpy as np
 
 from trie_decode.beam import Hypothesis, _top, mask_logprobs
 from trie_decode.catalog import Catalog, CatalogError
-from trie_decode.scoring import TableScorer
+from trie_decode.scoring import ScorerError, TableScorer, _context, _input_key
 from trie_decode.tasks import TaskError
 from trie_decode.trie import MAGIC, EntityTrie, TrieError, build_trie
-from trie_decode.vocab import EOS, SOS, UNK, TokenSpan, Vocabulary, decode, encode, encode_with_offsets, read_rows
+from trie_decode.vocab import (
+    EOS, SOS, UNK, TokenSpan, Vocabulary, decode, encode, encode_with_offsets, read_lines, read_rows,
+)
 
 WORD_POOL = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
@@ -148,6 +153,113 @@ def random_table_scorer(
         counts[ctx] = row
     alpha = float(rng.choice((0.1, 0.5, 1.0)))
     return TableScorer(counts, alpha, vocab.size, input_conditioned)
+
+
+def reference_table_counts(entries, alpha, vocab_size, input_conditioned=False) -> SimpleNamespace:
+    """A table scorer's header and ``{ctx: {token: count}}`` by one dict pass over ``(line, ctx, token, count)``.
+
+    Each entry is checked before it is summed, so the first bad one in
+    order is named; then each row is checked in the order its context was
+    first counted.  Contexts come out ascending, each row's ids in the order
+    first seen.
+    """
+    if not (isinstance(alpha, Real) and 0 < alpha <= sys.float_info.max):
+        raise ScorerError(f"alpha must be positive and finite, got {alpha!r}")
+    if isinstance(vocab_size, bool) or not (isinstance(vocab_size, Integral) and 1 <= vocab_size <= 2**63 - 1):
+        raise ScorerError(f"vocab_size must be an integer in 1..2**63 - 1, got {vocab_size!r}")
+    top = 0x7FFFFFFF if input_conditioned else vocab_size - 1
+    counts: dict[int, dict[int, float]] = {}
+    for line, ctx, token, count in entries:
+        if not isinstance(ctx, Integral):
+            raise ScorerError(f"context {ctx!r} is not an integer", line)
+        if not 0 <= ctx <= top:
+            raise ScorerError(f"context {ctx} is outside 0..{top}, so no step can reach it", line)
+        if not isinstance(token, Integral):
+            raise ScorerError(f"token id {token!r} is not an integer", line)
+        if not 0 <= token < vocab_size:
+            raise ScorerError(f"token id {token} out of range", line)
+        try:
+            value = float(count) if isinstance(count, Real) else math.nan
+        except OverflowError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise ScorerError(f"count must be non-negative and finite, got {count!r}", line)
+        if value:
+            row = counts.setdefault(int(ctx), {})
+            row[int(token)] = row.get(int(token), 0.0) + value
+    for ctx, row in counts.items():
+        total = sum(row.values()) + alpha * vocab_size
+        if not (total < math.inf and alpha / total > 0):
+            raise ScorerError(f"context {ctx}: probabilities overflow or underflow a float")
+    return SimpleNamespace(
+        alpha=float(alpha), vocab_size=int(vocab_size), input_conditioned=input_conditioned,
+        counts={ctx: counts[ctx] for ctx in sorted(counts)},
+    )
+
+
+def reference_table_scorer(counts, alpha, vocab_size, input_conditioned=False) -> SimpleNamespace:
+    """What ``TableScorer(counts, ...)`` keeps, by the reference pass."""
+    entries = ((None, ctx, token, count) for ctx, row in counts.items() for token, count in row.items())
+    return reference_table_counts(entries, alpha, vocab_size, input_conditioned)
+
+
+def reference_train_table_scorer(pairs, alpha, vocab_size, input_conditioned=False) -> SimpleNamespace:
+    """What ``train_table_scorer`` keeps: each transition counted once, in order, by the reference pass."""
+    def transitions():
+        for input_tokens, target in pairs:
+            target = tuple(target)
+            if not target:
+                raise ScorerError("empty target sequence")
+            key = _input_key(input_tokens) if input_conditioned else None
+            for prev, token in zip((SOS, *target), target):
+                yield None, _context(key, prev), token, 1.0
+
+    table = reference_table_counts(transitions(), alpha, vocab_size, input_conditioned)
+    if not table.counts:
+        raise ScorerError("empty training set")
+    return table
+
+
+def reference_load_table_scorer(path: str) -> SimpleNamespace:
+    """What ``load_table_scorer`` keeps: the file's count lines parsed one at a time, by the reference pass."""
+    lines = read_lines(path)
+    header = next(lines, None)
+    if header is None:
+        raise ScorerError("empty scorer file")
+    head = header.split("\t")
+    if len(head) < 2 or head[2:] not in ([], ["input-conditioned"]):
+        raise ScorerError("bad header: expected `alpha TAB vocab-size [TAB input-conditioned]`")
+    try:
+        alpha = float(head[0])
+        vocab_size = int(head[1])
+    except ValueError as exc:
+        raise ScorerError(f"bad header: {exc}") from None
+
+    def entries():
+        for lineno, raw in read_rows(lines):
+            lineno += 1  # line 1 is the header
+            parts = raw.split("\t")
+            if len(parts) != 3:
+                raise ScorerError("expected `ctx TAB token TAB count`", lineno)
+            try:
+                ctx, token, count = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ScorerError(str(exc), lineno) from None
+            yield lineno, ctx, token, count
+
+    return reference_table_counts(entries(), alpha, vocab_size, len(head) == 3)
+
+
+def reference_table_row(table, ctx: int) -> np.ndarray:
+    """The smoothing formula over a whole row of ``table`` (a scorer or a reference), then one ``np.log``."""
+    row = table.counts.get(ctx)
+    if row is None:
+        return np.full(table.vocab_size, -np.log(table.vocab_size))
+    probs = np.full(table.vocab_size, table.alpha)
+    for token, count in row.items():
+        probs[token] += count
+    probs /= sum(row.values()) + table.alpha * table.vocab_size
+    return np.log(probs)
 
 
 def legal_ids(constraint, state) -> frozenset[int]:

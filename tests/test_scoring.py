@@ -26,9 +26,17 @@ from trie_decode.scoring import (
 )
 from trie_decode.scoring import _context, _input_key
 from trie_decode.trie import build_trie
-from trie_decode.vocab import EOS, SOS, InputError
+from trie_decode.vocab import EOS, SOS, InputError, read_lines
 
-from helpers import pool_vocabulary, random_sequences, random_table_scorer
+from helpers import (
+    pool_vocabulary,
+    random_sequences,
+    random_table_scorer,
+    reference_load_table_scorer,
+    reference_table_row,
+    reference_table_scorer,
+    reference_train_table_scorer,
+)
 
 
 class FixedScorer(Scorer):
@@ -61,8 +69,9 @@ class TestUniform:
         assert np.allclose(scorer.next_token_logprobs((), ()), -math.log(4))
 
     def test_an_empty_vocabulary_is_refused(self):
-        with pytest.raises(ScorerError, match="vocab_size must be positive"):
+        with pytest.raises(ScorerError) as refused:
             UniformScorer(0)
+        assert str(refused.value) == "vocab_size must be an integer in 1..2**63 - 1, got 0"
 
     def test_sequence_score_three_steps(self):
         scorer = UniformScorer(4)
@@ -300,6 +309,12 @@ class TestTableScorer:
         with pytest.raises(ScorerError, match="alpha must be positive and finite"):
             TableScorer({}, alpha=alpha, vocab_size=9)
 
+    @pytest.mark.parametrize("alpha", [10**400, "0.5", None], ids=["past-the-floats", "string", "none"])
+    def test_an_alpha_that_is_no_finite_real_is_a_scorer_error(self, alpha):
+        with pytest.raises(ScorerError) as refused:
+            TableScorer({0: {7: 1.0}}, alpha, 9)
+        assert str(refused.value) == f"alpha must be positive and finite, got {alpha!r}"
+
     @pytest.mark.parametrize("count", [float("nan"), float("inf"), -1.0])
     def test_counts_must_be_finite_and_non_negative(self, count):
         with pytest.raises(ScorerError, match="count must be non-negative and finite"):
@@ -331,16 +346,81 @@ class TestTableScorer:
         edges = TableScorer({0: {7: 1.0}, top: {7: 1.0}}, 0.5, 9, input_conditioned=conditioned)
         assert sorted(edges.counts) == [0, top]
 
-    @pytest.mark.parametrize("ctx, token", [(0, 2**63), (2**63, 0)], ids=["token", "context"])
-    def test_an_id_past_int64_is_a_scorer_error(self, tmp_path, ctx, token):
-        # only a vocabulary no row could be allocated for holds one; the CLI reports a ScorerError in one line
-        message = "a context or token id does not fit in a signed 64-bit int"
-        with pytest.raises(ScorerError, match=message):
-            TableScorer({ctx: {token: 1.0}}, 0.5, 2**64)
+    @pytest.mark.parametrize(
+        "ctx, token, message",
+        [
+            (0, 2**63, "token id 9223372036854775808 out of range"),
+            (2**63, 0, "context 9223372036854775808 is outside 0..8, so no step can reach it"),
+            (-(2**63) - 1, 0, "context -9223372036854775809 is outside 0..8, so no step can reach it"),
+            (0, 10**20, "token id 100000000000000000000 out of range"),
+        ],
+        ids=["token", "context", "negative-context", "token-10^20"],
+    )
+    def test_an_id_past_int64_is_a_scorer_error(self, tmp_path, ctx, token, message):
+        # every id a vocabulary below 2**63 holds fits int64, so one past it is named as out of range
+        with pytest.raises(ScorerError) as refused:
+            TableScorer({ctx: {token: 1.0}}, 0.5, 9)
+        assert str(refused.value) == message
         path = tmp_path / "huge.tsv"
-        path.write_text(f"0.5\t{2**64}\n{ctx}\t{token}\t1\n")
-        with pytest.raises(ScorerError, match=message):
+        path.write_text(f"0.5\t9\n{ctx}\t{token}\t1\n")
+        with pytest.raises(ScorerError) as refused:
             load_table_scorer(str(path))
+        assert str(refused.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("vocab_size", [2**63, 2**64, 10**400], ids=["2^63", "2^64", "past-the-floats"])
+    def test_a_vocabulary_of_2_to_the_63_ids_or_more_is_refused(self, tmp_path, vocab_size):
+        message = f"vocab_size must be an integer in 1..2**63 - 1, got {vocab_size}"
+        with pytest.raises(ScorerError) as refused:
+            TableScorer({0: {7: 1.0}}, 0.5, vocab_size)
+        assert str(refused.value) == message
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"0.5\t{vocab_size}\n0\t7\t1\n")
+        with pytest.raises(ScorerError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("vocab_size", [9.5, 9.0, True, "9", np.float64(9)])
+    def test_a_vocabulary_size_that_is_no_integer_is_refused(self, vocab_size):
+        with pytest.raises(ScorerError) as refused:
+            TableScorer({0: {7: 1.0}}, 0.5, vocab_size)
+        assert str(refused.value) == f"vocab_size must be an integer in 1..2**63 - 1, got {vocab_size!r}"
+
+    def test_a_numpy_vocabulary_size_is_kept_as_an_int(self):
+        scorer = TableScorer({0: {7: 1.0}}, 0.5, np.int64(9))
+        assert type(scorer.vocab_size) is int and scorer.vocab_size == 9
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({0: {7: 10**400}}, f"count must be non-negative and finite, got {10**400}"),
+            ({0: {7: "1"}}, "count must be non-negative and finite, got '1'"),
+            ({0: {"7": 1.0}}, "token id '7' is not an integer"),
+            ({0: {7.0: 1.0}}, "token id 7.0 is not an integer"),
+            ({"0": {7: 1.0}}, "context '0' is not an integer"),
+            ({None: {7: 1.0}}, "context None is not an integer"),
+        ],
+        ids=["count-past-the-floats", "count-string", "token-string", "token-float", "context-string", "context-none"],
+    )
+    def test_a_value_of_the_wrong_kind_is_a_scorer_error(self, counts, message):
+        with pytest.raises(ScorerError) as refused:
+            TableScorer(counts, 0.5, 9)
+        assert str(refused.value) == message
+
+    def test_numpy_ids_and_counts_are_counted_as_python_ones(self):
+        scorer = TableScorer({np.int64(0): {np.uint32(7): np.float32(0.5), True: 2}}, 0.5, 9)
+        assert repr(scorer.counts) == "{0: {7: 0.5, 1: 2.0}}"
+
+    @pytest.mark.parametrize("target", [("a",), (7, 7.0), (7, None)], ids=["string", "float", "none"])
+    def test_a_training_token_that_is_no_integer_is_a_scorer_error(self, target):
+        with pytest.raises(ScorerError) as refused:
+            train_table_scorer([((), (7, EOS)), ((), target)], 0.5, 9)
+        assert str(refused.value) == f"token id {target[-1]!r} is not an integer"
+
+    def test_training_names_a_bad_transition_before_a_later_empty_target(self):
+        with pytest.raises(ScorerError, match="^token id 99 out of range$"):
+            train_table_scorer([((), (7, 99)), ((), ())], 0.5, 9)
+        with pytest.raises(ScorerError, match="^empty target sequence$"):
+            train_table_scorer([((), (7, 8)), ((), ()), ((), (99,))], 0.5, 9)
 
 
 def reference_context(input_conditioned, input_tokens, prefix):
@@ -350,18 +430,6 @@ def reference_context(input_conditioned, input_tokens, prefix):
         return prev
     packed = b"".join(int(t).to_bytes(4, "little") for t in input_tokens)
     return (zlib.crc32(packed) * 0x10001 + prev) & 0x7FFFFFFF
-
-
-def reference_row(scorer, ctx):
-    """The smoothing formula over a whole row, then one ``np.log``."""
-    table = scorer.counts.get(ctx)
-    if table is None:
-        return np.full(scorer.vocab_size, -np.log(scorer.vocab_size))
-    probs = np.full(scorer.vocab_size, scorer.alpha)
-    for token, count in table.items():
-        probs[token] += count
-    probs /= sum(table.values()) + scorer.alpha * scorer.vocab_size
-    return np.log(probs)
 
 
 def assert_same_bits(got, want):
@@ -408,7 +476,7 @@ class TestTableScorerRows:
         ]
         interleaved = [steps[i] for i in rng.permutation(len(steps))]
         for source, prefix in steps + interleaved + steps:
-            want = reference_row(scorer, reference_context(conditioned, source, prefix))
+            want = reference_table_row(scorer, reference_context(conditioned, source, prefix))
             assert_same_bits(scorer.next_token_logprobs(source, prefix), want)
             assert_same_bits(scorer.next_token_logprobs(list(source), list(prefix)), want)
 
@@ -419,7 +487,7 @@ class TestTableScorerRows:
         scorer = train_table_scorer([(first, target)], 0.5, 12, input_conditioned=True)
         for source in (first, second, list(second), first, second):
             for i in range(len(target)):
-                want = reference_row(scorer, reference_context(True, first, target[:i]))
+                want = reference_table_row(scorer, reference_context(True, first, target[:i]))
                 assert_same_bits(scorer.next_token_logprobs(source, target[:i]), want)
         assert int(np.argmax(scorer.next_token_logprobs(second, ()))) == 9
         assert scorer.next_token_logprobs(second, ()) is scorer.next_token_logprobs(first, ())
@@ -469,7 +537,7 @@ class TestTableScorerRows:
         inputs = [(i, 2 * i) for i in range(6)]
         scorer = random_float_table(rng, vocab_size, inputs)
         want = {
-            (source, prev): reference_row(scorer, reference_context(True, source, (prev,)))
+            (source, prev): reference_table_row(scorer, reference_context(True, source, (prev,)))
             for source in inputs for prev in range(vocab_size)
         }
         wrong = []
@@ -548,7 +616,7 @@ class TestTableScorerRowCache:
         counts = {1: {5: 2.0, 7: 1.5}, 2: {3: 2.0, 9: 1.5}, 3: {9: 2.0, 3: 1.5}, 4: {6: 2.0}}
         scorer = TableScorer(counts, 0.3, 12)
         for ctx in counts:
-            assert_same_bits(scorer.next_token_logprobs((), (ctx,)), reference_row(scorer, ctx))
+            assert_same_bits(scorer.next_token_logprobs((), (ctx,)), reference_table_row(scorer, ctx))
         assert sorted(scorer._shapes) == [(2.0,), (2.0, 1.5)]
 
     @pytest.mark.parametrize("array_first", [False, True])
@@ -564,7 +632,7 @@ class TestTableScorerRowCache:
             else:
                 row = scorer.next_token_logprobs(source, prefix)
                 assert scorer.next_token_logprobs(source, array) is row
-            assert_same_bits(row, reference_row(scorer, reference_context(conditioned, source, prefix)))
+            assert_same_bits(row, reference_table_row(scorer, reference_context(conditioned, source, prefix)))
 
 
 class TestNormalization:
@@ -896,63 +964,165 @@ def random_scorer_text(rng, plain):
     return "".join(line + end for line, end in zip(lines, ends))[: None if rng.random() < 0.8 else -1]
 
 
-def scorer_outcome(path):
-    """What loading ``path`` gives: the counts' repr and every row's bits, or the refusal."""
+def table_outcome(make):
+    """What ``make()`` gives, a scorer or a reference table: the counts' repr and every row's bits, or the refusal."""
     try:
-        scorer = load_table_scorer(str(path))
+        table = make()
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    counts = scorer.counts
-    rows = [scorer._build_row(ctx).tobytes() for ctx in [*counts, max(counts, default=0) + 1]]
-    return repr(counts), rows
+    counts = table.counts
+    ctxs = [*counts, max(counts, default=0) + 1]
+    if isinstance(table, TableScorer):
+        rows = [table._build_row(ctx).tobytes() for ctx in ctxs]
+    else:
+        rows = [reference_table_row(table, ctx).tobytes() for ctx in ctxs]
+    return repr(counts), rows, (table.alpha, table.vocab_size, table.input_conditioned)
+
+
+CONSTRUCTOR_COUNTS = [
+    1, 2.5, 0.1, 3.0, 0, 0.0, -0.0, 1e308, 8.98846567431158e307, 1e-320, np.float64(4.5), np.float32(0.25),
+    -1, -1e-300, math.inf, math.nan, 10**400, "1", None,
+]
+
+
+class TestCountsAgreeWithTheReference:
+    """The constructor and training keep and refuse exactly as the reference pass does."""
+
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "input-conditioned"])
+    def test_random_pairs_train_as_the_reference_does(self, conditioned):
+        rng = np.random.default_rng(21 + conditioned)
+        seen = {"trained": 0, "refused": 0}
+        for case in range(300):
+            vocab_size = int(rng.integers(9, 20))
+            bad = case % 3 == 0  # some ids out of range, some of the wrong kind, empty targets, bad inputs
+            pairs = []
+            for _ in range(int(rng.integers(0 if bad else 1, 12))):
+                length = int(rng.integers(0 if bad and rng.random() < 0.05 else 1, 6))
+                target = [int(t) for t in rng.integers(0, vocab_size + (3 if bad else 0), size=length)]
+                if bad and target and rng.random() < 0.05:
+                    target[int(rng.integers(len(target)))] = str(rng.choice(["a", "7"]))
+                source = [int(t) for t in rng.integers(0, 4, size=int(rng.integers(0, 3)))]
+                if bad and rng.random() < 0.03:
+                    source.append(-1)
+                pairs.append((tuple(source), target))
+            alpha = float(rng.choice([0.5, 0.01, 3.7]))
+            want = table_outcome(lambda: reference_train_table_scorer(pairs, alpha, vocab_size, conditioned))
+            got = table_outcome(lambda: train_table_scorer(iter(pairs), alpha, vocab_size, conditioned))
+            assert got == want, pairs
+            seen["refused" if len(want) == 2 else "trained"] += 1
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "input-conditioned"])
+    def test_random_tables_construct_as_the_reference_does(self, conditioned):
+        rng = np.random.default_rng(31 + conditioned)
+        seen = {"kept": 0, "refused": 0}
+        for case in range(300):
+            vocab_size = int(rng.integers(9, 20))
+            top = 2**31 - 1 if conditioned else vocab_size - 1
+            odd = case % 2 == 0
+            counts = {}
+            for _ in range(int(rng.integers(0, 8))):
+                ctx = int(rng.integers(0, top + 1)) if not odd or rng.random() < 0.9 else int(top + 1)
+                row = counts.setdefault(ctx, {})
+                for _ in range(int(rng.integers(1, 5))):
+                    token = int(rng.integers(0, vocab_size + (1 if odd else 0)))
+                    pick = int(rng.integers(len(CONSTRUCTOR_COUNTS) if odd else 4))
+                    row[token] = CONSTRUCTOR_COUNTS[pick] if odd else float(rng.random() * 50)
+            alpha = float(rng.choice([0.5, 0.01, 5e-324]))
+            want = table_outcome(lambda: reference_table_scorer(counts, alpha, vocab_size, conditioned))
+            got = table_outcome(lambda: TableScorer(counts, alpha, vocab_size, conditioned))
+            assert got == want, counts
+            seen["refused" if len(want) == 2 else "kept"] += 1
+        assert min(seen.values()) >= 30, seen
+
+
+NO_PLAIN_LINES = re.compile(r"(?!)")  # matches nothing, so every block is parsed line by line
 
 
 class TestBulkLoad:
-    """The bulk load keeps exactly what the per-line pass keeps, or falls back to it, which refuses as it did."""
+    """The one-read loader keeps and refuses exactly as the reference pass does, parsed in bulk or line by line."""
 
-    @pytest.mark.parametrize("block", [3, 4096])
-    def test_random_files_load_alike_on_both_paths(self, tmp_path, monkeypatch, block):
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_random_files_load_as_the_reference_does(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(scoring, "_LOAD_LINES", block)
-        fill, plain_columns = TableScorer._fill, scoring._plain_columns
-        taken = []
-
-        def recorded_fill(self, columns, top):
-            taken.append(fill(self, columns, top))
-            return taken[-1]
-
-        monkeypatch.setattr(TableScorer, "_fill", recorded_fill)
         rng = np.random.default_rng(block)
         path = tmp_path / "scorer.tsv"
-        seen = {"bulk": 0, "per-line": 0, "refused": 0}
+        seen = {"loaded": 0, "summed": 0, "refused": 0}
         for case in range(600):
-            path.write_bytes(random_scorer_text(rng, plain=case % 3 == 0).encode("utf-8"))
-            taken.clear()
-            bulk = scorer_outcome(path)
-            monkeypatch.setattr(scoring, "_plain_columns", lambda lines: None)
-            per_line = scorer_outcome(path)
-            monkeypatch.setattr(scoring, "_plain_columns", plain_columns)
-            assert bulk == per_line, path.read_bytes()
-            seen["refused" if isinstance(bulk[1], str) else "bulk" if taken == [True] else "per-line"] += 1
+            text = random_scorer_text(rng, plain=case % 3 == 0)
+            data = text.encode("utf-8")
+            if rng.random() < 0.05:  # a bad byte anywhere
+                cut = int(rng.integers(len(data) + 1))
+                data = data[:cut] + b"\xff" + data[cut:]
+            path.write_bytes(data)
+            want = table_outcome(lambda: reference_load_table_scorer(str(path)))
+            got = table_outcome(lambda: load_table_scorer(str(path)))
+            with monkeypatch.context() as forced:
+                forced.setattr(scoring, "_PLAIN_LINES", NO_PLAIN_LINES)
+                per_line = table_outcome(lambda: load_table_scorer(str(path)))
+            assert got == want, data
+            assert per_line == want, data
+            keys = [tuple(line.split("\t")[:2]) for line in re.split("\r\n|\r|\n", text)[1:] if line.strip()]
+            seen["refused" if len(want) == 2 else "summed" if len(set(keys)) < len(keys) else "loaded"] += 1
         assert min(seen.values()) >= 60, seen
 
     @pytest.mark.parametrize(
         "line",
         [
-            *(f"{form.format(5)}\t7\t1.0" for form, odd in ID_FORMS if odd),
-            *(f"5\t{form.format(7)}\t1.0" for form, odd in ID_FORMS if odd),
-            "5\t7\t 4", "5\t7\tinf", "5\t7\tnan", "5\t7\t1_0", "5\t7\t\u0664",
-            "9223372036854775807\t7\t1", "5\t7\t1\t", "5\t7", "5\t\t7\t1",
+            *(f"{form.format(5)}\t7\t1.0" for form, _ in ID_FORMS),
+            *(f"5\t{form.format(7)}\t1.0" for form, _ in ID_FORMS),
+            *(f"5\t7\t{count}" for count in COUNTS),
+            "9223372036854775807\t7\t1", "5\t7\t1\t", "5\t7", "5\t\t7\t1", "5\t7\t1e308\n5\t7\t1e308",
         ],
     )
-    def test_a_form_numpy_may_read_otherwise_takes_the_per_line_path(self, line):
-        assert scoring._plain_columns(iter(["0\t1\t1.0", line])) is None
+    def test_an_odd_form_loads_as_the_reference_does(self, tmp_path, monkeypatch, line):
+        path = tmp_path / "scorer.tsv"
+        path.write_text(f"0.5\t9\n0\t1\t1.0\n{line}\n5\t8\t2\n", encoding="utf-8")
+        want = table_outcome(lambda: reference_load_table_scorer(str(path)))
+        assert table_outcome(lambda: load_table_scorer(str(path))) == want
+        monkeypatch.setattr(scoring, "_PLAIN_LINES", NO_PLAIN_LINES)
+        assert table_outcome(lambda: load_table_scorer(str(path))) == want
 
-    def test_plain_forms_parse_in_bulk(self):
+    def test_plain_forms_load_their_values(self, tmp_path):
         lines = ["5\t7\t1.0", "", "005\t0\t2.5e-3", " ", "2147483647\t8\t1E+2", "0\t8\t.5", "1\t2\t7.", "1\t3\t-0.0"]
-        columns = scoring._plain_columns(iter(lines))
-        assert columns.tolist() == [
-            (5, 7, 1.0), (5, 0, 2.5e-3), (2147483647, 8, 100.0), (0, 8, 0.5), (1, 2, 7.0), (1, 3, -0.0)
-        ]
+        path = tmp_path / "scorer.tsv"
+        path.write_text("\n".join(["0.5\t9\tinput-conditioned", *lines]) + "\n")
+        want = {0: {8: 0.5}, 1: {2: 7.0}, 5: {7: 1.0, 0: 2.5e-3}, 2147483647: {8: 100.0}}  # a zero count is dropped
+        assert load_table_scorer(str(path)).counts == want
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    def test_the_first_context_seen_is_named_when_rows_overflow(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(scoring, "_LOAD_LINES", block)
+        path = tmp_path / "scorer.tsv"
+        path.write_text("0.5\t9\n5\t7\t1e308\n5\t8\t1e308\n0\t7\t1e308\n0\t8\t1e308\n")
+        with pytest.raises(ScorerError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == "context 5: probabilities overflow or underflow a float"
+        assert str(refused.value) == table_outcome(lambda: reference_load_table_scorer(str(path)))[1]
+
+    @pytest.mark.parametrize("twice", [False, True], ids=["refused", "every-line-twice"])
+    def test_a_load_reads_the_file_once(self, tmp_path, monkeypatch, twice):
+        scorer = random_table_scorer(np.random.default_rng(11), pool_vocabulary())
+        path = tmp_path / "scorer.tsv"
+        save_table_scorer(scorer, str(path))
+        head, *entries = path.read_text().splitlines()
+        # every count line written twice, or all but the last again and then a refused line
+        tail = entries if twice else [*entries[:-1], "0\t99\t1"]
+        path.write_text("\n".join([head, *entries, *tail]) + "\n")
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return read_lines(source)
+
+        monkeypatch.setattr(scoring, "read_lines", counted)
+        if twice:
+            loaded = load_table_scorer(str(path))
+            assert loaded.counts == {ctx: {t: 2 * c for t, c in row.items()} for ctx, row in scorer.counts.items()}
+        else:
+            with pytest.raises(ScorerError, match=f"^line {2 * len(entries) + 1}: token id 99 out of range$"):
+                load_table_scorer(str(path))
+        assert calls == [str(path)]
 
     @pytest.mark.parametrize("block", [1, 4096])
     @pytest.mark.parametrize(
@@ -962,8 +1132,9 @@ class TestBulkLoad:
             (b"5\t7\t1\n0\t99\t1\n5\t8\t2\n5\t9\t\xff1\n", "line 3: token id 99 out of range"),
             (b"5\t7\t1\n\xff0\t99\t1\n", "{path}:3: not UTF-8 (can't decode byte 0xff: invalid start byte)"),
             (b"5\t7\t1\n0\t8\t1\n\xff\n", "{path}:4: not UTF-8 (can't decode byte 0xff: invalid start byte)"),
+            (b"5\t7\t1\nx\t7\t1\n\xff\n", "line 3: invalid literal for int() with base 10: 'x'"),
         ],
-        ids=["bad-byte-on-the-next-line", "bad-byte-lines-later", "bad-byte-first", "bad-byte-alone"],
+        ids=["bad-byte-on-the-next-line", "bad-byte-lines-later", "bad-byte-first", "bad-byte-alone", "unparsed-line-first"],
     )
     def test_a_bad_byte_is_named_only_if_no_line_before_it_is_refused(
         self, tmp_path, monkeypatch, block, entries, message
@@ -974,3 +1145,11 @@ class TestBulkLoad:
         with pytest.raises(ScorerError if message.startswith("line") else InputError) as refused:
             load_table_scorer(str(path))
         assert str(refused.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("head", [b"0.5\t9\xff\n0\t7\t1\n", b"\xff"], ids=["then-a-line", "alone"])
+    def test_a_bad_byte_in_the_header_is_named(self, tmp_path, head):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(head)
+        with pytest.raises(InputError) as refused:
+            load_table_scorer(str(path))
+        assert str(refused.value) == f"{path}:1: not UTF-8 (can't decode byte 0xff: invalid start byte)"
