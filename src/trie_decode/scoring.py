@@ -135,6 +135,21 @@ def _columns(records: Sequence[tuple[int | None, object, object, object]]) -> tu
     return _column(ctxs, *ids), _column(tokens, *ids), _column(counts, Real, np.float64, math.nan)
 
 
+def _count_records(counts: Mapping[int, Mapping[TokenId, float]]) -> Iterator[tuple[None, object, object, object]]:
+    """The ``(None, ctx, token, count)`` records of ``{ctx: {token: count}}``; a container with no ``items`` raises."""
+    try:
+        rows = counts.items()
+    except AttributeError:
+        raise ScorerError(f"counts must map contexts to {{token: count}} rows, not {type(counts).__name__}") from None
+    for ctx, row in rows:
+        try:
+            items = row.items()
+        except AttributeError:
+            raise ScorerError(f"context {ctx!r}: row {row!r} is not a {{token: count}} mapping") from None
+        for token, count in items:
+            yield None, ctx, token, count
+
+
 def _until_refused(items: Iterator, failed: list[InputError]) -> Iterator:
     """``items`` up to an :class:`InputError`, which goes into ``failed``, to be raised once those before it pass."""
     try:
@@ -182,9 +197,7 @@ class TableScorer(Scorer):
         vocab_size: int,
         input_conditioned: bool = False,
     ) -> None:
-        top = self._header(alpha, vocab_size, input_conditioned)
-        records = [(None, ctx, token, count) for ctx, row in counts.items() for token, count in row.items()]
-        self._keep(*self._check(_columns(records), top, records.__getitem__))
+        self._keep_records(_count_records(counts), self._header(alpha, vocab_size, input_conditioned))
 
     def _header(self, alpha: float, vocab_size: int, input_conditioned: bool) -> int:
         """Check and keep the header, clear the caches, and return the largest context id a step can reach."""
@@ -200,6 +213,16 @@ class TableScorer(Scorer):
         self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[TokenId, np.ndarray]] = (None, None, {})
         self._shapes: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}  # count tuple -> (untrained, trained logs)
         return 0x7FFFFFFF if input_conditioned else self.vocab_size - 1
+
+    def _keep_records(self, records: Iterator[tuple[None, object, object, object]], top: int) -> None:
+        """Check and keep ``(None, ctx, token, count)`` records; the first bad record, or the first error the
+        records raise, whichever comes first, is refused."""
+        failed: list[InputError] = []
+        held = list(_until_refused(records, failed))
+        columns = self._check(_columns(held), top, held.__getitem__)
+        if failed:
+            raise failed[0]
+        self._keep(*columns)
 
     def _check(self, columns: Sequence[np.ndarray], top: int, record: Callable[[int], tuple]) -> Sequence[np.ndarray]:
         """``columns``, unless a record's context is not an integer a step can reach, its token not an integer in
@@ -316,8 +339,19 @@ def train_table_scorer(
     EOS to a target if the end of sequence should be part of the model.
     """
     def transitions() -> Iterator[tuple[None, object, object, float]]:
-        for input_tokens, target in pairs:
-            target = tuple(target)
+        try:
+            items = iter(pairs)
+        except TypeError:
+            raise ScorerError(f"training pairs must be iterable, not {type(pairs).__name__}") from None
+        for i, pair in enumerate(items):
+            try:
+                input_tokens, target = pair
+            except (TypeError, ValueError):
+                raise ScorerError(f"training item {i}: {pair!r} is not an (input, target) pair") from None
+            try:
+                target = tuple(target)
+            except TypeError:
+                raise ScorerError(f"training item {i}: target {target!r} is not a sequence of token ids") from None
             if not target:
                 raise ScorerError("empty target sequence")
             key = _input_key(input_tokens) if input_conditioned else None
@@ -326,13 +360,7 @@ def train_table_scorer(
                 yield None, _context(key, prev) if isinstance(prev, Integral) else prev, token, 1.0
 
     scorer = TableScorer.__new__(TableScorer)
-    top = scorer._header(alpha, vocab_size, input_conditioned)
-    failed: list[InputError] = []
-    records = list(_until_refused(transitions(), failed))
-    columns = scorer._check(_columns(records), top, records.__getitem__)
-    if failed:
-        raise failed[0]
-    scorer._keep(*columns)
+    scorer._keep_records(transitions(), scorer._header(alpha, vocab_size, input_conditioned))
     if not scorer._rows:
         raise ScorerError("empty training set")
     return scorer

@@ -221,10 +221,26 @@ def _cut_aligned(text: str, cut: int, vocab: Vocabulary) -> bool:
 def _mention_token_span(
     context: str, char_start: int, char_len: int, vocab: Vocabulary, line: int
 ) -> tuple[tuple[TokenId, ...], int, int]:
-    """The context's ids, with the mention's first id and id count; each of the three pieces is encoded once."""
+    """The context's ids, with the mention's first id and id count.
+
+    Whole-token path: when each word between single spaces is a token and
+    each mention cut is at an end of the context or next to a space, the
+    words' ids are the context's (a token is non-empty and holds no
+    whitespace, so ``encode`` takes each such word whole), and the spaces
+    before and inside the mention count its place and length.  Every other
+    context takes the general path, which checks both cuts and encodes each
+    of the three pieces once; only it refuses a mention that is not aligned.
+    """
     end = char_start + char_len
     if char_len < 1 or char_start < 0 or end > len(context):
         raise TaskError("mention character span outside the context", line)
+    if (char_start == 0 or context[char_start - 1] == " ") and (end == len(context) or context[end] == " "):
+        try:  # through a list, whose length sizes the tuple once: a tuple grown from `map` keeps slack
+            ids = tuple([*map(vocab._table.__getitem__, context.split(" "))])
+        except KeyError:  # a word that is no token, or the empty one next to another space or at an end
+            pass
+        else:
+            return ids, context.count(" ", 0, char_start), context.count(" ", char_start, end) + 1
     mention = context[char_start:end]
     space_edge = mention[0].isspace() or mention[-1].isspace()
     if space_edge or not (_cut_aligned(context, char_start, vocab) and _cut_aligned(context, end, vocab)):

@@ -422,6 +422,31 @@ class TestTableScorer:
         with pytest.raises(ScorerError, match="^empty target sequence$"):
             train_table_scorer([((), (7, 8)), ((), ()), ((), (99,))], 0.5, 9)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: train_table_scorer([((), 5)], 0.5, 9), "training item 0: target 5 is not a sequence of token ids"),
+            (lambda: train_table_scorer([5], 0.5, 9), "training item 0: 5 is not an (input, target) pair"),
+            (lambda: train_table_scorer([((), (7,)), (1, 2, 3)], 0.5, 9),
+             "training item 1: (1, 2, 3) is not an (input, target) pair"),
+            (lambda: train_table_scorer(5, 0.5, 9), "training pairs must be iterable, not int"),
+            (lambda: TableScorer({0: 5}, 0.5, 9), "context 0: row 5 is not a {token: count} mapping"),
+            (lambda: TableScorer([1], 0.5, 9), "counts must map contexts to {token: count} rows, not list"),
+        ],
+        ids=["target-not-iterable", "item-not-a-pair", "item-of-three", "pairs-not-iterable", "row-not-a-mapping",
+             "counts-not-a-mapping"],
+    )
+    def test_a_malformed_container_is_a_scorer_error_that_names_it(self, build, message):
+        with pytest.raises(ScorerError) as refused:
+            build()
+        assert str(refused.value) == message
+
+    def test_a_bad_record_before_a_malformed_row_is_named_first(self):
+        with pytest.raises(ScorerError, match="^token id 99 out of range$"):
+            TableScorer({0: {99: 1.0}, 1: 5}, 0.5, 9)
+        with pytest.raises(ScorerError, match="^context 1: row 5 is not a"):
+            TableScorer({0: {7: 1.0}, 1: 5, 2: {99: 1.0}}, 0.5, 9)
+
 
 def reference_context(input_conditioned, input_tokens, prefix):
     """The documented context id of one scoring step."""

@@ -444,18 +444,26 @@ class TestEdDatasetLoader:
             except TaskError as exc:
                 return str(exc), exc.line
 
-        counts = {"aligned": 0, "outside": 0, "misaligned": 0}
+        counts = {"aligned": 0, "outside": 0, "misaligned": 0, "whole-token": 0}
         for case in range(4000):
             if case % 40 == 0:
                 v = Vocabulary(dict.fromkeys(word("abc", 4) for _ in range(8)))
-            words = [word("abcdé", 6) for _ in range(rng.integers(0, 6))]
-            context = "".join(str(rng.choice(separators)) + w for w in words)
-            context = context[int(rng.integers(0, 2)) :] + str(rng.choice(("", *separators)))
-            # cuts on token boundaries (mid-word ones included) or anywhere: on whitespace, past either end
-            bounds = sorted({b for t in encode_with_offsets(context, v) for b in (t.start, t.end)})
+            # a share of contexts are whole tokens joined by single spaces, which the loader maps by one split
+            whole = rng.random() < 0.3
+            if whole:
+                context = " ".join(rng.choice(v.tokens, int(rng.integers(1, 7))))
+            else:
+                words = [word("abcdé", 6) for _ in range(rng.integers(0, 6))]
+                context = "".join(str(rng.choice(separators)) + w for w in words)
+                context = context[int(rng.integers(0, 2)) :] + str(rng.choice(("", *separators)))
+            # cuts on token boundaries (mid-word ones included) or anywhere: on whitespace, past either end;
+            # in a whole-token context a boundary cut starts at a word's start and ends at a word's end
+            spans = encode_with_offsets(context, v)
+            bounds = sorted({b for t in spans for b in (t.start, t.end)})
+            firsts, lasts = ([t.start for t in spans], [t.end for t in spans]) if whole else (bounds, bounds)
             anywhere = range(-2, len(context) + 3)
-            start = int(rng.choice(bounds if bounds and rng.random() < 0.7 else anywhere))
-            later = [b for b in bounds if b > start]
+            start = int(rng.choice(firsts if firsts and rng.random() < 0.7 else anywhere))
+            later = [b for b in lasts if b > start]
             end = int(rng.choice(later if later and rng.random() < 0.7 else anywhere))
             args = (context, start, end - start, v, int(rng.integers(1, 4)))
             expected = outcome(reference_mention_token_span, *args)
@@ -465,6 +473,7 @@ class TestEdDatasetLoader:
                 counts["outside" if "outside" in expected[0] else "misaligned"] += 1
             else:
                 counts["aligned"] += 1
+                counts["whole-token"] += whole
         assert min(counts.values()) > 500, counts
 
     def test_malformed_line_rejected(self, vocab):
