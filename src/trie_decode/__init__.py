@@ -7,6 +7,7 @@ dynamically constrained markup decoding, and evaluate the results.
 
 from .beam import (
     BeamConfig,
+    BeamError,
     Hypothesis,
     RankedEntry,
     RankedResult,
@@ -27,6 +28,8 @@ from .catalog import (
 from .markup import (
     LinkerState,
     MarkupDocument,
+    MarkupError,
+    MarkupParseError,
     Phase,
     SpanAnnotation,
     chunk_input,
@@ -38,6 +41,7 @@ from .markup import (
 from .metrics import (
     EvalReport,
     MatchType,
+    MetricsError,
     RetrievalReport,
     ed_accuracy,
     match_type,
@@ -47,6 +51,7 @@ from .metrics import (
 from .scoring import (
     OracleScorer,
     Scorer,
+    ScorerError,
     TableScorer,
     UniformScorer,
     sequence_score,
@@ -63,12 +68,13 @@ from .tasks import (
     ELOutcome,
     SuiteReport,
     TaskConfig,
+    TaskError,
     disambiguate,
     flag_mention,
     retrieve,
     run_eval_suite,
 )
-from .trie import EntityTrie, TrieStats, build_trie
+from .trie import EntityTrie, TrieError, TrieFormatError, TrieStats, build_trie
 from .vocab import (
     EOS,
     LINK_CLOSE,
@@ -77,8 +83,10 @@ from .vocab import (
     MENTION_OPEN,
     SOS,
     UNK,
+    InputError,
     TokenId,
     Vocabulary,
+    VocabularyError,
     decode,
     encode,
     encode_with_offsets,

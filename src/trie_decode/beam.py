@@ -43,7 +43,7 @@ import numpy as np
 from .catalog import Catalog
 from .scoring import Scorer, sequence_score
 from .trie import EntityTrie
-from .vocab import EOS, SOS, TokenId, Vocabulary, decode
+from .vocab import EOS, SOS, InputError, TokenId, Vocabulary, decode
 
 State = TypeVar("State")
 
@@ -68,8 +68,8 @@ class Constraint(Protocol[State]):
         """The state after ``token``; defined only for an id in ``allowed(state)``."""
 
 
-class BeamError(ValueError):
-    pass
+class BeamError(InputError):
+    """Raised for invalid beam settings, constraints or scorer values met in a search."""
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Results go to stdout (or ``--out``, written only on success), diagnostics
-to stderr; the exit status is zero exactly when no error occurred.  Structured
+to stderr; the exit status is zero exactly when no error occurred.  An
+:class:`InputError` or ``OSError`` ends a run in one ``error:`` line and exit 1;
+any other exception is a bug and keeps its traceback.  Structured
 output is JSON lines with sorted keys, so repeated runs are byte-identical
 and the span dumps of ``link`` can be fed back to ``eval --predictions``.
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -32,11 +35,7 @@ from .tasks import (
     score_dump,
 )
 from .trie import EntityTrie, TrieFormatError, _build_flat
-from .vocab import EOS, Vocabulary, encode, load_vocabulary, read_rows
-
-
-class CliError(ValueError):
-    pass
+from .vocab import EOS, InputError, Vocabulary, encode, load_vocabulary, read_rows
 
 
 # (beams, max_steps) defaults: ranking decodes one short name, linking a whole marked-up text
@@ -53,7 +52,7 @@ def _load_trie(path: str) -> EntityTrie:
         with open(path, "rb") as fh:
             return EntityTrie(fh.read())
     except TrieFormatError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _make_scorer(spec: str, vocab: Vocabulary) -> Scorer:
@@ -72,7 +71,7 @@ def _load_decoder(args: argparse.Namespace) -> tuple[Vocabulary, Scorer, EntityT
     sizes = {"scorer": scorer.vocab_size, "trie": vocab.size if trie is None else trie.vocab_size}
     for what, size in sizes.items():
         if size != vocab.size:
-            raise CliError(f"{what} has vocabulary size {size}, but {args.vocab} has {vocab.size}")
+            raise InputError(f"{what} has vocabulary size {size}, but {args.vocab} has {vocab.size}")
     return vocab, scorer, trie
 
 
@@ -105,7 +104,7 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     # sequences, and the trie's leaves count the distinct names
     ids, lengths = _catalog_ids(args.catalog, vocab)
     if not lengths:
-        raise CliError(f"{args.catalog} holds no entity names")
+        raise InputError(f"{args.catalog} holds no entity names")
     trie = _build_flat(ids, lengths, vocab.size)
     if len(lengths) > trie.leaf_count:
         print(f"skipped {len(lengths) - trie.leaf_count} duplicate name(s)", file=sys.stderr)
@@ -175,7 +174,7 @@ def _emit_document(doc: MarkupDocument, doc_id: str, fmt: str, out: TextIO) -> N
 
 def cmd_link(args: argparse.Namespace, out: TextIO) -> int:
     if (args.text is None) == (args.dataset is None):
-        raise CliError("exactly one of --text and --dataset is required")
+        raise InputError("exactly one of --text and --dataset is required")
     config = TaskConfig(args.beams, args.max_steps, length_normalize=args.length_normalize)
     if args.dataset is not None:
         for outcome in _run_suite(args, "el", config).outcomes:
@@ -194,7 +193,7 @@ def _load_predictions(path: str) -> Iterator[tuple[str, dict]]:
         try:
             record = json.loads(raw)
         except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-            raise CliError(f"{path}:{lineno}: bad prediction record ({exc})") from None
+            raise InputError(f"{path}:{lineno}: bad prediction record ({exc})") from None
         yield f"{path}:{lineno}", record
 
 
@@ -207,7 +206,7 @@ def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     if args.predictions:
         suite = score_dump(args.dataset, args.mode, _load_vocab(args.vocab), _load_predictions(args.predictions))
     elif not args.scorer:
-        raise CliError("--scorer is required unless --predictions is given")
+        raise InputError("--scorer is required unless --predictions is given")
     else:
         suite = _run_suite(args, args.mode, config)
     for line in _report_lines(suite, args.format):
@@ -323,16 +322,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     out: TextIO = io.StringIO() if buffered else sys.stdout
     try:
         if getattr(args, "jobs", 1) < 1:
-            raise CliError(f"jobs must be at least 1, got {args.jobs}")
+            raise InputError(f"jobs must be at least 1, got {args.jobs}")
         # checked here, not only where a chunk is cut, so no mode or path ignores it
         if getattr(args, "chunk_size", None) is not None and args.chunk_size < 1:
-            raise CliError("chunk size must be at least 1")
+            raise InputError("chunk size must be at least 1")
+        # argv passes a byte that is not UTF-8 on as a lone surrogate, which no output can encode
+        scorer = getattr(args, "scorer", None) or ""
+        texts = {"--query": getattr(args, "query", None), "--text": getattr(args, "text", None),
+                 "--scorer": scorer if scorer.startswith("oracle:") else None}
+        for flag, text in texts.items():
+            if bad := re.search("[\ud800-\udfff]", text or ""):
+                raise InputError(f"{flag} is not UTF-8 ({bad.group()!r} at offset {bad.start()})")
         status = args.func(args, out)
         if buffered and status == 0:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out.getvalue())
         return status
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,6 +42,7 @@ from .vocab import (
     MENTION_CLOSE,
     MENTION_OPEN,
     SOS,
+    InputError,
     TokenId,
     Vocabulary,
     decode,
@@ -49,12 +50,12 @@ from .vocab import (
 )
 
 
-class MarkupError(ValueError):
-    pass
+class MarkupError(InputError):
+    """Raised for invalid spans, markup token sequences or linking requests."""
 
 
 class MarkupParseError(MarkupError):
-    pass
+    """Raised for markup text that does not parse back onto its source."""
 
 
 class Phase(Enum):

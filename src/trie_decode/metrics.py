@@ -14,10 +14,11 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .beam import RankedResult
 from .markup import SpanAnnotation
+from .vocab import InputError
 
 
-class MetricsError(ValueError):
-    pass
+class MetricsError(InputError):
+    """Raised for counts, rankings or span lists that no metric can be computed from."""
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .vocab import EOS, SOS, TokenId
+from .vocab import EOS, SOS, InputError, TokenId
 
 MAGIC = b"ETRIE\x00\x02\x00"
 _MAGIC_V1 = b"ETRIE\x00\x01\x00"
@@ -50,11 +50,11 @@ _HEADER = struct.Struct("<II")  # vocab size, node count
 _U32_MAX = 0xFFFF_FFFF
 
 
-class TrieError(ValueError):
+class TrieError(InputError):
     """Raised for invalid sequences handed to trie builders."""
 
 
-class TrieFormatError(ValueError):
+class TrieFormatError(InputError):
     """Raised for bytes that are not a trie file, whether read or built."""
 
 
@@ -72,10 +72,10 @@ class EntityTrie:
     header, bounds the token ids.
 
     Raises:
-        TrieFormatError: on a version 1 file, bad magic, truncation,
-            trailing bytes, or arrays that are not a level-order trie with
-            ascending siblings, in-range tokens and 0/1 flags whose every
-            childless node is terminal.
+        TrieFormatError: an :class:`InputError`, on a version 1 file, bad
+            magic, truncation, trailing bytes, or arrays that are not a
+            level-order trie with ascending siblings, in-range tokens and 0/1
+            flags whose every childless node is terminal.
     """
 
     __slots__ = (
@@ -283,9 +283,9 @@ def build_trie(sequences: Iterable[Sequence[TokenId]], vocab_size: int) -> Entit
     :class:`TrieFormatError`.
 
     Raises:
-        TrieError: on no sequences, an empty sequence, SOS or EOS, an id
-            that is not an integer or not below ``vocab_size``, or a vocab
-            size beyond the file format's u32.
+        TrieError: an :class:`InputError`, on no sequences, an empty
+            sequence, SOS or EOS, an id that is not an integer or not below
+            ``vocab_size``, or a vocab size beyond the file format's u32.
     """
     seqs = list(sequences)
     if not seqs:

@@ -1,20 +1,25 @@
 """Command-line behavior: stats, formats, stream separation, exit codes."""
 
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trie_decode
+import trie_decode.cli
 from trie_decode.catalog import _BLOCK_LINES, CatalogError
 from trie_decode.cli import main
 from trie_decode.markup import parse_markup
 from trie_decode.metrics import ed_accuracy
 from trie_decode.tasks import TASK_EXTRA_SPECIALS
-from trie_decode.vocab import load_vocabulary
+from trie_decode.vocab import InputError, load_vocabulary
 
 from helpers import (
     SHARED_PREFIX_NAMES,
@@ -1320,3 +1325,57 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "scorer" in capsys.readouterr().err
+
+    def test_every_package_error_derives_from_input_error_and_is_exported(self):
+        classes = {
+            cls
+            for info in pkgutil.iter_modules(trie_decode.__path__)
+            for _, cls in inspect.getmembers(importlib.import_module(f"trie_decode.{info.name}"), inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__.startswith("trie_decode.")
+        }
+        assert InputError in classes and len(classes) > 1
+        for cls in classes:
+            assert issubclass(cls, InputError), cls
+            assert getattr(trie_decode, cls.__name__, None) is cls, cls
+
+    def test_an_error_that_is_no_input_error_keeps_its_traceback(self, cli_files, capsys, monkeypatch):
+        build(cli_files)
+        capsys.readouterr()
+
+        def broken_retrieve(*args, **kwargs):
+            raise ValueError("a bug, not a bad input")
+
+        monkeypatch.setattr(trie_decode.cli, "retrieve", broken_retrieve)
+        argv = ["retrieve", "--query", "q", "--vocab", cli_files["vocab"], "--trie", cli_files["trie"],
+                "--scorer", "uniform"]
+        with pytest.raises(ValueError, match="a bug, not a bad input") as caught:
+            main(argv)
+        assert not isinstance(caught.value, InputError)
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, at",
+        [
+            # argv hands a byte that is not UTF-8 on as a surrogate escape: b"\xff" as "\udcff"
+            ("link", "--text", "English \udcff language", 8),
+            ("retrieve", "--query", "\udcff", 0),
+            ("retrieve", "--scorer", "oracle:Fr\udcc3ance", 9),
+        ],
+        ids=["text", "query", "oracle"],
+    )
+    def test_text_flag_that_is_not_utf8_exits_1_with_or_without_out(
+        self, cli_files, tmp_path, capsys, command, flag, value, at
+    ):
+        build(cli_files)
+        capsys.readouterr()
+        flags = {"--vocab": cli_files["vocab"], "--trie": cli_files["trie"], "--scorer": "uniform"}
+        flags["--query" if command == "retrieve" else "--text"] = "English"
+        flags[flag] = value
+        argv = [command, *(item for pair in flags.items() for item in pair)]
+        out = tmp_path / "out.txt"
+        for run in (argv, argv + ["--out", str(out)]):
+            assert main(run) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} is not UTF-8 ({value[at]!r} at offset {at})\n"
+            assert not out.exists()

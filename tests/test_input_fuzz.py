@@ -1,8 +1,10 @@
-"""Seeded CLI input fuzz: every input file of every subcommand, mutated.
+"""Seeded CLI input fuzz: every input file and text flag of every subcommand, mutated.
 
 Each run goes through ``cli.main`` in process.  Whatever the mutation, the
 run must exit 0 or 1 without a traceback, an exit 1 must end in one
-``error: `` line, and every number in structured output must be finite.
+``error: `` line, and every number in structured output must be finite.  A
+mutated text flag runs with and without ``--out``, with one exit status, and
+no ``--out`` file is left after an exit 1.
 """
 
 import json
@@ -10,6 +12,7 @@ import math
 import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -34,15 +37,19 @@ FILES = {
         "d2\tthe English language\tthe [English language](English language)\n"
     ),
 }
-# each subcommand with the inputs it reads; "{name}" is the path of that input
+# text flags, given in argv rather than read from a file
+TEXTS = {"query": "capital of France", "text": "Paris is the capital of France"}
+# each subcommand with the inputs it reads; "{name}" is the path of that input, or the text of a flag
 COMMANDS = {
     "build-trie": ["build-trie", "{catalog}", "--vocab", "{vocab}", "--out", "{out}"],
-    "retrieve": ["retrieve", "--query", "capital of France", "--vocab", "{vocab}", "--trie", "{trie}",
+    "retrieve": ["retrieve", "--query", "{query}", "--vocab", "{vocab}", "--trie", "{trie}",
                  "--scorer", "{scorer}"],
     "disambiguate": ["disambiguate", "--dataset", "{ed}", "--vocab", "{vocab}", "--trie", "{trie}",
                      "--scorer", "{scorer}", "--candidates", "{candidates}"],
     "link": ["link", "--dataset", "{el}", "--vocab", "{vocab}", "--trie", "{trie}", "--scorer", "{scorer}",
              "--max-steps", "48"],
+    "link-text": ["link", "--text", "{text}", "--vocab", "{vocab}", "--trie", "{trie}", "--scorer", "{scorer}",
+                  "--max-steps", "48"],
     "eval-ed": ["eval", "--mode", "ed", "--dataset", "{ed}", "--vocab", "{vocab}", "--trie", "{trie}",
                 "--scorer", "{scorer}", "--candidates", "{candidates}"],
     "eval-dr": ["eval", "--mode", "dr", "--dataset", "{dr}", "--vocab", "{vocab}", "--trie", "{trie}",
@@ -57,6 +64,13 @@ COMMANDS = {
 MUTATIONS_PER_INPUT = 32
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e-?\d+)?")
 _BAD_NUMBERS = (b"nan", b"inf", b"-inf", b"1e999", b"1.5", b"-3", b"0x1f", b"", b"9" * 13, b"9" * 30)
+_UNDECODABLE = (b"\xff", b"\xc3", b"\xed\xa0\x80")
+_BRACKETS = (b"[", b"]", b"(", b")", b"[x](y)")
+
+
+def _insert(rng: random.Random, data: bytes, pieces: tuple[bytes, ...]) -> bytes:
+    at = rng.randrange(len(data) + 1)
+    return data[:at] + rng.choice(pieces) + data[at:]
 
 
 def _mutate(rng: random.Random, data: bytes) -> bytes:
@@ -75,8 +89,7 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
             return data[: m.start()] + rng.choice(_BAD_NUMBERS) + data[m.end() :]
         kind = "utf8"
     if kind == "utf8":
-        at = rng.randrange(len(data) + 1)
-        return data[:at] + rng.choice((b"\xff", b"\xc3", b"\xed\xa0\x80")) + data[at:]
+        return _insert(rng, data, _UNDECODABLE)
     lines = data.splitlines()
     i = rng.randrange(len(lines))
     if kind == "swap":
@@ -92,6 +105,18 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
     return b"".join(line + b"\n" for line in lines)
 
 
+def _mutate_text(rng: random.Random, text: str) -> str:
+    """``text`` mutated as argv hands it on: a byte that is not UTF-8 arrives as a surrogate escape."""
+    kind = rng.choice(("mutate", "undecodable", "bracket", "empty"))
+    if kind == "empty":
+        return ""
+    if kind == "mutate":
+        data = _mutate(rng, text.encode())
+    else:
+        data = _insert(rng, text.encode(), _UNDECODABLE if kind == "undecodable" else _BRACKETS)
+    return data.decode("utf-8", "surrogateescape")
+
+
 def _finite(text: str) -> float:
     """A JSON float or constant (``NaN``, ``Infinity``), which must be finite."""
     value = float(text)
@@ -104,6 +129,7 @@ def inputs(tmp_path_factory):
     """Valid inputs for every subcommand, keyed by the names in ``COMMANDS``."""
     root = tmp_path_factory.mktemp("fuzz")
     paths = {name: str(root / name) for name in (*FILES, "trie", "scorer", "ed-dump", "el-dump")}
+    paths.update(TEXTS)
     for name, text in FILES.items():
         with open(paths[name], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -122,30 +148,40 @@ def inputs(tmp_path_factory):
 def test_mutated_inputs_exit_0_or_1_with_an_error_line(inputs, tmp_path, capsys, command):
     template = COMMANDS[command]
     names = [a[1:-1] for a in template if a.startswith("{") and a != "{out}"]
+    names.sort(key=lambda name: name in TEXTS)  # files first, so their mutations do not move when a text is added
     rng = random.Random(f"trie-decode input fuzz {command}")
     capsys.readouterr()
     for name in names:
-        with open(inputs[name], "rb") as fh:
-            original = fh.read()
+        if name not in TEXTS:
+            with open(inputs[name], "rb") as fh:
+                original = fh.read()
         for _ in range(MUTATIONS_PER_INPUT):
             paths = dict(inputs)
-            paths[name] = str(tmp_path / name)
-            with open(paths[name], "wb") as fh:
-                fh.write(_mutate(rng, original))
+            if name in TEXTS:
+                paths[name] = _mutate_text(rng, TEXTS[name])
+            else:
+                paths[name] = str(tmp_path / name)
+                with open(paths[name], "wb") as fh:
+                    fh.write(_mutate(rng, original))
             out = str(tmp_path / "out.trie")
-            if os.path.exists(out):
-                os.remove(out)
             argv = [a.format(**paths, out=out) for a in template]
             if command != "build-trie":
                 argv += ["--format", "structured"]
-            code = main(argv)
-            captured = capsys.readouterr()
-            context = f"{command} with mutated {name}: exit {code}, stderr {captured.err!r}"
-            assert code in (0, 1), context
-            assert "Traceback" not in captured.err, context
-            if code == 1:
-                assert captured.err.splitlines()[-1].startswith("error: "), context
-                assert not os.path.exists(out), context
-            elif command != "build-trie":
-                for line in captured.out.splitlines():
-                    json.loads(line, parse_float=_finite, parse_constant=_finite)
+            codes = set()
+            for run in ([argv, argv + ["--out", out]] if name in TEXTS else [argv]):
+                if os.path.exists(out):
+                    os.remove(out)
+                code = main(run)
+                codes.add(code)
+                captured = capsys.readouterr()
+                context = f"{command} with mutated {name} {paths[name]!r}: exit {code}, stderr {captured.err!r}"
+                assert code in (0, 1), context
+                assert "Traceback" not in captured.err, context
+                if code == 1:
+                    assert captured.err.splitlines()[-1].startswith("error: "), context
+                    assert not os.path.exists(out), context
+                elif command != "build-trie":
+                    written = captured.out if run is argv else Path(out).read_text(encoding="utf-8")
+                    for line in written.splitlines():
+                        json.loads(line, parse_float=_finite, parse_constant=_finite)
+            assert len(codes) == 1, f"{command} with mutated {name} {paths[name]!r}: exits {sorted(codes)}"

@@ -216,6 +216,10 @@ class TestRoundTrip:
 READER_VOCAB = Vocabulary(("France",), extra_specials=("[START_ENT]", "[END_ENT]"))
 
 
+def read_predictions(path):
+    return list(_load_predictions(path))
+
+
 @pytest.mark.parametrize(
     "reader, text, line",
     [
@@ -227,7 +231,7 @@ READER_VOCAB = Vocabulary(("France",), extra_specials=("[START_ENT]", "[END_ENT]
         (lambda path: load_ed_dataset(path, READER_VOCAB), "m1\tFrance\t0\t6\tFrance\n\nm2\tFrance\n", 3),
         (load_dr_dataset, "q1\tFrance\tFrance\n\nq2\tFrance\n", 3),
         (load_el_dataset, "d1\tFrance\t[France](France)\n\nd2\tFrance\n", 3),
-        (lambda path: list(_load_predictions(path)), '{"id": "d1", "spans": []}\n\n{"id"\n', 3),
+        (read_predictions, '{"id": "d1", "spans": []}\n\n{"id"\n', 3),
     ],
     ids=["vocabulary", "catalog", "candidates", "scorer", "ed", "dr", "el", "predictions"],
 )
@@ -236,7 +240,7 @@ def test_every_reader_numbers_lines_from_one(tmp_path, reader, text, line):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as caught:
         reader(str(path))
-    if isinstance(caught.value, InputError):
+    if reader is not read_predictions:
         assert str(caught.value).startswith(f"line {line}: ")
         assert caught.value.line == line
     else:  # a dump line is named as file:line, like the records it yields
