@@ -12,7 +12,7 @@ mutates the old one, so any number of readers may share a version.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -206,29 +206,76 @@ def add_entity(catalog: Catalog, name: str, vocab: Vocabulary) -> Catalog:
     return Catalog._of({**catalog._records, name: record})
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Non-empty set of entity names attached to one mention, each ranked under its own name."""
+class CandidateSet(Sequence[str]):
+    """Non-empty set of entity names attached to one mention, each ranked under its own name.
 
-    names: tuple[str, ...]
+    A read-only ``Sequence[str]`` held as one ``|``-joined string, the field
+    of a candidate file or of a dataset's sixth column as read.  Its names
+    are that text's non-empty pieces, ``tuple(filter(None, text.split("|")))``,
+    split again on each read and never cached, so a loaded set costs about
+    its field's bytes.  Two sets, or a set and a tuple, are equal when their
+    names are.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    __slots__ = ("_text",)
+
+    def __init__(self, names: Iterable[str]) -> None:
+        """The set of ``names``; an empty set, or a name empty or holding ``|``, raises ``CatalogError``."""
+        names = tuple(names)
+        for name in names:
+            if not name or "|" in name:
+                raise CatalogError(f"candidate name {name!r} cannot be written in a `|`-joined set")
+        if not names:
             raise CatalogError("empty candidate set")
+        self._text = "|".join(names)
+
+    @classmethod
+    def _of_field(cls, text: str) -> CandidateSet | None:
+        """The set of a ``|``-joined field, kept as that text; ``None`` when the field holds no name."""
+        if not text.strip("|"):
+            return None
+        candidate_set = cls.__new__(cls)
+        candidate_set._text = text
+        return candidate_set
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The names, split anew on each read."""
+        return tuple(iter(self))
+
+    def __iter__(self) -> Iterator[str]:
+        return filter(None, self._text.split("|"))  # one split, and no tuple built
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index: int | slice) -> str | tuple[str, ...]:
+        return self.names[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CandidateSet):
+            other = other.names
+        return self.names == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"CandidateSet({self.names!r})"
 
 
 def load_candidate_sets(source: str | Iterable[str]) -> dict[str, CandidateSet]:
-    """Read ``mention-id TAB name1|name2|...`` lines into candidate sets."""
+    """Read ``mention-id TAB name1|name2|...`` lines into candidate sets, each kept as its field's text."""
     sets: dict[str, CandidateSet] = {}
     for lineno, raw in read_rows(source):
         parts = raw.split("\t")
         if len(parts) != 2:
             raise CatalogError("expected `mention-id TAB name1|name2|...`", lineno)
         mention_id, joined = parts
-        names = tuple(filter(None, joined.split("|")))
-        if not names:
+        candidate_set = CandidateSet._of_field(joined)
+        if candidate_set is None:
             raise CatalogError("empty candidate set", lineno)
         if mention_id in sets:
             raise CatalogError(f"duplicate mention id: {mention_id!r}", lineno)
-        sets[mention_id] = CandidateSet(names)
+        sets[mention_id] = candidate_set
     return sets

@@ -66,18 +66,25 @@ class TaskConfig:
 LINK_CONFIG = TaskConfig(beams=6, max_steps=384)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EDInstance:
-    """One flagged-mention disambiguation instance (token-level span)."""
+    """One flagged-mention disambiguation instance (token-level span).
+
+    ``candidates`` is a :class:`CandidateSet`, which splits its text on each
+    read, or ``None`` for a decode over the full catalog.  A tuple or list of
+    names is wrapped in one, and an empty one is stored as ``None``.
+    """
 
     instance_id: str
     context_tokens: tuple[TokenId, ...]
     mention_start: int
     mention_length: int
     gold: str
-    candidates: tuple[str, ...] | None = None
+    candidates: CandidateSet | None = None
 
     def __post_init__(self) -> None:
+        if self.candidates is not None and not isinstance(self.candidates, CandidateSet):
+            object.__setattr__(self, "candidates", CandidateSet(self.candidates) if self.candidates else None)
         if self.mention_length < 1:
             raise TaskError("mention must span at least one token")
         if self.mention_start < 0 or self.mention_start + self.mention_length > len(
@@ -133,20 +140,23 @@ def disambiguate(
     is too long to finish within ``max_steps``.
     """
     flagged = flag_mention(instance, vocab, config)
-    if not instance.candidates:
+    if instance.candidates is None:
         if trie is None:
             raise TaskError(f"instance {instance.instance_id!r}: no candidate set and no catalog trie")
         return rank_entities(scorer, flagged, trie, config.beam_config(), vocab)
     names: dict[tuple[TokenId, ...], str] = {}
     finishable = []
     diagnostics = []
-    for name in dict.fromkeys(instance.candidates):  # a repeated name is one candidate
+    for name in instance.candidates:
         tokens = tuple(encode(name, vocab))
         if not tokens:
             raise TaskError(f"instance {instance.instance_id!r}: candidate {name!r} has no tokens")
-        if tokens in names:
+        known = names.get(tokens)
+        if known == name:  # a repeated name is one candidate
+            continue
+        if known is not None:
             raise TaskError(
-                f"instance {instance.instance_id!r}: candidates {names[tokens]!r} and {name!r} "
+                f"instance {instance.instance_id!r}: candidates {known!r} and {name!r} "
                 "encode to the same tokens"
             )
         names[tokens] = name
@@ -266,13 +276,13 @@ def load_ed_dataset(
             raise TaskError("mention offsets must be integers", lineno) from None
         if not gold:
             raise TaskError("empty gold entity", lineno)
-        candidates: tuple[str, ...] | None = None
+        candidates: CandidateSet | None = None
         if len(parts) == 6 and parts[5]:
-            candidates = tuple(filter(None, parts[5].split("|")))
-            if not candidates:
+            candidates = CandidateSet._of_field(parts[5])
+            if candidates is None:
                 raise TaskError("empty candidate set", lineno)
-        elif candidate_sets is not None and instance_id in candidate_sets:
-            candidates = candidate_sets[instance_id].names
+        elif candidate_sets is not None:
+            candidates = candidate_sets.get(instance_id)
         tokens, tok_start, tok_len = _mention_token_span(context, char_start, char_len, vocab, lineno)
         instances.append(EDInstance(instance_id, tokens, tok_start, tok_len, gold, candidates))
     return instances

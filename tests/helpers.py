@@ -106,6 +106,22 @@ def random_sequences(
     return out
 
 
+# candidate names with a space inside, non-ASCII letters or padding; none holds `|`, tab or newline
+CANDIDATE_NAME_POOL = ("France", "English language", "Café", "Zürich", "北京 市", " padded ", "a  b")
+
+
+def random_candidate_field(rng: np.random.Generator) -> str:
+    """A ``|``-joined candidate field of the shapes a file may hold.
+
+    Empty pieces (``a||b``), a leading or trailing ``|``, repeated names and,
+    one field in eight, bars only; a field of empty pieces alone holds no name.
+    """
+    if rng.integers(8) == 0:
+        return "|" * int(rng.integers(1, 5))
+    pieces = rng.choice(CANDIDATE_NAME_POOL + ("",) * 3, size=int(rng.integers(1, 9)))
+    return "|".join(str(piece) for piece in pieces)
+
+
 def catalog_from_sequences(sequences: list[tuple[int, ...]], vocab: Vocabulary) -> Catalog:
     return Catalog((decode(seq, vocab) for seq in sequences), vocab)
 

@@ -1,5 +1,6 @@
 """Catalog loading, validation, and cold-start insertion."""
 
+import tracemalloc
 from array import array
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from helpers import (
     SHARED_PREFIX_NAMES,
     WORD_POOL,
     pool_vocabulary,
+    random_candidate_field,
     reference_load_catalog,
     reference_make_record,
     shared_prefix_vocabulary,
@@ -338,3 +340,67 @@ class TestCandidateSets:
     def test_load_rejects_empty_set(self):
         with pytest.raises(CatalogError, match="empty candidate set"):
             load_candidate_sets(["m1\t|"])
+
+    @pytest.mark.parametrize("name", ["a|b", "", "|a"])
+    def test_a_name_a_field_cannot_hold_is_refused(self, name):
+        with pytest.raises(CatalogError, match=r"cannot be written in a `\|`-joined set"):
+            CandidateSet(("alpha", name))
+
+    def test_a_set_reads_its_field_as_the_filter_over_its_split(self):
+        rng = np.random.default_rng(45)
+        for _ in range(500):
+            field = random_candidate_field(rng)
+            names = tuple(filter(None, field.split("|")))
+            if not names:
+                continue
+            (loaded,) = load_candidate_sets([f"m1\t{field}"]).values()
+            assert tuple(loaded) == loaded.names == names
+            assert len(loaded) == len(names)
+            assert [loaded[i] for i in range(-len(names), len(names))] == list(names + names)
+            assert loaded[1:] == names[1:]
+            assert all(name in loaded for name in names) and "" not in loaded and "|" not in loaded
+            built = CandidateSet(names)
+            assert loaded == built == names and names == loaded and loaded != list(names)
+            assert hash(loaded) == hash(built) == hash(names)
+            assert repr(loaded) == f"CandidateSet({names!r})"
+
+    def test_a_field_of_no_name_is_refused_on_its_line(self):
+        rng = np.random.default_rng(46)
+        refused = 0
+        for _ in range(300):
+            field = random_candidate_field(rng)
+            good = [f"g{i}\tFrance|Café" for i in range(int(rng.integers(0, 4)))]
+            lines = good + [f"m1\t{field}"]
+            if tuple(filter(None, field.split("|"))):
+                assert load_candidate_sets(lines)["m1"] == tuple(filter(None, field.split("|")))
+                continue
+            refused += 1
+            with pytest.raises(CatalogError) as caught:
+                load_candidate_sets(lines)
+            assert type(caught.value) is CatalogError
+            line = len(lines)
+            assert (str(caught.value), caught.value.line) == (f"line {line}: empty candidate set", line)
+        assert refused > 30
+
+    def test_loaded_sets_hold_under_one_and_a_half_bytes_per_file_byte(self, tmp_path):
+        # 2,000 lines of 10..60 names of 1..4 words, the shape of the benchmark's candidate file;
+        # a tuple of split names held about 3.5 bytes per file byte
+        rng = np.random.default_rng(47)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        words = ["".join(rng.choice(letters, size=int(rng.integers(3, 10)))) for _ in range(2000)]
+        path = tmp_path / "candidates.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(2000):
+                names = (
+                    " ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+                    for _ in range(int(rng.integers(10, 61)))
+                )
+                fh.write(f"m{i}\t{'|'.join(names)}\n")
+        tracemalloc.start()
+        try:
+            sets = load_candidate_sets(str(path))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sets) == 2000
+        assert held / path.stat().st_size <= 1.5

@@ -1,13 +1,15 @@
 """Task pipelines: mention flagging, disambiguation, retrieval, eval suites."""
 
+import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from trie_decode import beam
 from trie_decode.beam import BeamConfig, BeamError, RankedEntry, RankedResult, rank_entities
-from trie_decode.catalog import CandidateSet
+from trie_decode.catalog import CandidateSet, CatalogError, load_candidate_sets
 from trie_decode.metrics import EvalReport, RetrievalReport
 from trie_decode.scoring import OracleScorer, UniformScorer, train_table_scorer
 from trie_decode.tasks import (
@@ -35,6 +37,7 @@ from helpers import (
     PAINTING_SOURCE,
     PAINTING_WORDS,
     pool_vocabulary,
+    random_candidate_field,
     random_sequences,
     random_table_scorer,
     reference_flag_window,
@@ -51,6 +54,29 @@ def make_instance(vocab, context_len=10, start=4, length=2, gold="alpha", candid
     base = vocab.ordinary_base
     context = tuple(base + (i % 5) for i in range(context_len))
     return EDInstance("inst", context, start, length, gold, candidates)
+
+
+class TestEdInstance:
+    def test_names_given_by_a_caller_become_a_candidate_set(self, vocab):
+        for names in (("beta", "alpha"), ["beta", "alpha"], CandidateSet(("beta", "alpha"))):
+            instance = make_instance(vocab, candidates=names)
+            assert type(instance.candidates) is CandidateSet and instance.candidates == ("beta", "alpha")
+        assert make_instance(vocab, candidates=()).candidates is None
+        assert make_instance(vocab, candidates=[]).candidates is None
+        for bad in (("alpha", "a|b"), ("alpha", "")):
+            with pytest.raises(CatalogError, match="cannot be written"):
+                make_instance(vocab, candidates=bad)
+
+    def test_slotted_frozen_and_still_checked(self, vocab):
+        instance = make_instance(vocab, candidates=("beta",))
+        assert not hasattr(instance, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            instance.gold = "beta"
+        with pytest.raises(TaskError, match="outside the context"):
+            make_instance(vocab, context_len=3, start=2, length=2)
+        for candidates in (None, ("beta", "alpha")):
+            instance = make_instance(vocab, candidates=candidates)
+            assert pickle.loads(pickle.dumps(instance)) == instance
 
 
 class TestFlagMention:
@@ -216,6 +242,16 @@ class TestDisambiguate:
         with pytest.raises(BeamError, match=r"^max_steps 3 cannot finish the longest name \(4 tokens\)$"):
             disambiguate(UniformScorer(vocab.size), make_instance(vocab), vocab, TaskConfig(max_steps=3), trie)
         assert disambiguate(UniformScorer(vocab.size), make_instance(vocab), vocab, TaskConfig(max_steps=5), trie)
+
+    def test_a_field_with_empty_pieces_ranks_as_its_names(self, vocab):
+        rng = np.random.default_rng(50)
+        line = "m1\tzeta alpha eta\t5\t5\talpha\t"
+        (padded,) = load_ed_dataset([line + "|beta gamma||alpha|beta gamma|"], vocab)
+        (plain,) = load_ed_dataset([line + "beta gamma|alpha"], vocab)
+        assert padded.candidates == ("beta gamma", "alpha", "beta gamma")  # a repeated name is one candidate
+        for scorer in (UniformScorer(vocab.size), random_table_scorer(rng, vocab)):
+            config = TaskConfig()
+            assert disambiguate(scorer, padded, vocab, config) == disambiguate(scorer, plain, vocab, config)
 
     def test_without_candidates_requires_trie(self, vocab):
         instance = make_instance(vocab)
@@ -475,6 +511,53 @@ class TestEdDatasetLoader:
                 counts["aligned"] += 1
                 counts["whole-token"] += whole
         assert min(counts.values()) > 500, counts
+
+    def test_both_candidate_sources_give_equal_instances(self, vocab):
+        rng = np.random.default_rng(48)
+        fields = [random_candidate_field(rng) for _ in range(400)]
+        fields = [field for field in fields if field.strip("|")]
+        rows = [f"m{i}\talpha beta gamma\t6\t4\tbeta" for i in range(len(fields))]
+        from_file = load_ed_dataset(
+            rows, vocab, load_candidate_sets([f"m{i}\t{field}" for i, field in enumerate(fields)])
+        )
+        from_field = load_ed_dataset([f"{row}\t{field}" for row, field in zip(rows, fields)], vocab)
+        assert from_file == from_field
+        for file_instance, field_instance, field in zip(from_file, from_field, fields):
+            assert type(file_instance.candidates) is type(field_instance.candidates) is CandidateSet
+            assert tuple(field_instance.candidates) == tuple(filter(None, field.split("|")))
+        # the --jobs fork pool pickles each item
+        for instances in (from_file, from_field):
+            assert pickle.loads(pickle.dumps(instances)) == instances
+
+    def test_a_field_of_no_name_is_refused_on_its_line_by_each_source(self, vocab):
+        rng = np.random.default_rng(49)
+        refused = 0
+        for _ in range(300):
+            field = random_candidate_field(rng)
+            if field.strip("|"):
+                continue
+            refused += 1
+            lines = ["g1\talpha beta\t0\t5\talpha\tbeta"] * int(rng.integers(0, 3))
+            lines.append("m1\talpha beta\t0\t5\talpha")
+            with pytest.raises(CatalogError) as from_file:
+                load_ed_dataset(lines, vocab, load_candidate_sets(["g1\tbeta", f"m1\t{field}"]))
+            assert type(from_file.value) is CatalogError
+            assert (str(from_file.value), from_file.value.line) == ("line 2: empty candidate set", 2)
+            with_field = lines[:-1] + [f"{lines[-1]}\t{field}"]
+            if not field:  # an empty sixth field means no candidates
+                assert load_ed_dataset(with_field, vocab)[-1].candidates is None
+                continue
+            with pytest.raises(TaskError) as from_field:
+                load_ed_dataset(with_field, vocab)
+            assert type(from_field.value) is TaskError
+            line = len(lines)
+            assert (str(from_field.value), from_field.value.line) == (f"line {line}: empty candidate set", line)
+        assert refused > 30
+
+    def test_an_empty_sixth_field_falls_back_to_the_candidate_file(self, vocab):
+        sets = load_candidate_sets(["m1\t|beta||alpha|"])
+        (instance,) = load_ed_dataset(["m1\talpha beta\t0\t5\talpha\t"], vocab, sets)
+        assert instance.candidates is sets["m1"]
 
     def test_malformed_line_rejected(self, vocab):
         with pytest.raises(TaskError, match="line 2"):
