@@ -14,10 +14,11 @@ loads, so ids are consistent across all subcommands of one installation.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import re
 import sys
+from contextlib import suppress
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .beam import RankedResult
@@ -316,10 +317,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str) -> tuple[TextIO, str | None]:
+    """A text file for ``--out path`` and the name to move over ``path``'s target on success: a new file beside
+    the target, with the target's mode if it is a file, or, for a target that is no file (``/dev/null``), the
+    target itself and None.  An ``OSError`` names ``path``."""
+    target = os.path.realpath(path)  # a symlink is written through, as opening it would
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            return open(target, "w", encoding="utf-8"), None
+        temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with suppress(FileNotFoundError):
+            os.chmod(fd, os.stat(target).st_mode & 0o7777)
+        return open(fd, "w", encoding="utf-8"), temp
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    buffered = getattr(args, "out", None) and args.command != "build-trie"
-    out: TextIO = io.StringIO() if buffered else sys.stdout
+    out: TextIO = sys.stdout
+    temp = None  # written as the command runs, moved over --out on exit 0 and removed otherwise
     try:
         if getattr(args, "jobs", 1) < 1:
             raise InputError(f"jobs must be at least 1, got {args.jobs}")
@@ -333,14 +351,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         for flag, text in texts.items():
             if bad := re.search("[\ud800-\udfff]", text or ""):
                 raise InputError(f"{flag} is not UTF-8 ({bad.group()!r} at offset {bad.start()})")
+        if getattr(args, "out", None) and args.command != "build-trie":
+            out, temp = _open_out(args.out)
         status = args.func(args, out)
-        if buffered and status == 0:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out.getvalue())
+        if out is not sys.stdout:
+            out.close()
+        if temp and status == 0:
+            try:
+                os.replace(temp, os.path.realpath(args.out))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, args.out) from None
+            temp = None
         return status
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if out is not sys.stdout:
+            out.close()
+        if temp:
+            with suppress(OSError):
+                os.remove(temp)
 
 
 if __name__ == "__main__":

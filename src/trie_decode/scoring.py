@@ -171,23 +171,28 @@ class TableScorer(Scorer):
     share a row, and an input that is not iterable, or holds an id that is
     not an integer or not in u32, raises :class:`ScorerError`.
 
-    The counts are kept as one flat table: ``_tokens`` and ``_values``
-    arrays grouped by context, ascending, each context's ids in the order
-    first seen, with ``_rows`` giving a context's row number and
-    ``_bounds[r]:_bounds[r + 1]`` its row's slice.  :attr:`counts` is a
-    ``{ctx: {token: count}}`` view of it, built on first read.
+    The counts are kept as four flat arrays: ``_ctxs``, the distinct
+    contexts, ascending; ``_bounds``, where ``_bounds[r]:_bounds[r + 1]`` is
+    row ``r``'s slice of the other two; and ``_tokens`` and ``_values``,
+    each row's ids in the order first seen.  :attr:`counts` is a
+    ``{ctx: {token: count}}`` view of them, built on first read.
 
-    Rows are built on first use into one scope, an ``(input, key, rows)``
-    triple, with ``rows`` keyed by the previous token; the context id is
-    worked out only to build a missing row.  Unconditioned, the key is None
-    and the rows serve every input for good.  Input-conditioned, the key is
-    the input's crc: a call with another input object hashes it, and another
-    crc replaces the scope, freeing the old input's rows.  A cold row is
-    filled from its count shape: the untrained value and the trained
-    log-probabilities of each distinct tuple of a row's counts, taken once
-    per scorer and kept.  Threads sharing a scorer read the scope once per
-    call and may rebuild a row another thread dropped, but never read a
-    wrong one: a ``rows`` dict belongs to one scope, so to one key.
+    Rows are built on first use into one scope, an ``(input, key, window,
+    rows)`` tuple, with ``window`` and ``rows`` keyed by the previous token.
+    Unconditioned, the key is None, the window is the whole table and the
+    rows serve every input for good.  Input-conditioned, the key is the
+    input's crc: a call with another input object hashes it, and another crc
+    opens a new scope, freeing the old input's rows.  Its window holds the
+    trained rows the input can reach, ``base..base + V - 1`` mod ``2**31``
+    with ``base = crc * 0x10001 mod 2**31``: one slice of ``_ctxs``, or two
+    where it wraps, found by one ``searchsorted`` call.  A cold row is one
+    probe of the window (a ``prev`` outside ``0..min(V, 2**31) - 1`` is
+    searched for by its context), filled from its count shape: the
+    untrained value and the trained log-probabilities of each distinct
+    tuple of a row's counts, taken once per scorer and kept.  Threads
+    sharing a scorer read the scope once per call and may rebuild a row
+    another thread dropped, but never read a wrong one: a scope's dicts
+    belong to one key.
     """
 
     def __init__(
@@ -210,7 +215,7 @@ class TableScorer(Scorer):
         self.alpha = float(alpha)
         self.input_conditioned = input_conditioned
         self._uniform_row: np.ndarray | None = None  # built on first use, so a refused size allocates nothing
-        self._scope: tuple[tuple[TokenId, ...] | None, int | None, dict[TokenId, np.ndarray]] = (None, None, {})
+        self._span = min(self.vocab_size, 2**31)  # an input's window covers the steps after prev in 0..span-1
         self._shapes: dict[tuple[float, ...], tuple[float, np.ndarray]] = {}  # count tuple -> (untrained, trained logs)
         return 0x7FFFFFFF if input_conditioned else self.vocab_size - 1
 
@@ -244,7 +249,7 @@ class TableScorer(Scorer):
 
     @np.errstate(over="ignore")  # a sum that leaves the floats is refused by its row's check
     def _keep(self, ctx: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> None:
-        """Keep checked records as the flat table, dropping zero counts and summing a repeated key's in record order.
+        """Keep checked records as the flat arrays, dropping zero counts and summing a repeated key's in record order.
 
         A row whose ``np.add.reduceat`` total is within a factor of 2 of leaving the floats is summed again as
         :meth:`_build_row` sums it; the first context seen whose ``alpha`` share underflows to 0, as it does over a
@@ -260,25 +265,42 @@ class TableScorer(Scorer):
             first.sort()  # each key at its first record
             order, ctx, tokens, values = order[first], ctx[first], tokens[first], sums[inverse[first]]
         starts = np.flatnonzero(np.diff(ctx, prepend=-1))
-        bounds = [*starts.tolist(), len(ctx)]  # a list, whose items read faster than an array's
+        bounds = np.append(starts, len(ctx))
         shares = self.alpha / (2 * (np.add.reduceat(values, starts) + self.alpha * self.vocab_size))
         for r in sorted(np.flatnonzero(shares == 0).tolist(), key=lambda r: order[bounds[r]]):
             if self.alpha / (sum(values[bounds[r] : bounds[r + 1]].tolist()) + self.alpha * self.vocab_size) == 0:
                 raise ScorerError(f"context {ctx[bounds[r]]}: probabilities overflow or underflow a float")
-        self._rows = dict(zip(ctx[starts].tolist(), range(len(starts))))
-        self._bounds, self._tokens, self._values = bounds, tokens, values
+        self._ctxs, self._bounds, self._tokens, self._values = ctx[starts], bounds, tokens, values
+        self._scope = (None, None, {} if self.input_conditioned else self._window(None), {})
 
     @cached_property
     def counts(self) -> dict[int, dict[TokenId, float]]:
-        """``{ctx: {token: count}}`` of the nonzero summed counts, built from the flat table on first read."""
-        tokens, values, bounds = self._tokens.tolist(), self._values.tolist(), self._bounds
+        """``{ctx: {token: count}}`` of the nonzero summed counts, built from the flat arrays on first read."""
+        tokens, values, bounds = self._tokens.tolist(), self._values.tolist(), self._bounds.tolist()
         return {
-            ctx: dict(zip(tokens[bounds[r] : bounds[r + 1]], values[bounds[r] : bounds[r + 1]]))
-            for ctx, r in self._rows.items()
+            ctx: dict(zip(tokens[lo:hi], values[lo:hi]))
+            for ctx, lo, hi in zip(self._ctxs.tolist(), bounds, bounds[1:])
         }
 
-    def _build_row(self, ctx: int) -> np.ndarray:
-        r = self._rows.get(ctx)
+    def _window(self, key: int | None) -> dict[TokenId, int]:
+        """``{prev: row number}`` of the trained rows a step after a ``prev`` in ``0..min(V, 2**31) - 1`` reaches
+        under input key ``key``; with ``key`` None, every row, keyed by its context."""
+        ctxs = self._ctxs
+        if key is None:
+            return dict(zip(ctxs.tolist(), range(len(ctxs))))
+        base = key * 0x10001 & 0x7FFFFFFF
+        end = base + self._span
+        lo, hi, wrapped = ctxs.searchsorted((base, end, end - 2**31)).tolist()  # past 2**31, it goes on from 0
+        offsets = [(ctx - base) & 0x7FFFFFFF for ctx in [*ctxs[lo:hi].tolist(), *ctxs[:wrapped].tolist()]]
+        return dict(zip(offsets, [*range(lo, hi), *range(wrapped)]))
+
+    def _search(self, ctx: int) -> int | None:
+        """The row number of context ``ctx``, or None if it has no trained row."""
+        r = int(self._ctxs.searchsorted(ctx))
+        return r if r < len(self._ctxs) and self._ctxs[r] == ctx else None
+
+    def _build_row(self, r: int | None) -> np.ndarray:
+        """Row ``r`` of the table as a read-only vector of log-probabilities; with ``r`` None, the untrained row."""
         if r is None:
             if self._uniform_row is None:
                 self._uniform_row = np.full(self.vocab_size, -np.log(self.vocab_size))
@@ -304,18 +326,21 @@ class TableScorer(Scorer):
     def next_token_logprobs(
         self, input_tokens: Sequence[TokenId], prefix: Sequence[TokenId]
     ) -> np.ndarray:
-        held, key, rows = self._scope
+        held, key, window, rows = self._scope
         if self.input_conditioned and held is not input_tokens:
             new_key = _input_key(input_tokens)
             if new_key != key:
-                key, rows = new_key, {}
+                key, window, rows = new_key, self._window(new_key), {}
             # a list can change in place, so it is hashed again on every call
             held = input_tokens if isinstance(input_tokens, tuple) else None
-            self._scope = (held, key, rows)
+            self._scope = (held, key, window, rows)
         prev = prefix[-1] if len(prefix) else SOS
         row = rows.get(prev)
         if row is None:
-            row = rows[prev] = self._build_row(_context(key, prev))
+            r = window.get(prev)
+            if r is None and key is not None and not 0 <= prev < self._span:  # an id past 2**31, or no id at all
+                r = self._search(_context(key, prev))
+            row = rows[prev] = self._build_row(r)
         return row
 
 
@@ -361,7 +386,7 @@ def train_table_scorer(
 
     scorer = TableScorer.__new__(TableScorer)
     scorer._keep_records(transitions(), scorer._header(alpha, vocab_size, input_conditioned))
-    if not scorer._rows:
+    if not len(scorer._ctxs):
         raise ScorerError("empty training set")
     return scorer
 
@@ -447,7 +472,9 @@ def save_table_scorer(scorer: TableScorer, path: str) -> None:
 _LOAD_LINES = 4096  # lines read and checked at a time
 # digits-only ids that fit int64, and a count of digits, point, sign and exponent:
 # numpy's parser reads these exactly as int() and float() do
-_PLAIN_LINES = re.compile(r"(?:[0-9]{1,18}\t[0-9]{1,18}\t[-+.eE0-9]+\n)*")
+# (?=(...))\1 is an atomic group (Python 3.10 has no `*+`): no line is kept to backtrack into, which cuts the state
+# the match holds per line
+_PLAIN_LINES = re.compile(r"(?:(?=([0-9]{1,18}\t[0-9]{1,18}\t[-+.eE0-9]+\n))\1)*")
 
 
 def _parsed(block: list[str], lineno: int) -> Iterator[tuple[int, int, int, float]]:

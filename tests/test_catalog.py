@@ -387,7 +387,8 @@ class TestCandidateSets:
         # a tuple of split names held about 3.5 bytes per file byte
         rng = np.random.default_rng(47)
         letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
-        words = ["".join(rng.choice(letters, size=int(rng.integers(3, 10)))) for _ in range(2000)]
+        # an array, which rng.choice draws from without converting a list on every call
+        words = np.array(["".join(rng.choice(letters, size=int(rng.integers(3, 10)))) for _ in range(2000)])
         path = tmp_path / "candidates.tsv"
         with open(path, "w", encoding="utf-8") as fh:
             for i in range(2000):

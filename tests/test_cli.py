@@ -1094,6 +1094,73 @@ class TestDatasetRunner:
         assert main(self._argv(cli_files, datasets, command) + ["--out", str(out)]) == 1
         assert out.read_bytes() == b"an earlier run's output\n"
 
+    @pytest.mark.parametrize("command", ["disambiguate", "link", "eval-ed", "retrieve"])
+    def test_out_streams_into_a_file_beside_it_that_replaces_it_on_exit_0(
+        self, cli_files, datasets, tmp_path, capsys, monkeypatch, command
+    ):
+        argv = self._argv(cli_files, datasets, command) + ["--format", "structured"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        folder = tmp_path / "results"
+        folder.mkdir()
+        out = folder / "out.jsonl"
+        out.write_bytes(b"an earlier run's output\n")
+        name = f"cmd_{argv[0]}"
+        run, written = getattr(trie_decode.cli, name), []
+
+        def watched(args, out_file):
+            status = run(args, out_file)
+            out_file.flush()  # what the command wrote is in a file, not in memory
+            written.append({path.name: path.read_text(encoding="utf-8") for path in folder.iterdir()})
+            return status
+
+        monkeypatch.setattr(trie_decode.cli, name, watched)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        [files] = written
+        assert files.pop("out.jsonl") == "an earlier run's output\n"
+        [(name, text)] = files.items()
+        assert name.startswith(".out.jsonl.") and name.endswith(".tmp") and text == printed
+        assert [path.name for path in folder.iterdir()] == ["out.jsonl"]
+        assert out.read_bytes() == printed.encode("utf-8")
+
+    def test_failing_command_leaves_no_file_beside_out(self, cli_files, datasets, tmp_path, capsys):
+        with open(datasets["ed"], "a", encoding="utf-8") as fh:
+            fh.write("m4\tFrance\t0\t6\n")
+        folder = tmp_path / "results"
+        folder.mkdir()
+        assert main(self._argv(cli_files, datasets, "disambiguate") + ["--out", str(folder / "out.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 4: expected")
+        assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["missing-folder", "folder"])
+    def test_an_unwritable_out_is_one_error_line_naming_it(self, cli_files, datasets, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "out.txt" if where == "missing-folder" else tmp_path
+        before = sorted(os.listdir(tmp_path))
+        assert main(self._argv(cli_files, datasets, "disambiguate") + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: [Errno ") and line.endswith(f": {str(out)!r}")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_out_through_a_symlink_writes_its_target_and_keeps_the_target_mode(
+        self, cli_files, datasets, tmp_path, capsys
+    ):
+        argv = self._argv(cli_files, datasets, "link")
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        target = tmp_path / "target.txt"
+        target.write_text("an earlier run's output\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert main(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == printed
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert main(argv + ["--out", os.devnull]) == 0  # no file: written in place
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
     def test_outcomes_are_printed_in_id_order(self, cli_files, datasets, capsys):
         assert main(self._argv(cli_files, datasets, "link") + ["--jobs", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()

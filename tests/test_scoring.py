@@ -457,6 +457,12 @@ def reference_context(input_conditioned, input_tokens, prefix):
     return (zlib.crc32(packed) * 0x10001 + prev) & 0x7FFFFFFF
 
 
+def reference_row_number(scorer, ctx):
+    """The documented row number of context ``ctx``: its place among the trained contexts, or None untrained."""
+    ctxs = sorted(scorer.counts)
+    return ctxs.index(ctx) if ctx in scorer.counts else None
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -591,7 +597,7 @@ class TestTableScorerRows:
 class TestTableScorerRowCache:
     """A scope's rows are keyed by the previous token, and a cold row is filled from a cached count shape."""
 
-    def test_a_search_builds_a_row_and_a_context_once_per_previous_token(self, monkeypatch):
+    def test_a_search_finds_and_builds_a_row_once_per_previous_token(self, monkeypatch):
         vocab = pool_vocabulary()
         rng = np.random.default_rng(43)
         inputs = [tuple(int(t) for t in rng.integers(0, 2**32, size=3)) for _ in range(4)]
@@ -604,9 +610,9 @@ class TestTableScorerRowCache:
             prevs.append(prefix[-1] if prefix else SOS)
             return next_row(self, input_tokens, prefix)
 
-        def recorded_build_row(self, ctx):
-            built.append(ctx)
-            return build_row(self, ctx)
+        def recorded_build_row(self, r):
+            built.append(r)
+            return build_row(self, r)
 
         def recorded_context(key, prev):
             contexts.append(prev)
@@ -620,8 +626,11 @@ class TestTableScorerRowCache:
                 calls.clear()
             beam_search(scorer, source, trie, BeamConfig(k=4, max_steps=5))
             assert len(prevs) > len(set(prevs))  # rows were met again
-            assert sorted(contexts) == sorted(set(prevs))
-            assert built == [reference_context(True, source, (prev,)) for prev in contexts]
+            _, key, _, rows = scorer._scope
+            assert key == _input_key(source)
+            assert sorted(rows) == sorted(set(prevs)) and len(built) == len(rows)  # in the order they were built
+            assert contexts == []  # the window holds the row of every vocabulary id
+            assert built == [reference_row_number(scorer, reference_context(True, source, (prev,))) for prev in rows]
 
     def test_shapes_hold_the_untrained_value_and_the_trained_logs(self):
         rng = np.random.default_rng(47)
@@ -658,6 +667,132 @@ class TestTableScorerRowCache:
                 row = scorer.next_token_logprobs(source, prefix)
                 assert scorer.next_token_logprobs(source, array) is row
             assert_same_bits(row, reference_table_row(scorer, reference_context(conditioned, source, prefix)))
+
+
+def key_with_base(base):
+    """An input key whose window starts at context ``base``: 0x10001 is odd, so it has an inverse mod 2**31."""
+    return base * pow(0x10001, -1, 2**31) % 2**31
+
+
+def brute_force_rows(scorer, key, prevs):
+    """``{prev: row number or None}`` over ``prevs``, each found by its context."""
+    numbers = {ctx: r for r, ctx in enumerate(sorted(scorer.counts))}
+    return {prev: numbers.get(_context(key, prev)) for prev in prevs}
+
+
+def trained(rows):
+    return {prev: r for prev, r in rows.items() if r is not None}
+
+
+def found_rows(scorer, key, prevs, monkeypatch):
+    """``{prev: row number or None}`` that ``next_token_logprobs`` finds after each of ``prevs`` under input key
+    ``key``, in a new scope, with the row builder stubbed to hand back the row number: the lookup alone."""
+    scope = scorer._scope
+    with monkeypatch.context() as patched:
+        patched.setattr(scoring, "_input_key", lambda input_tokens: key)
+        patched.setattr(TableScorer, "_build_row", lambda self, r: r)
+        scorer._scope = (None, None, scope[2] if key is None else {}, {})
+        found = {prev: scorer.next_token_logprobs([], (prev,)) for prev in prevs}
+    scorer._scope = scope
+    return found
+
+
+class TestTableScorerWindow:
+    """The rows one input reaches are one window of the sorted contexts: the same rows every previous token's
+    context finds."""
+
+    @pytest.mark.parametrize("base", [0, 12345, 2**31 - 40, 2**31 - 39, 2**31 - 1])
+    def test_the_window_holds_the_row_of_every_previous_token(self, base, monkeypatch):
+        rng = np.random.default_rng(base % 997)
+        vocab_size = 40
+        key = key_with_base(base)
+        assert _context(key, 0) == base
+        # trained contexts inside the window, and about as many outside it on both sides
+        ctxs = {(base + int(d)) % 2**31 for d in rng.integers(-vocab_size, 2 * vocab_size, size=60)}
+        counts = {ctx: {int(rng.integers(vocab_size)): float(rng.integers(1, 9))} for ctx in ctxs}
+        scorer = TableScorer(counts, 0.5, vocab_size, input_conditioned=True)
+        window = scorer._window(key)
+        assert window == trained(brute_force_rows(scorer, key, range(vocab_size)))
+        prevs = range(-vocab_size, 2 * vocab_size)  # an id outside the vocabulary reaches a row outside the window
+        assert found_rows(scorer, key, prevs, monkeypatch) == brute_force_rows(scorer, key, prevs)
+        monkeypatch.setattr(scoring, "_input_key", lambda input_tokens: key)
+        for prev in range(vocab_size):
+            assert_same_bits(scorer.next_token_logprobs((5,), (prev,)), reference_table_row(scorer, _context(key, prev)))
+
+    def test_an_unconditioned_table_opens_one_scope_over_the_whole_table(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        vocab_size = 50
+        scorer = random_float_table(rng, vocab_size)
+        scope = scorer._scope
+        _, key, window, _ = scope
+        assert key is None
+        assert window == trained(brute_force_rows(scorer, None, range(vocab_size)))
+        assert len(window) == len(scorer.counts)
+        prevs = range(-3, vocab_size + 3)
+        assert found_rows(scorer, None, prevs, monkeypatch) == brute_force_rows(scorer, None, prevs)
+        for source in [(), (4,), [9, 9], (4,)]:
+            row = scorer.next_token_logprobs(source, (3,))
+            assert_same_bits(row, reference_table_row(scorer, 3))
+            assert scorer._scope is scope
+
+    def test_inputs_sharing_a_crc_share_one_window(self):
+        first, second = (3, 7), (3681617474, 6)
+        scorer = train_table_scorer([(first, (9, 10, EOS)), ((4,), (8, EOS))], 0.5, 12, input_conditioned=True)
+        scorer.next_token_logprobs(first, ())
+        _, key, window, _ = scorer._scope
+        assert key == _input_key(first) == _input_key(second)
+        assert window == trained(brute_force_rows(scorer, key, range(12)))
+        assert len(window) == 3  # SOS, 9 and 10; not the other input's rows
+        scorer.next_token_logprobs(second, (9,))
+        assert scorer._scope[2] is window
+        scorer.next_token_logprobs((4,), ())
+        assert scorer._scope[2] == trained(brute_force_rows(scorer, _input_key((4,)), range(12)))
+
+    def test_the_uniform_scorer_has_an_empty_window(self, monkeypatch):
+        scorer = UniformScorer(9)
+        assert scorer._scope[2] == {} == scorer._window(None)
+        assert list(found_rows(scorer, None, range(-2, 12), monkeypatch).values()) == [None] * 14
+        assert_same_bits(scorer.next_token_logprobs((), (3,)), np.full(9, -np.log(9)))
+
+    @pytest.mark.parametrize("conditioned", [False, True], ids=["plain", "input-conditioned"])
+    def test_a_vocabulary_of_2_to_the_31_ids_or_more_finds_the_rows_its_ids_reach(self, conditioned, monkeypatch):
+        # no row of 2**31 + 5 values is built: the lookup alone is checked
+        vocab_size = 2**31 + 5
+        key = key_with_base(2**31 - 3) if conditioned else None
+        prevs = [0, 1, 2, 3, 4, 2**31 - 4, 2**31 - 3, 2**31 - 1, 2**31, 2**31 + 1, 2**31 + 2, vocab_size - 1]
+        prevs += [-1, vocab_size, 2**32 + 2]
+        top = 2**31 - 1 if conditioned else vocab_size - 1
+        ctxs = {_context(key, prev) for prev in prevs[::2]} | {7, 2**31 - 1}
+        counts = {ctx: {7: 1.0} for ctx in ctxs if 0 <= ctx <= top}
+        scorer = TableScorer(counts, 0.5, vocab_size, input_conditioned=conditioned)
+        assert sorted(scorer._window(key).values()) == list(range(len(counts)))  # within V of any base: every row
+        found = found_rows(scorer, key, prevs, monkeypatch)
+        assert found == brute_force_rows(scorer, key, prevs)
+        assert found[2**31 + 2] is not None and found[1] is None
+
+    def test_a_loaded_input_conditioned_table_holds_at_most_48_bytes_per_record(self, tmp_path):
+        # a {ctx: row} dict entry per trained context held about 156 bytes per record
+        rng = np.random.default_rng(61)
+        vocab_size = 5000
+        pairs = [
+            (
+                tuple(int(t) for t in rng.integers(0, vocab_size, size=8)),
+                tuple(int(t) for t in rng.integers(7, vocab_size, size=int(rng.integers(1, 5)))) + (EOS,),
+            )
+            for _ in range(4000)
+        ]
+        path = tmp_path / "table.tsv"
+        save_table_scorer(train_table_scorer(pairs, 0.5, vocab_size, input_conditioned=True), str(path))
+        records = len(path.read_text(encoding="utf-8").splitlines()) - 1
+        assert records > 10_000
+        tracemalloc.start()
+        try:
+            scorer = load_table_scorer(str(path))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scorer.counts) > 10_000
+        assert held / records <= 48
 
 
 class TestNormalization:
@@ -998,7 +1133,7 @@ def table_outcome(make):
     counts = table.counts
     ctxs = [*counts, max(counts, default=0) + 1]
     if isinstance(table, TableScorer):
-        rows = [table._build_row(ctx).tobytes() for ctx in ctxs]
+        rows = [table._build_row(table._search(ctx)).tobytes() for ctx in ctxs]
     else:
         rows = [reference_table_row(table, ctx).tobytes() for ctx in ctxs]
     return repr(counts), rows, (table.alpha, table.vocab_size, table.input_conditioned)
