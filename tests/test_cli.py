@@ -1158,8 +1158,12 @@ class TestDatasetRunner:
         assert main(argv + ["--out", str(link)]) == 0
         assert link.is_symlink() and target.read_text(encoding="utf-8") == printed
         assert target.stat().st_mode & 0o777 == 0o640
-        assert main(argv + ["--out", os.devnull]) == 0  # no file: written in place
+
+    def test_out_to_a_target_that_is_no_file_is_written_in_place(self, cli_files, datasets, tmp_path, capsys):
+        assert main(self._argv(cli_files, datasets, "link") + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+        assert not any(name.startswith(".null.") for name in os.listdir(os.path.dirname(os.devnull)))
 
     def test_outcomes_are_printed_in_id_order(self, cli_files, datasets, capsys):
         assert main(self._argv(cli_files, datasets, "link") + ["--jobs", "2"]) == 0
