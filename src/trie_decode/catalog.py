@@ -220,7 +220,9 @@ class CandidateSet(Sequence[str]):
     __slots__ = ("_text",)
 
     def __init__(self, names: Iterable[str]) -> None:
-        """The set of ``names``; an empty set, or a name empty or holding ``|``, raises ``CatalogError``."""
+        """The set of ``names``; a ``str``, an empty set, or a name empty or holding ``|``, raises ``CatalogError``."""
+        if isinstance(names, str):  # a str would give its letters as names
+            raise CatalogError(f"candidate names must be a collection of names, not the string {names!r}")
         names = tuple(names)
         for name in names:
             if not name or "|" in name:

@@ -15,9 +15,12 @@ possible and trimming more from the left on odd remainders.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .beam import BeamConfig, RankedEntry, RankedResult, _ranked, beam_search, rank_entities
 from .catalog import CandidateSet
@@ -66,34 +69,139 @@ class TaskConfig:
 LINK_CONFIG = TaskConfig(beams=6, max_steps=384)
 
 
+class PackedIds(Sequence[TokenId]):
+    """A read-only ``Sequence[int]`` of token ids packed into one ``bytes``, in the machine's byte order.
+
+    ``PackedIds(ids)`` takes 2 bytes per id when every id is below ``2**16``,
+    else 4; an id that is no int in ``0..2**32 - 1`` raises :class:`TaskError`
+    naming it.  It equals the tuple of its ids, and another ``PackedIds`` of
+    the same ids whatever their width, and hashes as that tuple; an index is
+    an int, a slice a tuple of ints.  It pickles, to be read back on a
+    machine of the same byte order.
+    """
+
+    __slots__ = ("_data", "_width")
+
+    def __init__(self, ids: Iterable[TokenId]) -> None:
+        ids = ids if isinstance(ids, (tuple, list)) else tuple(ids)
+        for width, code in ((2, "H"), (4, "I")):
+            try:
+                self._data, self._width = array(code, ids).tobytes(), width
+                return
+            except OverflowError:  # an id past this width, or below 0
+                continue
+            except TypeError:  # an id that is no int
+                break
+        for token in ids:
+            try:
+                array("I", (token,))
+            except (TypeError, OverflowError):
+                raise TaskError(f"token id {token!r} is not an int in 0..2**32-1") from None
+
+    @classmethod
+    def _of(cls, data: bytes, width: int) -> PackedIds:
+        """The ids packed in ``data``, ``width`` (2 or 4) bytes each, with no check."""
+        ids = cls.__new__(cls)
+        ids._data, ids._width = data, width
+        return ids
+
+    def _view(self) -> memoryview:
+        return memoryview(self._data).cast("H" if self._width == 2 else "I")
+
+    @property
+    def ids(self) -> tuple[TokenId, ...]:
+        """The ids, unpacked anew on each read."""
+        return tuple(self._view().tolist())
+
+    def __iter__(self) -> Iterator[TokenId]:
+        return iter(self._view().tolist())
+
+    def __len__(self) -> int:
+        return len(self._data) // self._width
+
+    def __getitem__(self, index: int | slice) -> TokenId | tuple[TokenId, ...]:
+        item = self._view()[index]
+        return tuple(item.tolist()) if isinstance(index, slice) else item
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedIds):
+            other = other.ids
+        return self.ids == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.ids)
+
+    def __repr__(self) -> str:
+        return f"PackedIds({self.ids!r})"
+
+
+def _id_bytes(vocab: Vocabulary) -> tuple[dict[str, bytes], int]:
+    """Each ordinary token's id as :class:`PackedIds` packs it for ``vocab``, and that width."""
+    width = 2 if vocab.size <= 1 << 16 else 4
+    return {token: tid.to_bytes(width, sys.byteorder) for token, tid in vocab._table.items()}, width
+
+
 @dataclass(frozen=True, slots=True)
 class EDInstance:
     """One flagged-mention disambiguation instance (token-level span).
 
-    ``candidates`` is a :class:`CandidateSet`, which splits its text on each
-    read, or ``None`` for a decode over the full catalog.  A tuple or list of
-    names is wrapped in one, and an empty one is stored as ``None``.
+    ``context_tokens`` is a :class:`PackedIds`, 2 or 4 bytes per id; a tuple
+    or list of ids is packed into one.  ``mention_start`` and
+    ``mention_length`` must be ints (not bools) that put at least one token,
+    all inside the context, in the mention.  ``candidates`` is a
+    :class:`CandidateSet`, which splits its text on each read, or ``None``
+    for a decode over the full catalog.  A tuple or list of names is wrapped
+    in one, and an empty one is stored as ``None``; a ``str`` is refused.
     """
 
     instance_id: str
-    context_tokens: tuple[TokenId, ...]
+    context_tokens: PackedIds
     mention_start: int
     mention_length: int
     gold: str
     candidates: CandidateSet | None = None
 
     def __post_init__(self) -> None:
-        if self.candidates is not None and not isinstance(self.candidates, CandidateSet):
-            object.__setattr__(self, "candidates", CandidateSet(self.candidates) if self.candidates else None)
+        if not isinstance(self.context_tokens, PackedIds):  # a loaded context is packed already
+            object.__setattr__(self, "context_tokens", PackedIds(self.context_tokens))
+        candidates = self.candidates
+        if candidates is not None and not isinstance(candidates, CandidateSet):
+            wrapped = CandidateSet(candidates) if candidates or isinstance(candidates, str) else None
+            object.__setattr__(self, "candidates", wrapped)
+        if type(self.mention_start) is not int or type(self.mention_length) is not int:
+            raise TaskError(
+                f"mention offsets must be ints, got {self.mention_start!r} and {self.mention_length!r}"
+            )
         if self.mention_length < 1:
             raise TaskError("mention must span at least one token")
-        if self.mention_start < 0 or self.mention_start + self.mention_length > len(
-            self.context_tokens
-        ):
+        if self.mention_start < 0 or self.mention_start + self.mention_length > len(self.context_tokens):
             raise TaskError("mention span outside the context")
+
+    @classmethod
+    def _of(
+        cls, instance_id: str, context_tokens: PackedIds, mention_start: int, mention_length: int, gold: str,
+        candidates: CandidateSet | None,
+    ) -> EDInstance:
+        """The instance of fields that already pass ``__post_init__`` as they are, set through the slots.
+
+        The frozen ``__init__`` sets each field by ``object.__setattr__`` and
+        then checks them all, which takes twice as long.
+        """
+        instance = object.__new__(cls)
+        set_id, set_context, set_start, set_length, set_gold, set_candidates = _ED_SLOT_SETTERS
+        set_id(instance, instance_id)
+        set_context(instance, context_tokens)
+        set_start(instance, mention_start)
+        set_length(instance, mention_length)
+        set_gold(instance, gold)
+        set_candidates(instance, candidates)
+        return instance
 
     def mention_tokens(self) -> tuple[TokenId, ...]:
         return self.context_tokens[self.mention_start : self.mention_start + self.mention_length]
+
+
+_ED_SLOT_SETTERS = tuple(getattr(EDInstance, name).__set__ for name in EDInstance.__slots__)
 
 
 def flag_mention(instance: EDInstance, vocab: Vocabulary, config: TaskConfig) -> tuple[TokenId, ...]:
@@ -101,22 +209,25 @@ def flag_mention(instance: EDInstance, vocab: Vocabulary, config: TaskConfig) ->
 
     The window counts the two marker tokens.  The mention itself is always
     kept verbatim; surrounding context is trimmed symmetrically, spilling a
-    short side's unused budget to the other side.
+    short side's unused budget to the other side.  The kept ids are
+    unpacked from the packed context in one slice, and the markers inserted.
     """
     start_id = vocab.extra_special_id(START_ENT_STRING)
     end_id = vocab.extra_special_id(END_ENT_STRING)
-    mention = instance.mention_tokens()
-    if len(mention) + 2 > config.context_window:
+    start, length = instance.mention_start, instance.mention_length
+    if length + 2 > config.context_window:
         raise TaskError(
-            f"instance {instance.instance_id!r}: mention of {len(mention)} tokens does not fit a window of "
+            f"instance {instance.instance_id!r}: mention of {length} tokens does not fit a window of "
             f"{config.context_window}"
         )
-    left = instance.context_tokens[: instance.mention_start]
-    right = instance.context_tokens[instance.mention_start + instance.mention_length :]
-    budget = config.context_window - len(mention) - 2
-    keep_left = min(len(left), max(budget // 2, budget - len(right)))
-    keep_right = min(len(right), max(budget - budget // 2, budget - len(left)))
-    return left[len(left) - keep_left :] + (start_id,) + mention + (end_id,) + right[:keep_right]
+    right = len(instance.context_tokens) - start - length
+    budget = config.context_window - length - 2
+    keep_left = min(start, max(budget // 2, budget - right))
+    keep_right = min(right, max(budget - budget // 2, budget - start))
+    flagged = instance.context_tokens._view()[start - keep_left : start + length + keep_right].tolist()
+    flagged.insert(keep_left + length, end_id)
+    flagged.insert(keep_left, start_id)
+    return tuple(flagged)
 
 
 def disambiguate(
@@ -229,34 +340,43 @@ def _cut_aligned(text: str, cut: int, vocab: Vocabulary) -> bool:
 
 
 def _mention_token_span(
-    context: str, char_start: int, char_len: int, vocab: Vocabulary, line: int
-) -> tuple[tuple[TokenId, ...], int, int]:
-    """The context's ids, with the mention's first id and id count.
+    context: str,
+    char_start: int,
+    char_len: int,
+    vocab: Vocabulary,
+    line: int,
+    id_bytes: tuple[dict[str, bytes], int] | None = None,
+) -> tuple[PackedIds, int, int]:
+    """The context's ids, packed, with the mention's first id and id count.
 
     Whole-token path: when each word between single spaces is a token and
     each mention cut is at an end of the context or next to a space, the
     words' ids are the context's (a token is non-empty and holds no
     whitespace, so ``encode`` takes each such word whole), and the spaces
-    before and inside the mention count its place and length.  Every other
-    context takes the general path, which checks both cuts and encodes each
-    of the three pieces once; only it refuses a mention that is not aligned.
+    before and inside the mention count its place and length.  The words'
+    packed ids, from ``id_bytes`` (:func:`_id_bytes` of ``vocab``, made here
+    when not given), are joined in one call.  Every other context takes the
+    general path, which checks both cuts and encodes each of the three
+    pieces once; only it refuses a mention that is not aligned.
     """
     end = char_start + char_len
     if char_len < 1 or char_start < 0 or end > len(context):
         raise TaskError("mention character span outside the context", line)
     if (char_start == 0 or context[char_start - 1] == " ") and (end == len(context) or context[end] == " "):
-        try:  # through a list, whose length sizes the tuple once: a tuple grown from `map` keeps slack
-            ids = tuple([*map(vocab._table.__getitem__, context.split(" "))])
+        table, width = _id_bytes(vocab) if id_bytes is None else id_bytes
+        try:
+            data = b"".join(map(table.__getitem__, context.split(" ")))
         except KeyError:  # a word that is no token, or the empty one next to another space or at an end
             pass
         else:
+            ids = PackedIds._of(data, width)
             return ids, context.count(" ", 0, char_start), context.count(" ", char_start, end) + 1
     mention = context[char_start:end]
     space_edge = mention[0].isspace() or mention[-1].isspace()
     if space_edge or not (_cut_aligned(context, char_start, vocab) and _cut_aligned(context, end, vocab)):
         raise TaskError("mention does not align to token boundaries", line)
     before, ids = encode(context[:char_start], vocab), encode(mention, vocab)
-    return (*before, *ids, *encode(context[end:], vocab)), len(before), len(ids)
+    return PackedIds((*before, *ids, *encode(context[end:], vocab))), len(before), len(ids)
 
 
 def load_ed_dataset(
@@ -264,6 +384,15 @@ def load_ed_dataset(
     vocab: Vocabulary,
     candidate_sets: dict[str, CandidateSet] | None = None,
 ) -> list[EDInstance]:
+    """The instances of a disambiguation dataset, each context packed as :class:`PackedIds`.
+
+    A context goes through :func:`_mention_token_span`'s two paths; the
+    whole-token path joins packed ids from one table made per load, 2 bytes
+    per id when ``vocab.size <= 2**16`` and 4 otherwise.  A sixth field is
+    kept as a :class:`CandidateSet` of its text; with none, the row takes
+    ``candidate_sets``' set of its id, if any.
+    """
+    id_bytes = _id_bytes(vocab)
     instances = []
     for lineno, raw in read_rows(source):
         parts = raw.split("\t")
@@ -283,8 +412,8 @@ def load_ed_dataset(
                 raise TaskError("empty candidate set", lineno)
         elif candidate_sets is not None:
             candidates = candidate_sets.get(instance_id)
-        tokens, tok_start, tok_len = _mention_token_span(context, char_start, char_len, vocab, lineno)
-        instances.append(EDInstance(instance_id, tokens, tok_start, tok_len, gold, candidates))
+        tokens, tok_start, tok_len = _mention_token_span(context, char_start, char_len, vocab, lineno, id_bytes)
+        instances.append(EDInstance._of(instance_id, tokens, tok_start, tok_len, gold, candidates))
     return instances
 
 

@@ -1,5 +1,6 @@
 """Catalog loading, validation, and cold-start insertion."""
 
+import re
 import tracemalloc
 from array import array
 from types import SimpleNamespace
@@ -340,6 +341,11 @@ class TestCandidateSets:
     def test_load_rejects_empty_set(self):
         with pytest.raises(CatalogError, match="empty candidate set"):
             load_candidate_sets(["m1\t|"])
+
+    @pytest.mark.parametrize("names", ["France", "", "a|b"])
+    def test_a_string_is_refused_not_read_as_its_letters(self, names):
+        with pytest.raises(CatalogError, match=re.escape(f"not the string {names!r}")):
+            CandidateSet(names)
 
     @pytest.mark.parametrize("name", ["a|b", "", "|a"])
     def test_a_name_a_field_cannot_hold_is_refused(self, name):

@@ -556,11 +556,13 @@ class TestDisambiguateCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_ranked_names_are_the_candidates_as_given(self, cli_files, tmp_path, capsys, jobs):
-        # no token spells "Café" or "New  York", and a doubled space does not read back
+        # no token spells "Café" or "New  York", and a doubled space does not read back; "in" is no
+        # token either, so m3's context takes the loader's general span path
         dataset = tmp_path / "ed.tsv"
         dataset.write_text(
             "m1\tlanguage France language\t9\t6\tFrance\tCafé|New  York|France\n"
-            "m2\tFrance language\t7\t8\tlanguage\tCafé|English  language\n",
+            "m2\tFrance language\t7\t8\tlanguage\tCafé|English  language\n"
+            "m3\tin France\t3\t6\tFrance\tCafé|France\n",
             encoding="utf-8",
         )
         argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"]]
@@ -570,7 +572,11 @@ class TestDisambiguateCommand:
         for line in out.splitlines():
             instance_id, _, name = line.split("\t")[:3]
             names.setdefault(instance_id, set()).add(name)
-        assert names == {"m1": {"Café", "New  York", "France"}, "m2": {"Café", "English  language"}}
+        assert names == {
+            "m1": {"Café", "New  York", "France"},
+            "m2": {"Café", "English  language"},
+            "m3": {"Café", "France"},
+        }
         assert "<unk>" not in out
 
     def test_structured_ranked_list_with_log_likelihoods(self, cli_files, tmp_path, capsys):
@@ -633,12 +639,15 @@ class TestDisambiguateCommand:
     def test_a_line_separator_inside_a_context_is_whitespace(self, cli_files, tmp_path, capsys):
         dataset = tmp_path / "ed.tsv"
         argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", "uniform"]
-        outputs = []
-        for space in (" ", "\u2028"):
-            dataset.write_text(f"m1\tlanguage{space}France\t9\t6\tFrance\tFrance|English language\n")
-            assert main(argv + ["--format", "structured"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] and outputs[0]
+        # "language France" is whole tokens, which the loader maps by one split; "in" is no token
+        for first_word in ("language", "in"):
+            outputs = []
+            for space in (" ", "\u2028"):
+                line = f"m1\t{first_word}{space}France\t{len(first_word) + 1}\t6\tFrance\tFrance|English language\n"
+                dataset.write_text(line, encoding="utf-8")
+                assert main(argv + ["--format", "structured"]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] and outputs[0]
 
 
 class TestEvalPipelines:

@@ -3,6 +3,12 @@
 import dataclasses
 import os
 import pickle
+import re
+import subprocess
+import sys
+import tracemalloc
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from trie_decode.tasks import (
     START_ENT_STRING,
     TASK_EXTRA_SPECIALS,
     EDInstance,
+    PackedIds,
     TaskConfig,
     TaskError,
     _Candidates,
@@ -29,7 +36,7 @@ from trie_decode.tasks import (
     run_eval_suite,
 )
 from trie_decode.trie import build_trie
-from trie_decode.vocab import EOS, Vocabulary, decode, encode, encode_with_offsets
+from trie_decode.vocab import EOS, Vocabulary, decode, encode, encode_with_offsets, load_vocabulary
 
 from helpers import (
     PAINTING_ENTITIES,
@@ -76,6 +83,173 @@ class TestEdInstance:
             make_instance(vocab, context_len=3, start=2, length=2)
         for candidates in (None, ("beta", "alpha")):
             instance = make_instance(vocab, candidates=candidates)
+            assert pickle.loads(pickle.dumps(instance)) == instance
+
+    def test_a_string_of_candidates_is_refused_not_read_as_its_letters(self, vocab):
+        for names in ("France", ""):
+            with pytest.raises(CatalogError, match=re.escape(f"not the string {names!r}")):
+                make_instance(vocab, candidates=names)
+
+    @pytest.mark.parametrize(
+        "start, length", [(1.0, 1), (1, 1.0), (True, 1), (1, False), ("1", 1), (None, 1), (np.int64(1), 1)]
+    )
+    def test_a_mention_offset_that_is_no_int_is_refused(self, start, length):
+        with pytest.raises(TaskError, match="mention offsets must be ints"):
+            EDInstance("m", (9, 10, 11), start, length, "g")
+
+    def test_a_context_given_as_ids_is_packed_and_hashable(self, vocab):
+        ids = tuple(vocab.ordinary_base + i for i in range(10))
+        from_tuple = EDInstance("inst", ids, 4, 2, "alpha")
+        for given in (ids, list(ids), iter(ids), array("H", ids), PackedIds(ids)):
+            instance = EDInstance("inst", given, 4, 2, "alpha")
+            assert type(instance.context_tokens) is PackedIds and instance.context_tokens == ids
+            assert instance == from_tuple and hash(instance) == hash(from_tuple)
+        with pytest.raises(TaskError, match=re.escape("token id -1 is not an int in 0..2**32-1")):
+            EDInstance("inst", [5, -1, 6], 0, 1, "alpha")
+
+
+class TestPackedIds:
+    CASES = [(0,), (7, 65535, 0, 300), tuple(range(250, 330)), (65536,), (1, 2**32 - 1, 65536, 0), ()]
+
+    def test_equal_to_the_tuple_of_its_ids_and_hashed_as_it(self):
+        for ids in self.CASES:
+            for given in (ids, list(ids), iter(ids)):
+                packed = PackedIds(given)
+                assert packed == ids and ids == packed and not packed != ids
+                assert hash(packed) == hash(ids) and packed.ids == ids
+                assert packed == PackedIds(ids) and hash(packed) == hash(PackedIds(ids))
+            assert PackedIds(ids) != ids + (0,) and PackedIds(ids) != list(ids)
+            assert PackedIds(ids) != PackedIds(ids + (0,))
+            assert repr(PackedIds(ids)) == f"PackedIds({ids!r})"
+        # the ids decide equality, whatever their width
+        wide = PackedIds._of(array("I", (1, 2)).tobytes(), 4)
+        assert wide == PackedIds((1, 2)) and hash(wide) == hash((1, 2))
+
+    def test_two_bytes_per_id_below_two_to_the_sixteen_else_four(self):
+        for ids in self.CASES:
+            assert len(PackedIds(ids)._data) == (2 if max(ids, default=0) < 1 << 16 else 4) * len(ids)
+        assert not hasattr(PackedIds((1,)), "__dict__")
+
+    def test_reads_agree_with_the_tuple(self):
+        rng = np.random.default_rng(51)
+        for ids in self.CASES:
+            packed = PackedIds(ids)
+            assert len(packed) == len(ids) and list(packed) == list(ids)
+            assert all(type(token) is int for token in packed)
+            for index in range(-len(ids), len(ids)):
+                assert packed[index] == ids[index] and type(packed[index]) is int
+            for index in (len(ids), -len(ids) - 1):
+                with pytest.raises(IndexError):
+                    packed[index]
+            for _ in range(200):
+                start, stop = (int(n) for n in rng.integers(-len(ids) - 2, len(ids) + 3, size=2))
+                step = int(rng.choice((1, 1, 2, 3, -1, -2)))
+                got = packed[start:stop:step]
+                assert type(got) is tuple and got == ids[start:stop:step]
+                assert all(type(token) is int for token in got)
+            assert list(reversed(packed)) == list(reversed(ids))
+            if ids:
+                assert ids[-1] in packed and packed.index(ids[-1]) == ids.index(ids[-1])
+                assert packed.count(ids[0]) == ids.count(ids[0])
+
+    def test_pickles(self):
+        for ids in self.CASES:
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                packed = PackedIds(ids)
+                loaded = pickle.loads(pickle.dumps(packed, protocol))
+                assert type(loaded) is PackedIds and loaded == ids and loaded._data == packed._data
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 1.5, "7", None, b"7"])
+    def test_an_id_that_is_no_int_in_range_is_refused_by_name(self, bad):
+        with pytest.raises(TaskError, match=re.escape(f"token id {bad!r} is not an int in 0..2**32-1")):
+            PackedIds((5, 70000, bad, 6))
+
+
+def _flagged_reference(ids, start, length, vocab, window):
+    """The flagged window of :func:`flag_mention`, cut from a plain tuple by :func:`reference_flag_window`."""
+    keep_left, keep_right = reference_flag_window(start, len(ids) - start - length, window - length - 2)
+    end = start + length
+    return (
+        ids[start - keep_left : start] + (vocab.extra_special_id(START_ENT_STRING),) + ids[start:end]
+        + (vocab.extra_special_id(END_ENT_STRING),) + ids[end : end + keep_right]
+    )
+
+
+@pytest.fixture(scope="module")
+def generated_ed(tmp_path_factory):
+    """The rows and vocabulary of a seeded ``benchmarks/gen.py disambiguate`` dataset at a small scale."""
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path_factory.mktemp("gen-ed")
+    argv = [sys.executable, str(root / "benchmarks" / "gen.py"), "disambiguate", "3", str(out), "--scale", "0.05"]
+    subprocess.run(argv, check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    vocab = load_vocabulary(str(out / "vocab.txt"), TASK_EXTRA_SPECIALS)
+    return (out / "dataset.tsv").read_text(encoding="utf-8").splitlines(), vocab
+
+
+class TestPackedContexts:
+    def test_loaded_contexts_are_the_encoded_ids_on_both_span_paths(self, generated_ed):
+        lines, vocab = generated_ed
+        rng = np.random.default_rng(52)
+        rows, paths = [], {"whole-token": 0, "general": 0}
+        for line in lines:
+            fields = line.split("\t")
+            if rng.random() < 0.5:  # a U+2028 for one space keeps every offset, and no word is then a token
+                spaces = [at for at, char in enumerate(fields[1]) if char == " "]
+                at = int(rng.choice(spaces))
+                fields[1] = fields[1][:at] + "\u2028" + fields[1][at + 1 :]
+                paths["general"] += 1
+            else:
+                assert all(word in vocab._table for word in fields[1].split(" "))
+                paths["whole-token"] += 1
+            rows.append(fields)
+        instances = load_ed_dataset(["\t".join(fields) for fields in rows], vocab)
+        for fields, instance in zip(rows, instances):
+            context, char_start, char_len = fields[1], int(fields[2]), int(fields[3])
+            ids = tuple(encode(context, vocab))
+            start = len(encode(context[:char_start], vocab))
+            length = len(encode(context[char_start : char_start + char_len], vocab))
+            assert type(instance.context_tokens) is PackedIds and instance.context_tokens == ids
+            assert (instance.mention_start, instance.mention_length) == (start, length)
+            assert instance == EDInstance(instance.instance_id, ids, start, length, instance.gold, instance.candidates)
+            for window in (384, 40, 12, length + 2):
+                flagged = flag_mention(instance, vocab, TaskConfig(context_window=window))
+                assert type(flagged) is tuple and all(type(token) is int for token in flagged)
+                assert flagged == _flagged_reference(ids, start, length, vocab, window)
+        assert min(paths.values()) > 100, paths
+        assert pickle.loads(pickle.dumps(instances)) == instances
+
+    def test_loaded_contexts_hold_two_bytes_per_id_plus_a_bounded_cost_per_row(self, generated_ed):
+        lines, vocab = generated_ed
+        tracemalloc.start()
+        try:
+            instances = load_ed_dataset(lines, vocab)
+            held = tracemalloc.get_traced_memory()[0]
+            ids = sum(len(instance.context_tokens) for instance in instances)
+            for instance in instances:  # what the contexts alone hold is what dropping them frees
+                object.__setattr__(instance, "context_tokens", None)
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 2 * ids <= freed <= 2 * ids + 128 * len(instances), (freed / len(instances), ids / len(instances))
+
+    @pytest.mark.parametrize("size, width", [(1 << 16, 2), ((1 << 16) + 1, 4)])
+    def test_a_vocabulary_past_two_to_the_sixteen_ids_packs_four_bytes_per_id(self, size, width):
+        ordinary = size - 7 - len(TASK_EXTRA_SPECIALS)
+        vocab = Vocabulary([f"w{i}" for i in range(ordinary)], TASK_EXTRA_SPECIALS)
+        assert vocab.size == size
+        top = f"w{ordinary - 1}"  # id size - 1
+        rows = [
+            f"m1\tw0 {top} w5 w3\t3\t{len(top) + 3}\tg",  # whole tokens
+            f"m2\tw0 {top}  w5 zz\t3\t{len(top)}\tg",  # a double space and a word that is no token
+        ]
+        for line, instance in zip(rows, load_ed_dataset(rows, vocab)):
+            context = line.split("\t")[1]
+            ids = tuple(encode(context, vocab))
+            assert max(ids) == size - 1 and instance.context_tokens == ids
+            assert len(instance.context_tokens._data) == width * len(ids)
+            window = instance.mention_length + 3
+            flagged = flag_mention(instance, vocab, TaskConfig(context_window=window))
+            assert flagged == _flagged_reference(ids, instance.mention_start, instance.mention_length, vocab, window)
             assert pickle.loads(pickle.dumps(instance)) == instance
 
 
