@@ -14,6 +14,7 @@ loads, so ids are consistent across all subcommands of one installation.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -100,6 +101,7 @@ def _ranking_lines(ranking: RankedResult, fmt: str, prefix: str = "") -> list[st
 
 
 def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
+    """Write the trie to ``out``, the file under ``--out``, and its stats line to stdout."""
     vocab = _load_vocab(args.vocab)
     # every name reads back from its tokens, so equal names are exactly equal
     # sequences, and the trie's leaves count the distinct names
@@ -110,12 +112,9 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     if len(lengths) > trie.leaf_count:
         print(f"skipped {len(lengths) - trie.leaf_count} duplicate name(s)", file=sys.stderr)
     blob = trie.serialize()
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
-    print(
-        f"leaves={trie.leaf_count} internal_nodes={trie.internal_node_count} bytes={len(blob)}",
-        file=out,
-    )
+    out.buffer.write(blob)
+    out.flush()  # a write that fails does so before the stats line
+    print(f"leaves={trie.leaf_count} internal_nodes={trie.internal_node_count} bytes={len(blob)}")
     return 0
 
 
@@ -317,19 +316,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutFile(io.FileIO):
+    """The file under ``--out``: a write that fails names ``path``, as a failed open does."""
+
+    def __init__(self, file: int | str, path: str) -> None:
+        super().__init__(file, "w")
+        self.path = path
+
+    def write(self, data) -> int | None:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.path) from None
+
+
 def _open_out(path: str) -> tuple[TextIO, str | None]:
-    """A text file for ``--out path`` and the name to move over ``path``'s target on success: a new file beside
-    the target, with the target's mode if it is a file, or, for a target that is no file (``/dev/null``), the
-    target itself and None.  An ``OSError`` names ``path``."""
+    """A text file for ``--out path``, whose ``buffer`` takes bytes, and the name to move over ``path``'s target
+    on success: a new file beside the target, with the target's mode if it is a file, or, for a target that is
+    no file (``/dev/null``), the target itself and None.  An ``OSError`` names ``path``."""
     target = os.path.realpath(path)  # a symlink is written through, as opening it would
     try:
         if os.path.exists(target) and not os.path.isfile(target):
-            return open(target, "w", encoding="utf-8"), None
-        temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with suppress(FileNotFoundError):
-            os.chmod(fd, os.stat(target).st_mode & 0o7777)
-        return open(fd, "w", encoding="utf-8"), temp
+            raw, temp = _OutFile(target, path), None
+        else:
+            temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            with suppress(FileNotFoundError):
+                os.chmod(fd, os.stat(target).st_mode & 0o7777)
+            raw = _OutFile(fd, path)
+        return io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"), temp
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
 
@@ -351,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for flag, text in texts.items():
             if bad := re.search("[\ud800-\udfff]", text or ""):
                 raise InputError(f"{flag} is not UTF-8 ({bad.group()!r} at offset {bad.start()})")
-        if getattr(args, "out", None) and args.command != "build-trie":
+        if getattr(args, "out", None) is not None:
             out, temp = _open_out(args.out)
         status = args.func(args, out)
         if out is not sys.stdout:
@@ -368,7 +383,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     finally:
         if out is not sys.stdout:
-            out.close()
+            with suppress(OSError):  # a write that failed fails again as close flushes what it left
+                out.close()
         if temp:
             with suppress(OSError):
                 os.remove(temp)

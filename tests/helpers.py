@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 import re
+import runpy
 import struct
 import sys
 from bisect import bisect_left
 from collections import deque
 from numbers import Integral, Real
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +28,14 @@ from trie_decode.trie import MAGIC, EntityTrie, TrieError, build_trie
 from trie_decode.vocab import (
     EOS, SOS, UNK, TokenSpan, Vocabulary, decode, encode, encode_with_offsets, read_lines, read_rows,
 )
+
+GEN_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
+
+
+def generate(workload: str, seed: int, out_dir, scale: float) -> None:
+    """Write the files ``python benchmarks/gen.py <workload> <seed> <out_dir> --scale <scale>`` writes."""
+    runpy.run_path(str(GEN_SCRIPT))["generate"](workload, seed, str(out_dir), scale)
+
 
 WORD_POOL = (
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta",

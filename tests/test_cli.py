@@ -100,9 +100,12 @@ class TestBuildTrie:
         "kind, data, line",
         [
             ("catalog", b"\xffFrance\n", 1),
+            ("catalog", b"France\n\xffFrance\n", 2),
+            # the catalog is read in 64 KiB chunks: this bad byte is in a later one
+            ("catalog", b"France\n" * 20_000 + b"\xffFrance\n", 20_001),
             ("vocab", b"English\r\nFrance\r\n\r\nlan\xffguage\r\n", 4),
         ],
-        ids=["catalog-line-1", "vocabulary-crlf-line-4"],
+        ids=["catalog-line-1", "catalog-line-2", "catalog-line-20001", "vocabulary-crlf-line-4"],
     )
     def test_a_file_that_is_not_utf8_names_itself_and_its_line(self, cli_files, capsys, kind, data, line):
         with open(cli_files[kind], "wb") as fh:

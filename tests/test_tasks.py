@@ -4,11 +4,8 @@ import dataclasses
 import os
 import pickle
 import re
-import subprocess
-import sys
 import tracemalloc
 from array import array
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +40,7 @@ from helpers import (
     PAINTING_MARKUP,
     PAINTING_SOURCE,
     PAINTING_WORDS,
+    generate,
     pool_vocabulary,
     random_candidate_field,
     random_sequences,
@@ -178,10 +176,8 @@ def _flagged_reference(ids, start, length, vocab, window):
 @pytest.fixture(scope="module")
 def generated_ed(tmp_path_factory):
     """The rows and vocabulary of a seeded ``benchmarks/gen.py disambiguate`` dataset at a small scale."""
-    root = Path(__file__).resolve().parents[1]
     out = tmp_path_factory.mktemp("gen-ed")
-    argv = [sys.executable, str(root / "benchmarks" / "gen.py"), "disambiguate", "3", str(out), "--scale", "0.05"]
-    subprocess.run(argv, check=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    generate("disambiguate", 3, out, 0.05)
     vocab = load_vocabulary(str(out / "vocab.txt"), TASK_EXTRA_SPECIALS)
     return (out / "dataset.tsv").read_text(encoding="utf-8").splitlines(), vocab
 
