@@ -20,7 +20,8 @@ import os
 import re
 import sys
 from contextlib import suppress
-from typing import Iterable, Iterator, Sequence, TextIO
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .beam import RankedResult
 from .catalog import _catalog_ids, load_candidate_sets
@@ -36,9 +37,11 @@ from .tasks import (
     run_eval_suite,
     score_dump,
 )
-from .trie import EntityTrie, TrieFormatError, _build_flat
+from .trie import EntityTrie, _build_flat
 from .vocab import EOS, InputError, Vocabulary, encode, load_vocabulary, read_rows
 
+
+_T = TypeVar("_T")
 
 # (beams, max_steps) defaults: ranking decodes one short name, linking a whole marked-up text
 _RANK_DECODE = (TaskConfig.beams, TaskConfig.max_steps)
@@ -49,12 +52,15 @@ def _load_vocab(path: str) -> Vocabulary:
     return load_vocabulary(path, extra_specials=TASK_EXTRA_SPECIALS)
 
 
-def _load_trie(path: str) -> EntityTrie:
+def _from_file(load: Callable[[str], _T], path: str) -> _T:
+    """``load(path)``, whose :class:`InputError` names ``path``: ``PATH:LINE: message``, or ``PATH: message``
+    when it names no line.  A message that starts with ``PATH:`` already, as a bad byte's does, is kept."""
     try:
-        with open(path, "rb") as fh:
-            return EntityTrie(fh.read())
-    except TrieFormatError as exc:
-        raise InputError(f"{path}: {exc}") from None
+        return load(path)
+    except InputError as exc:
+        where = path if exc.line is None else f"{path}:{exc.line}"
+        message = str(exc).removeprefix(f"line {exc.line}: ")
+        raise InputError(message if message.startswith(f"{path}:") else f"{where}: {message}") from None
 
 
 def _make_scorer(spec: str, vocab: Vocabulary) -> Scorer:
@@ -63,13 +69,13 @@ def _make_scorer(spec: str, vocab: Vocabulary) -> Scorer:
     if spec.startswith("oracle:"):
         target = tuple(encode(spec[len("oracle:") :], vocab)) + (EOS,)
         return OracleScorer(target, vocab.size)
-    return load_table_scorer(spec)
+    return _from_file(load_table_scorer, spec)
 
 
 def _load_decoder(args: argparse.Namespace) -> tuple[Vocabulary, Scorer, EntityTrie | None]:
     vocab = _load_vocab(args.vocab)
     scorer = _make_scorer(args.scorer, vocab)
-    trie = _load_trie(args.trie) if args.trie else None
+    trie = _from_file(lambda path: EntityTrie(Path(path).read_bytes()), args.trie) if args.trie else None
     sizes = {"scorer": scorer.vocab_size, "trie": vocab.size if trie is None else trie.vocab_size}
     for what, size in sizes.items():
         if size != vocab.size:
@@ -136,7 +142,7 @@ def _run_suite(args: argparse.Namespace, mode: str, config: TaskConfig) -> Suite
     """Decode ``--dataset`` with :func:`run_eval_suite`, warning each outcome's diagnostics."""
     vocab, scorer, trie = _load_decoder(args)
     candidates = getattr(args, "candidates", None)
-    candidate_sets = load_candidate_sets(candidates) if candidates else None
+    candidate_sets = _from_file(load_candidate_sets, candidates) if candidates else None
     suite = run_eval_suite(
         args.dataset, mode, scorer, vocab, config, trie, candidate_sets,
         chunk_size=getattr(args, "chunk_size", None), jobs=args.jobs,
@@ -332,13 +338,17 @@ class _OutFile(io.FileIO):
 
 def _open_out(path: str) -> tuple[TextIO, str | None]:
     """A text file for ``--out path``, whose ``buffer`` takes bytes, and the name to move over ``path``'s target
-    on success: a new file beside the target, with the target's mode if it is a file, or, for a target that is
-    no file (``/dev/null``), the target itself and None.  An ``OSError`` names ``path``."""
-    target = os.path.realpath(path)  # a symlink is written through, as opening it would
+    on success: a new file beside the target, with the target's mode if it is a file.  The file stdout is open on
+    is stdout, and a target that is no file (``/dev/null``, a pipe) is written in place; the name is then None.
+    An ``OSError`` names ``path``."""
     try:
-        if os.path.exists(target) and not os.path.isfile(target):
-            raw, temp = _OutFile(target, path), None
+        with suppress(OSError, ValueError):  # a missing path, or a stdout with no descriptor, as under a capture
+            if os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno())):
+                return sys.stdout, None
+        if os.path.exists(path) and not os.path.isfile(path):  # each follows a link, /dev/stdout's to a pipe too
+            raw, temp = _OutFile(path, path), None
         else:
+            target = os.path.realpath(path)  # a symlink is written through, as opening it would
             temp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with suppress(FileNotFoundError):

@@ -141,7 +141,7 @@ def _id_bytes(vocab: Vocabulary) -> tuple[dict[str, bytes], int]:
     return {token: tid.to_bytes(width, sys.byteorder) for token, tid in vocab._table.items()}, width
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EDInstance:
     """One flagged-mention disambiguation instance (token-level span).
 
@@ -161,41 +161,28 @@ class EDInstance:
     gold: str
     candidates: CandidateSet | None = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.context_tokens, PackedIds):  # a loaded context is packed already
-            object.__setattr__(self, "context_tokens", PackedIds(self.context_tokens))
-        candidates = self.candidates
+    def __init__(
+        self, instance_id: str, context_tokens: PackedIds | Iterable[TokenId], mention_start: int, mention_length: int,
+        gold: str, candidates: CandidateSet | Iterable[str] | None = None,
+    ) -> None:
+        # the fields are set through the slots: a frozen dataclass's own __init__ takes half as long again
+        if not isinstance(context_tokens, PackedIds):  # a loaded context is packed already
+            context_tokens = PackedIds(context_tokens)
         if candidates is not None and not isinstance(candidates, CandidateSet):
-            wrapped = CandidateSet(candidates) if candidates or isinstance(candidates, str) else None
-            object.__setattr__(self, "candidates", wrapped)
-        if type(self.mention_start) is not int or type(self.mention_length) is not int:
-            raise TaskError(
-                f"mention offsets must be ints, got {self.mention_start!r} and {self.mention_length!r}"
-            )
-        if self.mention_length < 1:
+            candidates = CandidateSet(candidates) if candidates or isinstance(candidates, str) else None
+        if type(mention_start) is not int or type(mention_length) is not int:
+            raise TaskError(f"mention offsets must be ints, got {mention_start!r} and {mention_length!r}")
+        if mention_length < 1:
             raise TaskError("mention must span at least one token")
-        if self.mention_start < 0 or self.mention_start + self.mention_length > len(self.context_tokens):
+        if mention_start < 0 or mention_start + mention_length > len(context_tokens):
             raise TaskError("mention span outside the context")
-
-    @classmethod
-    def _of(
-        cls, instance_id: str, context_tokens: PackedIds, mention_start: int, mention_length: int, gold: str,
-        candidates: CandidateSet | None,
-    ) -> EDInstance:
-        """The instance of fields that already pass ``__post_init__`` as they are, set through the slots.
-
-        The frozen ``__init__`` sets each field by ``object.__setattr__`` and
-        then checks them all, which takes twice as long.
-        """
-        instance = object.__new__(cls)
         set_id, set_context, set_start, set_length, set_gold, set_candidates = _ED_SLOT_SETTERS
-        set_id(instance, instance_id)
-        set_context(instance, context_tokens)
-        set_start(instance, mention_start)
-        set_length(instance, mention_length)
-        set_gold(instance, gold)
-        set_candidates(instance, candidates)
-        return instance
+        set_id(self, instance_id)
+        set_context(self, context_tokens)
+        set_start(self, mention_start)
+        set_length(self, mention_length)
+        set_gold(self, gold)
+        set_candidates(self, candidates)
 
     def mention_tokens(self) -> tuple[TokenId, ...]:
         return self.context_tokens[self.mention_start : self.mention_start + self.mention_length]
@@ -413,7 +400,7 @@ def load_ed_dataset(
         elif candidate_sets is not None:
             candidates = candidate_sets.get(instance_id)
         tokens, tok_start, tok_len = _mention_token_span(context, char_start, char_len, vocab, lineno, id_bytes)
-        instances.append(EDInstance._of(instance_id, tokens, tok_start, tok_len, gold, candidates))
+        instances.append(EDInstance(instance_id, tokens, tok_start, tok_len, gold, candidates))
     return instances
 
 

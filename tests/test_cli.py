@@ -64,100 +64,6 @@ class TestBuildTrie:
         build(cli_files)
         assert Path(cli_files["trie"]).read_bytes() == first
 
-    def test_empty_catalog_fails_nonzero(self, cli_files, tmp_path, capsys):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("")
-        code = main(
-            ["build-trie", str(empty), "--vocab", cli_files["vocab"], "--out", cli_files["trie"]]
-        )
-        captured = capsys.readouterr()
-        assert code != 0
-        assert "error" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"], ids=["empty", "newline", "blank-lines"])
-    def test_file_with_no_names_is_named(self, cli_files, tmp_path, capsys, text):
-        catalog = tmp_path / "no-names.txt"
-        catalog.write_text(text)
-        code = main(["build-trie", str(catalog), "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {catalog} holds no entity names\n"
-        assert not os.path.exists(cli_files["trie"])
-
-    def test_vocabulary_line_holding_a_file_separator_fails_loud(self, cli_files, tmp_path, capsys):
-        vocab = tmp_path / "fs-vocab.txt"
-        vocab.write_bytes(b"a\x1cb\nFrance\n")
-        code = main(["build-trie", cli_files["catalog"], "--vocab", str(vocab), "--out", cli_files["trie"]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: token string contains whitespace: 'a\\x1cb'\n"
-        assert not os.path.exists(cli_files["trie"])
-
-    @pytest.mark.parametrize(
-        "kind, data, line",
-        [
-            ("catalog", b"\xffFrance\n", 1),
-            ("catalog", b"France\n\xffFrance\n", 2),
-            # the catalog is read in 64 KiB chunks: this bad byte is in a later one
-            ("catalog", b"France\n" * 20_000 + b"\xffFrance\n", 20_001),
-            ("vocab", b"English\r\nFrance\r\n\r\nlan\xffguage\r\n", 4),
-        ],
-        ids=["catalog-line-1", "catalog-line-2", "catalog-line-20001", "vocabulary-crlf-line-4"],
-    )
-    def test_a_file_that_is_not_utf8_names_itself_and_its_line(self, cli_files, capsys, kind, data, line):
-        with open(cli_files[kind], "wb") as fh:
-            fh.write(data)
-        code = main(["build-trie", cli_files["catalog"], "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: {cli_files[kind]}:{line}: not UTF-8 (can't decode byte 0xff: invalid start byte)\n"
-        )
-        assert not os.path.exists(cli_files["trie"])
-
-    def test_names_sharing_a_token_sequence_fail_loud(self, cli_files, tmp_path, capsys):
-        # an empty vocabulary encodes each character to <unk>, so names of
-        # one length share a sequence
-        empty = tmp_path / "empty-vocab.txt"
-        empty.write_text("")
-        catalog = tmp_path / "same-length.txt"
-        catalog.write_text("English language\nFrance\nGreece\nSpain\nItaly\n")
-        code = main(["build-trie", str(catalog), "--vocab", str(empty), "--out", cli_files["trie"]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "error: line 1: catalog name 'English language' reads back as '<unk> <unk>"
-        )
-        assert captured.err.endswith("<unk>', so no decode can emit it\n")
-        assert "Traceback" not in captured.err
-        assert not os.path.exists(cli_files["trie"])
-
-
-    @pytest.mark.parametrize(
-        "names, message",
-        [
-            (["Café", "Paris", "New  York"], "line 1: catalog name 'Café' reads back as 'Caf <unk>'"),
-            (["Paris", "New  York"], "line 2: catalog name 'New  York' reads back as 'New York'"),
-        ],
-        ids=["unknown-character", "double-space"],
-    )
-    def test_names_that_do_not_read_back_fail_loud(self, cli_files, tmp_path, capsys, names, message):
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text("Caf\nParis\nNew\nYork\n")
-        catalog = tmp_path / "catalog.txt"
-        catalog.write_text("\n".join(names) + "\n", encoding="utf-8")
-        code = main(["build-trie", str(catalog), "--vocab", str(vocab), "--out", cli_files["trie"]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {message}, so no decode can emit it\n"
-        assert not os.path.exists(cli_files["trie"])
-
     def test_duplicates_are_counted_and_merged(self, cli_files, tmp_path, capsys):
         # "English" is a prefix of "English language"; each name repeats at most twice more
         catalog = tmp_path / "repeats.txt"
@@ -177,16 +83,6 @@ class TestBuildTrie:
         assert code == 0
         assert capsys.readouterr().err == ""
         assert Path(cli_files["trie"]).read_bytes() == reference.read_bytes()
-
-    def test_a_bad_name_after_a_duplicate_names_its_own_line(self, cli_files, tmp_path, capsys):
-        catalog = tmp_path / "bad-after-duplicate.txt"
-        catalog.write_text("France\n\nFrance\nx(y)\nEnglish\n")
-        code = main(["build-trie", str(catalog), "--vocab", cli_files["vocab"], "--out", cli_files["trie"]])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: line 4: entity name contains reserved characters ['(', ')']: 'x(y)'\n"
-        assert not os.path.exists(cli_files["trie"])
 
 
 class TestBuildTrieBlocks:
@@ -316,64 +212,6 @@ class TestRetrieve:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("\t")[1] for line in lines] == [deep]
 
-    def test_name_longer_than_max_steps_fails_loud(self, cli_files, capsys):
-        long_name = " ".join(["English", "language"] * 10)
-        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
-            fh.write(long_name + "\n")
-        build(cli_files)
-        capsys.readouterr()
-        code = main(
-            [
-                "retrieve",
-                "--query", "q",
-                "--vocab", cli_files["vocab"],
-                "--trie", cli_files["trie"],
-                "--scorer", f"oracle:{long_name}",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: max_steps 15 cannot finish")
-        assert "20 tokens" in captured.err
-
-    def test_version_1_trie_file_fails_loud(self, cli_files, tmp_path, capsys):
-        old = tmp_path / "old.trie"
-        # a version 1 file: magic, vocab size, one non-terminal root record
-        old.write_bytes(b"ETRIE\x00\x01\x00" + (13).to_bytes(4, "little") + bytes(5))
-        code = main(
-            [
-                "retrieve",
-                "--query", "q",
-                "--vocab", cli_files["vocab"],
-                "--trie", str(old),
-                "--scorer", "uniform",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert "rebuild it with `trie-decode build-trie`" in captured.err
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize(
-        "damage, reason",
-        [(lambda blob: blob[:-1], "truncated stream"), (lambda blob: b"X" + blob[1:], "bad magic")],
-        ids=["truncated", "bad-magic"],
-    )
-    def test_refused_trie_file_names_its_path(self, cli_files, tmp_path, capsys, damage, reason):
-        build(cli_files)
-        capsys.readouterr()
-        bad = tmp_path / "bad.trie"
-        with open(cli_files["trie"], "rb") as fh:
-            bad.write_bytes(damage(fh.read()))
-        code = main(["retrieve", "--query", "q", "--vocab", cli_files["vocab"], "--trie", str(bad), "--scorer", "uniform"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {bad}: {reason}\n"
-
     def test_normalization_flag_changes_score_column_only(self, cli_files, capsys):
         build(cli_files)
         capsys.readouterr()
@@ -436,27 +274,6 @@ class TestLinkAndEval:
         }
         predictions.write_text(json.dumps(payload, sort_keys=True) + "\n")
         return str(vocab), str(dataset), str(predictions)
-
-    @pytest.mark.parametrize("text", ["", "France"])
-    def test_link_chunk_size_zero_exits_1_whatever_the_text(self, cli_files, capsys, text):
-        build(cli_files)
-        capsys.readouterr()
-        argv = ["link", "--text", text, "--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
-        assert main(argv + ["--scorer", "uniform", "--chunk-size", "0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: chunk size must be at least 1\n"
-
-    def test_link_text_with_a_square_bracket_exits_1(self, cli_files, capsys):
-        build(cli_files)
-        capsys.readouterr()
-        argv = ["link", "--text", "English [x] France", "--vocab", cli_files["vocab"], "--trie", cli_files["trie"]]
-        assert main(argv + ["--scorer", "uniform"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: source holds '[' at offset 8; square brackets are markup, so the linked text could not parse back\n"
-        )
 
     def test_eval_predictions_prints_rounded_and_exact(self, tmp_path, capsys):
         vocab, dataset, predictions = self._write_el_fixture(tmp_path)
@@ -605,40 +422,6 @@ class TestDisambiguateCommand:
             assert prediction["raw_logprob"] <= 0.0
             assert set(prediction) == {"rank", "name", "raw_logprob", "normalized_score"}
 
-
-    def test_catalog_name_longer_than_max_steps_fails_loud(self, cli_files, tmp_path, capsys):
-        long_name = " ".join(["English", "language"] * 10)
-        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
-            fh.write(long_name + "\n")
-        build(cli_files)
-        capsys.readouterr()
-        dataset = tmp_path / "ed.tsv"
-        dataset.write_text("m1\tlanguage France language\t9\t6\tFrance\n")
-        code = main(
-            [
-                "disambiguate",
-                "--dataset", str(dataset),
-                "--vocab", cli_files["vocab"],
-                "--trie", cli_files["trie"],
-                "--scorer", f"oracle:{long_name}",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: max_steps 15 cannot finish the longest name (20 tokens)")
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_mention_wider_than_the_window_names_its_instance(self, cli_files, tmp_path, capsys, jobs):
-        dataset = tmp_path / "ed.tsv"
-        dataset.write_text("m1\tlanguage France\t9\t6\tFrance\tFrance\nm2\tEnglish language\t0\t16\tFrance\tFrance\n")
-        argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", "uniform"]
-        code = main(argv + ["--context-window", "3", "--jobs", jobs])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: instance 'm2': mention of 2 tokens does not fit a window of 3\n"
-
     def test_a_line_separator_inside_a_context_is_whitespace(self, cli_files, tmp_path, capsys):
         dataset = tmp_path / "ed.tsv"
         argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", "uniform"]
@@ -679,26 +462,6 @@ class TestEvalPipelines:
         assert captured.err.startswith("error: max_steps 15 cannot finish the longest name (15 tokens)")
         # one more step lets the longest name finish
         assert main(["eval", "--mode", mode, *common, "--scorer", "uniform", "--max-steps", "16"]) == 0
-
-    @pytest.mark.parametrize("command", ["retrieve", "disambiguate", "eval-dr"])
-    def test_every_command_words_the_step_budget_alike(self, cli_files, tmp_path, capsys, command):
-        with open(cli_files["catalog"], "a", encoding="utf-8") as fh:
-            fh.write(" ".join(["English", "language"] * 10) + "\n")
-        build(cli_files)
-        capsys.readouterr()
-        ed, dr = tmp_path / "ed.tsv", tmp_path / "dr.tsv"
-        ed.write_text("m1\tlanguage France language\t9\t6\tFrance\n")
-        dr.write_text("q1\twhich country\tFrance\n")
-        head = {
-            "retrieve": ["retrieve", "--query", "q"],
-            "disambiguate": ["disambiguate", "--dataset", str(ed)],
-            "eval-dr": ["eval", "--mode", "dr", "--dataset", str(dr)],
-        }[command]
-        code = main([*head, "--vocab", cli_files["vocab"], "--trie", cli_files["trie"], "--scorer", "uniform"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: max_steps 15 cannot finish the longest name (20 tokens)\n"
 
     def test_dr_mode_mean_r_precision(self, cli_files, tmp_path, capsys):
         build(cli_files)
@@ -769,7 +532,6 @@ class TestEdEvalPaths:
         top1 = [r["predictions"][0]["name"] if r["predictions"] else "" for r in records]
         metrics = json.loads(in_process)["metrics"]
         assert metrics["accuracy"] == metrics["micro_recall"] == ed_accuracy([r["gold"] for r in records], top1)
-
 
     def test_accuracy_per_match_type_in_both_paths(self, cli_files, tmp_path, capsys):
         # uniform ties rank the lowest token ids first: m1 (exact) and m3
@@ -849,7 +611,6 @@ class TestDatasetRunner:
             "eval-el-dump": ["eval", "--mode", "el", "--dataset", datasets["el"], *dump, datasets["el-dump"]],
             "disambiguate": ["disambiguate", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
             "link": ["link", "--dataset", datasets["el"], *common, "--scorer", "uniform", "--max-steps", "32"],
-            "link-text": ["link", "--text", "English language France", *common, "--scorer", "uniform"],
             "retrieve": ["retrieve", "--query", "which country", *common, "--scorer", "uniform"],
             "eval-ed": ["eval", "--mode", "ed", "--dataset", datasets["ed"], *common, "--scorer", "uniform"],
             "eval-dr": ["eval", "--mode", "dr", "--dataset", datasets["dr"], *common, "--scorer", "uniform"],
@@ -869,48 +630,6 @@ class TestDatasetRunner:
         parallel = capsys.readouterr()
         assert sequential.out and parallel.out == sequential.out
         assert parallel.err == sequential.err
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    @pytest.mark.parametrize(
-        "command", ["disambiguate", "link", "eval-ed", "eval-dr", "eval-el", "eval-ed-dump", "eval-el-dump"]
-    )
-    def test_jobs_below_one_exit_1(self, cli_files, datasets, capsys, command, jobs):
-        code = main(self._argv(cli_files, datasets, command) + ["--jobs", jobs])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--beams", "0", "beams and max_steps must be >= 1, context_window >= 3"),
-            ("--max-steps", "0", "beams and max_steps must be >= 1, context_window >= 3"),
-            ("--context-window", "2", "beams and max_steps must be >= 1, context_window >= 3"),
-            ("--chunk-size", "0", "chunk size must be at least 1"),
-        ],
-        ids=["beams", "max-steps", "context-window", "chunk-size"],
-    )
-    @pytest.mark.parametrize("command", ["eval-ed", "eval-dr", "eval-el", "eval-ed-dump", "eval-el-dump"])
-    def test_eval_checks_decode_flags_on_every_path(
-        self, cli_files, datasets, capsys, command, flag, value, message
-    ):
-        code = main(self._argv(cli_files, datasets, command) + [flag, value])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize("flag", ["--beams", "--max-steps"])
-    @pytest.mark.parametrize("command", ["retrieve", "disambiguate", "link", "link-text"])
-    def test_decode_flags_fail_with_one_message_on_every_command(
-        self, cli_files, datasets, capsys, command, flag
-    ):
-        code = main(self._argv(cli_files, datasets, command) + [flag, "0"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: beams and max_steps must be >= 1, context_window >= 3\n"
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     @pytest.mark.parametrize(
@@ -933,59 +652,6 @@ class TestDatasetRunner:
         assert main(self._argv(cli_files, datasets, f"eval-{mode}-dump") + ["--format", fmt]) == 0
         assert capsys.readouterr().out == in_process
 
-    @pytest.mark.parametrize(
-        "d1_spans, message",
-        [
-            ([[5000, 3, "France"]], "error: instance 'd1': bad predicted spans (span exceeds the source text)"),
-            ([[0, 6, "France"], [2, 3, "France"]], "error: instance 'd1': bad predicted spans (spans overlap"),
-            ([[0, 13.5, "France"]], "error: {dump}:1: bad prediction record (expected int, got 13.5)"),
-            ([[True, 6, "France"]], "error: {dump}:1: bad prediction record (expected int, got True)"),
-            ([[0, 6, 5]], "error: {dump}:1: bad prediction record (expected str, got 5)"),
-            ([[0, 0, "France"]], "error: {dump}:1: bad prediction record (invalid span extent: start=0 length=0)"),
-            ([[0, 6, ""]], "error: {dump}:1: bad prediction record (empty entity name in span)"),
-        ],
-        ids=["past-the-source", "overlapping", "fractional-length", "bool-start", "int-entity", "zero-length", "empty-entity"],
-    )
-    def test_eval_of_a_dump_rejects_spans_that_do_not_fit_the_source(
-        self, cli_files, datasets, capsys, d1_spans, message
-    ):
-        with open(datasets["el-dump"], "w", encoding="utf-8") as fh:
-            for doc_id, spans in (("d1", d1_spans), ("d2", []), ("d3", [])):
-                fh.write(json.dumps({"id": doc_id, "spans": spans}) + "\n")
-        code = main(self._argv(cli_files, datasets, "eval-el-dump"))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(message.format(dump=datasets["el-dump"]))
-
-    @pytest.mark.parametrize(
-        "mode, edit, message",
-        [
-            ("el", lambda records: records.insert(1, records[0]), "{dump}:2: no dataset row left for this record of instance 'd1'"),
-            ("el", lambda records: records.append({**records[0], "id": "d9"}), "{dump}:4: no dataset row left for this record of instance 'd9'"),
-            ("ed", lambda records: records.insert(1, records[0]), "{dump}:2: no dataset row left for this record of instance 'm1'"),
-            ("ed", lambda records: records[2]["predictions"][0].update(name=5), "{dump}:3: bad prediction record (expected str, got 5)"),
-            ("ed", lambda records: records[2]["predictions"][1].update(raw_logprob="zz"), "{dump}:3: bad prediction record (expected int or float, got 'zz')"),
-            ("ed", lambda records: records[0]["predictions"][0].update(normalized_score=None), "{dump}:1: bad prediction record (expected int or float, got None)"),
-            ("ed", lambda records: records[1]["predictions"][0].update(raw_logprob=True), "{dump}:2: bad prediction record (expected int or float, got True)"),
-        ],
-        ids=["el-doubled-record", "el-unknown-id", "ed-doubled-record", "ed-int-name", "ed-str-score", "ed-null-score", "ed-bool-score"],
-    )
-    def test_eval_of_a_dump_rejects_records_it_cannot_pair_or_read(
-        self, cli_files, datasets, capsys, mode, edit, message
-    ):
-        dump = datasets[f"{mode}-dump"]
-        with open(dump, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh]
-        edit(records)
-        with open(dump, "w", encoding="utf-8") as fh:
-            fh.writelines(json.dumps(record) + "\n" for record in records)
-        code = main(self._argv(cli_files, datasets, f"eval-{mode}-dump"))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {message.format(dump=dump)}\n"
-
     def test_eval_of_a_dump_reads_any_json_number_as_a_score(self, cli_files, datasets, capsys):
         # json.dumps writes -inf as -Infinity, which loads back as a float
         assert main(self._argv(cli_files, datasets, "eval-ed")) == 0
@@ -999,64 +665,6 @@ class TestDatasetRunner:
         assert "-Infinity" in Path(dump).read_text(encoding="utf-8")
         assert main(self._argv(cli_files, datasets, "eval-ed-dump")) == 0
         assert capsys.readouterr().out == in_process
-
-    def test_eval_scores_a_dump_in_ed_and_el_modes_only(self, cli_files, datasets, capsys):
-        argv = ["eval", "--mode", "dr", "--dataset", datasets["dr"], "--vocab", cli_files["vocab"]]
-        assert main(argv + ["--predictions", datasets["ed-dump"]]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: a dump can be scored in ed and el modes only\n"
-
-    @pytest.mark.parametrize("command, what", [("eval-dr", "retrieval"), ("eval-el", "linking")])
-    def test_eval_without_a_trie_in_dr_and_el_modes_exits_1(self, cli_files, datasets, capsys, command, what):
-        argv = self._argv(cli_files, datasets, command)
-        argv.remove("--trie")
-        argv.remove(cli_files["trie"])
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {what} requires a catalog trie\n"
-
-    @pytest.mark.parametrize(
-        "command, dataset, bad_line, message",
-        [
-            ("disambiguate", "ed", "m4\tFrance\t0\t6\t\tFrance\n", "line 4: empty gold entity"),
-            ("disambiguate", "ed", "m4\tFrance\t0\t6\tFrance\t|\n", "line 4: empty candidate set"),
-            ("eval-ed", "ed", "m4\tFrance\t0\t6\tFrance\t||\n", "line 4: empty candidate set"),
-            ("eval-dr", "dr", "q3\twhich country\t|\n", "line 3: empty gold set"),
-            ("eval-dr", "dr", "q3\twhich country\t\n", "line 3: empty gold set"),
-        ],
-        ids=["ed-empty-gold", "ed-bar-only-candidates", "eval-ed-bars-only-candidates", "dr-bar-only-gold", "dr-empty-gold"],
-    )
-    def test_dataset_line_with_an_empty_field_exits_1(
-        self, cli_files, datasets, capsys, command, dataset, bad_line, message
-    ):
-        with open(datasets[dataset], "a", encoding="utf-8") as fh:
-            fh.write(bad_line)
-        assert main(self._argv(cli_files, datasets, command)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    @pytest.mark.parametrize(
-        "markup, reason",
-        [
-            ("[](France)France", "empty mention"),
-            ("[Fr[ance](France)", "nested '[' inside a mention"),
-            ("[France]()", "empty entity name"),
-            ("[France](Fr(ance)", "reserved characters in entity name: 'Fr(ance'"),
-            ("[France](Fr]ance)", "reserved characters in entity name: 'Fr]ance'"),
-        ],
-        ids=["empty-mention", "nested-open", "empty-entity", "open-paren-in-entity", "close-bracket-in-entity"],
-    )
-    @pytest.mark.parametrize("command", ["link", "eval-el", "eval-el-dump"])
-    def test_bad_gold_markup_is_named_on_every_path(self, cli_files, datasets, capsys, command, markup, reason):
-        with open(datasets["el"], "w", encoding="utf-8") as fh:
-            fh.write(f"d1\tFrance\t{markup}\n")
-        assert main(self._argv(cli_files, datasets, command)) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: instance 'd1': bad gold markup ({reason})\n"
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_link_text_prints_the_dataset_document_of_its_source(self, cli_files, datasets, capsys, fmt):
@@ -1073,18 +681,6 @@ class TestDatasetRunner:
         assert text.err.splitlines() == [
             line.removeprefix("d2: ") for line in dataset.err.splitlines() if line.startswith("d2: ")
         ]
-
-    @pytest.mark.parametrize("given", ["both", "neither"])
-    def test_link_takes_exactly_one_of_text_and_dataset(self, cli_files, datasets, capsys, given):
-        argv = self._argv(cli_files, datasets, "link")
-        if given == "both":
-            argv += ["--text", "France"]
-        else:
-            argv[1:3] = []
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: exactly one of --text and --dataset is required\n"
 
     @pytest.mark.parametrize(
         "command, dataset, bad_line",
@@ -1136,15 +732,6 @@ class TestDatasetRunner:
         assert [path.name for path in folder.iterdir()] == ["out.jsonl"]
         assert out.read_bytes() == printed.encode("utf-8")
 
-    def test_failing_command_leaves_no_file_beside_out(self, cli_files, datasets, tmp_path, capsys):
-        with open(datasets["ed"], "a", encoding="utf-8") as fh:
-            fh.write("m4\tFrance\t0\t6\n")
-        folder = tmp_path / "results"
-        folder.mkdir()
-        assert main(self._argv(cli_files, datasets, "disambiguate") + ["--out", str(folder / "out.txt")]) == 1
-        assert capsys.readouterr().err.startswith("error: line 4: expected")
-        assert list(folder.iterdir()) == []
-
     @pytest.mark.parametrize("where", ["missing-folder", "folder"])
     def test_an_unwritable_out_is_one_error_line_naming_it(self, cli_files, datasets, tmp_path, capsys, where):
         out = tmp_path / "missing" / "out.txt" if where == "missing-folder" else tmp_path
@@ -1181,60 +768,6 @@ class TestDatasetRunner:
         assert main(self._argv(cli_files, datasets, "link") + ["--jobs", "2"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("\t")[0] for line in lines] == ["d1", "d2", "d3"]
-
-    @pytest.mark.parametrize(
-        "command, bad_line, message",
-        [
-            ("disambiguate", "m4\tFrance\t0\t6\n", "error: line 4: expected"),
-            # no candidate set and no catalog trie: raised inside a worker
-            ("disambiguate", "m0\tFrance\t0\t6\tFrance\n", "error: instance 'm0': no candidate set"),
-            ("disambiguate", "m0\tFrance\t0\t6\tFrance\tFrance| \n", "error: instance 'm0': candidate ' ' has no tokens"),
-            ("link", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
-            ("eval-el-dump", "d0\tFrance\t[France(France)\n", "error: instance 'd0': bad gold markup (unbalanced '['"),
-        ],
-        ids=["load", "worker", "empty-candidate", "gold-markup", "gold-markup-dump"],
-    )
-    def test_bad_line_under_two_jobs_is_an_error_not_a_traceback(
-        self, cli_files, datasets, capsys, command, bad_line, message
-    ):
-        path = datasets["ed" if command == "disambiguate" else "el"]
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(bad_line)
-        argv = self._argv(cli_files, datasets, command) + ["--jobs", "2"]
-        if command == "disambiguate":
-            argv.remove("--trie")
-            argv.remove(cli_files["trie"])
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith(message)
-        assert "Traceback" not in captured.err
-
-    def test_link_dataset_rejects_an_empty_file(self, cli_files, datasets, capsys):
-        open(datasets["el"], "w").close()
-        code = main(self._argv(cli_files, datasets, "link"))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: empty dataset\n"
-
-    def test_link_dataset_rejects_bad_gold_markup(self, cli_files, datasets, capsys):
-        with open(datasets["el"], "w", encoding="utf-8") as fh:
-            fh.write("d1\tFrance\t[Germany](France)\n")
-        code = main(self._argv(cli_files, datasets, "link"))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: instance 'd1': bad gold markup (mention 'Germany'")
-
-    def test_eval_el_from_a_dump_rejects_an_empty_dataset(self, cli_files, datasets, tmp_path, capsys):
-        open(datasets["el"], "w").close()
-        dump = tmp_path / "pred.jsonl"
-        dump.write_text("")
-        argv = ["eval", "--mode", "el", "--dataset", datasets["el"], "--vocab", cli_files["vocab"]]
-        assert main(argv + ["--predictions", str(dump)]) == 1
-        assert capsys.readouterr().err == "error: empty dataset\n"
 
     def test_eval_el_prints_document_diagnostics(self, cli_files, datasets, capsys):
         argv = self._argv(cli_files, datasets, "eval-el")
@@ -1298,116 +831,7 @@ class TestTableScorerFile:
         assert lines[0].split("\t")[1] == "France"  # the trained name wins
 
 
-class TestLoadChecks:
-    """Scorer files and vocabulary sizes are checked when they are loaded."""
-
-    def _retrieve(self, cli_files, scorer, vocab=None):
-        return main(
-            [
-                "retrieve",
-                "--query", "q",
-                "--vocab", vocab or cli_files["vocab"],
-                "--trie", cli_files["trie"],
-                "--scorer", scorer,
-            ]
-        )
-
-    @pytest.mark.parametrize(
-        "table, message",
-        [
-            ("nan\t13\n", "alpha must be positive and finite, got nan"),
-            ("inf\t13\n", "alpha must be positive and finite, got inf"),
-            ("0.5\t13\n0\t7\tnan\n", "line 2: count must be non-negative and finite, got nan"),
-            ("0.5\t13\n0\t7\tinf\n", "line 2: count must be non-negative and finite, got inf"),
-            ("0.5\t13\n0\t7\t1e308\n0\t8\t1e308\n", "context 0: probabilities overflow or underflow a float"),
-        ],
-        ids=["nan-alpha", "inf-alpha", "nan-count", "inf-count", "row-overflow"],
-    )
-    def test_non_finite_scorer_fails_loud(self, cli_files, tmp_path, capsys, table, message):
-        build(cli_files)
-        capsys.readouterr()
-        scorer = tmp_path / "table.tsv"
-        scorer.write_text(table)
-        code = self._retrieve(cli_files, str(scorer))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-    def test_empty_scorer_file_fails_loud(self, cli_files, tmp_path, capsys):
-        build(cli_files)
-        capsys.readouterr()
-        scorer = tmp_path / "table.tsv"
-        scorer.write_text("")
-        code = self._retrieve(cli_files, str(scorer))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: empty scorer file\n"
-
-    def test_negative_count_made_up_by_a_later_line_fails_loud(self, cli_files, tmp_path, capsys):
-        dataset = tmp_path / "ed.tsv"
-        dataset.write_text("m1\tlanguage France\t9\t6\tFrance\tFrance|English language\n")
-        scorer = tmp_path / "table.tsv"
-        scorer.write_text("0.5\t13\n0\t7\t-1\n0\t7\t2\n")
-        argv = ["disambiguate", "--dataset", str(dataset), "--vocab", cli_files["vocab"], "--scorer", str(scorer)]
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: line 2: count must be non-negative and finite, got -1.0\n"
-
-    # a row of 10**13 floats cannot be allocated: the sizes are compared before any row is built
-    @pytest.mark.parametrize("size", [12, 14, 10**13], ids=["smaller", "larger", "unallocatable"])
-    def test_scorer_of_another_vocabulary_size_fails_loud(self, cli_files, tmp_path, capsys, size):
-        build(cli_files)
-        capsys.readouterr()
-        scorer = tmp_path / "table.tsv"
-        scorer.write_text(f"0.5\t{size}\n0\t7\t3\n")
-        code = self._retrieve(cli_files, str(scorer))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: scorer has vocabulary size {size}, but {cli_files['vocab']} has 13\n"
-
-    def test_empty_vocabulary_file_fails_loud(self, cli_files, tmp_path, capsys):
-        build(cli_files)
-        capsys.readouterr()
-        empty = tmp_path / "empty.txt"
-        empty.write_text("")
-        code = self._retrieve(cli_files, "uniform", vocab=str(empty))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"error: trie has vocabulary size 13, but {empty} has 9\n"
-
-
 class TestErrorHandling:
-    def test_missing_file_exits_nonzero(self, capsys):
-        code = main(
-            [
-                "retrieve",
-                "--query", "q",
-                "--vocab", "/nonexistent/vocab.txt",
-                "--trie", "/nonexistent/trie.bin",
-                "--scorer", "uniform",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "error" in captured.err
-        assert captured.out == ""
-
-    def test_eval_requires_scorer_or_predictions(self, tmp_path, capsys):
-        vocab = tmp_path / "vocab.txt"
-        vocab.write_text("a\n")
-        dataset = tmp_path / "d.tsv"
-        dataset.write_text("m1\ta\t0\t1\ta\n")
-        code = main(
-            ["eval", "--mode", "ed", "--dataset", str(dataset), "--vocab", str(vocab)]
-        )
-        assert code == 1
-        assert "scorer" in capsys.readouterr().err
 
     def test_every_package_error_derives_from_input_error_and_is_exported(self):
         classes = {
@@ -1436,29 +860,3 @@ class TestErrorHandling:
         assert not isinstance(caught.value, InputError)
         assert "error:" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, flag, value, at",
-        [
-            # argv hands a byte that is not UTF-8 on as a surrogate escape: b"\xff" as "\udcff"
-            ("link", "--text", "English \udcff language", 8),
-            ("retrieve", "--query", "\udcff", 0),
-            ("retrieve", "--scorer", "oracle:Fr\udcc3ance", 9),
-        ],
-        ids=["text", "query", "oracle"],
-    )
-    def test_text_flag_that_is_not_utf8_exits_1_with_or_without_out(
-        self, cli_files, tmp_path, capsys, command, flag, value, at
-    ):
-        build(cli_files)
-        capsys.readouterr()
-        flags = {"--vocab": cli_files["vocab"], "--trie": cli_files["trie"], "--scorer": "uniform"}
-        flags["--query" if command == "retrieve" else "--text"] = "English"
-        flags[flag] = value
-        argv = [command, *(item for pair in flags.items() for item in pair)]
-        out = tmp_path / "out.txt"
-        for run in (argv, argv + ["--out", str(out)]):
-            assert main(run) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: {flag} is not UTF-8 ({value[at]!r} at offset {at})\n"
-            assert not out.exists()

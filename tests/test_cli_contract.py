@@ -1,12 +1,12 @@
-"""The command line's contract on generated files: one table row per check.
+"""The command line's contract: one table row per check.
 
-Each row of ``ROWS`` is an argv, run in process through ``cli.main`` over the files that ``benchmarks/gen.py
-{link,disambiguate,retrieve} 1 --scale 0.02`` writes, with its exit status and exact stderr.  Its output is the
-file its ``--out`` names, or else its stdout.  A row that exits 1 prints nothing and leaves no output.  A row that
-exits 0 leaves a non-empty output, equal byte for byte to row ``same``'s where it names one; with ``--out``, it
-prints ``printed`` and leaves no file beside its output.  In an argv, ``{out}`` is the row's own output path,
-``{<row id>}`` the output path of that row, run first, and any other ``{name}`` a path or text from the fixture.
-To add a CLI check, add a row.
+Each row of ``ROWS`` is an argv, run in process through ``cli.main``, with its exit status and exact stderr.  Its
+inputs are the files that ``benchmarks/gen.py {link,disambiguate,retrieve} 1 --scale 0.02`` writes, and the small
+files of ``FILES``, by name under ``{dir}``.  Its output is the file its ``--out`` names, or else its stdout.  A row
+that exits 1 prints nothing and leaves no output.  A row that exits 0 leaves a non-empty output, equal byte for byte
+to row ``same``'s where it names one; with ``--out``, it prints ``printed`` and leaves no file beside its output.  In
+an argv or a stderr, ``{out}`` is the row's own output path, ``{<row id>}`` the output path of that row, run first,
+and any other ``{name}`` a path or text from the fixture.  To add a CLI check, add a row.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from trie_decode.cli import main
 from trie_decode.scoring import load_table_scorer, save_table_scorer
 from trie_decode.trie import EntityTrie
 
-from helpers import generate
+from helpers import SHARED_PREFIX_NAMES, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +47,138 @@ class Row:
     holds: str = ""  # text the output holds, where the check is no more than that
 
 
+def dump(*records: dict) -> str:
+    """A structured dump of ``records``, one JSON line each."""
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+def ranking(mention_id: str, *edits: dict) -> dict:
+    """An ed dump record of two predictions, the k-th updated by the k-th of ``edits``."""
+    guess = {"name": "France", "raw_logprob": -1.0, "normalized_score": -1.0}
+    return {"id": mention_id, "predictions": [{**guess, **edit} for edit in (*edits, {}, {})[:2]]}
+
+
+# the datasets of the 13-id vocabulary, and dump records of their ids
+CLI_ED = (
+    "m3\tFrance language\t7\t8\tlanguage\tlanguage|France\n"
+    "m1\tlanguage France language\t9\t6\tFrance\tFrance|English language\n"
+    "m2\tFrance language\t7\t8\tEnglish language\tEnglish language|English literature\n"
+)
+CLI_DR = "q2\tlanguage query\tEnglish language\nq1\twhich country\tFrance\n"
+CLI_EL = (
+    "d2\tEnglish language France\t[English language](English language) France\n"
+    "d1\tFrance\t[France](France)\n"
+    "d3\tliterature\tliterature\n"
+)
+D1, D2, D3 = ({"id": doc_id, "spans": []} for doc_id in ("d1", "d2", "d3"))
+M1, M2, M3 = (ranking(mention_id) for mention_id in ("m1", "m2", "m3"))
+LONG_NAME = " ".join(["English", "language"] * 10)  # 20 tokens, past the default 15 steps
+GOLD_MARKUP = {
+    "empty-mention": ("[](France)France", "empty mention"),
+    "nested-open": ("[Fr[ance](France)", "nested '[' inside a mention"),
+    "empty-entity": ("[France]()", "empty entity name"),
+    "open-paren-in-entity": ("[France](Fr(ance)", "reserved characters in entity name: 'Fr(ance'"),
+    "close-bracket-in-entity": ("[France](Fr]ance)", "reserved characters in entity name: 'Fr]ance'"),
+}
+# d1's spans, which its source "France" cannot take
+SOURCE_SPANS = {
+    "past-the-source": ([[5000, 3, "France"]], "span exceeds the source text"),
+    "overlapping": ([[0, 6, "France"], [2, 3, "France"]], "spans overlap or are unsorted"),
+}
+# dumps of the ed or el dataset with a record that cannot be read or paired, and its line and error
+BAD_DUMPS = {
+    **{
+        f"el-{case}": (dump({"id": "d1", "spans": spans}, D2, D3), f"1: bad prediction record ({reason})")
+        for case, (spans, reason) in {
+            "fractional-length": ([[0, 13.5, "France"]], "expected int, got 13.5"),
+            "bool-start": ([[True, 6, "France"]], "expected int, got True"),
+            "int-entity": ([[0, 6, 5]], "expected str, got 5"),
+            "zero-length": ([[0, 0, "France"]], "invalid span extent: start=0 length=0"),
+            "empty-entity": ([[0, 6, ""]], "empty entity name in span"),
+        }.items()
+    },
+    "el-doubled-record": (dump(D1, D1, D2, D3), "2: no dataset row left for this record of instance 'd1'"),
+    "el-unknown-id": (
+        dump(D1, D2, D3, {"id": "d9", "spans": []}), "4: no dataset row left for this record of instance 'd9'"
+    ),
+    "ed-doubled-record": (dump(M1, M1, M2, M3), "2: no dataset row left for this record of instance 'm1'"),
+    "ed-int-name": (dump(M1, M2, ranking("m3", {"name": 5})), "3: bad prediction record (expected str, got 5)"),
+    "ed-str-score": (
+        dump(M1, M2, ranking("m3", {}, {"raw_logprob": "zz"})),
+        "3: bad prediction record (expected int or float, got 'zz')",
+    ),
+    "ed-null-score": (
+        dump(ranking("m1", {"normalized_score": None}), M2, M3),
+        "1: bad prediction record (expected int or float, got None)",
+    ),
+    "ed-bool-score": (
+        dump(M1, ranking("m2", {"raw_logprob": True}), M3), "2: bad prediction record (expected int or float, got True)"
+    ),
+}
+# scorer tables of the 13-id vocabulary that cannot serve, and the error after their path
+BAD_TABLES = {
+    "nan-alpha": ("nan\t13\n", ": alpha must be positive and finite, got nan"),
+    "inf-alpha": ("inf\t13\n", ": alpha must be positive and finite, got inf"),
+    "nan-count": ("0.5\t13\n0\t7\tnan\n", ":2: count must be non-negative and finite, got nan"),
+    "inf-count": ("0.5\t13\n0\t7\tinf\n", ":2: count must be non-negative and finite, got inf"),
+    "row-overflow": ("0.5\t13\n0\t7\t1e308\n0\t8\t1e308\n", ": context 0: probabilities overflow or underflow a float"),
+    "empty": ("", ": empty scorer file"),
+}
+# the small input files, by name under {dir}; str is written as UTF-8
+FILES = {
+    # the 13-id vocabulary (nine specials and four words), with its catalogs and datasets
+    "cli-vocab.txt": "English\nFrance\nlanguage\nliterature\n",
+    "cli-catalog.txt": "".join(name + "\n" for name in SHARED_PREFIX_NAMES),
+    "cli-long-catalog.txt": "".join(name + "\n" for name in (*SHARED_PREFIX_NAMES, LONG_NAME)),
+    "cli-ed.tsv": CLI_ED,
+    "cli-dr.tsv": CLI_DR,
+    "cli-el.tsv": CLI_EL,
+    "catalog-ed.tsv": "m1\tlanguage France language\t9\t6\tFrance\n",
+    "wide-mention.tsv": "m1\tlanguage France\t9\t6\tFrance\tFrance\nm2\tEnglish language\t0\t16\tFrance\tFrance\n",
+    "empty.txt": "",
+    "newline.txt": "\n",
+    "blank-lines.txt": "  \n\n\t\n",
+    "fs-vocab.txt": b"a\x1cb\nFrance\n",
+    "latin1-line-1.txt": b"\xffFrance\n",
+    "latin1-line-2.txt": b"France\n\xffFrance\n",
+    # the catalog is read in 64 KiB chunks: this bad byte is in a later one
+    "latin1-line-20001.txt": b"France\n" * 20_000 + b"\xffFrance\n",
+    "latin1-crlf-vocab.txt": b"English\r\nFrance\r\n\r\nlan\xffguage\r\n",
+    # with no words in the vocabulary every character is <unk>, so names of one length would share a sequence
+    "same-length.txt": "English language\nFrance\nGreece\nSpain\nItaly\n",
+    "cafe-vocab.txt": "Caf\nParis\nNew\nYork\n",
+    "unknown-character.txt": "Café\nParis\nNew  York\n",
+    "double-space.txt": "Paris\nNew  York\n",
+    "bad-after-duplicate.txt": "France\n\nFrance\nx(y)\nEnglish\n",
+    # a version 1 file: magic, vocab size, one non-terminal root record
+    "v1.trie": b"ETRIE\x00\x01\x00" + (13).to_bytes(4, "little") + bytes(5),
+    "float-range-scorer.tsv": "0.5\t1" + "0" * 400 + "\n0\t7\t1\n",
+    **{f"{case}-table.tsv": table for case, (table, _) in BAD_TABLES.items()},
+    **{f"size-{size}-table.tsv": f"0.5\t{size}\n0\t7\t3\n" for size in (12, 14, 10**13)},
+    "negative-count-table.tsv": "0.5\t13\n0\t7\t-1\n0\t7\t2\n",
+    "negative-count-ed.tsv": "m1\tlanguage France\t9\t6\tFrance\tFrance|English language\n",
+    "ed-empty-gold.tsv": CLI_ED + "m4\tFrance\t0\t6\t\tFrance\n",
+    "ed-bar-only-candidates.tsv": CLI_ED + "m4\tFrance\t0\t6\tFrance\t|\n",
+    "ed-bars-only-candidates.tsv": CLI_ED + "m4\tFrance\t0\t6\tFrance\t||\n",
+    "dr-bar-only-gold.tsv": CLI_DR + "q3\twhich country\t|\n",
+    "dr-empty-gold.tsv": CLI_DR + "q3\twhich country\t\n",
+    "ed-four-fields.tsv": CLI_ED + "m4\tFrance\t0\t6\n",
+    "ed-no-candidates.tsv": CLI_ED + "m0\tFrance\t0\t6\tFrance\n",
+    "ed-blank-candidate.tsv": CLI_ED + "m0\tFrance\t0\t6\tFrance\tFrance| \n",
+    "el-unbalanced.tsv": CLI_EL + "d0\tFrance\t[France(France)\n",
+    "el-mention-mismatch.tsv": "d1\tFrance\t[Germany](France)\n",
+    **{f"gold-{case}.tsv": f"d1\tFrance\t{markup}\n" for case, (markup, _) in GOLD_MARKUP.items()},
+    **{f"el-{case}.jsonl": dump({"id": "d1", "spans": spans}, D2, D3) for case, (spans, _) in SOURCE_SPANS.items()},
+    **{f"{case}.jsonl": text for case, (text, _) in BAD_DUMPS.items()},
+    "pieces.txt": "in\nParis\nFrance\n",
+    "pieces.tsv": "m1\tin Paris\t3\t5\tParis\n",
+    "pieces-sets.tsv": "m1\tParis||France|\n",
+    "pieces-joined.tsv": "m1\tin Paris\t3\t5\tParis\tParis||France|\n",
+    "bars.tsv": "m1\tin Paris\t3\t5\tParis\nm2\tin Paris\t3\t5\tParis\n",
+    "bars-sets.tsv": "m1\tParis\nm2\t|||\n",
+    "bars-joined.tsv": "m1\tin Paris\t3\t5\tParis\tParis\nm2\tin Paris\t3\t5\tParis\t|||\n",
+}
+
 LINK = " --vocab {link}/vocab.txt --trie {link-trie} --scorer {link}/scorer.tsv --format structured"
 ED = " --vocab {ed}/vocab.txt --scorer {ed}/scorer.tsv --format structured"
 DR = " --vocab {dr}/vocab.txt --trie {dr-trie} --scorer {dr}/scorer.tsv --format structured"
@@ -58,7 +190,53 @@ ED_EVAL = "eval --mode ed --dataset {ed}/dataset.tsv --candidates {ed}/candidate
 DR_EVAL = "eval --mode dr --dataset {dr}/dataset.tsv" + DR
 BAD_SCORER = "retrieve --query x --vocab {dr}/vocab.txt --trie {dr-trie} --scorer {dir}/"
 STATS = re.compile(r"leaves=\d+ internal_nodes=\d+ bytes=\d+\n")
+# commands over the 13-id vocabulary; one that ends in {dir}/ takes the name of its input file
+CLI = " --vocab {dir}/cli-vocab.txt"
+BUILD = "build-trie" + CLI + " --out {out} {dir}/"
+BUILD_WITH_VOCAB = "build-trie {dir}/cli-catalog.txt --out {out} --vocab {dir}/"
+UNIFORM = CLI + " --trie {cli-trie} --scorer uniform"
+LONG = CLI + " --trie {cli-long-trie} --scorer "
+WITH_SCORER = "retrieve --query q" + CLI + " --trie {cli-trie} --scorer {dir}/"
+DISAMBIGUATE = "disambiguate" + UNIFORM + " --dataset {dir}/"
+NO_TRIE_DISAMBIGUATE = "disambiguate" + CLI + " --scorer uniform --dataset {dir}/"
+LINK_DATASET = "link --max-steps 32" + UNIFORM + " --dataset {dir}/"
+EVAL_ED = "eval --mode ed" + UNIFORM + " --dataset {dir}/"
+EVAL_DR = "eval --mode dr" + UNIFORM + " --dataset {dir}/"
+ORACLE = " --trie {cli-trie} --scorer 'oracle:English language'"
+EVAL_EL = "eval --mode el --max-steps 32" + CLI + ORACLE + " --dataset {dir}/"
+EVAL_EL_DUMP = "eval --mode el" + CLI + " --predictions {cli-el-dump} --dataset {dir}/"
+CLI_RUNS = {
+    "disambiguate": DISAMBIGUATE + "cli-ed.tsv",
+    "link": LINK_DATASET + "cli-el.tsv",
+    "link-text": "link --text 'English language France'" + UNIFORM,
+    "retrieve": "retrieve --query 'which country'" + UNIFORM,
+    "eval-ed": EVAL_ED + "cli-ed.tsv",
+    "eval-dr": EVAL_DR + "cli-dr.tsv",
+    "eval-el": EVAL_EL + "cli-el.tsv",
+    "eval-ed-dump": "eval --mode ed --dataset {dir}/cli-ed.tsv" + CLI + " --predictions {cli-ed-dump}",
+    "eval-el-dump": EVAL_EL_DUMP + "cli-el.tsv",
+}
+EVALS = ("eval-ed", "eval-dr", "eval-el", "eval-ed-dump", "eval-el-dump")
+BAD_DECODE = "error: beams and max_steps must be >= 1, context_window >= 3\n"
+DECODE_FLAGS = {
+    "beams": ("--beams 0", BAD_DECODE),
+    "max-steps": ("--max-steps 0", BAD_DECODE),
+    "context-window": ("--context-window 2", BAD_DECODE),
+    "chunk-size": ("--chunk-size 0", "error: chunk size must be at least 1\n"),
+}
+BUDGET = "error: max_steps 15 cannot finish the longest name (20 tokens)\n"
 EMPTY_SET = "error: line 2: empty candidate set\n"
+FOUR_FIELDS = "error: line 4: expected `id TAB context TAB start TAB len TAB gold [TAB candidates]`\n"
+UNBALANCED = "error: instance 'd0': bad gold markup (unbalanced '[': no closing ']')\n"
+NOT_READ_BACK = "error: line {}: catalog name {!r} reads back as {!r}, so no decode can emit it\n"
+NOT_UTF8 = {  # argv hands a byte that is not UTF-8 on as a surrogate escape: b"\xff" as "\udcff"
+    "text": ("link --text 'English \udcff language'" + UNIFORM, "error: --text is not UTF-8 ('\\udcff' at offset 8)\n"),
+    "query": ("retrieve --query \udcff" + UNIFORM, "error: --query is not UTF-8 ('\\udcff' at offset 0)\n"),
+    "oracle": (
+        "retrieve --query English" + UNIFORM + " --scorer 'oracle:Fr\udcc3ance'",
+        "error: --scorer is not UTF-8 ('\\udcc3' at offset 9)\n",
+    ),
+}
 
 ROWS = {
     "link-trie": Row("build-trie {link}/catalog.txt --vocab {link}/vocab.txt --out {out}", printed=STATS),
@@ -75,11 +253,11 @@ ROWS = {
     ),
     "unreachable-scorer": Row(
         BAD_SCORER + "unreachable-scorer.tsv", 1,
-        "error: line 2: context -5 is outside 0..2147483647, so no step can reach it\n",
+        "error: {dir}/unreachable-scorer.tsv:2: context -5 is outside 0..2147483647, so no step can reach it\n",
     ),
     "float-range-scorer": Row(
         BAD_SCORER + "float-range-scorer.tsv", 1,
-        "error: vocab_size must be an integer in 1..2**63 - 1, got 1" + "0" * 400 + "\n",
+        "error: {dir}/float-range-scorer.tsv: vocab_size must be an integer in 1..2**63 - 1, got 1" + "0" * 400 + "\n",
     ),
     # dumps and reports are byte-identical at either --jobs, the chunked linking FSM's too
     "link-1": Row(LINKED + " --jobs 1 --out {out}"),
@@ -106,13 +284,211 @@ ROWS = {
         holds='"name": "France"',
     ),
     "pieces-field": Row("disambiguate --dataset {dir}/pieces-joined.tsv" + PIECES, same="pieces-file"),
-    "bars-file": Row("disambiguate --dataset {dir}/bars.tsv --candidates {dir}/bars-sets.tsv" + PIECES, 1, EMPTY_SET),
+    "bars-file": Row(
+        "disambiguate --dataset {dir}/bars.tsv --candidates {dir}/bars-sets.tsv" + PIECES, 1,
+        "error: {dir}/bars-sets.tsv:2: empty candidate set\n",
+    ),
     "bars-field": Row("disambiguate --dataset {dir}/bars-joined.tsv" + PIECES, 1, EMPTY_SET),
     "rank-q1": Row("retrieve --query {q1}" + DR),
     "rank-q2": Row("retrieve --query {q2}" + DR),
     "rank-q3": Row("retrieve --query {q3}" + DR),
     "doc": Row("link --text {doc-text}" + LINK),
     "separated-doc": Row("link --text {separated-text}" + LINK),
+    # the tries and dumps of the 13-id vocabulary
+    "cli-trie": Row(BUILD + "cli-catalog.txt", printed=STATS),
+    "cli-long-trie": Row(BUILD + "cli-long-catalog.txt", printed=STATS),
+    "cli-ed-dump": Row(CLI_RUNS["disambiguate"] + " --format structured --out {out}"),
+    "cli-el-dump": Row(CLI_RUNS["link"] + " --format structured --out {out}"),
+    # build-trie writes no file for a catalog or vocabulary it refuses, and names the file or the line
+    **{
+        f"no-names-{case}": Row(BUILD + f"{case}.txt", 1, f"error: {{dir}}/{case}.txt holds no entity names\n")
+        for case in ("empty", "newline", "blank-lines")
+    },
+    "fs-vocab-trie": Row(BUILD_WITH_VOCAB + "fs-vocab.txt", 1, "error: token string contains whitespace: 'a\\x1cb'\n"),
+    **{
+        name.removesuffix(".txt"): Row(
+            (BUILD_WITH_VOCAB if "vocab" in name else BUILD) + name, 1,
+            f"error: {{dir}}/{name}:{line}: not UTF-8 (can't decode byte 0xff: invalid start byte)\n",
+        )
+        for name, line in (
+            ("latin1-line-1.txt", 1), ("latin1-line-2.txt", 2), ("latin1-line-20001.txt", 20001),
+            ("latin1-crlf-vocab.txt", 4),
+        )
+    },
+    "same-length-trie": Row(
+        "build-trie {dir}/same-length.txt --vocab {dir}/empty.txt --out {out}", 1,
+        NOT_READ_BACK.format(1, "English language", " ".join(["<unk>"] * 15)),
+    ),
+    "unknown-character-trie": Row(
+        "build-trie {dir}/unknown-character.txt --vocab {dir}/cafe-vocab.txt --out {out}", 1,
+        NOT_READ_BACK.format(1, "Café", "Caf <unk>"),
+    ),
+    "double-space-trie": Row(
+        "build-trie {dir}/double-space.txt --vocab {dir}/cafe-vocab.txt --out {out}", 1,
+        NOT_READ_BACK.format(2, "New  York", "New York"),
+    ),
+    "bad-after-duplicate-trie": Row(
+        BUILD + "bad-after-duplicate.txt", 1,
+        "error: line 4: entity name contains reserved characters ['(', ')']: 'x(y)'\n",
+    ),
+    # a trie file that is refused is named
+    **{
+        f"{case}-trie-file": Row(
+            "retrieve --query q" + CLI + f" --trie {{dir}}/{case}.trie --scorer uniform", 1,
+            f"error: {{dir}}/{case}.trie: {reason}\n",
+        )
+        for case, reason in (
+            ("truncated", "truncated stream"),
+            ("bad-magic", "bad magic"),
+            ("v1", "version 1 trie file is no longer supported; rebuild it with `trie-decode build-trie`"),
+        )
+    },
+    # a name too long to finish within --max-steps is refused before any decode, on every command and scorer
+    "long-retrieve": Row("retrieve --query q" + LONG + "uniform", 1, BUDGET),
+    "long-retrieve-oracle": Row(f"retrieve --query q{LONG}'oracle:{LONG_NAME}'", 1, BUDGET),
+    "long-disambiguate": Row("disambiguate --dataset {dir}/catalog-ed.tsv" + LONG + "uniform", 1, BUDGET),
+    "long-disambiguate-oracle": Row(
+        "disambiguate --dataset {dir}/catalog-ed.tsv" + LONG + f"'oracle:{LONG_NAME}'", 1, BUDGET
+    ),
+    "long-eval-dr": Row("eval --mode dr --dataset {dir}/cli-dr.tsv" + LONG + "uniform", 1, BUDGET),
+    **{
+        f"wide-mention-{jobs}": Row(
+            DISAMBIGUATE + f"wide-mention.tsv --context-window 3 --jobs {jobs}", 1,
+            "error: instance 'm2': mention of 2 tokens does not fit a window of 3\n",
+        )
+        for jobs in (1, 2)
+    },
+    **{
+        f"chunk0-{case}": Row(f"link --text '{text}'{UNIFORM} --chunk-size 0", 1, DECODE_FLAGS["chunk-size"][1])
+        for case, text in (("empty-text", ""), ("text", "France"))
+    },
+    "bracket-text": Row(
+        "link --text 'English [x] France'" + UNIFORM, 1,
+        "error: source holds '[' at offset 8; square brackets are markup, so the linked text could not parse back\n",
+    ),
+    # every dataset command, and eval on both of its paths, checks its flags alike
+    **{
+        f"jobs{jobs}-{command}": Row(
+            f"{CLI_RUNS[command]} --jobs {jobs}", 1, f"error: jobs must be at least 1, got {jobs}\n"
+        )
+        for command in ("disambiguate", "link", *EVALS)
+        for jobs in ("0", "-2")
+    },
+    **{
+        f"{command}-{flag}": Row(f"{CLI_RUNS[command]} {argv}", 1, err)
+        for command in EVALS
+        for flag, (argv, err) in DECODE_FLAGS.items()
+    },
+    **{
+        f"{command}-{flag}": Row(f"{CLI_RUNS[command]} {DECODE_FLAGS[flag][0]}", 1, BAD_DECODE)
+        for command in ("retrieve", "disambiguate", "link", "link-text")
+        for flag in ("beams", "max-steps")
+    },
+    # a bad dataset line, gold markup or dump record is named, at either --jobs
+    **{
+        f"{command}-{case}": Row(template + f"{case}.tsv", 1, f"error: {message}\n")
+        for command, template, case, message in (
+            ("disambiguate", DISAMBIGUATE, "ed-empty-gold", "line 4: empty gold entity"),
+            ("disambiguate", DISAMBIGUATE, "ed-bar-only-candidates", "line 4: empty candidate set"),
+            ("eval-ed", EVAL_ED, "ed-bars-only-candidates", "line 4: empty candidate set"),
+            ("eval-dr", EVAL_DR, "dr-bar-only-gold", "line 3: empty gold set"),
+            ("eval-dr", EVAL_DR, "dr-empty-gold", "line 3: empty gold set"),
+        )
+    },
+    **{
+        f"{command}-gold-{case}": Row(
+            template + f"gold-{case}.tsv", 1, f"error: instance 'd1': bad gold markup ({reason})\n"
+        )
+        for command, template in (("link", LINK_DATASET), ("eval-el", EVAL_EL), ("eval-el-dump", EVAL_EL_DUMP))
+        for case, (_, reason) in GOLD_MARKUP.items()
+    },
+    "link-mention-mismatch": Row(
+        LINK_DATASET + "el-mention-mismatch.tsv", 1,
+        "error: instance 'd1': bad gold markup (mention 'Germany' does not match the source at offset 0)\n",
+    ),
+    "link-empty-dataset": Row(LINK_DATASET + "empty.txt", 1, "error: empty dataset\n"),
+    "eval-el-empty-dump": Row(
+        "eval --mode el --dataset {dir}/empty.txt" + CLI + " --predictions {dir}/empty.txt", 1, "error: empty dataset\n"
+    ),
+    # a failing run leaves no file beside its --out
+    "ed-four-fields-out": Row(DISAMBIGUATE + "ed-four-fields.tsv --out {out}", 1, FOUR_FIELDS),
+    # under two jobs too, raised in the parent or in a worker
+    "ed-four-fields-jobs-2": Row(DISAMBIGUATE + "ed-four-fields.tsv --jobs 2", 1, FOUR_FIELDS),
+    "ed-no-candidates-jobs-2": Row(
+        NO_TRIE_DISAMBIGUATE + "ed-no-candidates.tsv --jobs 2", 1,
+        "error: instance 'm0': no candidate set and no catalog trie\n",
+    ),
+    "ed-blank-candidate-jobs-2": Row(
+        NO_TRIE_DISAMBIGUATE + "ed-blank-candidate.tsv --jobs 2", 1,
+        "error: instance 'm0': candidate ' ' has no tokens\n",
+    ),
+    "el-unbalanced-jobs-2": Row(LINK_DATASET + "el-unbalanced.tsv --jobs 2", 1, UNBALANCED),
+    "el-unbalanced-dump-jobs-2": Row(EVAL_EL_DUMP + "el-unbalanced.tsv --jobs 2", 1, UNBALANCED),
+    **{
+        f"eval-el-{case}": Row(
+            "eval --mode el --dataset {dir}/cli-el.tsv" + CLI + f" --predictions {{dir}}/el-{case}.jsonl", 1,
+            f"error: instance 'd1': bad predicted spans ({reason})\n",
+        )
+        for case, (_, reason) in SOURCE_SPANS.items()
+    },
+    **{
+        f"eval-{case}": Row(
+            f"eval --mode {case[:2]} --dataset {{dir}}/cli-{case[:2]}.tsv{CLI} --predictions {{dir}}/{case}.jsonl", 1,
+            f"error: {{dir}}/{case}.jsonl:{message}\n",
+        )
+        for case, (_, message) in BAD_DUMPS.items()
+    },
+    "eval-dr-dump": Row(
+        "eval --mode dr --dataset {dir}/cli-dr.tsv" + CLI + " --predictions {cli-ed-dump}", 1,
+        "error: a dump can be scored in ed and el modes only\n",
+    ),
+    **{
+        f"{command}-without-trie": Row(
+            CLI_RUNS[command].replace(" --trie {cli-trie}", ""), 1, f"error: {what} requires a catalog trie\n"
+        )
+        for command, what in (("eval-dr", "retrieval"), ("eval-el", "linking"))
+    },
+    "link-text-and-dataset": Row(
+        CLI_RUNS["link"] + " --text France", 1, "error: exactly one of --text and --dataset is required\n"
+    ),
+    "link-neither-text-nor-dataset": Row(
+        "link" + UNIFORM, 1, "error: exactly one of --text and --dataset is required\n"
+    ),
+    "eval-without-scorer": Row(
+        "eval --mode ed --dataset {dir}/cli-ed.tsv" + CLI, 1,
+        "error: --scorer is required unless --predictions is given\n",
+    ),
+    # a scorer table that cannot serve is refused as it loads, naming its file, and each line before it is summed
+    **{
+        f"{case}-scorer": Row(WITH_SCORER + f"{case}-table.tsv", 1, f"error: {{dir}}/{case}-table.tsv{message}\n")
+        for case, (_, message) in BAD_TABLES.items()
+    },
+    "negative-count-scorer": Row(
+        "disambiguate --dataset {dir}/negative-count-ed.tsv" + CLI + " --scorer {dir}/negative-count-table.tsv", 1,
+        "error: {dir}/negative-count-table.tsv:2: count must be non-negative and finite, got -1.0\n",
+    ),
+    # a row of 10**13 floats cannot be allocated: the sizes are compared before any row is built
+    **{
+        f"size-{size}-scorer": Row(
+            WITH_SCORER + f"size-{size}-table.tsv", 1,
+            f"error: scorer has vocabulary size {size}, but {{dir}}/cli-vocab.txt has 13\n",
+        )
+        for size in (12, 14, 10**13)
+    },
+    "empty-vocab": Row(
+        "retrieve --query q --vocab {dir}/empty.txt --trie {cli-trie} --scorer uniform", 1,
+        "error: trie has vocabulary size 13, but {dir}/empty.txt has 9\n",
+    ),
+    "missing-vocab": Row(
+        "retrieve --query q --vocab {dir}/missing/vocab.txt --trie {dir}/missing/names.trie --scorer uniform", 1,
+        "error: [Errno 2] No such file or directory: '{dir}/missing/vocab.txt'\n",
+    ),
+    # a text flag that is not UTF-8 is refused before any work, with or without --out
+    **{
+        f"not-utf8-{case}{out and '-out'}": Row(argv + out, 1, err)
+        for case, (argv, err) in NOT_UTF8.items()
+        for out in ("", " --out {out}")
+    },
 }
 
 
@@ -157,41 +533,39 @@ def runner(tmp_path_factory):
         (root / name).mkdir()
         generate(workload, 1, root / name, 0.02)
 
-    def write(name: str, text: str) -> None:
-        (root / name).write_text(text, encoding="utf-8")
+    def write(name: str, content: str | bytes) -> None:
+        (root / name).write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
 
     def lines(name: str) -> list[str]:
         return (root / name).read_text(encoding="utf-8").splitlines(keepends=True)
 
+    for name, content in FILES.items():
+        write(name, content)
     catalog = lines("dr/catalog.txt")
     assert len(catalog) == 2000 > _BLOCK_LINES
     write("paren-catalog.txt", "".join(catalog) + "x(y)\n")
     write("reversed-twice.txt", "".join(line * 2 for line in reversed(catalog)))
     write("unreachable-scorer.tsv", lines("dr/scorer.tsv")[0] + "-5\t7\t1\n")
-    write("float-range-scorer.tsv", "0.5\t1" + "0" * 400 + "\n0\t7\t1\n")
     candidates = dict(line.split("\t", 1) for line in lines("ed/candidates.tsv"))
     joined = [row.rstrip("\n") + "\t" + candidates[row.split("\t", 1)[0]] for row in lines("ed/dataset.tsv")]
     assert all(len(line.split("\t")) == 6 and line.split("\t")[5].strip() for line in joined)
     write("joined-ed.tsv", "".join(joined))
-    write("pieces.txt", "in\nParis\nFrance\n")
-    write("pieces.tsv", "m1\tin Paris\t3\t5\tParis\n")
-    write("pieces-sets.tsv", "m1\tParis||France|\n")
-    write("pieces-joined.tsv", "m1\tin Paris\t3\t5\tParis\tParis||France|\n")
-    write("bars.tsv", "m1\tin Paris\t3\t5\tParis\nm2\tin Paris\t3\t5\tParis\n")
-    write("bars-sets.tsv", "m1\tParis\nm2\t|||\n")
-    write("bars-joined.tsv", "m1\tin Paris\t3\t5\tParis\tParis\nm2\tin Paris\t3\t5\tParis\t|||\n")
     for i, line in enumerate(lines("dr/dataset.tsv")[:3], start=1):
         fields[f"q{i}"] = line.split("\t")[1]
     fields["doc-text"] = lines("link/dataset.tsv")[0].split("\t")[1]
     fields["separated-text"] = fields["doc-text"].replace(" ", "\u2028", 3).replace(" ", "\x1c", 3)
     assert fields["separated-text"] != fields["doc-text"]
-    return Runner(root, fields)
+    runner = Runner(root, fields)
+    blob = runner.run("cli-trie").output
+    write("truncated.trie", blob[:-1])
+    write("bad-magic.trie", b"X" + blob[1:])
+    return runner
 
 
 @pytest.mark.parametrize("row_id", ROWS)
 def test_row(runner, row_id):
     row, result = ROWS[row_id], runner.run(row_id)
-    assert (result.status, result.err) == (row.status, row.err)
+    assert (result.status, result.err) == (row.status, row.err.format_map(runner.fields))
     if row.status:
         assert (result.printed, result.left) == ("", ())
         return
@@ -244,10 +618,15 @@ json.dump(results, sys.stdout)
 """
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports ``trie_decode`` from this checkout."""
+    paths = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 def run_child(argvs: list[list[str]], hash_seed: str | None = None, limit: int = 0) -> tuple[list, str]:
     """Each argv's exit status and stdout, and the child's stderr."""
-    paths = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env = child_env()
     if hash_seed:
         env["PYTHONHASHSEED"] = hash_seed
     child = subprocess.run(
@@ -278,6 +657,20 @@ def test_a_write_past_the_file_size_limit_is_one_error_line_and_leaves_what_was_
     assert (status, printed) == (1, "")
     assert err == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out)!r}\n"
     assert os.listdir(tmp_path) == ["out"] and out.read_bytes() == runner.run(row_id).output
+
+
+@pytest.mark.parametrize("append", [False, True], ids=["pipe", "append"])
+def test_out_to_the_file_stdout_is_open_on_writes_through_stdout(runner, tmp_path, append):
+    """``--out /dev/stdout`` writes to stdout's descriptor: into a pipe, and after the line a file opened for append
+    holds, not over it."""
+    argv = [sys.executable, "-m", "trie_decode.cli", *runner.argv("rank-q1"), "--out", "/dev/stdout"]
+    log = tmp_path / "log"
+    log.write_bytes(b"an earlier line\n")
+    with open(log, "ab") as fh:
+        child = subprocess.run(argv, env=child_env(), stdout=fh if append else subprocess.PIPE, stderr=subprocess.PIPE)
+    assert (child.returncode, child.stderr) == (0, b"")
+    ranked = runner.run("rank-q1").output
+    assert (log.read_bytes() if append else child.stdout) == (b"an earlier line\n" if append else b"") + ranked
 
 
 def run_blocks(workflow: str) -> list[str]:
