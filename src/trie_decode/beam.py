@@ -16,7 +16,9 @@ are *not* renormalized, so the score of any fully decoded sequence equals
 its unconstrained stepwise sum.  A hypothesis at a final state retires to a
 pool, where it occupies no beam slot; pruning keeps the best ``k`` live
 hypotheses by cumulative log-probability, breaking ties by ascending token
-order, and builds only what survives its cut (see :func:`beam_search`).  A
+order, and builds only what survives its cut (see :func:`beam_search`); a
+step with no parent wider than the beam and at most ``k`` candidates keeps
+them all, unsorted, in the (parent, token) order they were made.  A
 parent wider than the beam is first cut to its best ``k`` ids; within one
 search, a read-only row met again with the same tuple or owned read-only
 array of ids reuses its first sight's sort wherever that stays exact.  Within
@@ -24,7 +26,8 @@ one step, the ``k``-th key of the best cut so far is a bar: a later wide
 parent whose best id cannot get below it keeps nothing and is not sorted.
 Each scorer value read must be at most 0.0; NaN is refused.
 The final ranking applies length normalization when configured, breaking
-exact ties the same way so that results are total and reproducible.
+exact ties the same way so that results are total and reproducible; the
+rankings read their entries straight off the search's sorted pool.
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie, which is read-only, and a shared scorer, which changes at
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -154,11 +158,11 @@ def beam_search(
     Each live hypothesis carries its constraint state.  At a final state it
     retires to the pool with EOS, and its allowed ids still extend it; at a
     state neither final nor with ids it is dropped, as at ``max_steps``.
-    Returns finished hypotheses sorted by the config's ranking score; an
-    empty list means nothing finished.  Raises :class:`BeamError` for a
-    constraint without ``final``, on an allowed id outside the scorer's
-    vocabulary or at most EOS, when ``allowed`` returns a set, or on a scorer
-    value above 0.0 or NaN, naming its token.
+    Returns the best ``k`` of that pool sorted by the config's ranking score,
+    as the rankings read it; an empty list means nothing finished.  Raises
+    :class:`BeamError` for a constraint without ``final``, on an allowed id
+    outside the scorer's vocabulary or at most EOS, when ``allowed`` returns a
+    set, or on a scorer value above 0.0 or NaN, naming its token.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -168,44 +172,40 @@ def beam_search(
     build their prefix and advance their state.  For the same reason only a
     parent's best ``k`` ids under ``(-score, token)`` can make the cut, so
     one ``np.lexsort`` cuts a wider parent to them before the one loop that
-    scores every parent's candidates by the same float64 sums.
-
-    Hypotheses that reach one state after the same token meet the same
-    scorer row and the same allowed ids again, at another ``cum_logprob``.
-    So for the life of the search a wide parent's cut is memoized by the
-    identity of its ``(logprobs, allowed)`` pair when the row is a read-only
-    array and the ids a tuple or an owned read-only array: sorted on first
-    sight, reused wherever rounding cannot change it (see ``_memo_cut``).
-
-    Within a step, the bar is the key ``-(cum + value)`` of the ``k``-th id
-    of the best cut made so far; a step has none before its first cut.
-    Parents are visited in rank order, so that cut's ``k`` ids all come from
-    lower ranks than a later parent and win each tie on rank.  A later wide
-    parent whose best allowed value ``top`` gives ``-(cum + top) >= bar``
-    therefore keeps nothing and is skipped unsorted; ``x -> fl(cum + x)`` is
-    monotone, so no id of it can sort before the bar's ``k``.  A NaN
-    ``top`` raises first.
+    scores every parent's candidates by the same float64 sums.  A step with
+    no such wide parent and at most ``k`` candidates keeps them all, unsorted:
+    they were made in (parent, token) order, the order of the next step's
+    parents.  A wide parent's cut is memoized for the life of the search,
+    and skipped unsorted where it cannot pass the step's bar (see ``_memo_cut``).
     """
+    return [Hypothesis(tokens, cum, True) for _, tokens, cum in _search(scorer, input_tokens, constraint, config)]
+
+
+def _search(
+    scorer: Scorer, input_tokens: Sequence[TokenId], constraint: Constraint, config: BeamConfig
+) -> list[_Finished]:
+    """:func:`beam_search`'s hypotheses as the best ``k`` entries of its pool, sorted."""
     if not hasattr(constraint, "final"):
         raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
-    allowed_of, final = constraint.allowed, constraint.final
-    input_tokens = tuple(input_tokens)
-    k = config.k
+    allowed_of, final, advance = constraint.allowed, constraint.final, constraint.advance
+    next_logprobs = scorer.next_token_logprobs
+    input_tokens, k = tuple(input_tokens), config.k
     live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
-    # (-ranking score, tokens with EOS, cum_logprob); only the k returned become Hypothesis objects
-    pool: list[tuple[float, tuple[TokenId, ...], float]] = []
+    pool: list[_Finished] = []
     cuts: dict[tuple[int, int], tuple] = {}  # see _memo_cut; it dies with this search
+    candidates: list[tuple[float, int, TokenId]] = []  # (-cum_logprob, parent's rank, token)
+    append = candidates.append
     for _ in range(config.max_steps):
         if not live:
             break
-        candidates = []
+        candidates.clear()
         bar = None  # the k-th key of this step's best cut so far; none before its first cut
         for rank, (prefix, cum, state) in enumerate(live):
             allowed = allowed_of(state)
             ends = final(state)
             if not (ends or len(allowed)):
                 continue  # a dead end
-            logprobs = scorer.next_token_logprobs(input_tokens, prefix)
+            logprobs = next_logprobs(input_tokens, prefix)
             if ends:
                 value = float(logprobs[EOS])
                 if not value <= 0.0:
@@ -229,7 +229,7 @@ def beam_search(
                 if cut is None:
                     continue  # every id of this parent sorts after the bar's k
                 for value, token in cut:
-                    candidates.append((-(cum + value), rank, token))
+                    append((-(cum + value), rank, token))
                 if bar is None or candidates[-1][0] < bar:
                     bar = candidates[-1][0]
             else:
@@ -237,19 +237,21 @@ def beam_search(
                     value = float(logprobs[token])
                     if not value <= 0.0:  # NaN fails too
                         raise _bad_value(token, value)
-                    candidates.append((-(cum + value), rank, token))
-        candidates.sort()
-        # (parent, token) pairs are distinct: this sort never compares
-        # scores, and it puts the next step's parents in token order
-        kept = sorted((rank, token, -neg) for neg, rank, token in candidates[:k])
-        live = [
-            (live[rank][0] + (token,), score, constraint.advance(live[rank][2], token))
-            for rank, token, score in kept
-        ]
+                    append((-(cum + value), rank, token))
+        if bar is None and len(candidates) <= k:
+            kept = candidates  # all of them, made in (parent, token) order
+        else:
+            # (parent, token) pairs are distinct: neither sort compares two
+            # scores of one pair, and the second puts the next parents in token order
+            candidates.sort()
+            kept = sorted(candidates[:k], key=_RANK_TOKEN)
+        live = [(live[rank][0] + (token,), -neg, advance(live[rank][2], token)) for neg, rank, token in kept]
     pool.sort()  # pooled token sequences are distinct, so no two cum_logprobs are compared
-    return [Hypothesis(tokens, score, True) for _, tokens, score in pool[:k]]
+    return pool[:k]
 
 
+_Finished = tuple[float, tuple[TokenId, ...], float]  # (-ranking score, tokens with EOS, cum_logprob)
+_RANK_TOKEN = itemgetter(1, 2)
 _Cut = Iterable[tuple[float, TokenId]]  # (logprob, id) of each id a cut keeps
 
 
@@ -283,22 +285,26 @@ def _memo_cut(
 ) -> _Cut | None:
     """:func:`_cut` of a wide parent, or None where no id of it can pass ``bar``.
 
-    ``bar`` is the largest key ``-(cum + value)`` of the ``k`` ids an earlier
-    parent of this step kept.  Those ``k`` win every tie on rank, so a
-    parent whose best value ``top`` has ``-(cum + top) >= bar`` keeps
-    nothing and is not sorted.
+    ``bar``, the step's bar, is the key ``-(cum + value)`` of the ``k``-th id
+    of the best cut made so far in the step, or None before its first cut.
+    Parents are visited in rank order, so those ``k`` ids come from lower
+    ranks and win every tie on rank: a parent whose best value ``top`` has
+    ``-(cum + top) >= bar`` keeps nothing and is not sorted, as
+    ``x -> fl(cum + x)`` is monotone.  A NaN ``top`` raises first.
 
-    ``cuts`` reuses an earlier sort of the same ``(logprobs, allowed)`` pair.
-    It is keyed by the ``id()`` of both objects of a pair that promises not
-    to change (a read-only row; a tuple or an owned read-only array of ids),
-    and holds both, so no other object can take those ``id()`` values while
-    it lives.  On first sight the row is gathered and :func:`_top` read
-    once; any other pair, a trie's fresh view or a list, is then cut and not
-    recorded, and one that promises is recorded with ``top`` and its
-    :func:`_order`.  ``x -> fl(cum + x)`` is monotone, so the best ``k`` at
-    ``cum`` are those of the order unless rounding merges a neighbour into
-    the ``k``-th value's group; where the rounded sums do not keep all three
-    apart, the exact sort runs instead.
+    Hypotheses that reach one state after the same token meet the same row
+    and the same allowed ids again, at another ``cum``, so ``cuts`` reuses an
+    earlier sort of the same ``(logprobs, allowed)`` pair.  It is keyed by the
+    ``id()`` of both objects of a pair that promises not to change (a
+    read-only row; a tuple or an owned read-only array of ids), and holds
+    both, so no other object can take those ``id()`` values while it lives.
+    On first sight the row is gathered and :func:`_top` read once; any other
+    pair, a trie's fresh view or a list, is then cut and not recorded, and one
+    that promises is recorded with ``top`` and its :func:`_order`.  As
+    ``x -> fl(cum + x)`` is monotone, the best ``k`` at ``cum`` are those of
+    the order unless rounding merges a neighbour into the ``k``-th value's
+    group; where the rounded sums do not keep all three apart, the exact sort
+    runs instead.
     """
     key = id(logprobs), id(allowed)
     seen = cuts.get(key)
@@ -361,8 +367,8 @@ def rank_entities(
     """
     if trie.max_depth >= config.max_steps:
         raise BeamError(f"max_steps {config.max_steps} cannot finish the longest name ({trie.max_depth} tokens)")
-    hypotheses = beam_search(scorer, input_tokens, trie, config)
-    return _ranked(hypotheses, config.length_normalize, lambda name: decode(name, vocab))
+    pool = _search(scorer, input_tokens, trie, config)
+    return RankedResult(_entries(pool, lambda name: decode(name, vocab)))
 
 
 def exhaustive_rank(
@@ -382,24 +388,12 @@ def exhaustive_rank(
     scored = []
     for record in catalog:
         seq = record.tokens + (EOS,)
-        scored.append(Hypothesis(seq, sequence_score(scorer, input_tokens, seq), True))
-    return _ranked(scored, length_normalize, lambda name: decode(name, vocab))
+        score = sequence_score(scorer, input_tokens, seq)
+        scored.append((-_final_score(seq, score, length_normalize), seq, score))
+    scored.sort()  # catalog names are distinct token sequences
+    return RankedResult(_entries(scored, lambda name: decode(name, vocab)))
 
 
-def _ranked(
-    finished: Iterable[Hypothesis],
-    length_normalize: bool,
-    name_of: Callable[[tuple[TokenId, ...]], str],
-) -> RankedResult:
-    """Entries under the one score and tie rule, named by ``name_of(tokens without EOS)``."""
-    entries = [
-        RankedEntry(
-            name_of(h.tokens[:-1]),
-            h.cum_logprob,
-            _final_score(h.tokens, h.cum_logprob, length_normalize),
-            h.tokens,
-        )
-        for h in finished
-    ]
-    entries.sort(key=lambda e: (-e.normalized_score, e.tokens))
-    return RankedResult(tuple(entries))
+def _entries(finished: Iterable[_Finished], name_of: Callable[[tuple[TokenId, ...]], str]) -> tuple[RankedEntry, ...]:
+    """The ranking of sorted pool entries, each named by ``name_of(tokens without EOS)``."""
+    return tuple([RankedEntry(name_of(tokens[:-1]), cum, -neg, tokens) for neg, tokens, cum in finished])

@@ -49,15 +49,18 @@ _LINK_DECODE = (LINK_CONFIG.beams, LINK_CONFIG.max_steps)
 
 
 def _load_vocab(path: str) -> Vocabulary:
-    return load_vocabulary(path, extra_specials=TASK_EXTRA_SPECIALS)
+    return _from_file(lambda path: load_vocabulary(path, extra_specials=TASK_EXTRA_SPECIALS), path)
 
 
-def _from_file(load: Callable[[str], _T], path: str) -> _T:
+def _from_file(load: Callable[[str], _T], path: str, lines_only: bool = False) -> _T:
     """``load(path)``, whose :class:`InputError` names ``path``: ``PATH:LINE: message``, or ``PATH: message``
-    when it names no line.  A message that starts with ``PATH:`` already, as a bad byte's does, is kept."""
+    when it names no line.  A message that starts with ``PATH:`` already, as a bad byte's does, is kept, and so,
+    with ``lines_only``, is one that names no line, such as a decode's in a dataset run."""
     try:
         return load(path)
     except InputError as exc:
+        if lines_only and exc.line is None:
+            raise
         where = path if exc.line is None else f"{path}:{exc.line}"
         message = str(exc).removeprefix(f"line {exc.line}: ")
         raise InputError(message if message.startswith(f"{path}:") else f"{where}: {message}") from None
@@ -111,7 +114,7 @@ def cmd_build_trie(args: argparse.Namespace, out: TextIO) -> int:
     vocab = _load_vocab(args.vocab)
     # every name reads back from its tokens, so equal names are exactly equal
     # sequences, and the trie's leaves count the distinct names
-    ids, lengths = _catalog_ids(args.catalog, vocab)
+    ids, lengths = _from_file(lambda path: _catalog_ids(path, vocab), args.catalog)
     if not lengths:
         raise InputError(f"{args.catalog} holds no entity names")
     trie = _build_flat(ids, lengths, vocab.size)
@@ -143,9 +146,10 @@ def _run_suite(args: argparse.Namespace, mode: str, config: TaskConfig) -> Suite
     vocab, scorer, trie = _load_decoder(args)
     candidates = getattr(args, "candidates", None)
     candidate_sets = _from_file(load_candidate_sets, candidates) if candidates else None
-    suite = run_eval_suite(
-        args.dataset, mode, scorer, vocab, config, trie, candidate_sets,
-        chunk_size=getattr(args, "chunk_size", None), jobs=args.jobs,
+    chunk_size = getattr(args, "chunk_size", None)
+    suite = _from_file(
+        lambda path: run_eval_suite(path, mode, scorer, vocab, config, trie, candidate_sets, chunk_size, args.jobs),
+        args.dataset, lines_only=True,
     )
     for o in suite.outcomes:
         _warn(o.document.diagnostics if mode == "el" else o.ranking.diagnostics, o.instance_id)
@@ -210,7 +214,8 @@ def cmd_eval(args: argparse.Namespace, out: TextIO) -> int:
     max_steps = max_steps if args.max_steps is None else args.max_steps
     config = TaskConfig(beams, max_steps, args.context_window, args.length_normalize)
     if args.predictions:
-        suite = score_dump(args.dataset, args.mode, _load_vocab(args.vocab), _load_predictions(args.predictions))
+        vocab, records = _load_vocab(args.vocab), _load_predictions(args.predictions)
+        suite = _from_file(lambda path: score_dump(path, args.mode, vocab, records), args.dataset, lines_only=True)
     elif not args.scorer:
         raise InputError("--scorer is required unless --predictions is given")
     else:

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .beam import BeamConfig, beam_search
+from .beam import BeamConfig, _search
 from .catalog import RESERVED_NAME_CHARS
 from .scoring import Scorer
 from .trie import EntityTrie
@@ -343,9 +343,9 @@ def link_document(
     diagnostics: list[str] = []
     offset = 0
     for index, chunk in enumerate(chunks):
-        hypotheses = beam_search(scorer, chunk, MarkupConstraint(chunk, trie), config)
-        if hypotheses:
-            for start, end, entity in _scan(hypotheses[0].tokens)[1]:
+        pool = _search(scorer, chunk, MarkupConstraint(chunk, trie), config)
+        if pool:
+            for start, end, entity in _scan(pool[0][1])[1]:
                 first, last = token_spans[offset + start], token_spans[offset + end - 1]
                 spans.append(SpanAnnotation(first.start, last.end - first.start, decode(entity, vocab)))
         else:

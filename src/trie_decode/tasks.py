@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .beam import BeamConfig, RankedEntry, RankedResult, _ranked, beam_search, rank_entities
+from .beam import BeamConfig, RankedEntry, RankedResult, _entries, _search, rank_entities
 from .catalog import CandidateSet
 from .markup import MarkupDocument, MarkupError, SpanAnnotation, link_document, parse_markup
 from .metrics import (
@@ -174,7 +174,8 @@ class EDInstance:
             raise TaskError(f"mention offsets must be ints, got {mention_start!r} and {mention_length!r}")
         if mention_length < 1:
             raise TaskError("mention must span at least one token")
-        if mention_start < 0 or mention_start + mention_length > len(context_tokens):
+        # the packed length read inline: PackedIds.__len__ would be a Python-level call per loaded row
+        if mention_start < 0 or mention_start + mention_length > len(context_tokens._data) // context_tokens._width:
             raise TaskError("mention span outside the context")
         set_id, set_context, set_start, set_length, set_gold, set_candidates = _ED_SLOT_SETTERS
         set_id(self, instance_id)
@@ -264,17 +265,16 @@ def disambiguate(
             diagnostics.append(
                 f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
             )
-    hypotheses = beam_search(scorer, flagged, _Candidates(finishable), config.beam_config())
-    ranking = _ranked(hypotheses, config.length_normalize, names.__getitem__)
-    return RankedResult(ranking.entries, tuple(diagnostics))
+    pool = _search(scorer, flagged, _Candidates(finishable), config.beam_config())
+    return RankedResult(_entries(pool, names.__getitem__), tuple(diagnostics))
 
 
 class _Candidates:
     """The constraint of a candidate set: a trie of dicts over its distinct token sequences.
 
     A state is a node, which maps each next id to its child node and EOS to ``None`` where a
-    sequence ends.  The sequences are inserted sorted, so each node's ids come out ascending;
-    :func:`encode` yields no SOS or EOS, so no sequence holds either.
+    sequence ends.  The sequences are inserted sorted, so each node's ids come out ascending,
+    after EOS where one ends; :func:`encode` yields no SOS or EOS, so no sequence holds either.
     """
 
     def __init__(self, seqs: Iterable[tuple[TokenId, ...]]) -> None:
@@ -292,7 +292,8 @@ class _Candidates:
         return EOS in node
 
     def allowed(self, node: dict) -> list[TokenId]:
-        return [token for token in node if token != EOS]  # _memo_cut never records a list, whatever it holds
+        ids = [*node]  # _memo_cut never records a list, whatever it holds
+        return ids[1:] if EOS in node else ids  # EOS, where a sequence ends, is the first key
 
     def advance(self, node: dict, token: TokenId) -> dict:
         return node[token]

@@ -71,7 +71,8 @@ class Vocabulary:
     Safe for concurrent readers: all state is fixed at construction.
 
     Args:
-        tokens: ordinary token strings, in id order.
+        tokens: ordinary token strings, in id order; a refused one's error
+            gives its 1-based place as its ``line``, as in a vocabulary file.
         extra_specials: reserved strings given ids ``7 .. 7+len-1``; like the
             core specials they are never produced by :func:`encode`.
     """
@@ -88,10 +89,10 @@ class Vocabulary:
                 raise VocabularyError(f"duplicate special string: {s!r}")
             reserved.add(s)
         seen: set[str] = set()
-        for t in toks:
-            self._check_token_string(t, kind="token")
+        for place, t in enumerate(toks, start=1):
+            self._check_token_string(t, "token", place)
             if t in reserved or t in seen:
-                raise VocabularyError(f"duplicate token string: {t!r}")
+                raise VocabularyError(f"duplicate token string: {t!r}", place)
             seen.add(t)
         self.tokens = toks
         self.extra_specials = extras
@@ -101,11 +102,11 @@ class Vocabulary:
         self._max_len = max((len(t) for t in toks), default=0)
 
     @staticmethod
-    def _check_token_string(s: str, kind: str) -> None:
+    def _check_token_string(s: str, kind: str, place: int | None = None) -> None:
         if not s:
-            raise VocabularyError(f"empty {kind} string")
+            raise VocabularyError(f"empty {kind} string", place)
         if any(c.isspace() for c in s):
-            raise VocabularyError(f"{kind} string contains whitespace: {s!r}")
+            raise VocabularyError(f"{kind} string contains whitespace: {s!r}", place)
 
     @property
     def size(self) -> int:
@@ -267,9 +268,7 @@ def load_vocabulary(source: str | Iterable[str], extra_specials: Iterable[str] =
 
     One ordinary token per line, UTF-8; specials are implicit and not listed.
     A blank line is an error, not skipped as by :func:`read_rows`: ids follow line positions.
-    The tokens are checked once every line is read, so a bad byte anywhere is named first.
+    The tokens are checked once every line is read, so a bad byte anywhere is named first,
+    and then the first refused token, with its line.
     """
-    tokens = [raw.strip() for raw in read_lines(source)]
-    if "" in tokens:
-        raise VocabularyError("empty token", tokens.index("") + 1)
-    return Vocabulary(tokens, extra_specials)
+    return Vocabulary([raw.strip() for raw in read_lines(source)], extra_specials)

@@ -329,6 +329,16 @@ def reference_beam_search(scorer, input_tokens, constraint, config) -> list[Hypo
     return pool[: config.k]
 
 
+def assert_ranked_as_the_pool(ranking, length_normalize: bool) -> None:
+    """``ranking``'s entries are sorted by ``(-normalized_score, tokens)``, each sequence once, ends in EOS, and
+    has a ``normalized_score`` bit for bit ``raw_logprob / len(tokens)``, or ``raw_logprob`` unnormalized."""
+    keys = [(-e.normalized_score, e.tokens) for e in ranking]
+    assert keys == sorted(keys) and len({e.tokens for e in ranking}) == len(keys)
+    for e in ranking:
+        want = e.raw_logprob / len(e.tokens) if length_normalize else e.raw_logprob
+        assert e.tokens[-1] == EOS and e.normalized_score.hex() == want.hex()
+
+
 def reference_order(logprobs, allowed, k):
     """``beam._order`` as first written, with ``top`` last, the reference for it: the whole sorted row is searched."""
     tokens = np.asarray(allowed, dtype=np.intp)

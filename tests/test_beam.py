@@ -33,6 +33,7 @@ from trie_decode.vocab import EOS, SOS, Vocabulary, decode, encode
 
 from helpers import (
     SHARED_PREFIX_NAMES,
+    assert_ranked_as_the_pool,
     catalog_from_sequences,
     legal_ids,
     shared_prefix_vocabulary,
@@ -299,6 +300,35 @@ class TestOracleEquivalence:
         assert ranking[0].normalized_score == raw / (len(seq) + 1)
 
 
+class TestRankingsReadThePool:
+    """Rankings are built from the search's sorted pool with no second sort, and keep its order and scores."""
+
+    def test_rank_entities_and_exhaustive_rank(self):
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(83)
+        for round_ in range(12):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 30)), max_len=4)
+            trie, catalog = build_trie(seqs, vocab.size), catalog_from_sequences(seqs, vocab)
+            inputs = tuple(int(t) for t in rng.integers(vocab.ordinary_base, vocab.size, size=3))
+            scorer = (
+                UniformScorer(vocab.size),
+                DyadicBigramScorer(rng, vocab.size),
+                random_table_scorer(rng, vocab),
+                OracleScorer(seqs[0] + (EOS,), vocab.size),  # log-probs of 0.0
+            )[round_ % 4]
+            for normalize in (False, True):
+                for k in (1, 3, len(seqs)):
+                    config = BeamConfig(k, 15, normalize)
+                    ranking = rank_entities(scorer, inputs, trie, config, vocab)
+                    assert_ranked_as_the_pool(ranking, normalize)
+                    pool = [(h.cum_logprob, h.tokens) for h in beam_search(scorer, inputs, trie, config)]
+                    assert [(e.raw_logprob, e.tokens) for e in ranking] == pool
+                    assert ranking.names() == tuple(decode(e.tokens[:-1], vocab) for e in ranking)
+                brute = exhaustive_rank(scorer, inputs, catalog, normalize, vocab)
+                assert len(brute) == len(seqs)
+                assert_ranked_as_the_pool(brute, normalize)
+
+
 class TestNarrowWidthExactness:
     """Per-parent top-k with carried states equals the per-token definition."""
 
@@ -408,6 +438,69 @@ class TestSurvivorOnlySteps:
                     assert all(type(t) is int for h in got for t in h.tokens)
                     met |= {(width - k, final) for width, final in counted.met}
         assert met >= {(extra, final) for extra in (0, 1, 2) for final in (False, True)}
+
+
+class StepShapes:
+    """``inner`` whose state also counts its prefix length, so that ``widths[depth]`` collects the
+    width of the allowed ids handed out to each parent of the step at that depth."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.widths: dict[int, list[int]] = {}
+
+    def start(self):
+        return 0, self.inner.start()
+
+    def final(self, state):
+        return self.inner.final(state[1])
+
+    def allowed(self, state):
+        allowed = self.inner.allowed(state[1])
+        self.widths.setdefault(state[0], []).append(len(allowed))
+        return allowed
+
+    def advance(self, state, token):
+        return state[0] + 1, self.inner.advance(state[1], token)
+
+    def shapes(self, k: int) -> set[tuple[int, bool]]:
+        """``(candidates - k, wide)`` of each step: the candidates before any parent is skipped at the bar,
+        and whether a parent was wider than ``k``."""
+        return {(sum(min(w, k) for w in widths) - k, max(widths) > k) for widths in self.widths.values()}
+
+
+class TestStepsThatKeepEveryCandidate:
+    """A step with no wide parent and at most ``k`` candidates keeps them unsorted; every other step sorts."""
+
+    @pytest.mark.parametrize("scoring", ["random", "dyadic", "uniform"])
+    def test_exactly_k_and_k_plus_one_candidates_with_and_without_a_wide_parent(self, scoring):
+        # dyadic rows tie across parents, and uniform rows tie everywhere
+        vocab = pool_vocabulary()
+        rng = np.random.default_rng(("random", "dyadic", "uniform").index(scoring) + 71)
+        ordinary = list(range(vocab.ordinary_base, vocab.size))
+        met: dict[str, set] = {}
+        for _ in range(40):
+            seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 40)), max_len=4)
+            trie = build_trie(seqs, vocab.size)
+            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 5))))
+            scorer = {
+                "random": lambda: random_table_scorer(rng, vocab),
+                "dyadic": lambda: DyadicBigramScorer(rng, vocab.size),
+                "uniform": lambda: UniformScorer(vocab.size),
+            }[scoring]()
+            searches = {
+                "trie": ((), trie, 8),
+                "candidates": ((), _Candidates(seqs), 8),
+                "markup": (source, MarkupConstraint(source, trie), 30),
+            }
+            for kind, (inputs, constraint, max_steps) in searches.items():
+                for k in (1, 2, 3):
+                    config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
+                    shaped = StepShapes(constraint)
+                    got = beam_search(scorer, inputs, shaped, config)
+                    assert got == reference_beam_search(scorer, inputs, constraint, config)
+                    met.setdefault(kind, set()).update(shaped.shapes(k))
+        for kind, shapes in met.items():
+            assert shapes >= {(extra, wide) for extra in (0, 1) for wide in (False, True)}, kind
 
 
 class AdvanceChecked:

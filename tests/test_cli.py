@@ -138,7 +138,7 @@ class TestBuildTrieBlocks:
         try:
             trie, names = reference_catalog_build(str(catalog), vocab)
         except CatalogError as exc:
-            return 1, "", f"error: {exc}\n", None
+            return 1, "", f"error: {catalog}:{exc.line}: {str(exc).removeprefix(f'line {exc.line}: ')}\n", None
         blob = trie.serialize()
         skipped = f"skipped {names - trie.leaf_count} duplicate name(s)\n" if names > trie.leaf_count else ""
         stats = f"leaves={trie.leaf_count} internal_nodes={trie.internal_node_count} bytes={len(blob)}\n"
@@ -168,7 +168,7 @@ class TestBuildTrieBlocks:
             bad = list(lines)
             bad[at] = self.BAD_NAMES[kind]
             code, _, err, _ = self.assert_same(bad, tmp_path, capsys)
-            assert code == 1 and err.startswith(f"error: line {at + 1}: ")
+            assert code == 1 and err.startswith(f"error: {tmp_path / 'catalog.txt'}:{at + 1}: ")
 
 
 class TestRetrieve:

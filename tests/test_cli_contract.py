@@ -225,10 +225,11 @@ DECODE_FLAGS = {
     "chunk-size": ("--chunk-size 0", "error: chunk size must be at least 1\n"),
 }
 BUDGET = "error: max_steps 15 cannot finish the longest name (20 tokens)\n"
-EMPTY_SET = "error: line 2: empty candidate set\n"
-FOUR_FIELDS = "error: line 4: expected `id TAB context TAB start TAB len TAB gold [TAB candidates]`\n"
+FOUR_FIELDS = (
+    "error: {dir}/ed-four-fields.tsv:4: expected `id TAB context TAB start TAB len TAB gold [TAB candidates]`\n"
+)
 UNBALANCED = "error: instance 'd0': bad gold markup (unbalanced '[': no closing ']')\n"
-NOT_READ_BACK = "error: line {}: catalog name {!r} reads back as {!r}, so no decode can emit it\n"
+NOT_READ_BACK = "error: {{dir}}/{}:{}: catalog name {!r} reads back as {!r}, so no decode can emit it\n"
 NOT_UTF8 = {  # argv hands a byte that is not UTF-8 on as a surrogate escape: b"\xff" as "\udcff"
     "text": ("link --text 'English \udcff language'" + UNIFORM, "error: --text is not UTF-8 ('\\udcff' at offset 8)\n"),
     "query": ("retrieve --query \udcff" + UNIFORM, "error: --query is not UTF-8 ('\\udcff' at offset 0)\n"),
@@ -249,7 +250,7 @@ ROWS = {
     # a bad name past the first block of catalog lines names its own line
     "paren-trie": Row(
         "build-trie {dir}/paren-catalog.txt --vocab {dr}/vocab.txt --out {out}", 1,
-        "error: line 2001: entity name contains reserved characters ['(', ')']: 'x(y)'\n",
+        "error: {dir}/paren-catalog.txt:2001: entity name contains reserved characters ['(', ')']: 'x(y)'\n",
     ),
     "unreachable-scorer": Row(
         BAD_SCORER + "unreachable-scorer.tsv", 1,
@@ -288,7 +289,10 @@ ROWS = {
         "disambiguate --dataset {dir}/bars.tsv --candidates {dir}/bars-sets.tsv" + PIECES, 1,
         "error: {dir}/bars-sets.tsv:2: empty candidate set\n",
     ),
-    "bars-field": Row("disambiguate --dataset {dir}/bars-joined.tsv" + PIECES, 1, EMPTY_SET),
+    "bars-field": Row(
+        "disambiguate --dataset {dir}/bars-joined.tsv" + PIECES, 1,
+        "error: {dir}/bars-joined.tsv:2: empty candidate set\n",
+    ),
     "rank-q1": Row("retrieve --query {q1}" + DR),
     "rank-q2": Row("retrieve --query {q2}" + DR),
     "rank-q3": Row("retrieve --query {q3}" + DR),
@@ -304,7 +308,10 @@ ROWS = {
         f"no-names-{case}": Row(BUILD + f"{case}.txt", 1, f"error: {{dir}}/{case}.txt holds no entity names\n")
         for case in ("empty", "newline", "blank-lines")
     },
-    "fs-vocab-trie": Row(BUILD_WITH_VOCAB + "fs-vocab.txt", 1, "error: token string contains whitespace: 'a\\x1cb'\n"),
+    "fs-vocab-trie": Row(
+        BUILD_WITH_VOCAB + "fs-vocab.txt", 1,
+        "error: {dir}/fs-vocab.txt:1: token string contains whitespace: 'a\\x1cb'\n",
+    ),
     **{
         name.removesuffix(".txt"): Row(
             (BUILD_WITH_VOCAB if "vocab" in name else BUILD) + name, 1,
@@ -317,19 +324,19 @@ ROWS = {
     },
     "same-length-trie": Row(
         "build-trie {dir}/same-length.txt --vocab {dir}/empty.txt --out {out}", 1,
-        NOT_READ_BACK.format(1, "English language", " ".join(["<unk>"] * 15)),
+        NOT_READ_BACK.format("same-length.txt", 1, "English language", " ".join(["<unk>"] * 15)),
     ),
     "unknown-character-trie": Row(
         "build-trie {dir}/unknown-character.txt --vocab {dir}/cafe-vocab.txt --out {out}", 1,
-        NOT_READ_BACK.format(1, "Café", "Caf <unk>"),
+        NOT_READ_BACK.format("unknown-character.txt", 1, "Café", "Caf <unk>"),
     ),
     "double-space-trie": Row(
         "build-trie {dir}/double-space.txt --vocab {dir}/cafe-vocab.txt --out {out}", 1,
-        NOT_READ_BACK.format(2, "New  York", "New York"),
+        NOT_READ_BACK.format("double-space.txt", 2, "New  York", "New York"),
     ),
     "bad-after-duplicate-trie": Row(
         BUILD + "bad-after-duplicate.txt", 1,
-        "error: line 4: entity name contains reserved characters ['(', ')']: 'x(y)'\n",
+        "error: {dir}/bad-after-duplicate.txt:4: entity name contains reserved characters ['(', ')']: 'x(y)'\n",
     ),
     # a trie file that is refused is named
     **{
@@ -384,15 +391,15 @@ ROWS = {
         for command in ("retrieve", "disambiguate", "link", "link-text")
         for flag in ("beams", "max-steps")
     },
-    # a bad dataset line, gold markup or dump record is named, at either --jobs
+    # a bad dataset line, gold markup or dump record is named, at either --jobs: a line by its file and number
     **{
-        f"{command}-{case}": Row(template + f"{case}.tsv", 1, f"error: {message}\n")
+        f"{command}-{case}": Row(template + f"{case}.tsv", 1, f"error: {{dir}}/{case}.tsv:{message}\n")
         for command, template, case, message in (
-            ("disambiguate", DISAMBIGUATE, "ed-empty-gold", "line 4: empty gold entity"),
-            ("disambiguate", DISAMBIGUATE, "ed-bar-only-candidates", "line 4: empty candidate set"),
-            ("eval-ed", EVAL_ED, "ed-bars-only-candidates", "line 4: empty candidate set"),
-            ("eval-dr", EVAL_DR, "dr-bar-only-gold", "line 3: empty gold set"),
-            ("eval-dr", EVAL_DR, "dr-empty-gold", "line 3: empty gold set"),
+            ("disambiguate", DISAMBIGUATE, "ed-empty-gold", "4: empty gold entity"),
+            ("disambiguate", DISAMBIGUATE, "ed-bar-only-candidates", "4: empty candidate set"),
+            ("eval-ed", EVAL_ED, "ed-bars-only-candidates", "4: empty candidate set"),
+            ("eval-dr", EVAL_DR, "dr-bar-only-gold", "3: empty gold set"),
+            ("eval-dr", EVAL_DR, "dr-empty-gold", "3: empty gold set"),
         )
     },
     **{
@@ -414,6 +421,10 @@ ROWS = {
     "ed-four-fields-out": Row(DISAMBIGUATE + "ed-four-fields.tsv --out {out}", 1, FOUR_FIELDS),
     # under two jobs too, raised in the parent or in a worker
     "ed-four-fields-jobs-2": Row(DISAMBIGUATE + "ed-four-fields.tsv --jobs 2", 1, FOUR_FIELDS),
+    # and when a dump is scored against it
+    "ed-four-fields-dump": Row(
+        "eval --mode ed --dataset {dir}/ed-four-fields.tsv" + CLI + " --predictions {cli-ed-dump}", 1, FOUR_FIELDS
+    ),
     "ed-no-candidates-jobs-2": Row(
         NO_TRIE_DISAMBIGUATE + "ed-no-candidates.tsv --jobs 2", 1,
         "error: instance 'm0': no candidate set and no catalog trie\n",

@@ -40,6 +40,7 @@ from helpers import (
     PAINTING_MARKUP,
     PAINTING_SOURCE,
     PAINTING_WORDS,
+    assert_ranked_as_the_pool,
     generate,
     pool_vocabulary,
     random_candidate_field,
@@ -398,6 +399,23 @@ class TestDisambiguate:
             assert ranking.names() == ("alpha",)
             assert ranking.diagnostics == (f"candidate {long_name!r} (4 tokens) cannot finish within max_steps=3",)
 
+    def test_a_ranking_with_a_diagnostic_is_ranked_as_the_pool(self, vocab):
+        rng = np.random.default_rng(89)
+        names = ("alpha", "alpha beta", "gamma", "delta alpha", "beta  gamma", "eta zeta iota")
+        for k in (1, 2, 3, 6):
+            for normalize in (False, True):
+                config = TaskConfig(k, 3, 384, normalize)
+                for scorer in (UniformScorer(vocab.size), random_table_scorer(rng, vocab)):
+                    ranking = disambiguate(scorer, make_instance(vocab, candidates=names), vocab, config)
+                    assert ranking.diagnostics == (
+                        "candidate 'eta zeta iota' (3 tokens) cannot finish within max_steps=3",
+                    )
+                    assert len(ranking) == min(k, 5)
+                    assert_ranked_as_the_pool(ranking, normalize)
+                    # each entry keeps its candidate's name as given, doubled space and all
+                    assert set(ranking.names()) <= set(names[:5])
+                    assert all(" ".join(e.name.split()) == decode(e.tokens[:-1], vocab) for e in ranking)
+
     def test_every_candidate_too_long_gives_an_empty_ranking_naming_each(self, vocab):
         instance = make_instance(vocab, candidates=("beta gamma", "alpha delta eta"))
         ranking = disambiguate(UniformScorer(vocab.size), instance, vocab, TaskConfig(max_steps=2))
@@ -490,6 +508,18 @@ class TestCandidateConstraint:
         for round_ in range(300):
             # in generation order, unsorted: the constructor sorts
             self.walk(fuzz_candidate_sequences(rng, vocab, round_), vocab)
+
+    def test_a_one_token_name_that_prefixes_others_from_the_root(self, vocab):
+        # sorted insertion reaches (a,) before (a, b) and (a, c): EOS is the node's first key, dropped from its ids
+        a, b, c, d = sorted(vocab.ordinary_id(w) for w in ("alpha", "beta", "gamma", "delta"))
+        seqs = [(a, c), (d,), (a,), (a, b)]
+        candidates = _Candidates(seqs)
+        root = candidates.start()
+        assert not candidates.final(root) and candidates.allowed(root) == [a, d]
+        node = candidates.advance(root, a)
+        assert list(node)[0] == EOS
+        assert candidates.final(node) and candidates.allowed(node) == [b, c]
+        assert self.walk(seqs, vocab) == 5
 
     def test_a_name_that_prefixes_another(self, vocab):
         a, b = vocab.ordinary_id("alpha"), vocab.ordinary_id("beta")

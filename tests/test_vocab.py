@@ -1,5 +1,6 @@
 """Vocabulary construction, encoding, and the round-trip contract."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,24 @@ class TestVocabulary:
     def test_load_rejects_empty_line(self):
         with pytest.raises(VocabularyError, match="line 2"):
             load_vocabulary(["ok", "", "also-ok"])
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["ok", "be ta"], "line 2: token string contains whitespace: 'be ta'"),
+            (["a", "b", "a"], "line 3: duplicate token string: 'a'"),
+            (["a", "<unk>"], "line 2: duplicate token string: '<unk>'"),
+            (["a", "b", "", "c d"], "line 3: empty token string"),
+        ],
+    )
+    def test_load_names_the_line_of_a_refused_token(self, lines, message):
+        for build in (load_vocabulary, Vocabulary):  # a token's place in a list is its line in a file
+            with pytest.raises(VocabularyError, match=f"^{re.escape(message)}$"):
+                build(lines)
+
+    def test_load_names_no_line_for_a_refused_extra_special(self):
+        with pytest.raises(VocabularyError, match="^extra special string contains whitespace: 'a b'$"):
+            load_vocabulary(["ok"], extra_specials=["a b"])
 
 
 class TestEncode:
@@ -417,5 +436,5 @@ def test_a_vocabulary_line_holding_a_separator_is_one_bad_token(tmp_path):
     # a path once split at "\x1c", loading "a" and "b" and shifting every later id by one
     path = tmp_path / "vocab.txt"
     path.write_bytes("English\na\x1cb\nFrance\n".encode("utf-8"))
-    with pytest.raises(VocabularyError, match=r"^token string contains whitespace: 'a\\x1cb'$"):
+    with pytest.raises(VocabularyError, match=r"^line 2: token string contains whitespace: 'a\\x1cb'$"):
         load_vocabulary(str(path))
