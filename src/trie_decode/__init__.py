@@ -8,6 +8,7 @@ dynamically constrained markup decoding, and evaluate the results.
 from .beam import (
     BeamConfig,
     BeamError,
+    DecodeStats,
     Hypothesis,
     RankedEntry,
     RankedResult,

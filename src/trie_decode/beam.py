@@ -38,7 +38,7 @@ wrong row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Protocol, Sequence, TypeVar
 
@@ -63,9 +63,12 @@ class Constraint(Protocol[State]):
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
         """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is.
 
-        A tuple or an owned read-only array returned here must never change:
-        :func:`beam_search` may reuse work done on it within one search.  A
-        list, a view or a writeable array is never remembered.
+        :func:`beam_search` checks only the first and the last id against the
+        vocabulary, so that check covers every id only because they ascend:
+        ids out of order or repeated are not detected.  A tuple or an owned
+        read-only array returned here must never change: :func:`beam_search`
+        may reuse work done on it within one search.  A list, a view or a
+        writeable array is never remembered.
         """
 
     def advance(self, state: State, token: TokenId) -> State:
@@ -83,6 +86,47 @@ class Hypothesis:
     tokens: tuple[TokenId, ...]
     cum_logprob: float
     finished: bool
+
+
+@dataclass
+class DecodeStats:
+    """What the searches given this record did, summed over them; each search adds its counts once, at its end.
+
+    A step visits each live hypothesis, its parent: a parent neither final
+    nor with ids is a dead end, and every other parent is one scorer call.
+    ``candidates`` are the entries the steps made (a wide parent adds at
+    most ``k``) and ``pruned`` those no step kept; a keep-all step kept
+    every candidate unsorted.  A wide parent has more than ``k`` allowed ids
+    and ends in one of ``bar_skips``, ``unrecorded_cuts``, ``memo_reuses``
+    (cut from its pair's recorded order, a first sight included) or
+    ``exact_fallbacks`` (a recorded pair whose rounded sums merged);
+    ``recorded_pairs`` counts the pairs the memo sorted once and kept.
+    ``retired_with_ids`` are final parents whose ids still extended them,
+    ``dropped`` the live hypotheses left at ``max_steps``, and ``finished``
+    the pool the best ``k`` were taken from.
+    """
+
+    searches: int = 0
+    steps: int = 0
+    scorer_calls: int = 0
+    candidates: int = 0
+    pruned: int = 0
+    keep_all_steps: int = 0
+    dead_ends: int = 0
+    wide_parents: int = 0
+    bar_skips: int = 0
+    unrecorded_cuts: int = 0
+    memo_reuses: int = 0
+    exact_fallbacks: int = 0
+    recorded_pairs: int = 0
+    retired_with_ids: int = 0
+    dropped: int = 0
+    finished: int = 0
+
+    def __iadd__(self, other: DecodeStats) -> DecodeStats:
+        for field in fields(self):
+            setattr(self, field.name, getattr(self, field.name) + getattr(other, field.name))
+        return self
 
 
 @dataclass(frozen=True)
@@ -152,6 +196,7 @@ def beam_search(
     input_tokens: Sequence[TokenId],
     constraint: Constraint,
     config: BeamConfig,
+    stats: DecodeStats | None = None,
 ) -> list[Hypothesis]:
     """Search for up to ``k`` finished hypotheses satisfying ``constraint``.
 
@@ -159,10 +204,17 @@ def beam_search(
     retires to the pool with EOS, and its allowed ids still extend it; at a
     state neither final nor with ids it is dropped, as at ``max_steps``.
     Returns the best ``k`` of that pool sorted by the config's ranking score,
-    as the rankings read it; an empty list means nothing finished.  Raises
-    :class:`BeamError` for a constraint without ``final``, on an allowed id
-    outside the scorer's vocabulary or at most EOS, when ``allowed`` returns a
-    set, or on a scorer value above 0.0 or NaN, naming its token.
+    as the rankings read it; an empty list means nothing finished.  A
+    ``stats`` given gets this search's counts added at its end.
+
+    Raises :class:`BeamError` for a constraint without ``final``; when
+    ``allowed`` returns anything but a 1-D sequence (a set, a dict, None, an
+    iterator, an array of another shape), naming its type; when the first
+    allowed id is at most EOS or the last one is past the scorer's
+    vocabulary; and on a scorer value above 0.0 or NaN, naming its token.
+    The range check reads only those two ends, so it covers every id only
+    for ids that ascend, as the protocol asks: ids out of order or repeated
+    are not detected.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -178,75 +230,114 @@ def beam_search(
     parents.  A wide parent's cut is memoized for the life of the search,
     and skipped unsorted where it cannot pass the step's bar (see ``_memo_cut``).
     """
-    return [Hypothesis(tokens, cum, True) for _, tokens, cum in _search(scorer, input_tokens, constraint, config)]
+    pool = _search(scorer, input_tokens, constraint, config, stats)
+    return [Hypothesis(tokens, cum, True) for _, tokens, cum in pool]
 
 
 def _search(
-    scorer: Scorer, input_tokens: Sequence[TokenId], constraint: Constraint, config: BeamConfig
+    scorer: Scorer,
+    input_tokens: Sequence[TokenId],
+    constraint: Constraint,
+    config: BeamConfig,
+    stats: DecodeStats | None = None,
 ) -> list[_Finished]:
     """:func:`beam_search`'s hypotheses as the best ``k`` entries of its pool, sorted."""
     if not hasattr(constraint, "final"):
         raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
     allowed_of, final, advance = constraint.allowed, constraint.final, constraint.advance
     next_logprobs = scorer.next_token_logprobs
-    input_tokens, k = tuple(input_tokens), config.k
+    input_tokens, k, max_steps = tuple(input_tokens), config.k, config.max_steps
     live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
     pool: list[_Finished] = []
     cuts: dict[tuple[int, int], tuple] = {}  # see _memo_cut; it dies with this search
+    tally = [0, 0, 0, 0]  # _memo_cut's pairs recorded, cuts read from them, exact sorts in their place, other cuts
     candidates: list[tuple[float, int, TokenId]] = []  # (-cum_logprob, parent's rank, token)
     append = candidates.append
-    for _ in range(config.max_steps):
-        if not live:
-            break
-        candidates.clear()
-        bar = None  # the k-th key of this step's best cut so far; none before its first cut
-        for rank, (prefix, cum, state) in enumerate(live):
-            allowed = allowed_of(state)
-            ends = final(state)
-            if not (ends or len(allowed)):
-                continue  # a dead end
-            logprobs = next_logprobs(input_tokens, prefix)
-            if ends:
-                value = float(logprobs[EOS])
-                if not value <= 0.0:
-                    raise _bad_value(EOS, value)
-                done, score = prefix + (EOS,), cum + value
-                pool.append((-_final_score(done, score, config.length_normalize), done, score))
-                if len(allowed) == 0:
+    # DecodeStats counts; the rest follow from these, tally and the lengths of live and pool
+    steps = parents = made = keep_all = dead_ends = leaves = skips = 0
+    try:
+        while live and steps < max_steps:
+            steps += 1
+            parents += len(live)
+            candidates.clear()
+            bar = None  # the k-th key of this step's best cut so far; none before its first cut
+            for rank, (prefix, cum, state) in enumerate(live):
+                allowed = allowed_of(state)
+                ends = final(state)
+                if not (ends or len(allowed)):
+                    dead_ends += 1
                     continue
-            if len(allowed) <= k and type(allowed) is np.ndarray:
-                allowed = allowed.tolist()  # too short to pay for numpy
-            try:
-                # ascending ids: the ends bound the range, which starts above EOS
-                if allowed[0] <= EOS or allowed[-1] >= len(logprobs):
-                    raise BeamError("allowed token id out of range")
-            except TypeError:
-                raise BeamError(
-                    f"allowed ids must be an ascending sequence, not {type(allowed).__name__}"
-                ) from None
-            if len(allowed) > k:
-                cut = _memo_cut(cuts, logprobs, allowed, cum, k, bar)
-                if cut is None:
-                    continue  # every id of this parent sorts after the bar's k
-                for value, token in cut:
-                    append((-(cum + value), rank, token))
-                if bar is None or candidates[-1][0] < bar:
-                    bar = candidates[-1][0]
+                logprobs = next_logprobs(input_tokens, prefix)
+                if ends:
+                    value = float(logprobs[EOS])
+                    if not value <= 0.0:
+                        raise _bad_value(EOS, value)
+                    done, score = prefix + (EOS,), cum + value
+                    pool.append((-_final_score(done, score, config.length_normalize), done, score))
+                    if len(allowed) == 0:
+                        leaves += 1
+                        continue
+                if len(allowed) <= k and type(allowed) is np.ndarray:
+                    allowed = allowed.tolist()  # too short to pay for numpy
+                try:
+                    # ascending ids: the ends bound the range, which starts above EOS
+                    if allowed[0] <= EOS or allowed[-1] >= len(logprobs):
+                        raise BeamError("allowed token id out of range")
+                except TypeError:
+                    raise _not_ids(allowed) from None
+                if len(allowed) > k:
+                    cut = _memo_cut(cuts, tally, logprobs, allowed, cum, k, bar)
+                    if cut is None:
+                        skips += 1
+                        continue  # every id of this parent sorts after the bar's k
+                    for value, token in cut:
+                        append((-(cum + value), rank, token))
+                    if bar is None or candidates[-1][0] < bar:
+                        bar = candidates[-1][0]
+                else:
+                    for token in allowed:
+                        value = float(logprobs[token])
+                        if not value <= 0.0:  # NaN fails too
+                            raise _bad_value(token, value)
+                        append((-(cum + value), rank, token))
+            made += len(candidates)
+            if bar is None and len(candidates) <= k:
+                keep_all += 1
+                kept = candidates  # all of them, made in (parent, token) order
             else:
-                for token in allowed:
-                    value = float(logprobs[token])
-                    if not value <= 0.0:  # NaN fails too
-                        raise _bad_value(token, value)
-                    append((-(cum + value), rank, token))
-        if bar is None and len(candidates) <= k:
-            kept = candidates  # all of them, made in (parent, token) order
-        else:
-            # (parent, token) pairs are distinct: neither sort compares two
-            # scores of one pair, and the second puts the next parents in token order
-            candidates.sort()
-            kept = sorted(candidates[:k], key=_RANK_TOKEN)
-        live = [(live[rank][0] + (token,), -neg, advance(live[rank][2], token)) for neg, rank, token in kept]
+                # (parent, token) pairs are distinct: neither sort compares two
+                # scores of one pair, and the second puts the next parents in token order
+                candidates.sort()
+                kept = sorted(candidates[:k], key=_RANK_TOKEN)
+            live = [(live[rank][0] + (token,), -neg, advance(live[rank][2], token)) for neg, rank, token in kept]
+    except (TypeError, LookupError, ValueError):
+        # free until something raises: then name what the constraint returned if it was no 1-D sequence
+        # (a BeamError is a ValueError, so a short 2-D array, listed before the range check, is named here)
+        returned = allowed_of(state)
+        if isinstance(returned, Sequence) or isinstance(returned, np.ndarray) and returned.ndim == 1:
+            raise
+        raise _not_ids(returned) from None
     pool.sort()  # pooled token sequences are distinct, so no two cum_logprobs are compared
+    if stats is not None:
+        recorded, reuses, fallbacks, unrecorded = tally
+        stats += DecodeStats(
+            searches=1,
+            steps=steps,
+            scorer_calls=parents - dead_ends,
+            candidates=made,
+            pruned=made - (parents - 1 + len(live)),  # every step's kept but the last are the next's parents
+            keep_all_steps=keep_all,
+            dead_ends=dead_ends,
+            wide_parents=skips + unrecorded + reuses + fallbacks,
+            bar_skips=skips,
+            unrecorded_cuts=unrecorded,
+            memo_reuses=reuses,
+            exact_fallbacks=fallbacks,
+            recorded_pairs=recorded,
+            retired_with_ids=len(pool) - leaves,
+            dropped=len(live),
+            finished=len(pool),
+        )
     return pool[:k]
 
 
@@ -257,6 +348,11 @@ _Cut = Iterable[tuple[float, TokenId]]  # (logprob, id) of each id a cut keeps
 
 def _bad_value(token: TokenId, value: float) -> BeamError:
     return BeamError(f"scorer gave token {token} the value {value!r}; a log-probability is at most 0.0")
+
+
+def _not_ids(allowed: object) -> BeamError:
+    kind = f"{allowed.ndim}-d ndarray" if isinstance(allowed, np.ndarray) else type(allowed).__name__
+    return BeamError(f"allowed ids must be an ascending sequence, not {kind}")
 
 
 def _top(tokens: np.ndarray, values: np.ndarray) -> float:
@@ -277,6 +373,7 @@ def _cut(tokens: np.ndarray, values: np.ndarray, cum: float, k: int) -> _Cut:
 
 def _memo_cut(
     cuts: dict[tuple[int, int], tuple],
+    tally: list[int],
     logprobs: np.ndarray,
     allowed: Sequence[TokenId] | np.ndarray,
     cum: float,
@@ -304,7 +401,9 @@ def _memo_cut(
     ``x -> fl(cum + x)`` is monotone, the best ``k`` at ``cum`` are those of
     the order unless rounding merges a neighbour into the ``k``-th value's
     group; where the rounded sums do not keep all three apart, the exact sort
-    runs instead.
+    runs instead.  ``tally`` counts the pairs recorded, the cuts read from
+    their orders, the exact sorts run in their place and the cuts of pairs
+    not recorded.
     """
     key = id(logprobs), id(allowed)
     seen = cuts.get(key)
@@ -317,13 +416,17 @@ def _memo_cut(
         )):
             if bar is not None and -(cum + top) >= bar:
                 return None
+            tally[3] += 1
             return _cut(tokens, values, cum, k)
         seen = cuts[key] = (logprobs, allowed, top, *_order(tokens, values, k))
+        tally[0] += 1
     top, best, value, above, below = seen[2:]
     if bar is not None and -(cum + top) >= bar:
         return None
     if cum + above > cum + value > cum + below:
+        tally[1] += 1
         return best
+    tally[2] += 1
     tokens = np.asarray(allowed, dtype=np.intp)
     return _cut(tokens, logprobs[tokens], cum, k)
 

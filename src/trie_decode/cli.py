@@ -263,6 +263,9 @@ def _add_format_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write results here instead of stdout")
 
 
+_JOBS_HELP = "worker processes for the dataset, at most one per CPU this process may use"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trie-decode",
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scorer", required=True)
     p.add_argument("--candidates", default=None, help="candidate-set file keyed by mention id")
     p.add_argument("--context-window", type=int, default=TaskConfig.context_window)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_beam_options(p, *_RANK_DECODE)
     _add_format_option(p)
     p.set_defaults(func=cmd_disambiguate)
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trie", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--chunk-size", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_beam_options(p, *_LINK_DECODE)
     _add_format_option(p)
     p.set_defaults(func=cmd_link)
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", default=None, help="structured dump to evaluate instead of decoding")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--context-window", type=int, default=TaskConfig.context_window)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the dataset")
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     _add_beam_options(p, None, None)
     _add_format_option(p)
     p.set_defaults(func=cmd_eval)

@@ -15,6 +15,7 @@ possible and trimming more from the left on odd remainders.
 
 from __future__ import annotations
 
+import os
 import sys
 from array import array
 from collections.abc import Sequence
@@ -481,8 +482,15 @@ def _call_worker(item):
     return _worker_fn(item)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list[_R]:
-    """``[fn(item) for item in items]`` on up to ``jobs`` forked processes.
+    """``[fn(item) for item in items]`` on up to ``jobs`` forked processes, at most one per usable CPU.
 
     Workers inherit ``fn`` and all it closes over (scorer, trie, vocabulary)
     through fork; only items, results and exceptions are pickled.  Fork is
@@ -501,7 +509,7 @@ def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T], jobs: int) -> list
         context = multiprocessing.get_context("fork")
     except ValueError:
         raise TaskError("jobs > 1 needs the fork start method, which this platform lacks") from None
-    workers = min(jobs, len(items))
+    workers = min(jobs, len(items), _usable_cpus())
     # about four chunks per worker, as multiprocessing.Pool.map cuts them
     with ProcessPoolExecutor(workers, context, _install_worker, (fn,)) as pool:
         try:

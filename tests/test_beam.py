@@ -1,9 +1,11 @@
-"""Constrained beam search against the exhaustive scoring oracle."""
+"""Constrained beam search against the exhaustive scoring oracle and the reference search."""
 
+import functools
 import math
 import re
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from trie_decode import beam
 from trie_decode.beam import (
     BeamConfig,
     BeamError,
+    DecodeStats,
     Hypothesis,
     beam_search,
     exhaustive_rank,
@@ -53,6 +56,85 @@ def vocab():
 @pytest.fixture
 def names_trie(vocab):
     return build_trie([tuple(encode(n, vocab)) for n in SHARED_PREFIX_NAMES], vocab.size)
+
+
+def read_only(row: np.ndarray) -> np.ndarray:
+    row.flags.writeable = False
+    return row
+
+
+class Rows:
+    """A scorer that hands out ``row_of(prefix)`` and counts its calls in ``calls``."""
+
+    def __init__(self, vocab_size: int, row_of) -> None:
+        self.vocab_size, self.row_of, self.calls = vocab_size, row_of, 0
+
+    def next_token_logprobs(self, input_tokens, prefix):
+        self.calls += 1
+        return self.row_of(prefix)
+
+
+def per_context(rows) -> Rows:
+    """``rows[previous token]``, SOS's at the start: the same object each time for a list of rows,
+    a new view each time for a 2-D array."""
+    return Rows(len(rows[0]), lambda prefix: rows[prefix[-1] if prefix else 0])
+
+
+def by_prefix(rows: dict, default: np.ndarray) -> Rows:
+    """``rows[prefix]`` where given, else ``default``."""
+    return Rows(len(default), lambda prefix: rows.get(tuple(prefix), default))
+
+
+def dyadic_rows(rng: np.random.Generator, vocab_size: int) -> np.ndarray:
+    """Bigram log-probs rounded to quarters, so that sums are exact and tie often."""
+    return -np.round(rng.exponential(1.0, (vocab_size, vocab_size)) * 4) / 4
+
+
+class Chain:
+    """A constraint that walks ``steps``, one allowed set per step, whatever the token; final at the end."""
+
+    def __init__(self, steps) -> None:
+        self.steps = steps
+
+    def start(self):
+        return 0
+
+    def final(self, state):
+        return state == len(self.steps)
+
+    def allowed(self, state):
+        return self.steps[state] if state < len(self.steps) else ()
+
+    def advance(self, state, token):
+        return state + 1
+
+
+class AllowedAs:
+    """``inner`` with its ids handed out as ``kind``, and each ``advance`` counted and checked to take one of
+    them: as they are (None), one list that every call refills, or per call a new tuple, writeable array or
+    "read-only" owned array."""
+
+    def __init__(self, inner, kind) -> None:
+        self.inner, self.kind, self.buffer, self.advances = inner, kind, [], 0
+        self.start, self.final = inner.start, inner.final
+
+    def allowed(self, state):
+        if self.kind is None:
+            return self.inner.allowed(state)
+        ids = [int(t) for t in self.inner.allowed(state)]
+        if self.kind is list:
+            self.buffer[:] = ids
+            return self.buffer
+        if self.kind is tuple:
+            return tuple(ids)
+        array = np.array(ids, dtype=np.intp)
+        array.flags.writeable = self.kind is np.ndarray
+        return array
+
+    def advance(self, state, token):
+        assert token in [int(t) for t in self.inner.allowed(state)]
+        self.advances += 1
+        return self.inner.advance(state, token)
 
 
 class TestMaskLogprobs:
@@ -109,9 +191,7 @@ class TestBeamSearch:
         assert ranking[0].raw_logprob == pytest.approx(2 * -math.log(vocab.size))
         assert ranking[1].raw_logprob == pytest.approx(3 * -math.log(vocab.size))
         # cross-check the whole ranking against the brute-force route
-        catalog = catalog_from_sequences(
-            [tuple(encode(n, vocab)) for n in SHARED_PREFIX_NAMES], vocab
-        )
+        catalog = catalog_from_sequences([tuple(encode(n, vocab)) for n in SHARED_PREFIX_NAMES], vocab)
         assert ranking == exhaustive_rank(scorer, (), catalog, False, vocab)
 
     def test_normalized_uniform_ties_break_in_token_order(self, vocab, names_trie):
@@ -135,58 +215,35 @@ class TestBeamSearch:
         ranking = rank_entities(UniformScorer(vocab.size), (), trie, BeamConfig(k=10, max_steps=5), vocab)
         assert set(ranking.names()) == {"France", long_name}
 
-    def test_at_most_k_finished(self, vocab, names_trie):
-        scorer = UniformScorer(vocab.size)
-        hyps = beam_search(scorer, (), names_trie, BeamConfig(k=2))
-        assert len(hyps) == 2
-
     def test_max_steps_discards_unfinished(self, vocab, names_trie):
         scorer = UniformScorer(vocab.size)
         config = BeamConfig(k=3, max_steps=2, length_normalize=False)
-        hyps = beam_search(scorer, (), names_trie, config)
+        stats = DecodeStats()
+        hyps = beam_search(scorer, (), names_trie, config, stats)
         # only "France" (one token + EOS) can finish within two steps
         assert [decode(h.tokens[:-1], vocab) for h in hyps] == ["France"]
+        assert (stats.steps, stats.finished, stats.dropped) == (2, 1, 2)
 
     def test_dead_end_constraint_yields_empty_result(self):
-        scorer = UniformScorer(9)
+        # token 7 at the start, then nothing
+        stats = DecodeStats()
+        assert beam_search(UniformScorer(9), (), Chain([(7,), ()]), BeamConfig(k=2), stats) == []
+        assert (stats.steps, stats.scorer_calls, stats.dead_ends, stats.finished) == (2, 1, 1, 0)
 
-        class DeadEnd:
-            """Allows token 7 at the start, then nothing."""
-
-            def start(self):
-                return 0
-
-            def final(self, depth):
-                return False
-
-            def allowed(self, depth):
-                return (7,) if depth == 0 else ()
-
-            def advance(self, depth, token):
-                return depth + 1
-
-        assert beam_search(scorer, (), DeadEnd(), BeamConfig(k=2)) == []
+    def test_stats_add_up_over_searches(self, vocab, names_trie):
+        once, thrice = DecodeStats(), DecodeStats()
+        for stats in (once, thrice, thrice, thrice):
+            beam_search(UniformScorer(vocab.size), (), names_trie, BeamConfig(k=2, max_steps=3), stats)
+        assert once.searches == 1 and once.steps == 3 and once.finished > 0
+        assert thrice == DecodeStats(**{name: 3 * count for name, count in vars(once).items()})
 
     @pytest.mark.parametrize("bad", [-1, SOS, EOS, 11], ids=["negative", "sos", "eos", "past-vocab"])
     def test_out_of_range_allowed_id_raises(self, bad):
-        # EOS among the ids is out of range too: finishing is ``final``, never an allowed id
-        class Fixed:
-            def start(self):
-                return 0
-
-            def final(self, depth):
-                return True
-
-            def allowed(self, depth):
-                return (bad, 7) if bad <= EOS else (7, bad)
-
-            def advance(self, depth, token):
-                return depth + 1
-
+        # EOS among the ids is out of range too: finishing is ``final``, never an allowed id;
         # 2 allowed ids: wider than k = 1, so cut to one id, or all within k = 3
         for k in (1, 3):
             with pytest.raises(BeamError, match="out of range"):
-                beam_search(UniformScorer(11), (), Fixed(), BeamConfig(k=k))
+                beam_search(UniformScorer(11), (), Chain([(bad, 7) if bad <= EOS else (7, bad)]), BeamConfig(k=k))
 
     def test_constraint_without_final_raises(self, vocab, names_trie):
         class NoFinal:
@@ -209,95 +266,48 @@ class TestBeamSearch:
         with pytest.raises(BeamError, match="out of range"):
             beam_search(UniformScorer(vocab.size - 1), (), names_trie, BeamConfig(k=2))
 
-    def test_constraint_returning_a_set_raises(self):
-        class SetConstraint:
-            def start(self):
-                return 0
-
-            def final(self, depth):
-                return False
-
-            def allowed(self, depth):
-                return frozenset({7, 8})
-
-            def advance(self, depth, token):
-                return depth + 1
-
+    @pytest.mark.parametrize(
+        "returned, kind",
+        [
+            (lambda: frozenset({7, 8}), "frozenset"),
+            (lambda: None, "NoneType"),
+            (lambda: (t for t in (7, 8)), "generator"),
+            (lambda: np.array(7), "0-d ndarray"),
+            (lambda: {7: None, 8: None}, "dict"),
+            (lambda: np.array([[7, 8]]), "2-d ndarray"),
+            (lambda: np.array([[7, 8], [9, 10]]), "2-d ndarray"),
+        ],
+        ids=["frozenset", "none", "generator", "0-d-array", "dict", "2-d-array", "2-by-2-array"],
+    )
+    def test_constraint_returning_a_set_raises(self, returned, kind):
         # two allowed ids: wider than k = 1 (the numpy step), at most k = 2 (the plain step)
         for k in (1, 2):
-            with pytest.raises(BeamError, match="frozenset"):
-                beam_search(UniformScorer(11), (), SetConstraint(), BeamConfig(k=k))
-
-    def test_wide_fanout_with_ties_at_the_cut_matches_reference(self):
-        # a 600-way root takes the sorted wide cut; rounded scores tie at the cut
-        vocab_size = 700
-        names = [(t,) for t in range(50, 650)]
-        trie = build_trie(names, vocab_size)
-        rng = np.random.default_rng(5)
-        probs = np.round(rng.random(vocab_size), 1) + 0.01
-        scorer = TableScorer({0: dict(enumerate(probs))}, 1.0, vocab_size)
-        for k in (1, 3, 10, 40):
-            config = BeamConfig(k=k, max_steps=3, length_normalize=False)
-            expected = reference_beam_search(scorer, (), trie, config)
-            assert beam_search(scorer, (), trie, config) == expected
-
-    def test_finished_hypotheses_flagged(self, vocab, names_trie):
-        scorer = UniformScorer(vocab.size)
-        for hyp in beam_search(scorer, (), names_trie, BeamConfig(k=3)):
-            assert hyp.finished and hyp.tokens[-1] == EOS
-            assert hyp.cum_logprob <= 0.0
+            with pytest.raises(BeamError, match=f"^allowed ids must be an ascending sequence, not {kind}$"):
+                beam_search(UniformScorer(12), (), Chain([returned()]), BeamConfig(k=k))
 
     def test_deterministic_byte_identical(self, vocab, names_trie):
-        rng = np.random.default_rng(3)
-        scorer = random_table_scorer(rng, shared_prefix_vocabulary())
-        config = BeamConfig(k=3)
-        first = rank_entities(scorer, (7,), names_trie, config, vocab)
-        second = rank_entities(scorer, (7,), names_trie, config, vocab)
-        assert repr(first) == repr(second)
-        assert first == second
+        scorer = random_table_scorer(np.random.default_rng(3), vocab)
+        first, second = (rank_entities(scorer, (7,), names_trie, BeamConfig(k=3), vocab) for _ in range(2))
+        assert repr(first) == repr(second) and first == second
 
 
 class TestOracleEquivalence:
-    def test_rank_equals_exhaustive_at_full_width(self):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(3, 30)))
-            trie = build_trie(seqs, vocab.size)
-            catalog = catalog_from_sequences(seqs, vocab)
-            scorer = random_table_scorer(rng, vocab)
-            inp = tuple(int(t) for t in rng.integers(7, vocab.size, size=4))
-            for normalize in (False, True):
-                config = BeamConfig(k=len(seqs), max_steps=15, length_normalize=normalize)
-                beam = rank_entities(scorer, inp, trie, config, vocab)
-                brute = exhaustive_rank(scorer, inp, catalog, normalize, vocab)
-                assert beam.names() == brute.names()
-                for b, e in zip(beam, brute):
-                    assert b.raw_logprob == e.raw_logprob  # same float path, bit-exact
-                    assert b.normalized_score == e.normalized_score
-
     def test_fifty_name_catalog_with_k_fifty(self):
         vocab = pool_vocabulary()
         rng = np.random.default_rng(13)
         seqs = random_sequences(rng, vocab, size=50)
-        trie = build_trie(seqs, vocab.size)
-        catalog = catalog_from_sequences(seqs, vocab)
+        trie, catalog = build_trie(seqs, vocab.size), catalog_from_sequences(seqs, vocab)
         scorer = random_table_scorer(rng, vocab)
-        config = BeamConfig(k=50, length_normalize=False)
-        assert rank_entities(scorer, (), trie, config, vocab) == exhaustive_rank(
-            scorer, (), catalog, False, vocab
-        )
+        ranking = rank_entities(scorer, (), trie, BeamConfig(k=50, length_normalize=False), vocab)
+        assert ranking == exhaustive_rank(scorer, (), catalog, False, vocab)
 
     def test_singleton_catalog(self, vocab):
         seq = tuple(encode("France", vocab))
         trie = build_trie([seq], vocab.size)
         scorer = UniformScorer(vocab.size)
-        ranking = rank_entities(scorer, (), trie, BeamConfig(k=1), vocab)
-        assert len(ranking) == 1
+        (entry,) = rank_entities(scorer, (), trie, BeamConfig(k=1), vocab)
         raw = sequence_score(scorer, (), seq + (EOS,))
-        assert ranking[0].name == "France"
-        assert ranking[0].raw_logprob == raw
-        assert ranking[0].normalized_score == raw / (len(seq) + 1)
+        assert (entry.name, entry.raw_logprob, entry.normalized_score) == ("France", raw, raw / (len(seq) + 1))
 
 
 class TestRankingsReadThePool:
@@ -312,11 +322,14 @@ class TestRankingsReadThePool:
             inputs = tuple(int(t) for t in rng.integers(vocab.ordinary_base, vocab.size, size=3))
             scorer = (
                 UniformScorer(vocab.size),
-                DyadicBigramScorer(rng, vocab.size),
+                per_context(dyadic_rows(rng, vocab.size)),
                 random_table_scorer(rng, vocab),
                 OracleScorer(seqs[0] + (EOS,), vocab.size),  # log-probs of 0.0
             )[round_ % 4]
             for normalize in (False, True):
+                brute = exhaustive_rank(scorer, inputs, catalog, normalize, vocab)
+                assert len(brute) == len(seqs)
+                assert_ranked_as_the_pool(brute, normalize)
                 for k in (1, 3, len(seqs)):
                     config = BeamConfig(k, 15, normalize)
                     ranking = rank_entities(scorer, inputs, trie, config, vocab)
@@ -324,422 +337,147 @@ class TestRankingsReadThePool:
                     pool = [(h.cum_logprob, h.tokens) for h in beam_search(scorer, inputs, trie, config)]
                     assert [(e.raw_logprob, e.tokens) for e in ranking] == pool
                     assert ranking.names() == tuple(decode(e.tokens[:-1], vocab) for e in ranking)
-                brute = exhaustive_rank(scorer, inputs, catalog, normalize, vocab)
-                assert len(brute) == len(seqs)
-                assert_ranked_as_the_pool(brute, normalize)
-
-
-class TestNarrowWidthExactness:
-    """Per-parent top-k with carried states equals the per-token definition."""
-
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_trie_and_markup_constraints(self, tied):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(307 + tied)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        for _ in range(25):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 25)), max_len=4)
-            trie = build_trie(seqs, vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 6))))
-            scorer = UniformScorer(vocab.size) if tied else random_table_scorer(rng, vocab)
-            searches = [
-                ((), trie, 15),
-                ((), _Candidates(sorted(seqs)), 15),
-                (source, MarkupConstraint(source, trie), 40),
-            ]
-            for inputs, constraint, max_steps in searches:
-                for k in (1, 2, 3, 4):
-                    config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
-                    got = beam_search(scorer, inputs, constraint, config)
-                    want = reference_beam_search(scorer, inputs, constraint, config)
-                    assert got == want  # equal tokens and bit-equal cum_logprob
-
-
-class DyadicBigramScorer:
-    """Bigram log-probs rounded to quarters, so that sums are exact and tie often."""
-
-    def __init__(self, rng: np.random.Generator, vocab_size: int) -> None:
-        self.vocab_size = vocab_size
-        self._rows = -np.round(rng.exponential(1.0, (vocab_size, vocab_size)) * 4) / 4
-
-    def next_token_logprobs(self, input_tokens, prefix):
-        return self._rows[prefix[-1] if prefix else 0]
-
-
-class AllowedAs:
-    """``inner`` with its allowed ids handed out as a list, a tuple or an array.
-
-    ``met`` collects the ``(width, final)`` of every allowed set handed out.
-    """
-
-    def __init__(self, inner, kind) -> None:
-        self.inner, self.kind = inner, kind
-        self.met = set()
-
-    def start(self):
-        return self.inner.start()
-
-    def final(self, state):
-        return self.inner.final(state)
-
-    def allowed(self, state):
-        allowed = [int(t) for t in self.inner.allowed(state)]
-        self.met.add((len(allowed), bool(self.inner.final(state))))
-        return np.array(allowed, dtype=np.intp) if self.kind is np.ndarray else self.kind(allowed)
-
-    def advance(self, state, token):
-        return self.inner.advance(state, token)
-
-
-class TestSurvivorOnlySteps:
-    """Candidates ordered by (-score, parent's token rank, token) equal the reference."""
-
-    def test_ties_across_parents_at_the_cut(self):
-        # exact dyadic sums tie across parents whose score order differs
-        # from their token order, so the cut must break ties by prefix
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(41)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        for _ in range(20):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(10, 40)), max_len=8)
-            trie = build_trie(seqs, vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(2, 6))))
-            scorer = DyadicBigramScorer(rng, vocab.size)
-            searches = [
-                ((), trie, 9),
-                ((), _Candidates(sorted(seqs)), 9),
-                (source, MarkupConstraint(source, trie), 40),
-            ]
-            for inputs, constraint, max_steps in searches:
-                for k in (1, 2, 3, 4):
-                    config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
-                    got = beam_search(scorer, inputs, constraint, config)
-                    assert got == reference_beam_search(scorer, inputs, constraint, config)
-
-    @pytest.mark.parametrize("kind", [list, tuple, np.ndarray])
-    def test_each_sequence_type_on_both_sides_of_k(self, kind):
-        # parents with k, k + 1 and k + 2 allowed ids, final or not, meet each
-        # boundary of the step: an array short enough to become a list, the
-        # retirement of a final parent, and the cut of a parent wider than k
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(43)
-        met = set()
-        for _ in range(15):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(5, 60)), max_len=5)
-            trie = build_trie(seqs, vocab.size)
-            scorer = DyadicBigramScorer(rng, vocab.size)
-            for k in (1, 2, 3, 4):
-                config = BeamConfig(k, 8, length_normalize=False)
-                want = reference_beam_search(scorer, (), trie, config)
-                for constraint in (trie, _Candidates(sorted(seqs))):
-                    counted = AllowedAs(constraint, kind)
-                    got = beam_search(scorer, (), counted, config)
-                    assert got == want
-                    assert all(type(t) is int for h in got for t in h.tokens)
-                    met |= {(width - k, final) for width, final in counted.met}
-        assert met >= {(extra, final) for extra in (0, 1, 2) for final in (False, True)}
-
-
-class StepShapes:
-    """``inner`` whose state also counts its prefix length, so that ``widths[depth]`` collects the
-    width of the allowed ids handed out to each parent of the step at that depth."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.widths: dict[int, list[int]] = {}
-
-    def start(self):
-        return 0, self.inner.start()
-
-    def final(self, state):
-        return self.inner.final(state[1])
-
-    def allowed(self, state):
-        allowed = self.inner.allowed(state[1])
-        self.widths.setdefault(state[0], []).append(len(allowed))
-        return allowed
-
-    def advance(self, state, token):
-        return state[0] + 1, self.inner.advance(state[1], token)
-
-    def shapes(self, k: int) -> set[tuple[int, bool]]:
-        """``(candidates - k, wide)`` of each step: the candidates before any parent is skipped at the bar,
-        and whether a parent was wider than ``k``."""
-        return {(sum(min(w, k) for w in widths) - k, max(widths) > k) for widths in self.widths.values()}
-
-
-class TestStepsThatKeepEveryCandidate:
-    """A step with no wide parent and at most ``k`` candidates keeps them unsorted; every other step sorts."""
-
-    @pytest.mark.parametrize("scoring", ["random", "dyadic", "uniform"])
-    def test_exactly_k_and_k_plus_one_candidates_with_and_without_a_wide_parent(self, scoring):
-        # dyadic rows tie across parents, and uniform rows tie everywhere
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(("random", "dyadic", "uniform").index(scoring) + 71)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        met: dict[str, set] = {}
-        for _ in range(40):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 40)), max_len=4)
-            trie = build_trie(seqs, vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 5))))
-            scorer = {
-                "random": lambda: random_table_scorer(rng, vocab),
-                "dyadic": lambda: DyadicBigramScorer(rng, vocab.size),
-                "uniform": lambda: UniformScorer(vocab.size),
-            }[scoring]()
-            searches = {
-                "trie": ((), trie, 8),
-                "candidates": ((), _Candidates(seqs), 8),
-                "markup": (source, MarkupConstraint(source, trie), 30),
-            }
-            for kind, (inputs, constraint, max_steps) in searches.items():
-                for k in (1, 2, 3):
-                    config = BeamConfig(k, max_steps, bool(rng.integers(0, 2)))
-                    shaped = StepShapes(constraint)
-                    got = beam_search(scorer, inputs, shaped, config)
-                    assert got == reference_beam_search(scorer, inputs, constraint, config)
-                    met.setdefault(kind, set()).update(shaped.shapes(k))
-        for kind, shapes in met.items():
-            assert shapes >= {(extra, wide) for extra in (0, 1) for wide in (False, True)}, kind
-
-
-class AdvanceChecked:
-    """``inner`` that records every ``advance(state, token)`` call in ``advanced``.
-
-    Each call asserts that ``token`` is in ``allowed(state)``, the one place
-    ``advance`` is defined, so never EOS.
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.advanced = []
-
-    def start(self):
-        return self.inner.start()
-
-    def final(self, state):
-        return self.inner.final(state)
-
-    def allowed(self, state):
-        return self.inner.allowed(state)
-
-    def advance(self, state, token):
-        assert token in [int(t) for t in self.inner.allowed(state)]
-        self.advanced.append((state, token))
-        return self.inner.advance(state, token)
-
-
-class TestAdvanceOnlyOnAllowedIds:
-    """``beam_search`` advances a state only on one of its allowed ids."""
-
-    def test_trie_candidates_and_markup_below_and_above_the_fanout(self):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(53)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        # every allowed set is narrower than the vocabulary, which holds SOS and EOS
-        ks = (1, 2, vocab.size)
-        met = set()
-        for _ in range(15):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(5, 40)), max_len=5)
-            trie = build_trie(seqs, vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 6))))
-            scorer = random_table_scorer(rng, vocab)
-            searches = {
-                "trie": ((), trie, 8),
-                "candidates": ((), _Candidates(sorted(seqs)), 8),
-                "markup": (source, MarkupConstraint(source, trie), 40),
-            }
-            for kind, (inputs, constraint, max_steps) in searches.items():
-                for k in ks:
-                    config = BeamConfig(k, max_steps, length_normalize=False)
-                    checked = AdvanceChecked(constraint)
-                    assert beam_search(scorer, inputs, checked, config) == beam_search(
-                        scorer, inputs, constraint, config
-                    )
-                    assert checked.advanced
-                    widths = [len(constraint.allowed(state)) for state, _ in checked.advanced]
-                    met |= {(kind, max(widths) > k)}
-        # each constraint met a parent wider than k and a search narrower throughout
-        assert met == {(kind, wider) for kind in searches for wider in (False, True)}
-
-
-def read_only(row: np.ndarray) -> np.ndarray:
-    row.flags.writeable = False
-    return row
-
-
-class RowPerContext:
-    """One read-only row per previous token, handed out as the same object each time.
-
-    Tied rows hold quarters, so sums are exact and tie often; untied rows
-    hold continuous values.
-    """
-
-    def __init__(self, rng: np.random.Generator, vocab_size: int, tied: bool) -> None:
-        self.vocab_size = vocab_size
-        rows = -rng.exponential(1.0, (vocab_size, vocab_size))
-        if tied:
-            rows = np.round(rows * 4) / 4
-        self._rows = [read_only(row.copy()) for row in rows]
-
-    def next_token_logprobs(self, input_tokens, prefix):
-        return self._rows[prefix[-1] if prefix else 0]
-
-
-class RefilledRow:
-    """A row per whole prefix, copied into one writeable buffer that every call returns."""
-
-    def __init__(self, vocab_size: int) -> None:
-        self.vocab_size = vocab_size
-        self._buffer = np.empty(vocab_size)
-
-    def next_token_logprobs(self, input_tokens, prefix):
-        seed = zlib.crc32(np.array(prefix, dtype=np.int64).tobytes())
-        self._buffer[:] = -np.random.default_rng(seed).exponential(1.0, self.vocab_size)
-        return self._buffer
-
-
-class RefilledList(AdvanceChecked):
-    """``inner`` whose allowed ids are copied into one list that every call refills and returns."""
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self._buffer = []
-
-    def allowed(self, state):
-        self._buffer[:] = map(int, self.inner.allowed(state))
-        return self._buffer
-
-
-class Chain:
-    """A constraint that walks ``steps``, one allowed set per step, whatever the token; final at the end."""
-
-    def __init__(self, steps) -> None:
-        self.steps = steps
-
-    def start(self):
-        return 0
-
-    def final(self, state):
-        return state == len(self.steps)
-
-    def allowed(self, state):
-        return self.steps[state] if state < len(self.steps) else ()
-
-    def advance(self, state, token):
-        return state + 1
-
-
-class RowPerStep:
-    """``rows[i]`` at step ``i``, the same object wherever one row repeats."""
-
-    def __init__(self, rows) -> None:
-        self.vocab_size = len(rows[0])
-        self.rows = rows
-
-    def next_token_logprobs(self, input_tokens, prefix):
-        return self.rows[len(prefix)]
-
-
-@pytest.fixture
-def sorts(monkeypatch):
-    """Counts of wide parents (``wide``) and of the exact sorts run for them (``exact``) during a test.
-
-    An exact sort is a ``_cut`` call, the one in the ``_order`` of a pair the memo records included.
-    """
-    counts = {"wide": 0, "exact": 0}
-    memo_cut, cut = beam._memo_cut, beam._cut
-
-    def counted_memo_cut(*args):
-        counts["wide"] += 1
-        return memo_cut(*args)
-
-    def counted_cut(*args):
-        counts["exact"] += 1
-        return cut(*args)
-
-    monkeypatch.setattr(beam, "_memo_cut", counted_memo_cut)
-    monkeypatch.setattr(beam, "_cut", counted_cut)
-    return counts
+                assert ranking == brute  # at full width, bit for bit
+
+
+# --- the exactness grid ---------------------------------------------------
+
+CONSTRAINTS = ("trie", "candidates", "markup", "chain")
+SCORERS = ("random", "dyadic", "uniform", "flat", "read-only", "refilled")
+READ_ONLY_ROWS = {"random", "uniform", "flat", "read-only"}
+KINDS = (None, list, tuple, np.ndarray, "read-only")
+# the branches of a search, each met at least 5 times over the grid
+BRANCHES = ("keep_all_steps", "unrecorded_cuts", "recorded_pairs", "memo_reuses", "exact_fallbacks", "bar_skips")
+BRANCHES += ("dead_ends", "retired_with_ids", "dropped")
+
+
+def grid_constraint(name: str, rng: np.random.Generator, vocab: Vocabulary):
+    """``(inputs, constraint, max_steps)`` of one random search under constraint ``name``: shared prefixes make
+    wide parents, a ``max_steps`` below the longest name drops live hypotheses, a chain's empty step is a dead end."""
+    ordinary = np.arange(vocab.ordinary_base, vocab.size)
+    if name == "chain":
+        widths = rng.integers(0, 7, size=int(rng.integers(1, 6)))
+        steps = [tuple(np.sort(rng.choice(ordinary, size=int(n), replace=False)).tolist()) for n in widths]
+        return (), Chain(steps), int(rng.integers(1, len(steps) + 2))
+    seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 120)), max_len=int(rng.integers(2, 5)))
+    if name == "markup":
+        source = tuple(rng.choice(ordinary, size=int(rng.integers(1, 5))).tolist())
+        return source, MarkupConstraint(source, build_trie(seqs, vocab.size)), int(rng.integers(2, 30))
+    constraint = build_trie(seqs, vocab.size) if name == "trie" else _Candidates(seqs)
+    return (), constraint, int(rng.integers(2, 7))
+
+
+def grid_scorer(name: str, rng: np.random.Generator, vocab: Vocabulary) -> Rows:
+    """Scorer ``name`` of the grid, counting its calls: ``random`` is a table scorer's read-only rows, ``dyadic``
+    ties across parents in new writeable views, ``uniform`` ties everywhere, ``flat`` is one value per row with up
+    to three peaks, some one ulp high, which rounding merges at most ``cum``; ``read-only`` is one continuous
+    read-only row per context, and ``refilled`` one writeable buffer refilled per prefix."""
+    size = vocab.size
+    if name == "random":
+        table = random_table_scorer(rng, vocab)
+        return Rows(size, lambda prefix: table.next_token_logprobs((), prefix))
+    if name == "uniform":
+        row = UniformScorer(size).next_token_logprobs((), ())
+        return Rows(size, lambda prefix: row)
+    if name == "refilled":
+        buffer = np.empty(size)
+
+        def refill(prefix):
+            buffer[:] = -np.random.default_rng(zlib.crc32(repr(prefix).encode())).exponential(1.0, size)
+            return buffer
+
+        return Rows(size, refill)
+    if name == "dyadic":
+        return per_context(dyadic_rows(rng, size))
+    if name == "flat":
+        rows = np.repeat(-rng.integers(2, 6, size=(size, 1)) / 4.0, size, axis=1)
+        for row in rows:
+            spots = rng.choice(size, size=int(rng.integers(0, 4)), replace=False)
+            row[spots] += rng.choice((0.25, 0.5, 2.0**-52, 2.0**-52), size=len(spots))
+    else:
+        rows = -rng.exponential(1.0, (size, size))
+    return per_context([read_only(row.copy()) for row in rows])
+
+
+@functools.cache
+def grid_cell(constraint_name: str, scorer_name: str) -> DecodeStats:
+    """Asserts each search of one grid cell, and returns their summed counts: every search, at ``k`` 1, 2, 3
+    and 10 with normalization on and off, under each kind of allowed ids, equals the reference, emits plain
+    ints, counts the scorer's calls and the children it advances, and records no pair where the row or the
+    ids may change."""
+    vocab = pool_vocabulary()
+    rng = np.random.default_rng(zlib.crc32(f"{constraint_name} {scorer_name}".encode()))
+    total = DecodeStats()
+    for _ in range(4):
+        inputs, constraint, max_steps = grid_constraint(constraint_name, rng, vocab)
+        scorer = grid_scorer(scorer_name, rng, vocab)
+        for k in (1, 2, 3, 10):
+            for normalize in (False, True):
+                config = BeamConfig(k, max_steps, normalize)
+                want = reference_beam_search(scorer, inputs, constraint, config)
+                # no renormalization: each score is the unconstrained sequence score
+                assert [h.cum_logprob for h in want] == [sequence_score(scorer, inputs, h.tokens) for h in want]
+                for kind in KINDS:
+                    shown = AllowedAs(constraint, kind)
+                    stats, calls = DecodeStats(), scorer.calls
+                    got = beam_search(scorer, inputs, shown, config, stats)
+                    case = constraint_name, scorer_name, kind, config
+                    assert got == want, case  # equal tokens and bit-equal cum_logprob
+                    assert all(type(t) is int for h in got for t in h.tokens), case
+                    assert stats.scorer_calls == scorer.calls - calls, case
+                    # each candidate kept is advanced once, and the best k of the pool are returned
+                    assert stats.candidates - stats.pruned == shown.advances, case
+                    assert len(got) == min(k, stats.finished), case
+                    promised = kind in (tuple, "read-only") or kind is None and constraint_name in ("markup", "chain")
+                    assert stats.recorded_pairs == 0 or promised and scorer_name in READ_ONLY_ROWS, case
+                    total += stats
+    return total
+
+
+class TestExactnessGrid:
+    """Every search of the grid equals the reference, and the grid meets every branch of the search."""
+
+    @pytest.mark.parametrize("scorer_name", SCORERS)
+    @pytest.mark.parametrize("constraint_name", CONSTRAINTS)
+    def test_each_search_equals_the_reference(self, constraint_name, scorer_name):
+        assert grid_cell(constraint_name, scorer_name).searches == 4 * 4 * 2 * len(KINDS)
+
+    def test_the_grid_meets_every_branch(self):
+        total = DecodeStats()
+        for constraint_name in CONSTRAINTS:
+            for scorer_name in SCORERS:
+                total += grid_cell(constraint_name, scorer_name)
+        met = {name: getattr(total, name) for name in BRANCHES}
+        assert min(met.values()) >= 5, met
+
+
+# --- hand-built cases, bit for bit ----------------------------------------
 
 
 class TestCutMemo:
     """A wide parent's cut, reused within one search, equals the reference."""
 
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_repeated_pairs_under_markup_match_reference(self, tied, sorts):
-        # few words and names of 1-3 tokens: the names share prefixes, and each
-        # link re-enters nodes that earlier hypotheses met at other scores
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(601 + tied)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        for _ in range(12):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3)
-            trie = build_trie(seqs, vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(3, 7))))
-            scorer = RowPerContext(rng, vocab.size, tied)
-            for k in (1, 2, 3, 4):
-                config = BeamConfig(k, 60, bool(rng.integers(0, 2)))
-                got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
-                assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
-        # about half the wide cuts reused an earlier sort
-        assert sorts["exact"] < sorts["wide"] * 2 / 3
-
-    @pytest.mark.parametrize(
-        "gaps, winners, exact",
-        [
-            # met at cum 0, then at cum -1000 where the two sums round to one value
-            ((-999.0,), (8, 7), 2),
-            # and reused in between, at cum -1.5 where they stay apart
-            ((-0.5, -999.0), (8, 8, 7), 2),
-        ],
-    )
-    def test_sums_that_round_together_take_the_exact_sort(self, gaps, winners, exact, sorts):
-        a, b, c = 7, 8, 9
-        pair = (a, b)
+    # the pair of ids 7 and 8 is met at cum 0, then at cum -1000 where its two sums round to one
+    # value, and in the second case also reused in between, at cum -1.5 where they stay apart
+    @pytest.mark.parametrize("gaps, winners, reuses", [((-999.0,), (8, 7), 1), ((-0.5, -999.0), (8, 8, 7), 2)])
+    def test_sums_that_round_together_take_the_exact_sort(self, gaps, winners, reuses):
         row = np.full(10, -5.0)
-        row[a], row[b] = -1.0 - 2**-50, -1.0  # apart at cum 0, one value at cum -1000
-        row = read_only(row)
-        steps, rows = [pair], [row]
+        row[[7, 8]] = -1.0 - 2**-50, -1.0  # apart at cum 0, one value at cum -1000
+        steps, rows = [(7, 8)], [read_only(row)]
         for gap in gaps:
             bridge = np.full(10, -5.0)
-            bridge[c] = gap
-            steps += [(c,), pair]
+            bridge[9] = gap
+            steps += [(9,), (7, 8)]
             rows += [read_only(bridge), row]
-        constraint, scorer = Chain(steps), RowPerStep(rows + [row])
+        constraint, scorer = Chain(steps), Rows(10, lambda prefix: (rows + [row])[len(prefix)])
         config = BeamConfig(k=1, max_steps=len(steps) + 1, length_normalize=False)
-        (got,) = beam_search(scorer, (), constraint, config)
+        stats = DecodeStats()
+        (got,) = beam_search(scorer, (), constraint, config, stats)
         assert got.tokens[::2] == winners
         assert [got] == reference_beam_search(scorer, (), constraint, config)
-        # the first sighting and the pair met where the sums merge
-        assert sorts == {"wide": len(winners), "exact": exact}
-
-    def test_a_refilled_writeable_row_matches_reference(self):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(607)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        scorer = RefilledRow(vocab.size)
-        for _ in range(10):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3)
-            trie = build_trie(seqs, vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(3, 7))))
-            for k in (1, 2, 3):
-                config = BeamConfig(k, 60, length_normalize=False)
-                got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
-                assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
-
-    def test_a_refilled_list_of_ids_matches_reference(self):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(613)
-        row = read_only(-rng.exponential(1.0, vocab.size))
-        scorer = RowPerStep([row] * 16)  # one row object for every prefix
-        for _ in range(10):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(20, 80)), max_len=5)
-            trie = build_trie(seqs, vocab.size)
-            for k in (1, 2, 3):
-                config = BeamConfig(k, 8, length_normalize=False)
-                got = beam_search(scorer, (), RefilledList(trie), config)
-                assert got == reference_beam_search(scorer, (), trie, config)
+        # one pair, sorted on first sight; the exact sort ran where the sums merge
+        counts = stats.wide_parents, stats.recorded_pairs, stats.memo_reuses, stats.exact_fallbacks
+        assert counts == (len(winners), 1, reuses, 1)
 
     def test_no_row_outlives_its_search(self):
         # rows of an input-conditioned table scorer are freed when it moves to
@@ -759,71 +497,79 @@ class TestCutMemo:
         scorer.next_token_logprobs(second, ())
         assert row_ref() is None
 
-    def test_trie_views_are_cut_and_never_recorded(self, monkeypatch):
-        # read-only rows, so only the ids decide: a trie hands out a fresh view per call
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(619)
-        trie = build_trie(random_sequences(rng, vocab, size=200, max_len=3), vocab.size)
-        scorer = RowPerContext(rng, vocab.size, tied=True)
-        memo_cut, wide = beam._memo_cut, [0]
 
-        def checked(cuts, *args):
-            wide[0] += 1
-            cut = memo_cut(cuts, *args)
-            assert not cuts
-            return cut
+def two_parents(later_top: float) -> tuple[Chain, Rows]:
+    """Parents 7 (cum -0.1) and 8 (cum -0.2) over ids 3, 4, 5 at k=2: parent 7 keeps 3 and 4 at -0.1 + -0.2,
+    the bar, and parent 8's best id, 3, scores -0.2 + ``later_top``."""
+    default = np.full(10, -9.0)
+    default[EOS] = 0.0  # final scores keep the step's sums apart
+    root, first, later = default.copy(), default.copy(), default.copy()
+    root[[7, 8]] = -0.1, -0.2
+    first[[3, 4, 5]] = -0.2, -0.2, -3.0
+    later[[3, 4, 5]] = later_top, -5.0, -5.0
+    return Chain([(7, 8), (3, 4, 5)]), by_prefix({(): root, (7,): first, (8,): later}, default)
 
-        def never(*args):
-            raise AssertionError("_order sorted a trie view")
 
-        monkeypatch.setattr(beam, "_memo_cut", checked)
-        monkeypatch.setattr(beam, "_order", never)
-        for k in (1, 2, 3):
-            config = BeamConfig(k, 4, length_normalize=False)
-            assert beam_search(scorer, (), trie, config) == reference_beam_search(scorer, (), trie, config)
-        assert wide[0] > 3
+class TestStepBar:
+    """A wide parent whose best id cannot pass the step's bar is not sorted, and nothing changes."""
 
-    def test_a_link_sorts_each_recorded_pair_once_on_first_sight(self, monkeypatch):
-        # with read-only rows every wide pair of a link is recorded: a node's
-        # owned array inside ``(...)``, a per-cursor tuple outside
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(631)
-        ordinary = list(range(vocab.ordinary_base, vocab.size))
-        memo_cut, order = beam._memo_cut, beam._order
-        met, sorted_pairs = [], []  # (row, ids) pairs, held, so no two live ones share their id()s
-        orders = [0]
+    @staticmethod
+    def search(constraint, scorer, config):
+        """The search's result, checked, and its (wide parents, bar skips, unrecorded cuts, recorded pairs)."""
+        stats = DecodeStats()
+        got = beam_search(scorer, (), constraint, config, stats)
+        assert got == reference_beam_search(scorer, (), constraint, config)
+        return got, (stats.wide_parents, stats.bar_skips, stats.unrecorded_cuts, stats.recorded_pairs)
 
-        def recorded_memo_cut(cuts, logprobs, allowed, *rest):
-            met.append((logprobs, allowed))
-            recorded = len(cuts)
-            cut = memo_cut(cuts, logprobs, allowed, *rest)
-            if len(cuts) > recorded:
-                sorted_pairs.append((logprobs, allowed))
-            return cut
+    def test_a_parent_of_minus_inf_values_before_any_cut_is_sorted(self):
+        # the first wide parent meets no bar, whatever its values
+        trie = build_trie([(3, 5), (3, 6), (3, 7), (4, 5)], 10)
+        default = np.full(10, -1.0)
+        below_three = default.copy()
+        below_three[[5, 6, 7]] = -np.inf
+        scorer = by_prefix({(3,): below_three}, default)
+        got, wide = self.search(trie, scorer, BeamConfig(k=2, max_steps=4, length_normalize=False))
+        assert [h.tokens for h in got] == [(4, 5, EOS), (3, 5, EOS)]
+        assert got[1].cum_logprob == -np.inf
+        assert wide == (1, 0, 1, 0)
 
-        def counted_order(*args):
-            orders[0] += 1
-            return order(*args)
+    @pytest.mark.parametrize(
+        "past, kept, counts", [(0, [(7, 3), (7, 4)], (2, 1, 1, 0)), (1, [(8, 3), (7, 3)], (2, 0, 2, 0))]
+    )
+    def test_a_later_best_id_tying_the_bar_loses_on_rank_and_one_ulp_past_it_is_kept(self, past, kept, counts):
+        bar, top = -0.1 + -0.2, -0.1
+        while past and -0.2 + top == bar:
+            top = math.nextafter(top, 0.0)
+        assert -0.2 + top == (math.nextafter(bar, 0.0) if past else bar)  # bit for bit, from other values
+        got, wide = self.search(*two_parents(top), BeamConfig(k=2, max_steps=3, length_normalize=False))
+        assert [h.tokens[:2] for h in got] == kept and wide == counts
 
-        monkeypatch.setattr(beam, "_memo_cut", recorded_memo_cut)
-        monkeypatch.setattr(beam, "_order", counted_order)
-        reused = 0
-        for _ in range(6):
-            trie = build_trie(random_sequences(rng, vocab, size=int(rng.integers(20, 60)), max_len=3), vocab.size)
-            source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(3, 7))))
-            scorer = RowPerContext(rng, vocab.size, tied=False)
-            for k in (1, 2, 3):
-                met.clear()
-                sorted_pairs.clear()
-                orders[0] = 0
-                config = BeamConfig(k, 60, length_normalize=False)
-                got = beam_search(scorer, source, MarkupConstraint(source, trie), config)
-                assert got == reference_beam_search(scorer, source, MarkupConstraint(source, trie), config)
-                first_sights = list(dict.fromkeys((id(row), id(ids)) for row, ids in met))
-                assert [(id(row), id(ids)) for row, ids in sorted_pairs] == first_sights
-                assert orders[0] == len(first_sights)
-                reused += len(met) - len(first_sights)
-        assert reused > 0
+    def test_a_row_with_nan_among_the_allowed_values_raises(self):
+        # the later parent's row is read although the bar skips it: at -5.0 it is skipped
+        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
+        assert self.search(*two_parents(-5.0), config)[1] == (2, 1, 1, 0)
+        constraint, scorer = two_parents(math.nan)
+        with pytest.raises(BeamError, match=r"^scorer gave token 3 the value nan;"):
+            beam_search(scorer, (), constraint, config)
+
+    @pytest.mark.parametrize("value", [-5.0, math.nan])
+    def test_a_recorded_pair_with_nan_among_its_values_raises(self, value):
+        # parents 8 and 9 meet one (row, ids) pair, which is recorded; its
+        # best value is finite, but the NaN elsewhere in its ids is read
+        default = np.full(10, -9.0)
+        default[EOS] = 0.0
+        root, first, shared = default.copy(), default.copy(), default.copy()
+        root[[7, 8, 9]] = -0.1, -0.2, -0.3
+        first[[3, 4, 5, 6]] = -0.1, -0.1, -0.1, -3.0
+        shared[[3, 4, 5, 6]] = -5.0, value, -5.0, -5.0
+        scorer = by_prefix({(): root, (7,): read_only(first), (8,): read_only(shared), (9,): shared}, default)
+        constraint, config = Chain([(7, 8, 9), (3, 4, 5, 6)]), BeamConfig(k=3, max_steps=3, length_normalize=False)
+        if math.isnan(value):
+            with pytest.raises(BeamError, match=r"^scorer gave token 4 the value nan;"):
+                beam_search(scorer, (), constraint, config)
+            return
+        # with a finite value, parent 8 records the pair and 9 reuses it, both at the bar
+        assert self.search(constraint, scorer, config)[1] == (3, 2, 0, 2)
 
 
 class TestOrder:
@@ -862,143 +608,6 @@ class TestOrder:
                         assert repr(got) == repr(reference_order(row, allowed, k)[:4]), (row, allowed, k)
 
 
-class FlatRows:
-    """One read-only row per previous token: one value throughout, or that value with a few peaks.
-
-    Values are quarters, so sums are exact and tie across parents often.
-    Every value is at most -0.25, a log-probability.
-    """
-
-    def __init__(self, rng: np.random.Generator, vocab_size: int, peaks: bool) -> None:
-        self.vocab_size = vocab_size
-        rows = np.repeat(-rng.integers(1, 5, size=(vocab_size, 1)) / 4.0, vocab_size, axis=1)
-        if peaks:
-            for row in rows:
-                spots = rng.choice(vocab_size, size=int(rng.integers(1, 4)), replace=False)
-                row[spots] += rng.integers(1, 4, size=len(spots)) / 4.0
-            rows -= 0.75
-        self._rows = [read_only(row) for row in rows]
-
-    def next_token_logprobs(self, input_tokens, prefix):
-        return self._rows[prefix[-1] if prefix else 0]
-
-
-class RowPerPrefix:
-    """``rows[prefix]`` where given, else ``default``."""
-
-    def __init__(self, rows, default) -> None:
-        self.vocab_size = len(default)
-        self.rows = rows
-        self.default = default
-
-    def next_token_logprobs(self, input_tokens, prefix):
-        return self.rows.get(tuple(prefix), self.default)
-
-
-class TestStepBar:
-    """A wide parent whose best id cannot pass the step's bar is not sorted, and nothing changes."""
-
-    @pytest.mark.parametrize("peaks", [False, True], ids=["flat", "few-peak"])
-    def test_random_shared_prefix_tries_match_reference(self, peaks, sorts):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(701 + peaks)
-        for _ in range(15):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(100, 300)), max_len=4)
-            trie = build_trie(seqs, vocab.size)
-            scorer = FlatRows(rng, vocab.size, peaks)
-            for k in (1, 2, 3, 4):
-                config = BeamConfig(k, 6, bool(rng.integers(0, 2)))
-                assert beam_search(scorer, (), trie, config) == reference_beam_search(scorer, (), trie, config)
-        # trie views are new objects per call, so no cut is reused: every
-        # wide parent not sorted was skipped at the bar, over a fifth of them
-        assert sorts["exact"] < sorts["wide"] * 4 / 5
-
-    def test_a_parent_of_minus_inf_values_before_any_cut_is_sorted(self, sorts):
-        # the first wide parent meets no bar, whatever its values
-        trie = build_trie([(3, 5), (3, 6), (3, 7), (4, 5)], 10)
-        default = np.full(10, -1.0)
-        below_three = default.copy()
-        below_three[[5, 6, 7]] = -np.inf
-        scorer = RowPerPrefix({(3,): below_three}, default)
-        config = BeamConfig(k=2, max_steps=4, length_normalize=False)
-        got = beam_search(scorer, (), trie, config)
-        assert [h.tokens for h in got] == [(4, 5, EOS), (3, 5, EOS)]
-        assert got[1].cum_logprob == -np.inf
-        assert got == reference_beam_search(scorer, (), trie, config)
-        assert sorts == {"wide": 1, "exact": 1}
-
-    @staticmethod
-    def two_parents(later_top: float) -> tuple[Chain, RowPerPrefix]:
-        """Parents 7 (cum -0.1) and 8 (cum -0.2) over ids 3, 4, 5 at k=2.
-
-        Parent 7 keeps 3 and 4 at -0.1 + -0.2, the bar; parent 8's best id, 3,
-        scores -0.2 + ``later_top``.
-        """
-        default = np.full(10, -9.0)
-        default[EOS] = 0.0  # final scores keep the step's sums apart
-        root, first, later = default.copy(), default.copy(), default.copy()
-        root[[7, 8]] = -0.1, -0.2
-        first[[3, 4, 5]] = -0.2, -0.2, -3.0
-        later[[3, 4, 5]] = later_top, -5.0, -5.0
-        return Chain([(7, 8), (3, 4, 5)]), RowPerPrefix({(): root, (7,): first, (8,): later}, default)
-
-    def test_a_later_best_id_tying_the_bar_loses_on_rank(self, sorts):
-        bar = -0.1 + -0.2
-        assert -0.2 + -0.1 == bar  # a tie bit for bit, from other values
-        constraint, scorer = self.two_parents(-0.1)
-        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
-        got = beam_search(scorer, (), constraint, config)
-        assert [h.tokens[:2] for h in got] == [(7, 3), (7, 4)]
-        assert got == reference_beam_search(scorer, (), constraint, config)
-        assert sorts == {"wide": 2, "exact": 1}
-
-    def test_a_later_best_id_one_ulp_past_the_bar_is_kept(self, sorts):
-        bar = -0.1 + -0.2
-        top = -0.1
-        while -0.2 + top == bar:
-            top = math.nextafter(top, 0.0)
-        assert -0.2 + top == math.nextafter(bar, 0.0)
-        constraint, scorer = self.two_parents(top)
-        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
-        got = beam_search(scorer, (), constraint, config)
-        assert [h.tokens[:2] for h in got] == [(8, 3), (7, 3)]
-        assert got == reference_beam_search(scorer, (), constraint, config)
-        assert sorts == {"wide": 2, "exact": 2}
-
-    def test_a_row_with_nan_among_the_allowed_values_raises(self, sorts):
-        # the later parent's row is read whether or not the bar skips it
-        constraint, scorer = self.two_parents(math.nan)
-        config = BeamConfig(k=2, max_steps=3, length_normalize=False)
-        with pytest.raises(BeamError, match=r"^scorer gave token 3 the value nan; a log-probability is at most 0\.0$"):
-            beam_search(scorer, (), constraint, config)
-        assert sorts == {"wide": 2, "exact": 1}
-
-    def test_a_recorded_pair_with_nan_among_its_values_raises(self, monkeypatch):
-        # parents 8 and 9 meet one (row, ids) pair, which is recorded; its
-        # best value is finite, but the NaN elsewhere in its ids is read
-        default = np.full(10, -9.0)
-        default[EOS] = 0.0
-        root, first, shared = default.copy(), default.copy(), default.copy()
-        root[[7, 8, 9]] = -0.1, -0.2, -0.3
-        first[[3, 4, 5, 6]] = -0.1, -0.1, -0.1, -3.0
-        shared[[3, 4, 5, 6]] = -5.0, math.nan, -5.0, -5.0
-        shared = read_only(shared)
-        scorer = RowPerPrefix({(): root, (7,): read_only(first), (8,): shared, (9,): shared}, default)
-        constraint = Chain([(7, 8, 9), (3, 4, 5, 6)])
-        skipped = []
-        memo_cut = beam._memo_cut
-
-        def recorded(*args):
-            cut = memo_cut(*args)
-            skipped.append(cut is None)
-            return cut
-
-        monkeypatch.setattr(beam, "_memo_cut", recorded)
-        with pytest.raises(BeamError, match=r"^scorer gave token 4 the value nan; a log-probability is at most 0\.0$"):
-            beam_search(scorer, (), constraint, BeamConfig(k=3, max_steps=3, length_normalize=False))
-        assert skipped == [False]  # parent 7 was cut; parent 8 raised on first sight of the pair
-
-
 class TestScorerValues:
     """A scorer value above 0.0, or NaN, is no log-probability: the search that reads it raises."""
 
@@ -1009,15 +618,18 @@ class TestScorerValues:
     def message(token: int, value: float) -> str:
         return rf"^scorer gave token {token} the value {re.escape(repr(value))}; a log-probability is at most 0\.0$"
 
+    @staticmethod
+    def scorer(rows: dict) -> Rows:
+        return by_prefix(rows, np.full(12, -2.0))
+
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_a_bad_value_at_an_allowed_root_id_raises_at_every_width(self, bad, k):
         # at k 1 and 2 the root is a wide parent, at 4, the catalog size, a narrow one
         root = np.full(12, -2.0)
         root[8] = bad
-        scorer = RowPerPrefix({(): root}, np.full(12, -2.0))
         with pytest.raises(BeamError, match=self.message(8, bad)):
-            beam_search(scorer, (), build_trie(self.SEQS, 12), BeamConfig(k, 4))
+            beam_search(self.scorer({(): root}), (), build_trie(self.SEQS, 12), BeamConfig(k, 4))
 
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -1025,26 +637,23 @@ class TestScorerValues:
         root, after_8 = np.full(12, -2.0), np.full(12, -2.0)
         root[8] = -0.5  # name 8 makes every cut
         after_8[EOS] = bad
-        scorer = RowPerPrefix({(): root, (8,): after_8}, np.full(12, -2.0))
         with pytest.raises(BeamError, match=self.message(EOS, bad)):
-            beam_search(scorer, (), build_trie(self.SEQS, 12), BeamConfig(k, 4))
+            beam_search(self.scorer({(): root, (8,): after_8}), (), build_trie(self.SEQS, 12), BeamConfig(k, 4))
 
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_a_bad_value_in_a_recorded_pair_raises(self, bad, k, sorts):
+    def test_a_bad_value_in_a_recorded_pair_raises(self, bad, k):
         # a read-only row and a tuple of ids: the memo would record the pair,
-        # but the value is refused on first sight, before any sort
+        # but the value is refused on first sight
         row = np.full(12, -2.0)
         row[8] = bad
-        scorer = RowPerStep([read_only(row), np.full(12, -2.0)])
         with pytest.raises(BeamError, match=self.message(8, bad)):
-            beam_search(scorer, (), Chain([(7, 8, 9, 10)]), BeamConfig(k, 2))
-        assert sorts == {"wide": 1, "exact": 0}
+            beam_search(self.scorer({(): read_only(row)}), (), Chain([(7, 8, 9, 10)]), BeamConfig(k, 2))
 
     def test_minus_inf_is_a_log_probability(self):
         root = np.full(12, -2.0)
         root[[8, EOS]] = -np.inf
-        scorer = RowPerPrefix({(): root}, root)
+        scorer = Rows(12, lambda prefix: root)
         got = beam_search(scorer, (), build_trie(self.SEQS, 12), BeamConfig(1, 4, length_normalize=False))
         assert [(h.tokens, h.cum_logprob) for h in got] == [((7, EOS), -np.inf)]
 
@@ -1054,10 +663,9 @@ class TestScorerValues:
         assert vocab.size == 12 and encode("b", vocab) == [8]
         root = np.full(12, -2.0)
         root[8] = bad
-        scorer = RowPerPrefix({(): root}, np.full(12, -2.0))
         catalog = catalog_from_sequences(self.SEQS, vocab)
         with pytest.raises(ScorerError, match=rf"^step 0: scorer gave token 8 the value {re.escape(repr(bad))};"):
-            exhaustive_rank(scorer, (), catalog, True, vocab)
+            exhaustive_rank(self.scorer({(): root}), (), catalog, True, vocab)
 
 
 class TestConstraintProtocol:
@@ -1124,24 +732,6 @@ class TestNormalizationFlip:
         assert normalized == exhaustive_rank(scorer, (), catalog, True, vocab)
 
 
-class TestValidityAndScores:
-    def test_only_catalog_names_with_exact_raw_scores(self):
-        vocab = pool_vocabulary()
-        rng = np.random.default_rng(101)
-        for _ in range(60):
-            seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 12)), max_len=4)
-            trie = build_trie(seqs, vocab.size)
-            scorer = random_table_scorer(rng, vocab)
-            k = int(rng.integers(1, len(seqs) + 1))
-            normalize = bool(rng.integers(0, 2))
-            ranking = rank_entities(scorer, (), trie, BeamConfig(k, 15, normalize), vocab)
-            for entry in ranking:
-                assert trie.contains(entry.tokens[:-1])
-                # masking does not renormalize, so the constrained score is
-                # exactly the unconstrained one
-                assert entry.raw_logprob == sequence_score(scorer, (), entry.tokens)
-
-
 class TestBeamWidthBehavior:
     """Wider beams are exact at full width and never beat the true optimum.
 
@@ -1191,3 +781,13 @@ class TestConfigValidation:
         hyp = Hypothesis((7, EOS), -1.0, True)
         with pytest.raises(AttributeError):
             hyp.cum_logprob = 0.0
+
+
+def test_no_test_patches_the_beam_module():
+    # a search's work is read off DecodeStats: no test replaces an attribute of trie_decode.beam
+    patch = re.compile(r"setattr\(\s*[\"']?(trie_decode\.)?beam\b")
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in patch.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            raise AssertionError(f"{path.name}:{line} patches trie_decode.beam: read DecodeStats instead")

@@ -10,8 +10,7 @@ from array import array
 import numpy as np
 import pytest
 
-from trie_decode import beam
-from trie_decode.beam import BeamConfig, BeamError, RankedEntry, RankedResult, rank_entities
+from trie_decode.beam import BeamConfig, BeamError, DecodeStats, RankedEntry, RankedResult, beam_search, rank_entities
 from trie_decode.catalog import CandidateSet, CatalogError, load_candidate_sets
 from trie_decode.metrics import EvalReport, RetrievalReport
 from trie_decode.scoring import OracleScorer, UniformScorer, train_table_scorer
@@ -549,25 +548,17 @@ class TestCandidateConstraint:
         assert candidates.allowed(candidates.advance(root, ids[1])) == [ids[0], ids[2]]
         self.walk(seqs, vocab)
 
-    def test_a_wide_root_is_cut_through_the_memo_with_a_list(self, vocab, monkeypatch):
+    def test_a_wide_root_is_cut_through_the_memo_with_a_list(self, vocab):
         rng = np.random.default_rng(67)
         ordinary = list(range(vocab.ordinary_base, vocab.size))
         seqs = [(t,) for t in ordinary[::-1]] + [(ordinary[0], ordinary[1]), (ordinary[2], ordinary[0])]
-        memo_cut, kinds = beam._memo_cut, []
-
-        def recorded(cuts, logprobs, allowed, *rest):
-            kinds.append(type(allowed))
-            cut = memo_cut(cuts, logprobs, allowed, *rest)
-            assert not cuts  # a fresh list is never recorded
-            return cut
-
         scorer, trie = random_table_scorer(rng, vocab), build_trie(seqs, vocab.size)
-        configs = [BeamConfig(k, 4, False) for k in (1, 2, 3)]
-        wants = [beam.beam_search(scorer, (), trie, config) for config in configs]
-        monkeypatch.setattr(beam, "_memo_cut", recorded)
-        for config, want in zip(configs, wants):
-            assert beam.beam_search(scorer, (), _Candidates(seqs), config) == want
-        assert kinds and set(kinds) == {list}
+        stats = DecodeStats()
+        for k in (1, 2, 3):
+            config = BeamConfig(k, 4, False)
+            assert beam_search(scorer, (), _Candidates(seqs), config, stats) == beam_search(scorer, (), trie, config)
+        # read-only rows, but a fresh list of ids is never recorded
+        assert stats.wide_parents > 0 and stats.recorded_pairs == 0
 
     def test_disambiguate_equals_the_trie_path(self, vocab):
         rng = np.random.default_rng(61)
@@ -848,6 +839,38 @@ class TestRunEvalSuite:
 
         with pytest.raises(TaskError, match="worker process died"):
             parallel_map(exit_on_three, list(range(8)), 2)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch, cpus, affinity):
+        started = []
+
+        class InlinePool:
+            """Records the workers asked for and runs the items here: no process starts."""
+
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                started.append(max_workers)
+                self.fn = initargs[0]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(self.fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for jobs, items in ((5000, 10), (2, 10), (5000, 2)):
+            assert parallel_map(abs, [-x for x in range(items)], jobs) == list(range(items))
+        # every jobs above 1 takes the pool, even with one CPU to run it on
+        assert started == [cpus, min(2, cpus), min(2, cpus)]
 
     def test_jobs_without_fork_rejected(self, monkeypatch):
         def no_fork(method):
