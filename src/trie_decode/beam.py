@@ -27,7 +27,11 @@ parent whose best id cannot get below it keeps nothing and is not sorted.
 Each scorer value read must be at most 0.0; NaN is refused.
 The final ranking applies length normalization when configured, breaking
 exact ties the same way so that results are total and reproducible; the
-rankings read their entries straight off the search's sorted pool.
+rankings read their entries straight off the search's sorted pool.  A
+caller that reads only the pool's best, as linking does, skips the scorer
+call of a leaf (a final hypothesis with no ids) whose bound is strictly
+below the best score pooled, as its EOS value, at most 0.0, can only lower
+it (see ``_search``).
 
 A single search is sequential; any number of searches may run concurrently
 over a shared trie, which is read-only, and a shared scorer, which changes at
@@ -63,9 +67,10 @@ class Constraint(Protocol[State]):
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
         """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is.
 
-        :func:`beam_search` checks only the first and the last id against the
-        vocabulary, so that check covers every id only because they ascend:
-        ids out of order or repeated are not detected.  A tuple or an owned
+        :func:`beam_search` refuses ids out of order or repeated, then checks
+        the first and the last against the vocabulary; the searches behind the
+        rankings and linking, whose constraints ascend by construction, check
+        only those two ends.  A tuple or an owned
         read-only array returned here must never change: :func:`beam_search`
         may reuse work done on it within one search.  A list, a view or a
         writeable array is never remembered.
@@ -93,7 +98,9 @@ class DecodeStats:
     """What the searches given this record did, summed over them; each search adds its counts once, at its end.
 
     A step visits each live hypothesis, its parent: a parent neither final
-    nor with ids is a dead end, and every other parent is one scorer call.
+    nor with ids is a dead end, a leaf (final with no ids) whose bound could
+    not reach the best pooled score of a search whose caller reads one entry
+    is one of ``unscored_leaves``, and every other parent is one scorer call.
     ``candidates`` are the entries the steps made (a wide parent adds at
     most ``k``) and ``pruned`` those no step kept; a keep-all step kept
     every candidate unsorted.  A wide parent has more than ``k`` allowed ids
@@ -113,6 +120,7 @@ class DecodeStats:
     pruned: int = 0
     keep_all_steps: int = 0
     dead_ends: int = 0
+    unscored_leaves: int = 0
     wide_parents: int = 0
     bar_skips: int = 0
     unrecorded_cuts: int = 0
@@ -209,12 +217,11 @@ def beam_search(
 
     Raises :class:`BeamError` for a constraint without ``final``; when
     ``allowed`` returns anything but a 1-D sequence (a set, a dict, None, an
-    iterator, an array of another shape), naming its type; when the first
-    allowed id is at most EOS or the last one is past the scorer's
-    vocabulary; and on a scorer value above 0.0 or NaN, naming its token.
-    The range check reads only those two ends, so it covers every id only
-    for ids that ascend, as the protocol asks: ids out of order or repeated
-    are not detected.
+    iterator, an array of another shape), naming its type; when its ids do
+    not ascend, each once, naming the constraint's type and the first id out
+    of order; when the first allowed id is at most EOS or the last one is
+    past the scorer's vocabulary, which then bounds every id; and on a
+    scorer value above 0.0 or NaN, naming its token.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -230,7 +237,7 @@ def beam_search(
     parents.  A wide parent's cut is memoized for the life of the search,
     and skipped unsorted where it cannot pass the step's bar (see ``_memo_cut``).
     """
-    pool = _search(scorer, input_tokens, constraint, config, stats)
+    pool = _search(scorer, input_tokens, _Ascending(constraint), config, config.k, stats)
     return [Hypothesis(tokens, cum, True) for _, tokens, cum in pool]
 
 
@@ -239,22 +246,32 @@ def _search(
     input_tokens: Sequence[TokenId],
     constraint: Constraint,
     config: BeamConfig,
+    reads: int,
     stats: DecodeStats | None = None,
 ) -> list[_Finished]:
-    """:func:`beam_search`'s hypotheses as the best ``k`` entries of its pool, sorted."""
-    if not hasattr(constraint, "final"):
-        raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
+    """:func:`beam_search`'s hypotheses as the best ``reads`` entries of its pool, sorted, for a caller that reads
+    no more than those.
+
+    A caller that reads one entry gets the pool's best, so a leaf (a final
+    parent with no ids, which adds nothing to the beam) is not scored where
+    its bound is strictly below the best score pooled so far: ``cum``, over
+    ``len(prefix) + 1`` when normalized.  Its score, ``cum + value`` with
+    ``value <= 0`` and so normalized alike, rounds to at most that bound, so
+    it could never be the best entry.  The scorer value it would read is
+    never read, so it is never refused either.
+    """
     allowed_of, final, advance = constraint.allowed, constraint.final, constraint.advance
     next_logprobs = scorer.next_token_logprobs
-    input_tokens, k, max_steps = tuple(input_tokens), config.k, config.max_steps
+    input_tokens, k, max_steps, normalize = tuple(input_tokens), config.k, config.max_steps, config.length_normalize
     live = [((), 0.0, constraint.start())]  # (tokens, cum_logprob, state), in token order
     pool: list[_Finished] = []
+    best = -math.inf  # the best ranking score pooled so far, kept for a caller that reads one entry
     cuts: dict[tuple[int, int], tuple] = {}  # see _memo_cut; it dies with this search
     tally = [0, 0, 0, 0]  # _memo_cut's pairs recorded, cuts read from them, exact sorts in their place, other cuts
     candidates: list[tuple[float, int, TokenId]] = []  # (-cum_logprob, parent's rank, token)
     append = candidates.append
     # DecodeStats counts; the rest follow from these, tally and the lengths of live and pool
-    steps = parents = made = keep_all = dead_ends = leaves = skips = 0
+    steps = parents = made = keep_all = dead_ends = leaves = unscored = skips = 0
     try:
         while live and steps < max_steps:
             steps += 1
@@ -264,16 +281,23 @@ def _search(
             for rank, (prefix, cum, state) in enumerate(live):
                 allowed = allowed_of(state)
                 ends = final(state)
-                if not (ends or len(allowed)):
-                    dead_ends += 1
-                    continue
+                if not len(allowed):
+                    if not ends:
+                        dead_ends += 1
+                        continue
+                    if reads == 1 and (cum / (len(prefix) + 1) if normalize else cum) < best:
+                        unscored += 1
+                        continue  # a leaf that cannot reach the best pooled score
                 logprobs = next_logprobs(input_tokens, prefix)
                 if ends:
                     value = float(logprobs[EOS])
                     if not value <= 0.0:
                         raise _bad_value(EOS, value)
                     done, score = prefix + (EOS,), cum + value
-                    pool.append((-_final_score(done, score, config.length_normalize), done, score))
+                    ranked = _final_score(done, score, normalize)
+                    pool.append((-ranked, done, score))
+                    if reads == 1 and ranked > best:
+                        best = ranked
                     if len(allowed) == 0:
                         leaves += 1
                         continue
@@ -323,11 +347,12 @@ def _search(
         stats += DecodeStats(
             searches=1,
             steps=steps,
-            scorer_calls=parents - dead_ends,
+            scorer_calls=parents - dead_ends - unscored,
             candidates=made,
             pruned=made - (parents - 1 + len(live)),  # every step's kept but the last are the next's parents
             keep_all_steps=keep_all,
             dead_ends=dead_ends,
+            unscored_leaves=unscored,
             wide_parents=skips + unrecorded + reuses + fallbacks,
             bar_skips=skips,
             unrecorded_cuts=unrecorded,
@@ -338,7 +363,36 @@ def _search(
             dropped=len(live),
             finished=len(pool),
         )
-    return pool[:k]
+    return pool[:reads]
+
+
+class _Ascending:
+    """``constraint``, refused without ``final``, with each ``allowed`` refused unless its ids ascend, each once,
+    else handed on as it is.
+
+    Anything but a 1-D sequence of comparable ids is handed on unread, for :func:`_search` to name.
+    """
+
+    def __init__(self, constraint: Constraint) -> None:
+        if not hasattr(constraint, "final"):
+            raise BeamError(f"{type(constraint).__name__} has no final(state); EOS is never an allowed id")
+        self.constraint = constraint
+        self.start, self.final, self.advance = constraint.start, constraint.final, constraint.advance
+
+    def allowed(self, state):
+        ids = self.constraint.allowed(state)
+        if isinstance(ids, Sequence) or isinstance(ids, np.ndarray) and ids.ndim == 1:
+            listed = ids.tolist() if isinstance(ids, np.ndarray) else ids
+            try:
+                bad = next((i for i in range(1, len(listed)) if not listed[i - 1] < listed[i]), None)
+            except TypeError:  # ids that do not compare: the search names what it got
+                bad = None
+            if bad is not None:
+                raise BeamError(
+                    f"{type(self.constraint).__name__}.allowed gave id {listed[bad]} after {listed[bad - 1]}; "
+                    "allowed ids must ascend, each once"
+                ) from None  # raised again, unchained, where the search names what a constraint returned
+        return ids
 
 
 _Finished = tuple[float, tuple[TokenId, ...], float]  # (-ranking score, tokens with EOS, cum_logprob)
@@ -470,7 +524,7 @@ def rank_entities(
     """
     if trie.max_depth >= config.max_steps:
         raise BeamError(f"max_steps {config.max_steps} cannot finish the longest name ({trie.max_depth} tokens)")
-    pool = _search(scorer, input_tokens, trie, config)
+    pool = _search(scorer, input_tokens, trie, config, config.k)
     return RankedResult(_entries(pool, lambda name: decode(name, vocab)))
 
 

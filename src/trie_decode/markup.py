@@ -324,6 +324,13 @@ def link_document(
     source token, so ``max_steps`` (or ``chunk_size``) must leave room for
     the markup or heavily annotated hypotheses cannot finish.
 
+    Each chunk reads only its search's best hypothesis, so a markup that
+    reaches the end of its chunk is not scored where its ``cum_logprob``
+    (over its length with EOS, when normalized) is already strictly below
+    the best score pooled: its EOS value, at most 0.0, could not lift it to
+    the best.  The scorer value such a markup would read is never read, and
+    so never refused.
+
     Raises :class:`MarkupError` when ``source`` holds a square bracket, naming
     the first and its offset, since its linked markup could not parse back;
     when ``chunk_size`` is below 1, whatever the source; or when an entity
@@ -343,7 +350,7 @@ def link_document(
     diagnostics: list[str] = []
     offset = 0
     for index, chunk in enumerate(chunks):
-        pool = _search(scorer, chunk, MarkupConstraint(chunk, trie), config)
+        pool = _search(scorer, chunk, MarkupConstraint(chunk, trie), config, 1)
         if pool:
             for start, end, entity in _scan(pool[0][1])[1]:
                 first, last = token_spans[offset + start], token_spans[offset + end - 1]

@@ -266,7 +266,7 @@ def disambiguate(
             diagnostics.append(
                 f"candidate {name!r} ({len(tokens)} tokens) cannot finish within max_steps={config.max_steps}"
             )
-    pool = _search(scorer, flagged, _Candidates(finishable), config.beam_config())
+    pool = _search(scorer, flagged, _Candidates(finishable), config.beam_config(), config.beams)
     return RankedResult(_entries(pool, names.__getitem__), tuple(diagnostics))
 
 

@@ -7,6 +7,7 @@ name/token mapping is exact in both directions.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import runpy
@@ -35,6 +36,21 @@ GEN_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
 def generate(workload: str, seed: int, out_dir, scale: float) -> None:
     """Write the files ``python benchmarks/gen.py <workload> <seed> <out_dir> --scale <scale>`` writes."""
     runpy.run_path(str(GEN_SCRIPT))["generate"](workload, seed, str(out_dir), scale)
+
+
+def host_digest(directories, scorers) -> str:
+    """SHA-256 of the files in ``directories`` and of the log-probabilities that each table scorer of ``scorers``
+    builds its rows from, each taken by the same ``np.log`` call: NumPy picks that kernel by CPU and version, so an
+    output pinned on one host is pinned only where this digest is the same."""
+    sha = hashlib.sha256()
+    for path in sorted(path for directory in directories for path in Path(directory).iterdir()):
+        sha.update(path.name.encode() + b"\0" + path.read_bytes())
+    for scorer in scorers:
+        alpha, size = scorer.alpha, scorer.vocab_size
+        for shape in sorted({tuple(row.values()) for row in scorer.counts.values()}):
+            sha.update(np.log((np.array([*shape, 0.0]) + alpha) / (sum(shape) + alpha * size)).tobytes())
+        sha.update(np.full(1, -np.log(size)).tobytes())
+    return sha.hexdigest()
 
 
 WORD_POOL = (

@@ -31,7 +31,7 @@ from trie_decode.scoring import (
     train_table_scorer,
 )
 from trie_decode.tasks import _Candidates
-from trie_decode.trie import build_trie
+from trie_decode.trie import EntityTrie, build_trie
 from trie_decode.vocab import EOS, SOS, Vocabulary, decode, encode
 
 from helpers import (
@@ -245,6 +245,19 @@ class TestBeamSearch:
             with pytest.raises(BeamError, match="out of range"):
                 beam_search(UniformScorer(11), (), Chain([(bad, 7) if bad <= EOS else (7, bad)]), BeamConfig(k=k))
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [((7, -1), "id -1 after 7"), ((50, 7), "id 7 after 50"), ((7, 7, 7), "id 7 after 7")],
+        ids=["negative-last", "descending", "repeated"],
+    )
+    def test_allowed_ids_out_of_order_or_repeated_raise(self, ids, message):
+        # as a tuple and as an array, wider than k = 1 and within k = 3
+        refused = rf"^Chain\.allowed gave {message}; allowed ids must ascend, each once$"
+        for allowed in (ids, np.array(ids)):
+            for k in (1, 3):
+                with pytest.raises(BeamError, match=refused):
+                    beam_search(UniformScorer(11), (), Chain([allowed]), BeamConfig(k=k))
+
     def test_constraint_without_final_raises(self, vocab, names_trie):
         class NoFinal:
             """The trie with EOS among its ids where a name ends, and no ``final``."""
@@ -346,9 +359,10 @@ CONSTRAINTS = ("trie", "candidates", "markup", "chain")
 SCORERS = ("random", "dyadic", "uniform", "flat", "read-only", "refilled")
 READ_ONLY_ROWS = {"random", "uniform", "flat", "read-only"}
 KINDS = (None, list, tuple, np.ndarray, "read-only")
+PROMISING = ("markup", "chain")  # constraints whose own ids never change: arrays owned and read-only, or tuples
 # the branches of a search, each met at least 5 times over the grid
 BRANCHES = ("keep_all_steps", "unrecorded_cuts", "recorded_pairs", "memo_reuses", "exact_fallbacks", "bar_skips")
-BRANCHES += ("dead_ends", "retired_with_ids", "dropped")
+BRANCHES += ("dead_ends", "unscored_leaves", "retired_with_ids", "dropped")
 
 
 def grid_constraint(name: str, rng: np.random.Generator, vocab: Vocabulary):
@@ -402,9 +416,9 @@ def grid_scorer(name: str, rng: np.random.Generator, vocab: Vocabulary) -> Rows:
 @functools.cache
 def grid_cell(constraint_name: str, scorer_name: str) -> DecodeStats:
     """Asserts each search of one grid cell, and returns their summed counts: every search, at ``k`` 1, 2, 3
-    and 10 with normalization on and off, under each kind of allowed ids, equals the reference, emits plain
-    ints, counts the scorer's calls and the children it advances, and records no pair where the row or the
-    ids may change."""
+    and 10 with normalization on and off, under each kind of allowed ids, for a caller that reads ``k`` entries
+    and for one that reads one, equals the reference, emits plain ints, counts the scorer's calls and the
+    children it advances, and records no pair where the row or the ids may change."""
     vocab = pool_vocabulary()
     rng = np.random.default_rng(zlib.crc32(f"{constraint_name} {scorer_name}".encode()))
     total = DecodeStats()
@@ -418,19 +432,25 @@ def grid_cell(constraint_name: str, scorer_name: str) -> DecodeStats:
                 # no renormalization: each score is the unconstrained sequence score
                 assert [h.cum_logprob for h in want] == [sequence_score(scorer, inputs, h.tokens) for h in want]
                 for kind in KINDS:
-                    shown = AllowedAs(constraint, kind)
-                    stats, calls = DecodeStats(), scorer.calls
-                    got = beam_search(scorer, inputs, shown, config, stats)
-                    case = constraint_name, scorer_name, kind, config
-                    assert got == want, case  # equal tokens and bit-equal cum_logprob
-                    assert all(type(t) is int for h in got for t in h.tokens), case
-                    assert stats.scorer_calls == scorer.calls - calls, case
-                    # each candidate kept is advanced once, and the best k of the pool are returned
-                    assert stats.candidates - stats.pruned == shown.advances, case
-                    assert len(got) == min(k, stats.finished), case
-                    promised = kind in (tuple, "read-only") or kind is None and constraint_name in ("markup", "chain")
-                    assert stats.recorded_pairs == 0 or promised and scorer_name in READ_ONLY_ROWS, case
-                    total += stats
+                    for reads in (k, 1):
+                        shown = AllowedAs(constraint, kind)
+                        stats, calls = DecodeStats(), scorer.calls
+                        if reads == k:
+                            got = beam_search(scorer, inputs, shown, config, stats)
+                        else:
+                            pool = beam._search(scorer, inputs, shown, config, 1, stats)
+                            got = [Hypothesis(tokens, cum, True) for _, tokens, cum in pool]
+                        case = constraint_name, scorer_name, kind, config, reads
+                        assert got == want[:reads], case  # equal tokens and bit-equal cum_logprob
+                        assert all(type(t) is int for h in got for t in h.tokens), case
+                        assert stats.scorer_calls == scorer.calls - calls, case
+                        # each candidate kept is advanced once, and the best of the pool are returned
+                        assert stats.candidates - stats.pruned == shown.advances, case
+                        assert len(got) == min(reads, stats.finished), case
+                        assert stats.unscored_leaves == 0 or reads == 1, case
+                        promised = kind in (tuple, "read-only") or kind is None and constraint_name in PROMISING
+                        assert stats.recorded_pairs == 0 or promised and scorer_name in READ_ONLY_ROWS, case
+                        total += stats
     return total
 
 
@@ -440,7 +460,7 @@ class TestExactnessGrid:
     @pytest.mark.parametrize("scorer_name", SCORERS)
     @pytest.mark.parametrize("constraint_name", CONSTRAINTS)
     def test_each_search_equals_the_reference(self, constraint_name, scorer_name):
-        assert grid_cell(constraint_name, scorer_name).searches == 4 * 4 * 2 * len(KINDS)
+        assert grid_cell(constraint_name, scorer_name).searches == 4 * 4 * 2 * len(KINDS) * 2
 
     def test_the_grid_meets_every_branch(self):
         total = DecodeStats()
@@ -570,6 +590,74 @@ class TestStepBar:
             return
         # with a finite value, parent 8 records the pair and 9 reuses it, both at the bar
         assert self.search(constraint, scorer, config)[1] == (3, 2, 0, 2)
+
+
+def two_names(root_7: float, root_9: float, eos_after_7_8: float) -> tuple[EntityTrie, Rows]:
+    """Names (7, 8) and (9,) at k=2: ``9 EOS`` finishes at step 2, ``root_9 + -0.5``, and the leaf ``7 8`` at
+    step 3, ``root_7 + -0.75 + eos_after_7_8``."""
+    default = np.full(11, -9.0)
+    root, after_7, after_7_8, after_9 = default.copy(), default.copy(), default.copy(), default.copy()
+    root[[7, 9]] = root_7, root_9
+    after_7[8] = -0.75
+    after_7_8[EOS] = eos_after_7_8
+    after_9[EOS] = -0.5
+    rows = {(): root, (7,): after_7, (7, 8): after_7_8, (9,): after_9}
+    return build_trie([(7, 8), (9,)], 11), by_prefix(rows, default)
+
+
+class TestUnscoredLeaves:
+    """A caller that reads one entry gets the reference's best, and a leaf that could not reach it is not scored."""
+
+    @staticmethod
+    def read_one(trie, scorer, config, reference=True):
+        """The entry a caller that reads one gets, checked against the reference, and the search's counts."""
+        stats, calls = DecodeStats(), scorer.calls
+        got = [(tokens, cum) for _, tokens, cum in beam._search(scorer, (), trie, config, 1, stats)]
+        assert stats.scorer_calls == scorer.calls - calls
+        if reference:
+            assert got == [(h.tokens, h.cum_logprob) for h in reference_beam_search(scorer, (), trie, config)[:1]]
+        return got, stats
+
+    @pytest.mark.parametrize("normalize, winner, unscored", [(True, (7, 8, EOS), 0), (False, (9, EOS), 1)])
+    def test_a_leaf_whose_bound_ties_the_best_is_scored(self, normalize, winner, unscored):
+        # normalized, the leaf's bound -1.5 / 3 ties the best, -1.0 / 2: it is scored, ties at 0.0, and wins on its
+        # tokens; unnormalized, its bound -1.5 is below the best, -1.0, so it is not scored
+        trie, scorer = two_names(-0.75, -0.5, 0.0)
+        config = BeamConfig(k=2, max_steps=4, length_normalize=normalize)
+        (got,), stats = self.read_one(trie, scorer, config)
+        assert (got[0], stats.unscored_leaves, stats.scorer_calls) == (winner, unscored, 4 - unscored)
+        # a caller that reads k entries gets both, each scored
+        stats = DecodeStats()
+        assert len(beam_search(scorer, (), trie, config, stats)) == 2 and stats.unscored_leaves == 0
+
+    def test_a_final_parent_with_ids_is_scored_below_the_best(self):
+        # names (3,), (7,) and (7, 8), normalized: 3 EOS pools -1.0 / 2; parent 7's bound, -1.25 / 2, is below it,
+        # but its ids go on to 7 8 EOS at -1.25 / 3, the best
+        default = np.full(11, -9.0)
+        root, after_3, after_7, after_7_8 = default.copy(), default.copy(), default.copy(), default.copy()
+        root[[3, 7]] = -1.0, -1.25
+        after_3[EOS] = after_7[8] = after_7_8[EOS] = 0.0
+        scorer = by_prefix({(): root, (3,): after_3, (7,): after_7, (7, 8): after_7_8}, default)
+        trie = build_trie([(3,), (7,), (7, 8)], 11)
+        got, stats = self.read_one(trie, scorer, BeamConfig(k=2, max_steps=4))
+        assert got == [((7, 8, EOS), -1.25)] and stats.unscored_leaves == 0
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_leaf_at_minus_inf_is_not_scored_below_a_finite_best_and_its_value_is_not_read(self, normalize):
+        # a NaN that is never read is never refused; a caller that reads k entries reads and refuses it
+        config = BeamConfig(k=2, max_steps=4, length_normalize=normalize)
+        for value in (-1.0, math.nan):
+            trie, scorer = two_names(-np.inf, -0.5, value)
+            got, stats = self.read_one(trie, scorer, config, reference=not math.isnan(value))
+            assert got == [((9, EOS), -1.0)] and stats.unscored_leaves == 1
+        with pytest.raises(BeamError, match=rf"^scorer gave token {EOS} the value nan;"):
+            beam_search(scorer, (), trie, config)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_leaf_at_minus_inf_ties_a_best_at_minus_inf_and_is_scored(self, normalize):
+        trie, scorer = two_names(-np.inf, -np.inf, 0.0)
+        got, stats = self.read_one(trie, scorer, BeamConfig(k=2, max_steps=4, length_normalize=normalize))
+        assert got == [((7, 8, EOS), -np.inf)] and stats.unscored_leaves == 0
 
 
 class TestOrder:

@@ -12,6 +12,7 @@ and any other ``{name}`` a path or text from the fixture.  To add a CLI check, a
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -29,10 +30,10 @@ import pytest
 
 from trie_decode.catalog import _BLOCK_LINES
 from trie_decode.cli import main
-from trie_decode.scoring import load_table_scorer, save_table_scorer
+from trie_decode.scoring import UniformScorer, load_table_scorer, save_table_scorer
 from trie_decode.trie import EntityTrie
 
-from helpers import SHARED_PREFIX_NAMES, generate
+from helpers import SHARED_PREFIX_NAMES, generate, host_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,7 +45,8 @@ class Row:
     err: str = ""
     same: str | None = None
     printed: re.Pattern = re.compile("")
-    holds: str = ""  # text the output holds, where the check is no more than that
+    holds: str = ""  # text the output holds
+    sha256: str = ""  # the output's SHA-256, where the row exits 0 and names no row ``same``
 
 
 def dump(*records: dict) -> str:
@@ -239,9 +241,16 @@ NOT_UTF8 = {  # argv hands a byte that is not UTF-8 on as a surrogate escape: b"
     ),
 }
 
+HOST = "044550bda41d23d46c5ecba937867443d71d41a27400fbe299ddd84f856c967a"
 ROWS = {
-    "link-trie": Row("build-trie {link}/catalog.txt --vocab {link}/vocab.txt --out {out}", printed=STATS),
-    "dr-trie": Row("build-trie {dr}/catalog.txt --vocab {dr}/vocab.txt --out {out}", printed=STATS),
+    "link-trie": Row(
+        "build-trie {link}/catalog.txt --vocab {link}/vocab.txt --out {out}", printed=STATS,
+        sha256="1887c5c419d954a01e171c0e3cffde02a479452abbdecb15a7a080e335d548b9",
+    ),
+    "dr-trie": Row(
+        "build-trie {dr}/catalog.txt --vocab {dr}/vocab.txt --out {out}", printed=STATS,
+        sha256="2b8922fe01e71c7e4388e9005c8ae75061293aeeb06028dd553dc02689b9c842",
+    ),
     # the trie file is canonical: the catalog reversed, with every line twice, builds the same bytes
     "reversed-twice-trie": Row(
         "build-trie {dir}/reversed-twice.txt --vocab {dr}/vocab.txt --out {out}",
@@ -261,20 +270,41 @@ ROWS = {
         "error: {dir}/float-range-scorer.tsv: vocab_size must be an integer in 1..2**63 - 1, got 1" + "0" * 400 + "\n",
     ),
     # dumps and reports are byte-identical at either --jobs, the chunked linking FSM's too
-    "link-1": Row(LINKED + " --jobs 1 --out {out}"),
+    "link-1": Row(
+        LINKED + " --jobs 1 --out {out}",
+        sha256="59e0b0a4649332a2189cf00ce35883744e9bb388bfeb03036a2f460e3b1e5510",
+    ),
     "link-2": Row(LINKED + " --jobs 2 --out {out}", same="link-1"),
-    "link-chunk5-1": Row(LINKED + " --chunk-size 5 --jobs 1 --out {out}"),
+    "link-chunk5-1": Row(
+        LINKED + " --chunk-size 5 --jobs 1 --out {out}",
+        sha256="76efd6c60cdc30444e99dccad6021062ec9aa4eeb6885f6ebd7b221670b72889",
+    ),
     "link-chunk5-2": Row(LINKED + " --chunk-size 5 --jobs 2 --out {out}", same="link-chunk5-1"),
-    "ed-1": Row(RANKED + " --jobs 1 --out {out}"),
+    "ed-1": Row(
+        RANKED + " --jobs 1 --out {out}",
+        sha256="e28388856c2005b9bf83ed7521b51c6529abed15caa5eed7ec56c08783e0068e",
+    ),
     "ed-2": Row(RANKED + " --jobs 2 --out {out}", same="ed-1"),
-    "dr-report-1": Row(DR_EVAL + " --jobs 1 --out {out}"),
+    "dr-report-1": Row(
+        DR_EVAL + " --jobs 1 --out {out}",
+        sha256="3bbaa579e4b6b3068c7b17d38e9098e07aebecf59a28f8cdadf1caf1f9828916",
+    ),
     "dr-report-2": Row(DR_EVAL + " --jobs 2 --out {out}", same="dr-report-1"),
     # eval of a dump scores it through the in-process report code
-    "el-report": Row(EL_EVAL + " --out {out}"),
+    "el-report": Row(
+        EL_EVAL + " --out {out}",
+        sha256="4964629961b28d9dd1b3b079f1f06bf0a6ef177cf3f6b207be5c082f5641af66",
+    ),
     "el-report-dump": Row(EL_EVAL + " --predictions {link-1} --out {out}", same="el-report"),
-    "el-report-chunk5": Row(EL_EVAL + " --chunk-size 5 --out {out}"),
+    "el-report-chunk5": Row(
+        EL_EVAL + " --chunk-size 5 --out {out}",
+        sha256="10420144bfdabd987e4d54c0a264d0da0d180cfa32f63231660f7f2b89d10c4d",
+    ),
     "el-report-chunk5-dump": Row(EL_EVAL + " --predictions {link-chunk5-1} --out {out}", same="el-report-chunk5"),
-    "ed-report": Row(ED_EVAL + " --out {out}"),
+    "ed-report": Row(
+        ED_EVAL + " --out {out}",
+        sha256="d6313e5950c878ee3e0467bb58e5e0516a32208b22d03425a6746470a7a636cd",
+    ),
     "ed-report-dump": Row(ED_EVAL + " --predictions {ed-1} --out {out}", same="ed-report"),
     # candidates given as each dataset row's sixth field decode and score as they do from --candidates
     "joined-ed": Row("disambiguate --dataset {dir}/joined-ed.tsv" + ED + " --out {out}", same="ed-1"),
@@ -283,6 +313,7 @@ ROWS = {
     "pieces-file": Row(
         "disambiguate --dataset {dir}/pieces.tsv --candidates {dir}/pieces-sets.tsv" + PIECES,
         holds='"name": "France"',
+        sha256="fbd327208844090d796ebfd28dbe0a8b406cd7c5f1d5890cb9174c5e3c42bd16",
     ),
     "pieces-field": Row("disambiguate --dataset {dir}/pieces-joined.tsv" + PIECES, same="pieces-file"),
     "bars-file": Row(
@@ -293,16 +324,43 @@ ROWS = {
         "disambiguate --dataset {dir}/bars-joined.tsv" + PIECES, 1,
         "error: {dir}/bars-joined.tsv:2: empty candidate set\n",
     ),
-    "rank-q1": Row("retrieve --query {q1}" + DR),
-    "rank-q2": Row("retrieve --query {q2}" + DR),
-    "rank-q3": Row("retrieve --query {q3}" + DR),
-    "doc": Row("link --text {doc-text}" + LINK),
-    "separated-doc": Row("link --text {separated-text}" + LINK),
+    "rank-q1": Row(
+        "retrieve --query {q1}" + DR,
+        sha256="5eab5c9fc1f123ff1ef1b83be243095100537ae82fc22005aec692d5ea46e96c",
+    ),
+    "rank-q2": Row(
+        "retrieve --query {q2}" + DR,
+        sha256="d15a8214a1c8be9926d3ff25a4721d60208019537200b38406e70b3cd247d5c8",
+    ),
+    "rank-q3": Row(
+        "retrieve --query {q3}" + DR,
+        sha256="6d879e13502e5eb2eeee48e07c951a3d1e8b323ec8ab4950782e465587f9e34b",
+    ),
+    "doc": Row(
+        "link --text {doc-text}" + LINK,
+        sha256="f2a96141f1f3259f798bcfae7868b07a08bf63cbda70840d1e015f394e608c83",
+    ),
+    "separated-doc": Row(
+        "link --text {separated-text}" + LINK,
+        sha256="7395ad299570efcf9558de16e2d4fda1b6d55c64e1784bdfb289b1a9fcddcf00",
+    ),
     # the tries and dumps of the 13-id vocabulary
-    "cli-trie": Row(BUILD + "cli-catalog.txt", printed=STATS),
-    "cli-long-trie": Row(BUILD + "cli-long-catalog.txt", printed=STATS),
-    "cli-ed-dump": Row(CLI_RUNS["disambiguate"] + " --format structured --out {out}"),
-    "cli-el-dump": Row(CLI_RUNS["link"] + " --format structured --out {out}"),
+    "cli-trie": Row(
+        BUILD + "cli-catalog.txt", printed=STATS,
+        sha256="c23c5d943bb108cc9ce81e42fe3590b4a16a472bb66dfb4e780539b6da0c2360",
+    ),
+    "cli-long-trie": Row(
+        BUILD + "cli-long-catalog.txt", printed=STATS,
+        sha256="b67c63cf1ae60a11e9329ad8a78d6be3fb85e99b8f636bdcc26fab2c990ffecd",
+    ),
+    "cli-ed-dump": Row(
+        CLI_RUNS["disambiguate"] + " --format structured --out {out}",
+        sha256="e04dfe3e37035c4bfe2bb2200f0629faabb0bf25f1fbb05084ec9db07cfb3788",
+    ),
+    "cli-el-dump": Row(
+        CLI_RUNS["link"] + " --format structured --out {out}",
+        sha256="8c9e7a165e0c9019759bf2f27e28024c5917d39c374ff77b959723c2581be410",
+    ),
     # build-trie writes no file for a catalog or vocabulary it refuses, and names the file or the line
     **{
         f"no-names-{case}": Row(BUILD + f"{case}.txt", 1, f"error: {{dir}}/{case}.txt holds no entity names\n")
@@ -567,6 +625,9 @@ def runner(tmp_path_factory):
     fields["separated-text"] = fields["doc-text"].replace(" ", "\u2028", 3).replace(" ", "\x1c", 3)
     assert fields["separated-text"] != fields["doc-text"]
     runner = Runner(root, fields)
+    scorers = [load_table_scorer(str(root / name / "scorer.tsv")) for name in ("link", "ed", "dr")]
+    uniform = [UniformScorer(12), UniformScorer(13)]  # the small vocabularies' uniform scorers
+    runner.host = host_digest([root / name for name in ("link", "ed", "dr")], scorers + uniform)
     blob = runner.run("cli-trie").output
     write("truncated.trie", blob[:-1])
     write("bad-magic.trie", b"X" + blob[1:])
@@ -585,6 +646,16 @@ def test_row(runner, row_id):
         assert result.output == runner.run(row.same).output
     if "--out" in ROWS[row_id].argv:
         assert result.left == (row_id,) and row.printed.fullmatch(result.printed)
+
+
+def test_each_output_is_pinned(runner):
+    """Each row that exits 0 leaves the output whose SHA-256 it holds, or row ``same``'s, where the host digest of
+    the generated inputs and scorer logs is the one they were pinned with (see ``helpers.host_digest``)."""
+    if runner.host != HOST:
+        pytest.skip(f"the host digest is {runner.host}, not the pinned one")
+    pinned = [row_id for row_id, row in ROWS.items() if not (row.status or row.same)]
+    got = {row_id: hashlib.sha256(runner.run(row_id).output).hexdigest() for row_id in pinned}
+    assert got == {row_id: ROWS[row_id].sha256 for row_id in pinned}, json.dumps(got, indent=1)
 
 
 def test_separators_between_words_keep_the_spans(runner):
