@@ -21,9 +21,10 @@ step with no parent wider than the beam and at most ``k`` candidates keeps
 them all, unsorted, in the (parent, token) order they were made.  A
 parent wider than the beam is first cut to its best ``k`` ids; within one
 search, a read-only row met again with the same tuple or owned read-only
-array of ids reuses its first sight's sort wherever that stays exact.  Within
-one step, the ``k``-th key of the best cut so far is a bar: a later wide
-parent whose best id cannot get below it keeps nothing and is not sorted.
+array of ids reuses one sort wherever that stays exact.  Within one step, the
+``k``-th key of the best cut so far is a bar: a later wide parent whose best
+id cannot get below it keeps nothing and is not sorted, and a remembered pair
+is sorted only at its first sight that passes the bar.
 Each scorer value read must be at most 0.0; NaN is refused.
 The final ranking applies length normalization when configured, breaking
 exact ties the same way so that results are total and reproducible; the
@@ -67,13 +68,13 @@ class Constraint(Protocol[State]):
     def allowed(self, state: State) -> Sequence[TokenId] | np.ndarray:
         """Legal next ids other than EOS, ascending and distinct, never SOS; empty where none is.
 
-        :func:`beam_search` refuses ids out of order or repeated, then checks
-        the first and the last against the vocabulary; the searches behind the
-        rankings and linking, whose constraints ascend by construction, check
-        only those two ends.  A tuple or an owned
-        read-only array returned here must never change: :func:`beam_search`
-        may reuse work done on it within one search.  A list, a view or a
-        writeable array is never remembered.
+        :func:`beam_search` refuses ids that are not integers or are out of
+        order or repeated, then checks the first and the last against the
+        vocabulary; the searches behind the rankings and linking, whose
+        constraints ascend by construction, check only those two ends.  A
+        tuple or an owned read-only array returned here must never change:
+        :func:`beam_search` may reuse work done on it within one search.  A
+        list, a view or a writeable array is never remembered.
         """
 
     def advance(self, state: State, token: TokenId) -> State:
@@ -105,9 +106,12 @@ class DecodeStats:
     most ``k``) and ``pruned`` those no step kept; a keep-all step kept
     every candidate unsorted.  A wide parent has more than ``k`` allowed ids
     and ends in one of ``bar_skips``, ``unrecorded_cuts``, ``memo_reuses``
-    (cut from its pair's recorded order, a first sight included) or
-    ``exact_fallbacks`` (a recorded pair whose rounded sums merged);
-    ``recorded_pairs`` counts the pairs the memo sorted once and kept.
+    (cut from its pair's recorded order, the sight that sorted it included)
+    or ``exact_fallbacks`` (a recorded pair whose rounded sums merged);
+    ``recorded_pairs`` counts the pairs the memo kept, ``sorted_pairs`` those
+    of them it sorted, once, at the first sight that passed the step's bar,
+    and ``deferred_sorts`` those sorted at a later sight than the one that
+    recorded them: ``recorded_pairs - sorted_pairs`` sorts were saved.
     ``retired_with_ids`` are final parents whose ids still extended them,
     ``dropped`` the live hypotheses left at ``max_steps``, and ``finished``
     the pool the best ``k`` were taken from.
@@ -127,6 +131,8 @@ class DecodeStats:
     memo_reuses: int = 0
     exact_fallbacks: int = 0
     recorded_pairs: int = 0
+    sorted_pairs: int = 0
+    deferred_sorts: int = 0
     retired_with_ids: int = 0
     dropped: int = 0
     finished: int = 0
@@ -217,11 +223,12 @@ def beam_search(
 
     Raises :class:`BeamError` for a constraint without ``final``; when
     ``allowed`` returns anything but a 1-D sequence (a set, a dict, None, an
-    iterator, an array of another shape), naming its type; when its ids do
-    not ascend, each once, naming the constraint's type and the first id out
-    of order; when the first allowed id is at most EOS or the last one is
-    past the scorer's vocabulary, which then bounds every id; and on a
-    scorer value above 0.0 or NaN, naming its token.
+    iterator, an array of another shape), naming its type; when an id is
+    not an integer, or the ids do not ascend, each once, naming the
+    constraint's type and the first such id; when the first allowed id is at
+    most EOS or the last one is past the scorer's vocabulary, which then
+    bounds every id; and on a scorer value above 0.0 or NaN, naming its
+    token.
 
     A step builds only what survives the cut.  Live hypotheses are
     ``(tokens, cum_logprob, state)`` tuples of one prefix length, kept in
@@ -267,7 +274,7 @@ def _search(
     pool: list[_Finished] = []
     best = -math.inf  # the best ranking score pooled so far, kept for a caller that reads one entry
     cuts: dict[tuple[int, int], tuple] = {}  # see _memo_cut; it dies with this search
-    tally = [0, 0, 0, 0]  # _memo_cut's pairs recorded, cuts read from them, exact sorts in their place, other cuts
+    tally = [0] * 6  # _memo_cut's counts: see its docstring
     candidates: list[tuple[float, int, TokenId]] = []  # (-cum_logprob, parent's rank, token)
     append = candidates.append
     # DecodeStats counts; the rest follow from these, tally and the lengths of live and pool
@@ -343,7 +350,7 @@ def _search(
         raise _not_ids(returned) from None
     pool.sort()  # pooled token sequences are distinct, so no two cum_logprobs are compared
     if stats is not None:
-        recorded, reuses, fallbacks, unrecorded = tally
+        recorded, reuses, fallbacks, unrecorded, sorted_pairs, deferred = tally
         stats += DecodeStats(
             searches=1,
             steps=steps,
@@ -359,6 +366,8 @@ def _search(
             memo_reuses=reuses,
             exact_fallbacks=fallbacks,
             recorded_pairs=recorded,
+            sorted_pairs=sorted_pairs,
+            deferred_sorts=deferred,
             retired_with_ids=len(pool) - leaves,
             dropped=len(live),
             finished=len(pool),
@@ -367,10 +376,10 @@ def _search(
 
 
 class _Ascending:
-    """``constraint``, refused without ``final``, with each ``allowed`` refused unless its ids ascend, each once,
-    else handed on as it is.
+    """``constraint``, refused without ``final``, with each ``allowed`` refused unless its ids are integers (Python
+    or NumPy ones) that ascend, each once, else handed on as it is.
 
-    Anything but a 1-D sequence of comparable ids is handed on unread, for :func:`_search` to name.
+    Anything but a 1-D sequence is handed on unread, for :func:`_search` to name.
     """
 
     def __init__(self, constraint: Constraint) -> None:
@@ -383,15 +392,17 @@ class _Ascending:
         ids = self.constraint.allowed(state)
         if isinstance(ids, Sequence) or isinstance(ids, np.ndarray) and ids.ndim == 1:
             listed = ids.tolist() if isinstance(ids, np.ndarray) else ids
-            try:
-                bad = next((i for i in range(1, len(listed)) if not listed[i - 1] < listed[i]), None)
-            except TypeError:  # ids that do not compare: the search names what it got
-                bad = None
-            if bad is not None:
-                raise BeamError(
-                    f"{type(self.constraint).__name__}.allowed gave id {listed[bad]} after {listed[bad - 1]}; "
-                    "allowed ids must ascend, each once"
-                ) from None  # raised again, unchained, where the search names what a constraint returned
+            for i, token in enumerate(listed):
+                # raised unchained: the search calls ``allowed`` again where it names what a constraint returned
+                if not isinstance(token, (int, np.integer)):
+                    raise BeamError(
+                        f"{type(self.constraint).__name__}.allowed gave id {token!r}; allowed ids must be integers"
+                    ) from None
+                if i and not listed[i - 1] < token:
+                    raise BeamError(
+                        f"{type(self.constraint).__name__}.allowed gave id {token} after {listed[i - 1]}; "
+                        "allowed ids must ascend, each once"
+                    ) from None
         return ids
 
 
@@ -449,19 +460,24 @@ def _memo_cut(
     ``id()`` of both objects of a pair that promises not to change (a
     read-only row; a tuple or an owned read-only array of ids), and holds
     both, so no other object can take those ``id()`` values while it lives.
-    On first sight the row is gathered and :func:`_top` read once; any other
-    pair, a trie's fresh view or a list, is then cut and not recorded, and one
-    that promises is recorded with ``top`` and its :func:`_order`.  As
-    ``x -> fl(cum + x)`` is monotone, the best ``k`` at ``cum`` are those of
-    the order unless rounding merges a neighbour into the ``k``-th value's
-    group; where the rounded sums do not keep all three apart, the exact sort
-    runs instead.  ``tally`` counts the pairs recorded, the cuts read from
-    their orders, the exact sorts run in their place and the cuts of pairs
-    not recorded.
+    On first sight the row is gathered and :func:`_top` read once, so a NaN
+    among the values raises there, whatever the bar; any other pair, a
+    trie's fresh view or a list, is then cut and not recorded, and one that
+    promises is recorded with ``top`` and the gathered ids and values.  Its
+    :func:`_order` runs at the first sight that passes the bar, from those
+    values, and replaces them: the row is gathered once per pair, and a pair
+    that never passes the bar is never sorted.  As ``x -> fl(cum + x)`` is
+    monotone, the best ``k`` at ``cum`` are those of the order unless
+    rounding merges a neighbour into the ``k``-th value's group; where the
+    rounded sums do not keep all three apart, the exact sort runs instead.
+    ``tally`` counts the pairs recorded, the cuts read from their orders, the
+    exact sorts run in their place, the cuts of pairs not recorded, the
+    pairs sorted and those of them sorted after their first sight.
     """
     key = id(logprobs), id(allowed)
     seen = cuts.get(key)
-    if seen is None:
+    first = seen is None
+    if first:
         tokens = np.asarray(allowed, dtype=np.intp)
         values = logprobs[tokens]
         top = _top(tokens, values)
@@ -472,11 +488,16 @@ def _memo_cut(
                 return None
             tally[3] += 1
             return _cut(tokens, values, cum, k)
-        seen = cuts[key] = (logprobs, allowed, top, *_order(tokens, values, k))
+        seen = cuts[key] = (logprobs, allowed, top, tokens, values)
         tally[0] += 1
-    top, best, value, above, below = seen[2:]
+    top = seen[2]
     if bar is not None and -(cum + top) >= bar:
         return None
+    if len(seen) == 5:  # recorded, not yet sorted: sort the values gathered on first sight
+        seen = cuts[key] = (logprobs, allowed, top, *_order(seen[3], seen[4], k))
+        tally[4] += 1
+        tally[5] += not first
+    best, value, above, below = seen[3:]
     if cum + above > cum + value > cum + below:
         tally[1] += 1
         return best

@@ -25,6 +25,7 @@ rather than a merge heuristic.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -134,19 +135,29 @@ def dynamic_constraint(
     return frozenset(LINK_CLOSE if t == EOS else t for t in continuations)
 
 
-_CLOSE_ONLY = np.array([LINK_CLOSE], dtype=np.intp)
+_CLOSE_ONLY = (LINK_CLOSE,)  # the ids inside a link at a leaf, one tuple for every leaf
 _BRACKET = re.compile(r"[\[\]]")
 
 
-def _link_allowed(node: int, trie: EntityTrie) -> np.ndarray:
-    """Legal next tokens inside ``(...)``, a new read-only array: the trie's, after ``)`` where a name ends."""
-    if trie.final(node):
-        # ascending: MarkupConstraint refuses labels at or below ``)``
-        allowed = np.concatenate((_CLOSE_ONLY, trie.allowed(node)))
-    else:
-        allowed = trie.allowed(node).copy()
-    allowed.flags.writeable = False
-    return allowed
+def _link_ids(node: int, trie: EntityTrie) -> tuple[TokenId, ...] | np.ndarray:
+    """Legal next tokens inside ``(...)`` at ``node``: the trie's labels, after ``)`` where a name ends.
+
+    A node with two or more children gets the trie's own read-only array (see
+    :class:`~trie_decode.trie.EntityTrie`), made once per trie; a leaf gets
+    ``(LINK_CLOSE,)`` and a node with one child a new tuple.  The ids ascend:
+    :class:`MarkupConstraint` refuses labels at or below ``)``.
+    """
+    labels = trie.allowed(node)
+    if len(labels) < 2:
+        if not len(labels):
+            return _CLOSE_ONLY  # every childless node ends a name
+        return (LINK_CLOSE, *labels.tolist()) if trie.final(node) else tuple(labels.tolist())
+    ids = trie._link_ids.get(node)
+    if ids is None:
+        ids = np.concatenate((_CLOSE_ONLY, labels)) if trie.final(node) else labels.copy()
+        ids.flags.writeable = False
+        ids = trie._link_ids.setdefault(node, ids)  # a search that stored one first wins
+    return ids
 
 
 def advance_state(state: LinkerState, token: TokenId, source: Sequence[TokenId]) -> LinkerState:
@@ -234,10 +245,15 @@ class MarkupConstraint:
     (after ``]``) or LINK (inside ``(...)``); ``cursor`` is the next source
     token, and ``node`` the entity prefix's trie node (the root outside a
     link).  Every phase before the link reads its ids from a per-cursor
-    table built once per source; inside a link, ``allowed`` hands out one
-    owned, read-only array per trie node, made on first use, so a node met
-    again gives the same array, which :func:`beam_search` sorts once and
-    reuses.  The one final state is outside at the end of the source.
+    table built once per source.  Inside a link, ``allowed`` hands out, per
+    trie node, the trie's own read-only array where the node has two or more
+    children, made once per trie and shared by every constraint over it; a
+    tuple kept by this constraint where it has one; and one shared
+    ``(LINK_CLOSE,)`` at a leaf.  So a node met again, in this search or
+    another, gives the same object, whose cut :func:`beam_search` sorts at
+    most once per search and reuses, and no document copies the trie's
+    labels.  ``advance`` inside a link bisects the trie's labels in place.
+    The one final state is outside at the end of the source.
     ``allowed`` matches :func:`dynamic_constraint` (without EOS, ascending),
     and ``advance``, defined only for an id in ``allowed(state)``, moves as
     :func:`advance_state` does: that reference, which keeps the errors, is
@@ -262,6 +278,7 @@ class MarkupConstraint:
                 "it cannot be copied"
             )
         self._trie = trie
+        self._labels, self._first = trie._token, trie._first  # the bisection inside a link reads these
         self._root = trie.start()
         self._end = _OUTSIDE, len(source), self._root  # the one final state
         # allowed ids by phase, then by cursor, for each phase before _LINK
@@ -271,9 +288,8 @@ class MarkupConstraint:
             [(MENTION_CLOSE, t) for t in source] + [(MENTION_CLOSE,)],
             [(LINK_OPEN,)] * (len(source) + 1),
         )
-        # allowed ids inside a link by trie node, filled on first use: a node
-        # met again hands out the same owned, read-only array
-        self._links: dict[int, np.ndarray] = {}
+        # allowed ids inside a link by trie node, filled on first use from _link_ids
+        self._links: dict[int, tuple[TokenId, ...] | np.ndarray] = {}
 
     def start(self) -> _State:
         return _OUTSIDE, 0, self._root
@@ -286,7 +302,7 @@ class MarkupConstraint:
         if phase == _LINK:
             allowed = self._links.get(node)
             if allowed is None:
-                allowed = self._links[node] = _link_allowed(node, self._trie)
+                allowed = self._links[node] = _link_ids(node, self._trie)
             return allowed
         return self._tables[phase][cursor]
 
@@ -295,7 +311,7 @@ class MarkupConstraint:
         if phase == _LINK:
             if token == LINK_CLOSE:
                 return _OUTSIDE, cursor, self._root
-            return _LINK, cursor, self._trie.advance(node, token)
+            return _LINK, cursor, bisect_left(self._labels, token, self._first[node], self._first[node + 1])
         if token == MENTION_OPEN:
             return _OPENED, cursor, node
         if token == MENTION_CLOSE:
@@ -330,6 +346,12 @@ def link_document(
     the best score pooled: its EOS value, at most 0.0, could not lift it to
     the best.  The scorer value such a markup would read is never read, and
     so never refused.
+
+    Each chunk's :class:`MarkupConstraint` hands out the ids inside a link
+    from arrays that ``trie`` keeps for all its searches, so linking a
+    document copies none of the trie's labels, and the first documents
+    linked over a trie also fill its table, at most one array per node with
+    two or more children.
 
     Raises :class:`MarkupError` when ``source`` holds a square bracket, naming
     the first and its offset, since its linked markup could not parse back;

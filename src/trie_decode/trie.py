@@ -71,6 +71,15 @@ class EntityTrie:
     so later writes to it cannot reach the trie.  ``vocab_size``, from the
     header, bounds the token ids.
 
+    ``_link_ids`` maps a node with two or more children to the read-only
+    array that :class:`~trie_decode.markup.MarkupConstraint` hands out inside
+    a link there.  It starts empty and is filled on first use with
+    ``dict.setdefault``, so searches sharing the trie, concurrent ones too,
+    agree on one array per node; it never holds more entries than the trie
+    has such nodes.  It lives exactly as long as the trie and is neither
+    serialized, pickled nor compared: a trie loaded from its bytes starts
+    with an empty table.
+
     Raises:
         TrieFormatError: an :class:`InputError`, on a version 1 file, bad
             magic, truncation, trailing bytes, or arrays that are not a
@@ -79,7 +88,7 @@ class EntityTrie:
     """
 
     __slots__ = (
-        "_data", "_tokens", "_token", "_first", "_terminal", "vocab_size",
+        "_data", "_tokens", "_token", "_first", "_terminal", "_link_ids", "vocab_size",
         "leaf_count", "internal_node_count", "node_count", "max_depth", "min_label",
     )
 
@@ -124,6 +133,7 @@ class EntityTrie:
         token.flags.writeable = False
         self._tokens, self._token = token, memoryview(token)
         self._terminal = data[start + 8 * n + 4 :]  # bytes: they index faster than a memoryview
+        self._link_ids: dict[int, np.ndarray] = {}
         self.vocab_size, self.node_count = vocab_size, n
         self.leaf_count = int(np.count_nonzero(terminal))
         # every valid trie's root has children, so it is counted here too

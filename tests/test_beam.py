@@ -258,6 +258,20 @@ class TestBeamSearch:
                 with pytest.raises(BeamError, match=refused):
                     beam_search(UniformScorer(11), (), Chain([allowed]), BeamConfig(k=k))
 
+    @pytest.mark.parametrize("ids", [(7.5, 8.5), (7.5, 8.5, 9.5, 10.5)], ids=["two", "four"])
+    def test_allowed_ids_that_are_not_integers_raise(self, ids):
+        # as a tuple, a list and an array, wider than k = 1 and within k = 3; a wide cut would cast them to ints
+        refused = r"^Chain\.allowed gave id 7\.5; allowed ids must be integers$"
+        for allowed in (ids, list(ids), np.array(ids)):
+            for k in (1, 3):
+                with pytest.raises(BeamError, match=refused):
+                    beam_search(UniformScorer(12), (), Chain([allowed]), BeamConfig(k=k))
+
+    def test_numpy_integer_ids_are_integers(self):
+        for ids in ((np.int64(7), np.int64(8)), np.array([7, 8], dtype=np.uint16)):
+            (got,) = beam_search(UniformScorer(12), (), Chain([ids]), BeamConfig(k=1))
+            assert got.tokens == (7, EOS)
+
     def test_constraint_without_final_raises(self, vocab, names_trie):
         class NoFinal:
             """The trie with EOS among its ids where a name ends, and no ``final``."""
@@ -362,7 +376,7 @@ KINDS = (None, list, tuple, np.ndarray, "read-only")
 PROMISING = ("markup", "chain")  # constraints whose own ids never change: arrays owned and read-only, or tuples
 # the branches of a search, each met at least 5 times over the grid
 BRANCHES = ("keep_all_steps", "unrecorded_cuts", "recorded_pairs", "memo_reuses", "exact_fallbacks", "bar_skips")
-BRANCHES += ("dead_ends", "unscored_leaves", "retired_with_ids", "dropped")
+BRANCHES += ("dead_ends", "unscored_leaves", "retired_with_ids", "dropped", "deferred_sorts")
 
 
 def grid_constraint(name: str, rng: np.random.Generator, vocab: Vocabulary):
@@ -370,8 +384,10 @@ def grid_constraint(name: str, rng: np.random.Generator, vocab: Vocabulary):
     wide parents, a ``max_steps`` below the longest name drops live hypotheses, a chain's empty step is a dead end."""
     ordinary = np.arange(vocab.ordinary_base, vocab.size)
     if name == "chain":
-        widths = rng.integers(0, 7, size=int(rng.integers(1, 6)))
-        steps = [tuple(np.sort(rng.choice(ordinary, size=int(n), replace=False)).tolist()) for n in widths]
+        # steps drawn from fewer tuples, so that one (row, ids) pair recurs across steps
+        widths = rng.integers(0, 9, size=int(rng.integers(1, 3)))
+        sets = [tuple(np.sort(rng.choice(ordinary, size=int(n), replace=False)).tolist()) for n in widths]
+        steps = [sets[i] for i in rng.integers(0, len(sets), size=int(rng.integers(2, 8)))]
         return (), Chain(steps), int(rng.integers(1, len(steps) + 2))
     seqs = random_sequences(rng, vocab, size=int(rng.integers(2, 120)), max_len=int(rng.integers(2, 5)))
     if name == "markup":
@@ -450,6 +466,9 @@ def grid_cell(constraint_name: str, scorer_name: str) -> DecodeStats:
                         assert stats.unscored_leaves == 0 or reads == 1, case
                         promised = kind in (tuple, "read-only") or kind is None and constraint_name in PROMISING
                         assert stats.recorded_pairs == 0 or promised and scorer_name in READ_ONLY_ROWS, case
+                        # each pair is sorted at most once, and a sort is read at the sight that ran it
+                        assert stats.deferred_sorts <= stats.sorted_pairs <= stats.recorded_pairs, case
+                        assert stats.sorted_pairs <= stats.memo_reuses + stats.exact_fallbacks, case
                         total += stats
     return total
 
@@ -468,6 +487,7 @@ class TestExactnessGrid:
             for scorer_name in SCORERS:
                 total += grid_cell(constraint_name, scorer_name)
         met = {name: getattr(total, name) for name in BRANCHES}
+        met["recorded, never sorted"] = total.recorded_pairs - total.sorted_pairs
         assert min(met.values()) >= 5, met
 
 
@@ -590,6 +610,58 @@ class TestStepBar:
             return
         # with a finite value, parent 8 records the pair and 9 reuses it, both at the bar
         assert self.search(constraint, scorer, config)[1] == (3, 2, 0, 2)
+
+
+def three_parents(cums, first, shared) -> tuple[Chain, Rows]:
+    """Parents 7, 8 and 9, at ``cums``, over ids 3, 4, 5 and 6 at k=3: parent 7 cuts its own read-only row, with
+    ``first`` at those ids, which sets the bar, and parents 8 and 9 meet one (row, ids) pair, ``shared`` there."""
+    default = np.full(12, -9.0)
+    default[EOS] = 0.0
+    root, own, common = default.copy(), default.copy(), default.copy()
+    root[[7, 8, 9]] = cums
+    own[[3, 4, 5, 6]], common[[3, 4, 5, 6]] = first, shared
+    common = read_only(common)
+    return Chain([(7, 8, 9), (3, 4, 5, 6)]), by_prefix({(): root, (7,): read_only(own), (8,): common, (9,): common}, default)
+
+
+class TestDeferredSort:
+    """A recorded pair is sorted at its first sight that passes the step's bar, from the values gathered on its first
+    sight, and never where it does not pass."""
+
+    CONFIG = BeamConfig(k=3, max_steps=3, length_normalize=False)
+
+    @staticmethod
+    def search(constraint, scorer):
+        """The search's result, checked, and its (bar skips, recorded, sorted, deferred, memo reuses, fallbacks)."""
+        stats = DecodeStats()
+        got = beam_search(scorer, (), constraint, TestDeferredSort.CONFIG, stats)
+        assert got == reference_beam_search(scorer, (), constraint, TestDeferredSort.CONFIG)
+        counts = stats.bar_skips, stats.recorded_pairs, stats.sorted_pairs, stats.deferred_sorts
+        return [h.tokens[:2] for h in got], (*counts, stats.memo_reuses, stats.exact_fallbacks)
+
+    def test_a_pair_first_met_under_the_bar_is_sorted_once_where_it_passes(self):
+        # parent 7 keeps 3, 4 and 5 at -0.2, the bar; 8, at -0.9 + -0.1, is skipped, and 9, at -0.05 + -0.1, passes
+        chain, scorer = three_parents((-0.1, -0.9, -0.05), (-0.1, -0.1, -0.1, -3.0), (-0.1, -0.3, -2.0, -2.0))
+        assert self.search(chain, scorer) == ([(9, 3), (7, 3), (7, 4)], (1, 2, 2, 1, 2, 0))
+
+    def test_a_pair_that_never_passes_the_bar_is_never_sorted(self):
+        chain, scorer = three_parents((-0.1, -0.9, -0.95), (-0.1, -0.1, -0.1, -3.0), (-0.1, -0.3, -2.0, -2.0))
+        assert self.search(chain, scorer) == ([(7, 3), (7, 4), (7, 5)], (2, 2, 1, 0, 1, 0))
+
+    @pytest.mark.parametrize("cum_9", [-0.05, -0.95], ids=["passes-later", "never-passes"])
+    def test_a_nan_among_a_deferred_pairs_values_is_refused_on_first_sight(self, cum_9):
+        # parent 8 meets the pair under the bar; its best value is finite, and the NaN at id 4 is read there
+        chain, scorer = three_parents((-0.1, -0.9, cum_9), (-0.1, -0.1, -0.1, -3.0), (-0.1, math.nan, -2.0, -2.0))
+        with pytest.raises(BeamError, match=r"^scorer gave token 4 the value nan;"):
+            beam_search(scorer, (), chain, self.CONFIG)
+
+    def test_a_deferred_sort_whose_sums_merge_takes_the_exact_sort(self):
+        # parent 7 sets the bar at -1001.25; parent 8, at -2000, is skipped; parent 9, at -1000, passes, and its
+        # sums at ids 4 and 5, apart at cum 0, round to one value, -1001.0
+        shared = (-1.0, -1.0 - 2**-50, -1.0 - 2**-49, -5.0)
+        assert len({-1000.0 + v for v in shared[:3]}) == 1 and len(set(shared)) == 4
+        chain, scorer = three_parents((-1000.5, -2000.0, -1000.0), (-0.75, -0.75, -0.75, -9.0), shared)
+        assert self.search(chain, scorer) == ([(9, 3), (9, 4), (9, 5)], (1, 2, 2, 1, 1, 1))
 
 
 def two_names(root_7: float, root_9: float, eos_after_7_8: float) -> tuple[EntityTrie, Rows]:
@@ -872,10 +944,11 @@ class TestConfigValidation:
 
 
 def test_no_test_patches_the_beam_module():
-    # a search's work is read off DecodeStats: no test replaces an attribute of trie_decode.beam
-    patch = re.compile(r"setattr\(\s*[\"']?(trie_decode\.)?beam\b")
+    # a search's work is read off DecodeStats, and the arrays shared through a trie off their identity: no test
+    # replaces an attribute of trie_decode.beam, trie_decode.markup or trie_decode.trie
+    patch = re.compile(r"setattr\(\s*[\"']?(trie_decode\.)?(beam|markup|trie)\b")
     for path in sorted(Path(__file__).parent.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         for match in patch.finditer(text):
             line = text.count("\n", 0, match.start()) + 1
-            raise AssertionError(f"{path.name}:{line} patches trie_decode.beam: read DecodeStats instead")
+            raise AssertionError(f"{path.name}:{line} patches trie_decode.{match.group(2)}: read DecodeStats instead")

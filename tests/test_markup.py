@@ -1,7 +1,11 @@
 """Markup decoding FSM, end-to-end linking, parsing, and chunking."""
 
+import copy
 import itertools
+import pickle
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from trie_decode.markup import (
     strip_markup_tokens,
 )
 from trie_decode.scoring import OracleScorer, UniformScorer
-from trie_decode.trie import build_trie
+from trie_decode.trie import EntityTrie, build_trie
 from trie_decode.vocab import (
     EOS,
     LINK_CLOSE,
@@ -153,11 +157,12 @@ class TestDynamicConstraint:
         assert walked >= 40
 
     def test_a_link_node_hands_out_one_read_only_allowed_object(self):
-        # "English" is a name with children, "English language" a leaf; the
+        # "English" is a name with children, "English language" a leaf,
+        # "France" a node with one child and "literature" a name with one; the
         # root is met in two links at different cursors
         words = ("English", "France", "language", "literature")
         vocab = Vocabulary(words)
-        names = ("English", "English language", "English literature", "France")
+        names = ("English", "English language", "English literature", "France language", "literature", "literature France")
         trie = build_trie([tuple(encode(n, vocab)) for n in names], vocab.size)
         english, france, language, literature = map(vocab.ordinary_id, words)
         source = (english, france, english)
@@ -171,20 +176,30 @@ class TestDynamicConstraint:
         open_link = (MENTION_OPEN, english, MENTION_CLOSE, LINK_OPEN)
         roots = [walk(constraint.start(), *open_link), walk(constraint.start(), english, france, *open_link)]
         assert roots == [(_LINK, 1, trie.start()), (_LINK, 3, trie.start())]
-        walks = {
-            (): sorted((english, france)),
+        branching = {
+            (): sorted((english, france, literature)),
             (english,): [LINK_CLOSE, *sorted((language, literature))],  # a final node with children
-            (english, language): [LINK_CLOSE],
         }
-        for tokens, expected in walks.items():
+        narrow = {
+            (english, language): (LINK_CLOSE,),  # a leaf
+            (france,): (language,),
+            (literature,): (LINK_CLOSE, france),  # a final node with one child
+        }
+        for tokens, expected in {**branching, **narrow}.items():
             states = [walk(root, *tokens) for root in roots]
             allowed = constraint.allowed(states[0])
-            assert list(allowed) == expected
+            assert list(allowed) == list(expected)
             for state in states:
                 assert constraint.allowed(state) is allowed  # the same object, met again
-            # an array of its own that nothing can write through, so beam_search records it
-            assert type(allowed) is np.ndarray and allowed.flags.owndata and not allowed.flags.writeable
-            assert not np.shares_memory(allowed, trie.allowed(states[0][2]))
+            node = states[0][2]
+            if tokens in branching:
+                # the trie's own array, which nothing can write through, so beam_search records it
+                assert type(allowed) is np.ndarray and allowed.flags.owndata and not allowed.flags.writeable
+                assert not np.shares_memory(allowed, trie.allowed(node))
+                assert trie._link_ids[node] is allowed
+            else:
+                assert allowed == expected and node not in trie._link_ids
+        assert len(trie._link_ids) == len(branching)
 
     @pytest.mark.parametrize("label", [MENTION_OPEN, MENTION_CLOSE, LINK_OPEN, LINK_CLOSE])
     def test_constraint_refuses_a_trie_with_a_markup_label(self, label):
@@ -202,6 +217,102 @@ class TestDynamicConstraint:
         with pytest.raises(MarkupError, match=f"source token {token} is a sequence or markup token"):
             MarkupConstraint((7, token, 8), trie)
         MarkupConstraint((7, UNK, 8), trie)  # the lowest id encode produces
+
+
+def link_states(trie):
+    """``(state, node)`` of every node of ``trie`` inside a link of a one-token source, in level order."""
+    return [((_LINK, 1, node), node) for node in range(trie.node_count)]
+
+
+def branching_nodes(trie) -> set[int]:
+    return {node for node in range(trie.node_count) if len(trie.allowed(node)) >= 2}
+
+
+class TestLinkIdTable:
+    """The ids inside a link are made once per trie, for its nodes with two or more children, and only there."""
+
+    @pytest.fixture
+    def trie(self):
+        rng = np.random.default_rng(29)
+        return build_trie(random_sequences(rng, pool_vocabulary(), size=60, max_len=4), pool_vocabulary().size)
+
+    def test_constraints_over_one_trie_share_each_branching_nodes_array(self, trie):
+        first, second, branching = MarkupConstraint((7,), trie), MarkupConstraint((8, 9), trie), branching_nodes(trie)
+        for state, node in link_states(trie):
+            ids = first.allowed(state)
+            assert first.allowed(state) is ids
+            if node in branching:
+                assert second.allowed(state) is ids and trie._link_ids[node] is ids
+            else:  # a leaf's one tuple, or a tuple of this constraint's own
+                assert type(ids) is tuple and len(ids) <= 2 and node not in trie._link_ids
+                assert (second.allowed(state) is ids) == (ids == (LINK_CLOSE,))
+
+    def test_tries_with_equal_bytes_share_no_array(self, trie):
+        twin = EntityTrie(trie.serialize())
+        assert twin == trie
+        ours, theirs, branching = MarkupConstraint((7,), trie), MarkupConstraint((7,), twin), branching_nodes(trie)
+        for state, node in link_states(trie):
+            ids = ours.allowed(state)
+            assert list(theirs.allowed(state)) == list(ids)
+            if node in branching:
+                assert theirs.allowed(state) is not ids and not np.shares_memory(theirs.allowed(state), ids)
+        assert trie._link_ids.keys() == twin._link_ids.keys() == branching
+
+    def test_the_table_is_neither_pickled_compared_nor_serialized(self, trie):
+        data = trie.serialize()
+        fresh = EntityTrie(data)
+        constraint = MarkupConstraint((7,), trie)
+        for state, _ in link_states(trie):
+            constraint.allowed(state)
+        assert trie._link_ids and not fresh._link_ids
+        assert trie == fresh and fresh == trie and trie.serialize() == data
+        for copied in (pickle.loads(pickle.dumps(trie)), copy.deepcopy(trie)):
+            assert copied == trie and copied._link_ids == {}
+
+    def test_the_table_never_outgrows_the_branching_nodes(self):
+        # every link state a search can reach, walked by a search over random tries at full width
+        rng = np.random.default_rng(31)
+        vocab = pool_vocabulary()
+        for _ in range(10):
+            trie = build_trie(random_sequences(rng, vocab, size=int(rng.integers(2, 80)), max_len=4), vocab.size)
+            ordinary = range(vocab.ordinary_base, vocab.size)
+            for _ in range(3):
+                source = tuple(int(t) for t in rng.choice(ordinary, size=int(rng.integers(1, 4))))
+                config = BeamConfig(k=8, max_steps=12, length_normalize=False)
+                beam_search(random_table_scorer(rng, vocab), source, MarkupConstraint(source, trie), config)
+                assert trie._link_ids.keys() <= branching_nodes(trie)
+            constraint = MarkupConstraint((7,), trie)
+            for state, _ in link_states(trie):
+                constraint.allowed(state)
+            assert trie._link_ids.keys() == branching_nodes(trie)
+
+    def test_concurrent_searches_agree_on_one_array_per_node(self):
+        # threads that fill one trie's table at once, with a short switch interval: a lost update (a plain store
+        # in place of setdefault) would leave a thread holding an array that the table does not
+        rng = np.random.default_rng(37)
+        trie = build_trie([rng.integers(10, 40, size=int(rng.integers(1, 5))).tolist() for _ in range(20000)], 40)
+        nodes = sorted(branching_nodes(trie))
+        assert len(nodes) > 1000
+        threads, barrier, got = 4, threading.Barrier(4), {}
+
+        def fill(worker):
+            constraint = MarkupConstraint((7,), trie)
+            barrier.wait()
+            got[worker] = [constraint.allowed((_LINK, 1, node)) for node in nodes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fill, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and len(got) == threads
+        for arrays in got.values():
+            assert all(ids is trie._link_ids[node] for ids, node in zip(arrays, nodes))
 
 
 class TestAdvanceState:

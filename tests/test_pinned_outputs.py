@@ -2,8 +2,9 @@
 
 The first ``min_requests`` timed requests of each workload go through the benchmark's own ``Workload.run`` and
 ``CountingScorer``, read-only from ``benchmarks/``.  Their output digest is ``benchmarks/BASELINE.json``'s for seed
-501, and their scorer calls per request and quality are pinned below.  The first few requests of each are also
-decoded by the reference search.
+501, and their scorer calls per request and quality are pinned below, with link's search counters: scorer calls,
+recorded and sorted pairs, memo reuses and bar skips.  The first few requests of each are also decoded by the
+reference search.
 
 The outputs print float scores, and NumPy picks its ``np.log`` kernel by CPU (a vector one where AVX-512 is, libm's
 elsewhere) and version.  So the pins hold only on a host whose generated files and scorer log-probabilities are
@@ -22,6 +23,7 @@ from typing import NamedTuple
 
 import pytest
 
+from trie_decode.beam import DecodeStats, _search
 from trie_decode.markup import MarkupConstraint, SpanAnnotation, _scan
 from trie_decode.tasks import flag_mention
 from trie_decode.trie import build_trie
@@ -39,12 +41,18 @@ class Pin(NamedTuple):
     calls: float  # scorer calls per request
     quality: float
     references: int  # the first requests the reference search decodes too
+    counters: dict[str, int] = {}  # the DecodeStats counters of the requests' searches, where pinned
 
+
+# link: the searches of the first 100 documents, as link_document runs them
+LINK_COUNTERS = {"scorer_calls": 30172, "recorded_pairs": 1396, "sorted_pairs": 804, "memo_reuses": 4637, "bar_skips": 4973}
 
 PINS = {
     "retrieve": Pin("4773cdc22723efc61e012ded6ad74da5def7ce958985dd230ed7c0d60e52a736", 48.0, 0.7141666666666667, 5),
     "disambiguate": Pin("eb197a2371d13bc565c8d60ce27a2d1ac47a56d53a2e213f94d53585059736a1", 38.568, 0.751, 50),
-    "link": Pin("c082138e4820943f4c81d6ab5646edaed87cd694c2c351986894c67a707fdccc", 301.72, 0.2536231884057971, 3),
+    "link": Pin(
+        "c082138e4820943f4c81d6ab5646edaed87cd694c2c351986894c67a707fdccc", 301.72, 0.2536231884057971, 3, LINK_COUNTERS
+    ),
 }
 
 
@@ -56,6 +64,7 @@ class Decoded(NamedTuple):
     calls: list[int]
     host: str
     config: dict  # the benchmark's decode configs
+    counters: dict[str, int]  # the pinned DecodeStats counters of the requests' searches
 
 
 @pytest.fixture(scope="module", params=list(PINS))
@@ -75,7 +84,14 @@ def decoded(request, tmp_path_factory) -> Decoded:
         outputs.append(workload.run(scorer, each))
         calls.append(scorer.calls - before)
     config = {key: bench[key] for key in ("RETRIEVE_CONFIG", "ED_CONFIG", "LINK_CONFIG")}
-    return Decoded(name, workload, requests, outputs, calls, host_digest([inputs], [workload.scorer]), config)
+    stats = DecodeStats()
+    if PINS[name].counters:  # link: each document's search again, with a record
+        for request in requests:
+            tokens = tuple(span.token for span in encode_with_offsets(request[1], workload.vocab))
+            _search(workload.scorer, tokens, MarkupConstraint(tokens, workload.trie), config["LINK_CONFIG"], 1, stats)
+        assert stats.scorer_calls == sum(calls)  # the counting scorer's count
+    counters = {key: getattr(stats, key) for key in PINS[name].counters}
+    return Decoded(name, workload, requests, outputs, calls, host_digest([inputs], [workload.scorer]), config, counters)
 
 
 def test_outputs_pass_the_benchmark_checks(decoded):
@@ -95,6 +111,7 @@ def test_outputs_calls_and_quality_are_pinned(decoded):
     assert sha.hexdigest() == baseline
     assert statistics.fmean(decoded.calls) == pin.calls
     assert decoded.workload.quality(decoded.requests, decoded.outputs) == pin.quality
+    assert decoded.counters == pin.counters
 
 
 def test_first_requests_equal_the_reference_search(decoded):
